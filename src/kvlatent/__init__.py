@@ -13,7 +13,9 @@ from .calibration import (
     CalibrationBatch,
     CovarianceAccumulator,
     ShrinkageParams,
+    Whitener,
     accumulate,
+    build_whitener,
     finalize,
     merge,
     shrunk_sqrt,
@@ -42,7 +44,9 @@ __all__ = [
     "RankProfile",
     "ShrinkageParams",
     "SpectrumTable",
+    "Whitener",
     "accumulate",
+    "build_whitener",
     "care_factorize",
     "convert_layer",
     "finalize",

@@ -9,15 +9,19 @@ mean, optionally 1/(N-1)) is deliberately not used anywhere in the pipeline.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 WEIGHTING_SQRT = "sqrtC"
 WEIGHTING_COV = "C"
 WEIGHTINGS = (WEIGHTING_SQRT, WEIGHTING_COV)
+# Whitener eigenvalues below this fraction of the largest are treated as
+# singular; shrinkage keeps real pipelines well away from it.
+WHITENER_FLOOR_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -111,30 +115,97 @@ def resolve_lambda(base: np.ndarray, params: ShrinkageParams) -> float:
     "auto" is trace(base) / dim; a zero-trace base falls back to 1.0 so the
     resolved value is always positive.
     """
+    return _lambda_for(params, float(np.trace(base)) / base.shape[0])
+
+
+def _lambda_for(params: ShrinkageParams, mean_eig: float) -> float:
     if params.lam != "auto":
         return float(params.lam)
-    mean_eig = float(np.trace(base)) / base.shape[0]
     return mean_eig if mean_eig > 0.0 else 1.0
+
+
+@dataclass(frozen=True)
+class Whitener:
+    """One layer's shrunk whitening operator S, kept in eigen form.
+
+    S = Q diag(eigenvalues) Q^T, where Q holds the eigenvectors of the
+    covariance C and `eigenvalues` are those of S, non-increasing:
+    (1 - alpha) sqrt(c_i) + alpha lam for "sqrtC" and (1 - alpha) c_i +
+    alpha lam for "C". `lam` is the resolved ridge scale and `clamped` the
+    number of slightly negative eigenvalues of C that were set to zero.
+    S, S^-1 and the numerical-health figures all come from this one
+    eigendecomposition.
+    """
+
+    eigenvectors: np.ndarray
+    eigenvalues: np.ndarray
+    lam: float
+    weighting: str
+    clamped: int = 0
+
+    def __post_init__(self):
+        q = linalg.as_matrix(self.eigenvectors, "eigenvectors")
+        vals = np.asarray(self.eigenvalues, dtype=np.float64)
+        if q.shape != (vals.size, vals.size):
+            raise ValidationError(
+                f"eigenvectors {q.shape} do not match {vals.size} eigenvalues"
+            )
+        object.__setattr__(self, "eigenvectors", q)
+        object.__setattr__(self, "eigenvalues", vals)
+
+    @property
+    def dim(self) -> int:
+        return int(self.eigenvalues.size)
+
+    @property
+    def lambda_max(self) -> float:
+        return float(self.eigenvalues[0])
+
+    @property
+    def lambda_min(self) -> float:
+        return float(self.eigenvalues[-1])
+
+    @property
+    def condition(self) -> float:
+        return self.lambda_max / self.lambda_min if self.lambda_min > 0.0 else float("inf")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """S itself, symmetric."""
+        q = self.eigenvectors
+        s = (q * self.eigenvalues) @ q.T
+        return (s + s.T) / 2.0
+
+    def unwhiten(self, a) -> np.ndarray:
+        """S^-1 @ a, refusing a numerically singular S."""
+        lam_max = max(self.lambda_max, 0.0)
+        if lam_max <= 0.0 or self.lambda_min <= WHITENER_FLOOR_REL * lam_max:
+            raise NumericalError("singular whitener: apply shrinkage before factorizing")
+        q = self.eigenvectors
+        return q @ ((q.T @ linalg.as_matrix(a, "a")) / self.eigenvalues[:, None])
+
+
+def build_whitener(c, params: ShrinkageParams, weighting: str = WEIGHTING_SQRT) -> Whitener:
+    """The shrunk whitener of covariance `c`, from one eigendecomposition.
+
+    weighting "sqrtC" (default) shrinks the PSD square root of C; "C" uses
+    the covariance itself, shrunk the same way with its own auto scale.
+    Both refuse a C that is not PSD beyond rounding noise.
+    """
+    if weighting not in WEIGHTINGS:
+        raise ValidationError(f"unknown weighting {weighting!r}; expected one of {WEIGHTINGS}")
+    eig, clamped = linalg.psd_eig(c)
+    base = np.sqrt(eig.eigenvalues) if weighting == WEIGHTING_SQRT else eig.eigenvalues
+    lam = _lambda_for(params, float(np.mean(base)))
+    shrunk = (1.0 - params.alpha) * base + params.alpha * lam
+    return Whitener(eig.eigenvectors, shrunk, lam, weighting, clamped)
+
+
+def whitening_operator(c, params: ShrinkageParams, weighting: str = WEIGHTING_SQRT) -> np.ndarray:
+    """The shrunk operator that multiplies weights before factorization."""
+    return build_whitener(c, params, weighting).matrix
 
 
 def shrunk_sqrt(c, params: ShrinkageParams) -> np.ndarray:
     """(1 - alpha) * sqrt(C) + alpha * lam * I. Minimum eigenvalue >= alpha * lam."""
-    root = linalg.sqrt_psd(c)
-    lam = resolve_lambda(root, params)
-    return (1.0 - params.alpha) * root + params.alpha * lam * np.eye(root.shape[0])
-
-
-def whitening_operator(c, params: ShrinkageParams, weighting: str = WEIGHTING_SQRT) -> np.ndarray:
-    """The shrunk operator that multiplies weights before factorization.
-
-    weighting "sqrtC" (default) shrinks the PSD square root of C; "C" uses
-    the covariance itself, shrunk the same way with its own auto scale.
-    """
-    if weighting == WEIGHTING_SQRT:
-        return shrunk_sqrt(c, params)
-    if weighting == WEIGHTING_COV:
-        c = linalg.as_matrix(c, "c")
-        sym = (c + c.T) / 2.0
-        lam = resolve_lambda(sym, params)
-        return (1.0 - params.alpha) * sym + params.alpha * lam * np.eye(sym.shape[0])
-    raise ValidationError(f"unknown weighting {weighting!r}; expected one of {WEIGHTINGS}")
+    return whitening_operator(c, params, WEIGHTING_SQRT)

@@ -34,7 +34,8 @@ def _cov_name(layer: int) -> str:
 
 
 def _whitener_for_layer(m: manifest.ModelManifest, cov_dir, layer: int,
-                        params: calibration.ShrinkageParams, weighting: str):
+                        params: calibration.ShrinkageParams,
+                        weighting: str) -> calibration.Whitener:
     c = ctf.read_ctf(Path(cov_dir) / _cov_name(layer))
     entry = m.layer(layer)
     if c.shape != (entry.d_model, entry.d_model):
@@ -42,16 +43,7 @@ def _whitener_for_layer(m: manifest.ModelManifest, cov_dir, layer: int,
             f"covariance for layer {layer} has shape {c.shape}, "
             f"expected ({entry.d_model}, {entry.d_model})"
         )
-    return calibration.whitening_operator(c, params, weighting), c
-
-
-def _resolved_lambda(c: np.ndarray, params: calibration.ShrinkageParams,
-                     weighting: str) -> float:
-    if weighting == calibration.WEIGHTING_SQRT:
-        base = linalg.sqrt_psd(c)
-    else:
-        base = (c + c.T) / 2.0
-    return calibration.resolve_lambda(base, params)
+    return calibration.build_whitener(c, params, weighting)
 
 
 def _parse_lambda(text: str):
@@ -191,12 +183,13 @@ def cmd_schedule(args) -> None:
     parity_total = 0
     for layer in range(len(m.layers)):
         entry = m.layer(layer)
-        op, _ = _whitener_for_layer(m, args.cov_dir, layer, params, m.weighting)
+        whitener = _whitener_for_layer(m, args.cov_dir, layer, params, m.weighting)
         gqa = manifest.load_gqa_layer(m, base, layer)
-        w_k = factorizer.replicate_groups(gqa.w_k_g, gqa.n_heads, gqa.n_groups, gqa.head_dim)
-        w_v = factorizer.replicate_groups(gqa.w_v_g, gqa.n_heads, gqa.n_groups, gqa.head_dim)
-        table.add(layer, scheduler.KIND_K, scheduler.whitened_spectrum(op, w_k))
-        table.add(layer, scheduler.KIND_V, scheduler.whitened_spectrum(op, w_v))
+        # The spectrum of the head-width weight is the grouped one scaled by
+        # the lift gain, plus zeros beyond rank n_groups * head_dim.
+        gain = factorizer.lift_gain(gqa.n_heads, gqa.n_groups)
+        for kind, w_g in ((scheduler.KIND_K, gqa.w_k_g), (scheduler.KIND_V, gqa.w_v_g)):
+            table.add(layer, kind, gain * scheduler.whitened_spectrum(whitener.matrix, w_g))
         parity_total += factorizer.kv_parity_rank(entry.n_groups, entry.head_dim)
 
     if args.parity:
@@ -217,6 +210,13 @@ def cmd_schedule(args) -> None:
             raise ValidationError(
                 "--mode adjusted requires --budget-k and --budget-v (or --parity)"
             )
+        for kind, budget in ((scheduler.KIND_K, budget_k), (scheduler.KIND_V, budget_v)):
+            full_total = sum(table.full_rank(l, kind) for l in table.layers(kind))
+            if budget > full_total:
+                raise ValidationError(
+                    f"--budget-{kind.lower()} {budget} exceeds the total full rank "
+                    f"{full_total} (KV parity)"
+                )
         min_rank = args.min_rank
         if min_rank is None:
             min_rank = _default_min_rank(table, budget_k, budget_v)
@@ -250,11 +250,11 @@ def cmd_convert(args) -> None:
     report_layers = []
     for layer in range(len(m.layers)):
         entry = m.layer(layer)
-        op, cov = _whitener_for_layer(m, args.cov_dir, layer, params, weighting)
+        whitener = _whitener_for_layer(m, args.cov_dir, layer, params, weighting)
         gqa = manifest.load_gqa_layer(m, base, layer)
         r_k = profile.rank(layer, scheduler.KIND_K)
         r_v = profile.rank(layer, scheduler.KIND_V)
-        factors, report_k, report_v = factorizer.convert_layer(gqa, op, r_k, r_v)
+        factors, report_k, report_v = factorizer.convert_layer(gqa, whitener, r_k, r_v)
 
         w_q_rel = f"weights/layer{layer:03d}_w_q.ctf"
         shutil.copyfile(base / entry.w_q, out / w_q_rel)
@@ -282,7 +282,8 @@ def cmd_convert(args) -> None:
         report_layers.append(
             {
                 "layer": layer,
-                "lambda_resolved": _resolved_lambda(cov, params, weighting),
+                "lambda_resolved": whitener.lam,
+                "whitener": _whitener_dict(whitener),
                 "k": _report_dict(report_k),
                 "v": _report_dict(report_v),
             }
@@ -315,6 +316,16 @@ def cmd_convert(args) -> None:
         },
     )
     print(f"converted manifest: {out / 'converted.json'}")
+
+
+def _whitener_dict(whitener: calibration.Whitener) -> dict:
+    return {
+        "clamped": whitener.clamped,
+        "condition": whitener.condition,
+        "lambda_max": whitener.lambda_max,
+        "lambda_min": whitener.lambda_min,
+        "lambda_resolved": whitener.lam,
+    }
 
 
 def _report_dict(report: factorizer.FactorizationReport) -> dict:

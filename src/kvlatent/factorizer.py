@@ -1,31 +1,41 @@
 """Whitened low-rank factorization and the GQA-to-latent weight mapping.
 
-A grouped projection is first replicated to full head width, then factorized
-against the layer's whitening operator S: factor S @ W, truncate to rank r,
-and unwhiten the left factor, giving
+Each projection is factorized against its layer's whitening operator S (a
+calibration.Whitener, built from one eigendecomposition of the covariance
+and shared by K and V): factor S @ W, truncate to rank r, and unwhiten the
+left factor, giving
 
     w_a = S^-1 U_r Sigma_r        (down-projection, D x r)
     w_b = V_r^T                   (up-projection, r x n_heads*head_dim)
 
 so that w_a @ w_b is the best rank-r approximation of W in the metric
-||S (W - W_hat)||_F. With S = I this reduces to plain SVD truncation. The
-latent width that leaves the per-token cache unchanged is exactly the
-grouped width n_groups * head_dim, at which the factorization is exact
-because the replicated weight has that rank.
+||S (W - W_hat)||_F. With S = I this reduces to plain SVD truncation.
+
+The weight to approximate is the grouped projection W_g replicated to full
+head width, W = W_g R, where R copies each group block to its
+m = n_heads / n_groups heads and R R^T = m I. So if S W_g = U Sigma V^T,
+then S W = U (sqrt(m) Sigma) (V^T R / sqrt(m)) is an SVD of S W, and the
+factorization runs at grouped width (D x n_groups*head_dim) and is lifted:
+
+    w_a = S^-1 U_r (sqrt(m) Sigma_r)
+    w_b = replicate_groups(V_r^T) / sqrt(m)     (orthonormal rows)
+
+Residuals at head width are m times their grouped-width values. The
+replicated weight has rank n_groups * head_dim, which is also the latent
+width that leaves the per-token cache unchanged; at that rank the
+factorization is exact. care_factorize on replicate_groups(W_g) is the
+direct, slower route to the same factors.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .calibration import CalibrationBatch
+from .calibration import WHITENER_FLOOR_REL, CalibrationBatch, Whitener
 from .errors import NumericalError, ValidationError
-
-# Whitener eigenvalues below this fraction of the largest are treated as
-# singular; shrinkage keeps real pipelines well away from it.
-_WHITENER_FLOOR_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -188,7 +198,7 @@ def care_factorize(w, whitener, r: int) -> tuple[FactorPair, FactorizationReport
 
     eig = linalg.sym_eig(whitener)
     lam_max = max(float(eig.eigenvalues[0]), 0.0)
-    if lam_max <= 0.0 or float(eig.eigenvalues[-1]) <= _WHITENER_FLOOR_REL * lam_max:
+    if lam_max <= 0.0 or float(eig.eigenvalues[-1]) <= WHITENER_FLOOR_REL * lam_max:
         raise NumericalError("singular whitener: apply shrinkage before factorizing")
     unwhiten = (eig.eigenvectors / eig.eigenvalues) @ eig.eigenvectors.T
     unwhiten = (unwhiten + unwhiten.T) / 2.0
@@ -209,6 +219,48 @@ def plain_factorize(w, r: int) -> tuple[FactorPair, FactorizationReport]:
     """Rank-r factorization minimizing the plain weight residual (identity whitener)."""
     w = linalg.as_matrix(w, "w")
     return care_factorize(w, np.eye(w.shape[0]), r)
+
+
+def lift_gain(n_heads: int, n_groups: int) -> float:
+    """sqrt(n_heads / n_groups): replicating a grouped weight to head width
+    multiplies each of its singular values by this factor."""
+    return math.sqrt(n_heads // n_groups)
+
+
+def grouped_factorize(
+    w_g, whitener: Whitener, r: int, n_heads: int, n_groups: int, head_dim: int
+) -> tuple[FactorPair, FactorizationReport]:
+    """Rank-r factorization of replicate_groups(w_g), computed at grouped width.
+
+    Gives the factors care_factorize gives on the replicated weight, at a
+    fraction of the cost. Ranks above the true rank n_groups * head_dim
+    add zero columns to w_a and zero rows to w_b.
+    """
+    w_g = linalg.as_matrix(w_g, "w_g")
+    if whitener.dim != w_g.shape[0]:
+        raise ValidationError(
+            f"whitener dim {whitener.dim} does not match weight rows {w_g.shape[0]}"
+        )
+    width = n_heads * head_dim
+    p = min(w_g.shape[0], width)
+    if not 1 <= r <= p:
+        raise ValidationError(f"rank {r} out of range [1, {p}]")
+    kept = min(r, w_g.shape[1])
+    top = linalg.truncate_svd(linalg.svd(whitener.matrix @ w_g), kept)
+    a_g = whitener.unwhiten(top.u * top.singular_values)
+    diff = w_g - a_g @ top.v_t
+    gain = lift_gain(n_heads, n_groups)
+    w_a = np.zeros((w_g.shape[0], r))
+    w_a[:, :kept] = gain * a_g
+    w_b = np.zeros((r, width))
+    w_b[:kept] = replicate_groups(top.v_t, n_heads, n_groups, head_dim) / gain
+    m = n_heads // n_groups
+    report = FactorizationReport(
+        weight_residual_sq=m * linalg.frobenius_norm_sq(diff),
+        whitened_residual_sq=m * linalg.frobenius_norm_sq(whitener.matrix @ diff),
+        rank_used=r,
+    )
+    return FactorPair(w_a, w_b), report
 
 
 def activation_residual(batches: list[CalibrationBatch], w, w_hat) -> float:
@@ -262,13 +314,12 @@ def ablate_singular_value(w, i: int) -> np.ndarray:
 
 
 def convert_layer(
-    layer: GqaLayer, whitener, r_k: int, r_v: int
+    layer: GqaLayer, whitener: Whitener, r_k: int, r_v: int
 ) -> tuple[MlaFactors, FactorizationReport, FactorizationReport]:
-    """Replicate the grouped projections and factorize K and V independently."""
-    w_k = replicate_groups(layer.w_k_g, layer.n_heads, layer.n_groups, layer.head_dim)
-    w_v = replicate_groups(layer.w_v_g, layer.n_heads, layer.n_groups, layer.head_dim)
-    (pair_k, report_k) = care_factorize(w_k, whitener, r_k)
-    (pair_v, report_v) = care_factorize(w_v, whitener, r_v)
+    """Factorize the grouped K and V projections independently against one whitener."""
+    geometry = (layer.n_heads, layer.n_groups, layer.head_dim)
+    (pair_k, report_k) = grouped_factorize(layer.w_k_g, whitener, r_k, *geometry)
+    (pair_v, report_v) = grouped_factorize(layer.w_v_g, whitener, r_v, *geometry)
     factors = MlaFactors(
         w_a_k=pair_k.w_a,
         w_b_k=pair_k.w_b,

@@ -85,11 +85,11 @@ def sym_eig(s) -> EigResult:
     return EigResult(vals, vecs)
 
 
-def sqrt_psd(s) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition.
+def psd_eig(s) -> tuple[EigResult, int]:
+    """Eigendecomposition of a symmetric PSD matrix, with the clamp count.
 
-    Eigenvalues in [-PSD_CLAMP_REL * lambda_max, 0) are clamped to zero;
-    anything more negative means the input is genuinely not PSD.
+    Eigenvalues in [-PSD_CLAMP_REL * lambda_max, 0) are clamped to zero and
+    counted; anything more negative means the input is genuinely not PSD.
     """
     res = sym_eig(s)
     vals = res.eigenvalues
@@ -98,7 +98,14 @@ def sqrt_psd(s) -> np.ndarray:
         raise NumericalError(
             f"matrix is not PSD: eigenvalue {vals[-1]:g} below clamp threshold"
         )
-    root = (res.eigenvectors * np.sqrt(np.clip(vals, 0.0, None))) @ res.eigenvectors.T
+    clamped = int(np.count_nonzero(vals < 0.0))
+    return EigResult(np.clip(vals, 0.0, None), res.eigenvectors), clamped
+
+
+def sqrt_psd(s) -> np.ndarray:
+    """Symmetric PSD square root via eigendecomposition (clamped as in psd_eig)."""
+    res, _ = psd_eig(s)
+    root = (res.eigenvectors * np.sqrt(res.eigenvalues)) @ res.eigenvectors.T
     return (root + root.T) / 2.0
 
 
@@ -140,6 +147,15 @@ def svd(a) -> SvdResult:
             u[:, j] = -u[:, j]
             v_t[j, :] = -v_t[j, :]
     return SvdResult(u, sing.copy(), v_t)
+
+
+def singular_values(a) -> np.ndarray:
+    """Descending singular values alone, without the singular vectors."""
+    a = as_matrix(a, "a")
+    try:
+        return np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD failed to converge: {exc}") from None
 
 
 def truncate_svd(res: SvdResult, r: int) -> SvdResult:

@@ -84,7 +84,7 @@ def whitened_spectrum(sqrt_c, w) -> np.ndarray:
         raise ValidationError(
             f"dimension mismatch: whitener {sqrt_c.shape} vs weight {w.shape}"
         )
-    return np.linalg.svd(sqrt_c @ w, compute_uv=False)
+    return linalg.singular_values(sqrt_c @ w)
 
 
 def tail_energy(sigma, r: int) -> float:

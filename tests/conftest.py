@@ -45,3 +45,10 @@ def covariance_of(batches):
     for batch in batches:
         acc = calibration.accumulate(acc, batch)
     return calibration.finalize(acc)
+
+
+def identity_whitener(dim: int):
+    """The whitener S = I, for factorizations that reduce to plain SVD."""
+    from kvlatent.calibration import WEIGHTING_COV, Whitener
+
+    return Whitener(np.eye(dim), np.ones(dim), 1.0, WEIGHTING_COV)

@@ -108,12 +108,13 @@ def test_criterion_03_kv_parity_exactness():
                     CalibrationBatch(0, rng.standard_normal((12, d)))
                     for _ in range(4)
                 ]
-                op = calibration.shrunk_sqrt(covariance_of(batches), ShrinkageParams())
+                whitener = calibration.build_whitener(covariance_of(batches), ShrinkageParams())
                 r = kv_parity_rank(n_groups, head_dim)
-                factors, report_k, report_v = convert_layer(layer, op, r, r)
+                factors, report_k, report_v = convert_layer(layer, whitener, r, r)
                 for report, w_g in ((report_k, layer.w_k_g), (report_v, layer.w_v_g)):
                     w = replicate_groups(w_g, n_heads, n_groups, head_dim)
-                    energy = float(np.sum(np.linalg.svd(op @ w, compute_uv=False) ** 2))
+                    energy = float(np.sum(
+                        np.linalg.svd(whitener.matrix @ w, compute_uv=False) ** 2))
                     assert report.whitened_residual_sq <= 1e-12 * energy
                 t = int(rng.integers(2, 17))
                 x = rng.standard_normal((t, d))

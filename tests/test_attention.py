@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import anisotropic_batches, covariance_of, gen
+from conftest import anisotropic_batches, covariance_of, gen, identity_whitener
 from kvlatent import calibration, linalg
 from kvlatent.attention import (
     AttentionConfig,
@@ -148,7 +148,7 @@ class TestMlaForward:
     def test_lossless_path_matches_gqa(self):
         rng = gen(421)
         layer = random_gqa_layer(rng)
-        factors, _, _ = convert_layer(layer, np.eye(16), 16, 16)
+        factors, _, _ = convert_layer(layer, identity_whitener(16), 16, 16)
         x = rng.standard_normal((5, 16))
         drift = logit_drift(
             gqa_forward(layer, x),
@@ -163,7 +163,7 @@ class TestMlaForward:
             calibration.CalibrationBatch(0, rng.standard_normal((8, 16)))
             for _ in range(4)
         ]
-        s = calibration.shrunk_sqrt(covariance_of(batches), calibration.ShrinkageParams())
+        s = calibration.build_whitener(covariance_of(batches), calibration.ShrinkageParams())
         r = kv_parity_rank(layer.n_groups, layer.head_dim)
         factors, _, _ = convert_layer(layer, s, r, r)
         x = rng.standard_normal((8, 16))
@@ -176,14 +176,14 @@ class TestMlaForward:
     def test_zero_input(self):
         rng = gen(423)
         layer = random_gqa_layer(rng)
-        factors, _, _ = convert_layer(layer, np.eye(16), 8, 8)
+        factors, _, _ = convert_layer(layer, identity_whitener(16), 8, 8)
         trace = mla_forward(factors, layer.w_q, config_for(layer, 3), np.zeros((3, 16)))
         assert np.array_equal(trace.output, np.zeros_like(trace.output))
 
     def test_cache_widths_and_scale(self):
         rng = gen(424)
         layer = random_gqa_layer(rng)
-        factors, _, _ = convert_layer(layer, np.eye(16), 6, 7)
+        factors, _, _ = convert_layer(layer, identity_whitener(16), 6, 7)
         trace = mla_forward(factors, layer.w_q, config_for(layer, 3), rng.standard_normal((3, 16)))
         assert trace.cached_widths == {"latent_k": 6, "latent_v": 7}
         assert trace.scale_denominator == math.sqrt(layer.head_dim)
@@ -191,7 +191,7 @@ class TestMlaForward:
     def test_requires_nope_config(self):
         rng = gen(425)
         layer = random_gqa_layer(rng)
-        factors, _, _ = convert_layer(layer, np.eye(16), 8, 8)
+        factors, _, _ = convert_layer(layer, identity_whitener(16), 8, 8)
         with pytest.raises(ValidationError):
             mla_forward(factors, layer.w_q, config_for(layer, 3, rope_dim=4),
                         rng.standard_normal((3, 16)))
@@ -201,7 +201,7 @@ class TestMlaForwardRope:
     def test_zero_adapters_rescale_content_logits(self):
         rng = gen(431)
         layer = random_gqa_layer(rng)
-        factors, _, _ = convert_layer(layer, np.eye(16), 8, 8)
+        factors, _, _ = convert_layer(layer, identity_whitener(16), 8, 8)
         x = rng.standard_normal((5, 16))
         d_r = 4
         adapters = RopeAdapters(
@@ -218,7 +218,7 @@ class TestMlaForwardRope:
         rng = gen(432)
         layer = random_gqa_layer(rng)
         d_r = 4
-        factors, _, _ = convert_layer(layer, np.eye(16), 8, 8)
+        factors, _, _ = convert_layer(layer, identity_whitener(16), 8, 8)
         zeroed = type(factors)(
             np.zeros_like(factors.w_a_k), factors.w_b_k,
             np.zeros_like(factors.w_a_v), factors.w_b_v,
@@ -237,7 +237,7 @@ class TestMlaForwardRope:
         rng = gen(433)
         layer = random_gqa_layer(rng)
         d_r = 6
-        factors, _, _ = convert_layer(layer, np.eye(16), 8, 8)
+        factors, _, _ = convert_layer(layer, identity_whitener(16), 8, 8)
         adapters = RopeAdapters(
             w_r_q=rng.standard_normal((16, layer.n_heads * d_r)),
             w_r_k=rng.standard_normal((16, d_r)),
@@ -251,7 +251,7 @@ class TestMlaForwardRope:
     def test_scale_denominator_tracks_rope_dim(self):
         rng = gen(434)
         layer = random_gqa_layer(rng)
-        factors, _, _ = convert_layer(layer, np.eye(16), 8, 8)
+        factors, _, _ = convert_layer(layer, identity_whitener(16), 8, 8)
         x = rng.standard_normal((3, 16))
         for d_r in (2, 4):
             adapters = RopeAdapters(
@@ -267,7 +267,7 @@ class TestMlaForwardRope:
     def test_requires_positive_rope_dim(self):
         rng = gen(435)
         layer = random_gqa_layer(rng)
-        factors, _, _ = convert_layer(layer, np.eye(16), 8, 8)
+        factors, _, _ = convert_layer(layer, identity_whitener(16), 8, 8)
         adapters = RopeAdapters(w_r_q=np.zeros((16, 16)), w_r_k=np.zeros((16, 4)))
         with pytest.raises(ValidationError):
             mla_forward_rope(factors, layer.w_q, adapters, config_for(layer, 3),
@@ -301,10 +301,10 @@ class TestLogitDrift:
             layer = random_gqa_layer(rng)
             batches = anisotropic_batches(rng, 4, 24, 16, cond=900.0)
             c = covariance_of(batches)
-            s = calibration.shrunk_sqrt(c, calibration.ShrinkageParams())
+            s = calibration.build_whitener(c, calibration.ShrinkageParams())
             r = 3
             care_factors, _, _ = convert_layer(layer, s, r, r)
-            plain_factors, _, _ = convert_layer(layer, np.eye(16), r, r)
+            plain_factors, _, _ = convert_layer(layer, identity_whitener(16), r, r)
             x = batches[0].x[:8]
             reference = gqa_forward(layer, x)
             cfg = config_for(layer, 8)

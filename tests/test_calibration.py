@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
 
-from conftest import covariance_of, gen
+from conftest import anisotropic_batches, covariance_of, gen, random_orthogonal
 from kvlatent import calibration, linalg
 from kvlatent.calibration import (
     CalibrationBatch,
     CovarianceAccumulator,
     ShrinkageParams,
+    Whitener,
     accumulate,
+    build_whitener,
     finalize,
     merge,
     shrunk_sqrt,
     whitening_operator,
 )
-from kvlatent.errors import ValidationError
+from kvlatent.errors import NumericalError, ValidationError
 
 
 def batch(x, layer=0):
@@ -206,3 +208,74 @@ class TestWhiteningOperator:
     def test_unknown_mode(self):
         with pytest.raises(ValidationError):
             whitening_operator(np.eye(2), ShrinkageParams(), "fisher")
+
+
+class TestWhitener:
+    """The one-eigendecomposition whitener against the explicit formulas."""
+
+    @staticmethod
+    def covariance(seed, dim=12):
+        rng = gen(seed)
+        return covariance_of(anisotropic_batches(rng, 4, 16, dim, cond=400.0))
+
+    @staticmethod
+    def explicit_operator(c, params, weighting):
+        base = linalg.sqrt_psd(c) if weighting == "sqrtC" else c
+        lam = calibration.resolve_lambda(base, params)
+        return (1.0 - params.alpha) * base + params.alpha * lam * np.eye(c.shape[0])
+
+    def test_inverse_round_trip(self):
+        whitener = build_whitener(self.covariance(111), ShrinkageParams())
+        identity = whitener.matrix @ whitener.unwhiten(np.eye(whitener.dim))
+        assert np.max(np.abs(identity - np.eye(whitener.dim))) <= 1e-12
+
+    @pytest.mark.parametrize("weighting", ["sqrtC", "C"])
+    @pytest.mark.parametrize("lam", ["auto", 0.3])
+    def test_matrix_matches_operator_and_formula(self, weighting, lam):
+        c = self.covariance(112)
+        params = ShrinkageParams(alpha=0.05, lam=lam)
+        whitener = build_whitener(c, params, weighting)
+        explicit = self.explicit_operator(c, params, weighting)
+        scale = np.max(np.abs(explicit))
+        assert np.max(np.abs(whitener.matrix - whitening_operator(c, params, weighting))) == 0.0
+        assert np.max(np.abs(whitener.matrix - explicit)) <= 1e-12 * scale
+        assert whitener.weighting == weighting
+
+    @pytest.mark.parametrize("weighting", ["sqrtC", "C"])
+    def test_lambda_matches_resolve_lambda(self, weighting):
+        c = self.covariance(113)
+        params = ShrinkageParams()
+        base = linalg.sqrt_psd(c) if weighting == "sqrtC" else c
+        expected = calibration.resolve_lambda(base, params)
+        assert build_whitener(c, params, weighting).lam == pytest.approx(expected, rel=1e-12)
+
+    def test_health_figures_match_spectrum(self):
+        whitener = build_whitener(self.covariance(114), ShrinkageParams())
+        eigs = np.linalg.eigvalsh(whitener.matrix)
+        assert whitener.lambda_min == pytest.approx(eigs[0], rel=1e-12)
+        assert whitener.lambda_max == pytest.approx(eigs[-1], rel=1e-12)
+        assert whitener.condition == pytest.approx(eigs[-1] / eigs[0], rel=1e-12)
+        assert whitener.clamped == 0
+
+    def test_clamp_band_is_counted(self):
+        q = random_orthogonal(gen(115), 5)
+        c = (q * np.array([1.0, 0.5, 0.25, -1e-10, -5e-9])) @ q.T
+        c = (c + c.T) / 2.0
+        params = ShrinkageParams(alpha=0.01, lam=1.0)
+        whitener = build_whitener(c, params)
+        assert whitener.clamped == 2
+        assert whitener.lambda_min == pytest.approx(params.alpha * 1.0, rel=1e-6)
+
+    @pytest.mark.parametrize("weighting", ["sqrtC", "C"])
+    def test_not_psd_is_numerical_error(self, weighting):
+        with pytest.raises(NumericalError, match="not PSD"):
+            build_whitener(np.diag([1.0, -0.1]), ShrinkageParams(), weighting)
+
+    def test_singular_whitener_refused(self):
+        whitener = Whitener(np.eye(3), np.array([1.0, 1.0, 0.0]), 1.0, "C")
+        with pytest.raises(NumericalError, match="shrinkage"):
+            whitener.unwhiten(np.eye(3))
+
+    def test_unknown_weighting(self):
+        with pytest.raises(ValidationError):
+            build_whitener(np.eye(2), ShrinkageParams(), "fisher")

@@ -176,6 +176,59 @@ class TestSchedule:
                    "--budget-k", 3, "--budget-v", 3, "--min-rank", 2,
                    "--out", tmp_path / "p.json") == 2
 
+    def test_spectrum_svd_failure_is_numerical_error(self, tmp_path, monkeypatch, capsys):
+        model = gen_model(tmp_path / "m")
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--parity", "--out", tmp_path / "p.json") == 3
+        assert "SVD failed" in capsys.readouterr().err
+        assert not (tmp_path / "p.json").exists()
+
+    def test_full_rank_is_grouped_width(self, tmp_path):
+        model = gen_model(tmp_path / "m")  # 2 layers, n_groups * head_dim = 8
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--parity", "--out", tmp_path / "p.json") == 0
+        profile, _ = manifest.load_profile(tmp_path / "p.json")
+        assert set(profile.full_ranks.values()) == {8}
+        assert profile.budget_k == profile.budget_v == sum(
+            profile.full_ranks[(l, "K")] for l in range(2)
+        )
+        assert set(profile.ranks.values()) == {8}
+
+    def test_budget_above_total_full_rank(self, tmp_path, capsys):
+        model = gen_model(tmp_path / "m")
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        for budget_k, budget_v in ((17, 16), (16, 17)):
+            assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                       "--budget-k", budget_k, "--budget-v", budget_v,
+                       "--out", tmp_path / "p.json") == 2
+            assert "exceeds the total full rank 16" in capsys.readouterr().err
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--budget-k", 16, "--budget-v", 16, "--out", tmp_path / "p.json") == 0
+        profile, _ = manifest.load_profile(tmp_path / "p.json")
+        assert sum(r for (l, kind), r in profile.ranks.items() if kind == "K") == 16
+
+    def test_one_eigendecomposition_per_layer(self, tmp_path, monkeypatch):
+        model = gen_model(tmp_path / "m", layers=3)
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        calls = []
+        real = linalg.sym_eig
+
+        def counting(s):
+            calls.append(s.shape)
+            return real(s)
+
+        monkeypatch.setattr(linalg, "sym_eig", counting)
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--budget-k", 12, "--budget-v", 12, "--out", tmp_path / "p.json") == 0
+        assert calls == [(16, 16)] * 3
+
 
 class TestConvert:
     def test_parity_budgets_give_exact_conversion(self, tmp_path):
@@ -232,6 +285,46 @@ class TestConvert:
             ctf.write_ctf(cov_dir / f"layer{layer:03d}_cov.ctf", -np.eye(16))
         assert run("schedule", "--manifest", model, "--cov-dir", cov_dir,
                    "--parity", "--out", tmp_path / "p.json") == 3
+
+    def test_one_eigendecomposition_per_layer(self, tmp_path, monkeypatch):
+        model = gen_model(tmp_path / "m", layers=3)
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--budget-k", 12, "--budget-v", 12, "--out", tmp_path / "p.json") == 0
+        calls = []
+        real = linalg.sym_eig
+
+        def counting(s):
+            calls.append(s.shape)
+            return real(s)
+
+        monkeypatch.setattr(linalg, "sym_eig", counting)
+        for weighting in ("sqrtC", "C"):
+            calls.clear()
+            assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                       "--profile", tmp_path / "p.json", "--weighting", weighting,
+                       "--out", tmp_path / weighting) == 0
+            assert calls == [(16, 16)] * 3
+
+    def test_report_carries_whitener_health(self, tmp_path):
+        pipeline(tmp_path)
+        report = json.loads((tmp_path / "converted/conversion_report.json").read_text())
+        model = manifest.load_manifest(tmp_path / "model/model.json")
+        params = calibration.ShrinkageParams(model.alpha, model.lam)
+        for layer_report in report["layers"]:
+            cov = ctf.read_ctf(tmp_path / "cov" / f"layer{layer_report['layer']:03d}_cov.ctf")
+            eigs = np.linalg.eigvalsh(calibration.whitening_operator(cov, params))
+            health = layer_report["whitener"]
+            assert sorted(health) == [
+                "clamped", "condition", "lambda_max", "lambda_min", "lambda_resolved"
+            ]
+            assert health["lambda_min"] == pytest.approx(eigs[0], rel=1e-12)
+            assert health["lambda_max"] == pytest.approx(eigs[-1], rel=1e-12)
+            assert health["condition"] == pytest.approx(eigs[-1] / eigs[0], rel=1e-12)
+            assert health["clamped"] == 0
+            assert health["lambda_resolved"] == layer_report["lambda_resolved"]
+            resolved = calibration.resolve_lambda(linalg.sqrt_psd(cov), params)
+            assert layer_report["lambda_resolved"] == pytest.approx(resolved, rel=1e-12)
 
 
 class TestEval:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import anisotropic_batches, covariance_of, gen, random_psd
-from kvlatent import calibration, linalg
+from conftest import anisotropic_batches, covariance_of, gen, identity_whitener, random_psd
+from kvlatent import calibration, linalg, scheduler
 from kvlatent.errors import NumericalError, ValidationError
 from kvlatent.factorizer import (
     GqaLayer,
@@ -10,8 +10,10 @@ from kvlatent.factorizer import (
     ablate_singular_value,
     care_factorize,
     convert_layer,
+    grouped_factorize,
     join_weights,
     kv_parity_rank,
+    lift_gain,
     plain_factorize,
     replicate_groups,
     whitened_error_sq,
@@ -153,6 +155,78 @@ class TestCareFactorize:
             care_factorize(np.eye(3), np.eye(3), 4)
 
 
+class TestGroupedFactorize:
+    """The grouped-width path against the replicate-then-factor oracle."""
+
+    N_HEADS, HEAD_DIM = 4, 4
+    D = N_HEADS * HEAD_DIM
+
+    def setup_case(self, seed, n_groups, weighting):
+        rng = gen(seed)
+        c = covariance_of(anisotropic_batches(rng, 4, 24, self.D, cond=400.0))
+        whitener = calibration.build_whitener(c, calibration.ShrinkageParams(), weighting)
+        w_g = rng.standard_normal((self.D, n_groups * self.HEAD_DIM)) / np.sqrt(self.D)
+        w = replicate_groups(w_g, self.N_HEADS, n_groups, self.HEAD_DIM)
+        return whitener, w_g, w
+
+    @pytest.mark.parametrize("n_groups", [1, 2, 4])
+    @pytest.mark.parametrize("weighting", ["sqrtC", "C"])
+    def test_matches_oracle(self, n_groups, weighting):
+        whitener, w_g, w = self.setup_case(381, n_groups, weighting)
+        full = n_groups * self.HEAD_DIM
+        energy = linalg.frobenius_norm_sq(whitener.matrix @ w)
+        for r in sorted({1, max(1, full // 2), full}):
+            pair, report = grouped_factorize(
+                w_g, whitener, r, self.N_HEADS, n_groups, self.HEAD_DIM
+            )
+            oracle_pair, oracle = care_factorize(w, whitener.matrix, r)
+            product = pair.w_a @ pair.w_b
+            expected = oracle_pair.w_a @ oracle_pair.w_b
+            assert np.linalg.norm(product - expected) <= 1e-12 * np.linalg.norm(expected)
+            for ours, theirs in (
+                (report.weight_residual_sq, oracle.weight_residual_sq),
+                (report.whitened_residual_sq, oracle.whitened_residual_sq),
+            ):
+                # at the true rank both residuals are rounding noise, so the
+                # tolerance is floored by the whitened energy
+                assert abs(ours - theirs) <= 1e-12 * max(theirs, energy * 1e-3)
+            assert report.rank_used == oracle.rank_used == r
+            assert np.allclose(pair.w_b @ pair.w_b.T, np.eye(r), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_groups", [1, 2, 4])
+    @pytest.mark.parametrize("weighting", ["sqrtC", "C"])
+    def test_spectrum_is_lifted_grouped_spectrum(self, n_groups, weighting):
+        whitener, w_g, w = self.setup_case(382, n_groups, weighting)
+        full = n_groups * self.HEAD_DIM
+        grouped = lift_gain(self.N_HEADS, n_groups) * scheduler.whitened_spectrum(
+            whitener.matrix, w_g
+        )
+        oracle = scheduler.whitened_spectrum(whitener.matrix, w)
+        assert grouped.shape == (full,)
+        assert np.max(np.abs(grouped - oracle[:full])) <= 1e-12 * oracle[0]
+        assert np.all(oracle[full:] <= 1e-12 * oracle[0])
+
+    def test_rank_above_true_rank_pads_with_zeros(self):
+        whitener, w_g, w = self.setup_case(383, 2, "sqrtC")
+        pair, report = grouped_factorize(w_g, whitener, 12, self.N_HEADS, 2, self.HEAD_DIM)
+        assert pair.w_a.shape == (self.D, 12) and pair.w_b.shape == (12, self.D)
+        assert np.array_equal(pair.w_a[:, 8:], np.zeros((self.D, 4)))
+        assert np.array_equal(pair.w_b[8:], np.zeros((4, self.D)))
+        assert np.allclose(pair.w_a @ pair.w_b, w, atol=1e-12)
+        assert report.rank_used == 12
+
+    def test_rank_out_of_range(self):
+        whitener, w_g, _ = self.setup_case(384, 2, "sqrtC")
+        for r in (0, self.D + 1):
+            with pytest.raises(ValidationError):
+                grouped_factorize(w_g, whitener, r, self.N_HEADS, 2, self.HEAD_DIM)
+
+    def test_whitener_dim_mismatch(self):
+        _, w_g, _ = self.setup_case(385, 2, "sqrtC")
+        with pytest.raises(ValidationError):
+            grouped_factorize(w_g, identity_whitener(8), 2, self.N_HEADS, 2, self.HEAD_DIM)
+
+
 class TestPlainFactorize:
     def test_diagonal_truncation(self):
         pair, _ = plain_factorize(np.diag([3.0, 2.0, 1.0]), 2)
@@ -267,19 +341,19 @@ class TestConvertLayer:
     def test_parity_rank_exactness(self):
         rng = gen(361)
         layer = random_gqa_layer(rng)
-        s = calibration.shrunk_sqrt(random_psd(rng, 16, cond=20.0), calibration.ShrinkageParams())
+        s = calibration.build_whitener(random_psd(rng, 16, cond=20.0), calibration.ShrinkageParams())
         r = kv_parity_rank(layer.n_groups, layer.head_dim)
         factors, report_k, report_v = convert_layer(layer, s, r, r)
         for report, w_g in ((report_k, layer.w_k_g), (report_v, layer.w_v_g)):
             w = replicate_groups(w_g, layer.n_heads, layer.n_groups, layer.head_dim)
-            top = linalg.svd(s @ w).singular_values[0]
+            top = linalg.svd(s.matrix @ w).singular_values[0]
             assert report.whitened_residual_sq <= 1e-16 * top**2
         assert factors.r_k == factors.r_v == r
 
     def test_identity_covariance_full_rank_is_lossless(self):
         rng = gen(362)
         layer = random_gqa_layer(rng)
-        factors, _, _ = convert_layer(layer, np.eye(16), 16, 16)
+        factors, _, _ = convert_layer(layer, identity_whitener(16), 16, 16)
         w_k = replicate_groups(layer.w_k_g, layer.n_heads, layer.n_groups, layer.head_dim)
         w_v = replicate_groups(layer.w_v_g, layer.n_heads, layer.n_groups, layer.head_dim)
         assert np.allclose(factors.w_a_k @ factors.w_b_k, w_k, atol=1e-12)
@@ -291,8 +365,8 @@ class TestConvertLayer:
         batches = anisotropic_batches(rng, 4, 32, 16, cond=400.0)
         c = covariance_of(batches)
         params = calibration.ShrinkageParams()
-        op_sqrt = calibration.whitening_operator(c, params, "sqrtC")
-        op_cov = calibration.whitening_operator(c, params, "C")
+        op_sqrt = calibration.build_whitener(c, params, "sqrtC")
+        op_cov = calibration.build_whitener(c, params, "C")
         r = 4  # low rank so the metrics actually bind
         _, rep_sqrt, _ = convert_layer(layer, op_sqrt, r, r)
         _, rep_cov, _ = convert_layer(layer, op_cov, r, r)
@@ -302,7 +376,7 @@ class TestConvertLayer:
         rng = gen(364)
         layer = random_gqa_layer(rng)
         with pytest.raises(ValidationError):
-            convert_layer(layer, np.eye(16), 17, 4)
+            convert_layer(layer, identity_whitener(16), 17, 4)
 
 
 class TestGqaLayerValidation:
