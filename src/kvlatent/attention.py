@@ -2,11 +2,15 @@
 
 These simulators stop at the attention output (no output projection, no
 layer norm) so that a converted layer can be compared against its source as
-a pure statement about the weights. The latent forward reconstructs K and V
-from the cached-width latents; the rotary variant adds a small decoupled
-position channel: per-head rotary queries plus one shared rotary key per
-token, concatenated to the content channel and rescaled by
-sqrt(head_dim + rope_dim).
+a pure statement about the weights. The three forwards only build per-head
+queries, keys and values, stacked as (n_heads, T, d) arrays, and share one
+causal core that walks query rows in fixed blocks and never scores a key
+past the block's last row. The grouped forward indexes its group heads to
+the query heads; the latent forward reconstructs K and V from the
+cached-width latents; the rotary variant adds a small decoupled position
+channel, per-head rotary queries plus one rotary key per token shared by
+every head, as one more feature block of each head's query and key, with
+the softmax scale sqrt(head_dim + rope_dim).
 """
 
 import math
@@ -119,34 +123,43 @@ def rope_rotate(x, width: int, base: float) -> np.ndarray:
     return out.reshape(n_rows, n_cols)
 
 
-def _causal_weights(raw: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    masked = np.where(mask, raw, -np.inf)
-    shifted = masked - masked.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+# Query rows per block of the causal attention core.
+_BLOCK = 128
 
 
-def _head_attention(q_heads, k_heads, v_heads, extra_logits, scale_den):
-    """Shared per-head causal attention loop.
+def _attend(q, k, v, scale_den):
+    """Causal softmax attention over heads stacked as (H, T, d) arrays.
 
-    q_heads/k_heads/v_heads: lists of (T, *) arrays per head; extra_logits is
-    None or a per-head list of (T, T) additive terms (the rotary channel).
+    Query rows go in blocks of _BLOCK; block [i0, i1) scores only keys
+    [0, i1), masks the diagonal tile and runs the softmax in its own buffer.
+    Returns (H, T, T) logits and weights that hold exactly 0 above the
+    diagonal, and the (T, H * d_v) output with heads side by side.
     """
-    n_heads = len(q_heads)
-    t = q_heads[0].shape[0]
-    mask = np.tril(np.ones((t, t), dtype=bool))
+    n_heads, t, _ = q.shape
     logits = np.zeros((n_heads, t, t))
     weights = np.zeros((n_heads, t, t))
-    head_outputs = []
-    for h in range(n_heads):
-        raw = q_heads[h] @ k_heads[h].T
-        if extra_logits is not None:
-            raw = raw + extra_logits[h]
-        raw = raw / scale_den
-        logits[h] = np.where(mask, raw, 0.0)
-        weights[h] = _causal_weights(raw, mask)
-        head_outputs.append(weights[h] @ v_heads[h])
-    return logits, weights, np.concatenate(head_outputs, axis=1)
+    output = np.empty((t, n_heads, v.shape[2]))
+    k_t = k.transpose(0, 2, 1)
+    for i0 in range(0, t, _BLOCK):
+        i1 = min(i0 + _BLOCK, t)
+        block = q[:, i0:i1] @ k_t[:, :, :i1]
+        block /= scale_den
+        tile = block[:, :, i0:]
+        upper = np.triu(np.ones((i1 - i0, i1 - i0), dtype=bool), 1)
+        tile[:, upper] = 0.0
+        logits[:, i0:i1, :i1] = block
+        tile[:, upper] = -np.inf
+        block -= block.max(axis=2, keepdims=True)
+        np.exp(block, out=block)
+        block /= block.sum(axis=2, keepdims=True)
+        weights[:, i0:i1, :i1] = block
+        output[i0:i1] = (block @ v[:, :i1]).transpose(1, 0, 2)
+    return logits, weights, output.reshape(t, -1)
+
+
+def _heads(a, width: int) -> np.ndarray:
+    """(T, n * width) columns as n stacked (T, width) heads: shape (n, T, width)."""
+    return a.reshape(a.shape[0], -1, width).transpose(1, 0, 2)
 
 
 def gqa_forward(layer: GqaLayer, x) -> AttentionTrace:
@@ -157,17 +170,12 @@ def gqa_forward(layer: GqaLayer, x) -> AttentionTrace:
             f"input width {x.shape[1]} does not match d_model {layer.d_model}"
         )
     d_h = layer.head_dim
-    q = x @ layer.w_q
-    k = x @ layer.w_k_g
-    v = x @ layer.w_v_g
-    q_heads, k_heads, v_heads = [], [], []
-    for h in range(layer.n_heads):
-        g = (h * layer.n_groups) // layer.n_heads
-        q_heads.append(q[:, h * d_h : (h + 1) * d_h])
-        k_heads.append(k[:, g * d_h : (g + 1) * d_h])
-        v_heads.append(v[:, g * d_h : (g + 1) * d_h])
+    group = np.arange(layer.n_heads) * layer.n_groups // layer.n_heads
+    q = _heads(x @ layer.w_q, d_h)
+    k = _heads(x @ layer.w_k_g, d_h)[group]
+    v = _heads(x @ layer.w_v_g, d_h)[group]
     scale_den = math.sqrt(d_h)
-    logits, weights, output = _head_attention(q_heads, k_heads, v_heads, None, scale_den)
+    logits, weights, output = _attend(q, k, v, scale_den)
     widths = {"k": layer.grouped_width, "v": layer.grouped_width}
     return AttentionTrace(logits, weights, output, widths, scale_den)
 
@@ -179,17 +187,9 @@ def mla_forward(factors: MlaFactors, w_q, config: AttentionConfig, x) -> Attenti
     x = linalg.as_matrix(x, "x")
     w_q = linalg.as_matrix(w_q, "w_q")
     _check_mla_shapes(factors, w_q, config, x)
-    d_h = config.head_dim
-    latent_k = x @ factors.w_a_k
-    latent_v = x @ factors.w_a_v
-    k = latent_k @ factors.w_b_k
-    v = latent_v @ factors.w_b_v
-    q = x @ w_q
-    q_heads = [q[:, h * d_h : (h + 1) * d_h] for h in range(config.n_heads)]
-    k_heads = [k[:, h * d_h : (h + 1) * d_h] for h in range(config.n_heads)]
-    v_heads = [v[:, h * d_h : (h + 1) * d_h] for h in range(config.n_heads)]
-    scale_den = math.sqrt(d_h)
-    logits, weights, output = _head_attention(q_heads, k_heads, v_heads, None, scale_den)
+    q, k, v = _content_heads(factors, w_q, config, x)
+    scale_den = math.sqrt(config.head_dim)
+    logits, weights, output = _attend(q, k, v, scale_den)
     widths = {"latent_k": factors.r_k, "latent_v": factors.r_v}
     return AttentionTrace(logits, weights, output, widths, scale_den)
 
@@ -205,7 +205,9 @@ def mla_forward_rope(
 
     The rotary key is computed once per token and shared by every head; only
     it is added to the per-token cache (width rope_dim), alongside the two
-    content latents. Values come from the content channel alone.
+    content latents. Values come from the content channel alone. Each head
+    scores [q_h, q_rope_h] against [k_h, k_rope], so the rotary channel is
+    one more feature block of the same product.
     """
     if config.rope_dim <= 0:
         raise ValidationError("rotary forward requires rope_dim > 0")
@@ -223,25 +225,25 @@ def mla_forward_rope(
             f"w_r_k has shape {adapters.w_r_k.shape}, expected {(config.d_model, d_r)}"
         )
 
-    d_h = config.head_dim
-    latent_k = x @ factors.w_a_k
-    latent_v = x @ factors.w_a_v
-    k = latent_k @ factors.w_b_k
-    v = latent_v @ factors.w_b_v
-    q = x @ w_q
-    q_rope = rope_rotate(x @ adapters.w_r_q, d_r, config.rope_base)
+    q, k, v = _content_heads(factors, w_q, config, x)
+    q_rope = _heads(rope_rotate(x @ adapters.w_r_q, d_r, config.rope_base), d_r)
     k_rope = rope_rotate(x @ adapters.w_r_k, d_r, config.rope_base)  # shared by heads
-
-    q_heads = [q[:, h * d_h : (h + 1) * d_h] for h in range(config.n_heads)]
-    k_heads = [k[:, h * d_h : (h + 1) * d_h] for h in range(config.n_heads)]
-    v_heads = [v[:, h * d_h : (h + 1) * d_h] for h in range(config.n_heads)]
-    extra = [
-        q_rope[:, h * d_r : (h + 1) * d_r] @ k_rope.T for h in range(config.n_heads)
-    ]
-    scale_den = math.sqrt(d_h + d_r)
-    logits, weights, output = _head_attention(q_heads, k_heads, v_heads, extra, scale_den)
+    q = np.concatenate([q, q_rope], axis=2)
+    k_rope = np.broadcast_to(k_rope, (config.n_heads, *k_rope.shape))
+    k = np.concatenate([k, k_rope], axis=2)
+    scale_den = math.sqrt(config.head_dim + d_r)
+    logits, weights, output = _attend(q, k, v, scale_den)
     widths = {"latent_k": factors.r_k, "latent_v": factors.r_v, "rope_k": d_r}
     return AttentionTrace(logits, weights, output, widths, scale_den)
+
+
+def _content_heads(factors: MlaFactors, w_q, config: AttentionConfig, x):
+    """Per-head queries and the K, V reconstructed from the two latents."""
+    d_h = config.head_dim
+    q = _heads(x @ w_q, d_h)
+    k = _heads((x @ factors.w_a_k) @ factors.w_b_k, d_h)
+    v = _heads((x @ factors.w_a_v) @ factors.w_b_v, d_h)
+    return q, k, v
 
 
 def _check_mla_shapes(factors: MlaFactors, w_q, config: AttentionConfig, x) -> None:
@@ -256,17 +258,25 @@ def _check_mla_shapes(factors: MlaFactors, w_q, config: AttentionConfig, x) -> N
 
 
 def logit_drift(a: AttentionTrace, b: AttentionTrace) -> DriftResult:
-    """Max-absolute and Frobenius drift of unmasked logits between two traces."""
+    """Max-absolute and Frobenius drift of unmasked logits between two traces.
+
+    Masked entries are exactly 0 in both traces, so they change neither
+    figure; heads are walked with one reused T x T buffer.
+    """
     if a.logits.shape != b.logits.shape:
         raise ValidationError(
             f"trace shapes differ: {a.logits.shape} vs {b.logits.shape}"
         )
-    t = a.logits.shape[1]
-    mask = np.tril(np.ones((t, t), dtype=bool))
-    delta = (a.logits - b.logits)[:, mask]
-    if delta.size == 0:
-        return DriftResult(0.0, 0.0)
-    return DriftResult(float(np.max(np.abs(delta))), float(np.sqrt(np.sum(delta**2))))
+    delta = np.empty(a.logits.shape[1:])
+    flat = delta.reshape(-1)
+    max_abs = 0.0
+    sum_sq = 0.0
+    for head_a, head_b in zip(a.logits, b.logits):
+        np.subtract(head_a, head_b, out=delta)
+        sum_sq += float(flat @ flat)
+        np.abs(delta, out=delta)
+        max_abs = max(max_abs, float(delta.max(initial=0.0)))
+    return DriftResult(max_abs, math.sqrt(sum_sq))
 
 
 def kv_cache_bytes(

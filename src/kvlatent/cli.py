@@ -7,6 +7,7 @@ tensor paths are stored relative to their manifest. Exit codes: 0 success,
 """
 
 import argparse
+import dataclasses
 import shutil
 import sys
 from decimal import ROUND_HALF_UP, Decimal
@@ -338,6 +339,83 @@ def _report_dict(report: factorizer.FactorizationReport) -> dict:
 
 # ---------------------------------------------------------------- eval
 
+def _eval_layer(
+    layer: int,
+    gqa: factorizer.GqaLayer,
+    factors: factorizer.MlaFactors,
+    w_q_conv: np.ndarray,
+    batches: list[calibration.CalibrationBatch],
+    rng: np.random.Generator,
+    t: int,
+    params: metrics.LossParams,
+    rope_dim: int,
+) -> tuple[dict, attention.RopeAdapters | None]:
+    """Compare one converted layer with its source: the layer's report, and
+    the rotary adapters drawn for it when rope_dim > 0.
+
+    Draws from rng in a fixed order: probe input, targets, then the rotary
+    adapters (q, k). The (n_heads, T, T) traces die when this returns.
+    """
+    d = gqa.d_model
+    x = rng.standard_normal((t, d))
+    targets = rng.integers(0, d, size=t)
+    config = attention.AttentionConfig(
+        d_model=d,
+        n_heads=gqa.n_heads,
+        head_dim=gqa.head_dim,
+        n_groups=gqa.n_groups,
+        seq_len=t,
+    )
+    trace_g = attention.gqa_forward(gqa, x)
+    trace_m = attention.mla_forward(factors, w_q_conv, config, x)
+    drift = attention.logit_drift(trace_g, trace_m)
+    output_drift = float(np.max(np.abs(trace_g.output - trace_m.output)))
+
+    geometry = (gqa.n_heads, gqa.n_groups, gqa.head_dim)
+    w_k = factorizer.replicate_groups(gqa.w_k_g, *geometry)
+    w_v = factorizer.replicate_groups(gqa.w_v_g, *geometry)
+    act_k = factorizer.activation_residual(batches, w_k, factors.w_a_k, factors.w_b_k)
+    act_v = factorizer.activation_residual(batches, w_v, factors.w_a_v, factors.w_b_v)
+
+    teacher = metrics.LogitSequence(trace_g.output, targets)
+    student = metrics.LogitSequence(trace_m.output, targets)
+    ce_teacher = metrics.cross_entropy(teacher, params.tau)
+    ce_student = metrics.cross_entropy(student, params.tau)
+    kd = metrics.kd_loss(teacher, student, params.tau)
+    total = metrics.total_loss(ce_student, kd, params)
+
+    report = {
+        "layer": layer,
+        "activation_residual_k": act_k,
+        "activation_residual_v": act_v,
+        "logit_drift_max": drift.max_abs,
+        "logit_drift_frob": drift.frob,
+        "output_drift_max": output_drift,
+        "cache_width_gqa": trace_g.cache_width,
+        "cache_width_mla": trace_m.cache_width,
+        "losses": {
+            "ce_teacher": ce_teacher,
+            "ce_student": ce_student,
+            "kd": kd,
+            "total": total,
+        },
+    }
+    if not rope_dim:
+        return report, None
+
+    # Free the content traces before the rotary forward allocates its own.
+    del trace_g, trace_m
+    adapters = attention.RopeAdapters(
+        w_r_q=rng.standard_normal((d, gqa.n_heads * rope_dim)) / np.sqrt(d),
+        w_r_k=rng.standard_normal((d, rope_dim)) / np.sqrt(d),
+    )
+    rope_config = dataclasses.replace(config, rope_dim=rope_dim)
+    trace_r = attention.mla_forward_rope(factors, w_q_conv, adapters, rope_config, x)
+    report["cache_width_mla_rope"] = trace_r.cache_width
+    report["rope_scale_denominator"] = trace_r.scale_denominator
+    return report, adapters
+
+
 def cmd_eval(args) -> None:
     source = manifest.load_manifest(args.source)
     converted = manifest.load_manifest(args.converted)
@@ -361,89 +439,28 @@ def cmd_eval(args) -> None:
     rope_entries = []
     gqa_bytes = 0
     mla_bytes = 0
-    max_drift = 0.0
-    # Per-layer draw order: probe input, targets, then rope adapters (q, k).
     for layer in range(len(source.layers)):
-        entry = source.layer(layer)
-        d = entry.d_model
-        x = rng.standard_normal((t, d))
-        targets = rng.integers(0, d, size=t)
         gqa = manifest.load_gqa_layer(source, src_base, layer)
         factors, w_q_conv, _ = manifest.load_mla_bundle(converted, conv_base, layer)
-        config = attention.AttentionConfig(
-            d_model=d,
-            n_heads=entry.n_heads,
-            head_dim=entry.head_dim,
-            n_groups=entry.n_groups,
-            seq_len=t,
-        )
-        trace_g = attention.gqa_forward(gqa, x)
-        trace_m = attention.mla_forward(factors, w_q_conv, config, x)
-        drift = attention.logit_drift(trace_g, trace_m)
-        max_drift = max(max_drift, drift.max_abs)
-        output_drift = float(np.max(np.abs(trace_g.output - trace_m.output)))
-
         batches = manifest.load_batches(source, src_base, layer, args.batches_dir)
-        w_k = factorizer.replicate_groups(gqa.w_k_g, gqa.n_heads, gqa.n_groups, gqa.head_dim)
-        w_v = factorizer.replicate_groups(gqa.w_v_g, gqa.n_heads, gqa.n_groups, gqa.head_dim)
-        act_k = factorizer.activation_residual(batches, w_k, factors.w_a_k @ factors.w_b_k)
-        act_v = factorizer.activation_residual(batches, w_v, factors.w_a_v @ factors.w_b_v)
-
-        teacher = metrics.LogitSequence(trace_g.output, targets)
-        student = metrics.LogitSequence(trace_m.output, targets)
-        ce_teacher = metrics.cross_entropy(teacher, params.tau)
-        ce_student = metrics.cross_entropy(student, params.tau)
-        kd = metrics.kd_loss(teacher, student, params.tau)
-        total = metrics.total_loss(ce_student, kd, params)
-
-        report = {
-            "layer": layer,
-            "activation_residual_k": act_k,
-            "activation_residual_v": act_v,
-            "logit_drift_max": drift.max_abs,
-            "logit_drift_frob": drift.frob,
-            "output_drift_max": output_drift,
-            "cache_width_gqa": trace_g.cache_width,
-            "cache_width_mla": trace_m.cache_width,
-            "losses": {
-                "ce_teacher": ce_teacher,
-                "ce_student": ce_student,
-                "kd": kd,
-                "total": total,
-            },
-        }
-
-        if args.rope_dim:
-            d_r = args.rope_dim
-            adapters = attention.RopeAdapters(
-                w_r_q=rng.standard_normal((d, entry.n_heads * d_r)) / np.sqrt(d),
-                w_r_k=rng.standard_normal((d, d_r)) / np.sqrt(d),
-            )
-            rope_config = attention.AttentionConfig(
-                d_model=d,
-                n_heads=entry.n_heads,
-                head_dim=entry.head_dim,
-                n_groups=entry.n_groups,
-                seq_len=t,
-                rope_dim=d_r,
-            )
-            trace_r = attention.mla_forward_rope(factors, w_q_conv, adapters, rope_config, x)
+        report, adapters = _eval_layer(
+            layer, gqa, factors, w_q_conv, batches, rng, t, params, args.rope_dim
+        )
+        if adapters is not None:
             rel_q = f"rope/layer{layer:03d}_w_r_q.ctf"
             rel_k = f"rope/layer{layer:03d}_w_r_k.ctf"
             ctf.write_ctf(out / rel_q, adapters.w_r_q)
             ctf.write_ctf(out / rel_k, adapters.w_r_k)
-            report["cache_width_mla_rope"] = trace_r.cache_width
-            report["rope_scale_denominator"] = trace_r.scale_denominator
             rope_entries.append((layer, rel_q, rel_k))
-
         layer_reports.append(report)
         gqa_bytes += attention.kv_cache_bytes(
-            1, t, 1, trace_g.cache_width, args.bytes_per_elem
+            1, t, 1, report["cache_width_gqa"], args.bytes_per_elem
         ).total_bytes
-        width_m = trace_m.cache_width + (args.rope_dim if args.rope_dim else 0)
+        width_m = report["cache_width_mla"] + args.rope_dim
         mla_bytes += attention.kv_cache_bytes(
             1, t, 1, width_m, args.bytes_per_elem
         ).total_bytes
+    max_drift = max((r["logit_drift_max"] for r in layer_reports), default=0.0)
 
     totals = {
         "gqa_bytes": gqa_bytes,

@@ -263,21 +263,31 @@ def grouped_factorize(
     return FactorPair(w_a, w_b), report
 
 
-def activation_residual(batches: list[CalibrationBatch], w, w_hat) -> float:
-    """Batch-averaged squared activation error (1/N) sum ||X_b w - X_b w_hat||_F^2."""
+def activation_residual(batches: list[CalibrationBatch], w, w_a, w_b) -> float:
+    """Batch-averaged squared activation error of the factored weight w_a @ w_b,
+    (1/N) sum ||X_b w - (X_b w_a) w_b||_F^2.
+
+    Each batch passes through the rank-r latent, so the full-width product
+    w_a @ w_b is never formed.
+    """
     if not batches:
         raise ValidationError("empty batch list")
     w = linalg.as_matrix(w, "w")
-    w_hat = linalg.as_matrix(w_hat, "w_hat")
-    if w.shape != w_hat.shape:
-        raise ValidationError(f"shape mismatch: {w.shape} vs {w_hat.shape}")
+    w_a = linalg.as_matrix(w_a, "w_a")
+    w_b = linalg.as_matrix(w_b, "w_b")
+    if w_a.shape[0] != w.shape[0] or w_b.shape[1] != w.shape[1] or w_a.shape[1] != w_b.shape[0]:
+        raise ValidationError(
+            f"factors {w_a.shape} @ {w_b.shape} do not approximate a {w.shape} weight"
+        )
     total = 0.0
     for batch in batches:
         if batch.x.shape[1] != w.shape[0]:
             raise ValidationError(
                 f"batch dim {batch.x.shape[1]} does not match weight rows {w.shape[0]}"
             )
-        total += linalg.frobenius_norm_sq(batch.x @ w - batch.x @ w_hat)
+        diff = batch.x @ w
+        diff -= (batch.x @ w_a) @ w_b
+        total += linalg.frobenius_norm_sq(diff)
     return total / len(batches)
 
 

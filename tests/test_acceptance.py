@@ -65,7 +65,7 @@ def test_criterion_01_activation_error_identity():
             w_hat = rng.standard_normal((d, cols))
             c = covariance_of(batches)
             whitened = whitened_error_sq(linalg.sqrt_psd(c), w, w_hat)
-            empirical = activation_residual(batches, w, w_hat)
+            empirical = activation_residual(batches, w, np.eye(d), w_hat)
             assert abs(empirical - whitened) <= 1e-9 * whitened
 
 
@@ -148,14 +148,13 @@ def test_criterion_04_whitened_optimality():
             s = calibration.shrunk_sqrt(c, ShrinkageParams(alpha=0.01))
             care_pair, care_report = care_factorize(w, s, r)
             plain_pair, _ = plain_factorize(w, r)
-            care_hat = care_pair.w_a @ care_pair.w_b
             plain_hat = plain_pair.w_a @ plain_pair.w_b
             # whitened residual: must win every single time
             assert care_report.whitened_residual_sq <= (
                 whitened_error_sq(s, w, plain_hat) * (1 + 1e-12)
             )
-            care_act = activation_residual(batches, w, care_hat)
-            plain_act = activation_residual(batches, w, plain_hat)
+            care_act = activation_residual(batches, w, *care_pair)
+            plain_act = activation_residual(batches, w, *plain_pair)
             activation_wins += care_act <= plain_act
         assert activation_wins >= 0.95 * trials
 

@@ -7,6 +7,7 @@ from conftest import anisotropic_batches, covariance_of, gen, identity_whitener
 from kvlatent import calibration, linalg
 from kvlatent.attention import (
     AttentionConfig,
+    AttentionTrace,
     RopeAdapters,
     gqa_forward,
     kv_cache_bytes,
@@ -58,6 +59,82 @@ def naive_gqa(layer, x):
                 for c in range(d_h):
                     outputs[i][h * d_h + c] += weights[j] * vj[c]
     return logits, outputs
+
+
+def reference_attention(q_heads, k_heads, v_heads, extra_logits, scale_den):
+    """Per-head causal attention over full T x T arrays: the loop the blocked
+    core replaced, kept as its oracle.
+
+    q_heads/k_heads/v_heads: lists of (T, *) arrays per head; extra_logits is
+    None or a per-head list of (T, T) additive terms (the rotary channel).
+    """
+    n_heads = len(q_heads)
+    t = q_heads[0].shape[0]
+    mask = np.tril(np.ones((t, t), dtype=bool))
+    logits = np.zeros((n_heads, t, t))
+    weights = np.zeros((n_heads, t, t))
+    head_outputs = []
+    for h in range(n_heads):
+        raw = q_heads[h] @ k_heads[h].T
+        if extra_logits is not None:
+            raw = raw + extra_logits[h]
+        raw = raw / scale_den
+        logits[h] = np.where(mask, raw, 0.0)
+        masked = np.where(mask, raw, -np.inf)
+        exp = np.exp(masked - masked.max(axis=1, keepdims=True))
+        weights[h] = exp / exp.sum(axis=1, keepdims=True)
+        head_outputs.append(weights[h] @ v_heads[h])
+    return logits, weights, np.concatenate(head_outputs, axis=1)
+
+
+def _split_heads(a, n_heads, width):
+    return [a[:, h * width : (h + 1) * width] for h in range(n_heads)]
+
+
+def reference_gqa(layer, x):
+    d_h = layer.head_dim
+    q = x @ layer.w_q
+    k = x @ layer.w_k_g
+    v = x @ layer.w_v_g
+    groups = [(h * layer.n_groups) // layer.n_heads for h in range(layer.n_heads)]
+    return reference_attention(
+        _split_heads(q, layer.n_heads, d_h),
+        [k[:, g * d_h : (g + 1) * d_h] for g in groups],
+        [v[:, g * d_h : (g + 1) * d_h] for g in groups],
+        None,
+        math.sqrt(d_h),
+    )
+
+
+def reference_mla(factors, w_q, config, x, adapters=None):
+    """Latent forward through the oracle; with adapters, the rotary channel
+    enters as per-head (T, T) logit terms against the one shared key."""
+    d_h = config.head_dim
+    heads = config.n_heads
+    k = (x @ factors.w_a_k) @ factors.w_b_k
+    v = (x @ factors.w_a_v) @ factors.w_b_v
+    extra = None
+    scale_den = math.sqrt(d_h)
+    if adapters is not None:
+        d_r = config.rope_dim
+        q_rope = rope_rotate(x @ adapters.w_r_q, d_r, config.rope_base)
+        k_rope = rope_rotate(x @ adapters.w_r_k, d_r, config.rope_base)
+        extra = [q_h @ k_rope.T for q_h in _split_heads(q_rope, heads, d_r)]
+        scale_den = math.sqrt(d_h + d_r)
+    return reference_attention(
+        _split_heads(x @ w_q, heads, d_h),
+        _split_heads(k, heads, d_h),
+        _split_heads(v, heads, d_h),
+        extra,
+        scale_den,
+    )
+
+
+def masked_drift(a, b):
+    """Drift over the causal entries only, gathered with a boolean mask."""
+    t = a.shape[1]
+    delta = (a - b)[:, np.tril(np.ones((t, t), dtype=bool))]
+    return float(np.max(np.abs(delta))), float(np.sqrt(np.sum(delta**2)))
 
 
 class TestRopeRotate:
@@ -128,14 +205,17 @@ class TestGqaForward:
         assert np.all(trace.logits[:, upper[0], upper[1]] == 0.0)
 
     def test_causality(self):
+        # the second case perturbs rows from inside the second query block
         rng = gen(415)
         layer = random_gqa_layer(rng)
-        x = rng.standard_normal((6, 16))
-        perturbed = x.copy()
-        perturbed[4:] += rng.standard_normal((2, 16))
-        a = gqa_forward(layer, x)
-        b = gqa_forward(layer, perturbed)
-        assert np.array_equal(a.output[:4], b.output[:4])
+        for t, cut in ((6, 4), (300, 150)):
+            x = rng.standard_normal((t, 16))
+            perturbed = x.copy()
+            perturbed[cut:] += rng.standard_normal((t - cut, 16))
+            a = gqa_forward(layer, x)
+            b = gqa_forward(layer, perturbed)
+            assert np.array_equal(a.output[:cut], b.output[:cut])
+            assert np.array_equal(a.logits[:, :cut], b.logits[:, :cut])
 
     def test_cache_widths(self):
         rng = gen(416)
@@ -228,10 +308,13 @@ class TestMlaForwardRope:
         adapters = RopeAdapters(
             w_r_q=np.tile(block, layer.n_heads), w_r_k=rng.standard_normal((16, d_r))
         )
-        x = rng.standard_normal((5, 16))
-        trace = mla_forward_rope(zeroed, layer.w_q, adapters, config_for(layer, 5, d_r), x)
-        for h in range(1, layer.n_heads):
-            assert np.array_equal(trace.logits[h], trace.logits[0])
+        for t in (5, 200):
+            x = rng.standard_normal((t, 16))
+            trace = mla_forward_rope(
+                zeroed, layer.w_q, adapters, config_for(layer, t, d_r), x
+            )
+            for h in range(1, layer.n_heads):
+                assert np.array_equal(trace.logits[h], trace.logits[0])
 
     def test_row_stochastic_with_rope(self):
         rng = gen(433)
@@ -290,6 +373,18 @@ class TestLogitDrift:
         with pytest.raises(ValidationError):
             logit_drift(a, b)
 
+    def test_matches_masked_formula(self):
+        rng = gen(444)
+        for t in BLOCK_EDGE_LENGTHS:
+            mask = np.tril(np.ones((t, t), dtype=bool))
+            a, b = (np.where(mask, rng.standard_normal((3, t, t)), 0.0) for _ in range(2))
+            traces = [AttentionTrace(logits, np.zeros_like(logits), np.zeros((t, 1)), {}, 1.0)
+                      for logits in (a, b)]
+            drift = logit_drift(*traces)
+            max_abs, frob = masked_drift(a, b)
+            assert abs(drift.max_abs - max_abs) <= 1e-12 * max_abs
+            assert abs(drift.frob - frob) <= 1e-12 * frob
+
     def test_care_beats_plain_under_anisotropic_calibration(self):
         # Monte Carlo: at low rank, whitened factors should track the
         # attention logits better than plain SVD on inputs drawn from the
@@ -316,6 +411,49 @@ class TestLogitDrift:
             )
             wins += care_drift.frob <= plain_drift.frob
         assert wins >= 0.9 * trials
+
+
+# Sequence lengths on both sides of the core's 128-row query block.
+BLOCK_EDGE_LENGTHS = (1, 127, 128, 129, 300)
+
+
+def assert_matches_reference(trace, reference):
+    logits, weights, output = reference
+    for got, want in ((trace.logits, logits), (trace.weights, weights),
+                      (trace.output, output)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    upper = np.triu_indices(logits.shape[1], k=1)
+    assert np.all(trace.logits[:, upper[0], upper[1]] == 0.0)
+    assert np.all(trace.weights[:, upper[0], upper[1]] == 0.0)
+    np.testing.assert_allclose(trace.weights.sum(axis=2), 1.0, rtol=0.0, atol=1e-12)
+
+
+class TestBlockedCoreOracle:
+    @pytest.mark.parametrize("n_groups", (1, 2, 4))
+    @pytest.mark.parametrize("t", BLOCK_EDGE_LENGTHS)
+    def test_forwards_match_reference(self, t, n_groups):
+        rng = gen(4500 + 10 * t + n_groups)
+        layer = random_gqa_layer(rng, n_groups=n_groups)
+        factors, _, _ = convert_layer(layer, identity_whitener(16), 3, 4)
+        x = rng.standard_normal((t, 16))
+        assert_matches_reference(gqa_forward(layer, x), reference_gqa(layer, x))
+
+        config = config_for(layer, t)
+        assert_matches_reference(
+            mla_forward(factors, layer.w_q, config, x),
+            reference_mla(factors, layer.w_q, config, x),
+        )
+
+        d_r = 4
+        adapters = RopeAdapters(
+            w_r_q=rng.standard_normal((16, layer.n_heads * d_r)),
+            w_r_k=rng.standard_normal((16, d_r)),
+        )
+        rope_config = config_for(layer, t, d_r)
+        assert_matches_reference(
+            mla_forward_rope(factors, layer.w_q, adapters, rope_config, x),
+            reference_mla(factors, layer.w_q, rope_config, x, adapters),
+        )
 
 
 class TestKvCacheBytes:

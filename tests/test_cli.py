@@ -5,8 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kvlatent import calibration, ctf, factorizer, linalg, manifest, scheduler
+from kvlatent import calibration, ctf, factorizer, linalg, manifest, metrics, scheduler
+from kvlatent.attention import AttentionConfig
 from kvlatent.cli import main
+from kvlatent.rng import make_generator
+from test_attention import masked_drift, reference_gqa, reference_mla
 
 
 def run(*args) -> int:
@@ -32,8 +35,8 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
 
 
 def pipeline(tmp_path: Path, seed=42, schedule_args=("--parity",),
-             convert_args=(), eval_args=("--seed", "0")) -> Path:
-    model = gen_model(tmp_path / "model", seed=seed)
+             convert_args=(), eval_args=("--seed", "0"), seq=8) -> Path:
+    model = gen_model(tmp_path / "model", seed=seed, seq=seq)
     assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
     assert run(
         "schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
@@ -362,6 +365,105 @@ class TestEval:
         )
         assert adapters is not None
         assert adapters.w_r_k.shape == (16, 4)
+
+
+def assert_close_tree(got, want, rel, path="report"):
+    """Equal keys and non-float leaves; floats within `rel` relative."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        for key in want:
+            assert_close_tree(got[key], want[key], rel, f"{path}.{key}")
+    elif isinstance(want, float):
+        assert abs(got - want) <= rel * abs(want), (path, got, want)
+    else:
+        assert got == want, (path, got, want)
+
+
+def reference_eval_layers(root: Path, seed: int, rope_dim: int) -> list[dict]:
+    """Every per-layer eval figure, recomputed through the reference forwards
+    and the head-width activation residual, with the CLI's draw order."""
+    source = manifest.load_manifest(root / "model/model.json")
+    converted = manifest.load_manifest(root / "converted/converted.json")
+    rng = make_generator(seed)
+    params = metrics.LossParams()
+    layers = []
+    for layer in range(len(source.layers)):
+        gqa = manifest.load_gqa_layer(source, root / "model", layer)
+        factors, w_q, _ = manifest.load_mla_bundle(converted, root / "converted", layer)
+        d, t = gqa.d_model, source.seq_len
+        x = rng.standard_normal((t, d))
+        targets = rng.integers(0, d, size=t)
+        w_r_q = rng.standard_normal((d, gqa.n_heads * rope_dim)) / np.sqrt(d)
+        w_r_k = rng.standard_normal((d, rope_dim)) / np.sqrt(d)
+        assert np.array_equal(ctf.read_ctf(root / f"eval/rope/layer{layer:03d}_w_r_q.ctf"), w_r_q)
+        assert np.array_equal(ctf.read_ctf(root / f"eval/rope/layer{layer:03d}_w_r_k.ctf"), w_r_k)
+
+        logits_g, _, out_g = reference_gqa(gqa, x)
+        config = AttentionConfig(d, gqa.n_heads, gqa.head_dim, gqa.n_groups, t)
+        logits_m, _, out_m = reference_mla(factors, w_q, config, x)
+        drift_max, drift_frob = masked_drift(logits_g, logits_m)
+        batches = manifest.load_batches(source, root / "model", layer)
+        residuals = []
+        for w_g, w_a, w_b in ((gqa.w_k_g, factors.w_a_k, factors.w_b_k),
+                              (gqa.w_v_g, factors.w_a_v, factors.w_b_v)):
+            w = factorizer.replicate_groups(w_g, gqa.n_heads, gqa.n_groups, gqa.head_dim)
+            w_hat = w_a @ w_b
+            residuals.append(float(np.mean(
+                [linalg.frobenius_norm_sq(b.x @ w - b.x @ w_hat) for b in batches])))
+        teacher = metrics.LogitSequence(out_g, targets)
+        student = metrics.LogitSequence(out_m, targets)
+        ce_student = metrics.cross_entropy(student, params.tau)
+        kd = metrics.kd_loss(teacher, student, params.tau)
+        layers.append({
+            "layer": layer,
+            "activation_residual_k": residuals[0],
+            "activation_residual_v": residuals[1],
+            "logit_drift_max": drift_max,
+            "logit_drift_frob": drift_frob,
+            "output_drift_max": float(np.max(np.abs(out_g - out_m))),
+            "cache_width_gqa": 2 * gqa.n_groups * gqa.head_dim,
+            "cache_width_mla": factors.r_k + factors.r_v,
+            "losses": {
+                "ce_teacher": metrics.cross_entropy(teacher, params.tau),
+                "ce_student": ce_student,
+                "kd": kd,
+                "total": metrics.total_loss(ce_student, kd, params),
+            },
+            "cache_width_mla_rope": factors.r_k + factors.r_v + rope_dim,
+            "rope_scale_denominator": float(np.sqrt(gqa.head_dim + rope_dim)),
+        })
+    return layers
+
+
+class TestEvalAgainstReference:
+    def test_report_beyond_one_query_block(self, tmp_path):
+        # 160 tokens span two 128-row query blocks of the attention core
+        seed, rope_dim = 7, 4
+        pipeline(tmp_path, seq=160, schedule_args=("--mode", "uniform", "--rank", "3"),
+                 eval_args=("--seed", seed, "--rope-dim", rope_dim))
+        report = json.loads((tmp_path / "eval/eval_report.json").read_text())
+        want = reference_eval_layers(tmp_path, seed, rope_dim)
+        assert len(report["layers"]) == len(want)
+        for got, expected in zip(report["layers"], want):
+            assert_close_tree(got, expected, 1e-10)
+        gqa_bytes = sum(160 * l["cache_width_gqa"] * 2 for l in want)
+        mla_bytes = sum(160 * l["cache_width_mla_rope"] * 2 for l in want)
+        reduction = report["totals"].pop("reduction_pct")
+        assert float(reduction) == pytest.approx((1 - mla_bytes / gqa_bytes) * 100, abs=0.005)
+        assert_close_tree(report, {
+            "format": "kvlatent-eval-report", "version": 1, "seed": seed, "seq_len": 160,
+            "tau": 1.0, "beta": 1.0, "rope_dim": rope_dim,
+            "max_logit_drift": max(l["logit_drift_max"] for l in want),
+            "layers": report["layers"],
+            "totals": {"gqa_bytes": gqa_bytes, "gqa_mb": gqa_bytes / 1e6,
+                       "mla_bytes": mla_bytes, "mla_mb": mla_bytes / 1e6,
+                       "bytes_per_elem": 2},
+        }, 1e-10)
+
+        assert run("eval", "--source", tmp_path / "model/model.json",
+                   "--converted", tmp_path / "converted/converted.json",
+                   "--seed", seed, "--rope-dim", rope_dim, "--out", tmp_path / "again") == 0
+        assert tree_bytes(tmp_path / "again") == tree_bytes(tmp_path / "eval")
 
 
 class TestKvReport:

@@ -254,7 +254,7 @@ class TestActivationResidual:
         rng = gen(331)
         w = rng.standard_normal((4, 6))
         batches = [calibration.CalibrationBatch(0, rng.standard_normal((5, 4)))]
-        assert activation_residual(batches, w, w.copy()) == 0.0
+        assert activation_residual(batches, w, np.eye(4), w.copy()) == 0.0
 
     def test_identity_activations(self):
         rng = gen(332)
@@ -262,7 +262,7 @@ class TestActivationResidual:
         w_hat = rng.standard_normal((4, 6))
         batches = [calibration.CalibrationBatch(0, np.eye(4))]
         expected = linalg.frobenius_norm_sq(w - w_hat)
-        assert np.isclose(activation_residual(batches, w, w_hat), expected)
+        assert np.isclose(activation_residual(batches, w, np.eye(4), w_hat), expected)
 
     def test_matches_whitened_error(self):
         # batch-averaged activation error == || sqrt(C) (w - w_hat) ||_F^2
@@ -277,12 +277,32 @@ class TestActivationResidual:
             w_hat = rng.standard_normal((d, 5))
             c = covariance_of(batches)
             whitened = whitened_error_sq(linalg.sqrt_psd(c), w, w_hat)
-            empirical = activation_residual(batches, w, w_hat)
+            empirical = activation_residual(batches, w, np.eye(d), w_hat)
             assert abs(empirical - whitened) <= 1e-9 * whitened
+
+    def test_factored_form_matches_product(self):
+        # the latent route (X w_a) w_b gives the residual of w_hat = w_a w_b
+        rng = gen(334)
+        batches = [calibration.CalibrationBatch(0, rng.standard_normal((9, 6)))
+                   for _ in range(3)]
+        w = rng.standard_normal((6, 8))
+        w_a = rng.standard_normal((6, 2))
+        w_b = rng.standard_normal((2, 8))
+        expected = np.mean([
+            linalg.frobenius_norm_sq(b.x @ w - b.x @ (w_a @ w_b)) for b in batches
+        ])
+        assert abs(activation_residual(batches, w, w_a, w_b) - expected) <= 1e-12 * expected
+
+    def test_factor_shape_mismatch(self):
+        with pytest.raises(ValidationError):
+            activation_residual(
+                [calibration.CalibrationBatch(0, np.eye(3))],
+                np.eye(3), np.ones((3, 2)), np.ones((1, 3)),
+            )
 
     def test_empty_batches(self):
         with pytest.raises(ValidationError):
-            activation_residual([], np.eye(2), np.eye(2))
+            activation_residual([], np.eye(2), np.eye(2), np.eye(2))
 
 
 class TestJoinWeights:
