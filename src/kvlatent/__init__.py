@@ -18,7 +18,6 @@ from .calibration import (
     build_whitener,
     finalize,
     merge,
-    shrunk_sqrt,
     whitening_operator,
 )
 from .factorizer import (
@@ -54,7 +53,6 @@ __all__ = [
     "merge",
     "plain_factorize",
     "replicate_groups",
-    "shrunk_sqrt",
     "uniform_profile",
     "waterfill",
     "whitening_operator",

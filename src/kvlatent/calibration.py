@@ -109,16 +109,9 @@ class ShrinkageParams:
             raise ValidationError(f"lam must be positive, got {self.lam}")
 
 
-def resolve_lambda(base: np.ndarray, params: ShrinkageParams) -> float:
-    """Concrete ridge scale for `base` (the operator being shrunk).
-
-    "auto" is trace(base) / dim; a zero-trace base falls back to 1.0 so the
-    resolved value is always positive.
-    """
-    return _lambda_for(params, float(np.trace(base)) / base.shape[0])
-
-
 def _lambda_for(params: ShrinkageParams, mean_eig: float) -> float:
+    """Concrete ridge scale. "auto" is the mean eigenvalue of the operator
+    being shrunk; a zero mean falls back to 1.0 so the scale stays positive."""
     if params.lam != "auto":
         return float(params.lam)
     return mean_eig if mean_eig > 0.0 else 1.0
@@ -205,7 +198,3 @@ def whitening_operator(c, params: ShrinkageParams, weighting: str = WEIGHTING_SQ
     """The shrunk operator that multiplies weights before factorization."""
     return build_whitener(c, params, weighting).matrix
 
-
-def shrunk_sqrt(c, params: ShrinkageParams) -> np.ndarray:
-    """(1 - alpha) * sqrt(C) + alpha * lam * I. Minimum eigenvalue >= alpha * lam."""
-    return whitening_operator(c, params, WEIGHTING_SQRT)

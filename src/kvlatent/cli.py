@@ -417,6 +417,10 @@ def _eval_layer(
 
 
 def cmd_eval(args) -> None:
+    if args.rope_dim < 0 or args.rope_dim % 2:
+        raise ValidationError(
+            f"--rope-dim must be 0 or a positive even number, got {args.rope_dim}"
+        )
     source = manifest.load_manifest(args.source)
     converted = manifest.load_manifest(args.converted)
     if source.model_kind != manifest.MODEL_KIND_GQA:
@@ -436,7 +440,7 @@ def cmd_eval(args) -> None:
     t = source.seq_len
     params = metrics.LossParams(tau=args.tau, beta=args.beta)
     layer_reports = []
-    rope_entries = []
+    rope_paths = []
     gqa_bytes = 0
     mla_bytes = 0
     for layer in range(len(source.layers)):
@@ -451,7 +455,7 @@ def cmd_eval(args) -> None:
             rel_k = f"rope/layer{layer:03d}_w_r_k.ctf"
             ctf.write_ctf(out / rel_q, adapters.w_r_q)
             ctf.write_ctf(out / rel_k, adapters.w_r_k)
-            rope_entries.append((layer, rel_q, rel_k))
+            rope_paths.append((rel_q, rel_k))
         layer_reports.append(report)
         gqa_bytes += attention.kv_cache_bytes(
             1, t, 1, report["cache_width_gqa"], args.bytes_per_elem
@@ -488,43 +492,16 @@ def cmd_eval(args) -> None:
 
     if args.rope_dim:
         # Self-contained rope-augmented manifest next to the adapters.
-        entries = []
-        for layer, rel_q, rel_k in rope_entries:
-            conv_entry = converted.layer(layer)
+        for entry in converted.layers:
             for name in ("w_q", "w_a_k", "w_b_k", "w_a_v", "w_b_v"):
-                rel = getattr(conv_entry, name)
+                rel = getattr(entry, name)
                 dest = out / rel
                 dest.parent.mkdir(parents=True, exist_ok=True)
                 shutil.copyfile(conv_base / rel, dest)
-            entries.append(
-                manifest.LayerEntry(
-                    layer=layer,
-                    d_model=conv_entry.d_model,
-                    n_heads=conv_entry.n_heads,
-                    head_dim=conv_entry.head_dim,
-                    n_groups=conv_entry.n_groups,
-                    w_q=conv_entry.w_q,
-                    r_k=conv_entry.r_k,
-                    r_v=conv_entry.r_v,
-                    w_a_k=conv_entry.w_a_k,
-                    w_b_k=conv_entry.w_b_k,
-                    w_a_v=conv_entry.w_a_v,
-                    w_b_v=conv_entry.w_b_v,
-                    rope_dim=args.rope_dim,
-                    w_r_q=rel_q,
-                    w_r_k=rel_k,
-                )
-            )
-        rope_manifest = manifest.ModelManifest(
-            model_kind=manifest.MODEL_KIND_MLA,
-            weighting=converted.weighting,
-            alpha=converted.alpha,
-            lam=converted.lam,
-            seq_len=converted.seq_len,
-            layers=tuple(entries),
-            seed=converted.seed,
+        manifest.save_manifest(
+            manifest.with_rope(converted, args.rope_dim, rope_paths),
+            out / "converted_with_rope.json",
         )
-        manifest.save_manifest(rope_manifest, out / "converted_with_rope.json")
 
     print(f"max logit drift (content path): {max_drift:.3e}")
     print(

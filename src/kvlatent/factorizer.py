@@ -1,12 +1,12 @@
 """Whitened low-rank factorization and the GQA-to-latent weight mapping.
 
-Each projection is factorized against its layer's whitening operator S (a
-calibration.Whitener, built from one eigendecomposition of the covariance
-and shared by K and V): factor S @ W, truncate to rank r, and unwhiten the
-left factor, giving
+care_factorize is the one whitened factorization. Against a layer's
+whitening operator S (a calibration.Whitener, built from one
+eigendecomposition of the covariance and shared by K and V) it takes the
+SVD of S @ W, truncates it to rank r, and unwhitens the left factor:
 
-    w_a = S^-1 U_r Sigma_r        (down-projection, D x r)
-    w_b = V_r^T                   (up-projection, r x n_heads*head_dim)
+    w_a = S^-1 U_r Sigma_r        (down-projection)
+    w_b = V_r^T                   (up-projection, orthonormal rows)
 
 so that w_a @ w_b is the best rank-r approximation of W in the metric
 ||S (W - W_hat)||_F. With S = I this reduces to plain SVD truncation.
@@ -14,8 +14,9 @@ so that w_a @ w_b is the best rank-r approximation of W in the metric
 The weight to approximate is the grouped projection W_g replicated to full
 head width, W = W_g R, where R copies each group block to its
 m = n_heads / n_groups heads and R R^T = m I. So if S W_g = U Sigma V^T,
-then S W = U (sqrt(m) Sigma) (V^T R / sqrt(m)) is an SVD of S W, and the
-factorization runs at grouped width (D x n_groups*head_dim) and is lifted:
+then S W = U (sqrt(m) Sigma) (V^T R / sqrt(m)) is an SVD of S W.
+grouped_factorize therefore runs care_factorize on W_g at grouped width
+(D x n_groups*head_dim) and lifts its factors:
 
     w_a = S^-1 U_r (sqrt(m) Sigma_r)
     w_b = replicate_groups(V_r^T) / sqrt(m)     (orthonormal rows)
@@ -23,8 +24,7 @@ factorization runs at grouped width (D x n_groups*head_dim) and is lifted:
 Residuals at head width are m times their grouped-width values. The
 replicated weight has rank n_groups * head_dim, which is also the latent
 width that leaves the per-token cache unchanged; at that rank the
-factorization is exact. care_factorize on replicate_groups(W_g) is the
-direct, slower route to the same factors.
+factorization is exact.
 """
 
 import math
@@ -34,8 +34,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .calibration import WHITENER_FLOOR_REL, CalibrationBatch, Whitener
-from .errors import NumericalError, ValidationError
+from .calibration import WEIGHTING_COV, CalibrationBatch, Whitener
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -127,16 +127,11 @@ class MlaFactors:
 
 @dataclass(frozen=True)
 class FactorizationReport:
-    """Residuals of one factorization.
-
-    activation_residual_sq needs calibration batches and is filled in by the
-    evaluation stage; it stays None straight out of the factorizer.
-    """
+    """Residuals of one factorization."""
 
     weight_residual_sq: float
     whitened_residual_sq: float
     rank_used: int
-    activation_residual_sq: float | None = None
 
 
 def replicate_groups(w_g, n_heads: int, n_groups: int, head_dim: int) -> np.ndarray:
@@ -180,45 +175,37 @@ def whitened_error_sq(whitener, w, w_hat) -> float:
     return linalg.frobenius_norm_sq(whitener @ (w - w_hat))
 
 
-def care_factorize(w, whitener, r: int) -> tuple[FactorPair, FactorizationReport]:
+def care_factorize(w, whitener: Whitener, r: int) -> tuple[FactorPair, FactorizationReport]:
     """Rank-r factorization of w minimizing the whitened residual.
 
-    The whitener must be symmetric positive definite (shrinkage-regularized
-    upstream); its inverse maps the truncated factors back to weight space.
+    Truncates the SVD of S @ w to rank r and unwhitens the left factor:
+    w_a = S^-1 U_r Sigma_r, w_b = V_r^T. The whitener must be
+    shrinkage-regularized upstream; Whitener.unwhiten refuses a singular one.
     """
     w = linalg.as_matrix(w, "w")
-    whitener = linalg.as_matrix(whitener, "whitener")
-    if whitener.shape != (w.shape[0], w.shape[0]):
+    if whitener.dim != w.shape[0]:
         raise ValidationError(
-            f"whitener shape {whitener.shape} does not match weight rows {w.shape[0]}"
+            f"whitener dim {whitener.dim} does not match weight rows {w.shape[0]}"
         )
     p = min(w.shape)
     if not 1 <= r <= p:
         raise ValidationError(f"rank {r} out of range [1, {p}]")
-
-    eig = linalg.sym_eig(whitener)
-    lam_max = max(float(eig.eigenvalues[0]), 0.0)
-    if lam_max <= 0.0 or float(eig.eigenvalues[-1]) <= WHITENER_FLOOR_REL * lam_max:
-        raise NumericalError("singular whitener: apply shrinkage before factorizing")
-    unwhiten = (eig.eigenvectors / eig.eigenvalues) @ eig.eigenvectors.T
-    unwhiten = (unwhiten + unwhiten.T) / 2.0
-
-    top = linalg.truncate_svd(linalg.svd(whitener @ w), r)
-    w_a = unwhiten @ (top.u * top.singular_values)
-    w_b = top.v_t.copy()
-    w_hat = w_a @ w_b
+    top = linalg.truncate_svd(linalg.svd(whitener.matrix @ w), r)
+    w_a = whitener.unwhiten(top.u * top.singular_values)
+    diff = w - w_a @ top.v_t
     report = FactorizationReport(
-        weight_residual_sq=linalg.frobenius_norm_sq(w - w_hat),
-        whitened_residual_sq=whitened_error_sq(whitener, w, w_hat),
+        weight_residual_sq=linalg.frobenius_norm_sq(diff),
+        whitened_residual_sq=linalg.frobenius_norm_sq(whitener.matrix @ diff),
         rank_used=r,
     )
-    return FactorPair(w_a, w_b), report
+    return FactorPair(w_a, top.v_t), report
 
 
 def plain_factorize(w, r: int) -> tuple[FactorPair, FactorizationReport]:
     """Rank-r factorization minimizing the plain weight residual (identity whitener)."""
     w = linalg.as_matrix(w, "w")
-    return care_factorize(w, np.eye(w.shape[0]), r)
+    d = w.shape[0]
+    return care_factorize(w, Whitener(np.eye(d), np.ones(d), 1.0, WEIGHTING_COV), r)
 
 
 def lift_gain(n_heads: int, n_groups: int) -> float:
@@ -232,32 +219,26 @@ def grouped_factorize(
 ) -> tuple[FactorPair, FactorizationReport]:
     """Rank-r factorization of replicate_groups(w_g), computed at grouped width.
 
-    Gives the factors care_factorize gives on the replicated weight, at a
-    fraction of the cost. Ranks above the true rank n_groups * head_dim
-    add zero columns to w_a and zero rows to w_b.
+    care_factorize runs on w_g at rank min(r, n_groups * head_dim) and its
+    factors are lifted to head width. Ranks above that true rank add zero
+    columns to w_a and zero rows to w_b.
     """
     w_g = linalg.as_matrix(w_g, "w_g")
-    if whitener.dim != w_g.shape[0]:
-        raise ValidationError(
-            f"whitener dim {whitener.dim} does not match weight rows {w_g.shape[0]}"
-        )
     width = n_heads * head_dim
     p = min(w_g.shape[0], width)
     if not 1 <= r <= p:
         raise ValidationError(f"rank {r} out of range [1, {p}]")
     kept = min(r, w_g.shape[1])
-    top = linalg.truncate_svd(linalg.svd(whitener.matrix @ w_g), kept)
-    a_g = whitener.unwhiten(top.u * top.singular_values)
-    diff = w_g - a_g @ top.v_t
+    grouped, report_g = care_factorize(w_g, whitener, kept)
     gain = lift_gain(n_heads, n_groups)
     w_a = np.zeros((w_g.shape[0], r))
-    w_a[:, :kept] = gain * a_g
+    w_a[:, :kept] = gain * grouped.w_a
     w_b = np.zeros((r, width))
-    w_b[:kept] = replicate_groups(top.v_t, n_heads, n_groups, head_dim) / gain
+    w_b[:kept] = replicate_groups(grouped.w_b, n_heads, n_groups, head_dim) / gain
     m = n_heads // n_groups
     report = FactorizationReport(
-        weight_residual_sq=m * linalg.frobenius_norm_sq(diff),
-        whitened_residual_sq=m * linalg.frobenius_norm_sq(whitener.matrix @ diff),
+        weight_residual_sq=m * report_g.weight_residual_sq,
+        whitened_residual_sq=m * report_g.whitened_residual_sq,
         rank_used=r,
     )
     return FactorPair(w_a, w_b), report
@@ -289,26 +270,6 @@ def activation_residual(batches: list[CalibrationBatch], w, w_a, w_b) -> float:
         diff -= (batch.x @ w_a) @ w_b
         total += linalg.frobenius_norm_sq(diff)
     return total / len(batches)
-
-
-def join_weights(w_b_k, w_b_v) -> np.ndarray:
-    """Block-diagonal join of the two up-projections.
-
-    Multiplying the concatenated latents by the joined matrix reproduces the
-    concatenated K and V reconstructions in one product.
-    """
-    w_b_k = linalg.as_matrix(w_b_k, "w_b_k")
-    w_b_v = linalg.as_matrix(w_b_v, "w_b_v")
-    if w_b_k.shape[1] != w_b_v.shape[1]:
-        raise ValidationError(
-            f"output widths differ: {w_b_k.shape[1]} vs {w_b_v.shape[1]}"
-        )
-    rk, cols = w_b_k.shape
-    rv = w_b_v.shape[0]
-    joined = np.zeros((rk + rv, 2 * cols))
-    joined[:rk, :cols] = w_b_k
-    joined[rk:, cols:] = w_b_v
-    return joined
 
 
 def ablate_singular_value(w, i: int) -> np.ndarray:

@@ -42,16 +42,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValidationError(
-            f"dimension mismatch: cannot multiply {a.shape} by {b.shape}"
-        )
-    return a @ b
-
-
 def frobenius_norm_sq(a) -> float:
     """Sum of squared entries."""
     a = as_matrix(a, "a")
@@ -107,25 +97,6 @@ def sqrt_psd(s) -> np.ndarray:
     res, _ = psd_eig(s)
     root = (res.eigenvectors * np.sqrt(res.eigenvalues)) @ res.eigenvectors.T
     return (root + root.T) / 2.0
-
-
-def inv_sqrt_psd(s, min_eig: float) -> np.ndarray:
-    """Inverse square root of a symmetric positive definite matrix.
-
-    Refuses inputs with any eigenvalue below `min_eig`; callers are expected
-    to shrinkage-regularize first.
-    """
-    if not min_eig > 0.0:
-        raise ValidationError("min_eig must be positive")
-    res = sym_eig(s)
-    if not res.eigenvalues.size or float(res.eigenvalues[-1]) < min_eig:
-        low = float(res.eigenvalues[-1]) if res.eigenvalues.size else 0.0
-        raise NumericalError(
-            f"singular input: eigenvalue {low:g} below {min_eig:g} "
-            "(apply shrinkage first)"
-        )
-    inv_root = (res.eigenvectors * res.eigenvalues**-0.5) @ res.eigenvectors.T
-    return (inv_root + inv_root.T) / 2.0
 
 
 def svd(a) -> SvdResult:

@@ -7,6 +7,7 @@ timestamps so reruns are byte-identical; every tensor path is stored
 relative to the manifest's directory.
 """
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -135,21 +136,46 @@ def load_manifest(path) -> ModelManifest:
         ):
             raise ValidationError(f"{path}: layer {i} is missing latent factors")
         layers.append(entry)
+    raw_calibration = doc.get("calibration", {})
+    if not isinstance(raw_calibration, dict):
+        raise ValidationError(f"{path}: calibration must map layer indices to path lists")
     calibration = {}
-    for key, paths in doc.get("calibration", {}).items():
+    for key, paths in raw_calibration.items():
         if not isinstance(paths, list) or not all(isinstance(p, str) for p in paths):
             raise ValidationError(f"{path}: bad calibration listing for layer {key}")
-        calibration[int(key)] = tuple(paths)
+        try:
+            calibration[int(key)] = tuple(paths)
+        except ValueError:
+            raise ValidationError(f"{path}: calibration key {key!r} is not a layer index") from None
+    alpha = doc.get("alpha", 0.01)
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0.0 < alpha < 1.0:
+        raise ValidationError(f"{path}: alpha must be a number in (0, 1), got {alpha!r}")
+    seq_len = doc.get("seq_len", 1)
+    if isinstance(seq_len, bool) or not isinstance(seq_len, int) or seq_len < 1:
+        raise ValidationError(f"{path}: seq_len must be a positive integer, got {seq_len!r}")
     return ModelManifest(
         model_kind=kind,
         weighting=weighting,
-        alpha=float(doc.get("alpha", 0.01)),
+        alpha=float(alpha),
         lam=lam,
-        seq_len=int(doc.get("seq_len", 1)),
+        seq_len=seq_len,
         layers=tuple(layers),
         calibration=calibration,
         seed=doc.get("seed"),
     )
+
+
+def with_rope(m: ModelManifest, rope_dim: int, adapter_paths) -> ModelManifest:
+    """Copy of a converted manifest whose layers carry rotary adapters.
+
+    adapter_paths holds one (w_r_q, w_r_k) pair of tensor paths per layer,
+    in layer order.
+    """
+    layers = tuple(
+        dataclasses.replace(entry, rope_dim=rope_dim, w_r_q=w_r_q, w_r_k=w_r_k)
+        for entry, (w_r_q, w_r_k) in zip(m.layers, adapter_paths, strict=True)
+    )
+    return dataclasses.replace(m, layers=layers)
 
 
 def _entry_from_json(raw: dict, path) -> LayerEntry:

@@ -67,17 +67,6 @@ def _log_softmax(logits: np.ndarray, tau: float) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def softmax(row, tau: float) -> np.ndarray:
-    """Temperature softmax of one logit row, max-subtracted for stability."""
-    tau = _check_tau(tau)
-    row = np.asarray(row, dtype=np.float64)
-    if row.ndim != 1 or row.size == 0:
-        raise ValidationError("row must be a non-empty 1-D array")
-    if not np.all(np.isfinite(row)):
-        raise ValidationError("row contains non-finite entries")
-    return np.exp(_log_softmax(row, tau))
-
-
 def cross_entropy(student: LogitSequence, tau: float = 1.0) -> float:
     """Mean negative log probability of the targets at temperature tau."""
     tau = _check_tau(tau)

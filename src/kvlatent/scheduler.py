@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 
 KIND_K = "K"
 KIND_V = "V"
@@ -67,12 +67,6 @@ class SpectrumTable:
         _check_kind(kind)
         return sorted(l for (l, k) in self._entries if k == kind)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key) -> bool:
-        return key in self._entries
-
 
 def whitened_spectrum(sqrt_c, w) -> np.ndarray:
     """Descending singular values of the whitened weight (sqrt_c @ w)."""
@@ -85,27 +79,6 @@ def whitened_spectrum(sqrt_c, w) -> np.ndarray:
             f"dimension mismatch: whitener {sqrt_c.shape} vs weight {w.shape}"
         )
     return linalg.singular_values(sqrt_c @ w)
-
-
-def tail_energy(sigma, r: int) -> float:
-    """Sum of squared singular values strictly beyond rank r."""
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if not 0 <= r <= sigma.shape[0]:
-        raise ValidationError(f"r={r} out of range [0, {sigma.shape[0]}]")
-    return float(np.sum(sigma[r:] ** 2))
-
-
-def priority(sigma, r: int) -> float:
-    """Fraction of the remaining residual removed by rank r+1, in (0, 1]."""
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if not 0 <= r < sigma.shape[0]:
-        raise ValidationError(f"r={r} out of range [0, {sigma.shape[0]})")
-    tail = tail_energy(sigma, r)
-    if tail <= 0.0:
-        raise NumericalError(
-            "zero tail energy: layer fully captured, exclude from allocation"
-        )
-    return float(sigma[r] ** 2) / tail
 
 
 @dataclass(frozen=True)

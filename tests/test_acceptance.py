@@ -145,13 +145,13 @@ def test_criterion_04_whitened_optimality():
             eigs = np.linalg.eigvalsh(c)
             assert eigs[-1] / max(eigs[0], 1e-300) >= 100.0, "instance not anisotropic"
             w = rng.standard_normal((d, cols))
-            s = calibration.shrunk_sqrt(c, ShrinkageParams(alpha=0.01))
+            s = calibration.build_whitener(c, ShrinkageParams(alpha=0.01))
             care_pair, care_report = care_factorize(w, s, r)
             plain_pair, _ = plain_factorize(w, r)
             plain_hat = plain_pair.w_a @ plain_pair.w_b
             # whitened residual: must win every single time
             assert care_report.whitened_residual_sq <= (
-                whitened_error_sq(s, w, plain_hat) * (1 + 1e-12)
+                whitened_error_sq(s.matrix, w, plain_hat) * (1 + 1e-12)
             )
             care_act = activation_residual(batches, w, *care_pair)
             plain_act = activation_residual(batches, w, *plain_pair)
@@ -276,7 +276,7 @@ def test_criterion_10_shrinkage_robustness():
             r = 4
             residuals = []
             for alpha in (1e-3, 1e-2, 1e-1):
-                s = calibration.shrunk_sqrt(c, ShrinkageParams(alpha=alpha))
+                s = calibration.build_whitener(c, ShrinkageParams(alpha=alpha))
                 _, report = care_factorize(w, s, r)
                 residuals.append(report.whitened_residual_sq)
             spread = (max(residuals) - min(residuals)) / min(residuals)

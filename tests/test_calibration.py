@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import anisotropic_batches, covariance_of, gen, random_orthogonal
-from kvlatent import calibration, linalg
+from kvlatent import linalg
 from kvlatent.calibration import (
     CalibrationBatch,
     CovarianceAccumulator,
@@ -12,7 +12,6 @@ from kvlatent.calibration import (
     build_whitener,
     finalize,
     merge,
-    shrunk_sqrt,
     whitening_operator,
 )
 from kvlatent.errors import NumericalError, ValidationError
@@ -144,22 +143,22 @@ class TestShrinkage:
             ShrinkageParams(alpha=0.5, lam="later")
 
     def test_identity_fixed_point(self):
-        out = shrunk_sqrt(np.eye(3), ShrinkageParams(alpha=0.5, lam=1.0))
+        out = whitening_operator(np.eye(3), ShrinkageParams(alpha=0.5, lam=1.0))
         assert np.allclose(out, np.eye(3))
 
     def test_zero_covariance(self):
-        out = shrunk_sqrt(np.zeros((2, 2)), ShrinkageParams(alpha=0.01, lam=2.0))
+        out = whitening_operator(np.zeros((2, 2)), ShrinkageParams(alpha=0.01, lam=2.0))
         assert np.allclose(out, 0.02 * np.eye(2))
 
     def test_per_eigenvalue_arithmetic(self):
-        out = shrunk_sqrt(np.diag([4.0, 0.0]), ShrinkageParams(alpha=0.01, lam=1.0))
+        out = whitening_operator(np.diag([4.0, 0.0]), ShrinkageParams(alpha=0.01, lam=1.0))
         assert np.allclose(out, np.diag([0.99 * 2.0 + 0.01, 0.01]))
 
     def test_auto_lambda_is_mean_sqrt_eigenvalue(self):
         # trace(sqrt(diag(4, 0))) / 2 = 1, so "auto" matches lam=1.0 here
         c = np.diag([4.0, 0.0])
-        auto = shrunk_sqrt(c, ShrinkageParams(alpha=0.01, lam="auto"))
-        explicit = shrunk_sqrt(c, ShrinkageParams(alpha=0.01, lam=1.0))
+        auto = whitening_operator(c, ShrinkageParams(alpha=0.01, lam="auto"))
+        explicit = whitening_operator(c, ShrinkageParams(alpha=0.01, lam=1.0))
         assert np.allclose(auto, explicit)
 
     def test_minimum_eigenvalue_floor(self):
@@ -167,8 +166,8 @@ class TestShrinkage:
         batches = [batch(rng.standard_normal((2, 6))) for _ in range(2)]
         c = covariance_of(batches)  # rank deficient: 4 rows for dim 6
         params = ShrinkageParams(alpha=0.01, lam="auto")
-        out = shrunk_sqrt(c, params)
-        lam = calibration.resolve_lambda(linalg.sqrt_psd(c), params)
+        out = whitening_operator(c, params)
+        lam = np.trace(linalg.sqrt_psd(c)) / c.shape[0]
         eigs = np.linalg.eigvalsh(out)
         assert eigs.min() >= params.alpha * lam * (1 - 1e-12)
 
@@ -177,20 +176,24 @@ class TestShrinkage:
         batches = [batch(rng.standard_normal((3, 8))) for _ in range(2)]
         c = covariance_of(batches)
         params = ShrinkageParams(alpha=0.01, lam="auto")
-        out = shrunk_sqrt(c, params)
-        lam = calibration.resolve_lambda(linalg.sqrt_psd(c), params)
-        inv = linalg.inv_sqrt_psd(out, min_eig=params.alpha * lam * (1 - 1e-6))
+        whitener = build_whitener(c, params)
+        inv = whitener.unwhiten(np.eye(8))
         assert np.all(np.isfinite(inv))
+        assert np.max(np.abs(whitener.matrix @ inv - np.eye(8))) <= 1e-9
 
 
 class TestWhiteningOperator:
     def test_sqrt_mode_matches_shrunk_sqrt(self):
+        # "sqrtC" is the default: (1 - alpha) sqrt(C) + alpha lam I
         rng = gen(106)
         c = covariance_of([batch(rng.standard_normal((6, 4))) for _ in range(3)])
         params = ShrinkageParams()
-        assert np.array_equal(
-            whitening_operator(c, params, "sqrtC"), shrunk_sqrt(c, params)
-        )
+        root = linalg.sqrt_psd(c)
+        lam = np.trace(root) / 4
+        explicit = (1.0 - params.alpha) * root + params.alpha * lam * np.eye(4)
+        out = whitening_operator(c, params, "sqrtC")
+        assert np.array_equal(whitening_operator(c, params), out)
+        assert np.max(np.abs(out - explicit)) <= 1e-12 * np.max(np.abs(explicit))
 
     def test_cov_mode_uses_covariance_directly(self):
         c = np.diag([4.0, 1.0])
@@ -219,9 +222,13 @@ class TestWhitener:
         return covariance_of(anisotropic_batches(rng, 4, 16, dim, cond=400.0))
 
     @staticmethod
-    def explicit_operator(c, params, weighting):
+    def resolve_lambda(base, params):
+        """The ridge scale by its definition: "auto" is trace(base) / dim."""
+        return float(np.trace(base)) / base.shape[0] if params.lam == "auto" else params.lam
+
+    def explicit_operator(self, c, params, weighting):
         base = linalg.sqrt_psd(c) if weighting == "sqrtC" else c
-        lam = calibration.resolve_lambda(base, params)
+        lam = self.resolve_lambda(base, params)
         return (1.0 - params.alpha) * base + params.alpha * lam * np.eye(c.shape[0])
 
     def test_inverse_round_trip(self):
@@ -246,7 +253,7 @@ class TestWhitener:
         c = self.covariance(113)
         params = ShrinkageParams()
         base = linalg.sqrt_psd(c) if weighting == "sqrtC" else c
-        expected = calibration.resolve_lambda(base, params)
+        expected = self.resolve_lambda(base, params)
         assert build_whitener(c, params, weighting).lam == pytest.approx(expected, rel=1e-12)
 
     def test_health_figures_match_spectrum(self):

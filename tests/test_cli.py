@@ -113,6 +113,17 @@ class TestGen:
                    "--n-heads", 3, "--head-dim", 4) == 2
 
 
+MALFORMED_MANIFESTS = {
+    "calibration_key": lambda doc: doc["calibration"].update(a=doc["calibration"].pop("0")),
+    "calibration_list": lambda doc: doc.update(calibration=[]),
+    "alpha_string": lambda doc: doc.update(alpha="x"),
+    "alpha_null": lambda doc: doc.update(alpha=None),
+    "alpha_above_one": lambda doc: doc.update(alpha=5.0),
+    "seq_len_string": lambda doc: doc.update(seq_len="x"),
+    "seq_len_zero": lambda doc: doc.update(seq_len=0),
+}
+
+
 class TestCov:
     def test_matches_api_finalize(self, tmp_path):
         model = gen_model(tmp_path / "m")
@@ -139,6 +150,19 @@ class TestCov:
     def test_missing_manifest_is_io_error(self, tmp_path):
         assert run("cov", "--manifest", tmp_path / "nope.json",
                    "--out", tmp_path / "cov") == 4
+
+    @pytest.mark.parametrize("mutate", MALFORMED_MANIFESTS.values(),
+                             ids=MALFORMED_MANIFESTS.keys())
+    def test_malformed_manifest_is_validation_error(self, tmp_path, capsys, mutate):
+        model = gen_model(tmp_path / "m")
+        doc = json.loads(model.read_text())
+        mutate(doc)
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "cov").exists()
 
 
 class TestSchedule:
@@ -326,7 +350,7 @@ class TestConvert:
             assert health["condition"] == pytest.approx(eigs[-1] / eigs[0], rel=1e-12)
             assert health["clamped"] == 0
             assert health["lambda_resolved"] == layer_report["lambda_resolved"]
-            resolved = calibration.resolve_lambda(linalg.sqrt_psd(cov), params)
+            resolved = np.trace(linalg.sqrt_psd(cov)) / cov.shape[0]  # "auto"
             assert layer_report["lambda_resolved"] == pytest.approx(resolved, rel=1e-12)
 
 
@@ -352,6 +376,17 @@ class TestEval:
             assert run("eval", "--source", model, "--converted", converted,
                        "--seed", 5, "--out", tmp_path / out) == 0
         assert tree_bytes(tmp_path / "e1") == tree_bytes(tmp_path / "e2")
+
+    @pytest.mark.parametrize("rope_dim", [-4, 3])
+    def test_bad_rope_dim_writes_nothing(self, tmp_path, capsys, rope_dim):
+        pipeline(tmp_path)
+        capsys.readouterr()
+        assert run("eval", "--source", tmp_path / "model/model.json",
+                   "--converted", tmp_path / "converted/converted.json",
+                   "--rope-dim", rope_dim, "--out", tmp_path / "bad") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --rope-dim") and "Traceback" not in err
+        assert not (tmp_path / "bad").exists()
 
     def test_rope_artifacts(self, tmp_path):
         pipeline(tmp_path, eval_args=("--seed", "0", "--rope-dim", "4"))

@@ -3,15 +3,17 @@ import pytest
 
 from conftest import anisotropic_batches, covariance_of, gen, identity_whitener, random_psd
 from kvlatent import calibration, linalg, scheduler
+from kvlatent.calibration import WHITENER_FLOOR_REL, Whitener
 from kvlatent.errors import NumericalError, ValidationError
 from kvlatent.factorizer import (
+    FactorizationReport,
+    FactorPair,
     GqaLayer,
     activation_residual,
     ablate_singular_value,
     care_factorize,
     convert_layer,
     grouped_factorize,
-    join_weights,
     kv_parity_rank,
     lift_gain,
     plain_factorize,
@@ -32,6 +34,49 @@ def random_gqa_layer(rng, d_model=16, n_heads=4, n_groups=2) -> GqaLayer:
         w_k_g=rng.standard_normal((d_model, n_groups * head_dim)) * scale,
         w_v_g=rng.standard_normal((d_model, n_groups * head_dim)) * scale,
     )
+
+
+def reference_care_factorize(w, s, r):
+    """Whitened factorization against a raw whitener matrix s, inverted by
+    its own eigendecomposition: the oracle for care_factorize."""
+    w = linalg.as_matrix(w, "w")
+    s = linalg.as_matrix(s, "s")
+    if s.shape != (w.shape[0], w.shape[0]):
+        raise ValidationError(f"whitener shape {s.shape} does not match weight rows {w.shape[0]}")
+    p = min(w.shape)
+    if not 1 <= r <= p:
+        raise ValidationError(f"rank {r} out of range [1, {p}]")
+    eig = linalg.sym_eig(s)
+    lam_max = max(float(eig.eigenvalues[0]), 0.0)
+    if lam_max <= 0.0 or float(eig.eigenvalues[-1]) <= WHITENER_FLOOR_REL * lam_max:
+        raise NumericalError("singular whitener: apply shrinkage before factorizing")
+    unwhiten = (eig.eigenvectors / eig.eigenvalues) @ eig.eigenvectors.T
+    unwhiten = (unwhiten + unwhiten.T) / 2.0
+    top = linalg.truncate_svd(linalg.svd(s @ w), r)
+    w_a = unwhiten @ (top.u * top.singular_values)
+    w_b = top.v_t.copy()
+    w_hat = w_a @ w_b
+    report = FactorizationReport(
+        weight_residual_sq=linalg.frobenius_norm_sq(w - w_hat),
+        whitened_residual_sq=whitened_error_sq(s, w, w_hat),
+        rank_used=r,
+    )
+    return FactorPair(w_a, w_b), report
+
+
+def assert_matches_reference(pair, report, oracle_pair, oracle, energy):
+    """Products and residuals agree with the oracle to 1e-12 relative."""
+    product = pair.w_a @ pair.w_b
+    expected = oracle_pair.w_a @ oracle_pair.w_b
+    assert np.linalg.norm(product - expected) <= 1e-12 * np.linalg.norm(expected)
+    for ours, theirs in (
+        (report.weight_residual_sq, oracle.weight_residual_sq),
+        (report.whitened_residual_sq, oracle.whitened_residual_sq),
+    ):
+        # at the true rank both residuals are rounding noise, so the
+        # tolerance is floored by the whitened energy
+        assert abs(ours - theirs) <= 1e-12 * max(theirs, energy * 1e-3)
+    assert report.rank_used == oracle.rank_used
 
 
 class TestReplicateGroups:
@@ -83,10 +128,23 @@ class TestKvParityRank:
 
 
 class TestCareFactorize:
+    def test_matches_reference(self):
+        rng = gen(310)
+        for weighting in ("sqrtC", "C"):
+            c = covariance_of(anisotropic_batches(rng, 4, 24, 12, cond=400.0))
+            whitener = calibration.build_whitener(c, calibration.ShrinkageParams(), weighting)
+            w = rng.standard_normal((12, 9))
+            energy = linalg.frobenius_norm_sq(whitener.matrix @ w)
+            for r in (1, 4, 9):
+                pair, report = care_factorize(w, whitener, r)
+                oracle_pair, oracle = reference_care_factorize(w, whitener.matrix, r)
+                assert_matches_reference(pair, report, oracle_pair, oracle, energy)
+                assert pair.w_a.shape == (12, r) and pair.w_b.shape == (r, 9)
+
     def test_identity_whitener_matches_plain_bitwise(self):
         rng = gen(311)
         w = rng.standard_normal((8, 12))
-        care_pair, care_report = care_factorize(w, np.eye(8), 3)
+        care_pair, care_report = care_factorize(w, identity_whitener(8), 3)
         plain_pair, plain_report = plain_factorize(w, 3)
         assert care_pair.w_a.tobytes() == plain_pair.w_a.tobytes()
         assert care_pair.w_b.tobytes() == plain_pair.w_b.tobytes()
@@ -95,11 +153,11 @@ class TestCareFactorize:
     def test_factor_product_equals_reconstruction(self):
         rng = gen(312)
         w = rng.standard_normal((10, 14))
-        s = calibration.shrunk_sqrt(random_psd(rng, 10, cond=50.0), calibration.ShrinkageParams())
+        s = calibration.build_whitener(random_psd(rng, 10, cond=50.0), calibration.ShrinkageParams())
         pair, report = care_factorize(w, s, 5)
         w_hat = pair.w_a @ pair.w_b
-        whitened = linalg.svd(s @ w)
-        expected = (np.linalg.inv(s) @ linalg.reconstruct(linalg.truncate_svd(whitened, 5)))
+        whitened = linalg.svd(s.matrix @ w)
+        expected = np.linalg.inv(s.matrix) @ linalg.reconstruct(linalg.truncate_svd(whitened, 5))
         assert np.allclose(w_hat, expected, rtol=1e-9, atol=1e-12)
         assert report.rank_used == 5
 
@@ -107,21 +165,21 @@ class TestCareFactorize:
         rng = gen(313)
         layer = random_gqa_layer(rng)
         w = replicate_groups(layer.w_k_g, layer.n_heads, layer.n_groups, layer.head_dim)
-        s = calibration.shrunk_sqrt(random_psd(rng, 16, cond=30.0), calibration.ShrinkageParams())
+        s = calibration.build_whitener(random_psd(rng, 16, cond=30.0), calibration.ShrinkageParams())
         r = kv_parity_rank(layer.n_groups, layer.head_dim)
         _, report = care_factorize(w, s, r)
-        sigma_top = linalg.svd(s @ w).singular_values[0]
+        sigma_top = linalg.svd(s.matrix @ w).singular_values[0]
         assert report.whitened_residual_sq <= 1e-16 * sigma_top**2
 
     def test_anisotropic_care_beats_plain_at_rank_one(self):
         # covariance diag(100, 1): strong direction is dim 0, but the weight
         # puts its energy along dim 1. Plain SVD keeps the big weight
         # direction; whitening keeps what the activations actually see.
-        sqrt_c = np.diag([10.0, 1.0])
+        sqrt_c = Whitener(np.eye(2), np.array([10.0, 1.0]), 1.0, "sqrtC")
         w = np.diag([2.0, 10.0])
         care_pair, care_report = care_factorize(w, sqrt_c, 1)
         plain_pair, plain_report = plain_factorize(w, 1)
-        plain_whitened = whitened_error_sq(sqrt_c, w, plain_pair.w_a @ plain_pair.w_b)
+        plain_whitened = whitened_error_sq(sqrt_c.matrix, w, plain_pair.w_a @ plain_pair.w_b)
         assert np.isclose(care_report.whitened_residual_sq, 100.0)
         assert np.isclose(plain_whitened, 400.0)
         assert care_report.whitened_residual_sq < plain_whitened
@@ -131,32 +189,33 @@ class TestCareFactorize:
         for _ in range(10):
             d, n, r = 8, 10, 3
             w = rng.standard_normal((d, n))
-            s = calibration.shrunk_sqrt(random_psd(rng, d, cond=80.0), calibration.ShrinkageParams())
+            s = calibration.build_whitener(random_psd(rng, d, cond=80.0), calibration.ShrinkageParams())
             pair, report = care_factorize(w, s, r)
             # equals the whitened tail energy
-            sigma = linalg.svd(s @ w).singular_values
+            sigma = linalg.svd(s.matrix @ w).singular_values
             tail = float(np.sum(sigma[r:] ** 2))
             assert abs(report.whitened_residual_sq - tail) <= 1e-9 * max(tail, 1e-9)
             # beats plain truncation and random factors in the whitened metric
             plain_pair, _ = plain_factorize(w, r)
-            plain_score = whitened_error_sq(s, w, plain_pair.w_a @ plain_pair.w_b)
+            plain_score = whitened_error_sq(s.matrix, w, plain_pair.w_a @ plain_pair.w_b)
             random_score = whitened_error_sq(
-                s, w, rng.standard_normal((d, r)) @ rng.standard_normal((r, n))
+                s.matrix, w, rng.standard_normal((d, r)) @ rng.standard_normal((r, n))
             )
             assert report.whitened_residual_sq <= plain_score + 1e-12
             assert report.whitened_residual_sq <= random_score + 1e-12
 
     def test_singular_whitener_rejected(self):
+        singular = Whitener(np.eye(3), np.array([1.0, 1.0, 0.0]), 1.0, "C")
         with pytest.raises(NumericalError, match="shrinkage"):
-            care_factorize(np.eye(3), np.diag([1.0, 1.0, 0.0]), 1)
+            care_factorize(np.eye(3), singular, 1)
 
     def test_rank_out_of_range(self):
         with pytest.raises(ValidationError):
-            care_factorize(np.eye(3), np.eye(3), 4)
+            care_factorize(np.eye(3), identity_whitener(3), 4)
 
 
 class TestGroupedFactorize:
-    """The grouped-width path against the replicate-then-factor oracle."""
+    """The grouped-width path against the reference on the replicated weight."""
 
     N_HEADS, HEAD_DIM = 4, 4
     D = N_HEADS * HEAD_DIM
@@ -179,18 +238,9 @@ class TestGroupedFactorize:
             pair, report = grouped_factorize(
                 w_g, whitener, r, self.N_HEADS, n_groups, self.HEAD_DIM
             )
-            oracle_pair, oracle = care_factorize(w, whitener.matrix, r)
-            product = pair.w_a @ pair.w_b
-            expected = oracle_pair.w_a @ oracle_pair.w_b
-            assert np.linalg.norm(product - expected) <= 1e-12 * np.linalg.norm(expected)
-            for ours, theirs in (
-                (report.weight_residual_sq, oracle.weight_residual_sq),
-                (report.whitened_residual_sq, oracle.whitened_residual_sq),
-            ):
-                # at the true rank both residuals are rounding noise, so the
-                # tolerance is floored by the whitened energy
-                assert abs(ours - theirs) <= 1e-12 * max(theirs, energy * 1e-3)
-            assert report.rank_used == oracle.rank_used == r
+            oracle_pair, oracle = reference_care_factorize(w, whitener.matrix, r)
+            assert_matches_reference(pair, report, oracle_pair, oracle, energy)
+            assert report.rank_used == r
             assert np.allclose(pair.w_b @ pair.w_b.T, np.eye(r), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n_groups", [1, 2, 4])
@@ -303,31 +353,6 @@ class TestActivationResidual:
     def test_empty_batches(self):
         with pytest.raises(ValidationError):
             activation_residual([], np.eye(2), np.eye(2), np.eye(2))
-
-
-class TestJoinWeights:
-    def test_scalar_blocks(self):
-        out = join_weights(np.array([[2.0]]), np.array([[3.0]]))
-        assert np.array_equal(out, np.array([[2.0, 0.0], [0.0, 3.0]]))
-
-    def test_two_path_evaluation(self):
-        rng = gen(341)
-        rk, rv, width, t = 3, 4, 6, 5
-        w_b_k = rng.standard_normal((rk, width))
-        w_b_v = rng.standard_normal((rv, width))
-        latent_k = rng.standard_normal((t, rk))
-        latent_v = rng.standard_normal((t, rv))
-        joined = np.hstack([latent_k, latent_v]) @ join_weights(w_b_k, w_b_v)
-        separate = np.hstack([latent_k @ w_b_k, latent_v @ w_b_v])
-        assert np.max(np.abs(joined - separate)) < 1e-10
-
-    def test_zero_blocks(self):
-        out = join_weights(np.zeros((2, 3)), np.zeros((1, 3)))
-        assert np.array_equal(out, np.zeros((3, 6)))
-
-    def test_width_mismatch(self):
-        with pytest.raises(ValidationError):
-            join_weights(np.ones((2, 3)), np.ones((2, 4)))
 
 
 class TestAblateSingularValue:

@@ -3,31 +3,8 @@ import pytest
 
 from conftest import gen, random_psd
 from kvlatent import linalg
+from kvlatent.calibration import ShrinkageParams, Whitener, build_whitener
 from kvlatent.errors import NumericalError, ValidationError
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(linalg.matmul(np.eye(2), a), a)
-
-    def test_hand_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0], [1.0]])
-        assert np.array_equal(linalg.matmul(a, b), np.array([[2.0], [4.0]]))
-
-    def test_zero(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(linalg.matmul(a, np.zeros((2, 3))), np.zeros((2, 3)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            linalg.matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_rejects_nan(self):
-        bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValidationError):
-            linalg.matmul(bad, np.eye(2))
 
 
 class TestFrobeniusNormSq:
@@ -130,36 +107,45 @@ class TestSqrtPsd:
 
 
 class TestInvSqrtPsd:
+    """The inverse of the shrunk PSD square root: Whitener.unwhiten under the
+    default "sqrtC" weighting, the library's only inverse of S."""
+
     def test_diagonal(self):
-        inv = linalg.inv_sqrt_psd(np.diag([4.0, 9.0]), min_eig=1.0)
-        assert np.allclose(inv, np.diag([0.5, 1.0 / 3.0]))
+        # S = 0.5 * sqrt(diag(16, 81)) + 0.5 * I = diag(2.5, 5)
+        whitener = build_whitener(np.diag([16.0, 81.0]), ShrinkageParams(alpha=0.5, lam=1.0))
+        assert np.allclose(whitener.unwhiten(np.eye(2)), np.diag([0.4, 0.2]))
 
     def test_identity(self):
-        assert np.allclose(linalg.inv_sqrt_psd(np.eye(4), min_eig=0.5), np.eye(4))
+        whitener = build_whitener(np.eye(4), ShrinkageParams(alpha=0.5, lam=1.0))
+        assert np.allclose(whitener.unwhiten(np.eye(4)), np.eye(4))
 
     def test_product_with_sqrt_is_identity(self):
         rng = gen(22)
         for _ in range(10):
-            s = random_psd(rng, 4, cond=5.0) + 0.1 * np.eye(4)
-            inv = linalg.inv_sqrt_psd(s, min_eig=0.05)
-            assert np.max(np.abs(inv @ linalg.sqrt_psd(s) - np.eye(4))) < 1e-9
+            c = random_psd(rng, 4, cond=5.0) + 0.1 * np.eye(4)
+            whitener = build_whitener(c, ShrinkageParams())
+            product = whitener.unwhiten(whitener.matrix)
+            assert np.max(np.abs(product - np.eye(4))) < 1e-9
 
     def test_product_with_sqrt_on_shrunk_random_sizes(self):
-        # shrunk random PSD matrices up to 32x32
+        # covariances up to 32x32 whose square roots span a condition of 100
         rng = gen(23)
         for _ in range(10):
             n = int(rng.integers(2, 33))
-            s = 0.99 * random_psd(rng, n, cond=100.0) + 0.01 * np.eye(n)
-            inv = linalg.inv_sqrt_psd(s, min_eig=0.005)
-            assert np.max(np.abs(inv @ linalg.sqrt_psd(s) - np.eye(n))) < 1e-8
+            whitener = build_whitener(random_psd(rng, n, cond=1e4), ShrinkageParams())
+            product = whitener.unwhiten(whitener.matrix)
+            assert np.max(np.abs(product - np.eye(n))) < 1e-8
 
     def test_rejects_small_eigenvalue(self):
+        whitener = Whitener(np.eye(2), np.array([1.0, 1e-13]), 1.0, "sqrtC")
         with pytest.raises(NumericalError):
-            linalg.inv_sqrt_psd(np.diag([1.0, 1e-6]), min_eig=1e-3)
+            whitener.unwhiten(np.eye(2))
 
     def test_rejects_nonpositive_min_eig(self):
-        with pytest.raises(ValidationError):
-            linalg.inv_sqrt_psd(np.eye(2), min_eig=0.0)
+        for low in (0.0, -0.5):
+            whitener = Whitener(np.eye(2), np.array([1.0, low]), 1.0, "sqrtC")
+            with pytest.raises(NumericalError):
+                whitener.unwhiten(np.eye(2))
 
 
 class TestSvd:

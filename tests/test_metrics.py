@@ -10,36 +10,47 @@ from kvlatent.metrics import (
     LossParams,
     cross_entropy,
     kd_loss,
-    softmax,
     total_loss,
 )
 
 
 class TestSoftmax:
+    """The temperature softmax inside the losses, read back through
+    cross_entropy: on one position, exp(-CE) is the target's probability."""
+
+    @staticmethod
+    def probs(row, tau):
+        logits = np.asarray(row, dtype=np.float64)[None, :]
+        return np.array([
+            math.exp(-cross_entropy(LogitSequence(logits, np.array([v])), tau))
+            for v in range(logits.shape[1])
+        ])
+
     def test_uniform_row(self):
         for tau in (0.5, 1.0, 7.0):
-            probs = softmax(np.full(5, 3.2), tau)
-            assert np.allclose(probs, 0.2)
+            assert np.allclose(self.probs(np.full(5, 3.2), tau), 0.2)
 
     def test_closed_form(self):
-        probs = softmax(np.array([math.log(2.0), 0.0]), 1.0)
+        probs = self.probs([math.log(2.0), 0.0], 1.0)
         assert np.allclose(probs, [2.0 / 3.0, 1.0 / 3.0])
 
     def test_high_temperature_approaches_uniform(self):
         rng = gen(501)
-        row = rng.standard_normal(9)
-        probs = softmax(row, 1e6)
+        probs = self.probs(rng.standard_normal(9), 1e6)
         assert np.max(np.abs(probs - 1.0 / 9.0)) < 1e-3
 
     def test_sums_to_one(self):
         rng = gen(502)
         for _ in range(10):
-            probs = softmax(rng.standard_normal(6) * 50, 1.0)
+            probs = self.probs(rng.standard_normal(6) * 50, 1.0)
             assert math.isclose(probs.sum(), 1.0, rel_tol=1e-12)
 
     def test_rejects_nonpositive_tau(self):
+        seq = LogitSequence(np.ones((1, 3)), np.array([0]))
         with pytest.raises(ValidationError):
-            softmax(np.ones(3), 0.0)
+            cross_entropy(seq, 0.0)
+        with pytest.raises(ValidationError):
+            kd_loss(seq, seq, -1.0)
 
 
 class TestCrossEntropy:

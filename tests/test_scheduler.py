@@ -5,12 +5,10 @@ import pytest
 
 from conftest import gen
 from kvlatent import scheduler
-from kvlatent.errors import NumericalError, ValidationError
+from kvlatent.errors import ValidationError
 from kvlatent.scheduler import (
     SpectrumTable,
     build_profile,
-    priority,
-    tail_energy,
     uniform_profile,
     waterfill,
     waterfill_trace,
@@ -79,39 +77,35 @@ class TestWhitenedSpectrum:
             whitened_spectrum(np.eye(3), np.zeros((4, 2)))
 
 
-class TestTailEnergy:
-    def test_hand_value(self):
-        assert tail_energy([3.0, 2.0, 1.0], 1) == 5.0
-
-    def test_empty_tail(self):
-        assert tail_energy([3.0, 2.0, 1.0], 3) == 0.0
-
-    def test_whole_spectrum(self):
-        assert tail_energy([3.0, 2.0, 1.0], 0) == 14.0
-
-    def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            tail_energy([1.0], 2)
-
-
 class TestPriority:
+    """Step priorities in waterfill_trace: sigma_{r+1}^2 / sum_{m>r} sigma_m^2."""
+
+    @staticmethod
+    def steps(sigma, budget, min_rank):
+        _, trace = waterfill_trace(table_of({0: sigma}), "K", budget, min_rank)
+        return trace
+
     def test_hand_value(self):
-        assert priority([2.0, 1.0, 1.0], 1) == 0.5
+        (step,) = self.steps([2.0, 1.0, 1.0], budget=2, min_rank=1)
+        assert step.rank_before == 1
+        assert step.priority == 0.5
 
     def test_last_component_takes_whole_tail(self):
-        assert priority([5.0, 4.0, 3.0], 2) == 1.0
+        (step,) = self.steps([5.0, 4.0, 3.0], budget=3, min_rank=2)
+        assert step.priority == 1.0
 
     def test_flat_spectrum_closed_form(self):
         # equal energies: priority at r is 1 / (R - r)
         sigma = [0.7] * 9
-        for r in range(len(sigma)):
-            if r == len(sigma):
-                break
-            assert math.isclose(priority(sigma, r), 1.0 / (len(sigma) - r))
+        trace = self.steps(sigma, budget=len(sigma), min_rank=1)
+        assert [s.rank_before for s in trace] == list(range(1, len(sigma)))
+        for step in trace:
+            assert math.isclose(step.priority, 1.0 / (len(sigma) - step.rank_before))
 
     def test_zero_tail_is_excluded(self):
-        with pytest.raises(NumericalError, match="fully captured"):
-            priority([1.0, 0.0, 0.0], 1)
+        ranks, trace = waterfill_trace(table_of({0: [1.0, 0.0, 0.0]}), "K", 3, 1)
+        assert ranks == {0: 1}
+        assert trace == []
 
 
 class TestWaterfill:
