@@ -2,15 +2,23 @@
 
 These simulators stop at the attention output (no output projection, no
 layer norm) so that a converted layer can be compared against its source as
-a pure statement about the weights. The three forwards only build per-head
-queries, keys and values, stacked as (n_heads, T, d) arrays, and share one
-causal core that walks query rows in fixed blocks and never scores a key
-past the block's last row. The grouped forward indexes its group heads to
-the query heads; the latent forward reconstructs K and V from the
-cached-width latents; the rotary variant adds a small decoupled position
-channel, per-head rotary queries plus one rotary key per token shared by
-every head, as one more feature block of each head's query and key, with
-the softmax scale sqrt(head_dim + rope_dim).
+a pure statement about the weights. Each forward only builds its Heads:
+per-head queries, keys and values, stacked as (n_heads, T, d) arrays. The
+grouped forward indexes its group heads to the query heads; the latent
+forward reconstructs K and V from the cached-width latents; the rotary
+variant adds a small decoupled position channel, per-head rotary queries
+plus one rotary key per token shared by every head, as one more feature
+block of each head's query and key, with the softmax scale
+sqrt(head_dim + rope_dim).
+
+One causal core serves every forward. It walks query rows in fixed blocks,
+scores each block only against the keys up to its last row, masks the
+diagonal tile and runs the softmax in the block's own buffer. Each masked
+logit block goes to one of two consumers. The trace forwards (gqa_forward,
+mla_forward, mla_forward_rope) copy logits and weights into full
+(n_heads, T, T) arrays. compare walks two forwards' blocks in lockstep and
+keeps only the logit drift and both outputs, so it never holds an
+(n_heads, T, T) array.
 """
 
 import math
@@ -86,6 +94,33 @@ class DriftResult(NamedTuple):
     frob: float
 
 
+class Heads(NamedTuple):
+    """One forward as the causal core sees it.
+
+    Per-head queries, keys and values stacked as (n_heads, T, d), the
+    softmax scale denominator, and how many reals per token the variant
+    would cache. Queries and keys may carry more features than values.
+    """
+
+    q: np.ndarray
+    k: np.ndarray
+    v: np.ndarray
+    scale_denominator: float
+    cached_widths: dict[str, int]
+
+    @property
+    def cache_width(self) -> int:
+        return sum(self.cached_widths.values())
+
+
+class Comparison(NamedTuple):
+    """Logit drift between two forwards, and each forward's (T, d) output."""
+
+    drift: DriftResult
+    output_a: np.ndarray
+    output_b: np.ndarray
+
+
 class CacheFootprint(NamedTuple):
     total_bytes: int
     megabytes: float
@@ -127,34 +162,91 @@ def rope_rotate(x, width: int, base: float) -> np.ndarray:
 _BLOCK = 128
 
 
-def _attend(q, k, v, scale_den):
-    """Causal softmax attention over heads stacked as (H, T, d) arrays.
+def _future(n: int) -> np.ndarray:
+    """Mask of an n x n diagonal tile's entries above the diagonal: keys
+    after their query."""
+    return np.triu(np.ones((n, n), dtype=bool), 1)
 
-    Query rows go in blocks of _BLOCK; block [i0, i1) scores only keys
-    [0, i1), masks the diagonal tile and runs the softmax in its own buffer.
-    Returns (H, T, T) logits and weights that hold exactly 0 above the
-    diagonal, and the (T, H * d_v) output with heads side by side.
+
+def _logit_blocks(heads: Heads):
+    """Yield (i0, i1, block) for each query block of the causal core.
+
+    block holds the scaled logits of query rows [i0, i1) against keys
+    [0, i1), shape (n_heads, i1 - i0, i1), with the future entries of its
+    diagonal tile set to exactly 0. No key past the block's last row is
+    scored. The consumer owns the block and may overwrite it.
     """
-    n_heads, t, _ = q.shape
-    logits = np.zeros((n_heads, t, t))
-    weights = np.zeros((n_heads, t, t))
-    output = np.empty((t, n_heads, v.shape[2]))
-    k_t = k.transpose(0, 2, 1)
+    t = heads.q.shape[1]
+    k_t = heads.k.transpose(0, 2, 1)
     for i0 in range(0, t, _BLOCK):
         i1 = min(i0 + _BLOCK, t)
-        block = q[:, i0:i1] @ k_t[:, :, :i1]
-        block /= scale_den
-        tile = block[:, :, i0:]
-        upper = np.triu(np.ones((i1 - i0, i1 - i0), dtype=bool), 1)
-        tile[:, upper] = 0.0
+        block = heads.q[:, i0:i1] @ k_t[:, :, :i1]
+        block /= heads.scale_denominator
+        block[:, :, i0:][:, _future(i1 - i0)] = 0.0
+        yield i0, i1, block
+
+
+def _attend_block(block, i0: int, i1: int, v, output) -> None:
+    """Turn one logit block from _logit_blocks into attention weights in
+    place, its future entries exactly 0, and write rows [i0, i1) of the
+    (T, n_heads, d_v) output."""
+    block[:, :, i0:][:, _future(i1 - i0)] = -np.inf
+    block -= block.max(axis=2, keepdims=True)
+    np.exp(block, out=block)
+    block /= block.sum(axis=2, keepdims=True)
+    output[i0:i1] = (block @ v[:, :i1]).transpose(1, 0, 2)
+
+
+def _new_output(heads: Heads) -> np.ndarray:
+    n_heads, t, d_v = heads.v.shape
+    return np.empty((t, n_heads, d_v))
+
+
+def _trace(heads: Heads) -> AttentionTrace:
+    """Full trace of one forward: (n_heads, T, T) logits and weights that
+    hold exactly 0 above the diagonal, and the (T, n_heads * d_v) output
+    with heads side by side."""
+    n_heads, t, _ = heads.q.shape
+    logits = np.zeros((n_heads, t, t))
+    weights = np.zeros((n_heads, t, t))
+    output = _new_output(heads)
+    for i0, i1, block in _logit_blocks(heads):
         logits[:, i0:i1, :i1] = block
-        tile[:, upper] = -np.inf
-        block -= block.max(axis=2, keepdims=True)
-        np.exp(block, out=block)
-        block /= block.sum(axis=2, keepdims=True)
+        _attend_block(block, i0, i1, heads.v, output)
         weights[:, i0:i1, :i1] = block
-        output[i0:i1] = (block @ v[:, :i1]).transpose(1, 0, 2)
-    return logits, weights, output.reshape(t, -1)
+    return AttentionTrace(
+        logits, weights, output.reshape(t, -1), heads.cached_widths, heads.scale_denominator
+    )
+
+
+def compare(a: Heads, b: Heads) -> Comparison:
+    """Logit drift between two forwards over the same tokens, and both
+    outputs, in one pass.
+
+    Walks the two forwards' logit blocks in lockstep. Each pair adds to the
+    max-absolute and Frobenius drift over the causal region (future entries
+    are 0 in both), then becomes attention weights and output rows. The
+    result equals logit_drift of the two traces and their outputs, but only
+    one query block of logits per forward is alive at a time.
+    """
+    if a.q.shape[:2] != b.q.shape[:2]:
+        raise ValidationError(
+            f"forwards differ in heads or tokens: {a.q.shape[:2]} vs {b.q.shape[:2]}"
+        )
+    output_a, output_b = _new_output(a), _new_output(b)
+    max_abs = 0.0
+    sum_sq = 0.0
+    for (i0, i1, block_a), (_, _, block_b) in zip(_logit_blocks(a), _logit_blocks(b)):
+        delta = block_a - block_b
+        flat = delta.reshape(-1)
+        sum_sq += float(flat @ flat)
+        max_abs = max(max_abs, float(np.abs(delta, out=delta).max()))
+        _attend_block(block_a, i0, i1, a.v, output_a)
+        _attend_block(block_b, i0, i1, b.v, output_b)
+    t = a.q.shape[1]
+    return Comparison(
+        DriftResult(max_abs, math.sqrt(sum_sq)), output_a.reshape(t, -1), output_b.reshape(t, -1)
+    )
 
 
 def _heads(a, width: int) -> np.ndarray:
@@ -162,8 +254,9 @@ def _heads(a, width: int) -> np.ndarray:
     return a.reshape(a.shape[0], -1, width).transpose(1, 0, 2)
 
 
-def gqa_forward(layer: GqaLayer, x) -> AttentionTrace:
-    """Reference grouped-attention forward without positional encoding."""
+def gqa_heads(layer: GqaLayer, x) -> Heads:
+    """Heads of the grouped forward: each query head meets its group's key
+    and value head."""
     x = linalg.as_matrix(x, "x")
     if x.shape[1] != layer.d_model:
         raise ValidationError(
@@ -174,34 +267,41 @@ def gqa_forward(layer: GqaLayer, x) -> AttentionTrace:
     q = _heads(x @ layer.w_q, d_h)
     k = _heads(x @ layer.w_k_g, d_h)[group]
     v = _heads(x @ layer.w_v_g, d_h)[group]
-    scale_den = math.sqrt(d_h)
-    logits, weights, output = _attend(q, k, v, scale_den)
     widths = {"k": layer.grouped_width, "v": layer.grouped_width}
-    return AttentionTrace(logits, weights, output, widths, scale_den)
+    return Heads(q, k, v, math.sqrt(d_h), widths)
 
 
-def mla_forward(factors: MlaFactors, w_q, config: AttentionConfig, x) -> AttentionTrace:
-    """Latent-KV forward without the rotary channel (content only)."""
+def gqa_forward(layer: GqaLayer, x) -> AttentionTrace:
+    """Reference grouped-attention forward without positional encoding."""
+    return _trace(gqa_heads(layer, x))
+
+
+def mla_heads(factors: MlaFactors, w_q, config: AttentionConfig, x) -> Heads:
+    """Heads of the latent forward without the rotary channel: K and V are
+    reconstructed from the two cached latents."""
     if config.rope_dim != 0:
         raise ValidationError("content-only forward requires rope_dim == 0")
     x = linalg.as_matrix(x, "x")
     w_q = linalg.as_matrix(w_q, "w_q")
     _check_mla_shapes(factors, w_q, config, x)
     q, k, v = _content_heads(factors, w_q, config, x)
-    scale_den = math.sqrt(config.head_dim)
-    logits, weights, output = _attend(q, k, v, scale_den)
     widths = {"latent_k": factors.r_k, "latent_v": factors.r_v}
-    return AttentionTrace(logits, weights, output, widths, scale_den)
+    return Heads(q, k, v, math.sqrt(config.head_dim), widths)
 
 
-def mla_forward_rope(
+def mla_forward(factors: MlaFactors, w_q, config: AttentionConfig, x) -> AttentionTrace:
+    """Latent-KV forward without the rotary channel (content only)."""
+    return _trace(mla_heads(factors, w_q, config, x))
+
+
+def mla_heads_rope(
     factors: MlaFactors,
     w_q,
     adapters: RopeAdapters,
     config: AttentionConfig,
     x,
-) -> AttentionTrace:
-    """Latent-KV forward with the decoupled rotary channel enabled.
+) -> Heads:
+    """Heads of the latent forward with the decoupled rotary channel.
 
     The rotary key is computed once per token and shared by every head; only
     it is added to the per-token cache (width rope_dim), alongside the two
@@ -231,10 +331,19 @@ def mla_forward_rope(
     q = np.concatenate([q, q_rope], axis=2)
     k_rope = np.broadcast_to(k_rope, (config.n_heads, *k_rope.shape))
     k = np.concatenate([k, k_rope], axis=2)
-    scale_den = math.sqrt(config.head_dim + d_r)
-    logits, weights, output = _attend(q, k, v, scale_den)
     widths = {"latent_k": factors.r_k, "latent_v": factors.r_v, "rope_k": d_r}
-    return AttentionTrace(logits, weights, output, widths, scale_den)
+    return Heads(q, k, v, math.sqrt(config.head_dim + d_r), widths)
+
+
+def mla_forward_rope(
+    factors: MlaFactors,
+    w_q,
+    adapters: RopeAdapters,
+    config: AttentionConfig,
+    x,
+) -> AttentionTrace:
+    """Latent-KV forward with the decoupled rotary channel enabled."""
+    return _trace(mla_heads_rope(factors, w_q, adapters, config, x))
 
 
 def _content_heads(factors: MlaFactors, w_q, config: AttentionConfig, x):

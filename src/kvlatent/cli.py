@@ -354,7 +354,9 @@ def _eval_layer(
     the rotary adapters drawn for it when rope_dim > 0.
 
     Draws from rng in a fixed order: probe input, targets, then the rotary
-    adapters (q, k). The (n_heads, T, T) traces die when this returns.
+    adapters (q, k). The two content forwards run in one attention.compare
+    pass, so no (n_heads, T, T) array is formed. The rotary heads are built
+    for their cache width and scale; the rotary attention is not run.
     """
     d = gqa.d_model
     x = rng.standard_normal((t, d))
@@ -366,19 +368,21 @@ def _eval_layer(
         n_groups=gqa.n_groups,
         seq_len=t,
     )
-    trace_g = attention.gqa_forward(gqa, x)
-    trace_m = attention.mla_forward(factors, w_q_conv, config, x)
-    drift = attention.logit_drift(trace_g, trace_m)
-    output_drift = float(np.max(np.abs(trace_g.output - trace_m.output)))
+    heads_g = attention.gqa_heads(gqa, x)
+    heads_m = attention.mla_heads(factors, w_q_conv, config, x)
+    drift, output_g, output_m = attention.compare(heads_g, heads_m)
+    output_drift = float(np.max(np.abs(output_g - output_m)))
 
     geometry = (gqa.n_heads, gqa.n_groups, gqa.head_dim)
-    w_k = factorizer.replicate_groups(gqa.w_k_g, *geometry)
-    w_v = factorizer.replicate_groups(gqa.w_v_g, *geometry)
-    act_k = factorizer.activation_residual(batches, w_k, factors.w_a_k, factors.w_b_k)
-    act_v = factorizer.activation_residual(batches, w_v, factors.w_a_v, factors.w_b_v)
+    act_k = factorizer.activation_residual(
+        batches, gqa.w_k_g, factors.w_a_k, factors.w_b_k, geometry
+    )
+    act_v = factorizer.activation_residual(
+        batches, gqa.w_v_g, factors.w_a_v, factors.w_b_v, geometry
+    )
 
-    teacher = metrics.LogitSequence(trace_g.output, targets)
-    student = metrics.LogitSequence(trace_m.output, targets)
+    teacher = metrics.LogitSequence(output_g, targets)
+    student = metrics.LogitSequence(output_m, targets)
     ce_teacher = metrics.cross_entropy(teacher, params.tau)
     ce_student = metrics.cross_entropy(student, params.tau)
     kd = metrics.kd_loss(teacher, student, params.tau)
@@ -391,8 +395,8 @@ def _eval_layer(
         "logit_drift_max": drift.max_abs,
         "logit_drift_frob": drift.frob,
         "output_drift_max": output_drift,
-        "cache_width_gqa": trace_g.cache_width,
-        "cache_width_mla": trace_m.cache_width,
+        "cache_width_gqa": heads_g.cache_width,
+        "cache_width_mla": heads_m.cache_width,
         "losses": {
             "ce_teacher": ce_teacher,
             "ce_student": ce_student,
@@ -403,17 +407,19 @@ def _eval_layer(
     if not rope_dim:
         return report, None
 
-    # Free the content traces before the rotary forward allocates its own.
-    del trace_g, trace_m
     adapters = attention.RopeAdapters(
         w_r_q=rng.standard_normal((d, gqa.n_heads * rope_dim)) / np.sqrt(d),
         w_r_k=rng.standard_normal((d, rope_dim)) / np.sqrt(d),
     )
     rope_config = dataclasses.replace(config, rope_dim=rope_dim)
-    trace_r = attention.mla_forward_rope(factors, w_q_conv, adapters, rope_config, x)
-    report["cache_width_mla_rope"] = trace_r.cache_width
-    report["rope_scale_denominator"] = trace_r.scale_denominator
+    heads_r = attention.mla_heads_rope(factors, w_q_conv, adapters, rope_config, x)
+    report["cache_width_mla_rope"] = heads_r.cache_width
+    report["rope_scale_denominator"] = heads_r.scale_denominator
     return report, adapters
+
+
+def _geometry(entry: manifest.LayerEntry) -> tuple[int, int, int, int]:
+    return entry.d_model, entry.n_heads, entry.head_dim, entry.n_groups
 
 
 def cmd_eval(args) -> None:
@@ -429,6 +435,12 @@ def cmd_eval(args) -> None:
         raise ValidationError("--converted must be a converted manifest")
     if len(source.layers) != len(converted.layers):
         raise ValidationError("source and converted manifests have different layer counts")
+    for entry_s, entry_c in zip(source.layers, converted.layers):
+        if _geometry(entry_s) != _geometry(entry_c):
+            raise ValidationError(
+                f"layer {entry_s.layer}: source geometry {_geometry(entry_s)} differs from "
+                f"converted {_geometry(entry_c)}"
+            )
     src_base = Path(args.source).parent
     conv_base = Path(args.converted).parent
     out = Path(args.out)
@@ -584,9 +596,9 @@ def cmd_ablate(args) -> None:
     )
     t = args.seq_len if args.seq_len else m.seq_len
     x = make_generator(args.seed).standard_normal((t, gqa.d_model))
-    drift = attention.logit_drift(
-        attention.gqa_forward(gqa, x), attention.gqa_forward(ablated_layer, x)
-    )
+    drift = attention.compare(
+        attention.gqa_heads(gqa, x), attention.gqa_heads(ablated_layer, x)
+    ).drift
 
     print(f"layer {args.layer} {args.kind}: sigma_{args.index} = {sigma[args.index - 1]:.6e}")
     print(f"weight_residual_sq = {weight_residual:.6e}")
@@ -642,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schedule", help="allocate rank budgets over whitened spectra")
     p.add_argument("--manifest", required=True)
     p.add_argument("--cov-dir", required=True)
-    p.add_argument("--mode", choices=["adjusted", "uniform"], default="adjusted")
+    p.add_argument("--mode", choices=list(manifest.PROFILE_MODES), default="adjusted")
     p.add_argument("--budget-k", type=int, default=None)
     p.add_argument("--budget-v", type=int, default=None)
     p.add_argument("--parity", action="store_true",

@@ -244,21 +244,28 @@ def grouped_factorize(
     return FactorPair(w_a, w_b), report
 
 
-def activation_residual(batches: list[CalibrationBatch], w, w_a, w_b) -> float:
+def activation_residual(
+    batches: list[CalibrationBatch], w, w_a, w_b, groups: tuple[int, int, int] | None = None
+) -> float:
     """Batch-averaged squared activation error of the factored weight w_a @ w_b,
-    (1/N) sum ||X_b w - (X_b w_a) w_b||_F^2.
+    (1/N) sum ||X_b W - (X_b w_a) w_b||_F^2.
 
-    Each batch passes through the rank-r latent, so the full-width product
-    w_a @ w_b is never formed.
+    W is w itself or, with groups = (n_heads, n_groups, head_dim), the
+    grouped weight w replicated to head width; then each X_b w is formed at
+    grouped width and lifted with replicate_groups, so W never enters a
+    product. Each batch passes through the rank-r latent, so the full-width
+    product w_a @ w_b is never formed either.
     """
     if not batches:
         raise ValidationError("empty batch list")
     w = linalg.as_matrix(w, "w")
     w_a = linalg.as_matrix(w_a, "w_a")
     w_b = linalg.as_matrix(w_b, "w_b")
-    if w_a.shape[0] != w.shape[0] or w_b.shape[1] != w.shape[1] or w_a.shape[1] != w_b.shape[0]:
+    width = w.shape[1] if groups is None else groups[0] * groups[2]
+    if w_a.shape[0] != w.shape[0] or w_b.shape[1] != width or w_a.shape[1] != w_b.shape[0]:
         raise ValidationError(
-            f"factors {w_a.shape} @ {w_b.shape} do not approximate a {w.shape} weight"
+            f"factors {w_a.shape} @ {w_b.shape} do not approximate a "
+            f"{(w.shape[0], width)} weight"
         )
     total = 0.0
     for batch in batches:
@@ -267,6 +274,8 @@ def activation_residual(batches: list[CalibrationBatch], w, w_a, w_b) -> float:
                 f"batch dim {batch.x.shape[1]} does not match weight rows {w.shape[0]}"
             )
         diff = batch.x @ w
+        if groups is not None:
+            diff = replicate_groups(diff, *groups)
         diff -= (batch.x @ w_a) @ w_b
         total += linalg.frobenius_norm_sq(diff)
     return total / len(batches)

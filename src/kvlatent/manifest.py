@@ -9,6 +9,7 @@ relative to the manifest's directory.
 
 import dataclasses
 import json
+import posixpath
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +26,10 @@ MODEL_KIND_GQA = "gqa"
 MODEL_KIND_MLA = "mla"
 MODEL_FORMAT = "kvlatent-model"
 PROFILE_FORMAT = "kvlatent-rank-profile"
+PROFILE_MODES = ("adjusted", "uniform")
 DOC_VERSION = 1
+_GEOMETRY = ("d_model", "n_heads", "head_dim", "n_groups")
+_TENSORS = ("w_q", "w_k_g", "w_v_g", "w_a_k", "w_b_k", "w_a_v", "w_b_v", "w_r_q", "w_r_k")
 
 
 @dataclass(frozen=True)
@@ -108,6 +112,11 @@ def save_manifest(m: ModelManifest, path) -> None:
 
 
 def load_manifest(path) -> ModelManifest:
+    """Read a model manifest, checking every field's type and range.
+
+    Tensor and batch paths must be relative and stay inside the directory
+    they are resolved against (the manifest's, or a --batches-dir).
+    """
     doc = _read_json(path)
     _expect(doc, "format", MODEL_FORMAT, path)
     _expect(doc, "version", DOC_VERSION, path)
@@ -118,18 +127,21 @@ def load_manifest(path) -> ModelManifest:
     if weighting not in WEIGHTINGS:
         raise ValidationError(f"{path}: unknown weighting {weighting!r}")
     lam = doc.get("lambda", "auto")
-    if not (lam == "auto" or (isinstance(lam, (int, float)) and lam > 0)):
+    if not (lam == "auto" or (_is_number(lam) and lam > 0)):
         raise ValidationError(f"{path}: lambda must be positive or 'auto'")
     layers = []
     raw_layers = doc.get("layers")
-    if not isinstance(raw_layers, list) or doc.get("layer_count") != len(raw_layers):
-        raise ValidationError(f"{path}: layer_count does not match the layer list")
+    if not isinstance(raw_layers, list):
+        raise ValidationError(f"{path}: layers must be a list")
+    _expect(doc, "layer_count", len(raw_layers), path)
     for i, raw in enumerate(raw_layers):
-        entry = _entry_from_json(raw, path)
+        entry = _entry_from_json(raw, f"{path}: layer {i}")
         if entry.layer != i:
             raise ValidationError(f"{path}: layer entries out of order at index {i}")
         if kind == MODEL_KIND_GQA and (entry.w_k_g is None or entry.w_v_g is None):
             raise ValidationError(f"{path}: layer {i} is missing grouped projections")
+        if kind == MODEL_KIND_GQA and (entry.r_k is not None or entry.r_v is not None):
+            raise ValidationError(f"{path}: layer {i} of a grouped model has latent ranks")
         if kind == MODEL_KIND_MLA and (
             entry.r_k is None or entry.r_v is None or entry.w_a_k is None
             or entry.w_b_k is None or entry.w_a_v is None or entry.w_b_v is None
@@ -141,18 +153,20 @@ def load_manifest(path) -> ModelManifest:
         raise ValidationError(f"{path}: calibration must map layer indices to path lists")
     calibration = {}
     for key, paths in raw_calibration.items():
-        if not isinstance(paths, list) or not all(isinstance(p, str) for p in paths):
+        if not isinstance(paths, list):
             raise ValidationError(f"{path}: bad calibration listing for layer {key}")
         try:
-            calibration[int(key)] = tuple(paths)
+            index = int(key)
         except ValueError:
             raise ValidationError(f"{path}: calibration key {key!r} is not a layer index") from None
+        calibration[index] = tuple(_tensor_path(p, f"{path}: calibration batch") for p in paths)
     alpha = doc.get("alpha", 0.01)
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0.0 < alpha < 1.0:
+    if not _is_number(alpha) or not 0.0 < alpha < 1.0:
         raise ValidationError(f"{path}: alpha must be a number in (0, 1), got {alpha!r}")
-    seq_len = doc.get("seq_len", 1)
-    if isinstance(seq_len, bool) or not isinstance(seq_len, int) or seq_len < 1:
-        raise ValidationError(f"{path}: seq_len must be a positive integer, got {seq_len!r}")
+    seq_len = _int(doc.get("seq_len", 1), f"{path}: seq_len", minimum=1)
+    seed = doc.get("seed")
+    if "seed" in doc:
+        _int(seed, f"{path}: seed")
     return ModelManifest(
         model_kind=kind,
         weighting=weighting,
@@ -161,7 +175,7 @@ def load_manifest(path) -> ModelManifest:
         seq_len=seq_len,
         layers=tuple(layers),
         calibration=calibration,
-        seed=doc.get("seed"),
+        seed=seed,
     )
 
 
@@ -178,30 +192,58 @@ def with_rope(m: ModelManifest, rope_dim: int, adapter_paths) -> ModelManifest:
     return dataclasses.replace(m, layers=layers)
 
 
-def _entry_from_json(raw: dict, path) -> LayerEntry:
-    try:
-        return LayerEntry(
-            layer=int(raw["layer"]),
-            d_model=int(raw["d_model"]),
-            n_heads=int(raw["n_heads"]),
-            head_dim=int(raw["head_dim"]),
-            n_groups=int(raw["n_groups"]),
-            w_q=raw["w_q"],
-            w_k_g=raw.get("w_k_g"),
-            w_v_g=raw.get("w_v_g"),
-            r_k=raw.get("r_k"),
-            r_v=raw.get("r_v"),
-            w_a_k=raw.get("w_a_k"),
-            w_b_k=raw.get("w_b_k"),
-            w_a_v=raw.get("w_a_v"),
-            w_b_v=raw.get("w_b_v"),
-            rope_dim=int(raw.get("rope_dim", 0)),
-            rope_base=float(raw.get("rope_base", 10000.0)),
-            w_r_q=raw.get("w_r_q"),
-            w_r_k=raw.get("w_r_k"),
+def _entry_from_json(raw, where: str) -> LayerEntry:
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{where}: malformed layer entry {raw!r}")
+    ints = {"layer": _int(raw.get("layer"), f"{where}: layer", minimum=0)}
+    for name in _GEOMETRY:
+        ints[name] = _int(raw.get(name), f"{where}: {name}", minimum=1)
+    if ints["n_heads"] * ints["head_dim"] != ints["d_model"] or ints["n_heads"] % ints["n_groups"]:
+        raise ValidationError(
+            f"{where}: n_heads * head_dim must equal d_model and n_groups must divide "
+            f"n_heads, got {ints}"
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: malformed layer entry ({exc})") from None
+    tensors = {"w_q": _tensor_path(raw.get("w_q"), f"{where}: w_q")}
+    for name in _TENSORS[1:]:
+        if raw.get(name) is not None:
+            tensors[name] = _tensor_path(raw[name], f"{where}: {name}")
+    for name in ("r_k", "r_v"):
+        if raw.get(name) is not None:
+            ints[name] = _int(raw[name], f"{where}: {name}", minimum=1)
+    rope_dim = _int(raw.get("rope_dim", 0), f"{where}: rope_dim", minimum=0)
+    if rope_dim % 2:
+        raise ValidationError(f"{where}: rope_dim must be even, got {rope_dim}")
+    rope_base = raw.get("rope_base", 10000.0)
+    if not _is_number(rope_base) or not rope_base > 0:
+        raise ValidationError(f"{where}: rope_base must be a positive number, got {rope_base!r}")
+    return LayerEntry(**ints, **tensors, rope_dim=rope_dim, rope_base=float(rope_base))
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _int(value, what: str, minimum: int | None = None) -> int:
+    """value itself if it is an integer (not a bool) of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, int) or (
+        minimum is not None and value < minimum
+    ):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValidationError(f"{what} must be an integer{bound}, got {value!r}")
+    return value
+
+
+def _tensor_path(value, what: str) -> str:
+    """value itself if it is a relative path that stays inside the directory
+    it is resolved against."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{what} must be a path string, got {value!r}")
+    norm = posixpath.normpath(value)
+    if posixpath.isabs(norm) or norm in (".", "..") or norm.startswith("../"):
+        raise ValidationError(
+            f"{what} {value!r} must be a relative path inside the manifest directory"
+        )
+    return value
 
 
 def _load_tensor(base_dir, rel_path, expected_shape, what) -> np.ndarray:
@@ -310,29 +352,36 @@ def load_profile(path) -> tuple[RankProfile, str]:
     doc = _read_json(path)
     _expect(doc, "format", PROFILE_FORMAT, path)
     _expect(doc, "version", DOC_VERSION, path)
+    raw_entries = doc.get("entries", [])
+    if not isinstance(raw_entries, list):
+        raise ValidationError(f"{path}: entries must be a list")
     ranks: dict[tuple[int, str], int] = {}
     full_ranks: dict[tuple[int, str], int] = {}
-    for raw in doc.get("entries", []):
-        try:
-            layer, kind, rank = int(raw["layer"]), raw["kind"], int(raw["rank"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}: malformed profile entry ({exc})") from None
+    for raw in raw_entries:
+        if not isinstance(raw, dict):
+            raise ValidationError(f"{path}: malformed profile entry {raw!r}")
+        layer = _int(raw.get("layer"), f"{path}: entry layer", minimum=0)
+        kind = raw.get("kind")
         if kind not in KINDS:
             raise ValidationError(f"{path}: bad kind {kind!r}")
         if (layer, kind) in ranks:
             raise ValidationError(f"{path}: duplicate entry for layer {layer} {kind}")
-        ranks[(layer, kind)] = rank
+        ranks[(layer, kind)] = _int(raw.get("rank"), f"{path}: entry rank", minimum=1)
         if raw.get("full_rank") is not None:
-            full_ranks[(layer, kind)] = int(raw["full_rank"])
+            full_ranks[(layer, kind)] = _int(
+                raw["full_rank"], f"{path}: entry full_rank", minimum=1
+            )
     profile = RankProfile(
         ranks=ranks,
-        budget_k=int(doc.get("budget_k", 0)),
-        budget_v=int(doc.get("budget_v", 0)),
-        min_rank=int(doc.get("min_rank", 1)),
+        budget_k=_int(doc.get("budget_k", 0), f"{path}: budget_k", minimum=0),
+        budget_v=_int(doc.get("budget_v", 0), f"{path}: budget_v", minimum=0),
+        min_rank=_int(doc.get("min_rank", 1), f"{path}: min_rank", minimum=1),
         full_ranks=full_ranks,
     )
     profile.validate()
     mode = doc.get("mode", "adjusted")
+    if mode not in PROFILE_MODES:
+        raise ValidationError(f"{path}: mode must be one of {PROFILE_MODES}, got {mode!r}")
     return profile, mode
 
 
@@ -343,7 +392,7 @@ def write_json(path, doc) -> None:
 def _read_json(path) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: expected a JSON object")
@@ -351,5 +400,5 @@ def _read_json(path) -> dict:
 
 
 def _expect(doc: dict, key: str, value, path) -> None:
-    if doc.get(key) != value:
+    if type(doc.get(key)) is not type(value) or doc.get(key) != value:
         raise ValidationError(f"{path}: expected {key}={value!r}, got {doc.get(key)!r}")

@@ -9,11 +9,15 @@ from kvlatent.attention import (
     AttentionConfig,
     AttentionTrace,
     RopeAdapters,
+    compare,
     gqa_forward,
+    gqa_heads,
     kv_cache_bytes,
     logit_drift,
     mla_forward,
     mla_forward_rope,
+    mla_heads,
+    mla_heads_rope,
     rope_rotate,
 )
 from kvlatent.errors import ValidationError
@@ -454,6 +458,58 @@ class TestBlockedCoreOracle:
             mla_forward_rope(factors, layer.w_q, adapters, rope_config, x),
             reference_mla(factors, layer.w_q, rope_config, x, adapters),
         )
+
+
+def reference_trace(reference):
+    logits, weights, output = reference
+    return AttentionTrace(logits, weights, output, {}, 1.0)
+
+
+class TestCompareOracle:
+    @pytest.mark.parametrize("n_groups", (1, 2, 4))
+    @pytest.mark.parametrize("t", BLOCK_EDGE_LENGTHS)
+    def test_matches_reference_traces(self, t, n_groups):
+        rng = gen(4600 + 10 * t + n_groups)
+        layer = random_gqa_layer(rng, n_groups=n_groups)
+        factors, _, _ = convert_layer(layer, identity_whitener(16), 3, 4)
+        x = rng.standard_normal((t, 16))
+        d_r = 4
+        adapters = RopeAdapters(
+            w_r_q=rng.standard_normal((16, layer.n_heads * d_r)),
+            w_r_k=rng.standard_normal((16, d_r)),
+        )
+        config = config_for(layer, t)
+        rope_config = config_for(layer, t, d_r)
+        source = reference_gqa(layer, x)
+        latents = (
+            (mla_heads(factors, layer.w_q, config, x),
+             reference_mla(factors, layer.w_q, config, x)),
+            (mla_heads_rope(factors, layer.w_q, adapters, rope_config, x),
+             reference_mla(factors, layer.w_q, rope_config, x, adapters)),
+        )
+        for heads, reference in latents:
+            drift, output_a, output_b = compare(gqa_heads(layer, x), heads)
+            np.testing.assert_allclose(output_a, source[2], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(output_b, reference[2], rtol=1e-12, atol=1e-12)
+            want = logit_drift(reference_trace(source), reference_trace(reference))
+            assert want.max_abs > 0.0
+            assert abs(drift.max_abs - want.max_abs) <= 1e-12 * want.max_abs
+            assert abs(drift.frob - want.frob) <= 1e-12 * want.frob
+
+    def test_identical_forwards_have_zero_drift(self):
+        rng = gen(4650)
+        layer = random_gqa_layer(rng)
+        heads = gqa_heads(layer, rng.standard_normal((200, 16)))
+        drift, output_a, output_b = compare(heads, heads)
+        assert drift == (0.0, 0.0)
+        assert np.array_equal(output_a, output_b)
+
+    def test_token_count_mismatch(self):
+        rng = gen(4651)
+        layer = random_gqa_layer(rng)
+        with pytest.raises(ValidationError):
+            compare(gqa_heads(layer, rng.standard_normal((3, 16))),
+                    gqa_heads(layer, rng.standard_normal((4, 16))))
 
 
 class TestKvCacheBytes:

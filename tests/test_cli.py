@@ -1,15 +1,18 @@
 import filecmp
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kvlatent import calibration, ctf, factorizer, linalg, manifest, metrics, scheduler
+from conftest import identity_whitener
+from kvlatent import calibration, cli, ctf, factorizer, linalg, manifest, metrics, scheduler
 from kvlatent.attention import AttentionConfig
 from kvlatent.cli import main
 from kvlatent.rng import make_generator
 from test_attention import masked_drift, reference_gqa, reference_mla
+from test_factorizer import random_gqa_layer
 
 
 def run(*args) -> int:
@@ -121,6 +124,15 @@ MALFORMED_MANIFESTS = {
     "alpha_above_one": lambda doc: doc.update(alpha=5.0),
     "seq_len_string": lambda doc: doc.update(seq_len="x"),
     "seq_len_zero": lambda doc: doc.update(seq_len=0),
+    "seed_string": lambda doc: doc.update(seed="x"),
+    "seed_bool": lambda doc: doc.update(seed=True),
+    "r_k_in_grouped_model": lambda doc: doc["layers"][0].update(r_k=8),
+    "d_model_string": lambda doc: doc["layers"][0].update(d_model="16"),
+    "n_groups_not_dividing": lambda doc: doc["layers"][1].update(n_groups=3),
+    "w_q_absolute": lambda doc: doc["layers"][0].update(w_q="/weights/layer000_w_q.ctf"),
+    "w_q_escaping": lambda doc: doc["layers"][0].update(w_q="../m/weights/layer000_w_q.ctf"),
+    "w_k_g_not_a_string": lambda doc: doc["layers"][0].update(w_k_g=5),
+    "batch_escaping": lambda doc: doc["calibration"]["1"].append("batches/../../m/x.ctf"),
 }
 
 
@@ -160,6 +172,29 @@ class TestCov:
         model.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "cov").exists()
+
+    def test_absolute_batch_path_is_validation_error(self, tmp_path, capsys):
+        model = gen_model(tmp_path / "m")
+        doc = json.loads(model.read_text())
+        doc["calibration"]["0"][0] = str(model.parent / doc["calibration"]["0"][0])
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "inside the manifest directory" in err
+        assert not (tmp_path / "cov").exists()
+
+    def test_batch_path_may_not_escape_batches_dir(self, tmp_path, capsys):
+        model = gen_model(tmp_path / "m")
+        doc = json.loads(model.read_text())
+        doc["calibration"]["0"] = ["../m/" + p for p in doc["calibration"]["0"]]
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("cov", "--manifest", model, "--batches-dir", tmp_path / "m/batches",
+                   "--out", tmp_path / "cov") == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert not (tmp_path / "cov").exists()
@@ -388,6 +423,51 @@ class TestEval:
         assert err.startswith("error: --rope-dim") and "Traceback" not in err
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("r_k", "8"), ("r_k", 0), ("r_v", True), ("w_q", "../shared/wq0.ctf"),
+        ("w_a_k", "/factors/layer000_w_a_k.ctf"),
+    ])
+    def test_malformed_converted_manifest_writes_nothing(self, tmp_path, capsys, field, value):
+        pipeline(tmp_path)
+        converted = tmp_path / "converted/converted.json"
+        # A real tensor where an escaping w_q points, so only the check can stop it.
+        (tmp_path / "shared").mkdir()
+        (tmp_path / "shared/wq0.ctf").write_bytes(
+            (tmp_path / "converted/weights/layer000_w_q.ctf").read_bytes())
+        doc = json.loads(converted.read_text())
+        doc["layers"][0][field] = value
+        converted.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("eval", "--source", tmp_path / "model/model.json", "--converted", converted,
+                   "--rope-dim", 4, "--out", tmp_path / "out/eval") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_converted_seed_must_be_an_integer(self, tmp_path, capsys):
+        pipeline(tmp_path)
+        converted = tmp_path / "converted/converted.json"
+        doc = json.loads(converted.read_text())
+        doc["seed"] = "x"
+        converted.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("eval", "--source", tmp_path / "model/model.json", "--converted", converted,
+                   "--rope-dim", 4, "--out", tmp_path / "bad") == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "bad").exists()
+
+    def test_converted_geometry_must_match_source(self, tmp_path, capsys):
+        pipeline(tmp_path)
+        converted = tmp_path / "converted/converted.json"
+        doc = json.loads(converted.read_text())
+        doc["layers"][1].update(n_heads=2, head_dim=8, n_groups=1)
+        converted.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("eval", "--source", tmp_path / "model/model.json", "--converted", converted,
+                   "--out", tmp_path / "bad") == 2
+        assert "layer 1: source geometry" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
     def test_rope_artifacts(self, tmp_path):
         pipeline(tmp_path, eval_args=("--seed", "0", "--rope-dim", "4"))
         report = json.loads((tmp_path / "eval/eval_report.json").read_text())
@@ -499,6 +579,28 @@ class TestEvalAgainstReference:
                    "--converted", tmp_path / "converted/converted.json",
                    "--seed", seed, "--rope-dim", rope_dim, "--out", tmp_path / "again") == 0
         assert tree_bytes(tmp_path / "again") == tree_bytes(tmp_path / "eval")
+
+
+class TestEvalMemory:
+    def test_layer_never_holds_a_score_array(self):
+        # The parent design held four (n_heads, T, T) float64 arrays per layer.
+        rng = make_generator(91)
+        layer = random_gqa_layer(rng)
+        factors, _, _ = factorizer.convert_layer(layer, identity_whitener(16), 3, 4)
+        batches = [calibration.CalibrationBatch(0, rng.standard_normal((8, 16)))
+                   for _ in range(2)]
+        t = 1024
+        score_bytes = layer.n_heads * t * t * 8
+        tracemalloc.start()
+        try:
+            report, adapters = cli._eval_layer(
+                0, layer, factors, layer.w_q, batches, rng, t, metrics.LossParams(), 4
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert adapters is not None and report["cache_width_mla_rope"] == 3 + 4 + 4
+        assert peak < score_bytes, (peak, score_bytes)
 
 
 class TestKvReport:
