@@ -143,19 +143,35 @@ def cmd_gen(args) -> None:
 
 # ---------------------------------------------------------------- cov
 
+def _layer_covariance(m: manifest.ModelManifest, base, layer: int,
+                      batches_dir) -> tuple[np.ndarray, int]:
+    """One layer's covariance and batch count, from one running D×D sum.
+
+    Batches are read one at a time, in manifest order, and each `x.T @ x`
+    is added in place; the mean is symmetrized once as `finalize` does.
+    numpy computes `x.T @ x` as a symmetric rank-k update, so every batch
+    Gram is exactly symmetric and the bytes equal the `accumulate`/`finalize`
+    fold. No batch outlives its iteration.
+    """
+    d = m.layer(layer).d_model
+    total = np.zeros((d, d))
+    count = 0
+    for batch in manifest.iter_batches(m, base, layer, batches_dir):
+        total += batch.x.T @ batch.x
+        count += 1
+    c = total / count
+    return (c + c.T) / 2.0, count
+
+
 def cmd_cov(args) -> None:
     m = manifest.load_manifest(args.manifest)
     base = Path(args.manifest).parent
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for layer in range(len(m.layers)):
-        entry = m.layer(layer)
-        acc = calibration.CovarianceAccumulator(entry.d_model)
-        for batch in manifest.load_batches(m, base, layer, args.batches_dir):
-            acc = calibration.accumulate(acc, batch)
-        cov = calibration.finalize(acc)
+        cov, count = _layer_covariance(m, base, layer, args.batches_dir)
         ctf.write_ctf(out / _cov_name(layer), cov)
-        print(f"layer {layer}: {acc.batch_count} batches -> {out / _cov_name(layer)}")
+        print(f"layer {layer}: {count} batches -> {out / _cov_name(layer)}")
 
 
 # ---------------------------------------------------------------- schedule

@@ -5,13 +5,16 @@ Layout, all little-endian:
     magic   4 bytes  b"CARE"
     version u32      1
     dtype   u8       0 = float32, 1 = float64
-    ndim    u8
+    ndim    u8       1 to 32
     dims    ndim x u64
     payload product(dims) values, row-major
 
 Values are always returned as float64; float32 payloads are up-converted on
 read. Writing the array a reader produced, with the dtype code the reader
-reported, reproduces the original bytes exactly.
+reported, reproduces the original bytes exactly. A header whose shape no
+float64 array can take (more than 32 dims, or nonzero dims whose product
+overflows the address space, even next to a zero dim) is refused like any
+other malformed header.
 """
 
 import struct
@@ -29,6 +32,9 @@ DTYPE_F64 = 1
 _HEADER = struct.Struct("<4sIBB")
 _DIM = struct.Struct("<Q")
 _NP_DTYPES = {DTYPE_F32: np.dtype("<f4"), DTYPE_F64: np.dtype("<f8")}
+# numpy 1.x's limit on array dimensions (numpy 2 allows 64).
+MAX_NDIM = 32
+_MAX_BYTES = int(np.iinfo(np.intp).max)
 
 
 def write_ctf(path, array, dtype_code: int = DTYPE_F64) -> None:
@@ -38,6 +44,8 @@ def write_ctf(path, array, dtype_code: int = DTYPE_F64) -> None:
     arr = np.asarray(array, dtype=np.float64)
     if arr.ndim < 1:
         arr = arr.reshape(1)
+    if arr.ndim > MAX_NDIM:
+        raise ValidationError(f"refusing to serialize {arr.ndim} dims; at most {MAX_NDIM}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("refusing to serialize non-finite values")
     parts = [_HEADER.pack(MAGIC, VERSION, dtype_code, arr.ndim)]
@@ -58,8 +66,8 @@ def read_ctf_ex(path) -> tuple[np.ndarray, int]:
         raise ValidationError(f"{path}: unsupported version {version}")
     if dtype_code not in _NP_DTYPES:
         raise ValidationError(f"{path}: unknown dtype code {dtype_code}")
-    if ndim < 1:
-        raise ValidationError(f"{path}: ndim must be at least 1")
+    if not 1 <= ndim <= MAX_NDIM:
+        raise ValidationError(f"{path}: ndim {ndim} outside [1, {MAX_NDIM}]")
     offset = _HEADER.size
     if len(data) < offset + ndim * _DIM.size:
         raise ValidationError(f"{path}: truncated dimension list")
@@ -69,8 +77,12 @@ def read_ctf_ex(path) -> tuple[np.ndarray, int]:
         offset += _DIM.size
     dtype = _NP_DTYPES[dtype_code]
     count = 1
+    nonzero_bytes = np.dtype(np.float64).itemsize
     for d in dims:
         count *= d
+        nonzero_bytes *= max(d, 1)
+    if nonzero_bytes > _MAX_BYTES:
+        raise ValidationError(f"{path}: dims {tuple(dims)} are too large for an array")
     expected = offset + count * dtype.itemsize
     if len(data) != expected:
         raise ValidationError(

@@ -68,11 +68,16 @@ def sym_eig(s) -> EigResult:
         raise NumericalError(f"eigendecomposition failed: {exc}") from None
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
-    for j in range(vecs.shape[1]):
-        anchor = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[anchor, j] < 0.0:
-            vecs[:, j] = -vecs[:, j]
+    _anchor_eig_signs(vecs)
     return EigResult(vals, vecs)
+
+
+def _anchor_eig_signs(vecs: np.ndarray) -> None:
+    """Flip columns in place so each column's entry of largest magnitude
+    (lowest row on ties) is positive."""
+    if vecs.size:
+        anchor = np.argmax(np.abs(vecs), axis=0)
+        vecs *= np.where(vecs[anchor, np.arange(vecs.shape[1])] < 0.0, -1.0, 1.0)
 
 
 def psd_eig(s) -> tuple[EigResult, int]:
@@ -112,12 +117,22 @@ def svd(a) -> SvdResult:
         raise NumericalError(f"SVD failed to converge: {exc}") from None
     u = u.copy()
     v_t = v_t.copy()
-    for j in range(u.shape[1]):
-        significant = np.nonzero(np.abs(u[:, j]) > _SIGN_EPS)[0]
-        if significant.size and u[significant[0], j] < 0.0:
-            u[:, j] = -u[:, j]
-            v_t[j, :] = -v_t[j, :]
+    _anchor_svd_signs(u, v_t)
     return SvdResult(u, sing.copy(), v_t)
+
+
+def _anchor_svd_signs(u: np.ndarray, v_t: np.ndarray) -> None:
+    """Flip columns of `u` and the matching rows of `v_t` in place so the
+    first entry of each column above _SIGN_EPS in magnitude is positive.
+    Columns without such an entry are left as they are."""
+    if u.size:
+        significant = np.abs(u) > _SIGN_EPS
+        first = np.argmax(significant, axis=0)
+        cols = np.arange(u.shape[1])
+        flip = significant[first, cols] & (u[first, cols] < 0.0)
+        signs = np.where(flip, -1.0, 1.0)
+        u *= signs
+        v_t *= signs[:, None]
 
 
 def singular_values(a) -> np.ndarray:

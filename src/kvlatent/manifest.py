@@ -10,6 +10,7 @@ relative to the manifest's directory.
 import dataclasses
 import json
 import posixpath
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -306,23 +307,29 @@ def load_mla_bundle(
     return factors, w_q, adapters
 
 
-def load_batches(
+def iter_batches(
     m: ModelManifest, base_dir, layer: int, batches_dir=None
-) -> list[CalibrationBatch]:
+) -> Iterator[CalibrationBatch]:
+    """Read one layer's batches lazily, in manifest order, so a consumer
+    that reduces them holds one batch at a time."""
     paths = m.calibration.get(layer)
     if not paths:
         raise ValidationError(f"no calibration data for layer {layer}")
     root = Path(batches_dir) if batches_dir is not None else Path(base_dir)
     entry = m.layer(layer)
-    batches = []
     for rel in paths:
         x = ctf.read_ctf(root / rel)
         if x.ndim != 2 or x.shape[1] != entry.d_model:
             raise ValidationError(
                 f"batch {rel}: shape {x.shape} does not match d_model {entry.d_model}"
             )
-        batches.append(CalibrationBatch(layer=layer, x=x))
-    return batches
+        yield CalibrationBatch(layer=layer, x=x)
+
+
+def load_batches(
+    m: ModelManifest, base_dir, layer: int, batches_dir=None
+) -> list[CalibrationBatch]:
+    return list(iter_batches(m, base_dir, layer, batches_dir))
 
 
 def save_profile(profile: RankProfile, path, mode: str = "adjusted") -> None:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import identity_whitener
+from conftest import covariance_of, identity_whitener
 from kvlatent import calibration, cli, ctf, factorizer, linalg, manifest, metrics, scheduler
 from kvlatent.attention import AttentionConfig
 from kvlatent.cli import main
@@ -150,6 +150,61 @@ class TestCov:
             stored = ctf.read_ctf(tmp_path / "cov" / f"layer{layer:03d}_cov.ctf")
             assert np.array_equal(stored, expected)
             assert np.max(np.abs(stored - stored.T)) <= 1e-10
+
+    @staticmethod
+    def assert_matches_fold(model: Path, cov_dir: Path, batches_dir=None):
+        m = manifest.load_manifest(model)
+        for layer in range(len(m.layers)):
+            batches = manifest.load_batches(m, model.parent, layer, batches_dir)
+            stored = ctf.read_ctf(cov_dir / f"layer{layer:03d}_cov.ctf")
+            assert np.array_equal(stored, covariance_of(batches))
+
+    @pytest.mark.parametrize("seq, batches", [(1, 3), (7, 3), (200, 3), (7, 1)])
+    def test_running_sum_matches_fold(self, tmp_path, seq, batches):
+        model = gen_model(tmp_path / "m", d=64, heads=4, head_dim=16,
+                          seq=seq, batches=batches)
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        self.assert_matches_fold(model, tmp_path / "cov")
+
+    def test_running_sum_matches_fold_over_uneven_batches(self, tmp_path):
+        model = gen_model(tmp_path / "m", d=64, heads=4, head_dim=16, seq=7, batches=4)
+        rng = make_generator(17)
+        for layer, paths in manifest.load_manifest(model).calibration.items():
+            for rel, tokens in zip(paths, (1, 200, 7, 64)):
+                x = rng.standard_normal((tokens, 64)) * np.geomspace(3.0, 0.1, 64)
+                ctf.write_ctf(model.parent / rel, x)
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        self.assert_matches_fold(model, tmp_path / "cov")
+
+    def test_running_sum_matches_fold_from_batches_dir(self, tmp_path):
+        model = gen_model(tmp_path / "m", d=64, heads=4, head_dim=16, seq=7, batches=3)
+        (model.parent / "batches").rename(tmp_path / "batches")
+        assert run("cov", "--manifest", model, "--batches-dir", tmp_path,
+                   "--out", tmp_path / "cov") == 0
+        self.assert_matches_fold(model, tmp_path / "cov", batches_dir=tmp_path)
+
+    def test_holds_one_batch_at_a_time(self, tmp_path):
+        d, seq = 128, 512
+        model = gen_model(tmp_path / "m", d=d, heads=4, head_dim=32, seq=seq, batches=4)
+        batch_bytes = seq * d * 8
+        tracemalloc.start()
+        try:
+            assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The batch being added, the next one's file bytes and array, and a
+        # few D×D sums. A layer's four batches held at once exceed this.
+        assert peak < 4 * batch_bytes + 4 * d * d * 8, (peak, batch_bytes)
+
+    def test_overflowing_sum_is_validation_error(self, tmp_path, capsys):
+        model = gen_model(tmp_path / "m")
+        rel = manifest.load_manifest(model).calibration[1][2]
+        ctf.write_ctf(model.parent / rel, np.full((8, 16), 1e200))
+        capsys.readouterr()
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "cov" / "layer001_cov.ctf").exists()
 
     def test_zero_batches_is_validation_error(self, tmp_path, capsys):
         model = gen_model(tmp_path / "m")

@@ -104,3 +104,34 @@ class TestValidation:
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             ctf.read_ctf(tmp_path / "missing.ctf")
+
+    @pytest.mark.parametrize("dims", [(2**63, 0), (0, 2**64 - 1), (2**62, 0), (2**40, 2**40, 0)])
+    def test_dims_too_large_for_an_array(self, tmp_path, dims):
+        # Zero values match the empty payload, so only the shape check stops these.
+        path = tmp_path / "a.ctf"
+        header = struct.pack("<4sIBB", b"CARE", 1, ctf.DTYPE_F64, len(dims))
+        path.write_bytes(header + struct.pack(f"<{len(dims)}Q", *dims))
+        with pytest.raises(ValidationError, match="too large"):
+            ctf.read_ctf(path)
+
+    def test_zero_dim_within_bounds_reads_empty(self, tmp_path):
+        path = tmp_path / "a.ctf"
+        path.write_bytes(struct.pack("<4sIBBQQ", b"CARE", 1, ctf.DTYPE_F32, 2, 2**20, 0))
+        assert ctf.read_ctf(path).shape == (2**20, 0)
+
+    @pytest.mark.parametrize("ndim", [0, ctf.MAX_NDIM + 1, 255])
+    def test_ndim_out_of_range(self, tmp_path, ndim):
+        # A dims list of ones and one value: complete apart from ndim itself.
+        path = tmp_path / "a.ctf"
+        header = struct.pack("<4sIBB", b"CARE", 1, ctf.DTYPE_F64, ndim)
+        path.write_bytes(header + struct.pack(f"<{ndim}Q", *[1] * ndim) + b"\0" * 8)
+        with pytest.raises(ValidationError, match="ndim"):
+            ctf.read_ctf(path)
+
+    def test_most_dims_round_trip(self, tmp_path):
+        path = tmp_path / "a.ctf"
+        ctf.write_ctf(path, np.ones((1,) * ctf.MAX_NDIM))
+        assert ctf.read_ctf(path).shape == (1,) * ctf.MAX_NDIM
+        if np.lib.NumpyVersion(np.__version__) >= "2.0.0":  # numpy 1 caps arrays at 32 dims
+            with pytest.raises(ValidationError, match="dims"):
+                ctf.write_ctf(path, np.ones((1,) * (ctf.MAX_NDIM + 1)))

@@ -1,10 +1,12 @@
-"""Bounded fuzzing of the manifest and profile loaders through the CLI.
+"""Bounded fuzzing of the manifest, profile and tensor loaders through the CLI.
 
 Each example replaces one field of a valid model manifest, converted
 manifest or rank profile (a type swap, an out-of-range value or a path
 that leaves its directory) and runs the command that consumes the
 document. The command must never raise: it exits 2, 3 or 4 with an
-``error:`` line, or 0 when the mutated value is still valid.
+``error:`` line, or 0 when the mutated value is still valid. The `.ctf`
+cases corrupt one header field, or truncate the file, and feed it to `cov`
+as a calibration batch and to `schedule` and `convert` as a covariance.
 """
 
 import contextlib
@@ -12,6 +14,8 @@ import copy
 import io
 import json
 import posixpath
+import shutil
+import struct
 import tempfile
 from pathlib import Path
 
@@ -135,3 +139,74 @@ def test_mutated_field_never_raises(built, kind, data):
     else:
         assert code in (2, 3, 4), (keys, value, code)
         assert err.getvalue().startswith("error:"), err.getvalue()
+
+
+def with_header(data: bytes, **fields) -> bytes:
+    """`data` with some of magic, version, dtype and ndim replaced."""
+    head = dict(zip(("magic", "version", "dtype", "ndim"), struct.unpack_from("<4sIBB", data)))
+    head.update(fields)
+    return struct.pack("<4sIBB", *head.values()) + data[10:]
+
+
+def with_dims(data: bytes, dims, payload: bytes = b"") -> bytes:
+    """A header like `data`'s over new dims and payload."""
+    head = with_header(data, ndim=len(dims))[:10]
+    return head + struct.pack(f"<{len(dims)}Q", *dims) + payload
+
+
+def first_dim_plus_one(data: bytes) -> bytes:
+    rows, cols = struct.unpack_from("<QQ", data, 10)
+    return with_dims(data, (rows + 1, cols), data[26:])
+
+
+# Each takes the bytes of a valid 2-D float64 file and corrupts one thing.
+CTF_CORRUPTIONS = {
+    "magic": lambda d: b"NOPE" + d[4:],
+    "version_0": lambda d: with_header(d, version=0),
+    "version_2": lambda d: with_header(d, version=2),
+    "dtype_code": lambda d: with_header(d, dtype=7),
+    "ndim_0": lambda d: with_header(d, ndim=0),
+    "ndim_255": lambda d: with_header(d, ndim=255),
+    "ndim_255_complete": lambda d: with_dims(d, (1,) * 255, d[-8:]),
+    "ndim_1": lambda d: with_header(d, ndim=1),
+    "ndim_3": lambda d: with_header(d, ndim=3),
+    "dims_exceed_payload": first_dim_plus_one,
+    "dims_float32_payload": lambda d: with_header(d, dtype=0),
+    "huge_dims": lambda d: with_dims(d, (2**64 - 1, 2**64 - 1), d[26:]),
+    "huge_dim_next_to_zero": lambda d: with_dims(d, (2**63, 0)),
+    "big_dim_next_to_zero": lambda d: with_dims(d, (2**62, 0)),
+    "overflowing_product_next_to_zero": lambda d: with_dims(d, (2**40, 2**40, 0)),
+    "one_column_of_zero_rows": lambda d: with_dims(d, (0, 16)),
+    "truncated_header": lambda d: d[:7],
+    "truncated_dims": lambda d: d[:18],
+    "truncated_payload": lambda d: d[:-8],
+    "empty": lambda d: b"",
+}
+
+
+def corrupt_copy(src: Path, dst: Path, rel: str, case: str) -> None:
+    """Copy the directory `src` to `dst` and corrupt its file `rel`."""
+    shutil.copytree(src, dst)
+    target = dst / rel
+    target.write_bytes(CTF_CORRUPTIONS[case](target.read_bytes()))
+
+
+@pytest.mark.parametrize("consumer", ["cov", "schedule", "convert"])
+@pytest.mark.parametrize("case", sorted(CTF_CORRUPTIONS))
+def test_corrupt_ctf_header_exits_cleanly(built, tmp_path, capsys, consumer, case):
+    model = built / "model/model.json"
+    if consumer == "cov":
+        corrupt_copy(built / "model", tmp_path / "model", "batches/layer001_batch002.ctf", case)
+        argv = ["cov", "--manifest", tmp_path / "model/model.json", "--out", tmp_path / "out"]
+    else:
+        corrupt_copy(built / "cov", tmp_path / "cov", "layer001_cov.ctf", case)
+        argv = [consumer, "--manifest", model, "--cov-dir", tmp_path / "cov"]
+        if consumer == "schedule":
+            argv += ["--parity", "--out", tmp_path / "profile.json"]
+        else:
+            argv += ["--profile", built / "profile.json", "--out", tmp_path / "out"]
+    capsys.readouterr()
+    code = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert code in (2, 4), (code, err)
+    assert err.startswith("error:") and "Traceback" not in err, err

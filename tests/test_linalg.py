@@ -7,6 +7,44 @@ from kvlatent.calibration import ShrinkageParams, Whitener, build_whitener
 from kvlatent.errors import NumericalError, ValidationError
 
 
+def reference_eig_signs(vecs: np.ndarray) -> np.ndarray:
+    """The per-column sign loop `sym_eig` used to run, kept as the oracle."""
+    vecs = vecs.copy()
+    for j in range(vecs.shape[1]):
+        anchor = int(np.argmax(np.abs(vecs[:, j])))
+        if vecs[anchor, j] < 0.0:
+            vecs[:, j] = -vecs[:, j]
+    return vecs
+
+
+def reference_svd_signs(u: np.ndarray, v_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-column sign loop `svd` used to run, kept as the oracle."""
+    u, v_t = u.copy(), v_t.copy()
+    for j in range(u.shape[1]):
+        significant = np.nonzero(np.abs(u[:, j]) > linalg._SIGN_EPS)[0]
+        if significant.size and u[significant[0], j] < 0.0:
+            u[:, j] = -u[:, j]
+            v_t[j, :] = -v_t[j, :]
+    return u, v_t
+
+
+def bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal bytes, so a -0.0 against a 0.0 counts as a difference."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# Columns the sign rules must treat exactly as the loops do: ties between
+# the largest magnitudes, a zero column, a column whose entries all sit
+# below _SIGN_EPS, one whose first entry above it is tiny and negative, and
+# signed zeros.
+SIGN_EDGE_COLUMNS = np.array([
+    [0.5, -0.5, 0.0, 1e-13, -1e-13, -0.0, -0.3],
+    [-0.5, 0.5, 0.0, -1e-13, 5e-13, 0.0, 0.3],
+    [0.5, 0.5, 0.0, 1e-14, -2e-12, -0.0, -0.3],
+    [-0.5, -0.5, 0.0, 0.0, 0.7, 0.0, 0.3],
+])
+
+
 class TestFrobeniusNormSq:
     def test_zero(self):
         assert linalg.frobenius_norm_sq(np.zeros((3, 2))) == 0.0
@@ -64,6 +102,34 @@ class TestSymEig:
             # orthonormal columns
             q = res.eigenvectors
             assert np.max(np.abs(q.T @ q - np.eye(n))) < 1e-10
+
+    def test_signs_match_reference_loop(self):
+        rng = gen(14)
+        for n in (1, 2, 5, 33, 128):
+            a = rng.standard_normal((n, n))
+            s = (a + a.T) / 2
+            vals, vecs = np.linalg.eigh(s)
+            res = linalg.sym_eig(s)
+            assert bits_equal(res.eigenvalues, vals[::-1].copy())
+            assert bits_equal(res.eigenvectors, reference_eig_signs(vecs[:, ::-1].copy()))
+
+    def test_tied_anchor_takes_lowest_row(self):
+        # eigenvectors of [[2, 1], [1, 2]] are (1, ±1)/√2: both entries tie
+        s = np.array([[2.0, 1.0], [1.0, 2.0]])
+        res = linalg.sym_eig(s)
+        assert np.all(res.eigenvectors[0] > 0)
+        _, vecs = np.linalg.eigh(s)
+        assert bits_equal(res.eigenvectors, reference_eig_signs(vecs[:, ::-1].copy()))
+
+    def test_sign_rule_on_edge_columns(self):
+        for cols in (SIGN_EDGE_COLUMNS, -SIGN_EDGE_COLUMNS, np.zeros((3, 0))):
+            vecs = cols.copy()
+            linalg._anchor_eig_signs(vecs)
+            assert bits_equal(vecs, reference_eig_signs(cols))
+
+    def test_empty_matrix(self):
+        res = linalg.sym_eig(np.zeros((0, 0)))
+        assert res.eigenvalues.shape == (0,) and res.eigenvectors.shape == (0, 0)
 
     def test_deterministic_bytes(self):
         rng = gen(13)
@@ -172,6 +238,25 @@ class TestSvd:
                 col = res.u[:, j]
                 significant = np.nonzero(np.abs(col) > 1e-12)[0]
                 assert significant.size and col[significant[0]] > 0
+
+    def test_signs_match_reference_loop(self):
+        rng = gen(34)
+        for m, n in ((1, 1), (3, 7), (7, 3), (40, 40), (96, 64)):
+            a = rng.standard_normal((m, n))
+            u, sing, v_t = np.linalg.svd(a, full_matrices=False)
+            res = linalg.svd(a)
+            ref_u, ref_v_t = reference_svd_signs(u, v_t)
+            assert bits_equal(res.u, ref_u) and bits_equal(res.v_t, ref_v_t)
+            assert bits_equal(res.singular_values, sing)
+
+    def test_sign_rule_on_edge_columns(self):
+        rng = gen(35)
+        for cols in (SIGN_EDGE_COLUMNS, -SIGN_EDGE_COLUMNS, np.zeros((3, 0)), np.zeros((0, 0))):
+            v_t = rng.standard_normal((cols.shape[1], 5))
+            u, flipped_v_t = cols.copy(), v_t.copy()
+            linalg._anchor_svd_signs(u, flipped_v_t)
+            ref_u, ref_v_t = reference_svd_signs(cols, v_t)
+            assert bits_equal(u, ref_u) and bits_equal(flipped_v_t, ref_v_t)
 
     def test_reconstruction_and_orthonormality(self):
         rng = gen(32)
