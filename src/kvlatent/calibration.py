@@ -126,8 +126,8 @@ class Whitener:
     (1 - alpha) sqrt(c_i) + alpha lam for "sqrtC" and (1 - alpha) c_i +
     alpha lam for "C". `lam` is the resolved ridge scale and `clamped` the
     number of slightly negative eigenvalues of C that were set to zero.
-    S, S^-1 and the numerical-health figures all come from this one
-    eigendecomposition.
+    The factor L, S itself and the numerical-health figures all come from
+    this one eigendecomposition.
     """
 
     eigenvectors: np.ndarray
@@ -163,19 +163,27 @@ class Whitener:
         return self.lambda_max / self.lambda_min if self.lambda_min > 0.0 else float("inf")
 
     @cached_property
+    def factor(self) -> np.ndarray:
+        """L = diag(eigenvalues) Q^T, the whitener in its own eigenbasis.
+
+        L^T L = S^2, so L @ w has the singular values and right singular
+        vectors of S @ w, and ||L @ e||_F = ||S @ e||_F for any e. Forming
+        L costs one row scaling; forming S costs a D x D x D product.
+        """
+        return self.eigenvalues[:, None] * self.eigenvectors.T
+
+    @cached_property
     def matrix(self) -> np.ndarray:
         """S itself, symmetric."""
         q = self.eigenvectors
         s = (q * self.eigenvalues) @ q.T
         return (s + s.T) / 2.0
 
-    def unwhiten(self, a) -> np.ndarray:
-        """S^-1 @ a, refusing a numerically singular S."""
+    def check_invertible(self) -> None:
+        """Refuse a numerically singular S, which shrinkage should prevent."""
         lam_max = max(self.lambda_max, 0.0)
         if lam_max <= 0.0 or self.lambda_min <= WHITENER_FLOOR_REL * lam_max:
             raise NumericalError("singular whitener: apply shrinkage before factorizing")
-        q = self.eigenvectors
-        return q @ ((q.T @ linalg.as_matrix(a, "a")) / self.eigenvalues[:, None])
 
 
 def build_whitener(c, params: ShrinkageParams, weighting: str = WEIGHTING_SQRT) -> Whitener:

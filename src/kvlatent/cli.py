@@ -156,11 +156,19 @@ def _layer_covariance(m: manifest.ModelManifest, base, layer: int,
     d = m.layer(layer).d_model
     total = np.zeros((d, d))
     count = 0
-    for batch in manifest.iter_batches(m, base, layer, batches_dir):
-        total += batch.x.T @ batch.x
-        count += 1
-    c = total / count
-    return (c + c.T) / 2.0, count
+    # Huge activations overflow to inf or nan; they are refused below by
+    # name instead of surfacing as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for batch in manifest.iter_batches(m, base, layer, batches_dir):
+            total += batch.x.T @ batch.x
+            count += 1
+        c = total / count
+        c = (c + c.T) / 2.0
+    if not np.all(np.isfinite(c)):
+        raise ValidationError(
+            f"covariance of layer {layer} is non-finite: its activations overflow float64"
+        )
+    return c, count
 
 
 def cmd_cov(args) -> None:
@@ -206,7 +214,7 @@ def cmd_schedule(args) -> None:
         # the lift gain, plus zeros beyond rank n_groups * head_dim.
         gain = factorizer.lift_gain(gqa.n_heads, gqa.n_groups)
         for kind, w_g in ((scheduler.KIND_K, gqa.w_k_g), (scheduler.KIND_V, gqa.w_v_g)):
-            table.add(layer, kind, gain * scheduler.whitened_spectrum(whitener.matrix, w_g))
+            table.add(layer, kind, gain * scheduler.whitened_spectrum(whitener.factor, w_g))
         parity_total += factorizer.kv_parity_rank(entry.n_groups, entry.head_dim)
 
     if args.parity:
@@ -350,6 +358,7 @@ def _report_dict(report: factorizer.FactorizationReport) -> dict:
         "rank_used": report.rank_used,
         "weight_residual_sq": report.weight_residual_sq,
         "whitened_residual_sq": report.whitened_residual_sq,
+        "retained_energy": report.retained_energy,
     }
 
 

@@ -1,30 +1,34 @@
 """Whitened low-rank factorization and the GQA-to-latent weight mapping.
 
-care_factorize is the one whitened factorization. Against a layer's
-whitening operator S (a calibration.Whitener, built from one
-eigendecomposition of the covariance and shared by K and V) it takes the
-SVD of S @ W, truncates it to rank r, and unwhitens the left factor:
+care_factorize is the one whitened factorization. It finds the rank-r W_hat
+that minimizes ||S (W - W_hat)||_F against a layer's whitening operator S
+(a calibration.Whitener, built from one eigendecomposition of the
+covariance and shared by K and V). If S W = U Sigma V^T, the optimum is
+W_hat = W V_r V_r^T, so only Sigma and V are needed:
 
-    w_a = S^-1 U_r Sigma_r        (down-projection)
+    w_a = W V_r                   (down-projection; equals S^-1 U_r Sigma_r)
     w_b = V_r^T                   (up-projection, orthonormal rows)
 
-so that w_a @ w_b is the best rank-r approximation of W in the metric
-||S (W - W_hat)||_F. With S = I this reduces to plain SVD truncation.
+Neither S, S^-1 nor U is formed. The whitener's factor L = diag(s) Q^T has
+L^T L = S^2, so Y = L W has the singular values and right singular vectors
+of S W, and ||L E||_F = ||S E||_F. The SVD is taken of the n x n R factor
+of Y = Q_Y R, which again shares them, so the SVD has at most n rows.
+With S = I this reduces to plain SVD truncation.
 
 The weight to approximate is the grouped projection W_g replicated to full
-head width, W = W_g R, where R copies each group block to its
-m = n_heads / n_groups heads and R R^T = m I. So if S W_g = U Sigma V^T,
-then S W = U (sqrt(m) Sigma) (V^T R / sqrt(m)) is an SVD of S W.
+head width, W = W_g P, where P copies each group block to its
+m = n_heads / n_groups heads and P P^T = m I. So if S W_g = U Sigma V^T,
+then S W = U (sqrt(m) Sigma) (V^T P / sqrt(m)) is an SVD of S W.
 grouped_factorize therefore runs care_factorize on W_g at grouped width
 (D x n_groups*head_dim) and lifts its factors:
 
-    w_a = S^-1 U_r (sqrt(m) Sigma_r)
+    w_a = sqrt(m) W_g V_r
     w_b = replicate_groups(V_r^T) / sqrt(m)     (orthonormal rows)
 
-Residuals at head width are m times their grouped-width values. The
-replicated weight has rank n_groups * head_dim, which is also the latent
-width that leaves the per-token cache unchanged; at that rank the
-factorization is exact.
+Residuals at head width are m times their grouped-width values; the
+retained energy fraction is unchanged by the lift. The replicated weight
+has rank n_groups * head_dim, which is also the latent width that leaves
+the per-token cache unchanged; at that rank the factorization is exact.
 """
 
 import math
@@ -127,11 +131,14 @@ class MlaFactors:
 
 @dataclass(frozen=True)
 class FactorizationReport:
-    """Residuals of one factorization."""
+    """Residuals of one factorization, and the fraction of the whitened
+    energy ||S W||_F^2 that the kept rank retains: sum_{i<=r} sigma_i^2 /
+    sum_i sigma_i^2 over the singular values of S W (1 for a zero W)."""
 
     weight_residual_sq: float
     whitened_residual_sq: float
     rank_used: int
+    retained_energy: float
 
 
 def replicate_groups(w_g, n_heads: int, n_groups: int, head_dim: int) -> np.ndarray:
@@ -178,9 +185,10 @@ def whitened_error_sq(whitener, w, w_hat) -> float:
 def care_factorize(w, whitener: Whitener, r: int) -> tuple[FactorPair, FactorizationReport]:
     """Rank-r factorization of w minimizing the whitened residual.
 
-    Truncates the SVD of S @ w to rank r and unwhitens the left factor:
-    w_a = S^-1 U_r Sigma_r, w_b = V_r^T. The whitener must be
-    shrinkage-regularized upstream; Whitener.unwhiten refuses a singular one.
+    Takes Sigma and V_r from the SVD of the R factor of Y = L @ w and
+    returns w_a = w V_r, w_b = V_r^T; each pair's sign follows linalg.svd's
+    convention on the left singular vectors of R. The whitener must be
+    shrinkage-regularized upstream; a singular one is refused.
     """
     w = linalg.as_matrix(w, "w")
     if whitener.dim != w.shape[0]:
@@ -190,15 +198,20 @@ def care_factorize(w, whitener: Whitener, r: int) -> tuple[FactorPair, Factoriza
     p = min(w.shape)
     if not 1 <= r <= p:
         raise ValidationError(f"rank {r} out of range [1, {p}]")
-    top = linalg.truncate_svd(linalg.svd(whitener.matrix @ w), r)
-    w_a = whitener.unwhiten(top.u * top.singular_values)
-    diff = w - w_a @ top.v_t
+    whitener.check_invertible()
+    y = whitener.factor @ w
+    spectrum = linalg.svd(linalg.qr_r(y))
+    w_b = spectrum.v_t[:r].copy()
+    w_a = w @ w_b.T
+    energy = spectrum.singular_values**2
+    total = float(np.sum(energy))
     report = FactorizationReport(
-        weight_residual_sq=linalg.frobenius_norm_sq(diff),
-        whitened_residual_sq=linalg.frobenius_norm_sq(whitener.matrix @ diff),
+        weight_residual_sq=linalg.frobenius_norm_sq(w - w_a @ w_b),
+        whitened_residual_sq=linalg.frobenius_norm_sq(y - (y @ w_b.T) @ w_b),
         rank_used=r,
+        retained_energy=float(np.sum(energy[:r])) / total if total > 0.0 else 1.0,
     )
-    return FactorPair(w_a, top.v_t), report
+    return FactorPair(w_a, w_b), report
 
 
 def plain_factorize(w, r: int) -> tuple[FactorPair, FactorizationReport]:
@@ -240,6 +253,7 @@ def grouped_factorize(
         weight_residual_sq=m * report_g.weight_residual_sq,
         whitened_residual_sq=m * report_g.whitened_residual_sq,
         rank_used=r,
+        retained_energy=report_g.retained_energy,
     )
     return FactorPair(w_a, w_b), report
 

@@ -69,7 +69,11 @@ class SpectrumTable:
 
 
 def whitened_spectrum(sqrt_c, w) -> np.ndarray:
-    """Descending singular values of the whitened weight (sqrt_c @ w)."""
+    """Descending singular values of the whitened weight S @ w.
+
+    `sqrt_c` may be S itself or any square L with L^T L = S^2, such as
+    calibration.Whitener.factor: L @ w has the same singular values.
+    """
     sqrt_c = linalg.as_matrix(sqrt_c, "sqrt_c")
     w = linalg.as_matrix(w, "w")
     if sqrt_c.shape[0] != sqrt_c.shape[1]:

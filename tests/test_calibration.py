@@ -177,7 +177,8 @@ class TestShrinkage:
         c = covariance_of(batches)
         params = ShrinkageParams(alpha=0.01, lam="auto")
         whitener = build_whitener(c, params)
-        inv = whitener.unwhiten(np.eye(8))
+        whitener.check_invertible()
+        inv = np.linalg.inv(whitener.matrix)
         assert np.all(np.isfinite(inv))
         assert np.max(np.abs(whitener.matrix @ inv - np.eye(8))) <= 1e-9
 
@@ -233,8 +234,27 @@ class TestWhitener:
 
     def test_inverse_round_trip(self):
         whitener = build_whitener(self.covariance(111), ShrinkageParams())
-        identity = whitener.matrix @ whitener.unwhiten(np.eye(whitener.dim))
+        whitener.check_invertible()
+        identity = whitener.matrix @ np.linalg.inv(whitener.matrix)
         assert np.max(np.abs(identity - np.eye(whitener.dim))) <= 1e-12
+
+    @pytest.mark.parametrize("weighting", ["sqrtC", "C"])
+    def test_factor_carries_the_whitened_metric(self, weighting):
+        # L^T L = S^2, so L @ w and S @ w share singular values and norms
+        rng = gen(116)
+        whitener = build_whitener(self.covariance(116), ShrinkageParams(), weighting)
+        s, factor = whitener.matrix, whitener.factor
+        scale = np.max(np.abs(s @ s))
+        assert np.max(np.abs(factor.T @ factor - s @ s)) <= 1e-12 * scale
+        w = rng.standard_normal((whitener.dim, 5))
+        sigma = np.linalg.svd(s @ w, compute_uv=False)
+        assert np.max(np.abs(np.linalg.svd(factor @ w, compute_uv=False) - sigma)) <= (
+            1e-12 * sigma[0]
+        )
+        e = rng.standard_normal((whitener.dim, 7))
+        assert linalg.frobenius_norm_sq(factor @ e) == pytest.approx(
+            linalg.frobenius_norm_sq(s @ e), rel=1e-12
+        )
 
     @pytest.mark.parametrize("weighting", ["sqrtC", "C"])
     @pytest.mark.parametrize("lam", ["auto", 0.3])
@@ -281,7 +301,7 @@ class TestWhitener:
     def test_singular_whitener_refused(self):
         whitener = Whitener(np.eye(3), np.array([1.0, 1.0, 0.0]), 1.0, "C")
         with pytest.raises(NumericalError, match="shrinkage"):
-            whitener.unwhiten(np.eye(3))
+            whitener.check_invertible()
 
     def test_unknown_weighting(self):
         with pytest.raises(ValidationError):

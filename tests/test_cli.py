@@ -1,6 +1,7 @@
 import filecmp
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -202,8 +203,13 @@ class TestCov:
         rel = manifest.load_manifest(model).calibration[1][2]
         ctf.write_ctf(model.parent / rel, np.full((8, 16), 1e200))
         capsys.readouterr()
-        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 2
-        assert "non-finite" in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "layer 1" in err
+        assert "non-finite" in err and "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "cov" / "layer001_cov.ctf").exists()
 
     def test_zero_batches_is_validation_error(self, tmp_path, capsys):
@@ -422,6 +428,83 @@ class TestConvert:
                        "--profile", tmp_path / "p.json", "--weighting", weighting,
                        "--out", tmp_path / weighting) == 0
             assert calls == [(16, 16)] * 3
+
+    def test_parity_report_retains_all_energy(self, tmp_path):
+        pipeline(tmp_path)
+        report = json.loads((tmp_path / "converted/conversion_report.json").read_text())
+        for layer_report in report["layers"]:
+            for kind in ("k", "v"):
+                assert abs(layer_report[kind]["retained_energy"] - 1.0) <= 1e-12
+
+    def test_low_rank_report_retained_energy(self, tmp_path):
+        model = gen_model(tmp_path / "m")
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--mode", "uniform", "--rank", 3, "--out", tmp_path / "p.json") == 0
+        assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--profile", tmp_path / "p.json", "--out", tmp_path / "c") == 0
+        report = json.loads((tmp_path / "c/conversion_report.json").read_text())
+        m = manifest.load_manifest(model)
+        params = calibration.ShrinkageParams(m.alpha, m.lam)
+        for layer_report in report["layers"]:
+            layer = layer_report["layer"]
+            cov = ctf.read_ctf(tmp_path / "cov" / f"layer{layer:03d}_cov.ctf")
+            s = calibration.build_whitener(cov, params, m.weighting).matrix
+            gqa = manifest.load_gqa_layer(m, model.parent, layer)
+            for kind, w_g in (("k", gqa.w_k_g), ("v", gqa.w_v_g)):
+                w = factorizer.replicate_groups(w_g, gqa.n_heads, gqa.n_groups, gqa.head_dim)
+                entry = layer_report[kind]
+                expected = 1.0 - entry["whitened_residual_sq"] / linalg.frobenius_norm_sq(s @ w)
+                assert abs(entry["retained_energy"] - expected) <= 1e-9
+                assert entry["retained_energy"] < 1.0
+
+    def test_qr_failure_is_numerical_error(self, tmp_path, monkeypatch, capsys):
+        model = gen_model(tmp_path / "m")
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--parity", "--out", tmp_path / "p.json") == 0
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("QR did not converge")
+
+        monkeypatch.setattr(np.linalg, "qr", fail)
+        capsys.readouterr()
+        assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--profile", tmp_path / "p.json", "--out", tmp_path / "c") == 3
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "c" / "converted.json").exists()
+
+    def test_no_dense_whitener_is_formed(self, tmp_path, monkeypatch):
+        model = gen_model(tmp_path / "m")
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+
+        def refuse(self):
+            raise AssertionError("Whitener.matrix formed")
+
+        monkeypatch.setattr(calibration.Whitener, "matrix", property(refuse))
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--budget-k", 12, "--budget-v", 12, "--out", tmp_path / "p.json") == 0
+        assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--profile", tmp_path / "p.json", "--out", tmp_path / "c") == 0
+
+    def test_svd_height_is_grouped_width(self, tmp_path, monkeypatch):
+        # d_model 16, n_groups * head_dim = 8: no SVD sees all 16 rows
+        model = gen_model(tmp_path / "m")
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--budget-k", 12, "--budget-v", 12, "--out", tmp_path / "p.json") == 0
+        shapes = []
+        real = linalg.svd
+
+        def recording(a):
+            shapes.append(np.shape(a))
+            return real(a)
+
+        monkeypatch.setattr(linalg, "svd", recording)
+        assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--profile", tmp_path / "p.json", "--out", tmp_path / "c") == 0
+        assert len(shapes) == 4
+        assert all(rows <= 8 for rows, _ in shapes)
 
     def test_report_carries_whitener_health(self, tmp_path):
         pipeline(tmp_path)

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import anisotropic_batches, covariance_of, gen, identity_whitener, random_psd
+from conftest import (
+    anisotropic_batches,
+    covariance_of,
+    gen,
+    identity_whitener,
+    random_orthogonal,
+    random_psd,
+)
 from kvlatent import calibration, linalg, scheduler
 from kvlatent.calibration import WHITENER_FLOOR_REL, Whitener
 from kvlatent.errors import NumericalError, ValidationError
@@ -52,14 +59,17 @@ def reference_care_factorize(w, s, r):
         raise NumericalError("singular whitener: apply shrinkage before factorizing")
     unwhiten = (eig.eigenvectors / eig.eigenvalues) @ eig.eigenvectors.T
     unwhiten = (unwhiten + unwhiten.T) / 2.0
-    top = linalg.truncate_svd(linalg.svd(s @ w), r)
+    full = linalg.svd(s @ w)
+    top = linalg.truncate_svd(full, r)
     w_a = unwhiten @ (top.u * top.singular_values)
     w_b = top.v_t.copy()
     w_hat = w_a @ w_b
+    energy = full.singular_values**2
     report = FactorizationReport(
         weight_residual_sq=linalg.frobenius_norm_sq(w - w_hat),
         whitened_residual_sq=whitened_error_sq(s, w, w_hat),
         rank_used=r,
+        retained_energy=float(np.sum(energy[:r]) / np.sum(energy)) if energy[0] > 0 else 1.0,
     )
     return FactorPair(w_a, w_b), report
 
@@ -76,6 +86,7 @@ def assert_matches_reference(pair, report, oracle_pair, oracle, energy):
         # at the true rank both residuals are rounding noise, so the
         # tolerance is floored by the whitened energy
         assert abs(ours - theirs) <= 1e-12 * max(theirs, energy * 1e-3)
+    assert abs(report.retained_energy - oracle.retained_energy) <= 1e-12
     assert report.rank_used == oracle.rank_used
 
 
@@ -212,6 +223,80 @@ class TestCareFactorize:
     def test_rank_out_of_range(self):
         with pytest.raises(ValidationError):
             care_factorize(np.eye(3), identity_whitener(3), 4)
+
+
+def oracle_case(case, weighting, seed):
+    """A whitener and a weight for the oracle comparison.
+
+    "decaying": the whitened spectrum falls geometrically to 1e-10 sigma_1.
+    "rank_deficient": a rank-4 weight, so the tail is exactly zero.
+    "wide", "wide_decaying": fewer rows than columns (D < n).
+    """
+    rng = gen(seed)
+    d, n = (6, 9) if case.startswith("wide") else (12, 9)
+    c = covariance_of(anisotropic_batches(rng, 4, 24, d, cond=400.0))
+    whitener = calibration.build_whitener(c, calibration.ShrinkageParams(), weighting)
+    if case == "rank_deficient":
+        return whitener, rng.standard_normal((d, 4)) @ rng.standard_normal((4, n))
+    if case == "wide":
+        return whitener, rng.standard_normal((d, n))
+    p = min(d, n)
+    u = random_orthogonal(rng, d)[:, :p]
+    v = random_orthogonal(rng, n)[:, :p]
+    whitened = (u * np.geomspace(1.0, 1e-10, p)) @ v.T
+    return whitener, np.linalg.solve(whitener.matrix, whitened)
+
+
+class TestCareFactorizeAgainstOracle:
+    """The R-factor path against the explicit S, S^-1 and U of the oracle."""
+
+    CASES = ["decaying", "rank_deficient", "wide", "wide_decaying"]
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("weighting", ["sqrtC", "C"])
+    def test_every_rank_matches_oracle(self, case, weighting):
+        whitener, w = oracle_case(case, weighting, 391)
+        energy = linalg.frobenius_norm_sq(whitener.matrix @ w)
+        for r in range(1, min(w.shape) + 1):
+            pair, report = care_factorize(w, whitener, r)
+            oracle_pair, oracle = reference_care_factorize(w, whitener.matrix, r)
+            product = pair.w_a @ pair.w_b
+            expected = oracle_pair.w_a @ oracle_pair.w_b
+            assert np.linalg.norm(product - expected) <= 1e-9 * np.linalg.norm(expected)
+            assert report.whitened_residual_sq <= (
+                oracle.whitened_residual_sq * (1 + 1e-12) + 1e-18 * energy
+            )
+            assert pair.w_a.shape == (w.shape[0], r) and pair.w_b.shape == (r, w.shape[1])
+            assert report.rank_used == r
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("weighting", ["sqrtC", "C"])
+    def test_retained_energy_is_one_minus_relative_residual(self, case, weighting):
+        whitener, w = oracle_case(case, weighting, 392)
+        energy = linalg.frobenius_norm_sq(whitener.matrix @ w)
+        for r in range(1, min(w.shape) + 1):
+            _, report = care_factorize(w, whitener, r)
+            expected = 1.0 - report.whitened_residual_sq / energy
+            assert abs(report.retained_energy - expected) <= 1e-9
+        assert report.retained_energy == 1.0
+
+    def test_zero_weight_retains_everything(self):
+        _, report = care_factorize(np.zeros((4, 3)), identity_whitener(4), 2)
+        assert report.retained_energy == 1.0
+        assert report.whitened_residual_sq == 0.0
+
+    def test_svd_runs_on_the_r_factor(self, monkeypatch):
+        whitener, w = oracle_case("decaying", "sqrtC", 393)
+        shapes = []
+        real = linalg.svd
+
+        def recording(a):
+            shapes.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(linalg, "svd", recording)
+        care_factorize(w, whitener, 3)
+        assert shapes == [(w.shape[1], w.shape[1])]
 
 
 class TestGroupedFactorize:
