@@ -9,7 +9,9 @@ forward reconstructs K and V from the cached-width latents; the rotary
 variant adds a small decoupled position channel, per-head rotary queries
 plus one rotary key per token shared by every head, as one more feature
 block of each head's query and key, with the softmax scale
-sqrt(head_dim + rope_dim).
+AttentionConfig.scale_denominator, sqrt(head_dim + rope_dim). How many
+reals per token a layer caches is not restated here: GqaLayer.cache_width
+and MlaFactors.cache_width own it, and the rotary channel adds rope_dim.
 
 One causal core serves every forward. It walks query rows in fixed blocks,
 scores each block only against the keys up to its last row, masks the
@@ -34,13 +36,11 @@ from .factorizer import GqaLayer, MlaFactors
 
 @dataclass(frozen=True)
 class AttentionConfig:
-    """Shape and positional settings for one simulated layer."""
+    """Shape and positional settings for one simulated latent layer."""
 
     d_model: int
     n_heads: int
     head_dim: int
-    n_groups: int
-    seq_len: int
     rope_dim: int = 0
     rope_base: float = 10000.0
 
@@ -54,8 +54,11 @@ class AttentionConfig:
             raise ValidationError("rope_dim must be 0 or a positive even number")
         if self.rope_base <= 0.0:
             raise ValidationError("rope_base must be positive")
-        if self.seq_len < 1:
-            raise ValidationError("seq_len must be positive")
+
+    @property
+    def scale_denominator(self) -> float:
+        """Softmax scale denominator: sqrt of the per-head query-key width."""
+        return math.sqrt(self.head_dim + self.rope_dim)
 
 
 @dataclass(frozen=True)
@@ -74,19 +77,13 @@ class RopeAdapters:
 class AttentionTrace:
     """Logits, attention weights, and output of one forward pass.
 
-    Masked (future) positions hold exactly 0 in both logits and weights;
-    cached_widths records how many reals per token each variant would cache.
+    Masked (future) positions hold exactly 0 in both logits and weights.
     """
 
     logits: np.ndarray  # (n_heads, T, T)
     weights: np.ndarray  # (n_heads, T, T)
     output: np.ndarray  # (T, d_model)
-    cached_widths: dict[str, int]
     scale_denominator: float
-
-    @property
-    def cache_width(self) -> int:
-        return sum(self.cached_widths.values())
 
 
 class DriftResult(NamedTuple):
@@ -97,20 +94,15 @@ class DriftResult(NamedTuple):
 class Heads(NamedTuple):
     """One forward as the causal core sees it.
 
-    Per-head queries, keys and values stacked as (n_heads, T, d), the
-    softmax scale denominator, and how many reals per token the variant
-    would cache. Queries and keys may carry more features than values.
+    Per-head queries, keys and values stacked as (n_heads, T, d), and the
+    softmax scale denominator. Queries and keys may carry more features
+    than values.
     """
 
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
     scale_denominator: float
-    cached_widths: dict[str, int]
-
-    @property
-    def cache_width(self) -> int:
-        return sum(self.cached_widths.values())
 
 
 class Comparison(NamedTuple):
@@ -214,9 +206,7 @@ def _trace(heads: Heads) -> AttentionTrace:
         logits[:, i0:i1, :i1] = block
         _attend_block(block, i0, i1, heads.v, output)
         weights[:, i0:i1, :i1] = block
-    return AttentionTrace(
-        logits, weights, output.reshape(t, -1), heads.cached_widths, heads.scale_denominator
-    )
+    return AttentionTrace(logits, weights, output.reshape(t, -1), heads.scale_denominator)
 
 
 def compare(a: Heads, b: Heads) -> Comparison:
@@ -267,8 +257,7 @@ def gqa_heads(layer: GqaLayer, x) -> Heads:
     q = _heads(x @ layer.w_q, d_h)
     k = _heads(x @ layer.w_k_g, d_h)[group]
     v = _heads(x @ layer.w_v_g, d_h)[group]
-    widths = {"k": layer.grouped_width, "v": layer.grouped_width}
-    return Heads(q, k, v, math.sqrt(d_h), widths)
+    return Heads(q, k, v, math.sqrt(d_h))
 
 
 def gqa_forward(layer: GqaLayer, x) -> AttentionTrace:
@@ -284,9 +273,7 @@ def mla_heads(factors: MlaFactors, w_q, config: AttentionConfig, x) -> Heads:
     x = linalg.as_matrix(x, "x")
     w_q = linalg.as_matrix(w_q, "w_q")
     _check_mla_shapes(factors, w_q, config, x)
-    q, k, v = _content_heads(factors, w_q, config, x)
-    widths = {"latent_k": factors.r_k, "latent_v": factors.r_v}
-    return Heads(q, k, v, math.sqrt(config.head_dim), widths)
+    return Heads(*_content_heads(factors, w_q, config, x), config.scale_denominator)
 
 
 def mla_forward(factors: MlaFactors, w_q, config: AttentionConfig, x) -> AttentionTrace:
@@ -303,9 +290,9 @@ def mla_heads_rope(
 ) -> Heads:
     """Heads of the latent forward with the decoupled rotary channel.
 
-    The rotary key is computed once per token and shared by every head; only
-    it is added to the per-token cache (width rope_dim), alongside the two
-    content latents. Values come from the content channel alone. Each head
+    The rotary key is computed once per token and shared by every head, so
+    it adds rope_dim reals to the per-token cache, alongside the two content
+    latents. Values come from the content channel alone. Each head
     scores [q_h, q_rope_h] against [k_h, k_rope], so the rotary channel is
     one more feature block of the same product.
     """
@@ -331,8 +318,7 @@ def mla_heads_rope(
     q = np.concatenate([q, q_rope], axis=2)
     k_rope = np.broadcast_to(k_rope, (config.n_heads, *k_rope.shape))
     k = np.concatenate([k, k_rope], axis=2)
-    widths = {"latent_k": factors.r_k, "latent_v": factors.r_v, "rope_k": d_r}
-    return Heads(q, k, v, math.sqrt(config.head_dim + d_r), widths)
+    return Heads(q, k, v, config.scale_denominator)
 
 
 def mla_forward_rope(

@@ -205,20 +205,21 @@ def cmd_schedule(args) -> None:
     params = calibration.ShrinkageParams(m.alpha, m.lam)
 
     table = scheduler.SpectrumTable()
-    parity_total = 0
     for layer in range(len(m.layers)):
-        entry = m.layer(layer)
         whitener = _whitener_for_layer(m, args.cov_dir, layer, params, m.weighting)
         gqa = manifest.load_gqa_layer(m, base, layer)
-        # The spectrum of the head-width weight is the grouped one scaled by
-        # the lift gain, plus zeros beyond rank n_groups * head_dim.
-        gain = factorizer.lift_gain(gqa.n_heads, gqa.n_groups)
+        # The head-width weight's spectrum is this grouped one times the lift
+        # gain, plus zeros; water-filling is invariant to that scale.
         for kind, w_g in ((scheduler.KIND_K, gqa.w_k_g), (scheduler.KIND_V, gqa.w_v_g)):
-            table.add(layer, kind, gain * scheduler.whitened_spectrum(whitener.factor, w_g))
-        parity_total += factorizer.kv_parity_rank(entry.n_groups, entry.head_dim)
+            table.add(layer, kind, scheduler.whitened_spectrum(whitener.factor, w_g))
+    # Each full rank is the grouped width, so the totals are KV parity.
+    full_totals = {
+        kind: sum(table.full_rank(l, kind) for l in table.layers(kind))
+        for kind in scheduler.KINDS
+    }
 
     if args.parity:
-        budget_k = budget_v = parity_total
+        budget_k, budget_v = full_totals[scheduler.KIND_K], full_totals[scheduler.KIND_V]
     else:
         budget_k, budget_v = args.budget_k, args.budget_v
 
@@ -236,11 +237,10 @@ def cmd_schedule(args) -> None:
                 "--mode adjusted requires --budget-k and --budget-v (or --parity)"
             )
         for kind, budget in ((scheduler.KIND_K, budget_k), (scheduler.KIND_V, budget_v)):
-            full_total = sum(table.full_rank(l, kind) for l in table.layers(kind))
-            if budget > full_total:
+            if budget > full_totals[kind]:
                 raise ValidationError(
                     f"--budget-{kind.lower()} {budget} exceeds the total full rank "
-                    f"{full_total} (KV parity)"
+                    f"{full_totals[kind]} (KV parity)"
                 )
         min_rank = args.min_rank
         if min_rank is None:
@@ -380,22 +380,17 @@ def _eval_layer(
 
     Draws from rng in a fixed order: probe input, targets, then the rotary
     adapters (q, k). The two content forwards run in one attention.compare
-    pass, so no (n_heads, T, T) array is formed. The rotary heads are built
-    for their cache width and scale; the rotary attention is not run.
+    pass, so no (n_heads, T, T) array is formed. The rotary attention is not
+    run: its cache width and scale follow from the layer formats and the
+    config.
     """
     d = gqa.d_model
     x = rng.standard_normal((t, d))
     targets = rng.integers(0, d, size=t)
-    config = attention.AttentionConfig(
-        d_model=d,
-        n_heads=gqa.n_heads,
-        head_dim=gqa.head_dim,
-        n_groups=gqa.n_groups,
-        seq_len=t,
+    config = attention.AttentionConfig(d_model=d, n_heads=gqa.n_heads, head_dim=gqa.head_dim)
+    drift, output_g, output_m = attention.compare(
+        attention.gqa_heads(gqa, x), attention.mla_heads(factors, w_q_conv, config, x)
     )
-    heads_g = attention.gqa_heads(gqa, x)
-    heads_m = attention.mla_heads(factors, w_q_conv, config, x)
-    drift, output_g, output_m = attention.compare(heads_g, heads_m)
     output_drift = float(np.max(np.abs(output_g - output_m)))
 
     geometry = (gqa.n_heads, gqa.n_groups, gqa.head_dim)
@@ -420,8 +415,8 @@ def _eval_layer(
         "logit_drift_max": drift.max_abs,
         "logit_drift_frob": drift.frob,
         "output_drift_max": output_drift,
-        "cache_width_gqa": heads_g.cache_width,
-        "cache_width_mla": heads_m.cache_width,
+        "cache_width_gqa": gqa.cache_width,
+        "cache_width_mla": factors.cache_width,
         "losses": {
             "ce_teacher": ce_teacher,
             "ce_student": ce_student,
@@ -436,10 +431,10 @@ def _eval_layer(
         w_r_q=rng.standard_normal((d, gqa.n_heads * rope_dim)) / np.sqrt(d),
         w_r_k=rng.standard_normal((d, rope_dim)) / np.sqrt(d),
     )
-    rope_config = dataclasses.replace(config, rope_dim=rope_dim)
-    heads_r = attention.mla_heads_rope(factors, w_q_conv, adapters, rope_config, x)
-    report["cache_width_mla_rope"] = heads_r.cache_width
-    report["rope_scale_denominator"] = heads_r.scale_denominator
+    report["cache_width_mla_rope"] = factors.cache_width + rope_dim
+    report["rope_scale_denominator"] = dataclasses.replace(
+        config, rope_dim=rope_dim
+    ).scale_denominator
     return report, adapters
 
 
@@ -497,7 +492,7 @@ def cmd_eval(args) -> None:
         gqa_bytes += attention.kv_cache_bytes(
             1, t, 1, report["cache_width_gqa"], args.bytes_per_elem
         ).total_bytes
-        width_m = report["cache_width_mla"] + args.rope_dim
+        width_m = report.get("cache_width_mla_rope", report["cache_width_mla"])
         mla_bytes += attention.kv_cache_bytes(
             1, t, 1, width_m, args.bytes_per_elem
         ).total_bytes
@@ -606,26 +601,17 @@ def cmd_ablate(args) -> None:
         raise ValidationError(f"--kind must be one of {scheduler.KINDS}")
     gqa = manifest.load_gqa_layer(m, base, args.layer)
     w = gqa.w_k_g if args.kind == scheduler.KIND_K else gqa.w_v_g
-    sigma = linalg.svd(w).singular_values
-    ablated_w = factorizer.ablate_singular_value(w, args.index)
+    sigma, ablated_w = factorizer.ablate_singular_value(w, args.index)
     weight_residual = linalg.frobenius_norm_sq(w - ablated_w)
-
-    ablated_layer = factorizer.GqaLayer(
-        d_model=gqa.d_model,
-        n_heads=gqa.n_heads,
-        head_dim=gqa.head_dim,
-        n_groups=gqa.n_groups,
-        w_q=gqa.w_q,
-        w_k_g=ablated_w if args.kind == scheduler.KIND_K else gqa.w_k_g,
-        w_v_g=ablated_w if args.kind == scheduler.KIND_V else gqa.w_v_g,
-    )
+    name = "w_k_g" if args.kind == scheduler.KIND_K else "w_v_g"
+    ablated_layer = dataclasses.replace(gqa, **{name: ablated_w})
     t = args.seq_len if args.seq_len else m.seq_len
     x = make_generator(args.seed).standard_normal((t, gqa.d_model))
     drift = attention.compare(
         attention.gqa_heads(gqa, x), attention.gqa_heads(ablated_layer, x)
     ).drift
 
-    print(f"layer {args.layer} {args.kind}: sigma_{args.index} = {sigma[args.index - 1]:.6e}")
+    print(f"layer {args.layer} {args.kind}: sigma_{args.index} = {sigma:.6e}")
     print(f"weight_residual_sq = {weight_residual:.6e}")
     print(f"logit drift: max={drift.max_abs:.6e} frob={drift.frob:.6e}")
     if args.out:
@@ -639,7 +625,7 @@ def cmd_ablate(args) -> None:
                 "index": args.index,
                 "seed": args.seed,
                 "seq_len": t,
-                "singular_value": float(sigma[args.index - 1]),
+                "singular_value": sigma,
                 "weight_residual_sq": weight_residual,
                 "logit_drift_max": drift.max_abs,
                 "logit_drift_frob": drift.frob,

@@ -29,6 +29,10 @@ Residuals at head width are m times their grouped-width values; the
 retained energy fraction is unchanged by the lift. The replicated weight
 has rank n_groups * head_dim, which is also the latent width that leaves
 the per-token cache unchanged; at that rank the factorization is exact.
+
+Each layer format owns its per-token cache width: GqaLayer.cache_width is
+2 * n_groups * head_dim, and MlaFactors.cache_width is r_k + r_v, the
+latent widths read off the factor shapes.
 """
 
 import math
@@ -82,8 +86,9 @@ class GqaLayer:
         object.__setattr__(self, "w_v_g", wv)
 
     @property
-    def grouped_width(self) -> int:
-        return self.n_groups * self.head_dim
+    def cache_width(self) -> int:
+        """Reals cached per token: one grouped key and one grouped value."""
+        return 2 * self.n_groups * self.head_dim
 
 
 class FactorPair(NamedTuple):
@@ -95,24 +100,25 @@ class FactorPair(NamedTuple):
 
 @dataclass(frozen=True)
 class MlaFactors:
-    """Latent factor bundle for one converted layer."""
+    """Latent factor bundle for one converted layer; the latent ranks r_k
+    and r_v are the widths the factor shapes agree on."""
 
     w_a_k: np.ndarray
     w_b_k: np.ndarray
     w_a_v: np.ndarray
     w_b_v: np.ndarray
-    r_k: int
-    r_v: int
 
     def __post_init__(self):
         wak = linalg.as_matrix(self.w_a_k, "w_a_k")
         wbk = linalg.as_matrix(self.w_b_k, "w_b_k")
         wav = linalg.as_matrix(self.w_a_v, "w_a_v")
         wbv = linalg.as_matrix(self.w_b_v, "w_b_v")
-        if wak.shape[1] != self.r_k or wbk.shape[0] != self.r_k:
-            raise ValidationError("K factors do not match r_k")
-        if wav.shape[1] != self.r_v or wbv.shape[0] != self.r_v:
-            raise ValidationError("V factors do not match r_v")
+        for kind, w_a, w_b in (("K", wak, wbk), ("V", wav, wbv)):
+            if w_a.shape[1] != w_b.shape[0]:
+                raise ValidationError(
+                    f"{kind} factors disagree on the latent width: "
+                    f"{w_a.shape[1]} columns vs {w_b.shape[0]} rows"
+                )
         if wak.shape[0] != wav.shape[0]:
             raise ValidationError("K and V down-projections disagree on d_model")
         if wbk.shape[1] != wbv.shape[1]:
@@ -127,6 +133,19 @@ class MlaFactors:
     @property
     def out_width(self) -> int:
         return self.w_b_k.shape[1]
+
+    @property
+    def r_k(self) -> int:
+        return self.w_a_k.shape[1]
+
+    @property
+    def r_v(self) -> int:
+        return self.w_a_v.shape[1]
+
+    @property
+    def cache_width(self) -> int:
+        """Reals cached per token: the K and V latents."""
+        return self.r_k + self.r_v
 
 
 @dataclass(frozen=True)
@@ -156,13 +175,9 @@ def replicate_groups(w_g, n_heads: int, n_groups: int, head_dim: int) -> np.ndar
         raise ValidationError(
             f"grouped weight has {w_g.shape[1]} columns, expected {n_groups * head_dim}"
         )
-    out = np.empty((w_g.shape[0], n_heads * head_dim))
-    for h in range(n_heads):
-        g = (h * n_groups) // n_heads
-        out[:, h * head_dim : (h + 1) * head_dim] = w_g[
-            :, g * head_dim : (g + 1) * head_dim
-        ]
-    return out
+    d = w_g.shape[0]
+    blocks = w_g.reshape(d, n_groups, 1, head_dim)
+    return np.repeat(blocks, n_heads // n_groups, axis=2).reshape(d, n_heads * head_dim)
 
 
 def kv_parity_rank(n_groups: int, head_dim: int) -> int:
@@ -295,8 +310,9 @@ def activation_residual(
     return total / len(batches)
 
 
-def ablate_singular_value(w, i: int) -> np.ndarray:
-    """Zero the i-th largest singular value (1-based) and reconstruct."""
+def ablate_singular_value(w, i: int) -> tuple[float, np.ndarray]:
+    """The i-th largest singular value (1-based) of w, and w with it zeroed,
+    both from one SVD."""
     w = linalg.as_matrix(w, "w")
     res = linalg.svd(w)
     p = int(res.singular_values.shape[0])
@@ -304,7 +320,7 @@ def ablate_singular_value(w, i: int) -> np.ndarray:
         raise ValidationError(f"index {i} out of range [1, {p}]")
     damped = res.singular_values.copy()
     damped[i - 1] = 0.0
-    return (res.u * damped) @ res.v_t
+    return float(res.singular_values[i - 1]), (res.u * damped) @ res.v_t
 
 
 def convert_layer(
@@ -314,12 +330,5 @@ def convert_layer(
     geometry = (layer.n_heads, layer.n_groups, layer.head_dim)
     (pair_k, report_k) = grouped_factorize(layer.w_k_g, whitener, r_k, *geometry)
     (pair_v, report_v) = grouped_factorize(layer.w_v_g, whitener, r_v, *geometry)
-    factors = MlaFactors(
-        w_a_k=pair_k.w_a,
-        w_b_k=pair_k.w_b,
-        w_a_v=pair_v.w_a,
-        w_b_v=pair_v.w_b,
-        r_k=r_k,
-        r_v=r_v,
-    )
+    factors = MlaFactors(pair_k.w_a, pair_k.w_b, pair_v.w_a, pair_v.w_b)
     return factors, report_k, report_v

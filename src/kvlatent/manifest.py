@@ -135,6 +135,8 @@ def load_manifest(path) -> ModelManifest:
     if not isinstance(raw_layers, list):
         raise ValidationError(f"{path}: layers must be a list")
     _expect(doc, "layer_count", len(raw_layers), path)
+    if not raw_layers:
+        raise ValidationError(f"{path}: a model needs at least one layer")
     for i, raw in enumerate(raw_layers):
         entry = _entry_from_json(raw, f"{path}: layer {i}")
         if entry.layer != i:
@@ -287,8 +289,6 @@ def load_mla_bundle(
         w_b_k=_load_tensor(base_dir, entry.w_b_k, (entry.r_k, full[1]), f"layer {index} w_b_k"),
         w_a_v=_load_tensor(base_dir, entry.w_a_v, (d, entry.r_v), f"layer {index} w_a_v"),
         w_b_v=_load_tensor(base_dir, entry.w_b_v, (entry.r_v, full[1]), f"layer {index} w_b_v"),
-        r_k=entry.r_k,
-        r_v=entry.r_v,
     )
     w_q = _load_tensor(base_dir, entry.w_q, full, f"layer {index} w_q")
     adapters = None

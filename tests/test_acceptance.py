@@ -118,7 +118,7 @@ def test_criterion_03_kv_parity_exactness():
                     assert report.whitened_residual_sq <= 1e-12 * energy
                 t = int(rng.integers(2, 17))
                 x = rng.standard_normal((t, d))
-                config = AttentionConfig(d, n_heads, head_dim, n_groups, t)
+                config = AttentionConfig(d, n_heads, head_dim)
                 drift = logit_drift(
                     gqa_forward(layer, x),
                     mla_forward(factors, layer.w_q, config, x),

@@ -25,13 +25,11 @@ from kvlatent.factorizer import convert_layer, kv_parity_rank
 from test_factorizer import random_gqa_layer
 
 
-def config_for(layer, seq_len, rope_dim=0):
+def config_for(layer, rope_dim=0):
     return AttentionConfig(
         d_model=layer.d_model,
         n_heads=layer.n_heads,
         head_dim=layer.head_dim,
-        n_groups=layer.n_groups,
-        seq_len=seq_len,
         rope_dim=rope_dim,
     )
 
@@ -224,8 +222,7 @@ class TestGqaForward:
     def test_cache_widths(self):
         rng = gen(416)
         layer = random_gqa_layer(rng)
-        trace = gqa_forward(layer, rng.standard_normal((3, 16)))
-        assert trace.cached_widths == {"k": 8, "v": 8}
+        assert layer.cache_width == 2 * layer.n_groups * layer.head_dim == 16
 
 
 class TestMlaForward:
@@ -236,7 +233,7 @@ class TestMlaForward:
         x = rng.standard_normal((5, 16))
         drift = logit_drift(
             gqa_forward(layer, x),
-            mla_forward(factors, layer.w_q, config_for(layer, 5), x),
+            mla_forward(factors, layer.w_q, config_for(layer), x),
         )
         assert drift.max_abs <= 1e-9
 
@@ -252,7 +249,7 @@ class TestMlaForward:
         factors, _, _ = convert_layer(layer, s, r, r)
         x = rng.standard_normal((8, 16))
         trace_g = gqa_forward(layer, x)
-        trace_m = mla_forward(factors, layer.w_q, config_for(layer, 8), x)
+        trace_m = mla_forward(factors, layer.w_q, config_for(layer), x)
         drift = logit_drift(trace_g, trace_m)
         assert drift.max_abs <= 1e-8
         assert np.max(np.abs(trace_g.output - trace_m.output)) <= 1e-8
@@ -261,15 +258,15 @@ class TestMlaForward:
         rng = gen(423)
         layer = random_gqa_layer(rng)
         factors, _, _ = convert_layer(layer, identity_whitener(16), 8, 8)
-        trace = mla_forward(factors, layer.w_q, config_for(layer, 3), np.zeros((3, 16)))
+        trace = mla_forward(factors, layer.w_q, config_for(layer), np.zeros((3, 16)))
         assert np.array_equal(trace.output, np.zeros_like(trace.output))
 
     def test_cache_widths_and_scale(self):
         rng = gen(424)
         layer = random_gqa_layer(rng)
         factors, _, _ = convert_layer(layer, identity_whitener(16), 6, 7)
-        trace = mla_forward(factors, layer.w_q, config_for(layer, 3), rng.standard_normal((3, 16)))
-        assert trace.cached_widths == {"latent_k": 6, "latent_v": 7}
+        trace = mla_forward(factors, layer.w_q, config_for(layer), rng.standard_normal((3, 16)))
+        assert (factors.r_k, factors.r_v, factors.cache_width) == (6, 7, 13)
         assert trace.scale_denominator == math.sqrt(layer.head_dim)
 
     def test_requires_nope_config(self):
@@ -277,7 +274,7 @@ class TestMlaForward:
         layer = random_gqa_layer(rng)
         factors, _, _ = convert_layer(layer, identity_whitener(16), 8, 8)
         with pytest.raises(ValidationError):
-            mla_forward(factors, layer.w_q, config_for(layer, 3, rope_dim=4),
+            mla_forward(factors, layer.w_q, config_for(layer, rope_dim=4),
                         rng.standard_normal((3, 16)))
 
 
@@ -291,8 +288,8 @@ class TestMlaForwardRope:
         adapters = RopeAdapters(
             w_r_q=np.zeros((16, layer.n_heads * d_r)), w_r_k=np.zeros((16, d_r))
         )
-        nope = mla_forward(factors, layer.w_q, config_for(layer, 5), x)
-        rope = mla_forward_rope(factors, layer.w_q, adapters, config_for(layer, 5, d_r), x)
+        nope = mla_forward(factors, layer.w_q, config_for(layer), x)
+        rope = mla_forward_rope(factors, layer.w_q, adapters, config_for(layer, d_r), x)
         ratio = math.sqrt(layer.head_dim) / math.sqrt(layer.head_dim + d_r)
         assert np.allclose(rope.logits, nope.logits * ratio, atol=1e-12)
 
@@ -306,7 +303,6 @@ class TestMlaForwardRope:
         zeroed = type(factors)(
             np.zeros_like(factors.w_a_k), factors.w_b_k,
             np.zeros_like(factors.w_a_v), factors.w_b_v,
-            factors.r_k, factors.r_v,
         )
         block = rng.standard_normal((16, d_r))
         adapters = RopeAdapters(
@@ -315,7 +311,7 @@ class TestMlaForwardRope:
         for t in (5, 200):
             x = rng.standard_normal((t, 16))
             trace = mla_forward_rope(
-                zeroed, layer.w_q, adapters, config_for(layer, t, d_r), x
+                zeroed, layer.w_q, adapters, config_for(layer, d_r), x
             )
             for h in range(1, layer.n_heads):
                 assert np.array_equal(trace.logits[h], trace.logits[0])
@@ -330,7 +326,7 @@ class TestMlaForwardRope:
             w_r_k=rng.standard_normal((16, d_r)),
         )
         trace = mla_forward_rope(
-            factors, layer.w_q, adapters, config_for(layer, 7, d_r),
+            factors, layer.w_q, adapters, config_for(layer, d_r),
             rng.standard_normal((7, 16)),
         )
         assert np.allclose(trace.weights.sum(axis=2), 1.0, atol=1e-9)
@@ -346,10 +342,10 @@ class TestMlaForwardRope:
                 w_r_k=rng.standard_normal((16, d_r)),
             )
             trace = mla_forward_rope(
-                factors, layer.w_q, adapters, config_for(layer, 3, d_r), x
+                factors, layer.w_q, adapters, config_for(layer, d_r), x
             )
             assert trace.scale_denominator == math.sqrt(layer.head_dim + d_r)
-            assert trace.cached_widths["rope_k"] == d_r
+            assert config_for(layer, d_r).scale_denominator == trace.scale_denominator
 
     def test_requires_positive_rope_dim(self):
         rng = gen(435)
@@ -357,7 +353,7 @@ class TestMlaForwardRope:
         factors, _, _ = convert_layer(layer, identity_whitener(16), 8, 8)
         adapters = RopeAdapters(w_r_q=np.zeros((16, 16)), w_r_k=np.zeros((16, 4)))
         with pytest.raises(ValidationError):
-            mla_forward_rope(factors, layer.w_q, adapters, config_for(layer, 3),
+            mla_forward_rope(factors, layer.w_q, adapters, config_for(layer),
                              np.zeros((3, 16)))
 
 
@@ -382,7 +378,7 @@ class TestLogitDrift:
         for t in BLOCK_EDGE_LENGTHS:
             mask = np.tril(np.ones((t, t), dtype=bool))
             a, b = (np.where(mask, rng.standard_normal((3, t, t)), 0.0) for _ in range(2))
-            traces = [AttentionTrace(logits, np.zeros_like(logits), np.zeros((t, 1)), {}, 1.0)
+            traces = [AttentionTrace(logits, np.zeros_like(logits), np.zeros((t, 1)), 1.0)
                       for logits in (a, b)]
             drift = logit_drift(*traces)
             max_abs, frob = masked_drift(a, b)
@@ -406,7 +402,7 @@ class TestLogitDrift:
             plain_factors, _, _ = convert_layer(layer, identity_whitener(16), r, r)
             x = batches[0].x[:8]
             reference = gqa_forward(layer, x)
-            cfg = config_for(layer, 8)
+            cfg = config_for(layer)
             care_drift = logit_drift(
                 reference, mla_forward(care_factors, layer.w_q, cfg, x)
             )
@@ -442,7 +438,7 @@ class TestBlockedCoreOracle:
         x = rng.standard_normal((t, 16))
         assert_matches_reference(gqa_forward(layer, x), reference_gqa(layer, x))
 
-        config = config_for(layer, t)
+        config = config_for(layer)
         assert_matches_reference(
             mla_forward(factors, layer.w_q, config, x),
             reference_mla(factors, layer.w_q, config, x),
@@ -453,7 +449,7 @@ class TestBlockedCoreOracle:
             w_r_q=rng.standard_normal((16, layer.n_heads * d_r)),
             w_r_k=rng.standard_normal((16, d_r)),
         )
-        rope_config = config_for(layer, t, d_r)
+        rope_config = config_for(layer, d_r)
         assert_matches_reference(
             mla_forward_rope(factors, layer.w_q, adapters, rope_config, x),
             reference_mla(factors, layer.w_q, rope_config, x, adapters),
@@ -462,7 +458,7 @@ class TestBlockedCoreOracle:
 
 def reference_trace(reference):
     logits, weights, output = reference
-    return AttentionTrace(logits, weights, output, {}, 1.0)
+    return AttentionTrace(logits, weights, output, 1.0)
 
 
 class TestCompareOracle:
@@ -478,8 +474,8 @@ class TestCompareOracle:
             w_r_q=rng.standard_normal((16, layer.n_heads * d_r)),
             w_r_k=rng.standard_normal((16, d_r)),
         )
-        config = config_for(layer, t)
-        rope_config = config_for(layer, t, d_r)
+        config = config_for(layer)
+        rope_config = config_for(layer, d_r)
         source = reference_gqa(layer, x)
         latents = (
             (mla_heads(factors, layer.w_q, config, x),

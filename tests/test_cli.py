@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import covariance_of, identity_whitener
-from kvlatent import calibration, cli, ctf, factorizer, linalg, manifest, metrics, scheduler
+from kvlatent import (
+    attention, calibration, cli, ctf, factorizer, linalg, manifest, metrics, scheduler,
+)
 from kvlatent.attention import AttentionConfig
 from kvlatent.cli import main
 from kvlatent.rng import make_generator
@@ -134,6 +136,7 @@ MALFORMED_MANIFESTS = {
     "w_q_escaping": lambda doc: doc["layers"][0].update(w_q="../m/weights/layer000_w_q.ctf"),
     "w_k_g_not_a_string": lambda doc: doc["layers"][0].update(w_k_g=5),
     "batch_escaping": lambda doc: doc["calibration"]["1"].append("batches/../../m/x.ctf"),
+    "no_layers": lambda doc: doc.update(layers=[], layer_count=0),
 }
 
 
@@ -606,6 +609,31 @@ class TestEval:
         assert "layer 1: source geometry" in capsys.readouterr().err
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize("rope_dim", [2, 4])
+    def test_rope_width_tracks_rope_dim(self, tmp_path, rope_dim):
+        pipeline(tmp_path, schedule_args=("--mode", "uniform", "--rank", "3"),
+                 eval_args=("--seed", "0", "--rope-dim", str(rope_dim)))
+        report = json.loads((tmp_path / "eval/eval_report.json").read_text())
+        converted = manifest.load_manifest(tmp_path / "converted/converted.json")
+        for layer in report["layers"]:
+            factors, _, _ = manifest.load_mla_bundle(
+                converted, tmp_path / "converted", layer["layer"])
+            assert layer["cache_width_mla"] == factors.cache_width == 6
+            assert layer["cache_width_mla_rope"] == factors.cache_width + rope_dim
+        assert report["totals"]["mla_bytes"] == 2 * 8 * (6 + rope_dim) * 2
+
+    def test_rope_eval_builds_no_rotary_heads(self, tmp_path, monkeypatch):
+        pipeline(tmp_path, eval_args=("--seed", "3", "--rope-dim", "4"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eval built rotary heads")
+
+        monkeypatch.setattr(attention, "mla_heads_rope", refuse)
+        assert run("eval", "--source", tmp_path / "model/model.json",
+                   "--converted", tmp_path / "converted/converted.json",
+                   "--seed", 3, "--rope-dim", 4, "--out", tmp_path / "patched") == 0
+        assert tree_bytes(tmp_path / "patched") == tree_bytes(tmp_path / "eval")
+
     def test_rope_artifacts(self, tmp_path):
         pipeline(tmp_path, eval_args=("--seed", "0", "--rope-dim", "4"))
         report = json.loads((tmp_path / "eval/eval_report.json").read_text())
@@ -652,7 +680,7 @@ def reference_eval_layers(root: Path, seed: int, rope_dim: int) -> list[dict]:
         assert np.array_equal(ctf.read_ctf(root / f"eval/rope/layer{layer:03d}_w_r_k.ctf"), w_r_k)
 
         logits_g, _, out_g = reference_gqa(gqa, x)
-        config = AttentionConfig(d, gqa.n_heads, gqa.head_dim, gqa.n_groups, t)
+        config = AttentionConfig(d, gqa.n_heads, gqa.head_dim)
         logits_m, _, out_m = reference_mla(factors, w_q, config, x)
         drift_max, drift_frob = masked_drift(logits_g, logits_m)
         batches = manifest.load_batches(source, root / "model", layer)
@@ -794,8 +822,23 @@ class TestAblate:
 
     def test_index_out_of_range(self, tmp_path):
         model = gen_model(tmp_path / "m")
-        assert run("ablate", "--manifest", model, "--layer", 0, "--kind", "K",
-                   "--index", 99) == 2
+        for index in (99, 0, -1):
+            assert run("ablate", "--manifest", model, "--layer", 0, "--kind", "K",
+                       "--index", index) == 2
+
+    def test_one_svd(self, tmp_path, monkeypatch):
+        model = gen_model(tmp_path / "m")
+        calls = []
+        svd = linalg.svd
+
+        def counting_svd(a):
+            calls.append(a.shape)
+            return svd(a)
+
+        monkeypatch.setattr(linalg, "svd", counting_svd)
+        assert run("ablate", "--manifest", model, "--layer", 0, "--kind", "V",
+                   "--index", 2, "--out", tmp_path / "ab.json") == 0
+        assert calls == [(16, 8)]
 
 
 class TestPipelineDeterminism:

@@ -16,6 +16,7 @@ from kvlatent.factorizer import (
     FactorizationReport,
     FactorPair,
     GqaLayer,
+    MlaFactors,
     activation_residual,
     ablate_singular_value,
     care_factorize,
@@ -41,6 +42,18 @@ def random_gqa_layer(rng, d_model=16, n_heads=4, n_groups=2) -> GqaLayer:
         w_k_g=rng.standard_normal((d_model, n_groups * head_dim)) * scale,
         w_v_g=rng.standard_normal((d_model, n_groups * head_dim)) * scale,
     )
+
+
+def reference_replicate_groups(w_g, n_heads, n_groups, head_dim):
+    """Per-head slice copy: the loop replicate_groups replaced, kept as its
+    oracle."""
+    out = np.empty((w_g.shape[0], n_heads * head_dim))
+    for h in range(n_heads):
+        g = (h * n_groups) // n_heads
+        out[:, h * head_dim : (h + 1) * head_dim] = w_g[
+            :, g * head_dim : (g + 1) * head_dim
+        ]
+    return out
 
 
 def reference_care_factorize(w, s, r):
@@ -121,6 +134,16 @@ class TestReplicateGroups:
     def test_divisibility_violation(self):
         with pytest.raises(ValidationError):
             replicate_groups(np.ones((4, 6)), 4, 3, 2)
+
+    @pytest.mark.parametrize("head_dim", (1, 3, 4))
+    @pytest.mark.parametrize("n_heads", (1, 2, 4, 8))
+    def test_matches_reference_loop(self, n_heads, head_dim):
+        rng = gen(303 + 10 * n_heads + head_dim)
+        for n_groups in (g for g in range(1, n_heads + 1) if n_heads % g == 0):
+            w_g = rng.standard_normal((5, n_groups * head_dim))
+            got = replicate_groups(w_g, n_heads, n_groups, head_dim)
+            want = reference_replicate_groups(w_g, n_heads, n_groups, head_dim)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestKvParityRank:
@@ -442,22 +465,24 @@ class TestActivationResidual:
 
 class TestAblateSingularValue:
     def test_diagonal(self):
-        out = ablate_singular_value(np.diag([3.0, 2.0, 1.0]), 2)
+        sigma, out = ablate_singular_value(np.diag([3.0, 2.0, 1.0]), 2)
         assert np.allclose(out, np.diag([3.0, 0.0, 1.0]), atol=1e-12)
+        assert sigma == pytest.approx(2.0, abs=1e-12)
 
     def test_residual_is_squared_singular_value(self):
         rng = gen(351)
         w = rng.standard_normal((6, 8))
         sigma = linalg.svd(w).singular_values
         for i in (1, 3, 6):
-            out = ablate_singular_value(w, i)
+            sigma_i, out = ablate_singular_value(w, i)
+            assert sigma_i == sigma[i - 1]
             assert np.isclose(linalg.frobenius_norm_sq(w - out), sigma[i - 1] ** 2)
 
     def test_zero_singular_value_is_noop(self):
         rng = gen(352)
         base = rng.standard_normal((5, 2))
         w = base @ rng.standard_normal((2, 5))  # rank 2, sigma_3 = 0
-        out = ablate_singular_value(w, 3)
+        _, out = ablate_singular_value(w, 3)
         assert np.max(np.abs(out - w)) < 1e-10
 
     def test_index_out_of_range(self):
@@ -507,6 +532,29 @@ class TestConvertLayer:
         layer = random_gqa_layer(rng)
         with pytest.raises(ValidationError):
             convert_layer(layer, identity_whitener(16), 17, 4)
+
+
+class TestMlaFactors:
+    def test_ranks_and_cache_width_follow_the_shapes(self):
+        rng = gen(381)
+        factors = MlaFactors(
+            rng.standard_normal((16, 3)), rng.standard_normal((3, 16)),
+            rng.standard_normal((16, 5)), rng.standard_normal((5, 16)),
+        )
+        assert (factors.r_k, factors.r_v, factors.cache_width) == (3, 5, 8)
+        assert (factors.d_model, factors.out_width) == (16, 16)
+
+    @pytest.mark.parametrize("kind", ("K", "V"))
+    def test_refuses_disagreeing_latent_widths(self, kind):
+        rng = gen(382)
+        w_a = {"K": (16, 3), "V": (16, 5)}
+        w_b = {"K": (3, 16), "V": (5, 16)}
+        w_b[kind] = (w_b[kind][0] + 1, 16)
+        with pytest.raises(ValidationError, match=f"{kind} factors disagree on the latent width"):
+            MlaFactors(
+                rng.standard_normal(w_a["K"]), rng.standard_normal(w_b["K"]),
+                rng.standard_normal(w_a["V"]), rng.standard_normal(w_b["V"]),
+            )
 
 
 class TestGqaLayerValidation:
