@@ -9,9 +9,12 @@ forward reconstructs K and V from the cached-width latents; the rotary
 variant adds a small decoupled position channel, per-head rotary queries
 plus one rotary key per token shared by every head, as one more feature
 block of each head's query and key, with the softmax scale
-AttentionConfig.scale_denominator, sqrt(head_dim + rope_dim). How many
-reals per token a layer caches is not restated here: GqaLayer.cache_width
-and MlaFactors.cache_width own it, and the rotary channel adds rope_dim.
+AttentionConfig.scale_denominator, sqrt(head_dim + rope_dim), and the
+frequency base ROPE_BASE. The rotary forward is library API: the caller
+supplies its RopeAdapters, no manifest stores them, and no CLI stage runs
+it. How many reals per token a layer caches is not restated here:
+GqaLayer.cache_width and MlaFactors.cache_width own it, and the rotary
+channel adds rope_dim.
 
 One causal core serves every forward. It walks query rows in fixed blocks,
 scores each block only against the keys up to its last row, masks the
@@ -33,6 +36,9 @@ from . import linalg
 from .errors import ValidationError
 from .factorizer import GqaLayer, MlaFactors
 
+# Rotary frequency base of the decoupled rotary channel.
+ROPE_BASE = 10000.0
+
 
 @dataclass(frozen=True)
 class AttentionConfig:
@@ -42,7 +48,6 @@ class AttentionConfig:
     n_heads: int
     head_dim: int
     rope_dim: int = 0
-    rope_base: float = 10000.0
 
     def __post_init__(self):
         if self.n_heads * self.head_dim != self.d_model:
@@ -52,8 +57,6 @@ class AttentionConfig:
             )
         if self.rope_dim < 0 or (self.rope_dim and self.rope_dim % 2):
             raise ValidationError("rope_dim must be 0 or a positive even number")
-        if self.rope_base <= 0.0:
-            raise ValidationError("rope_base must be positive")
 
     @property
     def scale_denominator(self) -> float:
@@ -313,8 +316,8 @@ def mla_heads_rope(
         )
 
     q, k, v = _content_heads(factors, w_q, config, x)
-    q_rope = _heads(rope_rotate(x @ adapters.w_r_q, d_r, config.rope_base), d_r)
-    k_rope = rope_rotate(x @ adapters.w_r_k, d_r, config.rope_base)  # shared by heads
+    q_rope = _heads(rope_rotate(x @ adapters.w_r_q, d_r, ROPE_BASE), d_r)
+    k_rope = rope_rotate(x @ adapters.w_r_k, d_r, ROPE_BASE)  # shared by heads
     q = np.concatenate([q, q_rope], axis=2)
     k_rope = np.broadcast_to(k_rope, (config.n_heads, *k_rope.shape))
     k = np.concatenate([k, k_rope], axis=2)

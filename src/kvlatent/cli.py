@@ -374,15 +374,16 @@ def _eval_layer(
     t: int,
     params: metrics.LossParams,
     rope_dim: int,
-) -> tuple[dict, attention.RopeAdapters | None]:
-    """Compare one converted layer with its source: the layer's report, and
-    the rotary adapters drawn for it when rope_dim > 0.
+) -> dict:
+    """Compare one converted layer with its source and return its report.
 
-    Draws from rng in a fixed order: probe input, targets, then the rotary
-    adapters (q, k). The two content forwards run in one attention.compare
-    pass, so no (n_heads, T, T) array is formed. The rotary attention is not
-    run: its cache width and scale follow from the layer formats and the
-    config.
+    Draws from rng in a fixed order: probe input, then targets. The two
+    content forwards run in one attention.compare pass, so no
+    (n_heads, T, T) array is formed. With rope_dim > 0 the report also
+    carries the rotary cache width and softmax scale denominator, which
+    follow from the layer formats and the config; no rotary projection is
+    drawn and no rotary attention is run, so the content figures do not
+    depend on rope_dim.
     """
     d = gqa.d_model
     x = rng.standard_normal((t, d))
@@ -424,18 +425,12 @@ def _eval_layer(
             "total": total,
         },
     }
-    if not rope_dim:
-        return report, None
-
-    adapters = attention.RopeAdapters(
-        w_r_q=rng.standard_normal((d, gqa.n_heads * rope_dim)) / np.sqrt(d),
-        w_r_k=rng.standard_normal((d, rope_dim)) / np.sqrt(d),
-    )
-    report["cache_width_mla_rope"] = factors.cache_width + rope_dim
-    report["rope_scale_denominator"] = dataclasses.replace(
-        config, rope_dim=rope_dim
-    ).scale_denominator
-    return report, adapters
+    if rope_dim:
+        report["cache_width_mla_rope"] = factors.cache_width + rope_dim
+        report["rope_scale_denominator"] = dataclasses.replace(
+            config, rope_dim=rope_dim
+        ).scale_denominator
+    return report
 
 
 def _geometry(entry: manifest.LayerEntry) -> tuple[int, int, int, int]:
@@ -447,6 +442,9 @@ def cmd_eval(args) -> None:
         raise ValidationError(
             f"--rope-dim must be 0 or a positive even number, got {args.rope_dim}"
         )
+    if args.bytes_per_elem < 1:
+        raise ValidationError(f"--bytes-per-elem must be at least 1, got {args.bytes_per_elem}")
+    params = metrics.LossParams(tau=args.tau, beta=args.beta)
     source = manifest.load_manifest(args.source)
     converted = manifest.load_manifest(args.converted)
     if source.model_kind != manifest.MODEL_KIND_GQA:
@@ -465,37 +463,22 @@ def cmd_eval(args) -> None:
     conv_base = Path(args.converted).parent
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.rope_dim:
-        (out / "rope").mkdir(exist_ok=True)
 
     rng = make_generator(args.seed)
     t = source.seq_len
-    params = metrics.LossParams(tau=args.tau, beta=args.beta)
     layer_reports = []
-    rope_paths = []
-    gqa_bytes = 0
-    mla_bytes = 0
     for layer in range(len(source.layers)):
         gqa = manifest.load_gqa_layer(source, src_base, layer)
-        factors, w_q_conv, _ = manifest.load_mla_bundle(converted, conv_base, layer)
+        factors, w_q_conv = manifest.load_mla_bundle(converted, conv_base, layer)
         batches = manifest.load_batches(source, src_base, layer, args.batches_dir)
-        report, adapters = _eval_layer(
-            layer, gqa, factors, w_q_conv, batches, rng, t, params, args.rope_dim
+        layer_reports.append(
+            _eval_layer(layer, gqa, factors, w_q_conv, batches, rng, t, params, args.rope_dim)
         )
-        if adapters is not None:
-            rel_q = f"rope/layer{layer:03d}_w_r_q.ctf"
-            rel_k = f"rope/layer{layer:03d}_w_r_k.ctf"
-            ctf.write_ctf(out / rel_q, adapters.w_r_q)
-            ctf.write_ctf(out / rel_k, adapters.w_r_k)
-            rope_paths.append((rel_q, rel_k))
-        layer_reports.append(report)
-        gqa_bytes += attention.kv_cache_bytes(
-            1, t, 1, report["cache_width_gqa"], args.bytes_per_elem
-        ).total_bytes
-        width_m = report.get("cache_width_mla_rope", report["cache_width_mla"])
-        mla_bytes += attention.kv_cache_bytes(
-            1, t, 1, width_m, args.bytes_per_elem
-        ).total_bytes
+    # Per-token widths summed over layers; every layer caches t tokens.
+    width_gqa = sum(r["cache_width_gqa"] for r in layer_reports)
+    width_mla = sum(r.get("cache_width_mla_rope", r["cache_width_mla"]) for r in layer_reports)
+    gqa_bytes = attention.kv_cache_bytes(1, t, 1, width_gqa, args.bytes_per_elem).total_bytes
+    mla_bytes = attention.kv_cache_bytes(1, t, 1, width_mla, args.bytes_per_elem).total_bytes
     max_drift = max((r["logit_drift_max"] for r in layer_reports), default=0.0)
 
     totals = {
@@ -522,24 +505,10 @@ def cmd_eval(args) -> None:
     }
     manifest.write_json(out / "eval_report.json", doc)
 
-    if args.rope_dim:
-        # Self-contained rope-augmented manifest next to the adapters.
-        for entry in converted.layers:
-            for name in ("w_q", "w_a_k", "w_b_k", "w_a_v", "w_b_v"):
-                rel = getattr(entry, name)
-                dest = out / rel
-                dest.parent.mkdir(parents=True, exist_ok=True)
-                shutil.copyfile(conv_base / rel, dest)
-        manifest.save_manifest(
-            manifest.with_rope(converted, args.rope_dim, rope_paths),
-            out / "converted_with_rope.json",
-        )
-
     print(f"max logit drift (content path): {max_drift:.3e}")
     print(
-        f"cache per token: gqa={layer_reports[0]['cache_width_gqa']} "
-        f"mla={layer_reports[0]['cache_width_mla']}"
-        + (f" (+rope {args.rope_dim})" if args.rope_dim else "")
+        f"cache per token, {len(layer_reports)} layers: gqa={width_gqa} mla={width_mla}"
+        + (f" (incl. rope {args.rope_dim} per layer)" if args.rope_dim else "")
     )
     print(f"report: {out / 'eval_report.json'}")
 
@@ -607,13 +576,16 @@ def cmd_ablate(args) -> None:
     ablated_layer = dataclasses.replace(gqa, **{name: ablated_w})
     t = args.seq_len if args.seq_len else m.seq_len
     x = make_generator(args.seed).standard_normal((t, gqa.d_model))
-    drift = attention.compare(
+    # V never enters the logits, so a V ablation shows only in the output.
+    drift, output, output_ablated = attention.compare(
         attention.gqa_heads(gqa, x), attention.gqa_heads(ablated_layer, x)
-    ).drift
+    )
+    output_drift = float(np.max(np.abs(output - output_ablated)))
 
     print(f"layer {args.layer} {args.kind}: sigma_{args.index} = {sigma:.6e}")
     print(f"weight_residual_sq = {weight_residual:.6e}")
     print(f"logit drift: max={drift.max_abs:.6e} frob={drift.frob:.6e}")
+    print(f"output drift: max={output_drift:.6e}")
     if args.out:
         manifest.write_json(
             args.out,
@@ -629,6 +601,7 @@ def cmd_ablate(args) -> None:
                 "weight_residual_sq": weight_residual,
                 "logit_drift_max": drift.max_abs,
                 "logit_drift_frob": drift.frob,
+                "output_drift_max": output_drift,
             },
         )
 

@@ -187,16 +187,6 @@ def kv_parity_rank(n_groups: int, head_dim: int) -> int:
     return n_groups * head_dim
 
 
-def whitened_error_sq(whitener, w, w_hat) -> float:
-    """||whitener @ (w - w_hat)||_F^2."""
-    whitener = linalg.as_matrix(whitener, "whitener")
-    w = linalg.as_matrix(w, "w")
-    w_hat = linalg.as_matrix(w_hat, "w_hat")
-    if w.shape != w_hat.shape:
-        raise ValidationError(f"shape mismatch: {w.shape} vs {w_hat.shape}")
-    return linalg.frobenius_norm_sq(whitener @ (w - w_hat))
-
-
 def care_factorize(w, whitener: Whitener, r: int) -> tuple[FactorPair, FactorizationReport]:
     """Rank-r factorization of w minimizing the whitened residual.
 

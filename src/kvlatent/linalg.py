@@ -157,19 +157,3 @@ def singular_values(a) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from None
 
-
-def truncate_svd(res: SvdResult, r: int) -> SvdResult:
-    """Keep the top-r singular triplets."""
-    p = int(res.singular_values.shape[0])
-    if not 1 <= r <= p:
-        raise ValidationError(f"rank {r} out of range [1, {p}]")
-    return SvdResult(
-        res.u[:, :r].copy(),
-        res.singular_values[:r].copy(),
-        res.v_t[:r, :].copy(),
-    )
-
-
-def reconstruct(res: SvdResult) -> np.ndarray:
-    """Multiply the factors back together: U diag(sigma) V^T."""
-    return (res.u * res.singular_values) @ res.v_t

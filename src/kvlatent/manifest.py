@@ -7,7 +7,6 @@ timestamps so reruns are byte-identical; every tensor path is stored
 relative to the manifest's directory.
 """
 
-import dataclasses
 import json
 import posixpath
 from collections.abc import Iterator
@@ -17,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import ctf
-from .attention import RopeAdapters
 from .calibration import WEIGHTINGS, CalibrationBatch
 from .errors import ValidationError
 from .factorizer import GqaLayer, MlaFactors
@@ -30,7 +28,7 @@ PROFILE_FORMAT = "kvlatent-rank-profile"
 PROFILE_MODES = ("adjusted", "uniform")
 DOC_VERSION = 1
 _GEOMETRY = ("d_model", "n_heads", "head_dim", "n_groups")
-_TENSORS = ("w_q", "w_k_g", "w_v_g", "w_a_k", "w_b_k", "w_a_v", "w_b_v", "w_r_q", "w_r_k")
+_TENSORS = ("w_q", "w_k_g", "w_v_g", "w_a_k", "w_b_k", "w_a_v", "w_b_v")
 
 
 @dataclass(frozen=True)
@@ -51,10 +49,6 @@ class LayerEntry:
     w_b_k: str | None = None
     w_a_v: str | None = None
     w_b_v: str | None = None
-    rope_dim: int = 0
-    rope_base: float = 10000.0
-    w_r_q: str | None = None
-    w_r_k: str | None = None
 
 
 @dataclass(frozen=True)
@@ -83,14 +77,10 @@ def _entry_to_json(entry: LayerEntry) -> dict:
         "n_groups": entry.n_groups,
         "w_q": entry.w_q,
     }
-    for name in ("w_k_g", "w_v_g", "r_k", "r_v", "w_a_k", "w_b_k", "w_a_v", "w_b_v",
-                 "w_r_q", "w_r_k"):
+    for name in ("w_k_g", "w_v_g", "r_k", "r_v", "w_a_k", "w_b_k", "w_a_v", "w_b_v"):
         value = getattr(entry, name)
         if value is not None:
             doc[name] = value
-    if entry.rope_dim:
-        doc["rope_dim"] = entry.rope_dim
-        doc["rope_base"] = entry.rope_base
     return doc
 
 
@@ -182,19 +172,6 @@ def load_manifest(path) -> ModelManifest:
     )
 
 
-def with_rope(m: ModelManifest, rope_dim: int, adapter_paths) -> ModelManifest:
-    """Copy of a converted manifest whose layers carry rotary adapters.
-
-    adapter_paths holds one (w_r_q, w_r_k) pair of tensor paths per layer,
-    in layer order.
-    """
-    layers = tuple(
-        dataclasses.replace(entry, rope_dim=rope_dim, w_r_q=w_r_q, w_r_k=w_r_k)
-        for entry, (w_r_q, w_r_k) in zip(m.layers, adapter_paths, strict=True)
-    )
-    return dataclasses.replace(m, layers=layers)
-
-
 def _entry_from_json(raw, where: str) -> LayerEntry:
     if not isinstance(raw, dict):
         raise ValidationError(f"{where}: malformed layer entry {raw!r}")
@@ -213,13 +190,7 @@ def _entry_from_json(raw, where: str) -> LayerEntry:
     for name in ("r_k", "r_v"):
         if raw.get(name) is not None:
             ints[name] = _int(raw[name], f"{where}: {name}", minimum=1)
-    rope_dim = _int(raw.get("rope_dim", 0), f"{where}: rope_dim", minimum=0)
-    if rope_dim % 2:
-        raise ValidationError(f"{where}: rope_dim must be even, got {rope_dim}")
-    rope_base = raw.get("rope_base", 10000.0)
-    if not _is_number(rope_base) or not rope_base > 0:
-        raise ValidationError(f"{where}: rope_base must be a positive number, got {rope_base!r}")
-    return LayerEntry(**ints, **tensors, rope_dim=rope_dim, rope_base=float(rope_base))
+    return LayerEntry(**ints, **tensors)
 
 
 def _is_number(value) -> bool:
@@ -276,9 +247,8 @@ def load_gqa_layer(m: ModelManifest, base_dir, index: int) -> GqaLayer:
     )
 
 
-def load_mla_bundle(
-    m: ModelManifest, base_dir, index: int
-) -> tuple[MlaFactors, np.ndarray, RopeAdapters | None]:
+def load_mla_bundle(m: ModelManifest, base_dir, index: int) -> tuple[MlaFactors, np.ndarray]:
+    """One converted layer's latent factors and its query projection."""
     entry = m.layer(index)
     if m.model_kind != MODEL_KIND_MLA:
         raise ValidationError("manifest does not describe a converted model")
@@ -291,20 +261,7 @@ def load_mla_bundle(
         w_b_v=_load_tensor(base_dir, entry.w_b_v, (entry.r_v, full[1]), f"layer {index} w_b_v"),
     )
     w_q = _load_tensor(base_dir, entry.w_q, full, f"layer {index} w_q")
-    adapters = None
-    if entry.rope_dim:
-        if entry.w_r_q is None or entry.w_r_k is None:
-            raise ValidationError(f"layer {index} declares rope_dim but lacks adapters")
-        adapters = RopeAdapters(
-            w_r_q=_load_tensor(
-                base_dir, entry.w_r_q, (d, entry.n_heads * entry.rope_dim),
-                f"layer {index} w_r_q",
-            ),
-            w_r_k=_load_tensor(
-                base_dir, entry.w_r_k, (d, entry.rope_dim), f"layer {index} w_r_k"
-            ),
-        )
-    return factors, w_q, adapters
+    return factors, w_q
 
 
 def iter_batches(

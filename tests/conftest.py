@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from kvlatent.linalg import SvdResult, frobenius_norm_sq
 from kvlatent.rng import make_generator
 
 
@@ -52,3 +53,18 @@ def identity_whitener(dim: int):
     from kvlatent.calibration import WEIGHTING_COV, Whitener
 
     return Whitener(np.eye(dim), np.ones(dim), 1.0, WEIGHTING_COV)
+
+
+def truncate_svd(res, r: int):
+    """The top-r singular triplets of a linalg.SvdResult."""
+    return SvdResult(res.u[:, :r], res.singular_values[:r], res.v_t[:r, :])
+
+
+def reconstruct(res) -> np.ndarray:
+    """Multiply an SVD's factors back together: U diag(sigma) V^T."""
+    return (res.u * res.singular_values) @ res.v_t
+
+
+def whitened_error_sq(whitener, w, w_hat) -> float:
+    """||whitener @ (w - w_hat)||_F^2 against a raw whitener matrix."""
+    return frobenius_norm_sq(whitener @ (w - w_hat))

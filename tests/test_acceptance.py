@@ -11,7 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import covariance_of, gen, random_orthogonal
+from conftest import (
+    covariance_of, gen, random_orthogonal, reconstruct, truncate_svd, whitened_error_sq,
+)
 from kvlatent import calibration, ctf, linalg, manifest, scheduler
 from kvlatent.attention import AttentionConfig, gqa_forward, logit_drift, mla_forward
 from kvlatent.calibration import CalibrationBatch, ShrinkageParams
@@ -24,7 +26,6 @@ from kvlatent.factorizer import (
     kv_parity_rank,
     plain_factorize,
     replicate_groups,
-    whitened_error_sq,
 )
 from kvlatent.metrics import LogitSequence, LossParams, cross_entropy, kd_loss, total_loss
 from test_scheduler import naive_waterfill, random_table
@@ -79,7 +80,7 @@ def test_criterion_02_eckart_young_tail_energy():
             res = linalg.svd(a)
             total = linalg.frobenius_norm_sq(a)
             for r in range(1, res.singular_values.size + 1):
-                approx = linalg.reconstruct(linalg.truncate_svd(res, r))
+                approx = reconstruct(truncate_svd(res, r))
                 residual = linalg.frobenius_norm_sq(a - approx)
                 tail = float(np.sum(res.singular_values[r:] ** 2))
                 # 1e-12 * total floors the tolerance for the zero-tail full-rank case

@@ -119,8 +119,9 @@ def reference_mla(factors, w_q, config, x, adapters=None):
     scale_den = math.sqrt(d_h)
     if adapters is not None:
         d_r = config.rope_dim
-        q_rope = rope_rotate(x @ adapters.w_r_q, d_r, config.rope_base)
-        k_rope = rope_rotate(x @ adapters.w_r_k, d_r, config.rope_base)
+        # the DeepSeek-V2 / RoFormer frequency base, pinned independently
+        q_rope = rope_rotate(x @ adapters.w_r_q, d_r, 10000.0)
+        k_rope = rope_rotate(x @ adapters.w_r_k, d_r, 10000.0)
         extra = [q_h @ k_rope.T for q_h in _split_heads(q_rope, heads, d_r)]
         scale_den = math.sqrt(d_h + d_r)
     return reference_attention(

@@ -564,6 +564,23 @@ class TestEval:
         assert err.startswith("error: --rope-dim") and "Traceback" not in err
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize("rope_dim", [0, 4])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tau", 0, "tau must be positive"),
+        ("--beta", -1, "beta cannot be negative"),
+        ("--bytes-per-elem", 0, "--bytes-per-elem must be at least 1"),
+    ])
+    def test_bad_loss_or_byte_flag_writes_nothing(self, tmp_path, capsys, flag, value,
+                                                  message, rope_dim):
+        pipeline(tmp_path)
+        capsys.readouterr()
+        assert run("eval", "--source", tmp_path / "model/model.json",
+                   "--converted", tmp_path / "converted/converted.json",
+                   "--rope-dim", rope_dim, flag, value, "--out", tmp_path / "bad") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+        assert not (tmp_path / "bad").exists()
+
     @pytest.mark.parametrize("field, value", [
         ("r_k", "8"), ("r_k", 0), ("r_v", True), ("w_q", "../shared/wq0.ctf"),
         ("w_a_k", "/factors/layer000_w_a_k.ctf"),
@@ -616,7 +633,7 @@ class TestEval:
         report = json.loads((tmp_path / "eval/eval_report.json").read_text())
         converted = manifest.load_manifest(tmp_path / "converted/converted.json")
         for layer in report["layers"]:
-            factors, _, _ = manifest.load_mla_bundle(
+            factors, _ = manifest.load_mla_bundle(
                 converted, tmp_path / "converted", layer["layer"])
             assert layer["cache_width_mla"] == factors.cache_width == 6
             assert layer["cache_width_mla_rope"] == factors.cache_width + rope_dim
@@ -634,18 +651,45 @@ class TestEval:
                    "--seed", 3, "--rope-dim", 4, "--out", tmp_path / "patched") == 0
         assert tree_bytes(tmp_path / "patched") == tree_bytes(tmp_path / "eval")
 
-    def test_rope_artifacts(self, tmp_path):
+    def test_rope_eval_writes_only_the_report(self, tmp_path):
         pipeline(tmp_path, eval_args=("--seed", "0", "--rope-dim", "4"))
+        assert list(tree_bytes(tmp_path / "eval")) == ["eval_report.json"]
         report = json.loads((tmp_path / "eval/eval_report.json").read_text())
         for layer in report["layers"]:
             assert layer["cache_width_mla_rope"] == layer["cache_width_mla"] + 4
             assert layer["rope_scale_denominator"] == pytest.approx(np.sqrt(4 + 4))
-        rope_manifest = manifest.load_manifest(tmp_path / "eval/converted_with_rope.json")
-        factors, w_q, adapters = manifest.load_mla_bundle(
-            rope_manifest, tmp_path / "eval", 0
-        )
-        assert adapters is not None
-        assert adapters.w_r_k.shape == (16, 4)
+
+    def test_content_figures_do_not_depend_on_rope_dim(self, tmp_path):
+        # Below parity, so every drift, loss and residual is a live figure.
+        pipeline(tmp_path, schedule_args=("--mode", "uniform", "--rank", "3"),
+                 eval_args=("--seed", "3"))
+        assert run("eval", "--source", tmp_path / "model/model.json",
+                   "--converted", tmp_path / "converted/converted.json",
+                   "--seed", 3, "--rope-dim", 4, "--out", tmp_path / "rope") == 0
+        plain = json.loads((tmp_path / "eval/eval_report.json").read_text())
+        rope = json.loads((tmp_path / "rope/eval_report.json").read_text())
+        assert len(rope["layers"]) == 2
+        for layer_plain, layer_rope in zip(plain["layers"], rope["layers"]):
+            assert layer_plain["losses"]["kd"] > 0.0
+            assert layer_rope.pop("cache_width_mla_rope") == layer_plain["cache_width_mla"] + 4
+            assert layer_rope.pop("rope_scale_denominator") == 8.0**0.5
+            assert json.dumps(layer_rope) == json.dumps(layer_plain)
+        assert rope["max_logit_drift"] == plain["max_logit_drift"]
+
+    def test_cache_per_token_line_sums_every_layer(self, tmp_path, capsys):
+        pipeline(tmp_path, schedule_args=("--budget-k", "11", "--budget-v", "12",
+                                          "--min-rank", "1"),
+                 eval_args=("--seed", "0", "--rope-dim", "2", "--bytes-per-elem", "4"))
+        out = capsys.readouterr().out
+        report = json.loads((tmp_path / "eval/eval_report.json").read_text())
+        widths = [layer["cache_width_mla"] for layer in report["layers"]]
+        assert len(set(widths)) == 2, widths
+        gqa = sum(layer["cache_width_gqa"] for layer in report["layers"])
+        mla = sum(layer["cache_width_mla_rope"] for layer in report["layers"])
+        assert mla == sum(widths) + 2 * 2
+        assert f"cache per token, 2 layers: gqa={gqa} mla={mla} (incl. rope 2 per layer)" in out
+        totals = report["totals"]
+        assert (totals["gqa_bytes"], totals["mla_bytes"]) == (gqa * 8 * 4, mla * 8 * 4)
 
 
 def assert_close_tree(got, want, rel, path="report"):
@@ -670,14 +714,10 @@ def reference_eval_layers(root: Path, seed: int, rope_dim: int) -> list[dict]:
     layers = []
     for layer in range(len(source.layers)):
         gqa = manifest.load_gqa_layer(source, root / "model", layer)
-        factors, w_q, _ = manifest.load_mla_bundle(converted, root / "converted", layer)
+        factors, w_q = manifest.load_mla_bundle(converted, root / "converted", layer)
         d, t = gqa.d_model, source.seq_len
         x = rng.standard_normal((t, d))
         targets = rng.integers(0, d, size=t)
-        w_r_q = rng.standard_normal((d, gqa.n_heads * rope_dim)) / np.sqrt(d)
-        w_r_k = rng.standard_normal((d, rope_dim)) / np.sqrt(d)
-        assert np.array_equal(ctf.read_ctf(root / f"eval/rope/layer{layer:03d}_w_r_q.ctf"), w_r_q)
-        assert np.array_equal(ctf.read_ctf(root / f"eval/rope/layer{layer:03d}_w_r_k.ctf"), w_r_k)
 
         logits_g, _, out_g = reference_gqa(gqa, x)
         config = AttentionConfig(d, gqa.n_heads, gqa.head_dim)
@@ -759,13 +799,13 @@ class TestEvalMemory:
         score_bytes = layer.n_heads * t * t * 8
         tracemalloc.start()
         try:
-            report, adapters = cli._eval_layer(
+            report = cli._eval_layer(
                 0, layer, factors, layer.w_q, batches, rng, t, metrics.LossParams(), 4
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert adapters is not None and report["cache_width_mla_rope"] == 3 + 4 + 4
+        assert report["cache_width_mla_rope"] == 3 + 4 + 4
         assert peak < score_bytes, (peak, score_bytes)
 
 
@@ -812,6 +852,22 @@ class TestAblate:
         doc = json.loads((tmp_path / "ab.json").read_text())
         assert doc["weight_residual_sq"] <= 1e-20
         assert doc["logit_drift_max"] <= 1e-10
+
+    @pytest.mark.parametrize("kind", ["K", "V"])
+    def test_output_drift_reported(self, tmp_path, capsys, kind):
+        model = gen_model(tmp_path / "m", seed=1)
+        capsys.readouterr()
+        assert run("ablate", "--manifest", model, "--layer", 0, "--kind", kind,
+                   "--index", 1, "--out", tmp_path / "ab.json") == 0
+        out = capsys.readouterr().out
+        doc = json.loads((tmp_path / "ab.json").read_text())
+        assert f"output drift: max={doc['output_drift_max']:.6e}" in out
+        assert doc["output_drift_max"] > 0.0
+        if kind == "V":
+            # V never enters the logits
+            assert doc["logit_drift_max"] == doc["logit_drift_frob"] == 0.0
+        else:
+            assert doc["logit_drift_max"] > 0.0 and doc["logit_drift_frob"] > 0.0
 
     def test_deterministic(self, tmp_path):
         model = gen_model(tmp_path / "m")

@@ -8,6 +8,9 @@ from conftest import (
     identity_whitener,
     random_orthogonal,
     random_psd,
+    reconstruct,
+    truncate_svd,
+    whitened_error_sq,
 )
 from kvlatent import calibration, linalg, scheduler
 from kvlatent.calibration import WHITENER_FLOOR_REL, Whitener
@@ -26,7 +29,6 @@ from kvlatent.factorizer import (
     lift_gain,
     plain_factorize,
     replicate_groups,
-    whitened_error_sq,
 )
 
 
@@ -73,7 +75,7 @@ def reference_care_factorize(w, s, r):
     unwhiten = (eig.eigenvectors / eig.eigenvalues) @ eig.eigenvectors.T
     unwhiten = (unwhiten + unwhiten.T) / 2.0
     full = linalg.svd(s @ w)
-    top = linalg.truncate_svd(full, r)
+    top = truncate_svd(full, r)
     w_a = unwhiten @ (top.u * top.singular_values)
     w_b = top.v_t.copy()
     w_hat = w_a @ w_b
@@ -191,7 +193,7 @@ class TestCareFactorize:
         pair, report = care_factorize(w, s, 5)
         w_hat = pair.w_a @ pair.w_b
         whitened = linalg.svd(s.matrix @ w)
-        expected = np.linalg.inv(s.matrix) @ linalg.reconstruct(linalg.truncate_svd(whitened, 5))
+        expected = np.linalg.inv(s.matrix) @ reconstruct(truncate_svd(whitened, 5))
         assert np.allclose(w_hat, expected, rtol=1e-9, atol=1e-12)
         assert report.rank_used == 5
 

@@ -39,6 +39,22 @@ def small_gqa_manifest(tmp_path, rng, d=8, n_heads=2, n_groups=1, batches=2, seq
     return m
 
 
+def small_mla_manifest(tmp_path, rng, d=8, n_heads=2, r=3):
+    """One converted layer of rank r in K and V, with its tensors written."""
+    names = {"w_q": (d, d), "w_a_k": (d, r), "w_b_k": (r, d), "w_a_v": (d, r), "w_b_v": (r, d)}
+    for name, shape in names.items():
+        ctf.write_ctf(tmp_path / f"{name}.ctf", rng.standard_normal(shape))
+    entry = manifest.LayerEntry(
+        layer=0, d_model=d, n_heads=n_heads, head_dim=d // n_heads, n_groups=1,
+        w_q="w_q.ctf", r_k=r, r_v=r,
+        w_a_k="w_a_k.ctf", w_b_k="w_b_k.ctf", w_a_v="w_a_v.ctf", w_b_v="w_b_v.ctf",
+    )
+    return manifest.ModelManifest(
+        model_kind=manifest.MODEL_KIND_MLA, weighting="sqrtC", alpha=0.01,
+        lam=0.5, seq_len=4, layers=(entry,),
+    )
+
+
 class TestModelManifest:
     def test_round_trip(self, tmp_path):
         rng = gen(701)
@@ -97,35 +113,32 @@ class TestModelManifest:
         with pytest.raises(ValidationError, match="no calibration data"):
             manifest.load_batches(m, tmp_path, 5)
 
-    def test_mla_round_trip_with_rope(self, tmp_path):
-        rng = gen(708)
-        d, n_heads, head_dim, r = 8, 2, 4, 3
-        d_r = 2
-        names = {
-            "w_q": (d, d), "w_a_k": (d, r), "w_b_k": (r, d),
-            "w_a_v": (d, r), "w_b_v": (r, d),
-            "w_r_q": (d, n_heads * d_r), "w_r_k": (d, d_r),
-        }
-        for name, shape in names.items():
-            ctf.write_ctf(tmp_path / f"{name}.ctf", rng.standard_normal(shape))
-        entry = manifest.LayerEntry(
-            layer=0, d_model=d, n_heads=n_heads, head_dim=head_dim, n_groups=1,
-            w_q="w_q.ctf", r_k=r, r_v=r,
-            w_a_k="w_a_k.ctf", w_b_k="w_b_k.ctf", w_a_v="w_a_v.ctf", w_b_v="w_b_v.ctf",
-            rope_dim=d_r, w_r_q="w_r_q.ctf", w_r_k="w_r_k.ctf",
-        )
-        m = manifest.ModelManifest(
-            model_kind=manifest.MODEL_KIND_MLA, weighting="sqrtC", alpha=0.01,
-            lam=0.5, seq_len=4, layers=(entry,),
-        )
+    def test_mla_round_trip(self, tmp_path):
+        m = small_mla_manifest(tmp_path, gen(708))
         manifest.save_manifest(m, tmp_path / "converted.json")
         loaded = manifest.load_manifest(tmp_path / "converted.json")
         assert loaded == m
-        factors, w_q, adapters = manifest.load_mla_bundle(loaded, tmp_path, 0)
-        assert factors.r_k == r and factors.r_v == r
-        assert w_q.shape == (d, d)
-        assert adapters is not None
-        assert adapters.w_r_q.shape == (d, n_heads * d_r)
+        factors, w_q = manifest.load_mla_bundle(loaded, tmp_path, 0)
+        assert factors.r_k == 3 and factors.r_v == 3
+        assert w_q.shape == (8, 8)
+
+    def test_old_rope_keys_load_as_plain_converted_manifest(self, tmp_path):
+        # Manifests once carried rotary adapters per layer; those keys are
+        # now unknown, so they are ignored like any other.
+        m = small_mla_manifest(tmp_path, gen(709))
+        manifest.save_manifest(m, tmp_path / "converted.json")
+        doc = json.loads((tmp_path / "converted.json").read_text())
+        doc["layers"][0].update(
+            rope_dim=2, rope_base=10000.0, w_r_q="w_r_q.ctf", w_r_k="w_r_k.ctf"
+        )
+        (tmp_path / "old.json").write_text(json.dumps(doc))
+        loaded = manifest.load_manifest(tmp_path / "old.json")
+        assert loaded == m
+        factors, w_q = manifest.load_mla_bundle(loaded, tmp_path, 0)
+        assert factors.cache_width == 6 and w_q.shape == (8, 8)
+        manifest.save_manifest(loaded, tmp_path / "resaved.json")
+        assert (tmp_path / "resaved.json").read_bytes() == (
+            tmp_path / "converted.json").read_bytes()
 
 
 class TestRankProfileFile:
