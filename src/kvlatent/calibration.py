@@ -186,20 +186,27 @@ class Whitener:
             raise NumericalError("singular whitener: apply shrinkage before factorizing")
 
 
-def build_whitener(c, params: ShrinkageParams, weighting: str = WEIGHTING_SQRT) -> Whitener:
-    """The shrunk whitener of covariance `c`, from one eigendecomposition.
+def whitener_from_eig(eig: linalg.EigResult, params: ShrinkageParams,
+                      weighting: str = WEIGHTING_SQRT) -> Whitener:
+    """The shrunk whitener of a covariance, from its eigendecomposition.
 
-    weighting "sqrtC" (default) shrinks the PSD square root of C; "C" uses
-    the covariance itself, shrunk the same way with its own auto scale.
-    Both refuse a C that is not PSD beyond rounding noise.
+    `eig` is `linalg.sym_eig` of C: raw eigenvalues, non-increasing, before
+    any PSD clamp. weighting "sqrtC" (default) shrinks the PSD square root
+    of C; "C" uses the covariance itself, shrunk the same way with its own
+    auto scale. Both refuse a C that is not PSD beyond rounding noise.
     """
     if weighting not in WEIGHTINGS:
         raise ValidationError(f"unknown weighting {weighting!r}; expected one of {WEIGHTINGS}")
-    eig, clamped = linalg.psd_eig(c)
-    base = np.sqrt(eig.eigenvalues) if weighting == WEIGHTING_SQRT else eig.eigenvalues
+    vals, clamped = linalg.clamp_psd(eig.eigenvalues)
+    base = np.sqrt(vals) if weighting == WEIGHTING_SQRT else vals
     lam = _lambda_for(params, float(np.mean(base)))
     shrunk = (1.0 - params.alpha) * base + params.alpha * lam
     return Whitener(eig.eigenvectors, shrunk, lam, weighting, clamped)
+
+
+def build_whitener(c, params: ShrinkageParams, weighting: str = WEIGHTING_SQRT) -> Whitener:
+    """The shrunk whitener of covariance `c`, from one eigendecomposition."""
+    return whitener_from_eig(linalg.sym_eig(c), params, weighting)
 
 
 def whitening_operator(c, params: ShrinkageParams, weighting: str = WEIGHTING_SQRT) -> np.ndarray:

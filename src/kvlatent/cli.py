@@ -7,6 +7,7 @@ tensor paths are stored relative to their manifest. Exit codes: 0 success,
 """
 
 import argparse
+import contextlib
 import dataclasses
 import shutil
 import sys
@@ -34,9 +35,12 @@ def _cov_name(layer: int) -> str:
     return f"layer{layer:03d}_cov.ctf"
 
 
-def _whitener_for_layer(m: manifest.ModelManifest, cov_dir, layer: int,
-                        params: calibration.ShrinkageParams,
-                        weighting: str) -> calibration.Whitener:
+def _eig_dir(profile_path: Path) -> Path:
+    """The directory next to a profile that holds its layers' eigenpairs."""
+    return profile_path.with_name(profile_path.stem + "_eig")
+
+
+def _read_covariance(m: manifest.ModelManifest, cov_dir, layer: int) -> np.ndarray:
     c = ctf.read_ctf(Path(cov_dir) / _cov_name(layer))
     entry = m.layer(layer)
     if c.shape != (entry.d_model, entry.d_model):
@@ -44,7 +48,41 @@ def _whitener_for_layer(m: manifest.ModelManifest, cov_dir, layer: int,
             f"covariance for layer {layer} has shape {c.shape}, "
             f"expected ({entry.d_model}, {entry.d_model})"
         )
-    return calibration.build_whitener(c, params, weighting)
+    return c
+
+
+def _whitener_for_layer(m: manifest.ModelManifest, cov_dir, layer: int,
+                        params: calibration.ShrinkageParams, weighting: str,
+                        record: manifest.EigenRecord | None,
+                        profile_dir: Path) -> calibration.Whitener:
+    """One layer's whitener, from the eigenpairs `schedule` stored if they
+    are this covariance's.
+
+    The covariance is always read and checked. Its stored eigenpairs are
+    used when the record's digest matches its bytes and they pass
+    linalg.check_eig; otherwise it is decomposed here.
+    """
+    c = _read_covariance(m, cov_dir, layer)
+    if record is not None and record.cov_sha256 == manifest.covariance_digest(c):
+        eig = manifest.load_eigenpairs(record, profile_dir, c.shape[0])
+        linalg.check_eig(c, eig)
+    else:
+        eig = linalg.sym_eig(c)
+    return calibration.whitener_from_eig(eig, params, weighting)
+
+
+@contextlib.contextmanager
+def _staged_dir(final: Path):
+    """A fresh sibling of `final` to fill, removed if the block raises."""
+    staged = final.with_name(final.name + ".partial")
+    if staged.exists():
+        shutil.rmtree(staged)
+    staged.mkdir()
+    try:
+        yield staged
+    except BaseException:
+        shutil.rmtree(staged, ignore_errors=True)
+        raise
 
 
 def _parse_lambda(text: str):
@@ -204,14 +242,53 @@ def cmd_schedule(args) -> None:
     base = Path(args.manifest).parent
     params = calibration.ShrinkageParams(m.alpha, m.lam)
 
+    out = Path(args.out)
+    eig_dir = _eig_dir(out)
+    with _staged_dir(eig_dir) as staged:
+        table, records = _layer_spectra(m, base, args.cov_dir, params, staged, eig_dir.name)
+        profile = _plan_ranks(args, table)
+    # The old profile goes before its eigenpairs, and the new profile is
+    # written last, so no profile ever names files of another run.
+    out.unlink(missing_ok=True)
+    if eig_dir.exists():
+        shutil.rmtree(eig_dir)
+    staged.rename(eig_dir)
+    manifest.save_profile(profile, out, mode=args.mode, eigen=records)
+    print(f"mode={args.mode} budgets K={profile.budget_k} V={profile.budget_v} "
+          f"min_rank={profile.min_rank}")
+    for layer in table.layers(scheduler.KIND_K):
+        print(f"layer {layer}: K={profile.ranks[(layer, scheduler.KIND_K)]} "
+              f"V={profile.ranks[(layer, scheduler.KIND_V)]}")
+    print(f"profile: {args.out}")
+
+
+def _layer_spectra(m: manifest.ModelManifest, base: Path, cov_dir,
+                   params: calibration.ShrinkageParams, eig_out: Path, eig_rel: str,
+                   ) -> tuple[scheduler.SpectrumTable, tuple[manifest.EigenRecord, ...]]:
+    """Each layer's whitened K/V spectra, from one eigendecomposition of its
+    covariance, which is written to `eig_out` once the PSD check passes."""
     table = scheduler.SpectrumTable()
+    records = []
     for layer in range(len(m.layers)):
-        whitener = _whitener_for_layer(m, args.cov_dir, layer, params, m.weighting)
+        c = _read_covariance(m, cov_dir, layer)
+        eig = linalg.sym_eig(c)
+        whitener = calibration.whitener_from_eig(eig, params, m.weighting)
+        paths = {}
+        for part in ("eigenvalues", "eigenvectors"):
+            name = f"layer{layer:03d}_{part}.ctf"
+            ctf.write_ctf(eig_out / name, getattr(eig, part))
+            paths[part] = f"{eig_rel}/{name}"
+        records.append(manifest.EigenRecord(layer, manifest.covariance_digest(c), **paths))
         gqa = manifest.load_gqa_layer(m, base, layer)
         # The head-width weight's spectrum is this grouped one times the lift
         # gain, plus zeros; water-filling is invariant to that scale.
         for kind, w_g in ((scheduler.KIND_K, gqa.w_k_g), (scheduler.KIND_V, gqa.w_v_g)):
             table.add(layer, kind, scheduler.whitened_spectrum(whitener.factor, w_g))
+    return table, tuple(records)
+
+
+def _plan_ranks(args, table: scheduler.SpectrumTable) -> scheduler.RankProfile:
+    """The rank profile the schedule flags ask for."""
     # Each full rank is the grouped width, so the totals are KV parity.
     full_totals = {
         kind: sum(table.full_rank(l, kind) for l in table.layers(kind))
@@ -248,12 +325,7 @@ def cmd_schedule(args) -> None:
         k_ranks = scheduler.waterfill(table, scheduler.KIND_K, budget_k, min_rank)
         v_ranks = scheduler.waterfill(table, scheduler.KIND_V, budget_v, min_rank)
 
-    profile = scheduler.build_profile(table, k_ranks, v_ranks, budget_k, budget_v, min_rank)
-    manifest.save_profile(profile, args.out, mode=args.mode)
-    print(f"mode={args.mode} budgets K={budget_k} V={budget_v} min_rank={min_rank}")
-    for layer in table.layers(scheduler.KIND_K):
-        print(f"layer {layer}: K={k_ranks[layer]} V={v_ranks[layer]}")
-    print(f"profile: {args.out}")
+    return scheduler.build_profile(table, k_ranks, v_ranks, budget_k, budget_v, min_rank)
 
 
 # ---------------------------------------------------------------- convert
@@ -261,7 +333,8 @@ def cmd_schedule(args) -> None:
 def cmd_convert(args) -> None:
     m = manifest.load_manifest(args.manifest)
     base = Path(args.manifest).parent
-    profile, _ = manifest.load_profile(args.profile)
+    profile, _, eigen = manifest.load_profile(args.profile)
+    profile_dir = Path(args.profile).parent
     weighting = args.weighting if args.weighting else m.weighting
     alpha = args.alpha if args.alpha is not None else m.alpha
     lam = _parse_lambda(args.lam) if args.lam is not None else m.lam
@@ -275,7 +348,9 @@ def cmd_convert(args) -> None:
     report_layers = []
     for layer in range(len(m.layers)):
         entry = m.layer(layer)
-        whitener = _whitener_for_layer(m, args.cov_dir, layer, params, weighting)
+        whitener = _whitener_for_layer(
+            m, args.cov_dir, layer, params, weighting, eigen.get(layer), profile_dir
+        )
         gqa = manifest.load_gqa_layer(m, base, layer)
         r_k = profile.rank(layer, scheduler.KIND_K)
         r_v = profile.rank(layer, scheduler.KIND_V)
@@ -564,6 +639,8 @@ def cmd_kv_report(args) -> None:
 # ---------------------------------------------------------------- ablate
 
 def cmd_ablate(args) -> None:
+    if args.seq_len is not None and args.seq_len < 1:
+        raise ValidationError(f"--seq-len must be a positive integer, got {args.seq_len}")
     m = manifest.load_manifest(args.manifest)
     base = Path(args.manifest).parent
     if args.kind not in scheduler.KINDS:
@@ -574,7 +651,7 @@ def cmd_ablate(args) -> None:
     weight_residual = linalg.frobenius_norm_sq(w - ablated_w)
     name = "w_k_g" if args.kind == scheduler.KIND_K else "w_v_g"
     ablated_layer = dataclasses.replace(gqa, **{name: ablated_w})
-    t = args.seq_len if args.seq_len else m.seq_len
+    t = args.seq_len if args.seq_len is not None else m.seq_len
     x = make_generator(args.seed).standard_normal((t, gqa.d_model))
     # V never enters the logits, so a V ablation shows only in the output.
     drift, output, output_ablated = attention.compare(

@@ -48,10 +48,13 @@ def write_ctf(path, array, dtype_code: int = DTYPE_F64) -> None:
         raise ValidationError(f"refusing to serialize {arr.ndim} dims; at most {MAX_NDIM}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("refusing to serialize non-finite values")
-    parts = [_HEADER.pack(MAGIC, VERSION, dtype_code, arr.ndim)]
-    parts.extend(_DIM.pack(d) for d in arr.shape)
-    parts.append(np.ascontiguousarray(arr, dtype=_NP_DTYPES[dtype_code]).tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    header = _HEADER.pack(MAGIC, VERSION, dtype_code, arr.ndim) + b"".join(
+        _DIM.pack(d) for d in arr.shape
+    )
+    payload = np.ascontiguousarray(arr, dtype=_NP_DTYPES[dtype_code])
+    with open(path, "wb") as out:
+        out.write(header)
+        out.write(payload.data)
 
 
 def read_ctf_ex(path) -> tuple[np.ndarray, int]:

@@ -11,11 +11,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from .rng import make_generator
 
 # Relative symmetry slack accepted before symmetrizing internally.
 SYMMETRY_TOL = 1e-8
 # Negative eigenvalues above -PSD_CLAMP_REL * lambda_max count as rounding noise.
 PSD_CLAMP_REL = 1e-8
+# A supplied eigendecomposition whose probe residuals exceed this relative
+# size is refused by check_eig.
+EIG_CHECK_TOL = 1e-8
+# Number and seed of the fixed probe vectors check_eig multiplies by.
+_EIG_PROBES = 4
+_EIG_PROBE_SEED = 0
 # Entries below this magnitude are ignored when picking the sign anchor of a
 # singular vector.
 _SIGN_EPS = 1e-12
@@ -52,55 +59,111 @@ def sym_eig(s) -> EigResult:
     """Eigendecomposition of a symmetric matrix, eigenvalues non-increasing.
 
     Sign convention: in each eigenvector the entry of largest magnitude is
-    made positive, ties broken by lowest row index. The input is symmetrized
-    as (S + S^T)/2 before decomposing.
+    made positive, ties broken by lowest row index. A nearly symmetric input
+    is symmetrized as (S + S^T)/2 before decomposing; an exactly symmetric
+    one is decomposed as it is, since (S + S^T)/2 is then S bit for bit.
+    The eigenvectors come back C-contiguous.
     """
     s = as_matrix(s, "s")
     if s.shape[0] != s.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {s.shape}")
-    scale = max(1.0, float(np.max(np.abs(s))) if s.size else 0.0)
-    if s.size and float(np.max(np.abs(s - s.T))) > SYMMETRY_TOL * scale:
-        raise ValidationError("input is not symmetric")
-    sym = (s + s.T) / 2.0
+    if s.size:
+        # s - s.T is exactly antisymmetric, so its max is its largest magnitude.
+        asym = float(np.max(s - s.T))
+        scale = max(1.0, float(np.max(s)), -float(np.min(s)))
+        if asym > SYMMETRY_TOL * scale:
+            raise ValidationError("input is not symmetric")
+        if asym > 0.0:
+            s = (s + s.T) / 2.0
     try:
-        vals, vecs = np.linalg.eigh(sym)
+        vals, vecs = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from None
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    _anchor_eig_signs(vecs)
-    return EigResult(vals, vecs)
+    signs = _eig_signs(vecs)
+    # Reverse to non-increasing order and anchor the signs in one pass.
+    anchored = np.empty(vecs.shape)
+    np.multiply(vecs[:, ::-1], signs[::-1], out=anchored)
+    return EigResult(vals[::-1].copy(), anchored)
 
 
-def _anchor_eig_signs(vecs: np.ndarray) -> None:
-    """Flip columns in place so each column's entry of largest magnitude
-    (lowest row on ties) is positive."""
-    if vecs.size:
-        anchor = np.argmax(np.abs(vecs), axis=0)
-        vecs *= np.where(vecs[anchor, np.arange(vecs.shape[1])] < 0.0, -1.0, 1.0)
+def _eig_signs(vecs: np.ndarray) -> np.ndarray:
+    """+1 or -1 per column: the sign that makes the column's entry of
+    largest magnitude (lowest row on ties) positive.
 
-
-def psd_eig(s) -> tuple[EigResult, int]:
-    """Eigendecomposition of a symmetric PSD matrix, with the clamp count.
-
-    Eigenvalues in [-PSD_CLAMP_REL * lambda_max, 0) are clamped to zero and
-    counted; anything more negative means the input is genuinely not PSD.
+    A column whose largest positive and negative entries differ in
+    magnitude takes its sign from the column max and min; only columns
+    where they tie are searched row by row.
     """
-    res = sym_eig(s)
-    vals = res.eigenvalues
+    signs = np.ones(vecs.shape[1])
+    if vecs.size:
+        top = np.max(vecs, axis=0)
+        bottom = -np.min(vecs, axis=0)
+        signs[bottom > top] = -1.0
+        for j in np.flatnonzero(bottom == top):
+            col = vecs[:, j]
+            if col[np.argmax(np.abs(col))] < 0.0:
+                signs[j] = -1.0
+    return signs
+
+
+def check_eig(s, eig: EigResult) -> None:
+    """Refuse an eigendecomposition that is not one of `s`.
+
+    A probe instead of a second decomposition: for fixed probe vectors z,
+    ||S Q z - Q (diag(eigenvalues) z)|| must stay within EIG_CHECK_TOL of
+    lambda_max ||z|| and ||Q^T Q z - z|| within EIG_CHECK_TOL of ||z||, and
+    the eigenvalues must be non-increasing. This costs four products of an
+    n x n matrix with n x 4 probes. Anything else raises ValidationError.
+    """
+    s = as_matrix(s, "s")
+    q = as_matrix(eig.eigenvectors, "eigenvectors")
+    vals = np.asarray(eig.eigenvalues, dtype=np.float64)
+    n = s.shape[0]
+    if s.shape != (n, n) or q.shape != (n, n) or vals.shape != (n,):
+        raise ValidationError(
+            f"eigenpairs {vals.shape}, {q.shape} do not match a matrix of shape {s.shape}"
+        )
+    if np.any(vals[1:] > vals[:-1]):
+        raise ValidationError("eigenvalues are not in non-increasing order")
+    z = make_generator(_EIG_PROBE_SEED).standard_normal((n, _EIG_PROBES))
+    qz = q @ z
+    z_norm = float(np.linalg.norm(z))
+    lam_max = float(np.max(np.abs(vals))) if n else 0.0
+    residual = float(np.linalg.norm(s @ qz - q @ (vals[:, None] * z)))
+    if residual > EIG_CHECK_TOL * lam_max * z_norm:
+        raise ValidationError(
+            f"eigenpairs do not decompose the matrix: probe residual {residual:.3e} "
+            f"against lambda_max {lam_max:.3e}"
+        )
+    drift = float(np.linalg.norm(q.T @ qz - z))
+    if drift > EIG_CHECK_TOL * z_norm:
+        raise ValidationError(
+            f"eigenvectors are not orthonormal: probe residual {drift / z_norm:.3e}"
+        )
+
+
+def clamp_psd(eigenvalues: np.ndarray) -> tuple[np.ndarray, int]:
+    """Non-increasing eigenvalues of a PSD matrix with rounding noise
+    clamped, and the number clamped.
+
+    Eigenvalues in [-PSD_CLAMP_REL * lambda_max, 0) are set to zero and
+    counted; anything more negative means the matrix is genuinely not PSD.
+    """
+    vals = eigenvalues
     lam_max = max(float(vals[0]) if vals.size else 0.0, 0.0)
     if vals.size and float(vals[-1]) < -PSD_CLAMP_REL * lam_max:
         raise NumericalError(
             f"matrix is not PSD: eigenvalue {vals[-1]:g} below clamp threshold"
         )
     clamped = int(np.count_nonzero(vals < 0.0))
-    return EigResult(np.clip(vals, 0.0, None), res.eigenvectors), clamped
+    return np.clip(vals, 0.0, None), clamped
 
 
 def sqrt_psd(s) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition (clamped as in psd_eig)."""
-    res, _ = psd_eig(s)
-    root = (res.eigenvectors * np.sqrt(res.eigenvalues)) @ res.eigenvectors.T
+    """Symmetric PSD square root via eigendecomposition (clamped by clamp_psd)."""
+    res = sym_eig(s)
+    vals, _ = clamp_psd(res.eigenvalues)
+    root = (res.eigenvectors * np.sqrt(vals)) @ res.eigenvectors.T
     return (root + root.T) / 2.0
 
 

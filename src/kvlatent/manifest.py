@@ -2,15 +2,19 @@
 
 Two document kinds exist: model manifests (source layers or converted
 latent factors, plus calibration batch listings and whitening settings) and
-rank-profile files. All documents are written with sorted keys and no
-timestamps so reruns are byte-identical; every tensor path is stored
+rank-profile files, which may also record where each layer's covariance
+eigendecomposition is stored. All documents are written with sorted keys
+and no timestamps so reruns are byte-identical; every tensor path is stored
 relative to the manifest's directory.
 """
 
+import hashlib
 import json
+import os
 import posixpath
+import re
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +23,7 @@ from . import ctf
 from .calibration import WEIGHTINGS, CalibrationBatch
 from .errors import ValidationError
 from .factorizer import GqaLayer, MlaFactors
+from .linalg import EigResult
 from .scheduler import KINDS, RankProfile
 
 MODEL_KIND_GQA = "gqa"
@@ -29,6 +34,7 @@ PROFILE_MODES = ("adjusted", "uniform")
 DOC_VERSION = 1
 _GEOMETRY = ("d_model", "n_heads", "head_dim", "n_groups")
 _TENSORS = ("w_q", "w_k_g", "w_v_g", "w_a_k", "w_b_k", "w_a_v", "w_b_v")
+_SHA256 = re.compile(r"[0-9a-f]{64}")
 
 
 @dataclass(frozen=True)
@@ -289,7 +295,38 @@ def load_batches(
     return list(iter_batches(m, base_dir, layer, batches_dir))
 
 
-def save_profile(profile: RankProfile, path, mode: str = "adjusted") -> None:
+@dataclass(frozen=True)
+class EigenRecord:
+    """Where one layer's covariance eigendecomposition is stored.
+
+    `cov_sha256` is the sha256 of the float64 bytes of the covariance that
+    was decomposed; `eigenvalues` (raw, non-increasing, before the PSD
+    clamp) and `eigenvectors` are `.ctf` paths relative to the profile's
+    directory.
+    """
+
+    layer: int
+    cov_sha256: str
+    eigenvalues: str
+    eigenvectors: str
+
+
+def covariance_digest(c: np.ndarray) -> str:
+    """The sha256 an EigenRecord keeps of a covariance's float64 bytes."""
+    return hashlib.sha256(np.ascontiguousarray(c, dtype=np.float64)).hexdigest()
+
+
+def load_eigenpairs(record: EigenRecord, base_dir, dim: int) -> EigResult:
+    """Read the eigendecomposition a record names, checking its shapes."""
+    what = f"layer {record.layer}"
+    return EigResult(
+        _load_tensor(base_dir, record.eigenvalues, (dim,), f"{what} eigenvalues"),
+        _load_tensor(base_dir, record.eigenvectors, (dim, dim), f"{what} eigenvectors"),
+    )
+
+
+def save_profile(profile: RankProfile, path, mode: str = "adjusted",
+                 eigen: tuple[EigenRecord, ...] = ()) -> None:
     entries = []
     for (layer, kind) in sorted(profile.ranks):
         entries.append(
@@ -309,10 +346,21 @@ def save_profile(profile: RankProfile, path, mode: str = "adjusted") -> None:
         "budget_v": profile.budget_v,
         "entries": entries,
     }
-    write_json(path, doc)
+    if eigen:
+        doc["eigen"] = [asdict(r) for r in sorted(eigen, key=lambda r: r.layer)]
+    # Through a temporary sibling and a rename, so `path` never holds a
+    # half-written profile.
+    partial = Path(path).with_name(Path(path).name + ".partial")
+    write_json(partial, doc)
+    os.replace(partial, path)
 
 
-def load_profile(path) -> tuple[RankProfile, str]:
+def load_profile(path) -> tuple[RankProfile, str, dict[int, EigenRecord]]:
+    """Read a rank profile, its mode and its eigendecomposition records.
+
+    The records map layer -> EigenRecord. A profile without an `eigen` key
+    has none; one with it must record every layer of the profile once.
+    """
     doc = _read_json(path)
     _expect(doc, "format", PROFILE_FORMAT, path)
     _expect(doc, "version", DOC_VERSION, path)
@@ -346,7 +394,43 @@ def load_profile(path) -> tuple[RankProfile, str]:
     mode = doc.get("mode", "adjusted")
     if mode not in PROFILE_MODES:
         raise ValidationError(f"{path}: mode must be one of {PROFILE_MODES}, got {mode!r}")
-    return profile, mode
+    layers = {layer for layer, _ in ranks}
+    return profile, mode, _eigen_records(doc, layers, path)
+
+
+def _eigen_records(doc: dict, layers: set[int], path) -> dict[int, EigenRecord]:
+    if "eigen" not in doc:
+        return {}
+    raw_records = doc["eigen"]
+    if not isinstance(raw_records, list):
+        raise ValidationError(f"{path}: eigen must be a list")
+    records = {}
+    for raw in raw_records:
+        if not isinstance(raw, dict):
+            raise ValidationError(f"{path}: malformed eigen record {raw!r}")
+        layer = _int(raw.get("layer"), f"{path}: eigen layer", minimum=0)
+        if layer not in layers or layer in records:
+            raise ValidationError(
+                f"{path}: eigen record for layer {layer} is not one of the "
+                f"profile's layers, or repeats one"
+            )
+        digest = raw.get("cov_sha256")
+        if not isinstance(digest, str) or not _SHA256.fullmatch(digest):
+            raise ValidationError(
+                f"{path}: eigen cov_sha256 must be 64 lowercase hex digits, got {digest!r}"
+            )
+        records[layer] = EigenRecord(
+            layer,
+            digest,
+            _tensor_path(raw.get("eigenvalues"), f"{path}: eigen eigenvalues"),
+            _tensor_path(raw.get("eigenvectors"), f"{path}: eigen eigenvectors"),
+        )
+    if set(records) != layers:
+        raise ValidationError(
+            f"{path}: eigen records cover layers {sorted(records)}, "
+            f"the profile has {sorted(layers)}"
+        )
+    return records
 
 
 def write_json(path, doc) -> None:

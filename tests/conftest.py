@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from kvlatent.linalg import SvdResult, frobenius_norm_sq
+from kvlatent.linalg import EigResult, SvdResult, as_matrix, frobenius_norm_sq
 from kvlatent.rng import make_generator
 
 
@@ -68,3 +68,18 @@ def reconstruct(res) -> np.ndarray:
 def whitened_error_sq(whitener, w, w_hat) -> float:
     """||whitener @ (w - w_hat)||_F^2 against a raw whitener matrix."""
     return frobenius_norm_sq(whitener @ (w - w_hat))
+
+
+def reference_sym_eig(s) -> EigResult:
+    """The body `linalg.sym_eig` used to run, kept as the byte oracle: it
+    always symmetrizes, reverses with copies and anchors signs in place."""
+    s = as_matrix(s, "s")
+    scale = max(1.0, float(np.max(np.abs(s))) if s.size else 0.0)
+    assert not s.size or float(np.max(np.abs(s - s.T))) <= 1e-8 * scale
+    vals, vecs = np.linalg.eigh((s + s.T) / 2.0)
+    vals = vals[::-1].copy()
+    vecs = vecs[:, ::-1].copy()
+    if vecs.size:
+        anchor = np.argmax(np.abs(vecs), axis=0)
+        vecs *= np.where(vecs[anchor, np.arange(vecs.shape[1])] < 0.0, -1.0, 1.0)
+    return EigResult(vals, vecs)

@@ -12,6 +12,7 @@ from kvlatent.calibration import (
     build_whitener,
     finalize,
     merge,
+    whitener_from_eig,
     whitening_operator,
 )
 from kvlatent.errors import NumericalError, ValidationError
@@ -306,3 +307,20 @@ class TestWhitener:
     def test_unknown_weighting(self):
         with pytest.raises(ValidationError):
             build_whitener(np.eye(2), ShrinkageParams(), "fisher")
+        with pytest.raises(ValidationError):
+            whitener_from_eig(linalg.sym_eig(np.eye(2)), ShrinkageParams(), "fisher")
+
+    @pytest.mark.parametrize("weighting", ["sqrtC", "C"])
+    def test_from_eig_is_build_whitener_on_sym_eig(self, weighting):
+        # Including the clamp band, so the clamp count comes from raw eigenvalues.
+        q = random_orthogonal(gen(117), 6)
+        c = (q * np.array([2.0, 1.0, 0.5, 0.25, 0.0, -1e-10])) @ q.T
+        c = (c + c.T) / 2.0
+        params = ShrinkageParams(alpha=0.05, lam="auto")
+        built = build_whitener(c, params, weighting)
+        given = whitener_from_eig(linalg.sym_eig(c), params, weighting)
+        assert given.eigenvectors.tobytes() == built.eigenvectors.tobytes()
+        assert given.eigenvalues.tobytes() == built.eigenvalues.tobytes()
+        assert (given.lam, given.clamped, given.weighting) == (
+            built.lam, built.clamped, built.weighting)
+        assert given.clamped >= 1

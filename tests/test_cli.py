@@ -1,5 +1,6 @@
 import filecmp
 import json
+import shutil
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -58,6 +59,14 @@ def pipeline(tmp_path: Path, seed=42, schedule_args=("--parity",),
         *eval_args, "--out", tmp_path / "eval",
     ) == 0
     return tmp_path
+
+
+def without_records(profile: Path, out: Path) -> Path:
+    """A copy of `profile` without its eigen records, as older versions wrote."""
+    doc = json.loads(profile.read_text())
+    del doc["eigen"]
+    out.write_text(json.dumps(doc))
+    return out
 
 
 def write_engineered_model(root: Path) -> Path:
@@ -271,7 +280,7 @@ class TestSchedule:
         assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
                    "--mode", "uniform", "--rank", 5,
                    "--out", tmp_path / "p.json") == 0
-        profile, mode = manifest.load_profile(tmp_path / "p.json")
+        profile, mode, _ = manifest.load_profile(tmp_path / "p.json")
         assert mode == "uniform"
         assert set(profile.ranks.values()) == {5}
 
@@ -281,7 +290,7 @@ class TestSchedule:
         assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
                    "--budget-k", 4, "--budget-v", 2, "--min-rank", 1,
                    "--out", tmp_path / "p.json") == 0
-        profile, _ = manifest.load_profile(tmp_path / "p.json")
+        profile, _, _ = manifest.load_profile(tmp_path / "p.json")
         assert profile.rank(0, "K") == 3
         assert profile.rank(1, "K") == 1
         assert profile.rank(0, "V") == 1
@@ -290,10 +299,17 @@ class TestSchedule:
     def test_rerun_is_byte_identical(self, tmp_path):
         model = gen_model(tmp_path / "m")
         assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
-        for name in ("p1.json", "p2.json"):
+        (tmp_path / "s").mkdir()
+        trees = []
+        for _ in range(2):
             assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
-                       "--parity", "--out", tmp_path / name) == 0
-        assert (tmp_path / "p1.json").read_bytes() == (tmp_path / "p2.json").read_bytes()
+                       "--parity", "--out", tmp_path / "s/p.json") == 0
+            trees.append(tree_bytes(tmp_path / "s"))
+        assert trees[0] == trees[1]
+        assert sorted(trees[0]) == ["p.json"] + [
+            f"p_eig/layer{layer:03d}_{part}.ctf"
+            for layer in range(2) for part in ("eigenvalues", "eigenvectors")
+        ]
 
     def test_infeasible_budget(self, tmp_path):
         model = gen_model(tmp_path / "m")
@@ -315,12 +331,36 @@ class TestSchedule:
         assert "SVD failed" in capsys.readouterr().err
         assert not (tmp_path / "p.json").exists()
 
+    def test_non_psd_covariance_writes_nothing(self, tmp_path, capsys):
+        # Layer 0 is decomposed and its eigenpairs staged before layer 1 is
+        # refused; the refusal leaves no profile and no eigen files.
+        model = gen_model(tmp_path / "m")
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        ctf.write_ctf(tmp_path / "cov/layer001_cov.ctf", -np.eye(16))
+        (tmp_path / "s").mkdir()
+        capsys.readouterr()
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--parity", "--out", tmp_path / "s/p.json") == 3
+        assert capsys.readouterr().err.startswith("error:")
+        assert list((tmp_path / "s").iterdir()) == []
+
+    def test_refused_rerun_keeps_the_previous_profile(self, tmp_path):
+        model = gen_model(tmp_path / "m")
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        (tmp_path / "s").mkdir()
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--parity", "--out", tmp_path / "s/p.json") == 0
+        before = tree_bytes(tmp_path / "s")
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--budget-k", 99, "--budget-v", 99, "--out", tmp_path / "s/p.json") == 2
+        assert tree_bytes(tmp_path / "s") == before
+
     def test_full_rank_is_grouped_width(self, tmp_path):
         model = gen_model(tmp_path / "m")  # 2 layers, n_groups * head_dim = 8
         assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
         assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
                    "--parity", "--out", tmp_path / "p.json") == 0
-        profile, _ = manifest.load_profile(tmp_path / "p.json")
+        profile, _, _ = manifest.load_profile(tmp_path / "p.json")
         assert set(profile.full_ranks.values()) == {8}
         assert profile.budget_k == profile.budget_v == sum(
             profile.full_ranks[(l, "K")] for l in range(2)
@@ -337,7 +377,7 @@ class TestSchedule:
             assert "exceeds the total full rank 16" in capsys.readouterr().err
         assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
                    "--budget-k", 16, "--budget-v", 16, "--out", tmp_path / "p.json") == 0
-        profile, _ = manifest.load_profile(tmp_path / "p.json")
+        profile, _, _ = manifest.load_profile(tmp_path / "p.json")
         assert sum(r for (l, kind), r in profile.ranks.items() if kind == "K") == 16
 
     def test_one_eigendecomposition_per_layer(self, tmp_path, monkeypatch):
@@ -413,10 +453,13 @@ class TestConvert:
                    "--parity", "--out", tmp_path / "p.json") == 3
 
     def test_one_eigendecomposition_per_layer(self, tmp_path, monkeypatch):
+        # None after schedule, whose eigenpairs convert reuses; one per
+        # layer from a profile without eigen records.
         model = gen_model(tmp_path / "m", layers=3)
         assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
         assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
                    "--budget-k", 12, "--budget-v", 12, "--out", tmp_path / "p.json") == 0
+        without_records(tmp_path / "p.json", tmp_path / "old.json")
         calls = []
         real = linalg.sym_eig
 
@@ -426,11 +469,12 @@ class TestConvert:
 
         monkeypatch.setattr(linalg, "sym_eig", counting)
         for weighting in ("sqrtC", "C"):
-            calls.clear()
-            assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
-                       "--profile", tmp_path / "p.json", "--weighting", weighting,
-                       "--out", tmp_path / weighting) == 0
-            assert calls == [(16, 16)] * 3
+            for profile, expected in (("p.json", []), ("old.json", [(16, 16)] * 3)):
+                calls.clear()
+                assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                           "--profile", tmp_path / profile, "--weighting", weighting,
+                           "--out", tmp_path / weighting / profile) == 0
+                assert calls == expected
 
     def test_parity_report_retains_all_energy(self, tmp_path):
         pipeline(tmp_path)
@@ -528,6 +572,110 @@ class TestConvert:
             assert health["lambda_resolved"] == layer_report["lambda_resolved"]
             resolved = np.trace(linalg.sqrt_psd(cov)) / cov.shape[0]  # "auto"
             assert layer_report["lambda_resolved"] == pytest.approx(resolved, rel=1e-12)
+
+
+def convert_tree(tmp_path: Path, model: Path, cov_dir: Path, profile: Path, out: str,
+                 *args) -> dict[str, bytes]:
+    assert run("convert", "--manifest", model, "--cov-dir", cov_dir, "--profile", profile,
+               *args, "--out", tmp_path / out) == 0
+    return tree_bytes(tmp_path / out)
+
+
+class TestEigenReuse:
+    """convert reuses the eigenpairs schedule stored next to the profile."""
+
+    @pytest.fixture
+    def scheduled(self, tmp_path) -> Path:
+        model = gen_model(tmp_path / "m", layers=3)
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--budget-k", 12, "--budget-v", 12, "--out", tmp_path / "p.json") == 0
+        return model
+
+    def convert_code(self, tmp_path, model, capsys, profile="p.json") -> tuple[int, str]:
+        capsys.readouterr()
+        code = run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--profile", tmp_path / profile, "--out", tmp_path / "c")
+        return code, capsys.readouterr().err
+
+    def test_records_name_the_files_schedule_wrote(self, tmp_path, scheduled):
+        _, _, eigen = manifest.load_profile(tmp_path / "p.json")
+        assert sorted(eigen) == [0, 1, 2]
+        for layer, record in eigen.items():
+            cov = ctf.read_ctf(tmp_path / "cov" / f"layer{layer:03d}_cov.ctf")
+            expected = linalg.sym_eig(cov)
+            assert record.cov_sha256 == manifest.covariance_digest(cov)
+            assert record.eigenvalues == f"p_eig/layer{layer:03d}_eigenvalues.ctf"
+            stored = manifest.load_eigenpairs(record, tmp_path, 16)
+            assert stored.eigenvalues.tobytes() == expected.eigenvalues.tobytes()
+            assert stored.eigenvectors.tobytes() == expected.eigenvectors.tobytes()
+
+    @pytest.mark.parametrize("args", [
+        (), ("--weighting", "C"), ("--alpha", "0.2", "--lambda", "2.5"),
+        ("--weighting", "C", "--lambda", "auto"),
+    ])
+    def test_reuse_matches_a_miss_byte_for_byte(self, tmp_path, scheduled, args):
+        old = without_records(tmp_path / "p.json", tmp_path / "old.json")
+        reused = convert_tree(tmp_path, scheduled, tmp_path / "cov", tmp_path / "p.json",
+                              "reused", *args)
+        missed = convert_tree(tmp_path, scheduled, tmp_path / "cov", old, "missed", *args)
+        assert reused == missed
+
+    def test_changed_covariance_is_decomposed_alone(self, tmp_path, scheduled, monkeypatch):
+        shutil.copytree(tmp_path / "cov", tmp_path / "cov2")
+        cov = ctf.read_ctf(tmp_path / "cov2/layer001_cov.ctf")
+        ctf.write_ctf(tmp_path / "cov2/layer001_cov.ctf", 2.0 * cov)
+        old = without_records(tmp_path / "p.json", tmp_path / "old.json")
+        calls = []
+        real = linalg.sym_eig
+
+        def counting(s):
+            calls.append(s.shape)
+            return real(s)
+
+        monkeypatch.setattr(linalg, "sym_eig", counting)
+        changed = convert_tree(tmp_path, scheduled, tmp_path / "cov2", tmp_path / "p.json",
+                               "changed")
+        assert calls == [(16, 16)]
+        assert changed == convert_tree(tmp_path, scheduled, tmp_path / "cov2", old, "missed")
+
+    def test_swapped_eigenvectors_exit_2(self, tmp_path, scheduled, capsys):
+        path = tmp_path / "p_eig/layer001_eigenvectors.ctf"
+        q = ctf.read_ctf(path)
+        ctf.write_ctf(path, q[:, [1, 0, *range(2, 16)]])
+        code, err = self.convert_code(tmp_path, scheduled, capsys)
+        assert code == 2
+        assert err.startswith("error:") and "probe residual" in err
+
+    def test_truncated_eigen_file_exits_2(self, tmp_path, scheduled, capsys):
+        path = tmp_path / "p_eig/layer002_eigenvalues.ctf"
+        path.write_bytes(path.read_bytes()[:-8])
+        code, err = self.convert_code(tmp_path, scheduled, capsys)
+        assert code == 2 and err.startswith("error:")
+
+    def test_missing_eigen_file_exits_4(self, tmp_path, scheduled, capsys):
+        (tmp_path / "p_eig/layer000_eigenvectors.ctf").unlink()
+        code, err = self.convert_code(tmp_path, scheduled, capsys)
+        assert code == 4 and err.startswith("error:")
+
+    @pytest.mark.parametrize("path", ["../p_eig/layer000_eigenvalues.ctf", "/etc/x.ctf",
+                                      "p_eig/../../x.ctf"])
+    def test_escaping_record_path_exits_2(self, tmp_path, scheduled, capsys, path):
+        doc = json.loads((tmp_path / "p.json").read_text())
+        doc["eigen"][0]["eigenvalues"] = path
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        code, err = self.convert_code(tmp_path, scheduled, capsys, "bad.json")
+        assert code == 2 and "inside the manifest directory" in err
+
+    @pytest.mark.parametrize("records", [
+        lambda r: r[:2], lambda r: r + r[:1], lambda r: [], lambda r: "x", lambda r: None,
+    ], ids=["two_of_three", "repeated", "empty", "string", "null"])
+    def test_records_must_cover_every_layer(self, tmp_path, scheduled, capsys, records):
+        doc = json.loads((tmp_path / "p.json").read_text())
+        doc["eigen"] = records(doc["eigen"])
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        code, err = self.convert_code(tmp_path, scheduled, capsys, "bad.json")
+        assert code == 2 and err.startswith("error:")
 
 
 class TestEval:
@@ -881,6 +1029,14 @@ class TestAblate:
         for index in (99, 0, -1):
             assert run("ablate", "--manifest", model, "--layer", 0, "--kind", "K",
                        "--index", index) == 2
+
+    @pytest.mark.parametrize("seq_len", [-3, 0])
+    def test_bad_seq_len_exits_2_before_loading(self, tmp_path, capsys, seq_len):
+        # The manifest does not exist, so loading it first would exit 4.
+        assert run("ablate", "--manifest", tmp_path / "missing.json", "--layer", 0,
+                   "--kind", "K", "--index", 1, "--seq-len", seq_len) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--seq-len" in err
 
     def test_one_svd(self, tmp_path, monkeypatch):
         model = gen_model(tmp_path / "m")

@@ -1,12 +1,13 @@
 """Bounded fuzzing of the manifest, profile and tensor loaders through the CLI.
 
 Each example replaces one field of a valid model manifest, converted
-manifest or rank profile (a type swap, an out-of-range value or a path
-that leaves its directory) and runs the command that consumes the
-document. The command must never raise: it exits 2, 3 or 4 with an
+manifest or rank profile, its eigen records included (a type swap, an
+out-of-range value or a path that leaves its directory) and runs the
+command that consumes the document. The command must never raise: it exits 2, 3 or 4 with an
 ``error:`` line, or 0 when the mutated value is still valid. The `.ctf`
 cases corrupt one header field, or truncate the file, and feed it to `cov`
-as a calibration batch and to `schedule` and `convert` as a covariance.
+as a calibration batch, to `schedule` and `convert` as a covariance, and
+to `convert` as the eigenvectors a profile records.
 """
 
 import contextlib
@@ -64,15 +65,16 @@ MAY_CHANGE = {
     "rank": lambda v: is_int(v, 1),
     "full_rank": lambda v: v is None or is_int(v, 1),
     "batch": inside,
-    **{name: inside for name in ("w_q", "w_k_g", "w_v_g", "w_a_k", "w_b_k", "w_a_v", "w_b_v")},
+    **{name: inside for name in ("w_q", "w_k_g", "w_v_g", "w_a_k", "w_b_k", "w_a_v", "w_b_v",
+                                 "eigenvalues", "eigenvectors")},
 }
 
 
 def fields(doc: dict) -> list[tuple]:
-    """(key path, field name) of every field: top-level keys, layer and
-    profile entry keys, and calibration batch paths."""
+    """(key path, field name) of every field: top-level keys, layer,
+    profile entry and eigen record keys, and calibration batch paths."""
     out = [((key,), key) for key in doc]
-    for list_key in ("layers", "entries"):
+    for list_key in ("layers", "entries", "eigen"):
         for i, entry in enumerate(doc.get(list_key, [])):
             out += [((list_key, i, key), key) for key in entry]
     for layer, paths in doc.get("calibration", {}).items():
@@ -191,13 +193,19 @@ def corrupt_copy(src: Path, dst: Path, rel: str, case: str) -> None:
     target.write_bytes(CTF_CORRUPTIONS[case](target.read_bytes()))
 
 
-@pytest.mark.parametrize("consumer", ["cov", "schedule", "convert"])
+@pytest.mark.parametrize("consumer", ["cov", "schedule", "convert", "eigen"])
 @pytest.mark.parametrize("case", sorted(CTF_CORRUPTIONS))
 def test_corrupt_ctf_header_exits_cleanly(built, tmp_path, capsys, consumer, case):
     model = built / "model/model.json"
     if consumer == "cov":
         corrupt_copy(built / "model", tmp_path / "model", "batches/layer001_batch002.ctf", case)
         argv = ["cov", "--manifest", tmp_path / "model/model.json", "--out", tmp_path / "out"]
+    elif consumer == "eigen":
+        shutil.copy(built / "profile.json", tmp_path / "profile.json")
+        corrupt_copy(built / "profile_eig", tmp_path / "profile_eig",
+                     "layer001_eigenvectors.ctf", case)
+        argv = ["convert", "--manifest", model, "--cov-dir", built / "cov",
+                "--profile", tmp_path / "profile.json", "--out", tmp_path / "out"]
     else:
         corrupt_copy(built / "cov", tmp_path / "cov", "layer001_cov.ctf", case)
         argv = [consumer, "--manifest", model, "--cov-dir", tmp_path / "cov"]

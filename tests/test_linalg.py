@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import gen, random_psd, reconstruct, truncate_svd
+from conftest import gen, random_psd, reconstruct, reference_sym_eig, truncate_svd
 from kvlatent import linalg
 from kvlatent.calibration import ShrinkageParams, Whitener, build_whitener
 from kvlatent.errors import NumericalError, ValidationError
@@ -123,9 +123,7 @@ class TestSymEig:
 
     def test_sign_rule_on_edge_columns(self):
         for cols in (SIGN_EDGE_COLUMNS, -SIGN_EDGE_COLUMNS, np.zeros((3, 0))):
-            vecs = cols.copy()
-            linalg._anchor_eig_signs(vecs)
-            assert bits_equal(vecs, reference_eig_signs(cols))
+            assert bits_equal(cols * linalg._eig_signs(cols), reference_eig_signs(cols))
 
     def test_empty_matrix(self):
         res = linalg.sym_eig(np.zeros((0, 0)))
@@ -139,6 +137,101 @@ class TestSymEig:
         r2 = linalg.sym_eig(s.copy())
         assert r1.eigenvalues.tobytes() == r2.eigenvalues.tobytes()
         assert r1.eigenvectors.tobytes() == r2.eigenvectors.tobytes()
+
+
+class TestSymEigMatchesReference:
+    """The trimmed sym_eig returns the old body's bytes."""
+
+    def assert_same_bytes(self, s):
+        res, ref = linalg.sym_eig(s), reference_sym_eig(s)
+        assert bits_equal(res.eigenvalues, ref.eigenvalues)
+        assert bits_equal(res.eigenvectors, ref.eigenvectors)
+        assert res.eigenvectors.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_exactly_symmetric(self, n):
+        a = gen(31 + n).standard_normal((n, n))
+        s = a + a.T
+        assert np.array_equal(s, s.T)
+        self.assert_same_bytes(s)
+
+    @pytest.mark.parametrize("n", [2, 7, 64])
+    def test_nearly_symmetric(self, n):
+        a = gen(41 + n).standard_normal((n, n))
+        s = a + a.T
+        s[0, 1] += 1e-12
+        assert not np.array_equal(s, s.T)
+        self.assert_same_bytes(s)
+
+    def test_tied_and_degenerate_columns(self):
+        for s in (np.array([[2.0, 1.0], [1.0, 2.0]]), np.eye(4), np.zeros((3, 3)),
+                  np.diag([1.0, -1.0, 1.0])):
+            self.assert_same_bytes(s)
+
+    def test_covariance_at_benchmark_width(self):
+        x = gen(51).standard_normal((1100, 1024))
+        c = x.T @ x / 1100.0
+        c = (c + c.T) / 2.0
+        self.assert_same_bytes(c)
+        self.assert_same_bytes(np.asfortranarray(c))
+
+
+class TestClampPsd:
+    def test_clamps_and_counts_the_noise_band(self):
+        vals, clamped = linalg.clamp_psd(np.array([2.0, 0.0, -1e-9, -1e-8]))
+        assert clamped == 2
+        assert bits_equal(vals, np.array([2.0, 0.0, 0.0, 0.0]))
+
+    def test_refuses_below_the_band(self):
+        with pytest.raises(NumericalError, match="not PSD"):
+            linalg.clamp_psd(np.array([1.0, -1e-7]))
+
+    def test_all_negative_is_refused(self):
+        with pytest.raises(NumericalError):
+            linalg.clamp_psd(np.array([-1.0, -1.0]))
+
+
+class TestCheckEig:
+    def decomposed(self, n=32):
+        s = random_psd(gen(61), n, cond=100.0)
+        return s, linalg.sym_eig(s)
+
+    def test_accepts_its_own_decomposition(self):
+        s, eig = self.decomposed()
+        linalg.check_eig(s, eig)
+        linalg.check_eig(np.zeros((3, 3)), linalg.sym_eig(np.zeros((3, 3))))
+        linalg.check_eig(np.zeros((0, 0)), linalg.sym_eig(np.zeros((0, 0))))
+
+    def test_refuses_swapped_adjacent_eigenvectors(self):
+        s, eig = self.decomposed()
+        q = eig.eigenvectors[:, [0, 2, 1, *range(3, 32)]]
+        with pytest.raises(ValidationError, match="probe residual"):
+            linalg.check_eig(s, linalg.EigResult(eig.eigenvalues, q))
+
+    def test_refuses_another_matrix(self):
+        s, eig = self.decomposed()
+        with pytest.raises(ValidationError, match="probe residual"):
+            linalg.check_eig(s * (1.0 + 1e-6), eig)
+
+    def test_refuses_non_orthonormal_vectors(self):
+        # Scaled vectors still satisfy S Q = Q diag(vals); only the
+        # orthonormality probe catches them.
+        s, eig = self.decomposed()
+        q = eig.eigenvectors * (1.0 + 1e-6)
+        with pytest.raises(ValidationError, match="orthonormal"):
+            linalg.check_eig(s, linalg.EigResult(eig.eigenvalues, q))
+
+    def test_refuses_unsorted_eigenvalues(self):
+        s, eig = self.decomposed()
+        order = [1, 0, *range(2, 32)]
+        with pytest.raises(ValidationError, match="non-increasing"):
+            linalg.check_eig(s, linalg.EigResult(eig.eigenvalues[order],
+                                                 eig.eigenvectors[:, order]))
+
+    def test_refuses_mismatched_shapes(self):
+        s, eig = self.decomposed()
+        with pytest.raises(ValidationError, match="do not match"):
+            linalg.check_eig(s[:31, :31], eig)
 
 
 class TestSqrtPsd:

@@ -149,11 +149,57 @@ class TestRankProfileFile:
             full_ranks={(0, "K"): 4, (0, "V"): 4, (1, "K"): 4, (1, "V"): 4},
         )
         manifest.save_profile(profile, tmp_path / "p.json", mode="adjusted")
-        loaded, mode = manifest.load_profile(tmp_path / "p.json")
+        loaded, mode, eigen = manifest.load_profile(tmp_path / "p.json")
         assert mode == "adjusted"
         assert loaded.ranks == profile.ranks
         assert loaded.budget_k == 4 and loaded.budget_v == 6
         assert loaded.full_ranks == profile.full_ranks
+        assert eigen == {}
+        assert "eigen" not in json.loads((tmp_path / "p.json").read_text())
+
+    def test_round_trip_with_eigen_records(self, tmp_path):
+        profile = RankProfile(ranks={(0, "K"): 1, (0, "V"): 1, (1, "K"): 1, (1, "V"): 1},
+                              budget_k=2, budget_v=2, min_rank=1)
+        records = tuple(
+            manifest.EigenRecord(layer, f"{layer:064x}", f"p_eig/l{layer}_vals.ctf",
+                                 f"p_eig/l{layer}_vecs.ctf")
+            for layer in (1, 0)
+        )
+        manifest.save_profile(profile, tmp_path / "p.json", eigen=records)
+        _, _, eigen = manifest.load_profile(tmp_path / "p.json")
+        assert eigen == {r.layer: r for r in records}
+        doc = json.loads((tmp_path / "p.json").read_text())
+        assert [r["layer"] for r in doc["eigen"]] == [0, 1]
+        assert not (tmp_path / "p.json.partial").exists()
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("cov_sha256", "ab" * 31, "hex"),
+        ("cov_sha256", "AB" * 32, "hex"),
+        ("cov_sha256", 7, "hex"),
+        ("layer", 1, "repeats"),
+        ("layer", 5, "repeats"),
+        ("layer", True, "integer"),
+        ("eigenvalues", "../vals.ctf", "inside"),
+        ("eigenvectors", "/vecs.ctf", "inside"),
+        ("eigenvectors", None, "path string"),
+    ])
+    def test_rejects_malformed_eigen_record(self, tmp_path, field, value, match):
+        records = [
+            {"layer": layer, "cov_sha256": "0" * 64, "eigenvalues": "v.ctf",
+             "eigenvectors": "q.ctf"}
+            for layer in (0, 1)
+        ]
+        records[0][field] = value
+        doc = {
+            "format": manifest.PROFILE_FORMAT, "version": 1, "mode": "adjusted",
+            "min_rank": 1, "budget_k": 2, "budget_v": 2,
+            "entries": [{"layer": layer, "kind": kind, "rank": 1}
+                        for layer in (0, 1) for kind in ("K", "V")],
+            "eigen": records,
+        }
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=match):
+            manifest.load_profile(tmp_path / "p.json")
 
     def test_rejects_rank_below_min_on_load(self, tmp_path):
         doc = {
