@@ -127,24 +127,32 @@ class Whitener:
     alpha lam for "C". `lam` is the resolved ridge scale and `clamped` the
     number of slightly negative eigenvalues of C that were set to zero.
     The factor L, S itself and the numerical-health figures all come from
-    this one eigendecomposition.
+    this one eigendecomposition. A whitener built from eigenvalues alone
+    (`eigenvectors` None) carries the health figures and check_invertible,
+    but neither L nor S.
     """
 
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
     eigenvalues: np.ndarray
     lam: float
     weighting: str
     clamped: int = 0
 
     def __post_init__(self):
-        q = linalg.as_matrix(self.eigenvectors, "eigenvectors")
         vals = np.asarray(self.eigenvalues, dtype=np.float64)
-        if q.shape != (vals.size, vals.size):
-            raise ValidationError(
-                f"eigenvectors {q.shape} do not match {vals.size} eigenvalues"
-            )
-        object.__setattr__(self, "eigenvectors", q)
+        if self.eigenvectors is not None:
+            q = linalg.as_matrix(self.eigenvectors, "eigenvectors")
+            if q.shape != (vals.size, vals.size):
+                raise ValidationError(
+                    f"eigenvectors {q.shape} do not match {vals.size} eigenvalues"
+                )
+            object.__setattr__(self, "eigenvectors", q)
         object.__setattr__(self, "eigenvalues", vals)
+
+    def _basis(self) -> np.ndarray:
+        if self.eigenvectors is None:
+            raise ValidationError("whitener was built from eigenvalues alone")
+        return self.eigenvectors
 
     @property
     def dim(self) -> int:
@@ -170,12 +178,12 @@ class Whitener:
         vectors of S @ w, and ||L @ e||_F = ||S @ e||_F for any e. Forming
         L costs one row scaling; forming S costs a D x D x D product.
         """
-        return self.eigenvalues[:, None] * self.eigenvectors.T
+        return self.eigenvalues[:, None] * self._basis().T
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """S itself, symmetric."""
-        q = self.eigenvectors
+        q = self._basis()
         s = (q * self.eigenvalues) @ q.T
         return (s + s.T) / 2.0
 
@@ -191,9 +199,11 @@ def whitener_from_eig(eig: linalg.EigResult, params: ShrinkageParams,
     """The shrunk whitener of a covariance, from its eigendecomposition.
 
     `eig` is `linalg.sym_eig` of C: raw eigenvalues, non-increasing, before
-    any PSD clamp. weighting "sqrtC" (default) shrinks the PSD square root
-    of C; "C" uses the covariance itself, shrunk the same way with its own
-    auto scale. Both refuse a C that is not PSD beyond rounding noise.
+    any PSD clamp; with `eig.eigenvectors` None the whitener holds the
+    shrunk eigenvalues alone. weighting "sqrtC" (default) shrinks the PSD
+    square root of C; "C" uses the covariance itself, shrunk the same way
+    with its own auto scale. Both refuse a C that is not PSD beyond
+    rounding noise.
     """
     if weighting not in WEIGHTINGS:
         raise ValidationError(f"unknown weighting {weighting!r}; expected one of {WEIGHTINGS}")

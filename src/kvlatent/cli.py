@@ -11,6 +11,7 @@ import contextlib
 import dataclasses
 import shutil
 import sys
+from collections.abc import Iterable
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
@@ -35,9 +36,9 @@ def _cov_name(layer: int) -> str:
     return f"layer{layer:03d}_cov.ctf"
 
 
-def _eig_dir(profile_path: Path) -> Path:
-    """The directory next to a profile that holds its layers' eigenpairs."""
-    return profile_path.with_name(profile_path.stem + "_eig")
+def _spectra_dir(profile_path: Path) -> Path:
+    """The directory next to a profile that holds its layers' stored spectra."""
+    return profile_path.with_name(profile_path.stem + "_spectra")
 
 
 def _read_covariance(m: manifest.ModelManifest, cov_dir, layer: int) -> np.ndarray:
@@ -51,24 +52,54 @@ def _read_covariance(m: manifest.ModelManifest, cov_dir, layer: int) -> np.ndarr
     return c
 
 
-def _whitener_for_layer(m: manifest.ModelManifest, cov_dir, layer: int,
-                        params: calibration.ShrinkageParams, weighting: str,
-                        record: manifest.EigenRecord | None,
-                        profile_dir: Path) -> calibration.Whitener:
-    """One layer's whitener, from the eigenpairs `schedule` stored if they
-    are this covariance's.
+def _weight_digests(gqa: factorizer.GqaLayer) -> dict[str, str]:
+    return {scheduler.KIND_K: manifest.array_digest(gqa.w_k_g),
+            scheduler.KIND_V: manifest.array_digest(gqa.w_v_g)}
 
-    The covariance is always read and checked. Its stored eigenpairs are
-    used when the record's digest matches its bytes and they pass
-    linalg.check_eig; otherwise it is decomposed here.
+
+def _miss_reason(records: dict[int, manifest.SpectrumRecord] | None, layer: int,
+                 c: np.ndarray, gqa: factorizer.GqaLayer,
+                 params: calibration.ShrinkageParams, weighting: str) -> str | None:
+    """Why the spectra `schedule` stored cannot stand in for this layer's,
+    or None when they can."""
+    if records is None:
+        return "old profile"
+    record = records.get(layer)
+    if record is None:
+        return "no record"
+    if (record.alpha, record.lam, record.weighting) != (params.alpha, params.lam, weighting):
+        return "parameter override"
+    if record.cov_sha256 != manifest.array_digest(c):
+        return "covariance changed"
+    if record.w_sha256 != _weight_digests(gqa):
+        return "weight changed"
+    return None
+
+
+def _layer_whitening(m: manifest.ModelManifest, cov_dir, layer: int, gqa: factorizer.GqaLayer,
+                     params: calibration.ShrinkageParams, weighting: str,
+                     records: dict[int, manifest.SpectrumRecord] | None, profile_dir: Path,
+                     ) -> tuple[calibration.Whitener,
+                                tuple[factorizer.WhitenedSvd, factorizer.WhitenedSvd] | None,
+                                str | None]:
+    """One layer's whitener, its stored (K, V) whitened SVDs, and None; or,
+    when the stored ones cannot be used, a whitener decomposed here, None
+    and the reason.
+
+    The covariance is always read and checked. On a hit the whitener is
+    built from the stored raw eigenvalues alone, through the same clamp and
+    shrink, and no eigenvectors are read.
     """
     c = _read_covariance(m, cov_dir, layer)
-    if record is not None and record.cov_sha256 == manifest.covariance_digest(c):
-        eig = manifest.load_eigenpairs(record, profile_dir, c.shape[0])
-        linalg.check_eig(c, eig)
-    else:
-        eig = linalg.sym_eig(c)
-    return calibration.whitener_from_eig(eig, params, weighting)
+    reason = _miss_reason(records, layer, c, gqa, params, weighting)
+    if reason is not None:
+        return calibration.whitener_from_eig(linalg.sym_eig(c), params, weighting), None, reason
+    entry = m.layer(layer)
+    eigenvalues, spectra = manifest.load_spectra(
+        records[layer], profile_dir, entry.d_model, entry.n_groups * entry.head_dim
+    )
+    eig = linalg.EigResult(eigenvalues, None)
+    return calibration.whitener_from_eig(eig, params, weighting), spectra, None
 
 
 @contextlib.contextmanager
@@ -243,17 +274,21 @@ def cmd_schedule(args) -> None:
     params = calibration.ShrinkageParams(m.alpha, m.lam)
 
     out = Path(args.out)
-    eig_dir = _eig_dir(out)
-    with _staged_dir(eig_dir) as staged:
-        table, records = _layer_spectra(m, base, args.cov_dir, params, staged, eig_dir.name)
+    spectra_dir = _spectra_dir(out)
+    table = scheduler.SpectrumTable()
+    with _staged_dir(spectra_dir) as staged:
+        records = tuple(
+            _layer_spectra(m, base, args.cov_dir, layer, params, table, staged, spectra_dir.name)
+            for layer in range(len(m.layers))
+        )
         profile = _plan_ranks(args, table)
-    # The old profile goes before its eigenpairs, and the new profile is
+    # The old profile goes before its spectra, and the new profile is
     # written last, so no profile ever names files of another run.
     out.unlink(missing_ok=True)
-    if eig_dir.exists():
-        shutil.rmtree(eig_dir)
-    staged.rename(eig_dir)
-    manifest.save_profile(profile, out, mode=args.mode, eigen=records)
+    if spectra_dir.exists():
+        shutil.rmtree(spectra_dir)
+    staged.rename(spectra_dir)
+    manifest.save_profile(profile, out, mode=args.mode, spectra=records)
     print(f"mode={args.mode} budgets K={profile.budget_k} V={profile.budget_v} "
           f"min_rank={profile.min_rank}")
     for layer in table.layers(scheduler.KIND_K):
@@ -262,29 +297,35 @@ def cmd_schedule(args) -> None:
     print(f"profile: {args.out}")
 
 
-def _layer_spectra(m: manifest.ModelManifest, base: Path, cov_dir,
-                   params: calibration.ShrinkageParams, eig_out: Path, eig_rel: str,
-                   ) -> tuple[scheduler.SpectrumTable, tuple[manifest.EigenRecord, ...]]:
-    """Each layer's whitened K/V spectra, from one eigendecomposition of its
-    covariance, which is written to `eig_out` once the PSD check passes."""
-    table = scheduler.SpectrumTable()
-    records = []
-    for layer in range(len(m.layers)):
-        c = _read_covariance(m, cov_dir, layer)
-        eig = linalg.sym_eig(c)
-        whitener = calibration.whitener_from_eig(eig, params, m.weighting)
-        paths = {}
-        for part in ("eigenvalues", "eigenvectors"):
-            name = f"layer{layer:03d}_{part}.ctf"
-            ctf.write_ctf(eig_out / name, getattr(eig, part))
-            paths[part] = f"{eig_rel}/{name}"
-        records.append(manifest.EigenRecord(layer, manifest.covariance_digest(c), **paths))
-        gqa = manifest.load_gqa_layer(m, base, layer)
-        # The head-width weight's spectrum is this grouped one times the lift
-        # gain, plus zeros; water-filling is invariant to that scale.
-        for kind, w_g in ((scheduler.KIND_K, gqa.w_k_g), (scheduler.KIND_V, gqa.w_v_g)):
-            table.add(layer, kind, scheduler.whitened_spectrum(whitener.factor, w_g))
-    return table, tuple(records)
+def _layer_spectra(m: manifest.ModelManifest, base: Path, cov_dir, layer: int,
+                   params: calibration.ShrinkageParams, table: scheduler.SpectrumTable,
+                   spectra_out: Path, spectra_rel: str) -> manifest.SpectrumRecord:
+    """One layer's whitened K/V spectra, added to `table`, from one
+    eigendecomposition of its covariance and one factorizer.whitened_svd
+    per kind. The raw eigenvalues and each kind's singular values and V^T
+    are written to `spectra_out` once the PSD check passes, for `convert`
+    to truncate. The layer's D x D arrays are freed on return, before the
+    next layer's are read."""
+    c = _read_covariance(m, cov_dir, layer)
+    eig = linalg.sym_eig(c)
+    whitener = calibration.whitener_from_eig(eig, params, m.weighting)
+    gqa = manifest.load_gqa_layer(m, base, layer)
+    tensors = {"eigenvalues": eig.eigenvalues}
+    # The head-width weight's spectrum is this grouped one times the lift
+    # gain, plus zeros; water-filling is invariant to that scale.
+    for kind, w_g in ((scheduler.KIND_K, gqa.w_k_g), (scheduler.KIND_V, gqa.w_v_g)):
+        svd = factorizer.whitened_svd(w_g, whitener)
+        table.add(layer, kind, svd.singular_values)
+        tensors[f"sigma_{kind.lower()}"] = svd.singular_values
+        tensors[f"v_t_{kind.lower()}"] = svd.v_t
+    files = {}
+    for name, array in tensors.items():
+        file = f"layer{layer:03d}_{name}.ctf"
+        files[name] = manifest.store_tensor(spectra_out / file, f"{spectra_rel}/{file}", array)
+    return manifest.SpectrumRecord(
+        layer=layer, cov_sha256=manifest.array_digest(c), w_sha256=_weight_digests(gqa),
+        alpha=params.alpha, lam=params.lam, weighting=m.weighting, files=files,
+    )
 
 
 def _plan_ranks(args, table: scheduler.SpectrumTable) -> scheduler.RankProfile:
@@ -333,7 +374,7 @@ def _plan_ranks(args, table: scheduler.SpectrumTable) -> scheduler.RankProfile:
 def cmd_convert(args) -> None:
     m = manifest.load_manifest(args.manifest)
     base = Path(args.manifest).parent
-    profile, _, eigen = manifest.load_profile(args.profile)
+    profile, _, records = manifest.load_profile(args.profile)
     profile_dir = Path(args.profile).parent
     weighting = args.weighting if args.weighting else m.weighting
     alpha = args.alpha if args.alpha is not None else m.alpha
@@ -343,18 +384,24 @@ def cmd_convert(args) -> None:
     out = Path(args.out)
     (out / "weights").mkdir(parents=True, exist_ok=True)
     (out / "factors").mkdir(parents=True, exist_ok=True)
+    # The two documents are written last; a run that stops early leaves
+    # neither, so its factors never look like a finished conversion.
+    for name in ("converted.json", "conversion_report.json"):
+        (out / name).unlink(missing_ok=True)
 
     entries = []
     report_layers = []
     for layer in range(len(m.layers)):
         entry = m.layer(layer)
-        whitener = _whitener_for_layer(
-            m, args.cov_dir, layer, params, weighting, eigen.get(layer), profile_dir
-        )
         gqa = manifest.load_gqa_layer(m, base, layer)
+        whitener, spectra, reason = _layer_whitening(
+            m, args.cov_dir, layer, gqa, params, weighting, records, profile_dir
+        )
+        print(f"layer {layer}: spectra "
+              + ("reused" if reason is None else f"recomputed ({reason})"))
         r_k = profile.rank(layer, scheduler.KIND_K)
         r_v = profile.rank(layer, scheduler.KIND_V)
-        factors, report_k, report_v = factorizer.convert_layer(gqa, whitener, r_k, r_v)
+        factors, report_k, report_v = factorizer.convert_layer(gqa, whitener, r_k, r_v, spectra)
 
         w_q_rel = f"weights/layer{layer:03d}_w_q.ctf"
         shutil.copyfile(base / entry.w_q, out / w_q_rel)
@@ -403,8 +450,7 @@ def cmd_convert(args) -> None:
         layers=tuple(entries),
         seed=m.seed,
     )
-    manifest.save_manifest(converted, out / "converted.json")
-    manifest.write_json(
+    manifest.write_json_last(
         out / "conversion_report.json",
         {
             "format": "kvlatent-conversion-report",
@@ -415,6 +461,7 @@ def cmd_convert(args) -> None:
             "layers": report_layers,
         },
     )
+    manifest.save_manifest(converted, out / "converted.json")
     print(f"converted manifest: {out / 'converted.json'}")
 
 
@@ -444,7 +491,7 @@ def _eval_layer(
     gqa: factorizer.GqaLayer,
     factors: factorizer.MlaFactors,
     w_q_conv: np.ndarray,
-    batches: list[calibration.CalibrationBatch],
+    batches: Iterable[calibration.CalibrationBatch],
     rng: np.random.Generator,
     t: int,
     params: metrics.LossParams,
@@ -469,13 +516,22 @@ def _eval_layer(
     )
     output_drift = float(np.max(np.abs(output_g - output_m)))
 
+    # One pass over the batches, which may be read lazily: each adds its K
+    # and V residual, so one batch is held at a time. The sums and the
+    # division equal activation_residual over the whole list.
     geometry = (gqa.n_heads, gqa.n_groups, gqa.head_dim)
-    act_k = factorizer.activation_residual(
-        batches, gqa.w_k_g, factors.w_a_k, factors.w_b_k, geometry
-    )
-    act_v = factorizer.activation_residual(
-        batches, gqa.w_v_g, factors.w_a_v, factors.w_b_v, geometry
-    )
+    act_k = act_v = 0.0
+    count = 0
+    for batch in batches:
+        act_k += factorizer.activation_residual(
+            [batch], gqa.w_k_g, factors.w_a_k, factors.w_b_k, geometry
+        )
+        act_v += factorizer.activation_residual(
+            [batch], gqa.w_v_g, factors.w_a_v, factors.w_b_v, geometry
+        )
+        count += 1
+    act_k /= count
+    act_v /= count
 
     teacher = metrics.LogitSequence(output_g, targets)
     student = metrics.LogitSequence(output_m, targets)
@@ -545,7 +601,7 @@ def cmd_eval(args) -> None:
     for layer in range(len(source.layers)):
         gqa = manifest.load_gqa_layer(source, src_base, layer)
         factors, w_q_conv = manifest.load_mla_bundle(converted, conv_base, layer)
-        batches = manifest.load_batches(source, src_base, layer, args.batches_dir)
+        batches = manifest.iter_batches(source, src_base, layer, args.batches_dir)
         layer_reports.append(
             _eval_layer(layer, gqa, factors, w_q_conv, batches, rng, t, params, args.rope_dim)
         )

@@ -17,6 +17,7 @@ overflows the address space, even next to a zero dim) is refused like any
 other malformed header.
 """
 
+import hashlib
 import struct
 from pathlib import Path
 
@@ -59,7 +60,17 @@ def write_ctf(path, array, dtype_code: int = DTYPE_F64) -> None:
 
 def read_ctf_ex(path) -> tuple[np.ndarray, int]:
     """Read a tensor and its on-disk dtype code. Values come back as float64."""
+    return _decode(Path(path).read_bytes(), path)
+
+
+def read_ctf_digest(path) -> tuple[np.ndarray, str]:
+    """Read a tensor and the sha256 of the file's bytes, from one read."""
     data = Path(path).read_bytes()
+    values, _ = _decode(data, path)
+    return values, hashlib.sha256(data).hexdigest()
+
+
+def _decode(data: bytes, path) -> tuple[np.ndarray, int]:
     if len(data) < _HEADER.size:
         raise ValidationError(f"{path}: truncated header")
     magic, version, dtype_code, ndim = _HEADER.unpack_from(data, 0)

@@ -9,18 +9,23 @@ W_hat = W V_r V_r^T, so only Sigma and V are needed:
     w_a = W V_r                   (down-projection; equals S^-1 U_r Sigma_r)
     w_b = V_r^T                   (up-projection, orthonormal rows)
 
+and the whitened residual is the discarded energy sum_{i>r} sigma_i^2.
+It runs in two steps: whitened_svd computes (Sigma, V^T), and truncate
+keeps the top r. schedule water-fills on the same whitened_svd result and
+stores it, so convert can truncate it without decomposing again.
+
 Neither S, S^-1 nor U is formed. The whitener's factor L = diag(s) Q^T has
 L^T L = S^2, so Y = L W has the singular values and right singular vectors
-of S W, and ||L E||_F = ||S E||_F. The SVD is taken of the n x n R factor
-of Y = Q_Y R, which again shares them, so the SVD has at most n rows.
-With S = I this reduces to plain SVD truncation.
+of S W. The SVD is taken of the n x n R factor of Y = Q_Y R, which again
+shares them, so the SVD has at most n rows. With S = I this reduces to
+plain SVD truncation.
 
 The weight to approximate is the grouped projection W_g replicated to full
 head width, W = W_g P, where P copies each group block to its
 m = n_heads / n_groups heads and P P^T = m I. So if S W_g = U Sigma V^T,
 then S W = U (sqrt(m) Sigma) (V^T P / sqrt(m)) is an SVD of S W.
-grouped_factorize therefore runs care_factorize on W_g at grouped width
-(D x n_groups*head_dim) and lifts its factors:
+grouped_factorize therefore truncates the whitened SVD of W_g at grouped
+width (D x n_groups*head_dim) and lifts its factors:
 
     w_a = sqrt(m) W_g V_r
     w_b = replicate_groups(V_r^T) / sqrt(m)     (orthonormal rows)
@@ -187,36 +192,67 @@ def kv_parity_rank(n_groups: int, head_dim: int) -> int:
     return n_groups * head_dim
 
 
-def care_factorize(w, whitener: Whitener, r: int) -> tuple[FactorPair, FactorizationReport]:
-    """Rank-r factorization of w minimizing the whitened residual.
+class WhitenedSvd(NamedTuple):
+    """Descending singular values of S @ w and the matching right singular
+    vectors, as rows of V^T."""
 
-    Takes Sigma and V_r from the SVD of the R factor of Y = L @ w and
-    returns w_a = w V_r, w_b = V_r^T; each pair's sign follows linalg.svd's
-    convention on the left singular vectors of R. The whitener must be
-    shrinkage-regularized upstream; a singular one is refused.
+    singular_values: np.ndarray
+    v_t: np.ndarray
+
+
+def whitened_svd(w, whitener: Whitener) -> WhitenedSvd:
+    """Sigma and V^T of S @ w, from the SVD of the R factor of Y = L @ w.
+
+    Each pair's sign follows linalg.svd's convention on the left singular
+    vectors of R. Both schedule (which water-fills Sigma) and convert
+    (which truncates V^T) take their spectra from here.
     """
     w = linalg.as_matrix(w, "w")
     if whitener.dim != w.shape[0]:
         raise ValidationError(
             f"whitener dim {whitener.dim} does not match weight rows {w.shape[0]}"
         )
+    res = linalg.svd(linalg.qr_r(whitener.factor @ w))
+    return WhitenedSvd(res.singular_values, res.v_t)
+
+
+def truncate(w, spectrum: WhitenedSvd, r: int) -> tuple[FactorPair, FactorizationReport]:
+    """Rank-r factors of w from its whitened SVD: w_b = V_r^T, w_a = w V_r.
+
+    The whitened residual is the discarded energy sum_{i>r} sigma_i^2, which
+    is exactly ||S (w - w_a w_b)||_F^2 for the optimal truncation, so
+    neither S nor Y is needed here.
+    """
+    w = linalg.as_matrix(w, "w")
     p = min(w.shape)
     if not 1 <= r <= p:
         raise ValidationError(f"rank {r} out of range [1, {p}]")
-    whitener.check_invertible()
-    y = whitener.factor @ w
-    spectrum = linalg.svd(linalg.qr_r(y))
+    sigma = np.asarray(spectrum.singular_values, dtype=np.float64)
+    if sigma.shape != (p,) or spectrum.v_t.shape != (p, w.shape[1]):
+        raise ValidationError(
+            f"spectrum {sigma.shape}, {spectrum.v_t.shape} does not match a weight "
+            f"of shape {w.shape}"
+        )
     w_b = spectrum.v_t[:r].copy()
     w_a = w @ w_b.T
-    energy = spectrum.singular_values**2
+    energy = sigma**2
     total = float(np.sum(energy))
     report = FactorizationReport(
         weight_residual_sq=linalg.frobenius_norm_sq(w - w_a @ w_b),
-        whitened_residual_sq=linalg.frobenius_norm_sq(y - (y @ w_b.T) @ w_b),
+        whitened_residual_sq=float(np.sum(energy[r:])),
         rank_used=r,
         retained_energy=float(np.sum(energy[:r])) / total if total > 0.0 else 1.0,
     )
     return FactorPair(w_a, w_b), report
+
+
+def care_factorize(w, whitener: Whitener, r: int) -> tuple[FactorPair, FactorizationReport]:
+    """Rank-r factorization of w minimizing the whitened residual:
+    truncate(w, whitened_svd(w, whitener), r). The whitener must be
+    shrinkage-regularized upstream; a singular one is refused.
+    """
+    whitener.check_invertible()
+    return truncate(w, whitened_svd(w, whitener), r)
 
 
 def plain_factorize(w, r: int) -> tuple[FactorPair, FactorizationReport]:
@@ -233,13 +269,14 @@ def lift_gain(n_heads: int, n_groups: int) -> float:
 
 
 def grouped_factorize(
-    w_g, whitener: Whitener, r: int, n_heads: int, n_groups: int, head_dim: int
+    w_g, spectrum: WhitenedSvd, r: int, n_heads: int, n_groups: int, head_dim: int
 ) -> tuple[FactorPair, FactorizationReport]:
-    """Rank-r factorization of replicate_groups(w_g), computed at grouped width.
+    """Rank-r factors of replicate_groups(w_g), computed at grouped width from
+    `spectrum`, the whitened_svd of w_g.
 
-    care_factorize runs on w_g at rank min(r, n_groups * head_dim) and its
-    factors are lifted to head width. Ranks above that true rank add zero
-    columns to w_a and zero rows to w_b.
+    w_g is truncated at rank min(r, n_groups * head_dim) and its factors are
+    lifted to head width. Ranks above that true rank add zero columns to
+    w_a and zero rows to w_b.
     """
     w_g = linalg.as_matrix(w_g, "w_g")
     width = n_heads * head_dim
@@ -247,7 +284,7 @@ def grouped_factorize(
     if not 1 <= r <= p:
         raise ValidationError(f"rank {r} out of range [1, {p}]")
     kept = min(r, w_g.shape[1])
-    grouped, report_g = care_factorize(w_g, whitener, kept)
+    grouped, report_g = truncate(w_g, spectrum, kept)
     gain = lift_gain(n_heads, n_groups)
     w_a = np.zeros((w_g.shape[0], r))
     w_a[:, :kept] = gain * grouped.w_a
@@ -314,11 +351,20 @@ def ablate_singular_value(w, i: int) -> tuple[float, np.ndarray]:
 
 
 def convert_layer(
-    layer: GqaLayer, whitener: Whitener, r_k: int, r_v: int
+    layer: GqaLayer, whitener: Whitener, r_k: int, r_v: int,
+    spectra: tuple[WhitenedSvd, WhitenedSvd] | None = None,
 ) -> tuple[MlaFactors, FactorizationReport, FactorizationReport]:
-    """Factorize the grouped K and V projections independently against one whitener."""
+    """Factorize the grouped K and V projections independently against one whitener.
+
+    `spectra` are whitened_svd of w_k_g and w_v_g against this whitener,
+    such as the ones schedule stored; without them they are computed here,
+    so a whitener built from eigenvalues alone needs them.
+    """
+    whitener.check_invertible()
+    if spectra is None:
+        spectra = (whitened_svd(layer.w_k_g, whitener), whitened_svd(layer.w_v_g, whitener))
     geometry = (layer.n_heads, layer.n_groups, layer.head_dim)
-    (pair_k, report_k) = grouped_factorize(layer.w_k_g, whitener, r_k, *geometry)
-    (pair_v, report_v) = grouped_factorize(layer.w_v_g, whitener, r_v, *geometry)
+    (pair_k, report_k) = grouped_factorize(layer.w_k_g, spectra[0], r_k, *geometry)
+    (pair_v, report_v) = grouped_factorize(layer.w_v_g, spectra[1], r_v, *geometry)
     factors = MlaFactors(pair_k.w_a, pair_k.w_b, pair_v.w_a, pair_v.w_b)
     return factors, report_k, report_v

@@ -2,10 +2,11 @@
 
 Two document kinds exist: model manifests (source layers or converted
 latent factors, plus calibration batch listings and whitening settings) and
-rank-profile files, which may also record where each layer's covariance
-eigendecomposition is stored. All documents are written with sorted keys
-and no timestamps so reruns are byte-identical; every tensor path is stored
-relative to the manifest's directory.
+rank-profile files, which may also record where the eigenvalues and
+whitened spectra that `schedule` computed for each layer are stored. All
+documents are written with sorted keys and no timestamps so reruns are
+byte-identical; every tensor path is stored relative to the manifest's
+directory.
 """
 
 import hashlib
@@ -14,16 +15,16 @@ import os
 import posixpath
 import re
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import ctf
 from .calibration import WEIGHTINGS, CalibrationBatch
 from .errors import ValidationError
-from .factorizer import GqaLayer, MlaFactors
-from .linalg import EigResult
+from .factorizer import GqaLayer, MlaFactors, WhitenedSvd
 from .scheduler import KINDS, RankProfile
 
 MODEL_KIND_GQA = "gqa"
@@ -35,6 +36,9 @@ DOC_VERSION = 1
 _GEOMETRY = ("d_model", "n_heads", "head_dim", "n_groups")
 _TENSORS = ("w_q", "w_k_g", "w_v_g", "w_a_k", "w_b_k", "w_a_v", "w_b_v")
 _SHA256 = re.compile(r"[0-9a-f]{64}")
+# The tensors a SpectrumRecord names: the covariance's raw eigenvalues, and
+# per kind the whitened singular values and V^T.
+STORED_TENSORS = ("eigenvalues", "sigma_k", "v_t_k", "sigma_v", "v_t_v")
 
 
 @dataclass(frozen=True)
@@ -105,7 +109,7 @@ def save_manifest(m: ModelManifest, path) -> None:
     }
     if m.seed is not None:
         doc["seed"] = m.seed
-    write_json(path, doc)
+    write_json_last(path, doc)
 
 
 def load_manifest(path) -> ModelManifest:
@@ -121,11 +125,8 @@ def load_manifest(path) -> ModelManifest:
     if kind not in (MODEL_KIND_GQA, MODEL_KIND_MLA):
         raise ValidationError(f"{path}: unknown model_kind {kind!r}")
     weighting = doc.get("weighting")
-    if weighting not in WEIGHTINGS:
-        raise ValidationError(f"{path}: unknown weighting {weighting!r}")
-    lam = doc.get("lambda", "auto")
-    if not (lam == "auto" or (_is_number(lam) and lam > 0)):
-        raise ValidationError(f"{path}: lambda must be positive or 'auto'")
+    alpha, lam = doc.get("alpha", 0.01), doc.get("lambda", "auto")
+    _check_shrinkage(weighting, alpha, lam, path)
     layers = []
     raw_layers = doc.get("layers")
     if not isinstance(raw_layers, list):
@@ -159,9 +160,6 @@ def load_manifest(path) -> ModelManifest:
         except ValueError:
             raise ValidationError(f"{path}: calibration key {key!r} is not a layer index") from None
         calibration[index] = tuple(_tensor_path(p, f"{path}: calibration batch") for p in paths)
-    alpha = doc.get("alpha", 0.01)
-    if not _is_number(alpha) or not 0.0 < alpha < 1.0:
-        raise ValidationError(f"{path}: alpha must be a number in (0, 1), got {alpha!r}")
     seq_len = _int(doc.get("seq_len", 1), f"{path}: seq_len", minimum=1)
     seed = doc.get("seed")
     if "seed" in doc:
@@ -176,6 +174,15 @@ def load_manifest(path) -> ModelManifest:
         calibration=calibration,
         seed=seed,
     )
+
+
+def _check_shrinkage(weighting, alpha, lam, where) -> None:
+    if weighting not in WEIGHTINGS:
+        raise ValidationError(f"{where}: unknown weighting {weighting!r}")
+    if not _is_number(alpha) or not 0.0 < alpha < 1.0:
+        raise ValidationError(f"{where}: alpha must be a number in (0, 1), got {alpha!r}")
+    if not (lam == "auto" or (_is_number(lam) and lam > 0)):
+        raise ValidationError(f"{where}: lambda must be positive or 'auto', got {lam!r}")
 
 
 def _entry_from_json(raw, where: str) -> LayerEntry:
@@ -295,38 +302,89 @@ def load_batches(
     return list(iter_batches(m, base_dir, layer, batches_dir))
 
 
-@dataclass(frozen=True)
-class EigenRecord:
-    """Where one layer's covariance eigendecomposition is stored.
+class StoredTensor(NamedTuple):
+    """A `.ctf` path relative to the profile's directory, and the sha256 of
+    the file's bytes."""
 
-    `cov_sha256` is the sha256 of the float64 bytes of the covariance that
-    was decomposed; `eigenvalues` (raw, non-increasing, before the PSD
-    clamp) and `eigenvectors` are `.ctf` paths relative to the profile's
-    directory.
+    path: str
+    sha256: str
+
+
+@dataclass(frozen=True)
+class SpectrumRecord:
+    """What `schedule` stored for one layer, and what it was computed from.
+
+    `cov_sha256` is array_digest of the covariance that was decomposed and
+    `w_sha256` maps each kind to array_digest of its grouped weight;
+    `alpha`, `lam` and `weighting` are the shrinkage the whitener used.
+    `files` maps each name in STORED_TENSORS to its StoredTensor: the raw
+    eigenvalues (non-increasing, before the PSD clamp), and the
+    singular values and V^T that factorizer.whitened_svd gave for K and V.
     """
 
     layer: int
     cov_sha256: str
-    eigenvalues: str
-    eigenvectors: str
+    w_sha256: dict[str, str]
+    alpha: float
+    lam: float | str
+    weighting: str
+    files: dict[str, StoredTensor]
 
 
-def covariance_digest(c: np.ndarray) -> str:
-    """The sha256 an EigenRecord keeps of a covariance's float64 bytes."""
-    return hashlib.sha256(np.ascontiguousarray(c, dtype=np.float64)).hexdigest()
+def array_digest(a: np.ndarray) -> str:
+    """The sha256 of an array's float64 bytes, in C order."""
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64)).hexdigest()
 
 
-def load_eigenpairs(record: EigenRecord, base_dir, dim: int) -> EigResult:
-    """Read the eigendecomposition a record names, checking its shapes."""
-    what = f"layer {record.layer}"
-    return EigResult(
-        _load_tensor(base_dir, record.eigenvalues, (dim,), f"{what} eigenvalues"),
-        _load_tensor(base_dir, record.eigenvectors, (dim, dim), f"{what} eigenvectors"),
+def store_tensor(path, rel_path: str, array) -> StoredTensor:
+    """Write `array` to `path` and record it under `rel_path`, the path the
+    profile will name it by, with the sha256 of the file written."""
+    ctf.write_ctf(path, array)
+    return StoredTensor(rel_path, hashlib.sha256(Path(path).read_bytes()).hexdigest())
+
+
+def _load_stored(record: SpectrumRecord, name: str, base_dir, shape) -> np.ndarray:
+    stored = record.files[name]
+    arr, digest = ctf.read_ctf_digest(Path(base_dir) / stored.path)
+    what = f"layer {record.layer} {name} ({stored.path})"
+    if digest != stored.sha256:
+        raise ValidationError(f"{what}: file sha256 does not match the profile's record")
+    if arr.shape != shape:
+        raise ValidationError(f"{what}: shape {arr.shape}, expected {shape}")
+    return arr
+
+
+def load_spectra(record: SpectrumRecord, base_dir, d_model: int,
+                 width: int) -> tuple[np.ndarray, tuple[WhitenedSvd, WhitenedSvd]]:
+    """The raw eigenvalues and the (K, V) whitened SVDs a record names, for
+    grouped weights of shape (d_model, width). Every file must match its
+    recorded sha256 and its shape."""
+    p = min(d_model, width)
+    spectra = tuple(
+        WhitenedSvd(_load_stored(record, f"sigma_{kind}", base_dir, (p,)),
+                    _load_stored(record, f"v_t_{kind}", base_dir, (p, width)))
+        for kind in ("k", "v")
     )
+    return _load_stored(record, "eigenvalues", base_dir, (d_model,)), spectra
+
+
+def _record_to_json(record: SpectrumRecord) -> dict:
+    doc = {
+        "layer": record.layer,
+        "cov_sha256": record.cov_sha256,
+        "alpha": record.alpha,
+        "lambda": record.lam,
+        "weighting": record.weighting,
+    }
+    for kind in KINDS:
+        doc[f"w_{kind.lower()}_sha256"] = record.w_sha256[kind]
+    for name in STORED_TENSORS:
+        doc[name], doc[f"{name}_sha256"] = record.files[name]
+    return doc
 
 
 def save_profile(profile: RankProfile, path, mode: str = "adjusted",
-                 eigen: tuple[EigenRecord, ...] = ()) -> None:
+                 spectra: tuple[SpectrumRecord, ...] = ()) -> None:
     entries = []
     for (layer, kind) in sorted(profile.ranks):
         entries.append(
@@ -346,20 +404,18 @@ def save_profile(profile: RankProfile, path, mode: str = "adjusted",
         "budget_v": profile.budget_v,
         "entries": entries,
     }
-    if eigen:
-        doc["eigen"] = [asdict(r) for r in sorted(eigen, key=lambda r: r.layer)]
-    # Through a temporary sibling and a rename, so `path` never holds a
-    # half-written profile.
-    partial = Path(path).with_name(Path(path).name + ".partial")
-    write_json(partial, doc)
-    os.replace(partial, path)
+    if spectra:
+        doc["spectra"] = [_record_to_json(r) for r in sorted(spectra, key=lambda r: r.layer)]
+    write_json_last(path, doc)
 
 
-def load_profile(path) -> tuple[RankProfile, str, dict[int, EigenRecord]]:
-    """Read a rank profile, its mode and its eigendecomposition records.
+def load_profile(path) -> tuple[RankProfile, str, dict[int, SpectrumRecord] | None]:
+    """Read a rank profile, its mode and its spectrum records.
 
-    The records map layer -> EigenRecord. A profile without an `eigen` key
-    has none; one with it must record every layer of the profile once.
+    The records map layer -> SpectrumRecord. A profile with a `spectra` key
+    must record every layer of the profile once; one without it has none
+    ({}). A profile with the `eigen` key of earlier versions, whose stored
+    eigenvectors are no longer read, loads as None.
     """
     doc = _read_json(path)
     _expect(doc, "format", PROFILE_FORMAT, path)
@@ -395,39 +451,50 @@ def load_profile(path) -> tuple[RankProfile, str, dict[int, EigenRecord]]:
     if mode not in PROFILE_MODES:
         raise ValidationError(f"{path}: mode must be one of {PROFILE_MODES}, got {mode!r}")
     layers = {layer for layer, _ in ranks}
-    return profile, mode, _eigen_records(doc, layers, path)
+    if "spectra" not in doc:
+        return profile, mode, None if "eigen" in doc else {}
+    return profile, mode, _spectrum_records(doc["spectra"], layers, path)
 
 
-def _eigen_records(doc: dict, layers: set[int], path) -> dict[int, EigenRecord]:
-    if "eigen" not in doc:
-        return {}
-    raw_records = doc["eigen"]
+def _sha256(raw: dict, key: str, where: str) -> str:
+    digest = raw.get(key)
+    if not isinstance(digest, str) or not _SHA256.fullmatch(digest):
+        raise ValidationError(f"{where}: {key} must be 64 lowercase hex digits, got {digest!r}")
+    return digest
+
+
+def _spectrum_records(raw_records, layers: set[int], path) -> dict[int, SpectrumRecord]:
     if not isinstance(raw_records, list):
-        raise ValidationError(f"{path}: eigen must be a list")
+        raise ValidationError(f"{path}: spectra must be a list")
     records = {}
     for raw in raw_records:
         if not isinstance(raw, dict):
-            raise ValidationError(f"{path}: malformed eigen record {raw!r}")
-        layer = _int(raw.get("layer"), f"{path}: eigen layer", minimum=0)
+            raise ValidationError(f"{path}: malformed spectrum record {raw!r}")
+        where = f"{path}: spectrum record"
+        layer = _int(raw.get("layer"), f"{where} layer", minimum=0)
         if layer not in layers or layer in records:
             raise ValidationError(
-                f"{path}: eigen record for layer {layer} is not one of the "
-                f"profile's layers, or repeats one"
+                f"{where} for layer {layer} is not one of the profile's layers, "
+                f"or repeats one"
             )
-        digest = raw.get("cov_sha256")
-        if not isinstance(digest, str) or not _SHA256.fullmatch(digest):
-            raise ValidationError(
-                f"{path}: eigen cov_sha256 must be 64 lowercase hex digits, got {digest!r}"
-            )
-        records[layer] = EigenRecord(
-            layer,
-            digest,
-            _tensor_path(raw.get("eigenvalues"), f"{path}: eigen eigenvalues"),
-            _tensor_path(raw.get("eigenvectors"), f"{path}: eigen eigenvectors"),
+        weighting, alpha, lam = raw.get("weighting"), raw.get("alpha"), raw.get("lambda")
+        _check_shrinkage(weighting, alpha, lam, where)
+        records[layer] = SpectrumRecord(
+            layer=layer,
+            cov_sha256=_sha256(raw, "cov_sha256", where),
+            w_sha256={kind: _sha256(raw, f"w_{kind.lower()}_sha256", where) for kind in KINDS},
+            alpha=alpha,
+            lam=lam,
+            weighting=weighting,
+            files={
+                name: StoredTensor(_tensor_path(raw.get(name), f"{where} {name}"),
+                                   _sha256(raw, f"{name}_sha256", where))
+                for name in STORED_TENSORS
+            },
         )
     if set(records) != layers:
         raise ValidationError(
-            f"{path}: eigen records cover layers {sorted(records)}, "
+            f"{path}: spectrum records cover layers {sorted(records)}, "
             f"the profile has {sorted(layers)}"
         )
     return records
@@ -435,6 +502,14 @@ def _eigen_records(doc: dict, layers: set[int], path) -> dict[int, EigenRecord]:
 
 def write_json(path, doc) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def write_json_last(path, doc) -> None:
+    """write_json through a `.partial` sibling and a rename, so `path`
+    never holds a half-written document."""
+    partial = Path(path).with_name(Path(path).name + ".partial")
+    write_json(partial, doc)
+    os.replace(partial, path)
 
 
 def _read_json(path) -> dict:

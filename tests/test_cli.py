@@ -14,6 +14,7 @@ from kvlatent import (
 )
 from kvlatent.attention import AttentionConfig
 from kvlatent.cli import main
+from kvlatent.errors import NumericalError
 from kvlatent.rng import make_generator
 from test_attention import masked_drift, reference_gqa, reference_mla
 from test_factorizer import random_gqa_layer
@@ -62,11 +63,26 @@ def pipeline(tmp_path: Path, seed=42, schedule_args=("--parity",),
 
 
 def without_records(profile: Path, out: Path) -> Path:
-    """A copy of `profile` without its eigen records, as older versions wrote."""
+    """A copy of `profile` without its spectrum records."""
     doc = json.loads(profile.read_text())
-    del doc["eigen"]
+    del doc["spectra"]
     out.write_text(json.dumps(doc))
     return out
+
+
+def counting(monkeypatch, *names) -> list[tuple[str, tuple]]:
+    """Record (name, first argument's shape) for each call of the named
+    linalg functions."""
+    calls = []
+    for name in names:
+        real = getattr(linalg, name)
+
+        def wrapper(a, _name=name, _real=real):
+            calls.append((_name, np.shape(a)))
+            return _real(a)
+
+        monkeypatch.setattr(linalg, name, wrapper)
+    return calls
 
 
 def write_engineered_model(root: Path) -> Path:
@@ -306,10 +322,10 @@ class TestSchedule:
                        "--parity", "--out", tmp_path / "s/p.json") == 0
             trees.append(tree_bytes(tmp_path / "s"))
         assert trees[0] == trees[1]
-        assert sorted(trees[0]) == ["p.json"] + [
-            f"p_eig/layer{layer:03d}_{part}.ctf"
-            for layer in range(2) for part in ("eigenvalues", "eigenvectors")
-        ]
+        assert sorted(trees[0]) == ["p.json"] + sorted(
+            f"p_spectra/layer{layer:03d}_{name}.ctf"
+            for layer in range(2) for name in manifest.STORED_TENSORS
+        )
 
     def test_infeasible_budget(self, tmp_path):
         model = gen_model(tmp_path / "m")
@@ -332,8 +348,8 @@ class TestSchedule:
         assert not (tmp_path / "p.json").exists()
 
     def test_non_psd_covariance_writes_nothing(self, tmp_path, capsys):
-        # Layer 0 is decomposed and its eigenpairs staged before layer 1 is
-        # refused; the refusal leaves no profile and no eigen files.
+        # Layer 0's spectra are staged before layer 1 is refused; the
+        # refusal leaves no profile and no stored spectra.
         model = gen_model(tmp_path / "m")
         assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
         ctf.write_ctf(tmp_path / "cov/layer001_cov.ctf", -np.eye(16))
@@ -453,28 +469,27 @@ class TestConvert:
                    "--parity", "--out", tmp_path / "p.json") == 3
 
     def test_one_eigendecomposition_per_layer(self, tmp_path, monkeypatch):
-        # None after schedule, whose eigenpairs convert reuses; one per
-        # layer from a profile without eigen records.
+        # After schedule, convert truncates the stored spectra: no
+        # eigendecomposition, QR or SVD. A shrinkage override or a profile
+        # without spectrum records decomposes each covariance once.
         model = gen_model(tmp_path / "m", layers=3)
         assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
         assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
                    "--budget-k", 12, "--budget-v", 12, "--out", tmp_path / "p.json") == 0
         without_records(tmp_path / "p.json", tmp_path / "old.json")
-        calls = []
-        real = linalg.sym_eig
-
-        def counting(s):
-            calls.append(s.shape)
-            return real(s)
-
-        monkeypatch.setattr(linalg, "sym_eig", counting)
-        for weighting in ("sqrtC", "C"):
-            for profile, expected in (("p.json", []), ("old.json", [(16, 16)] * 3)):
-                calls.clear()
-                assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
-                           "--profile", tmp_path / profile, "--weighting", weighting,
-                           "--out", tmp_path / weighting / profile) == 0
-                assert calls == expected
+        calls = counting(monkeypatch, "sym_eig", "qr_r", "svd")
+        recomputed = [("sym_eig", (16, 16))] + [("qr_r", (16, 8)), ("svd", (8, 8))] * 2
+        for weighting, profile, expected in (
+            ("sqrtC", "p.json", []),
+            ("C", "p.json", recomputed * 3),
+            ("sqrtC", "old.json", recomputed * 3),
+            ("C", "old.json", recomputed * 3),
+        ):
+            calls.clear()
+            assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                       "--profile", tmp_path / profile, "--weighting", weighting,
+                       "--out", tmp_path / weighting / profile) == 0
+            assert calls == expected
 
     def test_parity_report_retains_all_energy(self, tmp_path):
         pipeline(tmp_path)
@@ -506,10 +521,12 @@ class TestConvert:
                 assert entry["retained_energy"] < 1.0
 
     def test_qr_failure_is_numerical_error(self, tmp_path, monkeypatch, capsys):
+        # Without spectrum records convert runs its own QR.
         model = gen_model(tmp_path / "m")
         assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
         assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
                    "--parity", "--out", tmp_path / "p.json") == 0
+        without_records(tmp_path / "p.json", tmp_path / "old.json")
 
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("QR did not converge")
@@ -517,7 +534,7 @@ class TestConvert:
         monkeypatch.setattr(np.linalg, "qr", fail)
         capsys.readouterr()
         assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
-                   "--profile", tmp_path / "p.json", "--out", tmp_path / "c") == 3
+                   "--profile", tmp_path / "old.json", "--out", tmp_path / "c") == 3
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "c" / "converted.json").exists()
 
@@ -535,23 +552,17 @@ class TestConvert:
                    "--profile", tmp_path / "p.json", "--out", tmp_path / "c") == 0
 
     def test_svd_height_is_grouped_width(self, tmp_path, monkeypatch):
-        # d_model 16, n_groups * head_dim = 8: no SVD sees all 16 rows
+        # d_model 16, n_groups * head_dim = 8: no SVD sees all 16 rows, in
+        # schedule or in a convert that recomputes its spectra.
         model = gen_model(tmp_path / "m")
         assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        calls = counting(monkeypatch, "svd")
         assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
                    "--budget-k", 12, "--budget-v", 12, "--out", tmp_path / "p.json") == 0
-        shapes = []
-        real = linalg.svd
-
-        def recording(a):
-            shapes.append(np.shape(a))
-            return real(a)
-
-        monkeypatch.setattr(linalg, "svd", recording)
+        without_records(tmp_path / "p.json", tmp_path / "old.json")
         assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
-                   "--profile", tmp_path / "p.json", "--out", tmp_path / "c") == 0
-        assert len(shapes) == 4
-        assert all(rows <= 8 for rows, _ in shapes)
+                   "--profile", tmp_path / "old.json", "--out", tmp_path / "c") == 0
+        assert calls == [("svd", (8, 8))] * 8
 
     def test_report_carries_whitener_health(self, tmp_path):
         pipeline(tmp_path)
@@ -574,6 +585,33 @@ class TestConvert:
             assert layer_report["lambda_resolved"] == pytest.approx(resolved, rel=1e-12)
 
 
+    def test_interrupted_run_leaves_no_manifest(self, tmp_path, monkeypatch, capsys):
+        # A previous run's documents go before the first factor is written,
+        # and this run's are written last, so a failure at layer 1 leaves
+        # nothing that looks like a finished conversion.
+        pipeline(tmp_path)
+        out = tmp_path / "converted"
+        assert (out / "converted.json").exists()
+        real = factorizer.convert_layer
+
+        def fail_at_layer_1(layer, *args):
+            if fail_at_layer_1.calls == 1:
+                raise NumericalError("injected")
+            fail_at_layer_1.calls += 1
+            return real(layer, *args)
+
+        fail_at_layer_1.calls = 0
+        monkeypatch.setattr(factorizer, "convert_layer", fail_at_layer_1)
+        capsys.readouterr()
+        assert run("convert", "--manifest", tmp_path / "model/model.json",
+                   "--cov-dir", tmp_path / "cov", "--profile", tmp_path / "profile.json",
+                   "--out", out) == 3
+        assert capsys.readouterr().err == "error: injected\n"
+        left = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+        assert not [name for name in left if name.endswith(".json") or ".partial" in name]
+        assert "factors/layer000_w_a_k.ctf" in left
+
+
 def convert_tree(tmp_path: Path, model: Path, cov_dir: Path, profile: Path, out: str,
                  *args) -> dict[str, bytes]:
     assert run("convert", "--manifest", model, "--cov-dir", cov_dir, "--profile", profile,
@@ -581,8 +619,24 @@ def convert_tree(tmp_path: Path, model: Path, cov_dir: Path, profile: Path, out:
     return tree_bytes(tmp_path / out)
 
 
+def with_shrinkage(model: Path, name: str, args) -> Path:
+    """A copy of `model`, in its directory, whose shrinkage is the one the
+    convert flags `args` ask for."""
+    doc = json.loads(model.read_text())
+    flags = dict(zip(args[::2], args[1::2]))
+    for flag, key in (("--weighting", "weighting"), ("--alpha", "alpha"), ("--lambda", "lambda")):
+        if flag in flags:
+            value = flags[flag]
+            doc[key] = float(value) if key == "alpha" or value[0].isdigit() else value
+    path = model.with_name(name)
+    path.write_text(json.dumps(doc))
+    return path
+
+
 class TestEigenReuse:
-    """convert reuses the eigenpairs schedule stored next to the profile."""
+    """convert truncates the eigenvalues and whitened spectra that schedule
+    stored next to the profile, when the covariance, the grouped weights
+    and the shrinkage are the ones schedule used."""
 
     @pytest.fixture
     def scheduled(self, tmp_path) -> Path:
@@ -592,33 +646,58 @@ class TestEigenReuse:
                    "--budget-k", 12, "--budget-v", 12, "--out", tmp_path / "p.json") == 0
         return model
 
-    def convert_code(self, tmp_path, model, capsys, profile="p.json") -> tuple[int, str]:
+    def convert_code(self, tmp_path, model, capsys, profile="p.json", *args) -> tuple[int, str]:
         capsys.readouterr()
         code = run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
-                   "--profile", tmp_path / profile, "--out", tmp_path / "c")
+                   "--profile", tmp_path / profile, *args, "--out", tmp_path / "c")
         return code, capsys.readouterr().err
 
+    def spectra_lines(self, tmp_path, model, capsys, profile="p.json", *args) -> list[str]:
+        capsys.readouterr()
+        assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--profile", tmp_path / profile, *args, "--out", tmp_path / "c") == 0
+        return [line for line in capsys.readouterr().out.splitlines() if ": spectra " in line]
+
     def test_records_name_the_files_schedule_wrote(self, tmp_path, scheduled):
-        _, _, eigen = manifest.load_profile(tmp_path / "p.json")
-        assert sorted(eigen) == [0, 1, 2]
-        for layer, record in eigen.items():
+        _, _, records = manifest.load_profile(tmp_path / "p.json")
+        assert sorted(records) == [0, 1, 2]
+        m = manifest.load_manifest(scheduled)
+        params = calibration.ShrinkageParams(m.alpha, m.lam)
+        for layer, record in records.items():
             cov = ctf.read_ctf(tmp_path / "cov" / f"layer{layer:03d}_cov.ctf")
-            expected = linalg.sym_eig(cov)
-            assert record.cov_sha256 == manifest.covariance_digest(cov)
-            assert record.eigenvalues == f"p_eig/layer{layer:03d}_eigenvalues.ctf"
-            stored = manifest.load_eigenpairs(record, tmp_path, 16)
-            assert stored.eigenvalues.tobytes() == expected.eigenvalues.tobytes()
-            assert stored.eigenvectors.tobytes() == expected.eigenvectors.tobytes()
+            gqa = manifest.load_gqa_layer(m, scheduled.parent, layer)
+            eig = linalg.sym_eig(cov)
+            whitener = calibration.whitener_from_eig(eig, params, m.weighting)
+            assert record.cov_sha256 == manifest.array_digest(cov)
+            assert record.w_sha256 == {"K": manifest.array_digest(gqa.w_k_g),
+                                       "V": manifest.array_digest(gqa.w_v_g)}
+            assert (record.alpha, record.lam, record.weighting) == (0.01, "auto", "sqrtC")
+            assert {name: stored.path for name, stored in record.files.items()} == {
+                name: f"p_spectra/layer{layer:03d}_{name}.ctf" for name in manifest.STORED_TENSORS
+            }
+            eigenvalues, spectra = manifest.load_spectra(record, tmp_path, 16, 8)
+            assert eigenvalues.tobytes() == eig.eigenvalues.tobytes()
+            for w_g, stored in zip((gqa.w_k_g, gqa.w_v_g), spectra):
+                expected = factorizer.whitened_svd(w_g, whitener)
+                assert stored.singular_values.tobytes() == expected.singular_values.tobytes()
+                assert stored.v_t.tobytes() == expected.v_t.tobytes()
 
     @pytest.mark.parametrize("args", [
-        (), ("--weighting", "C"), ("--alpha", "0.2", "--lambda", "2.5"),
-        ("--weighting", "C", "--lambda", "auto"),
+        (), ("--weighting", "C"), ("--alpha", "0.2", "--lambda", "2.5"), ("--lambda", "auto"),
     ])
-    def test_reuse_matches_a_miss_byte_for_byte(self, tmp_path, scheduled, args):
-        old = without_records(tmp_path / "p.json", tmp_path / "old.json")
-        reused = convert_tree(tmp_path, scheduled, tmp_path / "cov", tmp_path / "p.json",
+    def test_reuse_matches_a_miss_byte_for_byte(self, tmp_path, scheduled, args, monkeypatch):
+        # The model's own shrinkage is the one the flags ask for, so the
+        # flags match what schedule used and convert reuses its spectra.
+        model = with_shrinkage(scheduled, "flags.json", args)
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--budget-k", 12, "--budget-v", 12, "--out", tmp_path / "q.json") == 0
+        old = without_records(tmp_path / "q.json", tmp_path / "old.json")
+        calls = counting(monkeypatch, "sym_eig", "qr_r", "svd")
+        reused = convert_tree(tmp_path, model, tmp_path / "cov", tmp_path / "q.json",
                               "reused", *args)
-        missed = convert_tree(tmp_path, scheduled, tmp_path / "cov", old, "missed", *args)
+        assert calls == []
+        missed = convert_tree(tmp_path, model, tmp_path / "cov", old, "missed", *args)
+        assert [name for name, _ in calls] == ["sym_eig", "qr_r", "svd", "qr_r", "svd"] * 3
         assert reused == missed
 
     def test_changed_covariance_is_decomposed_alone(self, tmp_path, scheduled, monkeypatch):
@@ -626,53 +705,117 @@ class TestEigenReuse:
         cov = ctf.read_ctf(tmp_path / "cov2/layer001_cov.ctf")
         ctf.write_ctf(tmp_path / "cov2/layer001_cov.ctf", 2.0 * cov)
         old = without_records(tmp_path / "p.json", tmp_path / "old.json")
-        calls = []
-        real = linalg.sym_eig
-
-        def counting(s):
-            calls.append(s.shape)
-            return real(s)
-
-        monkeypatch.setattr(linalg, "sym_eig", counting)
+        calls = counting(monkeypatch, "sym_eig")
         changed = convert_tree(tmp_path, scheduled, tmp_path / "cov2", tmp_path / "p.json",
                                "changed")
-        assert calls == [(16, 16)]
+        assert calls == [("sym_eig", (16, 16))]
         assert changed == convert_tree(tmp_path, scheduled, tmp_path / "cov2", old, "missed")
 
+    @pytest.mark.parametrize("kind", ["w_k_g", "w_v_g"])
+    def test_changed_weight_is_recomputed_alone(self, tmp_path, scheduled, monkeypatch, kind):
+        doc = json.loads(scheduled.read_text())
+        w = ctf.read_ctf(scheduled.parent / doc["layers"][2][kind])
+        ctf.write_ctf(scheduled.parent / "weights/changed.ctf", 2.0 * w)
+        doc["layers"][2][kind] = "weights/changed.ctf"
+        model = scheduled.with_name("changed.json")
+        model.write_text(json.dumps(doc))
+        old = without_records(tmp_path / "p.json", tmp_path / "old.json")
+        calls = counting(monkeypatch, "sym_eig")
+        changed = convert_tree(tmp_path, model, tmp_path / "cov", tmp_path / "p.json", "changed")
+        assert calls == [("sym_eig", (16, 16))]
+        assert changed == convert_tree(tmp_path, model, tmp_path / "cov", old, "missed")
+
+    def test_reports_why_spectra_were_recomputed(self, tmp_path, scheduled, capsys):
+        # The reasons go to stdout only; the artifacts do not depend on them.
+        assert self.spectra_lines(tmp_path, scheduled, capsys) == [
+            f"layer {layer}: spectra reused" for layer in range(3)
+        ]
+        for args, reason in ((("--alpha", "0.2"), "parameter override"),
+                             (("--weighting", "C"), "parameter override"),
+                             (("--lambda", "1.5"), "parameter override")):
+            lines = self.spectra_lines(tmp_path, scheduled, capsys, "p.json", *args)
+            assert lines == [f"layer {layer}: spectra recomputed ({reason})" for layer in range(3)]
+        without_records(tmp_path / "p.json", tmp_path / "old.json")
+        assert self.spectra_lines(tmp_path, scheduled, capsys, "old.json")[0] == (
+            "layer 0: spectra recomputed (no record)")
+        cov = ctf.read_ctf(tmp_path / "cov/layer000_cov.ctf")
+        ctf.write_ctf(tmp_path / "cov/layer000_cov.ctf", 2.0 * cov)
+        doc = json.loads(scheduled.read_text())
+        doc["layers"][1]["w_k_g"] = doc["layers"][0]["w_k_g"]
+        scheduled.with_name("swapped.json").write_text(json.dumps(doc))
+        assert self.spectra_lines(tmp_path, scheduled.with_name("swapped.json"), capsys) == [
+            "layer 0: spectra recomputed (covariance changed)",
+            "layer 1: spectra recomputed (weight changed)",
+            "layer 2: spectra reused",
+        ]
+
+    def test_old_eigen_profile_takes_the_full_path(self, tmp_path, scheduled, capsys):
+        doc = json.loads((tmp_path / "p.json").read_text())
+        doc["eigen"] = [
+            {"layer": r["layer"], "cov_sha256": r["cov_sha256"],
+             "eigenvalues": f"p_eig/layer{r['layer']:03d}_eigenvalues.ctf",
+             "eigenvectors": f"p_eig/layer{r['layer']:03d}_eigenvectors.ctf"}
+            for r in doc.pop("spectra")
+        ]
+        (tmp_path / "eigen.json").write_text(json.dumps(doc))
+        assert manifest.load_profile(tmp_path / "eigen.json")[2] is None
+        assert self.spectra_lines(tmp_path, scheduled, capsys, "eigen.json") == [
+            f"layer {layer}: spectra recomputed (old profile)" for layer in range(3)
+        ]
+        assert tree_bytes(tmp_path / "c") == convert_tree(
+            tmp_path, scheduled, tmp_path / "cov", tmp_path / "p.json", "reused")
+
     def test_swapped_eigenvectors_exit_2(self, tmp_path, scheduled, capsys):
-        path = tmp_path / "p_eig/layer001_eigenvectors.ctf"
-        q = ctf.read_ctf(path)
-        ctf.write_ctf(path, q[:, [1, 0, *range(2, 16)]])
+        # The rows of a stored V^T are the eigenvectors of W^T S^2 W; two of
+        # them swapped no longer match the file's recorded sha256.
+        path = tmp_path / "p_spectra/layer001_v_t_k.ctf"
+        v_t = ctf.read_ctf(path)
+        ctf.write_ctf(path, v_t[[1, 0, *range(2, 8)]])
         code, err = self.convert_code(tmp_path, scheduled, capsys)
         assert code == 2
-        assert err.startswith("error:") and "probe residual" in err
+        assert err.startswith("error:") and "sha256 does not match" in err
+
+    @pytest.mark.parametrize("name", ["sigma_k", "v_t_k", "sigma_v", "v_t_v"])
+    def test_tampered_spectrum_file_exits_2(self, tmp_path, scheduled, capsys, name):
+        path = tmp_path / f"p_spectra/layer002_{name}.ctf"
+        ctf.write_ctf(path, ctf.read_ctf(path) * (1.0 + 1e-15))
+        code, err = self.convert_code(tmp_path, scheduled, capsys)
+        assert code == 2
+        assert err.startswith("error:") and f"layer 2 {name}" in err
 
     def test_truncated_eigen_file_exits_2(self, tmp_path, scheduled, capsys):
-        path = tmp_path / "p_eig/layer002_eigenvalues.ctf"
+        path = tmp_path / "p_spectra/layer002_eigenvalues.ctf"
         path.write_bytes(path.read_bytes()[:-8])
         code, err = self.convert_code(tmp_path, scheduled, capsys)
         assert code == 2 and err.startswith("error:")
 
     def test_missing_eigen_file_exits_4(self, tmp_path, scheduled, capsys):
-        (tmp_path / "p_eig/layer000_eigenvectors.ctf").unlink()
+        (tmp_path / "p_spectra/layer000_eigenvalues.ctf").unlink()
+        code, err = self.convert_code(tmp_path, scheduled, capsys)
+        assert code == 4 and err.startswith("error:")
+
+    @pytest.mark.parametrize("name", ["sigma_k", "v_t_k", "sigma_v", "v_t_v"])
+    def test_missing_spectrum_file_exits_4(self, tmp_path, scheduled, capsys, name):
+        (tmp_path / f"p_spectra/layer001_{name}.ctf").unlink()
         code, err = self.convert_code(tmp_path, scheduled, capsys)
         assert code == 4 and err.startswith("error:")
 
     @pytest.mark.parametrize("path", ["../p_eig/layer000_eigenvalues.ctf", "/etc/x.ctf",
                                       "p_eig/../../x.ctf"])
     def test_escaping_record_path_exits_2(self, tmp_path, scheduled, capsys, path):
-        doc = json.loads((tmp_path / "p.json").read_text())
-        doc["eigen"][0]["eigenvalues"] = path
-        (tmp_path / "bad.json").write_text(json.dumps(doc))
-        code, err = self.convert_code(tmp_path, scheduled, capsys, "bad.json")
-        assert code == 2 and "inside the manifest directory" in err
+        for name in manifest.STORED_TENSORS:
+            doc = json.loads((tmp_path / "p.json").read_text())
+            doc["spectra"][0][name] = path
+            (tmp_path / "bad.json").write_text(json.dumps(doc))
+            code, err = self.convert_code(tmp_path, scheduled, capsys, "bad.json")
+            assert code == 2 and "inside the manifest directory" in err, name
 
     @pytest.mark.parametrize("records", [
         lambda r: r[:2], lambda r: r + r[:1], lambda r: [], lambda r: "x", lambda r: None,
     ], ids=["two_of_three", "repeated", "empty", "string", "null"])
     def test_records_must_cover_every_layer(self, tmp_path, scheduled, capsys, records):
         doc = json.loads((tmp_path / "p.json").read_text())
-        doc["eigen"] = records(doc["eigen"])
+        doc["spectra"] = records(doc["spectra"])
         (tmp_path / "bad.json").write_text(json.dumps(doc))
         code, err = self.convert_code(tmp_path, scheduled, capsys, "bad.json")
         assert code == 2 and err.startswith("error:")
@@ -955,6 +1098,32 @@ class TestEvalMemory:
             tracemalloc.stop()
         assert report["cache_width_mla_rope"] == 3 + 4 + 4
         assert peak < score_bytes, (peak, score_bytes)
+
+    def test_holds_one_batch_at_a_time(self, tmp_path):
+        d, seq, batches = 128, 512, 16
+        model = gen_model(tmp_path / "m", layers=1, d=d, heads=4, head_dim=32, seq=seq,
+                          batches=batches)
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--parity", "--out", tmp_path / "p.json") == 0
+        assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--profile", tmp_path / "p.json", "--out", tmp_path / "c") == 0
+        # A short probe, so the batches dominate what eval allocates.
+        doc = json.loads(model.read_text())
+        doc["seq_len"] = 8
+        model.write_text(json.dumps(doc))
+        batch_bytes = seq * d * 8
+        tracemalloc.start()
+        try:
+            assert run("eval", "--source", model, "--converted", tmp_path / "c/converted.json",
+                       "--out", tmp_path / "e") == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The batch in use, the next one's file bytes and array, its products
+        # at grouped and head width, and the layer's weights. The layer's
+        # sixteen batches held at once exceed this.
+        assert peak < 6 * batch_bytes, (peak, batch_bytes)
 
 
 class TestKvReport:

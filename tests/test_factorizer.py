@@ -29,6 +29,8 @@ from kvlatent.factorizer import (
     lift_gain,
     plain_factorize,
     replicate_groups,
+    truncate,
+    whitened_svd,
 )
 
 
@@ -346,7 +348,7 @@ class TestGroupedFactorize:
         energy = linalg.frobenius_norm_sq(whitener.matrix @ w)
         for r in sorted({1, max(1, full // 2), full}):
             pair, report = grouped_factorize(
-                w_g, whitener, r, self.N_HEADS, n_groups, self.HEAD_DIM
+                w_g, whitened_svd(w_g, whitener), r, self.N_HEADS, n_groups, self.HEAD_DIM
             )
             oracle_pair, oracle = reference_care_factorize(w, whitener.matrix, r)
             assert_matches_reference(pair, report, oracle_pair, oracle, energy)
@@ -368,7 +370,9 @@ class TestGroupedFactorize:
 
     def test_rank_above_true_rank_pads_with_zeros(self):
         whitener, w_g, w = self.setup_case(383, 2, "sqrtC")
-        pair, report = grouped_factorize(w_g, whitener, 12, self.N_HEADS, 2, self.HEAD_DIM)
+        pair, report = grouped_factorize(
+            w_g, whitened_svd(w_g, whitener), 12, self.N_HEADS, 2, self.HEAD_DIM
+        )
         assert pair.w_a.shape == (self.D, 12) and pair.w_b.shape == (12, self.D)
         assert np.array_equal(pair.w_a[:, 8:], np.zeros((self.D, 4)))
         assert np.array_equal(pair.w_b[8:], np.zeros((4, self.D)))
@@ -379,12 +383,43 @@ class TestGroupedFactorize:
         whitener, w_g, _ = self.setup_case(384, 2, "sqrtC")
         for r in (0, self.D + 1):
             with pytest.raises(ValidationError):
-                grouped_factorize(w_g, whitener, r, self.N_HEADS, 2, self.HEAD_DIM)
+                grouped_factorize(
+                    w_g, whitened_svd(w_g, whitener), r, self.N_HEADS, 2, self.HEAD_DIM
+                )
 
     def test_whitener_dim_mismatch(self):
         _, w_g, _ = self.setup_case(385, 2, "sqrtC")
         with pytest.raises(ValidationError):
-            grouped_factorize(w_g, identity_whitener(8), 2, self.N_HEADS, 2, self.HEAD_DIM)
+            grouped_factorize(
+                w_g, whitened_svd(w_g, identity_whitener(8)), 2, self.N_HEADS, 2, self.HEAD_DIM
+            )
+
+
+class TestTruncate:
+    def test_whitened_residual_is_the_discarded_energy(self):
+        # Against the residual formed from Y = L w, the quantity it replaces.
+        rng = gen(386)
+        c = covariance_of(anisotropic_batches(rng, 4, 24, 16, cond=400.0))
+        whitener = calibration.build_whitener(c, calibration.ShrinkageParams())
+        w = rng.standard_normal((16, 8))
+        spectrum = whitened_svd(w, whitener)
+        y = whitener.factor @ w
+        for r in range(1, 9):
+            _, report = truncate(w, spectrum, r)
+            v_r = spectrum.v_t[:r]
+            formed = linalg.frobenius_norm_sq(y - (y @ v_r.T) @ v_r)
+            energy = linalg.frobenius_norm_sq(y)
+            assert abs(report.whitened_residual_sq - formed) <= 1e-12 * energy
+        assert truncate(w, spectrum, 8)[1].whitened_residual_sq == 0.0
+
+    def test_refuses_a_spectrum_of_another_shape(self):
+        rng = gen(387)
+        w = rng.standard_normal((16, 8))
+        spectrum = whitened_svd(w, identity_whitener(16))
+        with pytest.raises(ValidationError, match="does not match"):
+            truncate(w[:, :6], spectrum, 2)
+        with pytest.raises(ValidationError, match="does not match"):
+            truncate(w, spectrum._replace(singular_values=spectrum.singular_values[:7]), 2)
 
 
 class TestPlainFactorize:

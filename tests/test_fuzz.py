@@ -1,17 +1,19 @@
 """Bounded fuzzing of the manifest, profile and tensor loaders through the CLI.
 
 Each example replaces one field of a valid model manifest, converted
-manifest or rank profile, its eigen records included (a type swap, an
+manifest or rank profile, its spectrum records included (a type swap, an
 out-of-range value or a path that leaves its directory) and runs the
 command that consumes the document. The command must never raise: it exits 2, 3 or 4 with an
 ``error:`` line, or 0 when the mutated value is still valid. The `.ctf`
 cases corrupt one header field, or truncate the file, and feed it to `cov`
 as a calibration batch, to `schedule` and `convert` as a covariance, and
-to `convert` as the eigenvectors a profile records.
+to `convert` as a V^T a profile records (consumer "eigen"), under the
+corrupted file's own sha256 so that the reader sees it.
 """
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import posixpath
@@ -66,15 +68,15 @@ MAY_CHANGE = {
     "full_rank": lambda v: v is None or is_int(v, 1),
     "batch": inside,
     **{name: inside for name in ("w_q", "w_k_g", "w_v_g", "w_a_k", "w_b_k", "w_a_v", "w_b_v",
-                                 "eigenvalues", "eigenvectors")},
+                                 "eigenvalues", "sigma_k", "v_t_k", "sigma_v", "v_t_v")},
 }
 
 
 def fields(doc: dict) -> list[tuple]:
     """(key path, field name) of every field: top-level keys, layer,
-    profile entry and eigen record keys, and calibration batch paths."""
+    profile entry and spectrum record keys, and calibration batch paths."""
     out = [((key,), key) for key in doc]
-    for list_key in ("layers", "entries", "eigen"):
+    for list_key in ("layers", "entries", "spectra"):
         for i, entry in enumerate(doc.get(list_key, [])):
             out += [((list_key, i, key), key) for key in entry]
     for layer, paths in doc.get("calibration", {}).items():
@@ -201,9 +203,12 @@ def test_corrupt_ctf_header_exits_cleanly(built, tmp_path, capsys, consumer, cas
         corrupt_copy(built / "model", tmp_path / "model", "batches/layer001_batch002.ctf", case)
         argv = ["cov", "--manifest", tmp_path / "model/model.json", "--out", tmp_path / "out"]
     elif consumer == "eigen":
-        shutil.copy(built / "profile.json", tmp_path / "profile.json")
-        corrupt_copy(built / "profile_eig", tmp_path / "profile_eig",
-                     "layer001_eigenvectors.ctf", case)
+        corrupt_copy(built / "profile_spectra", tmp_path / "profile_spectra",
+                     "layer001_v_t_k.ctf", case)
+        doc = json.loads((built / "profile.json").read_text())
+        corrupted = (tmp_path / "profile_spectra/layer001_v_t_k.ctf").read_bytes()
+        doc["spectra"][1]["v_t_k_sha256"] = hashlib.sha256(corrupted).hexdigest()
+        (tmp_path / "profile.json").write_text(json.dumps(doc))
         argv = ["convert", "--manifest", model, "--cov-dir", built / "cov",
                 "--profile", tmp_path / "profile.json", "--out", tmp_path / "out"]
     else:

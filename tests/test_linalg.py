@@ -168,6 +168,29 @@ class TestSymEigMatchesReference:
                   np.diag([1.0, -1.0, 1.0])):
             self.assert_same_bytes(s)
 
+    # The symmetry check reads 128-row blocks of the upper triangle; these
+    # asymmetric entries sit on block edges, in the last (partial) block and
+    # in the far corner.
+    ASYMMETRIC_AT = [(127, 128), (128, 127), (255, 256), (0, 299), (299, 0),
+                     (290, 295), (298, 299)]
+
+    @pytest.mark.parametrize("i, j", ASYMMETRIC_AT)
+    def test_one_asymmetric_entry_is_symmetrized(self, i, j):
+        a = gen(53).standard_normal((300, 300))
+        s = a + a.T
+        s[i, j] += 1e-12
+        assert linalg._max_asymmetry(s) == float(np.max(s - s.T)) > 0.0
+        self.assert_same_bytes(s)
+
+    @pytest.mark.parametrize("i, j", ASYMMETRIC_AT)
+    def test_one_asymmetric_entry_is_refused(self, i, j):
+        a = gen(54).standard_normal((300, 300))
+        s = a + a.T
+        s[i, j] += 1e-3
+        assert linalg._max_asymmetry(s) == float(np.max(s - s.T))
+        with pytest.raises(ValidationError, match="not symmetric"):
+            linalg.sym_eig(s)
+
     def test_covariance_at_benchmark_width(self):
         x = gen(51).standard_normal((1100, 1024))
         c = x.T @ x / 1100.0
@@ -189,49 +212,6 @@ class TestClampPsd:
     def test_all_negative_is_refused(self):
         with pytest.raises(NumericalError):
             linalg.clamp_psd(np.array([-1.0, -1.0]))
-
-
-class TestCheckEig:
-    def decomposed(self, n=32):
-        s = random_psd(gen(61), n, cond=100.0)
-        return s, linalg.sym_eig(s)
-
-    def test_accepts_its_own_decomposition(self):
-        s, eig = self.decomposed()
-        linalg.check_eig(s, eig)
-        linalg.check_eig(np.zeros((3, 3)), linalg.sym_eig(np.zeros((3, 3))))
-        linalg.check_eig(np.zeros((0, 0)), linalg.sym_eig(np.zeros((0, 0))))
-
-    def test_refuses_swapped_adjacent_eigenvectors(self):
-        s, eig = self.decomposed()
-        q = eig.eigenvectors[:, [0, 2, 1, *range(3, 32)]]
-        with pytest.raises(ValidationError, match="probe residual"):
-            linalg.check_eig(s, linalg.EigResult(eig.eigenvalues, q))
-
-    def test_refuses_another_matrix(self):
-        s, eig = self.decomposed()
-        with pytest.raises(ValidationError, match="probe residual"):
-            linalg.check_eig(s * (1.0 + 1e-6), eig)
-
-    def test_refuses_non_orthonormal_vectors(self):
-        # Scaled vectors still satisfy S Q = Q diag(vals); only the
-        # orthonormality probe catches them.
-        s, eig = self.decomposed()
-        q = eig.eigenvectors * (1.0 + 1e-6)
-        with pytest.raises(ValidationError, match="orthonormal"):
-            linalg.check_eig(s, linalg.EigResult(eig.eigenvalues, q))
-
-    def test_refuses_unsorted_eigenvalues(self):
-        s, eig = self.decomposed()
-        order = [1, 0, *range(2, 32)]
-        with pytest.raises(ValidationError, match="non-increasing"):
-            linalg.check_eig(s, linalg.EigResult(eig.eigenvalues[order],
-                                                 eig.eigenvectors[:, order]))
-
-    def test_refuses_mismatched_shapes(self):
-        s, eig = self.decomposed()
-        with pytest.raises(ValidationError, match="do not match"):
-            linalg.check_eig(s[:31, :31], eig)
 
 
 class TestSqrtPsd:

@@ -149,53 +149,81 @@ class TestRankProfileFile:
             full_ranks={(0, "K"): 4, (0, "V"): 4, (1, "K"): 4, (1, "V"): 4},
         )
         manifest.save_profile(profile, tmp_path / "p.json", mode="adjusted")
-        loaded, mode, eigen = manifest.load_profile(tmp_path / "p.json")
+        loaded, mode, records = manifest.load_profile(tmp_path / "p.json")
         assert mode == "adjusted"
         assert loaded.ranks == profile.ranks
         assert loaded.budget_k == 4 and loaded.budget_v == 6
         assert loaded.full_ranks == profile.full_ranks
-        assert eigen == {}
-        assert "eigen" not in json.loads((tmp_path / "p.json").read_text())
+        assert records == {}
+        assert "spectra" not in json.loads((tmp_path / "p.json").read_text())
 
     def test_round_trip_with_eigen_records(self, tmp_path):
+        # Spectrum records: each layer's eigenvalues and whitened spectra.
         profile = RankProfile(ranks={(0, "K"): 1, (0, "V"): 1, (1, "K"): 1, (1, "V"): 1},
                               budget_k=2, budget_v=2, min_rank=1)
         records = tuple(
-            manifest.EigenRecord(layer, f"{layer:064x}", f"p_eig/l{layer}_vals.ctf",
-                                 f"p_eig/l{layer}_vecs.ctf")
+            manifest.SpectrumRecord(
+                layer=layer, cov_sha256=f"{layer:064x}",
+                w_sha256={"K": "a" * 64, "V": "b" * 64},
+                alpha=0.25, lam=2.5 if layer else "auto", weighting="C",
+                files={name: manifest.StoredTensor(f"p_spectra/l{layer}_{name}.ctf",
+                                                   f"{i:064x}")
+                       for i, name in enumerate(manifest.STORED_TENSORS)},
+            )
             for layer in (1, 0)
         )
-        manifest.save_profile(profile, tmp_path / "p.json", eigen=records)
-        _, _, eigen = manifest.load_profile(tmp_path / "p.json")
-        assert eigen == {r.layer: r for r in records}
+        manifest.save_profile(profile, tmp_path / "p.json", spectra=records)
+        _, _, loaded = manifest.load_profile(tmp_path / "p.json")
+        assert loaded == {r.layer: r for r in records}
         doc = json.loads((tmp_path / "p.json").read_text())
-        assert [r["layer"] for r in doc["eigen"]] == [0, 1]
+        assert [r["layer"] for r in doc["spectra"]] == [0, 1]
         assert not (tmp_path / "p.json.partial").exists()
+
+    def test_old_eigen_key_loads_as_none(self, tmp_path):
+        doc = {
+            "format": manifest.PROFILE_FORMAT, "version": 1, "mode": "adjusted",
+            "min_rank": 1, "budget_k": 1, "budget_v": 1,
+            "entries": [{"layer": 0, "kind": kind, "rank": 1} for kind in ("K", "V")],
+            "eigen": [{"layer": 0, "cov_sha256": "0" * 64, "eigenvalues": "v.ctf",
+                       "eigenvectors": "q.ctf"}],
+        }
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        _, _, records = manifest.load_profile(tmp_path / "p.json")
+        assert records is None
 
     @pytest.mark.parametrize("field, value, match", [
         ("cov_sha256", "ab" * 31, "hex"),
         ("cov_sha256", "AB" * 32, "hex"),
         ("cov_sha256", 7, "hex"),
+        ("w_v_sha256", None, "hex"),
+        ("v_t_k_sha256", "ab" * 31, "hex"),
         ("layer", 1, "repeats"),
         ("layer", 5, "repeats"),
         ("layer", True, "integer"),
         ("eigenvalues", "../vals.ctf", "inside"),
-        ("eigenvectors", "/vecs.ctf", "inside"),
-        ("eigenvectors", None, "path string"),
+        ("v_t_k", "/vecs.ctf", "inside"),
+        ("sigma_v", None, "path string"),
+        ("alpha", 1.0, "alpha"),
+        ("lambda", 0, "lambda"),
+        ("weighting", "fisher", "weighting"),
     ])
     def test_rejects_malformed_eigen_record(self, tmp_path, field, value, match):
-        records = [
-            {"layer": layer, "cov_sha256": "0" * 64, "eigenvalues": "v.ctf",
-             "eigenvectors": "q.ctf"}
-            for layer in (0, 1)
-        ]
+        records = []
+        for layer in (0, 1):
+            record = {"layer": layer, "cov_sha256": "0" * 64, "w_k_sha256": "1" * 64,
+                      "w_v_sha256": "2" * 64, "alpha": 0.01, "lambda": "auto",
+                      "weighting": "sqrtC"}
+            for name in manifest.STORED_TENSORS:
+                record[name] = f"{name}.ctf"
+                record[f"{name}_sha256"] = "3" * 64
+            records.append(record)
         records[0][field] = value
         doc = {
             "format": manifest.PROFILE_FORMAT, "version": 1, "mode": "adjusted",
             "min_rank": 1, "budget_k": 2, "budget_v": 2,
             "entries": [{"layer": layer, "kind": kind, "rank": 1}
                         for layer in (0, 1) for kind in ("K", "V")],
-            "eigen": records,
+            "spectra": records,
         }
         (tmp_path / "p.json").write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match=match):
