@@ -16,14 +16,17 @@ it. How many reals per token a layer caches is not restated here:
 GqaLayer.cache_width and MlaFactors.cache_width own it, and the rotary
 channel adds rope_dim.
 
-One causal core serves every forward. It walks query rows in fixed blocks,
-scores each block only against the keys up to its last row, masks the
-diagonal tile and runs the softmax in the block's own buffer. Each masked
-logit block goes to one of two consumers. The trace forwards (gqa_forward,
-mla_forward, mla_forward_rope) copy logits and weights into full
-(n_heads, T, T) arrays. compare walks two forwards' blocks in lockstep and
-keeps only the logit drift and both outputs, so it never holds an
-(n_heads, T, T) array.
+One causal core serves every forward. It walks (head, query block) tiles
+of 64 query rows and scores each tile only against the keys up to its last
+row, into one (64, T) logit buffer per forward that every tile reuses. The
+softmax scale is folded into the query rows, so no logit is divided. The
+core masks the diagonal tile, exponentiates in place and normalises each
+tile's output rows after the product with the values. Each masked logit
+tile goes to one of two consumers. The trace forwards (gqa_forward,
+mla_forward, mla_forward_rope) copy logits and normalised weights into full
+(n_heads, T, T) arrays. compare walks two forwards' tiles in lockstep and
+keeps only the logit drift and both outputs, so beyond its outputs it holds
+a few tiles, whatever the head count.
 """
 
 import math
@@ -153,48 +156,74 @@ def rope_rotate(x, width: int, base: float) -> np.ndarray:
     return out.reshape(n_rows, n_cols)
 
 
-# Query rows per block of the causal attention core.
-_BLOCK = 128
+# Query rows per tile of the causal attention core.
+_TILE = 64
 
 
-def _future(n: int) -> np.ndarray:
-    """Mask of an n x n diagonal tile's entries above the diagonal: keys
-    after their query."""
-    return np.triu(np.ones((n, n), dtype=bool), 1)
+class _CausalCore:
+    """One walk of the causal core over one or more forwards of the same
+    heads and tokens.
 
-
-def _logit_blocks(heads: Heads):
-    """Yield (i0, i1, block) for each query block of the causal core.
-
-    block holds the scaled logits of query rows [i0, i1) against keys
-    [0, i1), shape (n_heads, i1 - i0, i1), with the future entries of its
-    diagonal tile set to exactly 0. No key past the block's last row is
-    scored. The consumer owns the block and may overwrite it.
+    tiles() walks (head, query block) tiles of _TILE rows. Each forward's
+    tile is a view of that forward's one (_TILE * T) logit buffer, so a
+    tile must be used before the next is asked for. The buffers, the
+    diagonal tile's future mask, the scaled-query buffers and the
+    (_TILE, 1) row max and row sum buffers are allocated once, here, and
+    reused by every tile. attend() writes each forward's (T, n_heads, d_v)
+    output in outputs.
     """
-    t = heads.q.shape[1]
-    k_t = heads.k.transpose(0, 2, 1)
-    for i0 in range(0, t, _BLOCK):
-        i1 = min(i0 + _BLOCK, t)
-        block = heads.q[:, i0:i1] @ k_t[:, :, :i1]
-        block /= heads.scale_denominator
-        block[:, :, i0:][:, _future(i1 - i0)] = 0.0
-        yield i0, i1, block
 
+    def __init__(self, *forwards: Heads):
+        n_heads, t, _ = forwards[0].q.shape
+        self._forwards = forwards
+        self._logits = [np.empty(_TILE * t) for _ in forwards]
+        self._queries = [np.empty((_TILE, f.q.shape[2])) for f in forwards]
+        self._future = np.triu(np.ones((_TILE, _TILE), dtype=bool), 1)
+        self._row_max = np.empty((_TILE, 1))
+        self._row_sum = np.empty((_TILE, 1))
+        self.outputs = [np.empty((t, n_heads, f.v.shape[2])) for f in forwards]
 
-def _attend_block(block, i0: int, i1: int, v, output) -> None:
-    """Turn one logit block from _logit_blocks into attention weights in
-    place, its future entries exactly 0, and write rows [i0, i1) of the
-    (T, n_heads, d_v) output."""
-    block[:, :, i0:][:, _future(i1 - i0)] = -np.inf
-    block -= block.max(axis=2, keepdims=True)
-    np.exp(block, out=block)
-    block /= block.sum(axis=2, keepdims=True)
-    output[i0:i1] = (block @ v[:, :i1]).transpose(1, 0, 2)
+    def tiles(self):
+        """Yield (h, i0, i1, logits) for each tile of the walk.
 
+        logits holds one (i1 - i0, i1) array per forward: head h's scaled
+        logits of query rows [i0, i1) against keys [0, i1), with the future
+        entries of the diagonal tile, columns [i0, i1), exactly 0. No key
+        past the tile's last row is scored. The scale is folded into each
+        query row, once per forward, so no logit is divided. The consumer
+        may overwrite the logits.
+        """
+        n_heads, t, _ = self._forwards[0].q.shape
+        for h in range(n_heads):
+            for i0 in range(0, t, _TILE):
+                i1 = min(i0 + _TILE, t)
+                n = i1 - i0
+                future = self._future[:n, :n]
+                logits = []
+                for f, buffer, q in zip(self._forwards, self._logits, self._queries):
+                    tile = buffer[: n * i1].reshape(n, i1)
+                    np.divide(f.q[h, i0:i1], f.scale_denominator, out=q[:n])
+                    np.matmul(q[:n], f.k[h, :i1].T, out=tile)
+                    np.copyto(tile[:, i0:], 0.0, where=future)
+                    logits.append(tile)
+                yield h, i0, i1, logits
 
-def _new_output(heads: Heads) -> np.ndarray:
-    n_heads, t, d_v = heads.v.shape
-    return np.empty((t, n_heads, d_v))
+    def attend(self, j: int, h: int, i0: int, tile) -> np.ndarray:
+        """Turn forward j's logit tile from tiles() into unnormalised
+        softmax weights in place, its future entries exactly 0, and write
+        its output rows, normalised after the product with the values.
+        Returns the (i1 - i0, 1) row sums, valid until the next call."""
+        n, i1 = tile.shape
+        row_max, row_sum = self._row_max[:n], self._row_sum[:n]
+        np.copyto(tile[:, i0:], -np.inf, where=self._future[:n, :n])
+        np.max(tile, axis=1, keepdims=True, out=row_max)
+        tile -= row_max
+        np.exp(tile, out=tile)
+        np.sum(tile, axis=1, keepdims=True, out=row_sum)
+        rows = self.outputs[j][i0:i1, h]
+        np.matmul(tile, self._forwards[j].v[h, :i1], out=rows)
+        rows /= row_sum
+        return row_sum
 
 
 def _trace(heads: Heads) -> AttentionTrace:
@@ -204,42 +233,44 @@ def _trace(heads: Heads) -> AttentionTrace:
     n_heads, t, _ = heads.q.shape
     logits = np.zeros((n_heads, t, t))
     weights = np.zeros((n_heads, t, t))
-    output = _new_output(heads)
-    for i0, i1, block in _logit_blocks(heads):
-        logits[:, i0:i1, :i1] = block
-        _attend_block(block, i0, i1, heads.v, output)
-        weights[:, i0:i1, :i1] = block
-    return AttentionTrace(logits, weights, output.reshape(t, -1), heads.scale_denominator)
+    core = _CausalCore(heads)
+    for h, i0, i1, (tile,) in core.tiles():
+        logits[h, i0:i1, :i1] = tile
+        row_sum = core.attend(0, h, i0, tile)
+        np.divide(tile, row_sum, out=weights[h, i0:i1, :i1])
+    output = core.outputs[0].reshape(t, -1)
+    return AttentionTrace(logits, weights, output, heads.scale_denominator)
 
 
 def compare(a: Heads, b: Heads) -> Comparison:
     """Logit drift between two forwards over the same tokens, and both
     outputs, in one pass.
 
-    Walks the two forwards' logit blocks in lockstep. Each pair adds to the
+    Walks the two forwards' logit tiles in lockstep. Each pair adds to the
     max-absolute and Frobenius drift over the causal region (future entries
     are 0 in both), then becomes attention weights and output rows. The
     result equals logit_drift of the two traces and their outputs, but only
-    one query block of logits per forward is alive at a time.
+    one tile of logits per forward, and one of their difference, is alive
+    at a time, whatever the head count.
     """
     if a.q.shape[:2] != b.q.shape[:2]:
         raise ValidationError(
             f"forwards differ in heads or tokens: {a.q.shape[:2]} vs {b.q.shape[:2]}"
         )
-    output_a, output_b = _new_output(a), _new_output(b)
+    t = a.q.shape[1]
+    core = _CausalCore(a, b)
+    delta_buffer = np.empty(_TILE * t)
     max_abs = 0.0
     sum_sq = 0.0
-    for (i0, i1, block_a), (_, _, block_b) in zip(_logit_blocks(a), _logit_blocks(b)):
-        delta = block_a - block_b
-        flat = delta.reshape(-1)
-        sum_sq += float(flat @ flat)
-        max_abs = max(max_abs, float(np.abs(delta, out=delta).max()))
-        _attend_block(block_a, i0, i1, a.v, output_a)
-        _attend_block(block_b, i0, i1, b.v, output_b)
-    t = a.q.shape[1]
-    return Comparison(
-        DriftResult(max_abs, math.sqrt(sum_sq)), output_a.reshape(t, -1), output_b.reshape(t, -1)
-    )
+    for h, i0, _, (tile_a, tile_b) in core.tiles():
+        delta = delta_buffer[: tile_a.size]
+        np.subtract(tile_a.reshape(-1), tile_b.reshape(-1), out=delta)
+        sum_sq += float(delta @ delta)
+        max_abs = max(max_abs, float(delta.max()), -float(delta.min()))
+        core.attend(0, h, i0, tile_a)
+        core.attend(1, h, i0, tile_b)
+    output_a, output_b = (output.reshape(t, -1) for output in core.outputs)
+    return Comparison(DriftResult(max_abs, math.sqrt(sum_sq)), output_a, output_b)
 
 
 def _heads(a, width: int) -> np.ndarray:

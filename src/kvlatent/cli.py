@@ -594,6 +594,10 @@ def cmd_eval(args) -> None:
     conv_base = Path(args.converted).parent
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # The report is written last and an old one goes first, so a run that
+    # stops early leaves no report of another run.
+    report_path = out / "eval_report.json"
+    report_path.unlink(missing_ok=True)
 
     rng = make_generator(args.seed)
     t = source.seq_len
@@ -634,14 +638,14 @@ def cmd_eval(args) -> None:
         "layers": layer_reports,
         "totals": totals,
     }
-    manifest.write_json(out / "eval_report.json", doc)
+    manifest.write_json_last(report_path, doc)
 
     print(f"max logit drift (content path): {max_drift:.3e}")
     print(
         f"cache per token, {len(layer_reports)} layers: gqa={width_gqa} mla={width_mla}"
         + (f" (incl. rope {args.rope_dim} per layer)" if args.rope_dim else "")
     )
-    print(f"report: {out / 'eval_report.json'}")
+    print(f"report: {report_path}")
 
 
 # ---------------------------------------------------------------- kv-report

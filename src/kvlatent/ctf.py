@@ -9,17 +9,18 @@ Layout, all little-endian:
     dims    ndim x u64
     payload product(dims) values, row-major
 
-Values are always returned as float64; float32 payloads are up-converted on
-read. Writing the array a reader produced, with the dtype code the reader
-reported, reproduces the original bytes exactly. A header whose shape no
-float64 array can take (more than 32 dims, or nonzero dims whose product
-overflows the address space, even next to a zero dim) is refused like any
-other malformed header.
+Values are always returned as float64. A float64 payload comes back as a
+writable view of the buffer the file was read into, with no copy; float32
+payloads are up-converted on read. Writing the array a reader produced,
+with the dtype code the reader reported, reproduces the original bytes
+exactly. A header whose shape no float64 array can take (more than 32 dims,
+or nonzero dims whose product overflows the address space, even next to a
+zero dim) is refused like any other malformed header.
 """
 
 import hashlib
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +37,10 @@ _NP_DTYPES = {DTYPE_F32: np.dtype("<f4"), DTYPE_F64: np.dtype("<f8")}
 # numpy 1.x's limit on array dimensions (numpy 2 allows 64).
 MAX_NDIM = 32
 _MAX_BYTES = int(np.iinfo(np.intp).max)
+# A payload starts _HEADER.size + 8 * ndim bytes into the file. Reading the
+# file this many bytes into a fresh buffer, which malloc aligns to 16 bytes,
+# puts every payload on an 8-byte boundary.
+_PAYLOAD_SHIFT = -_HEADER.size % 8
 
 
 def write_ctf(path, array, dtype_code: int = DTYPE_F64) -> None:
@@ -60,17 +65,29 @@ def write_ctf(path, array, dtype_code: int = DTYPE_F64) -> None:
 
 def read_ctf_ex(path) -> tuple[np.ndarray, int]:
     """Read a tensor and its on-disk dtype code. Values come back as float64."""
-    return _decode(Path(path).read_bytes(), path)
+    return _decode(_read_file(path), path)
 
 
 def read_ctf_digest(path) -> tuple[np.ndarray, str]:
     """Read a tensor and the sha256 of the file's bytes, from one read."""
-    data = Path(path).read_bytes()
+    data = _read_file(path)
     values, _ = _decode(data, path)
     return values, hashlib.sha256(data).hexdigest()
 
 
-def _decode(data: bytes, path) -> tuple[np.ndarray, int]:
+def _read_file(path) -> np.ndarray:
+    """The file's bytes as a writable uint8 array, with any float64 payload
+    8-byte aligned, so the payload can be viewed in place. numpy's
+    allocator, unlike bytearray, neither zero-fills the buffer nor leaves a
+    large one on small pages."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        buffer = np.empty(_PAYLOAD_SHIFT + size, dtype=np.uint8)[_PAYLOAD_SHIFT:]
+        read = f.readinto(buffer)
+    return buffer[:read]
+
+
+def _decode(data: np.ndarray, path) -> tuple[np.ndarray, int]:
     if len(data) < _HEADER.size:
         raise ValidationError(f"{path}: truncated header")
     magic, version, dtype_code, ndim = _HEADER.unpack_from(data, 0)
@@ -103,8 +120,9 @@ def _decode(data: bytes, path) -> tuple[np.ndarray, int]:
             f"{path}: payload length {len(data) - offset} does not match "
             f"dims {tuple(dims)}"
         )
-    values = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
-    values = values.astype(np.float64).reshape(dims)
+    values = np.frombuffer(data, dtype=dtype, count=count, offset=offset).reshape(dims)
+    if values.dtype != np.float64:
+        values = values.astype(np.float64)
     if not np.all(np.isfinite(values)):
         raise ValidationError(f"{path}: payload contains non-finite values")
     return values, dtype_code

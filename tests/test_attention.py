@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from kvlatent import calibration, linalg
 from kvlatent.attention import (
     AttentionConfig,
     AttentionTrace,
+    Heads,
     RopeAdapters,
     compare,
     gqa_forward,
@@ -414,8 +416,9 @@ class TestLogitDrift:
         assert wins >= 0.9 * trials
 
 
-# Sequence lengths on both sides of the core's 128-row query block.
-BLOCK_EDGE_LENGTHS = (1, 127, 128, 129, 300)
+# Sequence lengths on both sides of the core's 64-row query tile, and of
+# two such tiles.
+BLOCK_EDGE_LENGTHS = (1, 63, 64, 65, 127, 128, 129, 300)
 
 
 def assert_matches_reference(trace, reference):
@@ -507,6 +510,26 @@ class TestCompareOracle:
         with pytest.raises(ValidationError):
             compare(gqa_heads(layer, rng.standard_normal((3, 16))),
                     gqa_heads(layer, rng.standard_normal((4, 16))))
+
+    @pytest.mark.parametrize("n_heads", (4, 16))
+    def test_working_set_does_not_grow_with_heads(self, n_heads):
+        # Beyond its two outputs, compare holds a few tiles of 64 query rows
+        # against T keys, whatever the head count.
+        t, head_dim = 1024, 32
+        rng = gen(4652 + n_heads)
+        forwards = [
+            Heads(*(rng.standard_normal((n_heads, t, head_dim)) for _ in range(3)),
+                  math.sqrt(head_dim))
+            for _ in range(2)
+        ]
+        tracemalloc.start()
+        try:
+            _, output_a, output_b = compare(*forwards)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        working = peak - output_a.nbytes - output_b.nbytes
+        assert working < 8 * 64 * t * 8, (working, n_heads)
 
 
 class TestKvCacheBytes:

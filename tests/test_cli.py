@@ -844,6 +844,19 @@ class TestEval:
                        "--seed", 5, "--out", tmp_path / out) == 0
         assert tree_bytes(tmp_path / "e1") == tree_bytes(tmp_path / "e2")
 
+    def test_failed_rerun_leaves_no_report(self, tmp_path, capsys):
+        # The old report goes before the first layer runs and the new one is
+        # written last, so a rerun that fails at layer 1 leaves no report.
+        pipeline(tmp_path)
+        assert (tmp_path / "eval/eval_report.json").exists()
+        (tmp_path / "converted/factors/layer001_w_a_v.ctf").unlink()
+        capsys.readouterr()
+        assert run("eval", "--source", tmp_path / "model/model.json",
+                   "--converted", tmp_path / "converted/converted.json",
+                   "--seed", 0, "--out", tmp_path / "eval") == 4
+        assert "layer001_w_a_v.ctf" in capsys.readouterr().err
+        assert tree_bytes(tmp_path / "eval") == {}
+
     @pytest.mark.parametrize("rope_dim", [-4, 3])
     def test_bad_rope_dim_writes_nothing(self, tmp_path, capsys, rope_dim):
         pipeline(tmp_path)

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tempfile
 from pathlib import Path
@@ -37,6 +38,31 @@ class TestRoundTrip:
         assert np.allclose(back, arr, atol=1e-6)
         ctf.write_ctf(path, back, code)
         assert path.read_bytes() == first
+
+    @pytest.mark.parametrize("shape", [(5,), (4, 7), (2, 3, 4)])
+    def test_f64_read_is_a_writable_view_of_the_read_buffer(self, tmp_path, monkeypatch,
+                                                            shape):
+        buffers = []
+        real = ctf._read_file
+
+        def recording(path):
+            buffers.append(real(path))
+            return buffers[-1]
+
+        monkeypatch.setattr(ctf, "_read_file", recording)
+        arr = gen(603).standard_normal(shape)
+        path = tmp_path / "a.ctf"
+        ctf.write_ctf(path, arr, ctf.DTYPE_F64)
+        first = path.read_bytes()
+        for read in (ctf.read_ctf_ex, ctf.read_ctf_digest):
+            back, _ = read(path)
+            assert np.shares_memory(back, buffers[-1])
+            assert back.flags.writeable and back.flags.aligned
+            assert back.dtype == np.float64 and np.array_equal(back, arr)
+            ctf.write_ctf(path, back, ctf.DTYPE_F64)
+            assert path.read_bytes() == first
+            back[...] = 0.0
+        assert ctf.read_ctf_digest(path)[1] == hashlib.sha256(first).hexdigest()
 
     @settings(max_examples=25, deadline=None)
     @given(
