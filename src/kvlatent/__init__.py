@@ -17,7 +17,6 @@ from .calibration import (
     accumulate,
     build_whitener,
     finalize,
-    merge,
     whitening_operator,
 )
 from .factorizer import (
@@ -27,8 +26,6 @@ from .factorizer import (
     MlaFactors,
     care_factorize,
     convert_layer,
-    kv_parity_rank,
-    plain_factorize,
     replicate_groups,
 )
 from .scheduler import RankProfile, SpectrumTable, uniform_profile, waterfill
@@ -49,9 +46,6 @@ __all__ = [
     "care_factorize",
     "convert_layer",
     "finalize",
-    "kv_parity_rank",
-    "merge",
-    "plain_factorize",
     "replicate_groups",
     "uniform_profile",
     "waterfill",

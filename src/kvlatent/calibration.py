@@ -73,15 +73,6 @@ def accumulate(acc: CovarianceAccumulator, batch: CalibrationBatch) -> Covarianc
     return CovarianceAccumulator(acc.dim, acc.batch_count + 1, acc.sum_xtx + update)
 
 
-def merge(a: CovarianceAccumulator, b: CovarianceAccumulator) -> CovarianceAccumulator:
-    """Combine two accumulators built over disjoint batch shards."""
-    if a.dim != b.dim:
-        raise ValidationError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return CovarianceAccumulator(
-        a.dim, a.batch_count + b.batch_count, a.sum_xtx + b.sum_xtx
-    )
-
-
 def finalize(acc: CovarianceAccumulator) -> np.ndarray:
     """Average the accumulated sum into the covariance matrix."""
     if acc.batch_count < 1:

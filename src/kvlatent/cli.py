@@ -9,6 +9,7 @@ tensor paths are stored relative to their manifest. Exit codes: 0 success,
 import argparse
 import contextlib
 import dataclasses
+import os
 import shutil
 import sys
 from collections.abc import Iterable
@@ -41,29 +42,16 @@ def _spectra_dir(profile_path: Path) -> Path:
     return profile_path.with_name(profile_path.stem + "_spectra")
 
 
-def _read_covariance(m: manifest.ModelManifest, cov_dir, layer: int) -> np.ndarray:
-    c = ctf.read_ctf(Path(cov_dir) / _cov_name(layer))
-    entry = m.layer(layer)
-    if c.shape != (entry.d_model, entry.d_model):
-        raise ValidationError(
-            f"covariance for layer {layer} has shape {c.shape}, "
-            f"expected ({entry.d_model}, {entry.d_model})"
-        )
-    return c
-
-
 def _weight_digests(gqa: factorizer.GqaLayer) -> dict[str, str]:
     return {scheduler.KIND_K: manifest.array_digest(gqa.w_k_g),
             scheduler.KIND_V: manifest.array_digest(gqa.w_v_g)}
 
 
-def _miss_reason(records: dict[int, manifest.SpectrumRecord] | None, layer: int,
+def _miss_reason(records: dict[int, manifest.SpectrumRecord], layer: int,
                  c: np.ndarray, gqa: factorizer.GqaLayer,
                  params: calibration.ShrinkageParams, weighting: str) -> str | None:
     """Why the spectra `schedule` stored cannot stand in for this layer's,
     or None when they can."""
-    if records is None:
-        return "old profile"
     record = records.get(layer)
     if record is None:
         return "no record"
@@ -78,7 +66,7 @@ def _miss_reason(records: dict[int, manifest.SpectrumRecord] | None, layer: int,
 
 def _layer_whitening(m: manifest.ModelManifest, cov_dir, layer: int, gqa: factorizer.GqaLayer,
                      params: calibration.ShrinkageParams, weighting: str,
-                     records: dict[int, manifest.SpectrumRecord] | None, profile_dir: Path,
+                     records: dict[int, manifest.SpectrumRecord], profile_dir: Path,
                      ) -> tuple[calibration.Whitener,
                                 tuple[factorizer.WhitenedSvd, factorizer.WhitenedSvd] | None,
                                 str | None]:
@@ -90,13 +78,14 @@ def _layer_whitening(m: manifest.ModelManifest, cov_dir, layer: int, gqa: factor
     built from the stored raw eigenvalues alone, through the same clamp and
     shrink, and no eigenvectors are read.
     """
-    c = _read_covariance(m, cov_dir, layer)
+    entry = m.layer(layer)
+    d = entry.d_model
+    c = manifest._load_tensor(cov_dir, _cov_name(layer), (d, d), f"layer {layer} covariance")
     reason = _miss_reason(records, layer, c, gqa, params, weighting)
     if reason is not None:
         return calibration.whitener_from_eig(linalg.sym_eig(c), params, weighting), None, reason
-    entry = m.layer(layer)
     eigenvalues, spectra = manifest.load_spectra(
-        records[layer], profile_dir, entry.d_model, entry.n_groups * entry.head_dim
+        records[layer], profile_dir, d, entry.n_groups * entry.head_dim
     )
     eig = linalg.EigResult(eigenvalues, None)
     return calibration.whitener_from_eig(eig, params, weighting), spectra, None
@@ -141,6 +130,7 @@ def _parse_widths(text: str) -> list[int]:
 # ---------------------------------------------------------------- gen
 
 def cmd_gen(args) -> None:
+    rng = make_generator(args.seed)
     if args.n_heads * args.head_dim != args.d_model:
         raise ValidationError("--n-heads * --head-dim must equal --d-model")
     if args.n_groups < 1 or args.n_groups > args.n_heads or args.n_heads % args.n_groups:
@@ -151,7 +141,6 @@ def cmd_gen(args) -> None:
     out = Path(args.out)
     (out / "weights").mkdir(parents=True, exist_ok=True)
     (out / "batches").mkdir(parents=True, exist_ok=True)
-    rng = make_generator(args.seed)
     d, width = args.d_model, args.n_heads * args.head_dim
     grouped = args.n_groups * args.head_dim
 
@@ -245,10 +234,17 @@ def cmd_cov(args) -> None:
     base = Path(args.manifest).parent
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # Every old covariance goes before the first batch is read, and each new
+    # one appears whole, so a failed rerun never leaves a mix of two runs.
+    for layer in range(len(m.layers)):
+        (out / _cov_name(layer)).unlink(missing_ok=True)
     for layer in range(len(m.layers)):
         cov, count = _layer_covariance(m, base, layer, args.batches_dir)
-        ctf.write_ctf(out / _cov_name(layer), cov)
-        print(f"layer {layer}: {count} batches -> {out / _cov_name(layer)}")
+        path = out / _cov_name(layer)
+        partial = path.with_name(path.name + ".partial")
+        ctf.write_ctf(partial, cov)
+        os.replace(partial, path)
+        print(f"layer {layer}: {count} batches -> {path}")
 
 
 # ---------------------------------------------------------------- schedule
@@ -306,13 +302,14 @@ def _layer_spectra(m: manifest.ModelManifest, base: Path, cov_dir, layer: int,
     are written to `spectra_out` once the PSD check passes, for `convert`
     to truncate. The layer's D x D arrays are freed on return, before the
     next layer's are read."""
-    c = _read_covariance(m, cov_dir, layer)
+    d = m.layer(layer).d_model
+    c = manifest._load_tensor(cov_dir, _cov_name(layer), (d, d), f"layer {layer} covariance")
     eig = linalg.sym_eig(c)
     whitener = calibration.whitener_from_eig(eig, params, m.weighting)
     gqa = manifest.load_gqa_layer(m, base, layer)
     tensors = {"eigenvalues": eig.eigenvalues}
-    # The head-width weight's spectrum is this grouped one times the lift
-    # gain, plus zeros; water-filling is invariant to that scale.
+    # The head-width spectrum is this grouped one times sqrt(n_heads /
+    # n_groups), plus zeros; water-filling is invariant to that scale.
     for kind, w_g in ((scheduler.KIND_K, gqa.w_k_g), (scheduler.KIND_V, gqa.w_v_g)):
         svd = factorizer.whitened_svd(w_g, whitener)
         table.add(layer, kind, svd.singular_values)
@@ -375,6 +372,13 @@ def cmd_convert(args) -> None:
     m = manifest.load_manifest(args.manifest)
     base = Path(args.manifest).parent
     profile, _, records = manifest.load_profile(args.profile)
+    expected = {(layer, kind) for layer in range(len(m.layers)) for kind in scheduler.KINDS}
+    if set(profile.ranks) != expected:
+        raise ValidationError(
+            f"{args.profile} does not fit the model's {len(m.layers)} layers: entries "
+            f"missing {sorted(expected - set(profile.ranks))}, "
+            f"extra {sorted(set(profile.ranks) - expected)}"
+        )
     profile_dir = Path(args.profile).parent
     weighting = args.weighting if args.weighting else m.weighting
     alpha = args.alpha if args.alpha is not None else m.alpha
@@ -576,6 +580,7 @@ def cmd_eval(args) -> None:
     if args.bytes_per_elem < 1:
         raise ValidationError(f"--bytes-per-elem must be at least 1, got {args.bytes_per_elem}")
     params = metrics.LossParams(tau=args.tau, beta=args.beta)
+    rng = make_generator(args.seed)
     source = manifest.load_manifest(args.source)
     converted = manifest.load_manifest(args.converted)
     if source.model_kind != manifest.MODEL_KIND_GQA:
@@ -599,7 +604,6 @@ def cmd_eval(args) -> None:
     report_path = out / "eval_report.json"
     report_path.unlink(missing_ok=True)
 
-    rng = make_generator(args.seed)
     t = source.seq_len
     layer_reports = []
     for layer in range(len(source.layers)):
@@ -693,7 +697,7 @@ def cmd_kv_report(args) -> None:
             doc["baseline_bytes"] = rows[1][2].total_bytes
         if reduction is not None:
             doc["reduction_pct"] = _fmt2(reduction)
-        manifest.write_json(args.out, doc)
+        manifest.write_json_last(args.out, doc)
 
 
 # ---------------------------------------------------------------- ablate
@@ -701,6 +705,7 @@ def cmd_kv_report(args) -> None:
 def cmd_ablate(args) -> None:
     if args.seq_len is not None and args.seq_len < 1:
         raise ValidationError(f"--seq-len must be a positive integer, got {args.seq_len}")
+    rng = make_generator(args.seed)
     m = manifest.load_manifest(args.manifest)
     base = Path(args.manifest).parent
     if args.kind not in scheduler.KINDS:
@@ -712,7 +717,7 @@ def cmd_ablate(args) -> None:
     name = "w_k_g" if args.kind == scheduler.KIND_K else "w_v_g"
     ablated_layer = dataclasses.replace(gqa, **{name: ablated_w})
     t = args.seq_len if args.seq_len is not None else m.seq_len
-    x = make_generator(args.seed).standard_normal((t, gqa.d_model))
+    x = rng.standard_normal((t, gqa.d_model))
     # V never enters the logits, so a V ablation shows only in the output.
     drift, output, output_ablated = attention.compare(
         attention.gqa_heads(gqa, x), attention.gqa_heads(ablated_layer, x)
@@ -724,7 +729,7 @@ def cmd_ablate(args) -> None:
     print(f"logit drift: max={drift.max_abs:.6e} frob={drift.frob:.6e}")
     print(f"output drift: max={output_drift:.6e}")
     if args.out:
-        manifest.write_json(
+        manifest.write_json_last(
             args.out,
             {
                 "format": "kvlatent-ablation-report",

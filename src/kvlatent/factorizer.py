@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .calibration import WEIGHTING_COV, CalibrationBatch, Whitener
+from .calibration import CalibrationBatch, Whitener
 from .errors import ValidationError
 
 
@@ -185,13 +185,6 @@ def replicate_groups(w_g, n_heads: int, n_groups: int, head_dim: int) -> np.ndar
     return np.repeat(blocks, n_heads // n_groups, axis=2).reshape(d, n_heads * head_dim)
 
 
-def kv_parity_rank(n_groups: int, head_dim: int) -> int:
-    """Latent rank matching the grouped per-token KV width."""
-    if n_groups < 1 or head_dim < 1:
-        raise ValidationError("n_groups and head_dim must be positive")
-    return n_groups * head_dim
-
-
 class WhitenedSvd(NamedTuple):
     """Descending singular values of S @ w and the matching right singular
     vectors, as rows of V^T."""
@@ -255,19 +248,6 @@ def care_factorize(w, whitener: Whitener, r: int) -> tuple[FactorPair, Factoriza
     return truncate(w, whitened_svd(w, whitener), r)
 
 
-def plain_factorize(w, r: int) -> tuple[FactorPair, FactorizationReport]:
-    """Rank-r factorization minimizing the plain weight residual (identity whitener)."""
-    w = linalg.as_matrix(w, "w")
-    d = w.shape[0]
-    return care_factorize(w, Whitener(np.eye(d), np.ones(d), 1.0, WEIGHTING_COV), r)
-
-
-def lift_gain(n_heads: int, n_groups: int) -> float:
-    """sqrt(n_heads / n_groups): replicating a grouped weight to head width
-    multiplies each of its singular values by this factor."""
-    return math.sqrt(n_heads // n_groups)
-
-
 def grouped_factorize(
     w_g, spectrum: WhitenedSvd, r: int, n_heads: int, n_groups: int, head_dim: int
 ) -> tuple[FactorPair, FactorizationReport]:
@@ -285,12 +265,12 @@ def grouped_factorize(
         raise ValidationError(f"rank {r} out of range [1, {p}]")
     kept = min(r, w_g.shape[1])
     grouped, report_g = truncate(w_g, spectrum, kept)
-    gain = lift_gain(n_heads, n_groups)
+    m = n_heads // n_groups
+    gain = math.sqrt(m)
     w_a = np.zeros((w_g.shape[0], r))
     w_a[:, :kept] = gain * grouped.w_a
     w_b = np.zeros((r, width))
     w_b[:kept] = replicate_groups(grouped.w_b, n_heads, n_groups, head_dim) / gain
-    m = n_heads // n_groups
     report = FactorizationReport(
         weight_residual_sq=m * report_g.weight_residual_sq,
         whitened_residual_sq=m * report_g.whitened_residual_sq,

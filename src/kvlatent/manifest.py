@@ -25,6 +25,7 @@ from . import ctf
 from .calibration import WEIGHTINGS, CalibrationBatch
 from .errors import ValidationError
 from .factorizer import GqaLayer, MlaFactors, WhitenedSvd
+from .rng import check_seed
 from .scheduler import KINDS, RankProfile
 
 MODEL_KIND_GQA = "gqa"
@@ -163,7 +164,7 @@ def load_manifest(path) -> ModelManifest:
     seq_len = _int(doc.get("seq_len", 1), f"{path}: seq_len", minimum=1)
     seed = doc.get("seed")
     if "seed" in doc:
-        _int(seed, f"{path}: seed")
+        check_seed(seed, f"{path}: seed")
     return ModelManifest(
         model_kind=kind,
         weighting=weighting,
@@ -233,12 +234,22 @@ def _tensor_path(value, what: str) -> str:
     return value
 
 
-def _load_tensor(base_dir, rel_path, expected_shape, what) -> np.ndarray:
-    arr = ctf.read_ctf(Path(base_dir) / rel_path)
+def _load_tensor(base_dir, rel_path, expected_shape, what, sha256=None) -> np.ndarray:
+    """The `.ctf` tensor at base_dir / rel_path, refused unless it has
+    `expected_shape` and, when `sha256` is given, the file's bytes have
+    that digest."""
+    path = Path(base_dir) / rel_path
+    if sha256 is None:
+        arr = ctf.read_ctf(path)
+    else:
+        arr, digest = ctf.read_ctf_digest(path)
+        if digest != sha256:
+            raise ValidationError(
+                f"{what} ({rel_path}): file sha256 does not match the profile's record"
+            )
     if arr.shape != expected_shape:
         raise ValidationError(
-            f"{what} ({rel_path}): shape {arr.shape} does not match manifest "
-            f"config {expected_shape}"
+            f"{what} ({rel_path}): shape {arr.shape}, expected {expected_shape}"
         )
     return arr
 
@@ -343,29 +354,21 @@ def store_tensor(path, rel_path: str, array) -> StoredTensor:
     return StoredTensor(rel_path, hashlib.sha256(Path(path).read_bytes()).hexdigest())
 
 
-def _load_stored(record: SpectrumRecord, name: str, base_dir, shape) -> np.ndarray:
-    stored = record.files[name]
-    arr, digest = ctf.read_ctf_digest(Path(base_dir) / stored.path)
-    what = f"layer {record.layer} {name} ({stored.path})"
-    if digest != stored.sha256:
-        raise ValidationError(f"{what}: file sha256 does not match the profile's record")
-    if arr.shape != shape:
-        raise ValidationError(f"{what}: shape {arr.shape}, expected {shape}")
-    return arr
-
-
 def load_spectra(record: SpectrumRecord, base_dir, d_model: int,
                  width: int) -> tuple[np.ndarray, tuple[WhitenedSvd, WhitenedSvd]]:
     """The raw eigenvalues and the (K, V) whitened SVDs a record names, for
     grouped weights of shape (d_model, width). Every file must match its
     recorded sha256 and its shape."""
+    def load(name, shape):
+        path, sha256 = record.files[name]
+        return _load_tensor(base_dir, path, shape, f"layer {record.layer} {name}", sha256)
+
     p = min(d_model, width)
     spectra = tuple(
-        WhitenedSvd(_load_stored(record, f"sigma_{kind}", base_dir, (p,)),
-                    _load_stored(record, f"v_t_{kind}", base_dir, (p, width)))
+        WhitenedSvd(load(f"sigma_{kind}", (p,)), load(f"v_t_{kind}", (p, width)))
         for kind in ("k", "v")
     )
-    return _load_stored(record, "eigenvalues", base_dir, (d_model,)), spectra
+    return load("eigenvalues", (d_model,)), spectra
 
 
 def _record_to_json(record: SpectrumRecord) -> dict:
@@ -409,13 +412,12 @@ def save_profile(profile: RankProfile, path, mode: str = "adjusted",
     write_json_last(path, doc)
 
 
-def load_profile(path) -> tuple[RankProfile, str, dict[int, SpectrumRecord] | None]:
+def load_profile(path) -> tuple[RankProfile, str, dict[int, SpectrumRecord]]:
     """Read a rank profile, its mode and its spectrum records.
 
     The records map layer -> SpectrumRecord. A profile with a `spectra` key
-    must record every layer of the profile once; one without it has none
-    ({}). A profile with the `eigen` key of earlier versions, whose stored
-    eigenvectors are no longer read, loads as None.
+    must record every layer of the profile once; one without it, such as
+    one with the `eigen` key of earlier versions, has none ({}).
     """
     doc = _read_json(path)
     _expect(doc, "format", PROFILE_FORMAT, path)
@@ -450,9 +452,9 @@ def load_profile(path) -> tuple[RankProfile, str, dict[int, SpectrumRecord] | No
     mode = doc.get("mode", "adjusted")
     if mode not in PROFILE_MODES:
         raise ValidationError(f"{path}: mode must be one of {PROFILE_MODES}, got {mode!r}")
-    layers = {layer for layer, _ in ranks}
     if "spectra" not in doc:
-        return profile, mode, None if "eigen" in doc else {}
+        return profile, mode, {}
+    layers = {layer for layer, _ in ranks}
     return profile, mode, _spectrum_records(doc["spectra"], layers, path)
 
 

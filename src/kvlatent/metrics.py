@@ -43,28 +43,30 @@ class LogitSequence:
             object.__setattr__(self, "targets", targets.copy())
 
 
+def _check_tau(tau: float) -> float:
+    if not (np.isfinite(tau) and tau > 0.0):
+        raise ValidationError(f"tau must be positive and finite, got {tau}")
+    return float(tau)
+
+
 @dataclass(frozen=True)
 class LossParams:
     tau: float = 1.0
     beta: float = 1.0
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ValidationError("tau must be positive")
-        if self.beta < 0.0:
-            raise ValidationError("beta cannot be negative")
-
-
-def _check_tau(tau: float) -> float:
-    if not tau > 0.0:
-        raise ValidationError("tau must be positive")
-    return float(tau)
+        _check_tau(self.tau)
+        if not (np.isfinite(self.beta) and self.beta >= 0.0):
+            raise ValidationError(f"beta cannot be negative or non-finite, got {self.beta}")
 
 
 def _log_softmax(logits: np.ndarray, tau: float) -> np.ndarray:
-    z = logits / tau
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    # A tau small enough to overflow the logits gives non-finite losses,
+    # which total_loss refuses by name instead of as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = logits / tau
+        z = z - z.max(axis=-1, keepdims=True)
+        return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def cross_entropy(student: LogitSequence, tau: float = 1.0) -> float:

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from conftest import (
-    covariance_of, gen, random_orthogonal, reconstruct, truncate_svd, whitened_error_sq,
+    covariance_of, gen, identity_whitener, random_orthogonal, reconstruct, truncate_svd,
+    whitened_error_sq,
 )
 from kvlatent import calibration, ctf, linalg, manifest, scheduler
 from kvlatent.attention import AttentionConfig, gqa_forward, logit_drift, mla_forward
@@ -23,8 +24,6 @@ from kvlatent.factorizer import (
     activation_residual,
     care_factorize,
     convert_layer,
-    kv_parity_rank,
-    plain_factorize,
     replicate_groups,
 )
 from kvlatent.metrics import LogitSequence, LossParams, cross_entropy, kd_loss, total_loss
@@ -110,7 +109,7 @@ def test_criterion_03_kv_parity_exactness():
                     for _ in range(4)
                 ]
                 whitener = calibration.build_whitener(covariance_of(batches), ShrinkageParams())
-                r = kv_parity_rank(n_groups, head_dim)
+                r = n_groups * head_dim
                 factors, report_k, report_v = convert_layer(layer, whitener, r, r)
                 for report, w_g in ((report_k, layer.w_k_g), (report_v, layer.w_v_g)):
                     w = replicate_groups(w_g, n_heads, n_groups, head_dim)
@@ -148,7 +147,7 @@ def test_criterion_04_whitened_optimality():
             w = rng.standard_normal((d, cols))
             s = calibration.build_whitener(c, ShrinkageParams(alpha=0.01))
             care_pair, care_report = care_factorize(w, s, r)
-            plain_pair, _ = plain_factorize(w, r)
+            plain_pair, _ = care_factorize(w, identity_whitener(d), r)
             plain_hat = plain_pair.w_a @ plain_pair.w_b
             # whitened residual: must win every single time
             assert care_report.whitened_residual_sq <= (

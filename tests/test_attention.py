@@ -23,7 +23,7 @@ from kvlatent.attention import (
     rope_rotate,
 )
 from kvlatent.errors import ValidationError
-from kvlatent.factorizer import convert_layer, kv_parity_rank
+from kvlatent.factorizer import convert_layer
 from test_factorizer import random_gqa_layer
 
 
@@ -248,7 +248,7 @@ class TestMlaForward:
             for _ in range(4)
         ]
         s = calibration.build_whitener(covariance_of(batches), calibration.ShrinkageParams())
-        r = kv_parity_rank(layer.n_groups, layer.head_dim)
+        r = layer.n_groups * layer.head_dim
         factors, _, _ = convert_layer(layer, s, r, r)
         x = rng.standard_normal((8, 16))
         trace_g = gqa_forward(layer, x)

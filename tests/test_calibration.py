@@ -11,7 +11,6 @@ from kvlatent.calibration import (
     accumulate,
     build_whitener,
     finalize,
-    merge,
     whitener_from_eig,
     whitening_operator,
 )
@@ -43,54 +42,6 @@ class TestAccumulate:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             accumulate(CovarianceAccumulator(3), batch([[1.0, 2.0]]))
-
-
-class TestMerge:
-    def test_identity(self):
-        acc = accumulate(CovarianceAccumulator(2), batch([[1.0, 2.0]]))
-        merged = merge(acc, CovarianceAccumulator(2))
-        assert merged.batch_count == acc.batch_count
-        assert np.array_equal(merged.sum_xtx, acc.sum_xtx)
-
-    def test_commutative(self):
-        a = accumulate(CovarianceAccumulator(2), batch([[1.0, 2.0]]))
-        b = accumulate(CovarianceAccumulator(2), batch([[0.5, -1.0], [2.0, 0.0]]))
-        ab, ba = merge(a, b), merge(b, a)
-        assert ab.batch_count == ba.batch_count
-        assert np.allclose(ab.sum_xtx, ba.sum_xtx)
-
-    def test_merge_matches_sequential(self):
-        rng = gen(101)
-        batches = [batch(rng.standard_normal((4, 3))) for _ in range(6)]
-        sequential = CovarianceAccumulator(3)
-        for b in batches:
-            sequential = accumulate(sequential, b)
-        left = CovarianceAccumulator(3)
-        for b in batches[:3]:
-            left = accumulate(left, b)
-        right = CovarianceAccumulator(3)
-        for b in batches[3:]:
-            right = accumulate(right, b)
-        merged = merge(left, right)
-        assert merged.batch_count == sequential.batch_count
-        assert np.allclose(
-            finalize(merged), finalize(sequential), rtol=1e-12, atol=1e-14
-        )
-
-    def test_associative(self):
-        rng = gen(108)
-        accs = [
-            accumulate(CovarianceAccumulator(3), batch(rng.standard_normal((4, 3))))
-            for _ in range(3)
-        ]
-        left = merge(merge(accs[0], accs[1]), accs[2])
-        right = merge(accs[0], merge(accs[1], accs[2]))
-        assert left.batch_count == right.batch_count
-        assert np.allclose(left.sum_xtx, right.sum_xtx, rtol=1e-12)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValidationError):
-            merge(CovarianceAccumulator(2), CovarianceAccumulator(3))
 
 
 class TestFinalize:

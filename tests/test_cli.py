@@ -143,6 +143,27 @@ class TestGen:
         assert run("gen", "--out", tmp_path / "x", "--d-model", 16,
                    "--n-heads", 3, "--head-dim", 4) == 2
 
+    def test_largest_seed_is_accepted(self, tmp_path):
+        path = gen_model(tmp_path / "m", seed=2**64 - 1)
+        assert manifest.load_manifest(path).seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", [
+    ["gen"],
+    ["eval", "--source", "missing.json", "--converted", "missing.json"],
+    ["ablate", "--manifest", "missing.json", "--layer", 0, "--kind", "K", "--index", 1],
+], ids=["gen", "eval", "ablate"])
+def test_seed_outside_64_bits_exits_2_before_any_io(tmp_path, capsys, command, seed):
+    # Seeds outside [0, 2**64 - 1] would alias one inside it. The manifests
+    # named do not exist, so a refusal that came after reading one would
+    # exit 4.
+    capsys.readouterr()
+    assert run(*command, "--seed", seed, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be an integer in [0, 2**64 - 1]")
+    assert not (tmp_path / "out").exists()
+
 
 MALFORMED_MANIFESTS = {
     "calibration_key": lambda doc: doc["calibration"].update(a=doc["calibration"].pop("0")),
@@ -154,6 +175,8 @@ MALFORMED_MANIFESTS = {
     "seq_len_zero": lambda doc: doc.update(seq_len=0),
     "seed_string": lambda doc: doc.update(seed="x"),
     "seed_bool": lambda doc: doc.update(seed=True),
+    "seed_negative": lambda doc: doc.update(seed=-1),
+    "seed_2_64": lambda doc: doc.update(seed=2**64),
     "r_k_in_grouped_model": lambda doc: doc["layers"][0].update(r_k=8),
     "d_model_string": lambda doc: doc["layers"][0].update(d_model="16"),
     "n_groups_not_dividing": lambda doc: doc["layers"][1].update(n_groups=3),
@@ -247,6 +270,18 @@ class TestCov:
         model.write_text(json.dumps(doc))
         assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 2
         assert "no calibration data" in capsys.readouterr().err
+
+    def test_failed_rerun_leaves_only_its_own_covariances(self, tmp_path, capsys):
+        # Every old covariance goes before the first batch is read, so a rerun
+        # that fails at layer 1 leaves layer 0's new file alone.
+        model = gen_model(tmp_path / "m")
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        rel = manifest.load_manifest(model).calibration[1][0]
+        (model.parent / rel).unlink()
+        capsys.readouterr()
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 4
+        assert capsys.readouterr().err.startswith("error:")
+        assert sorted(p.name for p in (tmp_path / "cov").iterdir()) == ["layer000_cov.ctf"]
 
     def test_missing_manifest_is_io_error(self, tmp_path):
         assert run("cov", "--manifest", tmp_path / "nope.json",
@@ -427,6 +462,23 @@ class TestConvert:
                 w = factorizer.replicate_groups(w_g, gqa.n_heads, gqa.n_groups, gqa.head_dim)
                 energy = float(np.sum(np.linalg.svd(op @ w, compute_uv=False) ** 2))
                 assert layer_report[kind]["whitened_residual_sq"] <= 1e-12 * energy
+
+    @pytest.mark.parametrize("model_layers, profile_layers", [(2, 3), (3, 2)])
+    def test_profile_of_another_model_writes_nothing(self, tmp_path, capsys, model_layers,
+                                                     profile_layers):
+        for name, layers in (("model", model_layers), ("other", profile_layers)):
+            model = gen_model(tmp_path / name, layers=layers)
+            assert run("cov", "--manifest", model, "--out", tmp_path / f"{name}_cov") == 0
+        assert run("schedule", "--manifest", tmp_path / "other/model.json",
+                   "--cov-dir", tmp_path / "other_cov", "--mode", "uniform", "--rank", 4,
+                   "--out", tmp_path / "p.json") == 0
+        capsys.readouterr()
+        assert run("convert", "--manifest", tmp_path / "model/model.json",
+                   "--cov-dir", tmp_path / "model_cov", "--profile", tmp_path / "p.json",
+                   "--out", tmp_path / "c") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"model's {model_layers} layers" in err
+        assert not (tmp_path / "c").exists()
 
     def test_weighting_modes_produce_different_factors(self, tmp_path):
         model = gen_model(tmp_path / "m")
@@ -758,9 +810,9 @@ class TestEigenReuse:
             for r in doc.pop("spectra")
         ]
         (tmp_path / "eigen.json").write_text(json.dumps(doc))
-        assert manifest.load_profile(tmp_path / "eigen.json")[2] is None
+        assert manifest.load_profile(tmp_path / "eigen.json")[2] == {}
         assert self.spectra_lines(tmp_path, scheduled, capsys, "eigen.json") == [
-            f"layer {layer}: spectra recomputed (old profile)" for layer in range(3)
+            f"layer {layer}: spectra recomputed (no record)" for layer in range(3)
         ]
         assert tree_bytes(tmp_path / "c") == convert_tree(
             tmp_path, scheduled, tmp_path / "cov", tmp_path / "p.json", "reused")
@@ -871,19 +923,31 @@ class TestEval:
     @pytest.mark.parametrize("rope_dim", [0, 4])
     @pytest.mark.parametrize("flag, value, message", [
         ("--tau", 0, "tau must be positive"),
+        ("--tau", "inf", "tau must be positive"),
+        ("--tau", "nan", "tau must be positive"),
+        ("--tau", "1e-320", "loss terms must be finite"),
         ("--beta", -1, "beta cannot be negative"),
+        ("--beta", "inf", "beta cannot be negative"),
+        ("--beta", "nan", "beta cannot be negative"),
         ("--bytes-per-elem", 0, "--bytes-per-elem must be at least 1"),
     ])
     def test_bad_loss_or_byte_flag_writes_nothing(self, tmp_path, capsys, flag, value,
                                                   message, rope_dim):
         pipeline(tmp_path)
         capsys.readouterr()
-        assert run("eval", "--source", tmp_path / "model/model.json",
-                   "--converted", tmp_path / "converted/converted.json",
-                   "--rope-dim", rope_dim, flag, value, "--out", tmp_path / "bad") == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("eval", "--source", tmp_path / "model/model.json",
+                       "--converted", tmp_path / "converted/converted.json",
+                       "--rope-dim", rope_dim, flag, value, "--out", tmp_path / "bad") == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and "Traceback" not in err
-        assert not (tmp_path / "bad").exists()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if value == "1e-320":
+            # A finite positive tau is refused only once its logits overflow.
+            assert tree_bytes(tmp_path / "bad") == {}
+        else:
+            assert not (tmp_path / "bad").exists()
 
     @pytest.mark.parametrize("field, value", [
         ("r_k", "8"), ("r_k", 0), ("r_v", True), ("w_q", "../shared/wq0.ctf"),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -25,9 +27,6 @@ from kvlatent.factorizer import (
     care_factorize,
     convert_layer,
     grouped_factorize,
-    kv_parity_rank,
-    lift_gain,
-    plain_factorize,
     replicate_groups,
     truncate,
     whitened_svd,
@@ -150,21 +149,6 @@ class TestReplicateGroups:
             assert got.tobytes() == want.tobytes()
 
 
-class TestKvParityRank:
-    def test_large_model_width(self):
-        assert kv_parity_rank(8, 128) == 1024
-
-    def test_unit(self):
-        assert kv_parity_rank(1, 1) == 1
-
-    def test_small(self):
-        assert kv_parity_rank(2, 64) == 128
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValidationError):
-            kv_parity_rank(0, 4)
-
-
 class TestCareFactorize:
     def test_matches_reference(self):
         rng = gen(310)
@@ -180,10 +164,12 @@ class TestCareFactorize:
                 assert pair.w_a.shape == (12, r) and pair.w_b.shape == (r, 9)
 
     def test_identity_whitener_matches_plain_bitwise(self):
+        # The identity whitener's factor is exactly I, so care_factorize
+        # truncates the plain SVD of w's R factor, bit for bit.
         rng = gen(311)
         w = rng.standard_normal((8, 12))
         care_pair, care_report = care_factorize(w, identity_whitener(8), 3)
-        plain_pair, plain_report = plain_factorize(w, 3)
+        plain_pair, plain_report = truncate(w, linalg.svd(linalg.qr_r(w)), 3)
         assert care_pair.w_a.tobytes() == plain_pair.w_a.tobytes()
         assert care_pair.w_b.tobytes() == plain_pair.w_b.tobytes()
         assert care_report == plain_report
@@ -204,7 +190,7 @@ class TestCareFactorize:
         layer = random_gqa_layer(rng)
         w = replicate_groups(layer.w_k_g, layer.n_heads, layer.n_groups, layer.head_dim)
         s = calibration.build_whitener(random_psd(rng, 16, cond=30.0), calibration.ShrinkageParams())
-        r = kv_parity_rank(layer.n_groups, layer.head_dim)
+        r = layer.n_groups * layer.head_dim
         _, report = care_factorize(w, s, r)
         sigma_top = linalg.svd(s.matrix @ w).singular_values[0]
         assert report.whitened_residual_sq <= 1e-16 * sigma_top**2
@@ -216,7 +202,7 @@ class TestCareFactorize:
         sqrt_c = Whitener(np.eye(2), np.array([10.0, 1.0]), 1.0, "sqrtC")
         w = np.diag([2.0, 10.0])
         care_pair, care_report = care_factorize(w, sqrt_c, 1)
-        plain_pair, plain_report = plain_factorize(w, 1)
+        plain_pair, plain_report = care_factorize(w, identity_whitener(2), 1)
         plain_whitened = whitened_error_sq(sqrt_c.matrix, w, plain_pair.w_a @ plain_pair.w_b)
         assert np.isclose(care_report.whitened_residual_sq, 100.0)
         assert np.isclose(plain_whitened, 400.0)
@@ -234,7 +220,7 @@ class TestCareFactorize:
             tail = float(np.sum(sigma[r:] ** 2))
             assert abs(report.whitened_residual_sq - tail) <= 1e-9 * max(tail, 1e-9)
             # beats plain truncation and random factors in the whitened metric
-            plain_pair, _ = plain_factorize(w, r)
+            plain_pair, _ = care_factorize(w, identity_whitener(d), r)
             plain_score = whitened_error_sq(s.matrix, w, plain_pair.w_a @ plain_pair.w_b)
             random_score = whitened_error_sq(
                 s.matrix, w, rng.standard_normal((d, r)) @ rng.standard_normal((r, n))
@@ -360,7 +346,7 @@ class TestGroupedFactorize:
     def test_spectrum_is_lifted_grouped_spectrum(self, n_groups, weighting):
         whitener, w_g, w = self.setup_case(382, n_groups, weighting)
         full = n_groups * self.HEAD_DIM
-        grouped = lift_gain(self.N_HEADS, n_groups) * scheduler.whitened_spectrum(
+        grouped = math.sqrt(self.N_HEADS // n_groups) * scheduler.whitened_spectrum(
             whitener.matrix, w_g
         )
         oracle = scheduler.whitened_spectrum(whitener.matrix, w)
@@ -424,7 +410,7 @@ class TestTruncate:
 
 class TestPlainFactorize:
     def test_diagonal_truncation(self):
-        pair, _ = plain_factorize(np.diag([3.0, 2.0, 1.0]), 2)
+        pair, _ = care_factorize(np.diag([3.0, 2.0, 1.0]), identity_whitener(3), 2)
         assert np.allclose(pair.w_a @ pair.w_b, np.diag([3.0, 2.0, 0.0]), atol=1e-12)
 
     def test_weight_residual_equals_tail_energy(self):
@@ -432,14 +418,14 @@ class TestPlainFactorize:
         w = rng.standard_normal((9, 13))
         sigma = linalg.svd(w).singular_values
         for r in (1, 4, 9):
-            _, report = plain_factorize(w, r)
+            _, report = care_factorize(w, identity_whitener(9), r)
             tail = float(np.sum(sigma[r:] ** 2))
             assert abs(report.weight_residual_sq - tail) <= 1e-9 * max(tail, 1e-12)
 
     def test_full_rank_recovers_weight(self):
         rng = gen(322)
         w = rng.standard_normal((7, 5))
-        pair, report = plain_factorize(w, 5)
+        pair, report = care_factorize(w, identity_whitener(7), 5)
         assert np.allclose(pair.w_a @ pair.w_b, w, atol=1e-12)
         assert report.weight_residual_sq <= 1e-24
 
@@ -534,7 +520,7 @@ class TestConvertLayer:
         rng = gen(361)
         layer = random_gqa_layer(rng)
         s = calibration.build_whitener(random_psd(rng, 16, cond=20.0), calibration.ShrinkageParams())
-        r = kv_parity_rank(layer.n_groups, layer.head_dim)
+        r = layer.n_groups * layer.head_dim
         factors, report_k, report_v = convert_layer(layer, s, r, r)
         for report, w_g in ((report_k, layer.w_k_g), (report_v, layer.w_v_g)):
             w = replicate_groups(w_g, layer.n_heads, layer.n_groups, layer.head_dim)

@@ -59,7 +59,7 @@ MAY_CHANGE = {
     "lambda": lambda v: v == "auto" or (is_number(v) and v > 0),
     "weighting": lambda v: v in ("sqrtC", "C"),
     "seq_len": lambda v: is_int(v, 1),
-    "seed": is_int,
+    "seed": lambda v: is_int(v, 0) and v < 2**64,
     "mode": lambda v: v in ("adjusted", "uniform"),
     "min_rank": lambda v: is_int(v, 1),
     "budget_k": lambda v: is_int(v, 0),

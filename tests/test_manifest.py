@@ -179,7 +179,7 @@ class TestRankProfileFile:
         assert [r["layer"] for r in doc["spectra"]] == [0, 1]
         assert not (tmp_path / "p.json.partial").exists()
 
-    def test_old_eigen_key_loads_as_none(self, tmp_path):
+    def test_old_eigen_key_loads_without_records(self, tmp_path):
         doc = {
             "format": manifest.PROFILE_FORMAT, "version": 1, "mode": "adjusted",
             "min_rank": 1, "budget_k": 1, "budget_v": 1,
@@ -189,7 +189,7 @@ class TestRankProfileFile:
         }
         (tmp_path / "p.json").write_text(json.dumps(doc))
         _, _, records = manifest.load_profile(tmp_path / "p.json")
-        assert records is None
+        assert records == {}
 
     @pytest.mark.parametrize("field, value, match", [
         ("cov_sha256", "ab" * 31, "hex"),

@@ -51,6 +51,11 @@ class TestSoftmax:
             cross_entropy(seq, 0.0)
         with pytest.raises(ValidationError):
             kd_loss(seq, seq, -1.0)
+        for tau in (math.inf, math.nan):
+            with pytest.raises(ValidationError):
+                cross_entropy(seq, tau)
+            with pytest.raises(ValidationError):
+                kd_loss(seq, seq, tau)
 
 
 class TestCrossEntropy:
@@ -154,6 +159,11 @@ class TestTotalLoss:
             LossParams(tau=0.0)
         with pytest.raises(ValidationError):
             LossParams(beta=-1.0)
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValidationError):
+                LossParams(tau=value)
+            with pytest.raises(ValidationError):
+                LossParams(beta=value)
 
 
 class TestLogitSequence:
