@@ -6,8 +6,12 @@ the rank scheduler both rely on the identity between the batch-averaged
 activation error and the covariance-weighted weight error, which holds only
 for this raw form; the textbook centered covariance (subtract the empirical
 mean, optionally 1/(N-1)) is deliberately not used anywhere in the pipeline.
+
+A layer's Whitener comes from one eigendecomposition of C and one
+ShrinkageParams, the only owner of the weighting, alpha and lam defaults.
 """
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,6 +26,8 @@ WEIGHTINGS = (WEIGHTING_SQRT, WEIGHTING_COV)
 # Whitener eigenvalues below this fraction of the largest are treated as
 # singular; shrinkage keeps real pipelines well away from it.
 WHITENER_FLOOR_REL = 1e-12
+# A lam must be a float: an int beyond this, like inf, has no float value.
+FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -83,21 +89,26 @@ def finalize(acc: CovarianceAccumulator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ShrinkageParams:
-    """Ridge blend (1 - alpha) * base + alpha * lam * I keeping the whitener
-    invertible. lam may be the string "auto", which resolves to the mean
-    eigenvalue of the base operator (trace / dim)."""
+    """The setting a whitener is built from: its base operator, `weighting`,
+    and the ridge blend (1 - alpha) * base + alpha * lam * I keeping it
+    invertible. lam may be "auto", which resolves to the mean eigenvalue of
+    the base operator (trace / dim). Numbers are ints or floats, not bools."""
 
     alpha: float = 0.01
     lam: float | str = "auto"
+    weighting: str = WEIGHTING_SQRT
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError(f"alpha must be in (0, 1), got {self.alpha}")
-        if isinstance(self.lam, str):
-            if self.lam != "auto":
-                raise ValidationError(f"lam must be positive or 'auto', got {self.lam!r}")
-        elif not self.lam > 0.0:
-            raise ValidationError(f"lam must be positive, got {self.lam}")
+        if not _is_number(self.alpha) or not 0.0 < self.alpha < 1.0:
+            raise ValidationError(f"alpha must be a number in (0, 1), got {self.alpha!r}")
+        if self.lam != "auto" and not (_is_number(self.lam) and 0.0 < self.lam <= FLOAT_MAX):
+            raise ValidationError(f"lambda must be finite and positive or 'auto', got {self.lam!r}")
+        if self.weighting not in WEIGHTINGS:
+            raise ValidationError(f"unknown weighting {self.weighting!r}, not one of {WEIGHTINGS}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _lambda_for(params: ShrinkageParams, mean_eig: float) -> float:
@@ -185,32 +196,28 @@ class Whitener:
             raise NumericalError("singular whitener: apply shrinkage before factorizing")
 
 
-def whitener_from_eig(eig: linalg.EigResult, params: ShrinkageParams,
-                      weighting: str = WEIGHTING_SQRT) -> Whitener:
+def whitener_from_eig(eig: linalg.EigResult, params: ShrinkageParams) -> Whitener:
     """The shrunk whitener of a covariance, from its eigendecomposition.
 
     `eig` is `linalg.sym_eig` of C: raw eigenvalues, non-increasing, before
     any PSD clamp; with `eig.eigenvectors` None the whitener holds the
-    shrunk eigenvalues alone. weighting "sqrtC" (default) shrinks the PSD
-    square root of C; "C" uses the covariance itself, shrunk the same way
-    with its own auto scale. Both refuse a C that is not PSD beyond
-    rounding noise.
+    shrunk eigenvalues alone. Weighting "sqrtC" shrinks the PSD square root
+    of C; "C" uses the covariance itself, shrunk the same way with its own
+    auto scale. Both refuse a C that is not PSD beyond rounding noise.
     """
-    if weighting not in WEIGHTINGS:
-        raise ValidationError(f"unknown weighting {weighting!r}; expected one of {WEIGHTINGS}")
     vals, clamped = linalg.clamp_psd(eig.eigenvalues)
-    base = np.sqrt(vals) if weighting == WEIGHTING_SQRT else vals
+    base = np.sqrt(vals) if params.weighting == WEIGHTING_SQRT else vals
     lam = _lambda_for(params, float(np.mean(base)))
     shrunk = (1.0 - params.alpha) * base + params.alpha * lam
-    return Whitener(eig.eigenvectors, shrunk, lam, weighting, clamped)
+    return Whitener(eig.eigenvectors, shrunk, lam, params.weighting, clamped)
 
 
-def build_whitener(c, params: ShrinkageParams, weighting: str = WEIGHTING_SQRT) -> Whitener:
+def build_whitener(c, params: ShrinkageParams) -> Whitener:
     """The shrunk whitener of covariance `c`, from one eigendecomposition."""
-    return whitener_from_eig(linalg.sym_eig(c), params, weighting)
+    return whitener_from_eig(linalg.sym_eig(c), params)
 
 
-def whitening_operator(c, params: ShrinkageParams, weighting: str = WEIGHTING_SQRT) -> np.ndarray:
+def whitening_operator(c, params: ShrinkageParams) -> np.ndarray:
     """The shrunk operator that multiplies weights before factorization."""
-    return build_whitener(c, params, weighting).matrix
+    return build_whitener(c, params).matrix
 

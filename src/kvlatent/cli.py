@@ -22,7 +22,6 @@ from . import attention, calibration, ctf, factorizer, linalg, manifest, metrics
 from .errors import NumericalError, ValidationError
 from .rng import make_generator
 
-DEFAULT_ALPHA = 0.01
 DEFAULT_MIN_RANK = 64
 WEIGHT_SCALE_LOW, WEIGHT_SCALE_HIGH = 0.75, 1.25
 
@@ -37,58 +36,29 @@ def _cov_name(layer: int) -> str:
     return f"layer{layer:03d}_cov.ctf"
 
 
-def _spectra_dir(profile_path: Path) -> Path:
-    """The directory next to a profile that holds its layers' stored spectra."""
-    return profile_path.with_name(profile_path.stem + "_spectra")
-
-
-def _weight_digests(gqa: factorizer.GqaLayer) -> dict[str, str]:
-    return {scheduler.KIND_K: manifest.array_digest(gqa.w_k_g),
-            scheduler.KIND_V: manifest.array_digest(gqa.w_v_g)}
-
-
-def _miss_reason(records: dict[int, manifest.SpectrumRecord], layer: int,
-                 c: np.ndarray, gqa: factorizer.GqaLayer,
-                 params: calibration.ShrinkageParams, weighting: str) -> str | None:
-    """Why the spectra `schedule` stored cannot stand in for this layer's,
-    or None when they can."""
-    record = records.get(layer)
-    if record is None:
-        return "no record"
-    if (record.alpha, record.lam, record.weighting) != (params.alpha, params.lam, weighting):
-        return "parameter override"
-    if record.cov_sha256 != manifest.array_digest(c):
-        return "covariance changed"
-    if record.w_sha256 != _weight_digests(gqa):
-        return "weight changed"
-    return None
-
-
-def _layer_whitening(m: manifest.ModelManifest, cov_dir, layer: int, gqa: factorizer.GqaLayer,
-                     params: calibration.ShrinkageParams, weighting: str,
-                     records: dict[int, manifest.SpectrumRecord], profile_dir: Path,
+def _layer_whitening(cov_dir, layer: int, gqa: factorizer.GqaLayer,
+                     params: calibration.ShrinkageParams, record: manifest.SpectrumRecord | None,
+                     profile_dir: Path,
                      ) -> tuple[calibration.Whitener,
-                                tuple[factorizer.WhitenedSvd, factorizer.WhitenedSvd] | None,
+                                tuple[factorizer.WhitenedSvd, factorizer.WhitenedSvd],
                                 str | None]:
-    """One layer's whitener, its stored (K, V) whitened SVDs, and None; or,
-    when the stored ones cannot be used, a whitener decomposed here, None
-    and the reason.
+    """One layer's whitener and (K, V) whitened SVDs: the stored ones and
+    None, or, when they cannot be used, ones computed here as schedule
+    computes them, and the reason.
 
     The covariance is always read and checked. On a hit the whitener is
     built from the stored raw eigenvalues alone, through the same clamp and
     shrink, and no eigenvectors are read.
     """
-    entry = m.layer(layer)
-    d = entry.d_model
+    d = gqa.d_model
     c = manifest._load_tensor(cov_dir, _cov_name(layer), (d, d), f"layer {layer} covariance")
-    reason = _miss_reason(records, layer, c, gqa, params, weighting)
+    reason = manifest.miss_reason(record, c, gqa, params)
     if reason is not None:
-        return calibration.whitener_from_eig(linalg.sym_eig(c), params, weighting), None, reason
-    eigenvalues, spectra = manifest.load_spectra(
-        records[layer], profile_dir, d, entry.n_groups * entry.head_dim
-    )
+        whitener = calibration.build_whitener(c, params)
+        return whitener, factorizer.layer_spectra(gqa, whitener), reason
+    eigenvalues, spectra = manifest.load_spectra(record, profile_dir, gqa)
     eig = linalg.EigResult(eigenvalues, None)
-    return calibration.whitener_from_eig(eig, params, weighting), spectra, None
+    return calibration.whitener_from_eig(eig, params), spectra, None
 
 
 @contextlib.contextmanager
@@ -105,16 +75,13 @@ def _staged_dir(final: Path):
         raise
 
 
-def _parse_lambda(text: str):
-    if text == "auto":
-        return "auto"
+def _parse_lambda(text: str | None):
+    if text is None or text == "auto":
+        return text
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise ValidationError(f"--lambda must be a positive number or 'auto', got {text!r}")
-    if not value > 0:
-        raise ValidationError("--lambda must be positive")
-    return value
 
 
 def _parse_widths(text: str) -> list[int]:
@@ -185,9 +152,6 @@ def cmd_gen(args) -> None:
 
     model = manifest.ModelManifest(
         model_kind=manifest.MODEL_KIND_GQA,
-        weighting=calibration.WEIGHTING_SQRT,
-        alpha=DEFAULT_ALPHA,
-        lam="auto",
         seq_len=args.seq_len,
         layers=tuple(entries),
         calibration=batches,
@@ -267,14 +231,13 @@ def _default_min_rank(table: scheduler.SpectrumTable, budget_k: int, budget_v: i
 def cmd_schedule(args) -> None:
     m = manifest.load_manifest(args.manifest)
     base = Path(args.manifest).parent
-    params = calibration.ShrinkageParams(m.alpha, m.lam)
 
     out = Path(args.out)
-    spectra_dir = _spectra_dir(out)
+    spectra_dir = manifest.spectra_dir(out)
     table = scheduler.SpectrumTable()
     with _staged_dir(spectra_dir) as staged:
         records = tuple(
-            _layer_spectra(m, base, args.cov_dir, layer, params, table, staged, spectra_dir.name)
+            _layer_spectra(m, base, args.cov_dir, layer, table, staged, out)
             for layer in range(len(m.layers))
         )
         profile = _plan_ranks(args, table)
@@ -294,35 +257,24 @@ def cmd_schedule(args) -> None:
 
 
 def _layer_spectra(m: manifest.ModelManifest, base: Path, cov_dir, layer: int,
-                   params: calibration.ShrinkageParams, table: scheduler.SpectrumTable,
-                   spectra_out: Path, spectra_rel: str) -> manifest.SpectrumRecord:
-    """One layer's whitened K/V spectra, added to `table`, from one
-    eigendecomposition of its covariance and one factorizer.whitened_svd
-    per kind. The raw eigenvalues and each kind's singular values and V^T
-    are written to `spectra_out` once the PSD check passes, for `convert`
-    to truncate. The layer's D x D arrays are freed on return, before the
-    next layer's are read."""
+                   table: scheduler.SpectrumTable, staged: Path,
+                   profile_path: Path) -> manifest.SpectrumRecord:
+    """One layer's whitened K/V spectra, added to `table`, and stored in
+    `staged` once the PSD check passes, for `convert` to truncate. The
+    layer's D x D arrays are freed on return, before the next layer's are
+    read."""
     d = m.layer(layer).d_model
     c = manifest._load_tensor(cov_dir, _cov_name(layer), (d, d), f"layer {layer} covariance")
     eig = linalg.sym_eig(c)
-    whitener = calibration.whitener_from_eig(eig, params, m.weighting)
+    whitener = calibration.whitener_from_eig(eig, m.shrinkage)
     gqa = manifest.load_gqa_layer(m, base, layer)
-    tensors = {"eigenvalues": eig.eigenvalues}
+    spectra = factorizer.layer_spectra(gqa, whitener)
     # The head-width spectrum is this grouped one times sqrt(n_heads /
     # n_groups), plus zeros; water-filling is invariant to that scale.
-    for kind, w_g in ((scheduler.KIND_K, gqa.w_k_g), (scheduler.KIND_V, gqa.w_v_g)):
-        svd = factorizer.whitened_svd(w_g, whitener)
+    for kind, svd in zip(scheduler.KINDS, spectra):
         table.add(layer, kind, svd.singular_values)
-        tensors[f"sigma_{kind.lower()}"] = svd.singular_values
-        tensors[f"v_t_{kind.lower()}"] = svd.v_t
-    files = {}
-    for name, array in tensors.items():
-        file = f"layer{layer:03d}_{name}.ctf"
-        files[name] = manifest.store_tensor(spectra_out / file, f"{spectra_rel}/{file}", array)
-    return manifest.SpectrumRecord(
-        layer=layer, cov_sha256=manifest.array_digest(c), w_sha256=_weight_digests(gqa),
-        alpha=params.alpha, lam=params.lam, weighting=m.weighting, files=files,
-    )
+    return manifest.store_spectra(staged, profile_path, layer, c, gqa, m.shrinkage,
+                                  eig.eigenvalues, spectra)
 
 
 def _plan_ranks(args, table: scheduler.SpectrumTable) -> scheduler.RankProfile:
@@ -380,10 +332,10 @@ def cmd_convert(args) -> None:
             f"extra {sorted(set(profile.ranks) - expected)}"
         )
     profile_dir = Path(args.profile).parent
-    weighting = args.weighting if args.weighting else m.weighting
-    alpha = args.alpha if args.alpha is not None else m.alpha
-    lam = _parse_lambda(args.lam) if args.lam is not None else m.lam
-    params = calibration.ShrinkageParams(alpha, lam)
+    overrides = {"alpha": args.alpha, "lam": _parse_lambda(args.lam), "weighting": args.weighting}
+    params = dataclasses.replace(
+        m.shrinkage, **{name: value for name, value in overrides.items() if value is not None}
+    )
 
     out = Path(args.out)
     (out / "weights").mkdir(parents=True, exist_ok=True)
@@ -399,13 +351,14 @@ def cmd_convert(args) -> None:
         entry = m.layer(layer)
         gqa = manifest.load_gqa_layer(m, base, layer)
         whitener, spectra, reason = _layer_whitening(
-            m, args.cov_dir, layer, gqa, params, weighting, records, profile_dir
+            args.cov_dir, layer, gqa, params, records.get(layer), profile_dir
         )
         print(f"layer {layer}: spectra "
               + ("reused" if reason is None else f"recomputed ({reason})"))
+        whitener.check_invertible()
         r_k = profile.rank(layer, scheduler.KIND_K)
         r_v = profile.rank(layer, scheduler.KIND_V)
-        factors, report_k, report_v = factorizer.convert_layer(gqa, whitener, r_k, r_v, spectra)
+        factors, report_k, report_v = factorizer.convert_layer(gqa, spectra, r_k, r_v)
 
         w_q_rel = f"weights/layer{layer:03d}_w_q.ctf"
         shutil.copyfile(base / entry.w_q, out / w_q_rel)
@@ -447,21 +400,17 @@ def cmd_convert(args) -> None:
 
     converted = manifest.ModelManifest(
         model_kind=manifest.MODEL_KIND_MLA,
-        weighting=weighting,
-        alpha=alpha,
-        lam=lam,
         seq_len=m.seq_len,
         layers=tuple(entries),
         seed=m.seed,
+        shrinkage=params,
     )
     manifest.write_json_last(
         out / "conversion_report.json",
         {
             "format": "kvlatent-conversion-report",
             "version": 1,
-            "weighting": weighting,
-            "alpha": alpha,
-            "lambda": lam,
+            **manifest.shrinkage_doc(params),
             "layers": report_layers,
         },
     )
@@ -693,8 +642,8 @@ def cmd_kv_report(args) -> None:
             "megabytes": _fmt2(footprint.megabytes),
         }
         if args.baseline_widths:
-            doc["baseline_widths"] = _parse_widths(args.baseline_widths)
-            doc["baseline_bytes"] = rows[1][2].total_bytes
+            doc["baseline_widths"] = baseline
+            doc["baseline_bytes"] = base_fp.total_bytes
         if reduction is not None:
             doc["reduction_pct"] = _fmt2(reduction)
         manifest.write_json_last(args.out, doc)

@@ -11,8 +11,9 @@ W_hat = W V_r V_r^T, so only Sigma and V are needed:
 
 and the whitened residual is the discarded energy sum_{i>r} sigma_i^2.
 It runs in two steps: whitened_svd computes (Sigma, V^T), and truncate
-keeps the top r. schedule water-fills on the same whitened_svd result and
-stores it, so convert can truncate it without decomposing again.
+keeps the top r. layer_spectra takes the first step for a layer's K and
+V; schedule water-fills on its result and stores it, and convert_layer
+truncates it, stored or recomputed.
 
 Neither S, S^-1 nor U is formed. The whitener's factor L = diag(s) Q^T has
 L^T L = S^2, so Y = L W has the singular values and right singular vectors
@@ -330,19 +331,19 @@ def ablate_singular_value(w, i: int) -> tuple[float, np.ndarray]:
     return float(res.singular_values[i - 1]), (res.u * damped) @ res.v_t
 
 
-def convert_layer(
-    layer: GqaLayer, whitener: Whitener, r_k: int, r_v: int,
-    spectra: tuple[WhitenedSvd, WhitenedSvd] | None = None,
-) -> tuple[MlaFactors, FactorizationReport, FactorizationReport]:
-    """Factorize the grouped K and V projections independently against one whitener.
+def layer_spectra(layer: GqaLayer, whitener: Whitener) -> tuple[WhitenedSvd, WhitenedSvd]:
+    """whitened_svd of the grouped K and V projections against the layer's
+    one whitener: what schedule water-fills and stores, and what
+    convert_layer truncates."""
+    return whitened_svd(layer.w_k_g, whitener), whitened_svd(layer.w_v_g, whitener)
 
-    `spectra` are whitened_svd of w_k_g and w_v_g against this whitener,
-    such as the ones schedule stored; without them they are computed here,
-    so a whitener built from eigenvalues alone needs them.
-    """
-    whitener.check_invertible()
-    if spectra is None:
-        spectra = (whitened_svd(layer.w_k_g, whitener), whitened_svd(layer.w_v_g, whitener))
+
+def convert_layer(
+    layer: GqaLayer, spectra: tuple[WhitenedSvd, WhitenedSvd], r_k: int, r_v: int
+) -> tuple[MlaFactors, FactorizationReport, FactorizationReport]:
+    """Factorize the grouped K and V projections independently by truncating
+    `spectra`, their layer_spectra against one whitener, such as the ones
+    schedule stored. The caller refuses a singular whitener first."""
     geometry = (layer.n_heads, layer.n_groups, layer.head_dim)
     (pair_k, report_k) = grouped_factorize(layer.w_k_g, spectra[0], r_k, *geometry)
     (pair_v, report_v) = grouped_factorize(layer.w_v_g, spectra[1], r_v, *geometry)

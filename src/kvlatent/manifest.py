@@ -22,11 +22,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ctf
-from .calibration import WEIGHTINGS, CalibrationBatch
+from .calibration import CalibrationBatch, ShrinkageParams
 from .errors import ValidationError
 from .factorizer import GqaLayer, MlaFactors, WhitenedSvd
 from .rng import check_seed
-from .scheduler import KINDS, RankProfile
+from .scheduler import KIND_K, KIND_V, KINDS, RankProfile
 
 MODEL_KIND_GQA = "gqa"
 MODEL_KIND_MLA = "mla"
@@ -37,9 +37,12 @@ DOC_VERSION = 1
 _GEOMETRY = ("d_model", "n_heads", "head_dim", "n_groups")
 _TENSORS = ("w_q", "w_k_g", "w_v_g", "w_a_k", "w_b_k", "w_a_v", "w_b_v")
 _SHA256 = re.compile(r"[0-9a-f]{64}")
+# ShrinkageParams field -> the JSON key documents store it under.
+_SHRINKAGE_KEYS = {"alpha": "alpha", "lam": "lambda", "weighting": "weighting"}
 # The tensors a SpectrumRecord names: the covariance's raw eigenvalues, and
 # per kind the whitened singular values and V^T.
-STORED_TENSORS = ("eigenvalues", "sigma_k", "v_t_k", "sigma_v", "v_t_v")
+_SVD_TENSORS = (("sigma_k", "v_t_k"), ("sigma_v", "v_t_v"))
+STORED_TENSORS = ("eigenvalues", *_SVD_TENSORS[0], *_SVD_TENSORS[1])
 
 
 @dataclass(frozen=True)
@@ -65,13 +68,11 @@ class LayerEntry:
 @dataclass(frozen=True)
 class ModelManifest:
     model_kind: str
-    weighting: str
-    alpha: float
-    lam: float | str
     seq_len: int
     layers: tuple[LayerEntry, ...]
     calibration: dict[int, tuple[str, ...]] = field(default_factory=dict)
     seed: int | None = None
+    shrinkage: ShrinkageParams = field(default_factory=ShrinkageParams)
 
     def layer(self, index: int) -> LayerEntry:
         if not 0 <= index < len(self.layers):
@@ -100,9 +101,7 @@ def save_manifest(m: ModelManifest, path) -> None:
         "format": MODEL_FORMAT,
         "version": DOC_VERSION,
         "model_kind": m.model_kind,
-        "weighting": m.weighting,
-        "alpha": m.alpha,
-        "lambda": m.lam,
+        **shrinkage_doc(m.shrinkage),
         "seq_len": m.seq_len,
         "layer_count": len(m.layers),
         "layers": [_entry_to_json(e) for e in m.layers],
@@ -125,9 +124,7 @@ def load_manifest(path) -> ModelManifest:
     kind = doc.get("model_kind")
     if kind not in (MODEL_KIND_GQA, MODEL_KIND_MLA):
         raise ValidationError(f"{path}: unknown model_kind {kind!r}")
-    weighting = doc.get("weighting")
-    alpha, lam = doc.get("alpha", 0.01), doc.get("lambda", "auto")
-    _check_shrinkage(weighting, alpha, lam, path)
+    shrinkage = _shrinkage(doc, path, optional=("alpha", "lambda"))
     layers = []
     raw_layers = doc.get("layers")
     if not isinstance(raw_layers, list):
@@ -167,23 +164,28 @@ def load_manifest(path) -> ModelManifest:
         check_seed(seed, f"{path}: seed")
     return ModelManifest(
         model_kind=kind,
-        weighting=weighting,
-        alpha=float(alpha),
-        lam=lam,
         seq_len=seq_len,
         layers=tuple(layers),
         calibration=calibration,
         seed=seed,
+        shrinkage=shrinkage,
     )
 
 
-def _check_shrinkage(weighting, alpha, lam, where) -> None:
-    if weighting not in WEIGHTINGS:
-        raise ValidationError(f"{where}: unknown weighting {weighting!r}")
-    if not _is_number(alpha) or not 0.0 < alpha < 1.0:
-        raise ValidationError(f"{where}: alpha must be a number in (0, 1), got {alpha!r}")
-    if not (lam == "auto" or (_is_number(lam) and lam > 0)):
-        raise ValidationError(f"{where}: lambda must be positive or 'auto', got {lam!r}")
+def shrinkage_doc(params: ShrinkageParams) -> dict:
+    """The JSON keys a document stores its whitening setting under."""
+    return {key: getattr(params, name) for name, key in _SHRINKAGE_KEYS.items()}
+
+
+def _shrinkage(raw: dict, where, optional=()) -> ShrinkageParams:
+    """The ShrinkageParams of a document's shrinkage_doc keys; only a key in
+    `optional` may be absent, and then takes the ShrinkageParams default."""
+    given = {name: raw.get(key) for name, key in _SHRINKAGE_KEYS.items()
+             if key in raw or key not in optional}
+    try:
+        return ShrinkageParams(**given)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def _entry_from_json(raw, where: str) -> LayerEntry:
@@ -205,10 +207,6 @@ def _entry_from_json(raw, where: str) -> LayerEntry:
         if raw.get(name) is not None:
             ints[name] = _int(raw[name], f"{where}: {name}", minimum=1)
     return LayerEntry(**ints, **tensors)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _int(value, what: str, minimum: int | None = None) -> int:
@@ -327,18 +325,16 @@ class SpectrumRecord:
 
     `cov_sha256` is array_digest of the covariance that was decomposed and
     `w_sha256` maps each kind to array_digest of its grouped weight;
-    `alpha`, `lam` and `weighting` are the shrinkage the whitener used.
-    `files` maps each name in STORED_TENSORS to its StoredTensor: the raw
-    eigenvalues (non-increasing, before the PSD clamp), and the
-    singular values and V^T that factorizer.whitened_svd gave for K and V.
+    `shrinkage` is the setting the whitener was built from. `files` maps
+    each name in STORED_TENSORS to its StoredTensor: the raw eigenvalues
+    (non-increasing, before the PSD clamp), and the singular values and
+    V^T of factorizer.layer_spectra for K and V.
     """
 
     layer: int
     cov_sha256: str
     w_sha256: dict[str, str]
-    alpha: float
-    lam: float | str
-    weighting: str
+    shrinkage: ShrinkageParams
     files: dict[str, StoredTensor]
 
 
@@ -347,26 +343,59 @@ def array_digest(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64)).hexdigest()
 
 
-def store_tensor(path, rel_path: str, array) -> StoredTensor:
-    """Write `array` to `path` and record it under `rel_path`, the path the
-    profile will name it by, with the sha256 of the file written."""
-    ctf.write_ctf(path, array)
-    return StoredTensor(rel_path, hashlib.sha256(Path(path).read_bytes()).hexdigest())
+def _weight_digests(gqa: GqaLayer) -> dict[str, str]:
+    return {KIND_K: array_digest(gqa.w_k_g), KIND_V: array_digest(gqa.w_v_g)}
 
 
-def load_spectra(record: SpectrumRecord, base_dir, d_model: int,
-                 width: int) -> tuple[np.ndarray, tuple[WhitenedSvd, WhitenedSvd]]:
+def spectra_dir(profile_path: Path) -> Path:
+    """The directory next to a profile that holds its layers' stored spectra."""
+    return profile_path.with_name(profile_path.stem + "_spectra")
+
+
+def store_spectra(directory: Path, profile_path: Path, layer: int, c: np.ndarray,
+                  gqa: GqaLayer, shrinkage: ShrinkageParams, eigenvalues: np.ndarray,
+                  spectra: tuple[WhitenedSvd, WhitenedSvd]) -> SpectrumRecord:
+    """Write one layer's raw eigenvalues and whitened SVDs into `directory`,
+    which becomes the profile's spectra_dir, and record what they were
+    computed from, with each file's path in the profile and sha256."""
+    rel_dir = spectra_dir(profile_path).name
+    files = {}
+    for name, array in zip(STORED_TENSORS, (eigenvalues, *spectra[0], *spectra[1])):
+        path = directory / f"layer{layer:03d}_{name}.ctf"
+        ctf.write_ctf(path, array)
+        files[name] = StoredTensor(f"{rel_dir}/{path.name}",
+                                   hashlib.sha256(path.read_bytes()).hexdigest())
+    return SpectrumRecord(layer=layer, cov_sha256=array_digest(c),
+                          w_sha256=_weight_digests(gqa), shrinkage=shrinkage, files=files)
+
+
+def miss_reason(record: SpectrumRecord | None, c: np.ndarray, gqa: GqaLayer,
+                shrinkage: ShrinkageParams) -> str | None:
+    """Why the spectra `record` names cannot stand in for those of layer
+    `gqa` with covariance `c` under `shrinkage`, or None when they can."""
+    if record is None:
+        return "no record"
+    if record.shrinkage != shrinkage:
+        return "parameter override"
+    if record.cov_sha256 != array_digest(c):
+        return "covariance changed"
+    if record.w_sha256 != _weight_digests(gqa):
+        return "weight changed"
+    return None
+
+
+def load_spectra(record: SpectrumRecord, base_dir,
+                 gqa: GqaLayer) -> tuple[np.ndarray, tuple[WhitenedSvd, WhitenedSvd]]:
     """The raw eigenvalues and the (K, V) whitened SVDs a record names, for
-    grouped weights of shape (d_model, width). Every file must match its
-    recorded sha256 and its shape."""
+    layer `gqa`. Every file must match its recorded sha256 and its shape."""
     def load(name, shape):
         path, sha256 = record.files[name]
         return _load_tensor(base_dir, path, shape, f"layer {record.layer} {name}", sha256)
 
+    d_model, width = gqa.w_k_g.shape
     p = min(d_model, width)
     spectra = tuple(
-        WhitenedSvd(load(f"sigma_{kind}", (p,)), load(f"v_t_{kind}", (p, width)))
-        for kind in ("k", "v")
+        WhitenedSvd(load(sigma, (p,)), load(v_t, (p, width))) for sigma, v_t in _SVD_TENSORS
     )
     return load("eigenvalues", (d_model,)), spectra
 
@@ -375,9 +404,7 @@ def _record_to_json(record: SpectrumRecord) -> dict:
     doc = {
         "layer": record.layer,
         "cov_sha256": record.cov_sha256,
-        "alpha": record.alpha,
-        "lambda": record.lam,
-        "weighting": record.weighting,
+        **shrinkage_doc(record.shrinkage),
     }
     for kind in KINDS:
         doc[f"w_{kind.lower()}_sha256"] = record.w_sha256[kind]
@@ -479,15 +506,11 @@ def _spectrum_records(raw_records, layers: set[int], path) -> dict[int, Spectrum
                 f"{where} for layer {layer} is not one of the profile's layers, "
                 f"or repeats one"
             )
-        weighting, alpha, lam = raw.get("weighting"), raw.get("alpha"), raw.get("lambda")
-        _check_shrinkage(weighting, alpha, lam, where)
         records[layer] = SpectrumRecord(
             layer=layer,
+            shrinkage=_shrinkage(raw, where),
             cov_sha256=_sha256(raw, "cov_sha256", where),
             w_sha256={kind: _sha256(raw, f"w_{kind.lower()}_sha256", where) for kind in KINDS},
-            alpha=alpha,
-            lam=lam,
-            weighting=weighting,
             files={
                 name: StoredTensor(_tensor_path(raw.get(name), f"{where} {name}"),
                                    _sha256(raw, f"{name}_sha256", where))
@@ -503,12 +526,17 @@ def _spectrum_records(raw_records, layers: set[int], path) -> dict[int, Spectrum
 
 
 def write_json(path, doc) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """Write `doc` as strict JSON, refusing a NaN or an infinity."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    Path(path).write_text(text + "\n")
 
 
 def write_json_last(path, doc) -> None:
     """write_json through a `.partial` sibling and a rename, so `path`
-    never holds a half-written document."""
+    never holds a half-written document; a refused one leaves no file."""
     partial = Path(path).with_name(Path(path).name + ".partial")
     write_json(partial, doc)
     os.replace(partial, path)

@@ -24,6 +24,7 @@ from kvlatent.factorizer import (
     activation_residual,
     care_factorize,
     convert_layer,
+    layer_spectra,
     replicate_groups,
 )
 from kvlatent.metrics import LogitSequence, LossParams, cross_entropy, kd_loss, total_loss
@@ -110,7 +111,8 @@ def test_criterion_03_kv_parity_exactness():
                 ]
                 whitener = calibration.build_whitener(covariance_of(batches), ShrinkageParams())
                 r = n_groups * head_dim
-                factors, report_k, report_v = convert_layer(layer, whitener, r, r)
+                spectra = layer_spectra(layer, whitener)
+                factors, report_k, report_v = convert_layer(layer, spectra, r, r)
                 for report, w_g in ((report_k, layer.w_k_g), (report_v, layer.w_v_g)):
                     w = replicate_groups(w_g, n_heads, n_groups, head_dim)
                     energy = float(np.sum(

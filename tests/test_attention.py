@@ -23,7 +23,7 @@ from kvlatent.attention import (
     rope_rotate,
 )
 from kvlatent.errors import ValidationError
-from kvlatent.factorizer import convert_layer
+from kvlatent.factorizer import convert_layer, layer_spectra
 from test_factorizer import random_gqa_layer
 
 
@@ -232,7 +232,7 @@ class TestMlaForward:
     def test_lossless_path_matches_gqa(self):
         rng = gen(421)
         layer = random_gqa_layer(rng)
-        factors, _, _ = convert_layer(layer, identity_whitener(16), 16, 16)
+        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 16, 16)
         x = rng.standard_normal((5, 16))
         drift = logit_drift(
             gqa_forward(layer, x),
@@ -249,7 +249,7 @@ class TestMlaForward:
         ]
         s = calibration.build_whitener(covariance_of(batches), calibration.ShrinkageParams())
         r = layer.n_groups * layer.head_dim
-        factors, _, _ = convert_layer(layer, s, r, r)
+        factors, _, _ = convert_layer(layer, layer_spectra(layer, s), r, r)
         x = rng.standard_normal((8, 16))
         trace_g = gqa_forward(layer, x)
         trace_m = mla_forward(factors, layer.w_q, config_for(layer), x)
@@ -260,14 +260,14 @@ class TestMlaForward:
     def test_zero_input(self):
         rng = gen(423)
         layer = random_gqa_layer(rng)
-        factors, _, _ = convert_layer(layer, identity_whitener(16), 8, 8)
+        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 8, 8)
         trace = mla_forward(factors, layer.w_q, config_for(layer), np.zeros((3, 16)))
         assert np.array_equal(trace.output, np.zeros_like(trace.output))
 
     def test_cache_widths_and_scale(self):
         rng = gen(424)
         layer = random_gqa_layer(rng)
-        factors, _, _ = convert_layer(layer, identity_whitener(16), 6, 7)
+        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 6, 7)
         trace = mla_forward(factors, layer.w_q, config_for(layer), rng.standard_normal((3, 16)))
         assert (factors.r_k, factors.r_v, factors.cache_width) == (6, 7, 13)
         assert trace.scale_denominator == math.sqrt(layer.head_dim)
@@ -275,7 +275,7 @@ class TestMlaForward:
     def test_requires_nope_config(self):
         rng = gen(425)
         layer = random_gqa_layer(rng)
-        factors, _, _ = convert_layer(layer, identity_whitener(16), 8, 8)
+        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 8, 8)
         with pytest.raises(ValidationError):
             mla_forward(factors, layer.w_q, config_for(layer, rope_dim=4),
                         rng.standard_normal((3, 16)))
@@ -285,7 +285,7 @@ class TestMlaForwardRope:
     def test_zero_adapters_rescale_content_logits(self):
         rng = gen(431)
         layer = random_gqa_layer(rng)
-        factors, _, _ = convert_layer(layer, identity_whitener(16), 8, 8)
+        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 8, 8)
         x = rng.standard_normal((5, 16))
         d_r = 4
         adapters = RopeAdapters(
@@ -302,7 +302,7 @@ class TestMlaForwardRope:
         rng = gen(432)
         layer = random_gqa_layer(rng)
         d_r = 4
-        factors, _, _ = convert_layer(layer, identity_whitener(16), 8, 8)
+        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 8, 8)
         zeroed = type(factors)(
             np.zeros_like(factors.w_a_k), factors.w_b_k,
             np.zeros_like(factors.w_a_v), factors.w_b_v,
@@ -323,7 +323,7 @@ class TestMlaForwardRope:
         rng = gen(433)
         layer = random_gqa_layer(rng)
         d_r = 6
-        factors, _, _ = convert_layer(layer, identity_whitener(16), 8, 8)
+        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 8, 8)
         adapters = RopeAdapters(
             w_r_q=rng.standard_normal((16, layer.n_heads * d_r)),
             w_r_k=rng.standard_normal((16, d_r)),
@@ -337,7 +337,7 @@ class TestMlaForwardRope:
     def test_scale_denominator_tracks_rope_dim(self):
         rng = gen(434)
         layer = random_gqa_layer(rng)
-        factors, _, _ = convert_layer(layer, identity_whitener(16), 8, 8)
+        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 8, 8)
         x = rng.standard_normal((3, 16))
         for d_r in (2, 4):
             adapters = RopeAdapters(
@@ -353,7 +353,7 @@ class TestMlaForwardRope:
     def test_requires_positive_rope_dim(self):
         rng = gen(435)
         layer = random_gqa_layer(rng)
-        factors, _, _ = convert_layer(layer, identity_whitener(16), 8, 8)
+        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 8, 8)
         adapters = RopeAdapters(w_r_q=np.zeros((16, 16)), w_r_k=np.zeros((16, 4)))
         with pytest.raises(ValidationError):
             mla_forward_rope(factors, layer.w_q, adapters, config_for(layer),
@@ -401,8 +401,9 @@ class TestLogitDrift:
             c = covariance_of(batches)
             s = calibration.build_whitener(c, calibration.ShrinkageParams())
             r = 3
-            care_factors, _, _ = convert_layer(layer, s, r, r)
-            plain_factors, _, _ = convert_layer(layer, identity_whitener(16), r, r)
+            care_factors, _, _ = convert_layer(layer, layer_spectra(layer, s), r, r)
+            plain_spectra = layer_spectra(layer, identity_whitener(16))
+            plain_factors, _, _ = convert_layer(layer, plain_spectra, r, r)
             x = batches[0].x[:8]
             reference = gqa_forward(layer, x)
             cfg = config_for(layer)
@@ -438,7 +439,7 @@ class TestBlockedCoreOracle:
     def test_forwards_match_reference(self, t, n_groups):
         rng = gen(4500 + 10 * t + n_groups)
         layer = random_gqa_layer(rng, n_groups=n_groups)
-        factors, _, _ = convert_layer(layer, identity_whitener(16), 3, 4)
+        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 3, 4)
         x = rng.standard_normal((t, 16))
         assert_matches_reference(gqa_forward(layer, x), reference_gqa(layer, x))
 
@@ -471,7 +472,7 @@ class TestCompareOracle:
     def test_matches_reference_traces(self, t, n_groups):
         rng = gen(4600 + 10 * t + n_groups)
         layer = random_gqa_layer(rng, n_groups=n_groups)
-        factors, _, _ = convert_layer(layer, identity_whitener(16), 3, 4)
+        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 3, 4)
         x = rng.standard_normal((t, 16))
         d_r = 4
         adapters = RopeAdapters(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -144,26 +146,26 @@ class TestWhiteningOperator:
         root = linalg.sqrt_psd(c)
         lam = np.trace(root) / 4
         explicit = (1.0 - params.alpha) * root + params.alpha * lam * np.eye(4)
-        out = whitening_operator(c, params, "sqrtC")
+        out = whitening_operator(c, replace(params, weighting="sqrtC"))
         assert np.array_equal(whitening_operator(c, params), out)
         assert np.max(np.abs(out - explicit)) <= 1e-12 * np.max(np.abs(explicit))
 
     def test_cov_mode_uses_covariance_directly(self):
         c = np.diag([4.0, 1.0])
-        params = ShrinkageParams(alpha=0.5, lam=1.0)
-        out = whitening_operator(c, params, "C")
+        params = ShrinkageParams(alpha=0.5, lam=1.0, weighting="C")
+        out = whitening_operator(c, params)
         assert np.allclose(out, np.diag([0.5 * 4.0 + 0.5, 0.5 * 1.0 + 0.5]))
 
     def test_modes_differ_on_anisotropic_input(self):
         c = np.diag([9.0, 1.0])
         params = ShrinkageParams(alpha=0.01, lam=1.0)
-        sqrt_op = whitening_operator(c, params, "sqrtC")
-        cov_op = whitening_operator(c, params, "C")
+        sqrt_op = whitening_operator(c, replace(params, weighting="sqrtC"))
+        cov_op = whitening_operator(c, replace(params, weighting="C"))
         assert not np.allclose(sqrt_op, cov_op)
 
     def test_unknown_mode(self):
         with pytest.raises(ValidationError):
-            whitening_operator(np.eye(2), ShrinkageParams(), "fisher")
+            whitening_operator(np.eye(2), ShrinkageParams(weighting="fisher"))
 
 
 class TestWhitener:
@@ -194,7 +196,7 @@ class TestWhitener:
     def test_factor_carries_the_whitened_metric(self, weighting):
         # L^T L = S^2, so L @ w and S @ w share singular values and norms
         rng = gen(116)
-        whitener = build_whitener(self.covariance(116), ShrinkageParams(), weighting)
+        whitener = build_whitener(self.covariance(116), ShrinkageParams(weighting=weighting))
         s, factor = whitener.matrix, whitener.factor
         scale = np.max(np.abs(s @ s))
         assert np.max(np.abs(factor.T @ factor - s @ s)) <= 1e-12 * scale
@@ -212,21 +214,21 @@ class TestWhitener:
     @pytest.mark.parametrize("lam", ["auto", 0.3])
     def test_matrix_matches_operator_and_formula(self, weighting, lam):
         c = self.covariance(112)
-        params = ShrinkageParams(alpha=0.05, lam=lam)
-        whitener = build_whitener(c, params, weighting)
+        params = ShrinkageParams(alpha=0.05, lam=lam, weighting=weighting)
+        whitener = build_whitener(c, params)
         explicit = self.explicit_operator(c, params, weighting)
         scale = np.max(np.abs(explicit))
-        assert np.max(np.abs(whitener.matrix - whitening_operator(c, params, weighting))) == 0.0
+        assert np.max(np.abs(whitener.matrix - whitening_operator(c, params))) == 0.0
         assert np.max(np.abs(whitener.matrix - explicit)) <= 1e-12 * scale
         assert whitener.weighting == weighting
 
     @pytest.mark.parametrize("weighting", ["sqrtC", "C"])
     def test_lambda_matches_resolve_lambda(self, weighting):
         c = self.covariance(113)
-        params = ShrinkageParams()
+        params = ShrinkageParams(weighting=weighting)
         base = linalg.sqrt_psd(c) if weighting == "sqrtC" else c
         expected = self.resolve_lambda(base, params)
-        assert build_whitener(c, params, weighting).lam == pytest.approx(expected, rel=1e-12)
+        assert build_whitener(c, params).lam == pytest.approx(expected, rel=1e-12)
 
     def test_health_figures_match_spectrum(self):
         whitener = build_whitener(self.covariance(114), ShrinkageParams())
@@ -248,7 +250,7 @@ class TestWhitener:
     @pytest.mark.parametrize("weighting", ["sqrtC", "C"])
     def test_not_psd_is_numerical_error(self, weighting):
         with pytest.raises(NumericalError, match="not PSD"):
-            build_whitener(np.diag([1.0, -0.1]), ShrinkageParams(), weighting)
+            build_whitener(np.diag([1.0, -0.1]), ShrinkageParams(weighting=weighting))
 
     def test_singular_whitener_refused(self):
         whitener = Whitener(np.eye(3), np.array([1.0, 1.0, 0.0]), 1.0, "C")
@@ -257,9 +259,9 @@ class TestWhitener:
 
     def test_unknown_weighting(self):
         with pytest.raises(ValidationError):
-            build_whitener(np.eye(2), ShrinkageParams(), "fisher")
+            build_whitener(np.eye(2), ShrinkageParams(weighting="fisher"))
         with pytest.raises(ValidationError):
-            whitener_from_eig(linalg.sym_eig(np.eye(2)), ShrinkageParams(), "fisher")
+            whitener_from_eig(linalg.sym_eig(np.eye(2)), ShrinkageParams(weighting="fisher"))
 
     @pytest.mark.parametrize("weighting", ["sqrtC", "C"])
     def test_from_eig_is_build_whitener_on_sym_eig(self, weighting):
@@ -267,9 +269,9 @@ class TestWhitener:
         q = random_orthogonal(gen(117), 6)
         c = (q * np.array([2.0, 1.0, 0.5, 0.25, 0.0, -1e-10])) @ q.T
         c = (c + c.T) / 2.0
-        params = ShrinkageParams(alpha=0.05, lam="auto")
-        built = build_whitener(c, params, weighting)
-        given = whitener_from_eig(linalg.sym_eig(c), params, weighting)
+        params = ShrinkageParams(alpha=0.05, lam="auto", weighting=weighting)
+        built = build_whitener(c, params)
+        given = whitener_from_eig(linalg.sym_eig(c), params)
         assert given.eigenvectors.tobytes() == built.eigenvectors.tobytes()
         assert given.eigenvalues.tobytes() == built.eigenvalues.tobytes()
         assert (given.lam, given.clamped, given.weighting) == (

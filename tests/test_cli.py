@@ -110,8 +110,7 @@ def write_engineered_model(root: Path) -> Path:
     batch_rel = "batches/identity.ctf"
     ctf.write_ctf(root / batch_rel, np.eye(3))
     m = manifest.ModelManifest(
-        model_kind=manifest.MODEL_KIND_GQA, weighting="sqrtC", alpha=0.01,
-        lam="auto", seq_len=3, layers=tuple(entries),
+        model_kind=manifest.MODEL_KIND_GQA, seq_len=3, layers=tuple(entries),
         calibration={0: (batch_rel,), 1: (batch_rel,)},
     )
     manifest.save_manifest(m, root / "model.json")
@@ -171,6 +170,8 @@ MALFORMED_MANIFESTS = {
     "alpha_string": lambda doc: doc.update(alpha="x"),
     "alpha_null": lambda doc: doc.update(alpha=None),
     "alpha_above_one": lambda doc: doc.update(alpha=5.0),
+    "lambda_inf": lambda doc: doc.update({"lambda": float("inf")}),
+    "lambda_beyond_float": lambda doc: doc.update({"lambda": 10**400}),
     "seq_len_string": lambda doc: doc.update(seq_len="x"),
     "seq_len_zero": lambda doc: doc.update(seq_len=0),
     "seed_string": lambda doc: doc.update(seed="x"),
@@ -452,11 +453,10 @@ class TestConvert:
         pipeline(tmp_path)
         report = json.loads((tmp_path / "converted/conversion_report.json").read_text())
         model = manifest.load_manifest(tmp_path / "model/model.json")
-        params = calibration.ShrinkageParams(model.alpha, model.lam)
         for layer_report in report["layers"]:
             layer_idx = layer_report["layer"]
             cov = ctf.read_ctf(tmp_path / "cov" / f"layer{layer_idx:03d}_cov.ctf")
-            op = calibration.whitening_operator(cov, params, model.weighting)
+            op = calibration.whitening_operator(cov, model.shrinkage)
             gqa = manifest.load_gqa_layer(model, tmp_path / "model", layer_idx)
             for kind, w_g in (("k", gqa.w_k_g), ("v", gqa.w_v_g)):
                 w = factorizer.replicate_groups(w_g, gqa.n_heads, gqa.n_groups, gqa.head_dim)
@@ -479,6 +479,40 @@ class TestConvert:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"model's {model_layers} layers" in err
         assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--lambda", "inf"), ("--lambda", "1e999"), ("--lambda", "nan"), ("--lambda", "-1"),
+        ("--lambda", "0"), ("--alpha", "inf"), ("--alpha", "nan"),
+    ])
+    def test_bad_shrinkage_override_writes_nothing(self, tmp_path, capsys, flag, value):
+        pipeline(tmp_path)
+        capsys.readouterr()
+        assert run("convert", "--manifest", tmp_path / "model/model.json",
+                   "--cov-dir", tmp_path / "cov", "--profile", tmp_path / "profile.json",
+                   flag, value, "--out", tmp_path / "c") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag[2:] in err and "Traceback" not in err
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("path", ["reused", "recomputed"])
+    def test_singular_whitener_exits_3_on_either_path(self, tmp_path, capsys, path):
+        # 4 tokens in 16 dims: C has 12 zero eigenvalues, and with weighting
+        # C a tiny lambda leaves them all but unshrunk.
+        model = gen_model(tmp_path / "m", seq=2, batches=2)
+        shrinkage = ("--weighting", "C", "--lambda", "1e-300")
+        if path == "reused":
+            model = with_shrinkage(model, "tiny.json", shrinkage)
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--parity", "--out", tmp_path / "p.json") == 0
+        capsys.readouterr()
+        assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--profile", tmp_path / "p.json",
+                   *(shrinkage if path == "recomputed" else ()), "--out", tmp_path / "c") == 3
+        captured = capsys.readouterr()
+        assert f"layer 0: spectra {path}" in captured.out
+        assert captured.err == "error: singular whitener: apply shrinkage before factorizing\n"
+        assert tree_bytes(tmp_path / "c") == {}
 
     def test_weighting_modes_produce_different_factors(self, tmp_path):
         model = gen_model(tmp_path / "m")
@@ -559,11 +593,10 @@ class TestConvert:
                    "--profile", tmp_path / "p.json", "--out", tmp_path / "c") == 0
         report = json.loads((tmp_path / "c/conversion_report.json").read_text())
         m = manifest.load_manifest(model)
-        params = calibration.ShrinkageParams(m.alpha, m.lam)
         for layer_report in report["layers"]:
             layer = layer_report["layer"]
             cov = ctf.read_ctf(tmp_path / "cov" / f"layer{layer:03d}_cov.ctf")
-            s = calibration.build_whitener(cov, params, m.weighting).matrix
+            s = calibration.build_whitener(cov, m.shrinkage).matrix
             gqa = manifest.load_gqa_layer(m, model.parent, layer)
             for kind, w_g in (("k", gqa.w_k_g), ("v", gqa.w_v_g)):
                 w = factorizer.replicate_groups(w_g, gqa.n_heads, gqa.n_groups, gqa.head_dim)
@@ -620,10 +653,9 @@ class TestConvert:
         pipeline(tmp_path)
         report = json.loads((tmp_path / "converted/conversion_report.json").read_text())
         model = manifest.load_manifest(tmp_path / "model/model.json")
-        params = calibration.ShrinkageParams(model.alpha, model.lam)
         for layer_report in report["layers"]:
             cov = ctf.read_ctf(tmp_path / "cov" / f"layer{layer_report['layer']:03d}_cov.ctf")
-            eigs = np.linalg.eigvalsh(calibration.whitening_operator(cov, params))
+            eigs = np.linalg.eigvalsh(calibration.whitening_operator(cov, model.shrinkage))
             health = layer_report["whitener"]
             assert sorted(health) == [
                 "clamped", "condition", "lambda_max", "lambda_min", "lambda_resolved"
@@ -714,20 +746,19 @@ class TestEigenReuse:
         _, _, records = manifest.load_profile(tmp_path / "p.json")
         assert sorted(records) == [0, 1, 2]
         m = manifest.load_manifest(scheduled)
-        params = calibration.ShrinkageParams(m.alpha, m.lam)
         for layer, record in records.items():
             cov = ctf.read_ctf(tmp_path / "cov" / f"layer{layer:03d}_cov.ctf")
             gqa = manifest.load_gqa_layer(m, scheduled.parent, layer)
             eig = linalg.sym_eig(cov)
-            whitener = calibration.whitener_from_eig(eig, params, m.weighting)
+            whitener = calibration.whitener_from_eig(eig, m.shrinkage)
             assert record.cov_sha256 == manifest.array_digest(cov)
             assert record.w_sha256 == {"K": manifest.array_digest(gqa.w_k_g),
                                        "V": manifest.array_digest(gqa.w_v_g)}
-            assert (record.alpha, record.lam, record.weighting) == (0.01, "auto", "sqrtC")
+            assert record.shrinkage == calibration.ShrinkageParams(0.01, "auto", "sqrtC")
             assert {name: stored.path for name, stored in record.files.items()} == {
                 name: f"p_spectra/layer{layer:03d}_{name}.ctf" for name in manifest.STORED_TENSORS
             }
-            eigenvalues, spectra = manifest.load_spectra(record, tmp_path, 16, 8)
+            eigenvalues, spectra = manifest.load_spectra(record, tmp_path, gqa)
             assert eigenvalues.tobytes() == eig.eigenvalues.tobytes()
             for w_g, stored in zip((gqa.w_k_g, gqa.w_v_g), spectra):
                 expected = factorizer.whitened_svd(w_g, whitener)
@@ -907,6 +938,27 @@ class TestEval:
                    "--converted", tmp_path / "converted/converted.json",
                    "--seed", 0, "--out", tmp_path / "eval") == 4
         assert "layer001_w_a_v.ctf" in capsys.readouterr().err
+        assert tree_bytes(tmp_path / "eval") == {}
+
+    def test_non_finite_teacher_loss_writes_no_report(self, tmp_path, capsys, monkeypatch):
+        # total_loss checks the student's terms only; the report writer
+        # refuses the teacher's.
+        pipeline(tmp_path)
+        real = metrics.cross_entropy
+        calls = []
+
+        def teacher_overflows(seq, tau):
+            calls.append(seq)
+            return float("inf") if len(calls) % 2 else real(seq, tau)
+
+        monkeypatch.setattr(metrics, "cross_entropy", teacher_overflows)
+        capsys.readouterr()
+        assert run("eval", "--source", tmp_path / "model/model.json",
+                   "--converted", tmp_path / "converted/converted.json",
+                   "--out", tmp_path / "eval") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "eval_report.json" in err
+        assert "Traceback" not in err
         assert tree_bytes(tmp_path / "eval") == {}
 
     @pytest.mark.parametrize("rope_dim", [-4, 3])
@@ -1160,7 +1212,8 @@ class TestEvalMemory:
         # The parent design held four (n_heads, T, T) float64 arrays per layer.
         rng = make_generator(91)
         layer = random_gqa_layer(rng)
-        factors, _, _ = factorizer.convert_layer(layer, identity_whitener(16), 3, 4)
+        spectra = factorizer.layer_spectra(layer, identity_whitener(16))
+        factors, _, _ = factorizer.convert_layer(layer, spectra, 3, 4)
         batches = [calibration.CalibrationBatch(0, rng.standard_normal((8, 16)))
                    for _ in range(2)]
         t = 1024

@@ -27,6 +27,7 @@ from kvlatent.factorizer import (
     care_factorize,
     convert_layer,
     grouped_factorize,
+    layer_spectra,
     replicate_groups,
     truncate,
     whitened_svd,
@@ -154,7 +155,8 @@ class TestCareFactorize:
         rng = gen(310)
         for weighting in ("sqrtC", "C"):
             c = covariance_of(anisotropic_batches(rng, 4, 24, 12, cond=400.0))
-            whitener = calibration.build_whitener(c, calibration.ShrinkageParams(), weighting)
+            params = calibration.ShrinkageParams(weighting=weighting)
+            whitener = calibration.build_whitener(c, params)
             w = rng.standard_normal((12, 9))
             energy = linalg.frobenius_norm_sq(whitener.matrix @ w)
             for r in (1, 4, 9):
@@ -248,7 +250,7 @@ def oracle_case(case, weighting, seed):
     rng = gen(seed)
     d, n = (6, 9) if case.startswith("wide") else (12, 9)
     c = covariance_of(anisotropic_batches(rng, 4, 24, d, cond=400.0))
-    whitener = calibration.build_whitener(c, calibration.ShrinkageParams(), weighting)
+    whitener = calibration.build_whitener(c, calibration.ShrinkageParams(weighting=weighting))
     if case == "rank_deficient":
         return whitener, rng.standard_normal((d, 4)) @ rng.standard_normal((4, n))
     if case == "wide":
@@ -321,7 +323,7 @@ class TestGroupedFactorize:
     def setup_case(self, seed, n_groups, weighting):
         rng = gen(seed)
         c = covariance_of(anisotropic_batches(rng, 4, 24, self.D, cond=400.0))
-        whitener = calibration.build_whitener(c, calibration.ShrinkageParams(), weighting)
+        whitener = calibration.build_whitener(c, calibration.ShrinkageParams(weighting=weighting))
         w_g = rng.standard_normal((self.D, n_groups * self.HEAD_DIM)) / np.sqrt(self.D)
         w = replicate_groups(w_g, self.N_HEADS, n_groups, self.HEAD_DIM)
         return whitener, w_g, w
@@ -521,7 +523,7 @@ class TestConvertLayer:
         layer = random_gqa_layer(rng)
         s = calibration.build_whitener(random_psd(rng, 16, cond=20.0), calibration.ShrinkageParams())
         r = layer.n_groups * layer.head_dim
-        factors, report_k, report_v = convert_layer(layer, s, r, r)
+        factors, report_k, report_v = convert_layer(layer, layer_spectra(layer, s), r, r)
         for report, w_g in ((report_k, layer.w_k_g), (report_v, layer.w_v_g)):
             w = replicate_groups(w_g, layer.n_heads, layer.n_groups, layer.head_dim)
             top = linalg.svd(s.matrix @ w).singular_values[0]
@@ -531,7 +533,7 @@ class TestConvertLayer:
     def test_identity_covariance_full_rank_is_lossless(self):
         rng = gen(362)
         layer = random_gqa_layer(rng)
-        factors, _, _ = convert_layer(layer, identity_whitener(16), 16, 16)
+        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 16, 16)
         w_k = replicate_groups(layer.w_k_g, layer.n_heads, layer.n_groups, layer.head_dim)
         w_v = replicate_groups(layer.w_v_g, layer.n_heads, layer.n_groups, layer.head_dim)
         assert np.allclose(factors.w_a_k @ factors.w_b_k, w_k, atol=1e-12)
@@ -542,19 +544,18 @@ class TestConvertLayer:
         layer = random_gqa_layer(rng)
         batches = anisotropic_batches(rng, 4, 32, 16, cond=400.0)
         c = covariance_of(batches)
-        params = calibration.ShrinkageParams()
-        op_sqrt = calibration.build_whitener(c, params, "sqrtC")
-        op_cov = calibration.build_whitener(c, params, "C")
+        op_sqrt = calibration.build_whitener(c, calibration.ShrinkageParams(weighting="sqrtC"))
+        op_cov = calibration.build_whitener(c, calibration.ShrinkageParams(weighting="C"))
         r = 4  # low rank so the metrics actually bind
-        _, rep_sqrt, _ = convert_layer(layer, op_sqrt, r, r)
-        _, rep_cov, _ = convert_layer(layer, op_cov, r, r)
+        _, rep_sqrt, _ = convert_layer(layer, layer_spectra(layer, op_sqrt), r, r)
+        _, rep_cov, _ = convert_layer(layer, layer_spectra(layer, op_cov), r, r)
         assert rep_sqrt.weight_residual_sq != rep_cov.weight_residual_sq
 
     def test_rejects_bad_profile_rank(self):
         rng = gen(364)
         layer = random_gqa_layer(rng)
         with pytest.raises(ValidationError):
-            convert_layer(layer, identity_whitener(16), 17, 4)
+            convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 17, 4)
 
 
 class TestMlaFactors:

@@ -16,6 +16,7 @@ import copy
 import hashlib
 import io
 import json
+import math
 import posixpath
 import shutil
 import struct
@@ -56,7 +57,7 @@ def inside(value) -> bool:
 # tensors on disk or by the other fields.
 MAY_CHANGE = {
     "alpha": lambda v: is_number(v) and 0 < v < 1,
-    "lambda": lambda v: v == "auto" or (is_number(v) and v > 0),
+    "lambda": lambda v: v == "auto" or (is_number(v) and 0 < v < math.inf),
     "weighting": lambda v: v in ("sqrtC", "C"),
     "seq_len": lambda v: is_int(v, 1),
     "seed": lambda v: is_int(v, 0) and v < 2**64,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import gen
 from kvlatent import ctf, manifest
+from kvlatent.calibration import ShrinkageParams
 from kvlatent.errors import ValidationError
 from kvlatent.scheduler import RankProfile
 
@@ -27,9 +29,6 @@ def small_gqa_manifest(tmp_path, rng, d=8, n_heads=2, n_groups=1, batches=2, seq
         paths.append(rel)
     m = manifest.ModelManifest(
         model_kind=manifest.MODEL_KIND_GQA,
-        weighting="sqrtC",
-        alpha=0.01,
-        lam="auto",
         seq_len=seq,
         layers=(entry,),
         calibration={0: tuple(paths)},
@@ -50,8 +49,8 @@ def small_mla_manifest(tmp_path, rng, d=8, n_heads=2, r=3):
         w_a_k="w_a_k.ctf", w_b_k="w_b_k.ctf", w_a_v="w_a_v.ctf", w_b_v="w_b_v.ctf",
     )
     return manifest.ModelManifest(
-        model_kind=manifest.MODEL_KIND_MLA, weighting="sqrtC", alpha=0.01,
-        lam=0.5, seq_len=4, layers=(entry,),
+        model_kind=manifest.MODEL_KIND_MLA, seq_len=4, layers=(entry,),
+        shrinkage=ShrinkageParams(0.01, 0.5, "sqrtC"),
     )
 
 
@@ -165,7 +164,7 @@ class TestRankProfileFile:
             manifest.SpectrumRecord(
                 layer=layer, cov_sha256=f"{layer:064x}",
                 w_sha256={"K": "a" * 64, "V": "b" * 64},
-                alpha=0.25, lam=2.5 if layer else "auto", weighting="C",
+                shrinkage=ShrinkageParams(0.25, 2.5 if layer else "auto", "C"),
                 files={name: manifest.StoredTensor(f"p_spectra/l{layer}_{name}.ctf",
                                                    f"{i:064x}")
                        for i, name in enumerate(manifest.STORED_TENSORS)},
@@ -205,6 +204,7 @@ class TestRankProfileFile:
         ("sigma_v", None, "path string"),
         ("alpha", 1.0, "alpha"),
         ("lambda", 0, "lambda"),
+        ("lambda", float("inf"), "lambda"),
         ("weighting", "fisher", "weighting"),
     ])
     def test_rejects_malformed_eigen_record(self, tmp_path, field, value, match):
@@ -267,3 +267,59 @@ class TestRankProfileFile:
         (tmp_path / "p.json").write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="duplicate"):
             manifest.load_profile(tmp_path / "p.json")
+
+
+class TestShrinkageKeys:
+    """ShrinkageParams holds the only defaults and checks of the whitening
+    setting: a model manifest may leave out alpha and lambda, but not
+    weighting, and a spectrum record must carry all three."""
+
+    @pytest.mark.parametrize("missing", [("alpha",), ("lambda",), ("alpha", "lambda")])
+    def test_model_manifest_takes_defaults_for_alpha_and_lambda(self, tmp_path, missing):
+        m = dataclasses.replace(small_mla_manifest(tmp_path, gen(711)),
+                                shrinkage=ShrinkageParams(0.25, 0.5, "C"))
+        manifest.save_manifest(m, tmp_path / "c.json")
+        doc = json.loads((tmp_path / "c.json").read_text())
+        for key in missing:
+            del doc[key]
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        default = ShrinkageParams()
+        assert manifest.load_manifest(tmp_path / "c.json").shrinkage == ShrinkageParams(
+            default.alpha if "alpha" in missing else 0.25,
+            default.lam if "lambda" in missing else 0.5,
+            "C",
+        )
+
+    def test_model_manifest_requires_weighting(self, tmp_path):
+        small_gqa_manifest(tmp_path, gen(712))
+        doc = json.loads((tmp_path / "model.json").read_text())
+        del doc["weighting"]
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="weighting"):
+            manifest.load_manifest(tmp_path / "model.json")
+
+    @pytest.mark.parametrize("key", ["alpha", "lambda", "weighting"])
+    def test_spectrum_record_requires_every_key(self, tmp_path, key):
+        profile = RankProfile(ranks={(0, "K"): 1, (0, "V"): 1}, budget_k=1, budget_v=1,
+                              min_rank=1)
+        record = manifest.SpectrumRecord(
+            layer=0, cov_sha256="0" * 64, w_sha256={"K": "1" * 64, "V": "2" * 64},
+            shrinkage=ShrinkageParams(),
+            files={name: manifest.StoredTensor(f"{name}.ctf", "3" * 64)
+                   for name in manifest.STORED_TENSORS},
+        )
+        manifest.save_profile(profile, tmp_path / "p.json", spectra=(record,))
+        assert manifest.load_profile(tmp_path / "p.json")[2] == {0: record}
+        doc = json.loads((tmp_path / "p.json").read_text())
+        del doc["spectra"][0][key]
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=key):
+            manifest.load_profile(tmp_path / "p.json")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_json_writers_refuse_non_finite_numbers(tmp_path, value):
+    for write in (manifest.write_json, manifest.write_json_last):
+        with pytest.raises(ValidationError, match="report.json"):
+            write(tmp_path / "report.json", {"figures": [1.0, value]})
+        assert list(tmp_path.iterdir()) == []
