@@ -9,8 +9,10 @@ forward reconstructs K and V from the cached-width latents; the rotary
 variant adds a small decoupled position channel, per-head rotary queries
 plus one rotary key per token shared by every head, as one more feature
 block of each head's query and key, with the softmax scale
-AttentionConfig.scale_denominator, sqrt(head_dim + rope_dim), and the
-frequency base ROPE_BASE. The rotary forward is library API: the caller
+sqrt(head_dim + rope_dim) and the frequency base ROPE_BASE. The latent
+forwards take the source layer's factorizer.Geometry as their config; the
+rotary width rope_dim is read off the RopeAdapters, as the columns of the
+shared key projection w_r_k. The rotary forward is library API: the caller
 supplies its RopeAdapters, no manifest stores them, and no CLI stage runs
 it. How many reals per token a layer caches is not restated here:
 GqaLayer.cache_width and MlaFactors.cache_width own it, and the rotary
@@ -37,39 +39,16 @@ import numpy as np
 
 from . import linalg
 from .errors import ValidationError
-from .factorizer import GqaLayer, MlaFactors
+from .factorizer import Geometry, GqaLayer, MlaFactors
 
 # Rotary frequency base of the decoupled rotary channel.
 ROPE_BASE = 10000.0
 
 
 @dataclass(frozen=True)
-class AttentionConfig:
-    """Shape and positional settings for one simulated latent layer."""
-
-    d_model: int
-    n_heads: int
-    head_dim: int
-    rope_dim: int = 0
-
-    def __post_init__(self):
-        if self.n_heads * self.head_dim != self.d_model:
-            raise ValidationError(
-                f"n_heads * head_dim must equal d_model: "
-                f"{self.n_heads} * {self.head_dim} != {self.d_model}"
-            )
-        if self.rope_dim < 0 or (self.rope_dim and self.rope_dim % 2):
-            raise ValidationError("rope_dim must be 0 or a positive even number")
-
-    @property
-    def scale_denominator(self) -> float:
-        """Softmax scale denominator: sqrt of the per-head query-key width."""
-        return math.sqrt(self.head_dim + self.rope_dim)
-
-
-@dataclass(frozen=True)
 class RopeAdapters:
-    """Projections feeding the rotary channel: per-head queries, shared key."""
+    """Projections feeding the rotary channel: per-head queries, shared key.
+    The rotary width rope_dim is the column count of w_r_k."""
 
     w_r_q: np.ndarray
     w_r_k: np.ndarray
@@ -287,7 +266,7 @@ def gqa_heads(layer: GqaLayer, x) -> Heads:
             f"input width {x.shape[1]} does not match d_model {layer.d_model}"
         )
     d_h = layer.head_dim
-    group = np.arange(layer.n_heads) * layer.n_groups // layer.n_heads
+    group = layer.head_groups
     q = _heads(x @ layer.w_q, d_h)
     k = _heads(x @ layer.w_k_g, d_h)[group]
     v = _heads(x @ layer.w_v_g, d_h)[group]
@@ -299,18 +278,17 @@ def gqa_forward(layer: GqaLayer, x) -> AttentionTrace:
     return _trace(gqa_heads(layer, x))
 
 
-def mla_heads(factors: MlaFactors, w_q, config: AttentionConfig, x) -> Heads:
+def mla_heads(factors: MlaFactors, w_q, config: Geometry, x) -> Heads:
     """Heads of the latent forward without the rotary channel: K and V are
-    reconstructed from the two cached latents."""
-    if config.rope_dim != 0:
-        raise ValidationError("content-only forward requires rope_dim == 0")
+    reconstructed from the two cached latents. config is the source
+    layer's geometry."""
     x = linalg.as_matrix(x, "x")
     w_q = linalg.as_matrix(w_q, "w_q")
     _check_mla_shapes(factors, w_q, config, x)
-    return Heads(*_content_heads(factors, w_q, config, x), config.scale_denominator)
+    return Heads(*_content_heads(factors, w_q, config, x), math.sqrt(config.head_dim))
 
 
-def mla_forward(factors: MlaFactors, w_q, config: AttentionConfig, x) -> AttentionTrace:
+def mla_forward(factors: MlaFactors, w_q, config: Geometry, x) -> AttentionTrace:
     """Latent-KV forward without the rotary channel (content only)."""
     return _trace(mla_heads(factors, w_q, config, x))
 
@@ -319,31 +297,31 @@ def mla_heads_rope(
     factors: MlaFactors,
     w_q,
     adapters: RopeAdapters,
-    config: AttentionConfig,
+    config: Geometry,
     x,
 ) -> Heads:
     """Heads of the latent forward with the decoupled rotary channel.
 
     The rotary key is computed once per token and shared by every head, so
     it adds rope_dim reals to the per-token cache, alongside the two content
-    latents. Values come from the content channel alone. Each head
+    latents. rope_dim is the width of adapters.w_r_k; rope_rotate refuses
+    one that is not positive and even. Values come from the content channel alone. Each head
     scores [q_h, q_rope_h] against [k_h, k_rope], so the rotary channel is
-    one more feature block of the same product.
+    one more feature block of the same product, and the softmax scale is
+    sqrt(head_dim + rope_dim).
     """
-    if config.rope_dim <= 0:
-        raise ValidationError("rotary forward requires rope_dim > 0")
     x = linalg.as_matrix(x, "x")
     w_q = linalg.as_matrix(w_q, "w_q")
     _check_mla_shapes(factors, w_q, config, x)
-    d_r = config.rope_dim
+    d_r = adapters.w_r_k.shape[1]
     if adapters.w_r_q.shape != (config.d_model, config.n_heads * d_r):
         raise ValidationError(
             f"w_r_q has shape {adapters.w_r_q.shape}, expected "
             f"{(config.d_model, config.n_heads * d_r)}"
         )
-    if adapters.w_r_k.shape != (config.d_model, d_r):
+    if adapters.w_r_k.shape[0] != config.d_model:
         raise ValidationError(
-            f"w_r_k has shape {adapters.w_r_k.shape}, expected {(config.d_model, d_r)}"
+            f"w_r_k has shape {adapters.w_r_k.shape}, expected {config.d_model} rows"
         )
 
     q, k, v = _content_heads(factors, w_q, config, x)
@@ -352,21 +330,21 @@ def mla_heads_rope(
     q = np.concatenate([q, q_rope], axis=2)
     k_rope = np.broadcast_to(k_rope, (config.n_heads, *k_rope.shape))
     k = np.concatenate([k, k_rope], axis=2)
-    return Heads(q, k, v, config.scale_denominator)
+    return Heads(q, k, v, math.sqrt(config.head_dim + d_r))
 
 
 def mla_forward_rope(
     factors: MlaFactors,
     w_q,
     adapters: RopeAdapters,
-    config: AttentionConfig,
+    config: Geometry,
     x,
 ) -> AttentionTrace:
     """Latent-KV forward with the decoupled rotary channel enabled."""
     return _trace(mla_heads_rope(factors, w_q, adapters, config, x))
 
 
-def _content_heads(factors: MlaFactors, w_q, config: AttentionConfig, x):
+def _content_heads(factors: MlaFactors, w_q, config: Geometry, x):
     """Per-head queries and the K, V reconstructed from the two latents."""
     d_h = config.head_dim
     q = _heads(x @ w_q, d_h)
@@ -375,14 +353,14 @@ def _content_heads(factors: MlaFactors, w_q, config: AttentionConfig, x):
     return q, k, v
 
 
-def _check_mla_shapes(factors: MlaFactors, w_q, config: AttentionConfig, x) -> None:
+def _check_mla_shapes(factors: MlaFactors, w_q, config: Geometry, x) -> None:
     if x.shape[1] != config.d_model:
         raise ValidationError(
             f"input width {x.shape[1]} does not match d_model {config.d_model}"
         )
     if factors.d_model != config.d_model or factors.out_width != config.d_model:
-        raise ValidationError("factor shapes do not match the attention config")
-    if w_q.shape != (config.d_model, config.n_heads * config.head_dim):
+        raise ValidationError("factor shapes do not match the layer geometry")
+    if w_q.shape != (config.d_model, config.d_model):
         raise ValidationError(f"w_q has shape {w_q.shape}")
 
 

@@ -9,6 +9,7 @@ tensor paths are stored relative to their manifest. Exit codes: 0 success,
 import argparse
 import contextlib
 import dataclasses
+import math
 import os
 import shutil
 import sys
@@ -100,16 +101,14 @@ def cmd_gen(args) -> None:
     rng = make_generator(args.seed)
     if args.n_heads * args.head_dim != args.d_model:
         raise ValidationError("--n-heads * --head-dim must equal --d-model")
-    if args.n_groups < 1 or args.n_groups > args.n_heads or args.n_heads % args.n_groups:
-        raise ValidationError("--n-groups must divide --n-heads and lie in [1, n_heads]")
+    geometry = factorizer.Geometry(args.d_model, args.n_heads, args.head_dim, args.n_groups)
     if args.layers < 1 or args.seq_len < 1 or args.batches < 1:
         raise ValidationError("--layers, --seq-len and --batches must be positive")
 
     out = Path(args.out)
     (out / "weights").mkdir(parents=True, exist_ok=True)
     (out / "batches").mkdir(parents=True, exist_ok=True)
-    d, width = args.d_model, args.n_heads * args.head_dim
-    grouped = args.n_groups * args.head_dim
+    d, grouped = geometry.d_model, geometry.grouped_width
 
     # Fixed draw order: one pass for all weights and per-dimension scales,
     # then one pass for all batches. Changing --batches never reshuffles the
@@ -117,7 +116,7 @@ def cmd_gen(args) -> None:
     entries = []
     scales = []
     for layer in range(args.layers):
-        w_q = rng.standard_normal((d, width)) / np.sqrt(d)
+        w_q = rng.standard_normal((d, d)) / np.sqrt(d)
         w_k_g = rng.standard_normal((d, grouped)) / np.sqrt(d)
         w_v_g = rng.standard_normal((d, grouped)) / np.sqrt(d)
         scales.append(rng.uniform(WEIGHT_SCALE_LOW, WEIGHT_SCALE_HIGH, d))
@@ -129,16 +128,7 @@ def cmd_gen(args) -> None:
         ctf.write_ctf(out / paths["w_q"], w_q)
         ctf.write_ctf(out / paths["w_k_g"], w_k_g)
         ctf.write_ctf(out / paths["w_v_g"], w_v_g)
-        entries.append(
-            manifest.LayerEntry(
-                layer=layer,
-                d_model=d,
-                n_heads=args.n_heads,
-                head_dim=args.head_dim,
-                n_groups=args.n_groups,
-                **paths,
-            )
-        )
+        entries.append(manifest.LayerEntry(**dataclasses.asdict(geometry), layer=layer, **paths))
 
     batches: dict[int, tuple[str, ...]] = {}
     for layer in range(args.layers):
@@ -260,13 +250,15 @@ def _layer_spectra(m: manifest.ModelManifest, base: Path, cov_dir, layer: int,
                    table: scheduler.SpectrumTable, staged: Path,
                    profile_path: Path) -> manifest.SpectrumRecord:
     """One layer's whitened K/V spectra, added to `table`, and stored in
-    `staged` once the PSD check passes, for `convert` to truncate. The
-    layer's D x D arrays are freed on return, before the next layer's are
-    read."""
+    `staged` for `convert` to truncate. A singular whitener is refused
+    here, as convert would refuse it, so no profile is planned on spectra
+    that no conversion can use. The layer's D x D arrays are freed on
+    return, before the next layer's are read."""
     d = m.layer(layer).d_model
     c = manifest._load_tensor(cov_dir, _cov_name(layer), (d, d), f"layer {layer} covariance")
     eig = linalg.sym_eig(c)
     whitener = calibration.whitener_from_eig(eig, m.shrinkage)
+    whitener.check_invertible()
     gqa = manifest.load_gqa_layer(m, base, layer)
     spectra = factorizer.layer_spectra(gqa, whitener)
     # The head-width spectrum is this grouped one times sqrt(n_heads /
@@ -370,19 +362,9 @@ def cmd_convert(args) -> None:
         }
         for name, rel in paths.items():
             ctf.write_ctf(out / rel, getattr(factors, name))
-        entries.append(
-            manifest.LayerEntry(
-                layer=layer,
-                d_model=entry.d_model,
-                n_heads=entry.n_heads,
-                head_dim=entry.head_dim,
-                n_groups=entry.n_groups,
-                w_q=w_q_rel,
-                r_k=r_k,
-                r_v=r_v,
-                **paths,
-            )
-        )
+        entries.append(dataclasses.replace(
+            entry, w_q=w_q_rel, w_k_g=None, w_v_g=None, r_k=r_k, r_v=r_v, **paths
+        ))
         report_layers.append(
             {
                 "layer": layer,
@@ -455,32 +437,30 @@ def _eval_layer(
     Draws from rng in a fixed order: probe input, then targets. The two
     content forwards run in one attention.compare pass, so no
     (n_heads, T, T) array is formed. With rope_dim > 0 the report also
-    carries the rotary cache width and softmax scale denominator, which
-    follow from the layer formats and the config; no rotary projection is
-    drawn and no rotary attention is run, so the content figures do not
-    depend on rope_dim.
+    carries the rotary cache width and softmax scale denominator,
+    sqrt(head_dim + rope_dim), which follow from the layer formats; no
+    rotary projection is drawn and no rotary attention is run, so the
+    content figures do not depend on rope_dim.
     """
     d = gqa.d_model
     x = rng.standard_normal((t, d))
     targets = rng.integers(0, d, size=t)
-    config = attention.AttentionConfig(d_model=d, n_heads=gqa.n_heads, head_dim=gqa.head_dim)
     drift, output_g, output_m = attention.compare(
-        attention.gqa_heads(gqa, x), attention.mla_heads(factors, w_q_conv, config, x)
+        attention.gqa_heads(gqa, x), attention.mla_heads(factors, w_q_conv, gqa, x)
     )
     output_drift = float(np.max(np.abs(output_g - output_m)))
 
     # One pass over the batches, which may be read lazily: each adds its K
     # and V residual, so one batch is held at a time. The sums and the
     # division equal activation_residual over the whole list.
-    geometry = (gqa.n_heads, gqa.n_groups, gqa.head_dim)
     act_k = act_v = 0.0
     count = 0
     for batch in batches:
         act_k += factorizer.activation_residual(
-            [batch], gqa.w_k_g, factors.w_a_k, factors.w_b_k, geometry
+            [batch], gqa.w_k_g, factors.w_a_k, factors.w_b_k, gqa
         )
         act_v += factorizer.activation_residual(
-            [batch], gqa.w_v_g, factors.w_a_v, factors.w_b_v, geometry
+            [batch], gqa.w_v_g, factors.w_a_v, factors.w_b_v, gqa
         )
         count += 1
     act_k /= count
@@ -492,6 +472,9 @@ def _eval_layer(
     ce_student = metrics.cross_entropy(student, params.tau)
     kd = metrics.kd_loss(teacher, student, params.tau)
     total = metrics.total_loss(ce_student, kd, params)
+    # total_loss refuses the student's terms; the teacher's is refused here.
+    if not math.isfinite(ce_teacher):
+        raise ValidationError(f"layer {layer}: the source's cross-entropy is {ce_teacher}")
 
     report = {
         "layer": layer,
@@ -511,14 +494,8 @@ def _eval_layer(
     }
     if rope_dim:
         report["cache_width_mla_rope"] = factors.cache_width + rope_dim
-        report["rope_scale_denominator"] = dataclasses.replace(
-            config, rope_dim=rope_dim
-        ).scale_denominator
+        report["rope_scale_denominator"] = math.sqrt(gqa.head_dim + rope_dim)
     return report
-
-
-def _geometry(entry: manifest.LayerEntry) -> tuple[int, int, int, int]:
-    return entry.d_model, entry.n_heads, entry.head_dim, entry.n_groups
 
 
 def cmd_eval(args) -> None:
@@ -539,10 +516,10 @@ def cmd_eval(args) -> None:
     if len(source.layers) != len(converted.layers):
         raise ValidationError("source and converted manifests have different layer counts")
     for entry_s, entry_c in zip(source.layers, converted.layers):
-        if _geometry(entry_s) != _geometry(entry_c):
+        if entry_s.geometry != entry_c.geometry:
             raise ValidationError(
-                f"layer {entry_s.layer}: source geometry {_geometry(entry_s)} differs from "
-                f"converted {_geometry(entry_c)}"
+                f"layer {entry_s.layer}: source geometry {entry_s.geometry} differs from "
+                f"converted {entry_c.geometry}"
             )
     src_base = Path(args.source).parent
     conv_base = Path(args.converted).parent
@@ -699,8 +676,17 @@ def cmd_ablate(args) -> None:
 
 # ---------------------------------------------------------------- parser
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors read `error: ...` on stderr,
+    as every other refusal does, and exit 2. Subcommand parsers are of the
+    same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kvlatent",
         description="Covariance-aware conversion of grouped-attention layers to latent KV form.",
     )

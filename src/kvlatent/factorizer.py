@@ -21,23 +21,28 @@ of S W. The SVD is taken of the n x n R factor of Y = Q_Y R, which again
 shares them, so the SVD has at most n rows. With S = I this reduces to
 plain SVD truncation.
 
-The weight to approximate is the grouped projection W_g replicated to full
-head width, W = W_g P, where P copies each group block to its
+Geometry is a layer's shape and the one place it is checked: every size
+is at least 1, d_model = n_heads * head_dim, n_groups divides n_heads, and
+head h reads group floor(h * n_groups / n_heads). GqaLayer and
+manifest.LayerEntry are Geometries, and replicate_groups,
+grouped_factorize and activation_residual take one. The weight to
+approximate is the grouped projection W_g replicated to full head width,
+W = W_g P, where P copies each group block to its
 m = n_heads / n_groups heads and P P^T = m I. So if S W_g = U Sigma V^T,
 then S W = U (sqrt(m) Sigma) (V^T P / sqrt(m)) is an SVD of S W.
 grouped_factorize therefore truncates the whitened SVD of W_g at grouped
-width (D x n_groups*head_dim) and lifts its factors:
+width (D x Geometry.grouped_width) and lifts its factors:
 
     w_a = sqrt(m) W_g V_r
     w_b = replicate_groups(V_r^T) / sqrt(m)     (orthonormal rows)
 
 Residuals at head width are m times their grouped-width values; the
 retained energy fraction is unchanged by the lift. The replicated weight
-has rank n_groups * head_dim, which is also the latent width that leaves
+has rank grouped_width, which is also the latent width that leaves
 the per-token cache unchanged; at that rank the factorization is exact.
 
 Each layer format owns its per-token cache width: GqaLayer.cache_width is
-2 * n_groups * head_dim, and MlaFactors.cache_width is r_k + r_v, the
+2 * grouped_width, and MlaFactors.cache_width is r_k + r_v, the
 latent widths read off the factor shapes.
 """
 
@@ -53,35 +58,70 @@ from .errors import ValidationError
 
 
 @dataclass(frozen=True)
-class GqaLayer:
-    """Weight bundle of one grouped-query attention layer."""
+class Geometry:
+    """Shape of one grouped-query attention layer: n_heads query heads of
+    head_dim features that span d_model, reading n_groups shared key/value
+    heads. The one place that checks it."""
 
     d_model: int
     n_heads: int
     head_dim: int
     n_groups: int
-    w_q: np.ndarray
-    w_k_g: np.ndarray
-    w_v_g: np.ndarray
 
     def __post_init__(self):
+        sizes = (self.d_model, self.n_heads, self.head_dim, self.n_groups)
+        if min(sizes) < 1:
+            raise ValidationError(
+                f"d_model, n_heads, head_dim and n_groups must be >= 1, got {sizes}"
+            )
         if self.n_heads * self.head_dim != self.d_model:
             raise ValidationError(
                 f"n_heads * head_dim must equal d_model: "
                 f"{self.n_heads} * {self.head_dim} != {self.d_model}"
             )
-        if self.n_groups < 1 or self.n_groups > self.n_heads:
-            raise ValidationError("n_groups must lie in [1, n_heads]")
         if self.n_heads % self.n_groups != 0:
             raise ValidationError(
                 f"n_groups {self.n_groups} does not divide n_heads {self.n_heads}"
             )
+
+    @property
+    def geometry(self) -> "Geometry":
+        """These four sizes alone, without the fields a subclass adds."""
+        return Geometry(self.d_model, self.n_heads, self.head_dim, self.n_groups)
+
+    @property
+    def grouped_width(self) -> int:
+        """Columns of a grouped K or V projection: n_groups * head_dim."""
+        return self.n_groups * self.head_dim
+
+    @property
+    def heads_per_group(self) -> int:
+        """m = n_heads / n_groups, the heads that read each group."""
+        return self.n_heads // self.n_groups
+
+    @property
+    def head_groups(self) -> np.ndarray:
+        """The group each head reads: floor(h * n_groups / n_heads), so
+        consecutive runs of heads_per_group heads share one group."""
+        return np.arange(self.n_heads) * self.n_groups // self.n_heads
+
+
+@dataclass(frozen=True)
+class GqaLayer(Geometry):
+    """Weight bundle of one grouped-query attention layer."""
+
+    w_q: np.ndarray
+    w_k_g: np.ndarray
+    w_v_g: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
         wq = linalg.as_matrix(self.w_q, "w_q")
         wk = linalg.as_matrix(self.w_k_g, "w_k_g")
         wv = linalg.as_matrix(self.w_v_g, "w_v_g")
-        if wq.shape != (self.d_model, self.n_heads * self.head_dim):
+        if wq.shape != (self.d_model, self.d_model):
             raise ValidationError(f"w_q has shape {wq.shape}")
-        grouped = (self.d_model, self.n_groups * self.head_dim)
+        grouped = (self.d_model, self.grouped_width)
         if wk.shape != grouped or wv.shape != grouped:
             raise ValidationError(
                 f"grouped projections must have shape {grouped}, "
@@ -94,7 +134,7 @@ class GqaLayer:
     @property
     def cache_width(self) -> int:
         """Reals cached per token: one grouped key and one grouped value."""
-        return 2 * self.n_groups * self.head_dim
+        return 2 * self.grouped_width
 
 
 class FactorPair(NamedTuple):
@@ -166,24 +206,18 @@ class FactorizationReport:
     retained_energy: float
 
 
-def replicate_groups(w_g, n_heads: int, n_groups: int, head_dim: int) -> np.ndarray:
-    """Expand a grouped projection to full head width.
-
-    Head h receives the column block of group floor(h * n_groups / n_heads),
-    so consecutive runs of n_heads/n_groups heads share one group block.
-    """
+def replicate_groups(w_g, geometry: Geometry) -> np.ndarray:
+    """Expand a grouped projection to full head width: head h receives the
+    column block of its group, geometry.head_groups[h], so consecutive runs
+    of heads_per_group heads share one group block."""
     w_g = linalg.as_matrix(w_g, "w_g")
-    if n_groups < 1 or n_heads < 1 or head_dim < 1:
-        raise ValidationError("head counts and head_dim must be positive")
-    if n_heads % n_groups != 0:
-        raise ValidationError(f"n_groups {n_groups} does not divide n_heads {n_heads}")
-    if w_g.shape[1] != n_groups * head_dim:
+    if w_g.shape[1] != geometry.grouped_width:
         raise ValidationError(
-            f"grouped weight has {w_g.shape[1]} columns, expected {n_groups * head_dim}"
+            f"grouped weight has {w_g.shape[1]} columns, expected {geometry.grouped_width}"
         )
     d = w_g.shape[0]
-    blocks = w_g.reshape(d, n_groups, 1, head_dim)
-    return np.repeat(blocks, n_heads // n_groups, axis=2).reshape(d, n_heads * head_dim)
+    blocks = w_g.reshape(d, geometry.n_groups, 1, geometry.head_dim)
+    return np.repeat(blocks, geometry.heads_per_group, axis=2).reshape(d, geometry.d_model)
 
 
 class WhitenedSvd(NamedTuple):
@@ -250,28 +284,28 @@ def care_factorize(w, whitener: Whitener, r: int) -> tuple[FactorPair, Factoriza
 
 
 def grouped_factorize(
-    w_g, spectrum: WhitenedSvd, r: int, n_heads: int, n_groups: int, head_dim: int
+    w_g, spectrum: WhitenedSvd, r: int, geometry: Geometry
 ) -> tuple[FactorPair, FactorizationReport]:
     """Rank-r factors of replicate_groups(w_g), computed at grouped width from
     `spectrum`, the whitened_svd of w_g.
 
-    w_g is truncated at rank min(r, n_groups * head_dim) and its factors are
+    w_g is truncated at rank min(r, geometry.grouped_width) and its factors are
     lifted to head width. Ranks above that true rank add zero columns to
     w_a and zero rows to w_b.
     """
     w_g = linalg.as_matrix(w_g, "w_g")
-    width = n_heads * head_dim
+    width = geometry.d_model
     p = min(w_g.shape[0], width)
     if not 1 <= r <= p:
         raise ValidationError(f"rank {r} out of range [1, {p}]")
     kept = min(r, w_g.shape[1])
     grouped, report_g = truncate(w_g, spectrum, kept)
-    m = n_heads // n_groups
+    m = geometry.heads_per_group
     gain = math.sqrt(m)
     w_a = np.zeros((w_g.shape[0], r))
     w_a[:, :kept] = gain * grouped.w_a
     w_b = np.zeros((r, width))
-    w_b[:kept] = replicate_groups(grouped.w_b, n_heads, n_groups, head_dim) / gain
+    w_b[:kept] = replicate_groups(grouped.w_b, geometry) / gain
     report = FactorizationReport(
         weight_residual_sq=m * report_g.weight_residual_sq,
         whitened_residual_sq=m * report_g.whitened_residual_sq,
@@ -282,13 +316,13 @@ def grouped_factorize(
 
 
 def activation_residual(
-    batches: list[CalibrationBatch], w, w_a, w_b, groups: tuple[int, int, int] | None = None
+    batches: list[CalibrationBatch], w, w_a, w_b, geometry: Geometry | None = None
 ) -> float:
     """Batch-averaged squared activation error of the factored weight w_a @ w_b,
     (1/N) sum ||X_b W - (X_b w_a) w_b||_F^2.
 
-    W is w itself or, with groups = (n_heads, n_groups, head_dim), the
-    grouped weight w replicated to head width; then each X_b w is formed at
+    W is w itself or, with a geometry, the grouped weight w replicated to
+    head width; then each X_b w is formed at
     grouped width and lifted with replicate_groups, so W never enters a
     product. Each batch passes through the rank-r latent, so the full-width
     product w_a @ w_b is never formed either.
@@ -298,7 +332,7 @@ def activation_residual(
     w = linalg.as_matrix(w, "w")
     w_a = linalg.as_matrix(w_a, "w_a")
     w_b = linalg.as_matrix(w_b, "w_b")
-    width = w.shape[1] if groups is None else groups[0] * groups[2]
+    width = w.shape[1] if geometry is None else geometry.d_model
     if w_a.shape[0] != w.shape[0] or w_b.shape[1] != width or w_a.shape[1] != w_b.shape[0]:
         raise ValidationError(
             f"factors {w_a.shape} @ {w_b.shape} do not approximate a "
@@ -311,8 +345,8 @@ def activation_residual(
                 f"batch dim {batch.x.shape[1]} does not match weight rows {w.shape[0]}"
             )
         diff = batch.x @ w
-        if groups is not None:
-            diff = replicate_groups(diff, *groups)
+        if geometry is not None:
+            diff = replicate_groups(diff, geometry)
         diff -= (batch.x @ w_a) @ w_b
         total += linalg.frobenius_norm_sq(diff)
     return total / len(batches)
@@ -344,8 +378,7 @@ def convert_layer(
     """Factorize the grouped K and V projections independently by truncating
     `spectra`, their layer_spectra against one whitener, such as the ones
     schedule stored. The caller refuses a singular whitener first."""
-    geometry = (layer.n_heads, layer.n_groups, layer.head_dim)
-    (pair_k, report_k) = grouped_factorize(layer.w_k_g, spectra[0], r_k, *geometry)
-    (pair_v, report_v) = grouped_factorize(layer.w_v_g, spectra[1], r_v, *geometry)
+    (pair_k, report_k) = grouped_factorize(layer.w_k_g, spectra[0], r_k, layer)
+    (pair_v, report_v) = grouped_factorize(layer.w_v_g, spectra[1], r_v, layer)
     factors = MlaFactors(pair_k.w_a, pair_k.w_b, pair_v.w_a, pair_v.w_b)
     return factors, report_k, report_v

@@ -15,7 +15,7 @@ import os
 import posixpath
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -24,7 +24,7 @@ import numpy as np
 from . import ctf
 from .calibration import CalibrationBatch, ShrinkageParams
 from .errors import ValidationError
-from .factorizer import GqaLayer, MlaFactors, WhitenedSvd
+from .factorizer import Geometry, GqaLayer, MlaFactors, WhitenedSvd
 from .rng import check_seed
 from .scheduler import KIND_K, KIND_V, KINDS, RankProfile
 
@@ -34,7 +34,6 @@ MODEL_FORMAT = "kvlatent-model"
 PROFILE_FORMAT = "kvlatent-rank-profile"
 PROFILE_MODES = ("adjusted", "uniform")
 DOC_VERSION = 1
-_GEOMETRY = ("d_model", "n_heads", "head_dim", "n_groups")
 _TENSORS = ("w_q", "w_k_g", "w_v_g", "w_a_k", "w_b_k", "w_a_v", "w_b_v")
 _SHA256 = re.compile(r"[0-9a-f]{64}")
 # ShrinkageParams field -> the JSON key documents store it under.
@@ -46,14 +45,10 @@ STORED_TENSORS = ("eigenvalues", *_SVD_TENSORS[0], *_SVD_TENSORS[1])
 
 
 @dataclass(frozen=True)
-class LayerEntry:
-    """Per-layer config and tensor paths; optional fields depend on model kind."""
+class LayerEntry(Geometry):
+    """Per-layer geometry and tensor paths; optional fields depend on model kind."""
 
     layer: int
-    d_model: int
-    n_heads: int
-    head_dim: int
-    n_groups: int
     w_q: str
     w_k_g: str | None = None
     w_v_g: str | None = None
@@ -81,14 +76,7 @@ class ModelManifest:
 
 
 def _entry_to_json(entry: LayerEntry) -> dict:
-    doc = {
-        "layer": entry.layer,
-        "d_model": entry.d_model,
-        "n_heads": entry.n_heads,
-        "head_dim": entry.head_dim,
-        "n_groups": entry.n_groups,
-        "w_q": entry.w_q,
-    }
+    doc = {"layer": entry.layer, **asdict(entry.geometry), "w_q": entry.w_q}
     for name in ("w_k_g", "w_v_g", "r_k", "r_v", "w_a_k", "w_b_k", "w_a_v", "w_b_v"):
         value = getattr(entry, name)
         if value is not None:
@@ -192,13 +180,8 @@ def _entry_from_json(raw, where: str) -> LayerEntry:
     if not isinstance(raw, dict):
         raise ValidationError(f"{where}: malformed layer entry {raw!r}")
     ints = {"layer": _int(raw.get("layer"), f"{where}: layer", minimum=0)}
-    for name in _GEOMETRY:
+    for name in (f.name for f in fields(Geometry)):
         ints[name] = _int(raw.get(name), f"{where}: {name}", minimum=1)
-    if ints["n_heads"] * ints["head_dim"] != ints["d_model"] or ints["n_heads"] % ints["n_groups"]:
-        raise ValidationError(
-            f"{where}: n_heads * head_dim must equal d_model and n_groups must divide "
-            f"n_heads, got {ints}"
-        )
     tensors = {"w_q": _tensor_path(raw.get("w_q"), f"{where}: w_q")}
     for name in _TENSORS[1:]:
         if raw.get(name) is not None:
@@ -206,7 +189,10 @@ def _entry_from_json(raw, where: str) -> LayerEntry:
     for name in ("r_k", "r_v"):
         if raw.get(name) is not None:
             ints[name] = _int(raw[name], f"{where}: {name}", minimum=1)
-    return LayerEntry(**ints, **tensors)
+    try:
+        return LayerEntry(**ints, **tensors)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def _int(value, what: str, minimum: int | None = None) -> int:
@@ -256,13 +242,10 @@ def load_gqa_layer(m: ModelManifest, base_dir, index: int) -> GqaLayer:
     entry = m.layer(index)
     if m.model_kind != MODEL_KIND_GQA:
         raise ValidationError("manifest does not describe a grouped-attention model")
-    full = (entry.d_model, entry.n_heads * entry.head_dim)
-    grouped = (entry.d_model, entry.n_groups * entry.head_dim)
+    full = (entry.d_model, entry.d_model)
+    grouped = (entry.d_model, entry.grouped_width)
     return GqaLayer(
-        d_model=entry.d_model,
-        n_heads=entry.n_heads,
-        head_dim=entry.head_dim,
-        n_groups=entry.n_groups,
+        **asdict(entry.geometry),
         w_q=_load_tensor(base_dir, entry.w_q, full, f"layer {index} w_q"),
         w_k_g=_load_tensor(base_dir, entry.w_k_g, grouped, f"layer {index} w_k_g"),
         w_v_g=_load_tensor(base_dir, entry.w_v_g, grouped, f"layer {index} w_v_g"),
@@ -275,14 +258,13 @@ def load_mla_bundle(m: ModelManifest, base_dir, index: int) -> tuple[MlaFactors,
     if m.model_kind != MODEL_KIND_MLA:
         raise ValidationError("manifest does not describe a converted model")
     d = entry.d_model
-    full = (d, entry.n_heads * entry.head_dim)
     factors = MlaFactors(
         w_a_k=_load_tensor(base_dir, entry.w_a_k, (d, entry.r_k), f"layer {index} w_a_k"),
-        w_b_k=_load_tensor(base_dir, entry.w_b_k, (entry.r_k, full[1]), f"layer {index} w_b_k"),
+        w_b_k=_load_tensor(base_dir, entry.w_b_k, (entry.r_k, d), f"layer {index} w_b_k"),
         w_a_v=_load_tensor(base_dir, entry.w_a_v, (d, entry.r_v), f"layer {index} w_a_v"),
-        w_b_v=_load_tensor(base_dir, entry.w_b_v, (entry.r_v, full[1]), f"layer {index} w_b_v"),
+        w_b_v=_load_tensor(base_dir, entry.w_b_v, (entry.r_v, d), f"layer {index} w_b_v"),
     )
-    w_q = _load_tensor(base_dir, entry.w_q, full, f"layer {index} w_q")
+    w_q = _load_tensor(base_dir, entry.w_q, (d, d), f"layer {index} w_q")
     return factors, w_q
 
 

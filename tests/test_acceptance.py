@@ -16,7 +16,7 @@ from conftest import (
     whitened_error_sq,
 )
 from kvlatent import calibration, ctf, linalg, manifest, scheduler
-from kvlatent.attention import AttentionConfig, gqa_forward, logit_drift, mla_forward
+from kvlatent.attention import gqa_forward, logit_drift, mla_forward
 from kvlatent.calibration import CalibrationBatch, ShrinkageParams
 from kvlatent.cli import main as cli_main
 from kvlatent.factorizer import (
@@ -114,16 +114,15 @@ def test_criterion_03_kv_parity_exactness():
                 spectra = layer_spectra(layer, whitener)
                 factors, report_k, report_v = convert_layer(layer, spectra, r, r)
                 for report, w_g in ((report_k, layer.w_k_g), (report_v, layer.w_v_g)):
-                    w = replicate_groups(w_g, n_heads, n_groups, head_dim)
+                    w = replicate_groups(w_g, layer)
                     energy = float(np.sum(
                         np.linalg.svd(whitener.matrix @ w, compute_uv=False) ** 2))
                     assert report.whitened_residual_sq <= 1e-12 * energy
                 t = int(rng.integers(2, 17))
                 x = rng.standard_normal((t, d))
-                config = AttentionConfig(d, n_heads, head_dim)
                 drift = logit_drift(
                     gqa_forward(layer, x),
-                    mla_forward(factors, layer.w_q, config, x),
+                    mla_forward(factors, layer.w_q, layer, x),
                 )
                 assert drift.max_abs <= 1e-8
 

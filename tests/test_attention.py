@@ -7,7 +7,6 @@ import pytest
 from conftest import anisotropic_batches, covariance_of, gen, identity_whitener
 from kvlatent import calibration, linalg
 from kvlatent.attention import (
-    AttentionConfig,
     AttentionTrace,
     Heads,
     RopeAdapters,
@@ -25,15 +24,6 @@ from kvlatent.attention import (
 from kvlatent.errors import ValidationError
 from kvlatent.factorizer import convert_layer, layer_spectra
 from test_factorizer import random_gqa_layer
-
-
-def config_for(layer, rope_dim=0):
-    return AttentionConfig(
-        d_model=layer.d_model,
-        n_heads=layer.n_heads,
-        head_dim=layer.head_dim,
-        rope_dim=rope_dim,
-    )
 
 
 def naive_gqa(layer, x):
@@ -120,7 +110,7 @@ def reference_mla(factors, w_q, config, x, adapters=None):
     extra = None
     scale_den = math.sqrt(d_h)
     if adapters is not None:
-        d_r = config.rope_dim
+        d_r = adapters.w_r_k.shape[1]
         # the DeepSeek-V2 / RoFormer frequency base, pinned independently
         q_rope = rope_rotate(x @ adapters.w_r_q, d_r, 10000.0)
         k_rope = rope_rotate(x @ adapters.w_r_k, d_r, 10000.0)
@@ -236,7 +226,7 @@ class TestMlaForward:
         x = rng.standard_normal((5, 16))
         drift = logit_drift(
             gqa_forward(layer, x),
-            mla_forward(factors, layer.w_q, config_for(layer), x),
+            mla_forward(factors, layer.w_q, layer, x),
         )
         assert drift.max_abs <= 1e-9
 
@@ -252,7 +242,7 @@ class TestMlaForward:
         factors, _, _ = convert_layer(layer, layer_spectra(layer, s), r, r)
         x = rng.standard_normal((8, 16))
         trace_g = gqa_forward(layer, x)
-        trace_m = mla_forward(factors, layer.w_q, config_for(layer), x)
+        trace_m = mla_forward(factors, layer.w_q, layer, x)
         drift = logit_drift(trace_g, trace_m)
         assert drift.max_abs <= 1e-8
         assert np.max(np.abs(trace_g.output - trace_m.output)) <= 1e-8
@@ -261,24 +251,16 @@ class TestMlaForward:
         rng = gen(423)
         layer = random_gqa_layer(rng)
         factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 8, 8)
-        trace = mla_forward(factors, layer.w_q, config_for(layer), np.zeros((3, 16)))
+        trace = mla_forward(factors, layer.w_q, layer, np.zeros((3, 16)))
         assert np.array_equal(trace.output, np.zeros_like(trace.output))
 
     def test_cache_widths_and_scale(self):
         rng = gen(424)
         layer = random_gqa_layer(rng)
         factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 6, 7)
-        trace = mla_forward(factors, layer.w_q, config_for(layer), rng.standard_normal((3, 16)))
+        trace = mla_forward(factors, layer.w_q, layer, rng.standard_normal((3, 16)))
         assert (factors.r_k, factors.r_v, factors.cache_width) == (6, 7, 13)
         assert trace.scale_denominator == math.sqrt(layer.head_dim)
-
-    def test_requires_nope_config(self):
-        rng = gen(425)
-        layer = random_gqa_layer(rng)
-        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 8, 8)
-        with pytest.raises(ValidationError):
-            mla_forward(factors, layer.w_q, config_for(layer, rope_dim=4),
-                        rng.standard_normal((3, 16)))
 
 
 class TestMlaForwardRope:
@@ -291,8 +273,8 @@ class TestMlaForwardRope:
         adapters = RopeAdapters(
             w_r_q=np.zeros((16, layer.n_heads * d_r)), w_r_k=np.zeros((16, d_r))
         )
-        nope = mla_forward(factors, layer.w_q, config_for(layer), x)
-        rope = mla_forward_rope(factors, layer.w_q, adapters, config_for(layer, d_r), x)
+        nope = mla_forward(factors, layer.w_q, layer, x)
+        rope = mla_forward_rope(factors, layer.w_q, adapters, layer, x)
         ratio = math.sqrt(layer.head_dim) / math.sqrt(layer.head_dim + d_r)
         assert np.allclose(rope.logits, nope.logits * ratio, atol=1e-12)
 
@@ -313,9 +295,7 @@ class TestMlaForwardRope:
         )
         for t in (5, 200):
             x = rng.standard_normal((t, 16))
-            trace = mla_forward_rope(
-                zeroed, layer.w_q, adapters, config_for(layer, d_r), x
-            )
+            trace = mla_forward_rope(zeroed, layer.w_q, adapters, layer, x)
             for h in range(1, layer.n_heads):
                 assert np.array_equal(trace.logits[h], trace.logits[0])
 
@@ -329,8 +309,7 @@ class TestMlaForwardRope:
             w_r_k=rng.standard_normal((16, d_r)),
         )
         trace = mla_forward_rope(
-            factors, layer.w_q, adapters, config_for(layer, d_r),
-            rng.standard_normal((7, 16)),
+            factors, layer.w_q, adapters, layer, rng.standard_normal((7, 16))
         )
         assert np.allclose(trace.weights.sum(axis=2), 1.0, atol=1e-9)
 
@@ -344,20 +323,19 @@ class TestMlaForwardRope:
                 w_r_q=rng.standard_normal((16, layer.n_heads * d_r)),
                 w_r_k=rng.standard_normal((16, d_r)),
             )
-            trace = mla_forward_rope(
-                factors, layer.w_q, adapters, config_for(layer, d_r), x
-            )
+            trace = mla_forward_rope(factors, layer.w_q, adapters, layer, x)
             assert trace.scale_denominator == math.sqrt(layer.head_dim + d_r)
-            assert config_for(layer, d_r).scale_denominator == trace.scale_denominator
 
-    def test_requires_positive_rope_dim(self):
+    @pytest.mark.parametrize("d_r", (0, 3))
+    def test_rope_width_must_be_positive_and_even(self, d_r):
         rng = gen(435)
         layer = random_gqa_layer(rng)
         factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 8, 8)
-        adapters = RopeAdapters(w_r_q=np.zeros((16, 16)), w_r_k=np.zeros((16, 4)))
-        with pytest.raises(ValidationError):
-            mla_forward_rope(factors, layer.w_q, adapters, config_for(layer),
-                             np.zeros((3, 16)))
+        adapters = RopeAdapters(
+            w_r_q=np.zeros((16, layer.n_heads * d_r)), w_r_k=np.zeros((16, d_r))
+        )
+        with pytest.raises(ValidationError, match="positive and even"):
+            mla_forward_rope(factors, layer.w_q, adapters, layer, np.zeros((3, 16)))
 
 
 class TestLogitDrift:
@@ -406,12 +384,11 @@ class TestLogitDrift:
             plain_factors, _, _ = convert_layer(layer, plain_spectra, r, r)
             x = batches[0].x[:8]
             reference = gqa_forward(layer, x)
-            cfg = config_for(layer)
             care_drift = logit_drift(
-                reference, mla_forward(care_factors, layer.w_q, cfg, x)
+                reference, mla_forward(care_factors, layer.w_q, layer, x)
             )
             plain_drift = logit_drift(
-                reference, mla_forward(plain_factors, layer.w_q, cfg, x)
+                reference, mla_forward(plain_factors, layer.w_q, layer, x)
             )
             wins += care_drift.frob <= plain_drift.frob
         assert wins >= 0.9 * trials
@@ -443,10 +420,9 @@ class TestBlockedCoreOracle:
         x = rng.standard_normal((t, 16))
         assert_matches_reference(gqa_forward(layer, x), reference_gqa(layer, x))
 
-        config = config_for(layer)
         assert_matches_reference(
-            mla_forward(factors, layer.w_q, config, x),
-            reference_mla(factors, layer.w_q, config, x),
+            mla_forward(factors, layer.w_q, layer, x),
+            reference_mla(factors, layer.w_q, layer, x),
         )
 
         d_r = 4
@@ -454,10 +430,9 @@ class TestBlockedCoreOracle:
             w_r_q=rng.standard_normal((16, layer.n_heads * d_r)),
             w_r_k=rng.standard_normal((16, d_r)),
         )
-        rope_config = config_for(layer, d_r)
         assert_matches_reference(
-            mla_forward_rope(factors, layer.w_q, adapters, rope_config, x),
-            reference_mla(factors, layer.w_q, rope_config, x, adapters),
+            mla_forward_rope(factors, layer.w_q, adapters, layer, x),
+            reference_mla(factors, layer.w_q, layer, x, adapters),
         )
 
 
@@ -479,14 +454,12 @@ class TestCompareOracle:
             w_r_q=rng.standard_normal((16, layer.n_heads * d_r)),
             w_r_k=rng.standard_normal((16, d_r)),
         )
-        config = config_for(layer)
-        rope_config = config_for(layer, d_r)
         source = reference_gqa(layer, x)
         latents = (
-            (mla_heads(factors, layer.w_q, config, x),
-             reference_mla(factors, layer.w_q, config, x)),
-            (mla_heads_rope(factors, layer.w_q, adapters, rope_config, x),
-             reference_mla(factors, layer.w_q, rope_config, x, adapters)),
+            (mla_heads(factors, layer.w_q, layer, x),
+             reference_mla(factors, layer.w_q, layer, x)),
+            (mla_heads_rope(factors, layer.w_q, adapters, layer, x),
+             reference_mla(factors, layer.w_q, layer, x, adapters)),
         )
         for heads, reference in latents:
             drift, output_a, output_b = compare(gqa_heads(layer, x), heads)

@@ -12,7 +12,6 @@ from conftest import covariance_of, identity_whitener
 from kvlatent import (
     attention, calibration, cli, ctf, factorizer, linalg, manifest, metrics, scheduler,
 )
-from kvlatent.attention import AttentionConfig
 from kvlatent.cli import main
 from kvlatent.errors import NumericalError
 from kvlatent.rng import make_generator
@@ -336,6 +335,25 @@ class TestSchedule:
         assert mode == "uniform"
         assert set(profile.ranks.values()) == {5}
 
+    def test_singular_whitener_exits_3_and_keeps_the_old_profile(self, tmp_path, capsys):
+        # 4 tokens in 16 dims with weighting C and a tiny lambda: every
+        # convert of such spectra would exit 3, so schedule stores none.
+        model = gen_model(tmp_path / "m", seed=3, seq=2, batches=2)
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--parity", "--out", tmp_path / "p.json") == 0
+        tiny = with_shrinkage(model, "tiny.json", ("--weighting", "C", "--lambda", "1e-300"))
+        before = tree_bytes(tmp_path)
+        assert "p.json" in before and "p_spectra/layer000_eigenvalues.ctf" in before
+        capsys.readouterr()
+        assert run("schedule", "--manifest", tiny, "--cov-dir", tmp_path / "cov",
+                   "--parity", "--out", tmp_path / "p.json") == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: singular whitener: apply shrinkage before factorizing\n"
+        assert captured.out == ""
+        assert tree_bytes(tmp_path) == before
+        assert not (tmp_path / "p_spectra.partial").exists()
+
     def test_engineered_model_reproduces_hand_trace(self, tmp_path):
         model = write_engineered_model(tmp_path / "m")
         assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
@@ -459,7 +477,7 @@ class TestConvert:
             op = calibration.whitening_operator(cov, model.shrinkage)
             gqa = manifest.load_gqa_layer(model, tmp_path / "model", layer_idx)
             for kind, w_g in (("k", gqa.w_k_g), ("v", gqa.w_v_g)):
-                w = factorizer.replicate_groups(w_g, gqa.n_heads, gqa.n_groups, gqa.head_dim)
+                w = factorizer.replicate_groups(w_g, gqa)
                 energy = float(np.sum(np.linalg.svd(op @ w, compute_uv=False) ** 2))
                 assert layer_report[kind]["whitened_residual_sq"] <= 1e-12 * energy
 
@@ -494,17 +512,42 @@ class TestConvert:
         assert err.startswith("error:") and flag[2:] in err and "Traceback" not in err
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize("args, named", [
+        (("--lambda", "-inf", "--out", "c"), "--lambda"),
+        (("--lambda", "-1e3", "--out", "c"), "--lambda"),
+        ((), "--out"),
+    ])
+    def test_usage_error_reads_error_first(self, tmp_path, capsys, args, named):
+        # argparse takes "-inf" and "-1e3" for options, not values.
+        pipeline(tmp_path)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run("convert", "--manifest", tmp_path / "model/model.json",
+                "--cov-dir", tmp_path / "cov", "--profile", tmp_path / "profile.json",
+                *(tmp_path / a if a == "c" else a for a in args))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert "usage" not in err and "Traceback" not in err
+        assert not (tmp_path / "c").exists()
+
     @pytest.mark.parametrize("path", ["reused", "recomputed"])
     def test_singular_whitener_exits_3_on_either_path(self, tmp_path, capsys, path):
         # 4 tokens in 16 dims: C has 12 zero eigenvalues, and with weighting
         # C a tiny lambda leaves them all but unshrunk.
         model = gen_model(tmp_path / "m", seq=2, batches=2)
         shrinkage = ("--weighting", "C", "--lambda", "1e-300")
-        if path == "reused":
-            model = with_shrinkage(model, "tiny.json", shrinkage)
         assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
         assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
                    "--parity", "--out", tmp_path / "p.json") == 0
+        if path == "reused":
+            # schedule refuses this setting, so the records are made to claim
+            # it: convert must still refuse what it would reuse.
+            model = with_shrinkage(model, "tiny.json", shrinkage)
+            doc = json.loads((tmp_path / "p.json").read_text())
+            for record in doc["spectra"]:
+                record.update(weighting="C", **{"lambda": 1e-300})
+            (tmp_path / "p.json").write_text(json.dumps(doc))
         capsys.readouterr()
         assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
                    "--profile", tmp_path / "p.json",
@@ -599,7 +642,7 @@ class TestConvert:
             s = calibration.build_whitener(cov, m.shrinkage).matrix
             gqa = manifest.load_gqa_layer(m, model.parent, layer)
             for kind, w_g in (("k", gqa.w_k_g), ("v", gqa.w_v_g)):
-                w = factorizer.replicate_groups(w_g, gqa.n_heads, gqa.n_groups, gqa.head_dim)
+                w = factorizer.replicate_groups(w_g, gqa)
                 entry = layer_report[kind]
                 expected = 1.0 - entry["whitened_residual_sq"] / linalg.frobenius_norm_sq(s @ w)
                 assert abs(entry["retained_energy"] - expected) <= 1e-9
@@ -941,8 +984,8 @@ class TestEval:
         assert tree_bytes(tmp_path / "eval") == {}
 
     def test_non_finite_teacher_loss_writes_no_report(self, tmp_path, capsys, monkeypatch):
-        # total_loss checks the student's terms only; the report writer
-        # refuses the teacher's.
+        # total_loss checks the student's terms only; eval refuses the
+        # teacher's by layer, before any report is written.
         pipeline(tmp_path)
         real = metrics.cross_entropy
         calls = []
@@ -957,7 +1000,7 @@ class TestEval:
                    "--converted", tmp_path / "converted/converted.json",
                    "--out", tmp_path / "eval") == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "eval_report.json" in err
+        assert err == "error: layer 0: the source's cross-entropy is inf\n"
         assert "Traceback" not in err
         assert tree_bytes(tmp_path / "eval") == {}
 
@@ -1140,14 +1183,13 @@ def reference_eval_layers(root: Path, seed: int, rope_dim: int) -> list[dict]:
         targets = rng.integers(0, d, size=t)
 
         logits_g, _, out_g = reference_gqa(gqa, x)
-        config = AttentionConfig(d, gqa.n_heads, gqa.head_dim)
-        logits_m, _, out_m = reference_mla(factors, w_q, config, x)
+        logits_m, _, out_m = reference_mla(factors, w_q, gqa, x)
         drift_max, drift_frob = masked_drift(logits_g, logits_m)
         batches = manifest.load_batches(source, root / "model", layer)
         residuals = []
         for w_g, w_a, w_b in ((gqa.w_k_g, factors.w_a_k, factors.w_b_k),
                               (gqa.w_v_g, factors.w_a_v, factors.w_b_v)):
-            w = factorizer.replicate_groups(w_g, gqa.n_heads, gqa.n_groups, gqa.head_dim)
+            w = factorizer.replicate_groups(w_g, gqa)
             w_hat = w_a @ w_b
             residuals.append(float(np.mean(
                 [linalg.frobenius_norm_sq(b.x @ w - b.x @ w_hat) for b in batches])))

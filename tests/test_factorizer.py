@@ -20,6 +20,7 @@ from kvlatent.errors import NumericalError, ValidationError
 from kvlatent.factorizer import (
     FactorizationReport,
     FactorPair,
+    Geometry,
     GqaLayer,
     MlaFactors,
     activation_residual,
@@ -46,6 +47,10 @@ def random_gqa_layer(rng, d_model=16, n_heads=4, n_groups=2) -> GqaLayer:
         w_k_g=rng.standard_normal((d_model, n_groups * head_dim)) * scale,
         w_v_g=rng.standard_normal((d_model, n_groups * head_dim)) * scale,
     )
+
+
+def geometry(n_heads, n_groups, head_dim) -> Geometry:
+    return Geometry(n_heads * head_dim, n_heads, head_dim, n_groups)
 
 
 def reference_replicate_groups(w_g, n_heads, n_groups, head_dim):
@@ -111,33 +116,33 @@ class TestReplicateGroups:
     def test_no_replication_when_groups_equal_heads(self):
         rng = gen(301)
         w = rng.standard_normal((6, 6))
-        assert np.array_equal(replicate_groups(w, 3, 3, 2), w)
+        assert np.array_equal(replicate_groups(w, geometry(3, 3, 2)), w)
 
     def test_single_group_duplicates(self):
         b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = replicate_groups(b, 2, 1, 2)
+        out = replicate_groups(b, geometry(2, 1, 2))
         assert np.array_equal(out, np.hstack([b, b]))
 
     def test_replicated_rank_bound(self):
         rng = gen(302)
         n_heads, n_groups, head_dim = 8, 2, 4
         w_g = rng.standard_normal((32, n_groups * head_dim))
-        out = replicate_groups(w_g, n_heads, n_groups, head_dim)
+        out = replicate_groups(w_g, geometry(n_heads, n_groups, head_dim))
         sigma = linalg.svd(out).singular_values
         assert sigma[n_groups * head_dim] <= 1e-10 * sigma[0]
 
     def test_block_layout(self):
         # head h reads group floor(h * g / n): groups 0,0,1,1 for 4 heads, 2 groups
         w_g = np.arange(8.0).reshape(2, 4)
-        out = replicate_groups(w_g, 4, 2, 2)
+        out = replicate_groups(w_g, geometry(4, 2, 2))
         assert np.array_equal(out[:, 0:2], w_g[:, 0:2])
         assert np.array_equal(out[:, 2:4], w_g[:, 0:2])
         assert np.array_equal(out[:, 4:6], w_g[:, 2:4])
         assert np.array_equal(out[:, 6:8], w_g[:, 2:4])
 
-    def test_divisibility_violation(self):
-        with pytest.raises(ValidationError):
-            replicate_groups(np.ones((4, 6)), 4, 3, 2)
+    def test_column_count_must_be_grouped_width(self):
+        with pytest.raises(ValidationError, match="6 columns, expected 4"):
+            replicate_groups(np.ones((4, 6)), geometry(4, 2, 2))
 
     @pytest.mark.parametrize("head_dim", (1, 3, 4))
     @pytest.mark.parametrize("n_heads", (1, 2, 4, 8))
@@ -145,7 +150,7 @@ class TestReplicateGroups:
         rng = gen(303 + 10 * n_heads + head_dim)
         for n_groups in (g for g in range(1, n_heads + 1) if n_heads % g == 0):
             w_g = rng.standard_normal((5, n_groups * head_dim))
-            got = replicate_groups(w_g, n_heads, n_groups, head_dim)
+            got = replicate_groups(w_g, geometry(n_heads, n_groups, head_dim))
             want = reference_replicate_groups(w_g, n_heads, n_groups, head_dim)
             assert got.tobytes() == want.tobytes()
 
@@ -190,7 +195,7 @@ class TestCareFactorize:
     def test_parity_rank_is_exact_for_replicated_weights(self):
         rng = gen(313)
         layer = random_gqa_layer(rng)
-        w = replicate_groups(layer.w_k_g, layer.n_heads, layer.n_groups, layer.head_dim)
+        w = replicate_groups(layer.w_k_g, layer)
         s = calibration.build_whitener(random_psd(rng, 16, cond=30.0), calibration.ShrinkageParams())
         r = layer.n_groups * layer.head_dim
         _, report = care_factorize(w, s, r)
@@ -320,12 +325,15 @@ class TestGroupedFactorize:
     N_HEADS, HEAD_DIM = 4, 4
     D = N_HEADS * HEAD_DIM
 
+    def geometry(self, n_groups):
+        return geometry(self.N_HEADS, n_groups, self.HEAD_DIM)
+
     def setup_case(self, seed, n_groups, weighting):
         rng = gen(seed)
         c = covariance_of(anisotropic_batches(rng, 4, 24, self.D, cond=400.0))
         whitener = calibration.build_whitener(c, calibration.ShrinkageParams(weighting=weighting))
         w_g = rng.standard_normal((self.D, n_groups * self.HEAD_DIM)) / np.sqrt(self.D)
-        w = replicate_groups(w_g, self.N_HEADS, n_groups, self.HEAD_DIM)
+        w = replicate_groups(w_g, self.geometry(n_groups))
         return whitener, w_g, w
 
     @pytest.mark.parametrize("n_groups", [1, 2, 4])
@@ -336,7 +344,7 @@ class TestGroupedFactorize:
         energy = linalg.frobenius_norm_sq(whitener.matrix @ w)
         for r in sorted({1, max(1, full // 2), full}):
             pair, report = grouped_factorize(
-                w_g, whitened_svd(w_g, whitener), r, self.N_HEADS, n_groups, self.HEAD_DIM
+                w_g, whitened_svd(w_g, whitener), r, self.geometry(n_groups)
             )
             oracle_pair, oracle = reference_care_factorize(w, whitener.matrix, r)
             assert_matches_reference(pair, report, oracle_pair, oracle, energy)
@@ -359,7 +367,7 @@ class TestGroupedFactorize:
     def test_rank_above_true_rank_pads_with_zeros(self):
         whitener, w_g, w = self.setup_case(383, 2, "sqrtC")
         pair, report = grouped_factorize(
-            w_g, whitened_svd(w_g, whitener), 12, self.N_HEADS, 2, self.HEAD_DIM
+            w_g, whitened_svd(w_g, whitener), 12, self.geometry(2)
         )
         assert pair.w_a.shape == (self.D, 12) and pair.w_b.shape == (12, self.D)
         assert np.array_equal(pair.w_a[:, 8:], np.zeros((self.D, 4)))
@@ -372,14 +380,14 @@ class TestGroupedFactorize:
         for r in (0, self.D + 1):
             with pytest.raises(ValidationError):
                 grouped_factorize(
-                    w_g, whitened_svd(w_g, whitener), r, self.N_HEADS, 2, self.HEAD_DIM
+                    w_g, whitened_svd(w_g, whitener), r, self.geometry(2)
                 )
 
     def test_whitener_dim_mismatch(self):
         _, w_g, _ = self.setup_case(385, 2, "sqrtC")
         with pytest.raises(ValidationError):
             grouped_factorize(
-                w_g, whitened_svd(w_g, identity_whitener(8)), 2, self.N_HEADS, 2, self.HEAD_DIM
+                w_g, whitened_svd(w_g, identity_whitener(8)), 2, self.geometry(2)
             )
 
 
@@ -525,7 +533,7 @@ class TestConvertLayer:
         r = layer.n_groups * layer.head_dim
         factors, report_k, report_v = convert_layer(layer, layer_spectra(layer, s), r, r)
         for report, w_g in ((report_k, layer.w_k_g), (report_v, layer.w_v_g)):
-            w = replicate_groups(w_g, layer.n_heads, layer.n_groups, layer.head_dim)
+            w = replicate_groups(w_g, layer)
             top = linalg.svd(s.matrix @ w).singular_values[0]
             assert report.whitened_residual_sq <= 1e-16 * top**2
         assert factors.r_k == factors.r_v == r
@@ -534,8 +542,8 @@ class TestConvertLayer:
         rng = gen(362)
         layer = random_gqa_layer(rng)
         factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 16, 16)
-        w_k = replicate_groups(layer.w_k_g, layer.n_heads, layer.n_groups, layer.head_dim)
-        w_v = replicate_groups(layer.w_v_g, layer.n_heads, layer.n_groups, layer.head_dim)
+        w_k = replicate_groups(layer.w_k_g, layer)
+        w_v = replicate_groups(layer.w_v_g, layer)
         assert np.allclose(factors.w_a_k @ factors.w_b_k, w_k, atol=1e-12)
         assert np.allclose(factors.w_a_v @ factors.w_b_v, w_v, atol=1e-12)
 
@@ -597,3 +605,32 @@ class TestGqaLayerValidation:
                      rng.standard_normal((16, 16)),
                      rng.standard_normal((16, 12)),
                      rng.standard_normal((16, 12)))
+
+
+class TestGeometry:
+    @pytest.mark.parametrize("sizes", [
+        (16, 4, 5, 2),   # n_heads * head_dim != d_model
+        (16, 4, 4, 3),   # n_groups does not divide n_heads
+        (16, 4, 4, 8),   # more groups than heads
+        (0, 0, 4, 1),
+        (16, 4, 4, 0),
+        (-8, -2, 4, 1),
+        (16, 16, 1, -4),
+    ])
+    def test_refused(self, sizes):
+        with pytest.raises(ValidationError):
+            Geometry(*sizes)
+
+    @pytest.mark.parametrize("n_heads", (1, 2, 4, 6, 8))
+    def test_derived_quantities(self, n_heads):
+        for n_groups in (g for g in range(1, n_heads + 1) if n_heads % g == 0):
+            g = geometry(n_heads, n_groups, 3)
+            assert g.grouped_width == 3 * n_groups
+            assert g.heads_per_group * n_groups == n_heads
+            assert g.head_groups.tolist() == [h * n_groups // n_heads for h in range(n_heads)]
+
+    def test_subclasses_share_one_geometry(self):
+        layer = random_gqa_layer(gen(373))
+        assert isinstance(layer, Geometry)
+        assert layer.geometry == Geometry(16, 4, 4, 2)
+        assert layer.geometry != geometry(4, 4, 4)

@@ -76,6 +76,20 @@ class TestModelManifest:
         with pytest.raises(ValidationError, match="layer_count"):
             manifest.load_manifest(tmp_path / "model.json")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("head_dim", 3, "n_heads * head_dim must equal d_model: 2 * 3 != 8"),
+        ("n_groups", 3, "n_groups 3 does not divide n_heads 2"),
+    ])
+    def test_geometry_refusal_names_the_document(self, tmp_path, field, value, message):
+        small_gqa_manifest(tmp_path, gen(713))
+        path = tmp_path / "model.json"
+        doc = json.loads(path.read_text())
+        doc["layers"][0][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as exc:
+            manifest.load_manifest(path)
+        assert str(exc.value) == f"{path}: layer 0: {message}"
+
     def test_gqa_requires_grouped_weights(self, tmp_path):
         rng = gen(703)
         small_gqa_manifest(tmp_path, rng)
