@@ -4,6 +4,11 @@ Every command is a deterministic batch process: identical inputs and flags
 produce byte-identical artifacts. Reports carry no timestamps and all
 tensor paths are stored relative to their manifest. Exit codes: 0 success,
 2 validation error, 3 numerical failure, 4 I/O error.
+
+Every per-layer file is named by `manifest.layer_file`, and `schedule` and
+`convert` read each covariance through `manifest.load_covariance` in one
+whitening step. `schedule` checks its rank plan against the manifest before
+it reads the first covariance.
 """
 
 import argparse
@@ -33,33 +38,27 @@ def _fmt2(value: float) -> str:
     return str(Decimal(repr(float(value))).quantize(Decimal("0.01"), ROUND_HALF_UP))
 
 
-def _cov_name(layer: int) -> str:
-    return f"layer{layer:03d}_cov.ctf"
-
-
-def _layer_whitening(cov_dir, layer: int, gqa: factorizer.GqaLayer,
-                     params: calibration.ShrinkageParams, record: manifest.SpectrumRecord | None,
-                     profile_dir: Path,
-                     ) -> tuple[calibration.Whitener,
-                                tuple[factorizer.WhitenedSvd, factorizer.WhitenedSvd],
-                                str | None]:
-    """One layer's whitener and (K, V) whitened SVDs: the stored ones and
-    None, or, when they cannot be used, ones computed here as schedule
-    computes them, and the reason.
-
-    The covariance is always read and checked. On a hit the whitener is
-    built from the stored raw eigenvalues alone, through the same clamp and
-    shrink, and no eigenvectors are read.
-    """
-    d = gqa.d_model
-    c = manifest._load_tensor(cov_dir, _cov_name(layer), (d, d), f"layer {layer} covariance")
+def _layer_whitening(m: manifest.ModelManifest, base: Path, cov_dir, layer: int,
+                     params: calibration.ShrinkageParams,
+                     record: manifest.SpectrumRecord | None = None, profile_dir=None):
+    """One source layer, its covariance, raw eigenvalues, whitener and (K, V)
+    whitened SVDs, and None when they are the ones `record` stored, or else
+    why they were computed here from one eigendecomposition. The covariance
+    is always read and checked; a hit reads no eigenvectors. With no
+    record, as from schedule, the weights are read after the decomposition,
+    so they never share memory with its workspace."""
+    c = manifest.load_covariance(cov_dir, layer, m.layer(layer).d_model)
+    gqa = None if record is None else manifest.load_gqa_layer(m, base, layer)
     reason = manifest.miss_reason(record, c, gqa, params)
-    if reason is not None:
-        whitener = calibration.build_whitener(c, params)
-        return whitener, factorizer.layer_spectra(gqa, whitener), reason
-    eigenvalues, spectra = manifest.load_spectra(record, profile_dir, gqa)
-    eig = linalg.EigResult(eigenvalues, None)
-    return calibration.whitener_from_eig(eig, params), spectra, None
+    if reason is None:
+        eigenvalues, spectra = manifest.load_spectra(record, profile_dir, gqa)
+        eig = linalg.EigResult(eigenvalues, None)
+        return gqa, c, eigenvalues, calibration.whitener_from_eig(eig, params), spectra, None
+    eig = linalg.sym_eig(c)
+    whitener = calibration.whitener_from_eig(eig, params)
+    if gqa is None:
+        gqa = manifest.load_gqa_layer(m, base, layer)
+    return gqa, c, eig.eigenvalues, whitener, factorizer.layer_spectra(gqa, whitener), reason
 
 
 @contextlib.contextmanager
@@ -120,11 +119,8 @@ def cmd_gen(args) -> None:
         w_k_g = rng.standard_normal((d, grouped)) / np.sqrt(d)
         w_v_g = rng.standard_normal((d, grouped)) / np.sqrt(d)
         scales.append(rng.uniform(WEIGHT_SCALE_LOW, WEIGHT_SCALE_HIGH, d))
-        paths = {
-            "w_q": f"weights/layer{layer:03d}_w_q.ctf",
-            "w_k_g": f"weights/layer{layer:03d}_w_k_g.ctf",
-            "w_v_g": f"weights/layer{layer:03d}_w_v_g.ctf",
-        }
+        paths = {name: f"weights/{manifest.layer_file(layer, name)}"
+                 for name in ("w_q", "w_k_g", "w_v_g")}
         ctf.write_ctf(out / paths["w_q"], w_q)
         ctf.write_ctf(out / paths["w_k_g"], w_k_g)
         ctf.write_ctf(out / paths["w_v_g"], w_v_g)
@@ -135,7 +131,7 @@ def cmd_gen(args) -> None:
         layer_paths = []
         for b in range(args.batches):
             x = rng.standard_normal((args.seq_len, d)) * scales[layer]
-            rel = f"batches/layer{layer:03d}_batch{b:03d}.ctf"
+            rel = f"batches/{manifest.layer_file(layer, f'batch{b:03d}')}"
             ctf.write_ctf(out / rel, x)
             layer_paths.append(rel)
         batches[layer] = tuple(layer_paths)
@@ -191,10 +187,10 @@ def cmd_cov(args) -> None:
     # Every old covariance goes before the first batch is read, and each new
     # one appears whole, so a failed rerun never leaves a mix of two runs.
     for layer in range(len(m.layers)):
-        (out / _cov_name(layer)).unlink(missing_ok=True)
+        (out / manifest.layer_file(layer, "cov")).unlink(missing_ok=True)
     for layer in range(len(m.layers)):
         cov, count = _layer_covariance(m, base, layer, args.batches_dir)
-        path = out / _cov_name(layer)
+        path = out / manifest.layer_file(layer, "cov")
         partial = path.with_name(path.name + ".partial")
         ctf.write_ctf(partial, cov)
         os.replace(partial, path)
@@ -203,34 +199,68 @@ def cmd_cov(args) -> None:
 
 # ---------------------------------------------------------------- schedule
 
-def _default_min_rank(table: scheduler.SpectrumTable, budget_k: int, budget_v: int) -> int:
-    layers_k = table.layers(scheduler.KIND_K)
-    layers_v = table.layers(scheduler.KIND_V)
-    full_min = min(
-        min(table.full_rank(l, scheduler.KIND_K) for l in layers_k),
-        min(table.full_rank(l, scheduler.KIND_V) for l in layers_v),
-    )
-    feasible = (
-        DEFAULT_MIN_RANK <= full_min
-        and budget_k >= len(layers_k) * DEFAULT_MIN_RANK
-        and budget_v >= len(layers_v) * DEFAULT_MIN_RANK
-    )
-    return DEFAULT_MIN_RANK if feasible else 1
+def _rank_plan(args, m: manifest.ModelManifest) -> tuple[dict[str, int], int]:
+    """The per-kind budgets and min rank the flags ask for, checked against
+    the manifest before any covariance is read. Each (layer, kind) entry's
+    full rank is its layer's grouped width, so their sum is KV parity."""
+    # Every schedule flag defaults to None; one the mode would ignore is refused.
+    ignored = ("--rank",) if args.mode == "adjusted" else (
+        "--parity", "--budget-k", "--budget-v", "--min-rank")
+    for flag in ignored:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ValidationError(f"{flag} is not used by --mode {args.mode}")
+    widths = [entry.grouped_width for entry in m.layers]
+    parity = sum(widths)
+
+    if args.mode == "uniform":
+        if args.rank is None:
+            raise ValidationError("--mode uniform requires --rank")
+        if args.rank < 1:
+            raise ValidationError("rank must be at least 1")
+        ranks = [min(args.rank, width) for width in widths]
+        return dict.fromkeys(scheduler.KINDS, sum(ranks)), min(ranks)
+
+    budgets = {
+        kind: parity if args.parity else getattr(args, f"budget_{kind.lower()}")
+        for kind in scheduler.KINDS
+    }
+    if None in budgets.values():
+        raise ValidationError("--mode adjusted requires --budget-k and --budget-v (or --parity)")
+    for kind, budget in budgets.items():
+        if budget > parity:
+            raise ValidationError(f"--budget-{kind.lower()} {budget} exceeds the total full "
+                                  f"rank {parity} (KV parity)")
+    min_rank = args.min_rank
+    if min_rank is None:
+        fits = all(scheduler.budget_refusal(widths, budget, DEFAULT_MIN_RANK) is None
+                   for budget in budgets.values())
+        min_rank = DEFAULT_MIN_RANK if fits else 1
+    for budget in budgets.values():
+        reason = scheduler.budget_refusal(widths, budget, min_rank)
+        if reason is not None:
+            raise ValidationError(reason)
+    return budgets, min_rank
 
 
 def cmd_schedule(args) -> None:
     m = manifest.load_manifest(args.manifest)
     base = Path(args.manifest).parent
+    budgets, min_rank = _rank_plan(args, m)
 
     out = Path(args.out)
     spectra_dir = manifest.spectra_dir(out)
     table = scheduler.SpectrumTable()
     with _staged_dir(spectra_dir) as staged:
         records = tuple(
-            _layer_spectra(m, base, args.cov_dir, layer, table, staged, out)
+            _store_layer(m, base, args.cov_dir, layer, table, staged, out)
             for layer in range(len(m.layers))
         )
-        profile = _plan_ranks(args, table)
+        ranks = {
+            kind: scheduler.uniform_profile(table, kind, args.rank) if args.mode == "uniform"
+            else scheduler.waterfill(table, kind, budgets[kind], min_rank)
+            for kind in scheduler.KINDS
+        }
+        profile = scheduler.build_profile(table, ranks, budgets, min_rank)
     # The old profile goes before its spectra, and the new profile is
     # written last, so no profile ever names files of another run.
     out.unlink(missing_ok=True)
@@ -246,68 +276,24 @@ def cmd_schedule(args) -> None:
     print(f"profile: {args.out}")
 
 
-def _layer_spectra(m: manifest.ModelManifest, base: Path, cov_dir, layer: int,
-                   table: scheduler.SpectrumTable, staged: Path,
-                   profile_path: Path) -> manifest.SpectrumRecord:
+def _store_layer(m: manifest.ModelManifest, base: Path, cov_dir, layer: int,
+                 table: scheduler.SpectrumTable, staged: Path,
+                 profile_path: Path) -> manifest.SpectrumRecord:
     """One layer's whitened K/V spectra, added to `table`, and stored in
     `staged` for `convert` to truncate. A singular whitener is refused
     here, as convert would refuse it, so no profile is planned on spectra
     that no conversion can use. The layer's D x D arrays are freed on
     return, before the next layer's are read."""
-    d = m.layer(layer).d_model
-    c = manifest._load_tensor(cov_dir, _cov_name(layer), (d, d), f"layer {layer} covariance")
-    eig = linalg.sym_eig(c)
-    whitener = calibration.whitener_from_eig(eig, m.shrinkage)
+    gqa, c, eigenvalues, whitener, spectra, _ = _layer_whitening(
+        m, base, cov_dir, layer, m.shrinkage
+    )
     whitener.check_invertible()
-    gqa = manifest.load_gqa_layer(m, base, layer)
-    spectra = factorizer.layer_spectra(gqa, whitener)
     # The head-width spectrum is this grouped one times sqrt(n_heads /
     # n_groups), plus zeros; water-filling is invariant to that scale.
     for kind, svd in zip(scheduler.KINDS, spectra):
         table.add(layer, kind, svd.singular_values)
     return manifest.store_spectra(staged, profile_path, layer, c, gqa, m.shrinkage,
-                                  eig.eigenvalues, spectra)
-
-
-def _plan_ranks(args, table: scheduler.SpectrumTable) -> scheduler.RankProfile:
-    """The rank profile the schedule flags ask for."""
-    # Each full rank is the grouped width, so the totals are KV parity.
-    full_totals = {
-        kind: sum(table.full_rank(l, kind) for l in table.layers(kind))
-        for kind in scheduler.KINDS
-    }
-
-    if args.parity:
-        budget_k, budget_v = full_totals[scheduler.KIND_K], full_totals[scheduler.KIND_V]
-    else:
-        budget_k, budget_v = args.budget_k, args.budget_v
-
-    if args.mode == "uniform":
-        if args.rank is None:
-            raise ValidationError("--mode uniform requires --rank")
-        k_ranks = scheduler.uniform_profile(table, scheduler.KIND_K, args.rank)
-        v_ranks = scheduler.uniform_profile(table, scheduler.KIND_V, args.rank)
-        budget_k = sum(k_ranks.values())
-        budget_v = sum(v_ranks.values())
-        min_rank = min(min(k_ranks.values()), min(v_ranks.values()))
-    else:
-        if budget_k is None or budget_v is None:
-            raise ValidationError(
-                "--mode adjusted requires --budget-k and --budget-v (or --parity)"
-            )
-        for kind, budget in ((scheduler.KIND_K, budget_k), (scheduler.KIND_V, budget_v)):
-            if budget > full_totals[kind]:
-                raise ValidationError(
-                    f"--budget-{kind.lower()} {budget} exceeds the total full rank "
-                    f"{full_totals[kind]} (KV parity)"
-                )
-        min_rank = args.min_rank
-        if min_rank is None:
-            min_rank = _default_min_rank(table, budget_k, budget_v)
-        k_ranks = scheduler.waterfill(table, scheduler.KIND_K, budget_k, min_rank)
-        v_ranks = scheduler.waterfill(table, scheduler.KIND_V, budget_v, min_rank)
-
-    return scheduler.build_profile(table, k_ranks, v_ranks, budget_k, budget_v, min_rank)
+                                  eigenvalues, spectra)
 
 
 # ---------------------------------------------------------------- convert
@@ -341,9 +327,8 @@ def cmd_convert(args) -> None:
     report_layers = []
     for layer in range(len(m.layers)):
         entry = m.layer(layer)
-        gqa = manifest.load_gqa_layer(m, base, layer)
-        whitener, spectra, reason = _layer_whitening(
-            args.cov_dir, layer, gqa, params, records.get(layer), profile_dir
+        gqa, _, _, whitener, spectra, reason = _layer_whitening(
+            m, base, args.cov_dir, layer, params, records.get(layer), profile_dir
         )
         print(f"layer {layer}: spectra "
               + ("reused" if reason is None else f"recomputed ({reason})"))
@@ -352,14 +337,10 @@ def cmd_convert(args) -> None:
         r_v = profile.rank(layer, scheduler.KIND_V)
         factors, report_k, report_v = factorizer.convert_layer(gqa, spectra, r_k, r_v)
 
-        w_q_rel = f"weights/layer{layer:03d}_w_q.ctf"
+        w_q_rel = f"weights/{manifest.layer_file(layer, 'w_q')}"
         shutil.copyfile(base / entry.w_q, out / w_q_rel)
-        paths = {
-            "w_a_k": f"factors/layer{layer:03d}_w_a_k.ctf",
-            "w_b_k": f"factors/layer{layer:03d}_w_b_k.ctf",
-            "w_a_v": f"factors/layer{layer:03d}_w_a_v.ctf",
-            "w_b_v": f"factors/layer{layer:03d}_w_b_v.ctf",
-        }
+        paths = {name: f"factors/{manifest.layer_file(layer, name)}"
+                 for name in ("w_a_k", "w_b_k", "w_a_v", "w_b_v")}
         for name, rel in paths.items():
             ctf.write_ctf(out / rel, getattr(factors, name))
         entries.append(dataclasses.replace(
@@ -370,8 +351,8 @@ def cmd_convert(args) -> None:
                 "layer": layer,
                 "lambda_resolved": whitener.lam,
                 "whitener": _whitener_dict(whitener),
-                "k": _report_dict(report_k),
-                "v": _report_dict(report_v),
+                "k": dataclasses.asdict(report_k),
+                "v": dataclasses.asdict(report_v),
             }
         )
         print(
@@ -379,6 +360,8 @@ def cmd_convert(args) -> None:
             f"whitened_residual_sq K={report_k.whitened_residual_sq:.3e} "
             f"V={report_v.whitened_residual_sq:.3e}"
         )
+        # None of this layer's arrays stay alive while the next one is read.
+        del gqa, whitener, spectra, factors
 
     converted = manifest.ModelManifest(
         model_kind=manifest.MODEL_KIND_MLA,
@@ -407,15 +390,6 @@ def _whitener_dict(whitener: calibration.Whitener) -> dict:
         "lambda_max": whitener.lambda_max,
         "lambda_min": whitener.lambda_min,
         "lambda_resolved": whitener.lam,
-    }
-
-
-def _report_dict(report: factorizer.FactorizationReport) -> dict:
-    return {
-        "rank_used": report.rank_used,
-        "weight_residual_sq": report.weight_residual_sq,
-        "whitened_residual_sq": report.whitened_residual_sq,
-        "retained_energy": report.retained_energy,
     }
 
 
@@ -634,13 +608,11 @@ def cmd_ablate(args) -> None:
     rng = make_generator(args.seed)
     m = manifest.load_manifest(args.manifest)
     base = Path(args.manifest).parent
-    if args.kind not in scheduler.KINDS:
-        raise ValidationError(f"--kind must be one of {scheduler.KINDS}")
     gqa = manifest.load_gqa_layer(m, base, args.layer)
-    w = gqa.w_k_g if args.kind == scheduler.KIND_K else gqa.w_v_g
+    name = f"w_{args.kind.lower()}_g"
+    w = getattr(gqa, name)
     sigma, ablated_w = factorizer.ablate_singular_value(w, args.index)
     weight_residual = linalg.frobenius_norm_sq(w - ablated_w)
-    name = "w_k_g" if args.kind == scheduler.KIND_K else "w_v_g"
     ablated_layer = dataclasses.replace(gqa, **{name: ablated_w})
     t = args.seq_len if args.seq_len is not None else m.seq_len
     x = rng.standard_normal((t, gqa.d_model))
@@ -718,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=list(manifest.PROFILE_MODES), default="adjusted")
     p.add_argument("--budget-k", type=int, default=None)
     p.add_argument("--budget-v", type=int, default=None)
-    p.add_argument("--parity", action="store_true",
+    p.add_argument("--parity", action="store_true", default=None,
                    help="set both budgets to the total grouped KV width "
                         "(overrides --budget-k/--budget-v)")
     p.add_argument("--min-rank", type=int, default=None,

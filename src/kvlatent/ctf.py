@@ -43,8 +43,10 @@ _MAX_BYTES = int(np.iinfo(np.intp).max)
 _PAYLOAD_SHIFT = -_HEADER.size % 8
 
 
-def write_ctf(path, array, dtype_code: int = DTYPE_F64) -> None:
-    """Serialize `array` to `path`; parent directories must already exist."""
+def write_ctf(path, array, dtype_code: int = DTYPE_F64, digest: bool = False) -> str | None:
+    """Serialize `array` to `path`; parent directories must already exist.
+    With `digest`, return the sha256 of the bytes written, as read_ctf_digest
+    gives it; hashing costs about 1 ms per MB, so it is done only on request."""
     if dtype_code not in _NP_DTYPES:
         raise ValidationError(f"unknown dtype code {dtype_code}")
     arr = np.asarray(array, dtype=np.float64)
@@ -61,6 +63,11 @@ def write_ctf(path, array, dtype_code: int = DTYPE_F64) -> None:
     with open(path, "wb") as out:
         out.write(header)
         out.write(payload.data)
+    if not digest:
+        return None
+    sha256 = hashlib.sha256(header)
+    sha256.update(payload.data)
+    return sha256.hexdigest()
 
 
 def read_ctf_ex(path) -> tuple[np.ndarray, int]:

@@ -7,6 +7,9 @@ whitened spectra that `schedule` computed for each layer are stored. All
 documents are written with sorted keys and no timestamps so reruns are
 byte-identical; every tensor path is stored relative to the manifest's
 directory.
+
+Every per-layer tensor file is named by `layer_file`, wherever a stage
+writes it, and a stage reads a layer's covariance through `load_covariance`.
 """
 
 import hashlib
@@ -218,6 +221,11 @@ def _tensor_path(value, what: str) -> str:
     return value
 
 
+def layer_file(layer: int, name: str) -> str:
+    """The file name of one layer's tensor `name`, such as `layer003_w_q.ctf`."""
+    return f"layer{layer:03d}_{name}.ctf"
+
+
 def _load_tensor(base_dir, rel_path, expected_shape, what, sha256=None) -> np.ndarray:
     """The `.ctf` tensor at base_dir / rel_path, refused unless it has
     `expected_shape` and, when `sha256` is given, the file's bytes have
@@ -236,6 +244,12 @@ def _load_tensor(base_dir, rel_path, expected_shape, what, sha256=None) -> np.nd
             f"{what} ({rel_path}): shape {arr.shape}, expected {expected_shape}"
         )
     return arr
+
+
+def load_covariance(cov_dir, layer: int, d_model: int) -> np.ndarray:
+    """The D x D covariance `cov` wrote for `layer` into `cov_dir`."""
+    return _load_tensor(cov_dir, layer_file(layer, "cov"), (d_model, d_model),
+                        f"layer {layer} covariance")
 
 
 def load_gqa_layer(m: ModelManifest, base_dir, index: int) -> GqaLayer:
@@ -343,18 +357,18 @@ def store_spectra(directory: Path, profile_path: Path, layer: int, c: np.ndarray
     rel_dir = spectra_dir(profile_path).name
     files = {}
     for name, array in zip(STORED_TENSORS, (eigenvalues, *spectra[0], *spectra[1])):
-        path = directory / f"layer{layer:03d}_{name}.ctf"
-        ctf.write_ctf(path, array)
-        files[name] = StoredTensor(f"{rel_dir}/{path.name}",
-                                   hashlib.sha256(path.read_bytes()).hexdigest())
+        file = layer_file(layer, name)
+        sha256 = ctf.write_ctf(directory / file, array, digest=True)
+        files[name] = StoredTensor(f"{rel_dir}/{file}", sha256)
     return SpectrumRecord(layer=layer, cov_sha256=array_digest(c),
                           w_sha256=_weight_digests(gqa), shrinkage=shrinkage, files=files)
 
 
-def miss_reason(record: SpectrumRecord | None, c: np.ndarray, gqa: GqaLayer,
+def miss_reason(record: SpectrumRecord | None, c: np.ndarray, gqa: GqaLayer | None,
                 shrinkage: ShrinkageParams) -> str | None:
     """Why the spectra `record` names cannot stand in for those of layer
-    `gqa` with covariance `c` under `shrinkage`, or None when they can."""
+    `gqa` with covariance `c` under `shrinkage`, or None when they can.
+    `gqa` is read only when there is a record."""
     if record is None:
         return "no record"
     if record.shrinkage != shrinkage:

@@ -138,6 +138,18 @@ class RankProfile:
             )
 
 
+def budget_refusal(full_ranks: list[int], budget: int, min_rank: int) -> str | None:
+    """Why water-filling `budget` units over entries of these full ranks
+    cannot start every entry at `min_rank`, or None when it can."""
+    if min_rank < 1:
+        return "min_rank must be at least 1"
+    if min_rank > min(full_ranks):
+        return f"min_rank {min_rank} exceeds the smallest full rank {min(full_ranks)}"
+    if budget < len(full_ranks) * min_rank:
+        return f"infeasible budget: {budget} < {len(full_ranks)} layers x min_rank {min_rank}"
+    return None
+
+
 def waterfill_trace(
     table: SpectrumTable, kind: str, budget: int, min_rank: int
 ) -> tuple[dict[int, int], list[AllocationStep]]:
@@ -146,17 +158,10 @@ def waterfill_trace(
     layers = table.layers(kind)
     if not layers:
         raise ValidationError(f"spectrum table has no entries of kind {kind}")
-    if min_rank < 1:
-        raise ValidationError("min_rank must be at least 1")
     full = {l: table.full_rank(l, kind) for l in layers}
-    if min_rank > min(full.values()):
-        raise ValidationError(
-            f"min_rank {min_rank} exceeds the smallest full rank {min(full.values())}"
-        )
-    if budget < len(layers) * min_rank:
-        raise ValidationError(
-            f"infeasible budget: {budget} < {len(layers)} layers x min_rank {min_rank}"
-        )
+    reason = budget_refusal(list(full.values()), budget, min_rank)
+    if reason is not None:
+        raise ValidationError(reason)
 
     sq = {l: table.get(l, kind) ** 2 for l in layers}
     # suffix[l][r] = tail energy after keeping r components; trailing zero so
@@ -205,23 +210,12 @@ def uniform_profile(table: SpectrumTable, kind: str, rank: int) -> dict[int, int
     return {l: min(rank, table.full_rank(l, kind)) for l in table.layers(kind)}
 
 
-def build_profile(
-    table: SpectrumTable,
-    k_ranks: dict[int, int],
-    v_ranks: dict[int, int],
-    budget_k: int,
-    budget_v: int,
-    min_rank: int,
-) -> RankProfile:
-    """Assemble the per-kind allocations into a validated RankProfile."""
-    ranks: dict[tuple[int, str], int] = {}
-    full_ranks: dict[tuple[int, str], int] = {}
-    for l, r in k_ranks.items():
-        ranks[(l, KIND_K)] = int(r)
-        full_ranks[(l, KIND_K)] = table.full_rank(l, KIND_K)
-    for l, r in v_ranks.items():
-        ranks[(l, KIND_V)] = int(r)
-        full_ranks[(l, KIND_V)] = table.full_rank(l, KIND_V)
-    profile = RankProfile(ranks, budget_k, budget_v, min_rank, full_ranks)
+def build_profile(table: SpectrumTable, ranks: dict[str, dict[int, int]],
+                  budgets: dict[str, int], min_rank: int) -> RankProfile:
+    """Assemble the allocations, kind -> layer -> rank, and the per-kind
+    budgets into a validated RankProfile."""
+    entries = {(l, kind): int(r) for kind in KINDS for l, r in ranks[kind].items()}
+    full_ranks = {key: table.full_rank(*key) for key in entries}
+    profile = RankProfile(entries, budgets[KIND_K], budgets[KIND_V], min_rank, full_ranks)
     profile.validate()
     return profile

@@ -465,6 +465,80 @@ class TestSchedule:
                    "--budget-k", 12, "--budget-v", 12, "--out", tmp_path / "p.json") == 0
         assert calls == [(16, 16)] * 3
 
+    # Each refusal below depends on the flags and the manifest alone. The
+    # covariance directory does not exist, so a refusal that came after
+    # reading a covariance would exit 4.
+    @pytest.mark.parametrize("flags, message", [
+        (["--mode", "uniform"], "--mode uniform requires --rank"),
+        (["--mode", "uniform", "--rank", 0], "rank must be at least 1"),
+        ([], "--mode adjusted requires --budget-k and --budget-v (or --parity)"),
+        (["--budget-k", 999], "--mode adjusted requires --budget-k and --budget-v (or --parity)"),
+        (["--budget-k", 999, "--budget-v", 16],
+         "--budget-k 999 exceeds the total full rank 16 (KV parity)"),
+        (["--budget-k", 16, "--budget-v", 17],
+         "--budget-v 17 exceeds the total full rank 16 (KV parity)"),
+        (["--budget-k", 3, "--budget-v", 3, "--min-rank", 2],
+         "infeasible budget: 3 < 2 layers x min_rank 2"),
+        (["--parity", "--min-rank", 9], "min_rank 9 exceeds the smallest full rank 8"),
+        (["--parity", "--min-rank", 0], "min_rank must be at least 1"),
+        (["--mode", "uniform", "--rank", 4, "--parity"], "--parity is not used by --mode uniform"),
+        (["--mode", "uniform", "--rank", 4, "--budget-k", 8],
+         "--budget-k is not used by --mode uniform"),
+        (["--mode", "uniform", "--rank", 4, "--budget-v", 8],
+         "--budget-v is not used by --mode uniform"),
+        (["--mode", "uniform", "--rank", 3, "--min-rank", 5],
+         "--min-rank is not used by --mode uniform"),
+        (["--mode", "uniform", "--rank", 3, "--min-rank", 0],
+         "--min-rank is not used by --mode uniform"),
+        (["--parity", "--rank", 2], "--rank is not used by --mode adjusted"),
+        (["--mode", "adjusted", "--rank", 2, "--budget-k", 8, "--budget-v", 8],
+         "--rank is not used by --mode adjusted"),
+    ])
+    def test_flag_refusals_come_before_any_covariance(self, tmp_path, capsys, flags, message):
+        model = gen_model(tmp_path / "m")
+        (tmp_path / "s").mkdir()
+        capsys.readouterr()
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "no-cov",
+                   *flags, "--out", tmp_path / "s/p.json") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list((tmp_path / "s").iterdir()) == []
+
+    def test_refused_flags_keep_the_previous_profile(self, tmp_path):
+        model = gen_model(tmp_path / "m")
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        (tmp_path / "s").mkdir()
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--mode", "uniform", "--rank", 2, "--out", tmp_path / "s/p.json") == 0
+        before = tree_bytes(tmp_path / "s")
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--mode", "uniform", "--rank", 2, "--parity",
+                   "--out", tmp_path / "s/p.json") == 2
+        assert tree_bytes(tmp_path / "s") == before
+
+    def test_parity_overrides_explicit_budgets(self, tmp_path):
+        model = gen_model(tmp_path / "m")
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        for name, budgets in (("a.json", ()), ("b.json", ("--budget-k", 3, "--budget-v", 99))):
+            assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                       "--parity", *budgets, "--out", tmp_path / name) == 0
+        parity, _, _ = manifest.load_profile(tmp_path / "a.json")
+        overridden, _, _ = manifest.load_profile(tmp_path / "b.json")
+        assert overridden.budget_k == overridden.budget_v == 16
+        assert overridden == parity
+
+    @pytest.mark.parametrize("budget_v, min_rank", [(256, 64), (255, 1)])
+    def test_default_min_rank_is_64_when_every_budget_allows_it(self, tmp_path, capsys,
+                                                                budget_v, min_rank):
+        # 4 layers of grouped width 128: 4 x 64 needs a budget of 256 per kind.
+        model = gen_model(tmp_path / "m", layers=4, d=256, heads=4, head_dim=64,
+                          groups=2, seq=2, batches=1)
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        capsys.readouterr()
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--budget-k", 512, "--budget-v", budget_v,
+                   "--out", tmp_path / "p.json") == 0
+        assert f"min_rank={min_rank}\n" in capsys.readouterr().out
+
 
 class TestConvert:
     def test_parity_budgets_give_exact_conversion(self, tmp_path):
@@ -1378,6 +1452,13 @@ class TestAblate:
                    "--kind", "K", "--index", 1, "--seq-len", seq_len) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--seq-len" in err
+
+    def test_unknown_kind_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("ablate", "--manifest", tmp_path / "missing.json", "--layer", 0,
+                "--kind", "Q", "--index", 1)
+        assert exc.value.code == 2
+        assert "argument --kind: invalid choice: 'Q'" in capsys.readouterr().err
 
     def test_one_svd(self, tmp_path, monkeypatch):
         model = gen_model(tmp_path / "m")

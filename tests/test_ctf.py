@@ -64,6 +64,17 @@ class TestRoundTrip:
             back[...] = 0.0
         assert ctf.read_ctf_digest(path)[1] == hashlib.sha256(first).hexdigest()
 
+    @pytest.mark.parametrize("dtype", [ctf.DTYPE_F32, ctf.DTYPE_F64])
+    @pytest.mark.parametrize("shape", [(3,), (4, 7), (2, 0, 3), (2, 3, 4)])
+    def test_write_returns_the_digest_of_its_bytes(self, tmp_path, dtype, shape):
+        arr = gen(604).standard_normal(shape)
+        path = tmp_path / "a.ctf"
+        assert ctf.write_ctf(path, arr, dtype) is None
+        first = path.read_bytes()
+        digest = ctf.write_ctf(path, np.asfortranarray(arr), dtype, digest=True)
+        assert path.read_bytes() == first
+        assert digest == hashlib.sha256(first).hexdigest() == ctf.read_ctf_digest(path)[1]
+
     @settings(max_examples=25, deadline=None)
     @given(
         shape=st.lists(st.integers(1, 5), min_size=1, max_size=3),

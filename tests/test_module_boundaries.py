@@ -1,0 +1,82 @@
+"""No kvlatent module reaches into another module's private names.
+
+A leading underscore marks a name its module may change at will. A module
+that needs such a name from another asks that module for a public one, so
+each private name keeps one owner.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "kvlatent"
+MODULES = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _sibling(node: ast.ImportFrom) -> str | None:
+    """The kvlatent module `from <module> import ...` names, or None."""
+    if node.level == 1 and node.module in MODULES:
+        return node.module
+    prefix, _, module = (node.module or "").partition(".")
+    if node.level == 0 and prefix == "kvlatent" and module in MODULES:
+        return module
+    return None
+
+
+def foreign_private_uses(path: Path) -> list[str]:
+    """`file:line module.name` for each private name of another kvlatent
+    module that `path` imports or reads as a module attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = {}  # local name -> the kvlatent module it is bound to
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            owner = _sibling(node)
+            package = (node.level == 1 and node.module is None) or node.module == "kvlatent"
+            for alias in node.names:
+                if package and alias.name in MODULES:
+                    modules[alias.asname or alias.name] = alias.name
+                elif owner not in (None, path.stem) and _private(alias.name):
+                    uses.append((node.lineno, f"{owner}.{alias.name}"))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                prefix, _, module = alias.name.partition(".")
+                if prefix == "kvlatent" and module in MODULES and alias.asname:
+                    modules[alias.asname] = module
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and modules.get(node.value.id, path.stem) != path.stem
+                and _private(node.attr)):
+            uses.append((node.lineno, f"{modules[node.value.id]}.{node.attr}"))
+    return [f"{path.name}:{line} {name}" for line, name in sorted(uses)]
+
+
+def test_the_package_has_modules():
+    assert {"cli", "manifest", "ctf"} <= MODULES
+
+
+def test_no_module_uses_another_modules_private_names():
+    uses = [use for path in sorted(SRC.glob("*.py")) for use in foreign_private_uses(path)]
+    assert uses == []
+
+
+def test_the_check_finds_each_form_of_use(tmp_path):
+    path = tmp_path / "cli.py"
+    path.write_text(
+        "from . import ctf, manifest as m\n"
+        "from .linalg import _helper, public\n"
+        "from kvlatent.scheduler import _rule\n"
+        "import kvlatent.rng as r\n"
+        "from .cli import _own\n"
+        "m._load_tensor(ctf.MAGIC, r._key, ctf.__name__)\n"
+        "_own()\n"
+    )
+    assert foreign_private_uses(path) == [
+        "cli.py:2 linalg._helper",
+        "cli.py:3 scheduler._rule",
+        "cli.py:6 manifest._load_tensor",
+        "cli.py:6 rng._key",
+    ]

@@ -235,7 +235,7 @@ class TestRankProfile:
         t = SpectrumTable()
         t.add(0, "K", [2.0, 1.0])
         t.add(0, "V", [2.0, 1.0, 0.5])
-        profile = build_profile(t, {0: 2}, {0: 3}, budget_k=2, budget_v=3, min_rank=1)
+        profile = build_profile(t, {"K": {0: 2}, "V": {0: 3}}, {"K": 2, "V": 3}, min_rank=1)
         assert profile.rank(0, "K") == 2
         assert profile.rank(0, "V") == 3
         assert profile.full_ranks[(0, "V")] == 3
@@ -245,20 +245,20 @@ class TestRankProfile:
         t.add(0, "K", [2.0, 1.0])
         t.add(0, "V", [2.0, 1.0])
         with pytest.raises(ValidationError):
-            build_profile(t, {0: 3}, {0: 1}, budget_k=3, budget_v=1, min_rank=1)
+            build_profile(t, {"K": {0: 3}, "V": {0: 1}}, {"K": 3, "V": 1}, min_rank=1)
 
     def test_validate_rejects_rank_below_min(self):
         t = SpectrumTable()
         t.add(0, "K", [2.0, 1.0])
         t.add(0, "V", [2.0, 1.0])
         with pytest.raises(ValidationError):
-            build_profile(t, {0: 1}, {0: 2}, budget_k=2, budget_v=2, min_rank=2)
+            build_profile(t, {"K": {0: 1}, "V": {0: 2}}, {"K": 2, "V": 2}, min_rank=2)
 
     def test_missing_entry(self):
         t = SpectrumTable()
         t.add(0, "K", [1.0])
         t.add(0, "V", [1.0])
-        profile = build_profile(t, {0: 1}, {0: 1}, 1, 1, 1)
+        profile = build_profile(t, {"K": {0: 1}, "V": {0: 1}}, {"K": 1, "V": 1}, 1)
         with pytest.raises(ValidationError):
             profile.rank(1, "K")
 
