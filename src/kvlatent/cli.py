@@ -8,7 +8,9 @@ tensor paths are stored relative to their manifest. Exit codes: 0 success,
 Every per-layer file is named by `manifest.layer_file`, and `schedule` and
 `convert` read each covariance through `manifest.load_covariance` in one
 whitening step. `schedule` checks its rank plan against the manifest before
-it reads the first covariance.
+it reads the first covariance. `cov` is the only stage that reads
+calibration batches: `convert` places each layer's covariance in the
+converted bundle, and `eval` takes the activation residual from it.
 """
 
 import argparse
@@ -18,9 +20,9 @@ import math
 import os
 import shutil
 import sys
-from collections.abc import Iterable
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,27 +40,63 @@ def _fmt2(value: float) -> str:
     return str(Decimal(repr(float(value))).quantize(Decimal("0.01"), ROUND_HALF_UP))
 
 
+class _LayerWhitening(NamedTuple):
+    """One source layer's grouped weights; the array_digest of its
+    covariance and of each kind's weight; its raw covariance eigenvalues,
+    whitener and (K, V) whitened SVDs; and why the spectra were computed
+    here, or None when they are the ones a profile stored."""
+
+    kv: factorizer.GroupedKv
+    cov_sha256: str
+    w_sha256: dict[str, str]
+    eigenvalues: np.ndarray
+    whitener: calibration.Whitener
+    spectra: tuple[factorizer.WhitenedSvd, factorizer.WhitenedSvd]
+    reason: str | None
+
+
 def _layer_whitening(m: manifest.ModelManifest, base: Path, cov_dir, layer: int,
                      params: calibration.ShrinkageParams,
-                     record: manifest.SpectrumRecord | None = None, profile_dir=None):
-    """One source layer, its covariance, raw eigenvalues, whitener and (K, V)
-    whitened SVDs, and None when they are the ones `record` stored, or else
-    why they were computed here from one eigendecomposition. The covariance
-    is always read and checked; a hit reads no eigenvectors. With no
-    record, as from schedule, the weights are read after the decomposition,
-    so they never share memory with its workspace."""
+                     record: manifest.SpectrumRecord | None = None,
+                     profile_dir=None) -> _LayerWhitening:
+    """One layer's whitening step, from one eigendecomposition of its
+    covariance unless `record` stored its spectra. The covariance is always
+    read and checked; a hit reads no eigenvectors. Only the grouped K and V
+    weights are read, never w_q. With no record, as from schedule, they are
+    read after the decomposition, so they never share memory with its
+    workspace."""
     c = manifest.load_covariance(cov_dir, layer, m.layer(layer).d_model)
-    gqa = None if record is None else manifest.load_gqa_layer(m, base, layer)
-    reason = manifest.miss_reason(record, c, gqa, params)
+    cov_sha256 = manifest.array_digest(c)
+    kv = w_sha256 = None
+    if record is not None:
+        kv = manifest.load_grouped_kv(m, base, layer)
+        w_sha256 = manifest.weight_digests(kv)
+    reason = manifest.miss_reason(record, cov_sha256, w_sha256, params)
     if reason is None:
-        eigenvalues, spectra = manifest.load_spectra(record, profile_dir, gqa)
-        eig = linalg.EigResult(eigenvalues, None)
-        return gqa, c, eigenvalues, calibration.whitener_from_eig(eig, params), spectra, None
+        eigenvalues, spectra = manifest.load_spectra(record, profile_dir, kv)
+        whitener = calibration.whitener_from_eig(linalg.EigResult(eigenvalues, None), params)
+        return _LayerWhitening(kv, cov_sha256, w_sha256, eigenvalues, whitener, spectra, None)
     eig = linalg.sym_eig(c)
     whitener = calibration.whitener_from_eig(eig, params)
-    if gqa is None:
-        gqa = manifest.load_gqa_layer(m, base, layer)
-    return gqa, c, eig.eigenvalues, whitener, factorizer.layer_spectra(gqa, whitener), reason
+    if kv is None:
+        kv = manifest.load_grouped_kv(m, base, layer)
+        w_sha256 = manifest.weight_digests(kv)
+    return _LayerWhitening(kv, cov_sha256, w_sha256, eig.eigenvalues, whitener,
+                           factorizer.layer_spectra(kv, whitener), reason)
+
+
+def _place(src: Path, dst: Path) -> None:
+    """Give `dst` the bytes of `src` as a hard link, or as a copy where
+    linking fails (across devices, for example). A `dst` that already is
+    `src` is left as it is. Every writer replaces a file instead of
+    rewriting it, so neither name ever changes the other's bytes."""
+    if dst.exists() and os.path.samefile(src, dst):
+        return
+    dst.unlink(missing_ok=True)
+    try:
+        os.link(src, dst)
+    except OSError:
+        shutil.copyfile(src, dst)
 
 
 @contextlib.contextmanager
@@ -191,9 +229,7 @@ def cmd_cov(args) -> None:
     for layer in range(len(m.layers)):
         cov, count = _layer_covariance(m, base, layer, args.batches_dir)
         path = out / manifest.layer_file(layer, "cov")
-        partial = path.with_name(path.name + ".partial")
-        ctf.write_ctf(partial, cov)
-        os.replace(partial, path)
+        ctf.write_ctf(path, cov)
         print(f"layer {layer}: {count} batches -> {path}")
 
 
@@ -215,9 +251,7 @@ def _rank_plan(args, m: manifest.ModelManifest) -> tuple[dict[str, int], int]:
     if args.mode == "uniform":
         if args.rank is None:
             raise ValidationError("--mode uniform requires --rank")
-        if args.rank < 1:
-            raise ValidationError("rank must be at least 1")
-        ranks = [min(args.rank, width) for width in widths]
+        ranks = scheduler.uniform_profile(dict(enumerate(widths)), args.rank).values()
         return dict.fromkeys(scheduler.KINDS, sum(ranks)), min(ranks)
 
     budgets = {
@@ -256,7 +290,8 @@ def cmd_schedule(args) -> None:
             for layer in range(len(m.layers))
         )
         ranks = {
-            kind: scheduler.uniform_profile(table, kind, args.rank) if args.mode == "uniform"
+            kind: scheduler.uniform_profile(table.full_ranks(kind), args.rank)
+            if args.mode == "uniform"
             else scheduler.waterfill(table, kind, budgets[kind], min_rank)
             for kind in scheduler.KINDS
         }
@@ -284,16 +319,14 @@ def _store_layer(m: manifest.ModelManifest, base: Path, cov_dir, layer: int,
     here, as convert would refuse it, so no profile is planned on spectra
     that no conversion can use. The layer's D x D arrays are freed on
     return, before the next layer's are read."""
-    gqa, c, eigenvalues, whitener, spectra, _ = _layer_whitening(
-        m, base, cov_dir, layer, m.shrinkage
-    )
-    whitener.check_invertible()
+    step = _layer_whitening(m, base, cov_dir, layer, m.shrinkage)
+    step.whitener.check_invertible()
     # The head-width spectrum is this grouped one times sqrt(n_heads /
     # n_groups), plus zeros; water-filling is invariant to that scale.
-    for kind, svd in zip(scheduler.KINDS, spectra):
+    for kind, svd in zip(scheduler.KINDS, step.spectra):
         table.add(layer, kind, svd.singular_values)
-    return manifest.store_spectra(staged, profile_path, layer, c, gqa, m.shrinkage,
-                                  eigenvalues, spectra)
+    return manifest.store_spectra(staged, profile_path, layer, step.cov_sha256, step.w_sha256,
+                                  m.shrinkage, step.eigenvalues, step.spectra)
 
 
 # ---------------------------------------------------------------- convert
@@ -316,8 +349,8 @@ def cmd_convert(args) -> None:
     )
 
     out = Path(args.out)
-    (out / "weights").mkdir(parents=True, exist_ok=True)
-    (out / "factors").mkdir(parents=True, exist_ok=True)
+    for sub in ("weights", "cov", "factors"):
+        (out / sub).mkdir(parents=True, exist_ok=True)
     # The two documents are written last; a run that stops early leaves
     # neither, so its factors never look like a finished conversion.
     for name in ("converted.json", "conversion_report.json"):
@@ -327,24 +360,33 @@ def cmd_convert(args) -> None:
     report_layers = []
     for layer in range(len(m.layers)):
         entry = m.layer(layer)
-        gqa, _, _, whitener, spectra, reason = _layer_whitening(
+        step = _layer_whitening(
             m, base, args.cov_dir, layer, params, records.get(layer), profile_dir
         )
         print(f"layer {layer}: spectra "
-              + ("reused" if reason is None else f"recomputed ({reason})"))
+              + ("reused" if step.reason is None else f"recomputed ({step.reason})"))
+        whitener = step.whitener
         whitener.check_invertible()
         r_k = profile.rank(layer, scheduler.KIND_K)
         r_v = profile.rank(layer, scheduler.KIND_V)
-        factors, report_k, report_v = factorizer.convert_layer(gqa, spectra, r_k, r_v)
+        factors, report_k, report_v = factorizer.convert_layer(step.kv, step.spectra, r_k, r_v)
 
+        # The bundle carries the source's w_q and this layer's covariance,
+        # as hard links where it can, and the digests eval checks them by.
+        w_q_sha256 = manifest.array_digest(manifest.load_query(m, base, layer))
         w_q_rel = f"weights/{manifest.layer_file(layer, 'w_q')}"
-        shutil.copyfile(base / entry.w_q, out / w_q_rel)
+        cov_rel = f"cov/{manifest.layer_file(layer, 'cov')}"
+        _place(base / entry.w_q, out / w_q_rel)
+        _place(Path(args.cov_dir) / manifest.layer_file(layer, "cov"), out / cov_rel)
         paths = {name: f"factors/{manifest.layer_file(layer, name)}"
                  for name in ("w_a_k", "w_b_k", "w_a_v", "w_b_v")}
         for name, rel in paths.items():
             ctf.write_ctf(out / rel, getattr(factors, name))
         entries.append(dataclasses.replace(
-            entry, w_q=w_q_rel, w_k_g=None, w_v_g=None, r_k=r_k, r_v=r_v, **paths
+            entry, w_q=w_q_rel, w_k_g=None, w_v_g=None, r_k=r_k, r_v=r_v, **paths,
+            cov=cov_rel, cov_sha256=step.cov_sha256, w_q_sha256=w_q_sha256,
+            w_k_sha256=step.w_sha256[scheduler.KIND_K],
+            w_v_sha256=step.w_sha256[scheduler.KIND_V],
         ))
         report_layers.append(
             {
@@ -361,7 +403,7 @@ def cmd_convert(args) -> None:
             f"V={report_v.whitened_residual_sq:.3e}"
         )
         # None of this layer's arrays stay alive while the next one is read.
-        del gqa, whitener, spectra, factors
+        del step, whitener, factors
 
     converted = manifest.ModelManifest(
         model_kind=manifest.MODEL_KIND_MLA,
@@ -400,13 +442,14 @@ def _eval_layer(
     gqa: factorizer.GqaLayer,
     factors: factorizer.MlaFactors,
     w_q_conv: np.ndarray,
-    batches: Iterable[calibration.CalibrationBatch],
     rng: np.random.Generator,
     t: int,
     params: metrics.LossParams,
     rope_dim: int,
 ) -> dict:
-    """Compare one converted layer with its source and return its report.
+    """Compare one converted layer with its source and return its report,
+    all but the activation residuals, which cmd_eval adds from the layer's
+    covariance.
 
     Draws from rng in a fixed order: probe input, then targets. The two
     content forwards run in one attention.compare pass, so no
@@ -424,22 +467,6 @@ def _eval_layer(
     )
     output_drift = float(np.max(np.abs(output_g - output_m)))
 
-    # One pass over the batches, which may be read lazily: each adds its K
-    # and V residual, so one batch is held at a time. The sums and the
-    # division equal activation_residual over the whole list.
-    act_k = act_v = 0.0
-    count = 0
-    for batch in batches:
-        act_k += factorizer.activation_residual(
-            [batch], gqa.w_k_g, factors.w_a_k, factors.w_b_k, gqa
-        )
-        act_v += factorizer.activation_residual(
-            [batch], gqa.w_v_g, factors.w_a_v, factors.w_b_v, gqa
-        )
-        count += 1
-    act_k /= count
-    act_v /= count
-
     teacher = metrics.LogitSequence(output_g, targets)
     student = metrics.LogitSequence(output_m, targets)
     ce_teacher = metrics.cross_entropy(teacher, params.tau)
@@ -452,8 +479,6 @@ def _eval_layer(
 
     report = {
         "layer": layer,
-        "activation_residual_k": act_k,
-        "activation_residual_v": act_v,
         "logit_drift_max": drift.max_abs,
         "logit_drift_frob": drift.frob,
         "output_drift_max": output_drift,
@@ -507,12 +532,27 @@ def cmd_eval(args) -> None:
     t = source.seq_len
     layer_reports = []
     for layer in range(len(source.layers)):
-        gqa = manifest.load_gqa_layer(source, src_base, layer)
-        factors, w_q_conv = manifest.load_mla_bundle(converted, conv_base, layer)
-        batches = manifest.iter_batches(source, src_base, layer, args.batches_dir)
-        layer_reports.append(
-            _eval_layer(layer, gqa, factors, w_q_conv, batches, rng, t, params, args.rope_dim)
-        )
+        entry = converted.layer(layer)
+        kv = manifest.load_grouped_kv(source, src_base, layer)
+        factors = manifest.load_mla_factors(converted, conv_base, layer)
+        # The residuals come first, from only the weights they read, so the
+        # covariance and its products are freed before either query
+        # projection or any attention buffer is allocated. On `wide` eval
+        # peaked at 94.0 MB so, and at 97.4 MB with the covariance read
+        # after the forwards (ru_maxrss, numpy on 2 BLAS threads).
+        c = manifest.load_bundle_covariance(converted, conv_base, layer)
+        residuals = {
+            f"activation_residual_{kind}": factorizer.covariance_residual(c, *weights, kv)
+            for kind, weights in (("k", (kv.w_k_g, factors.w_a_k, factors.w_b_k)),
+                                  ("v", (kv.w_v_g, factors.w_a_v, factors.w_b_v)))
+        }
+        del c
+        gqa = factorizer.GqaLayer.from_grouped(kv, manifest.load_query(source, src_base, layer))
+        manifest.check_source(entry, gqa)
+        w_q_conv = manifest.load_query(converted, conv_base, layer)
+        report = _eval_layer(layer, gqa, factors, w_q_conv, rng, t, params, args.rope_dim)
+        report.update(residuals)
+        layer_reports.append(report)
     # Per-token widths summed over layers; every layer caches t tokens.
     width_gqa = sum(r["cache_width_gqa"] for r in layer_reports)
     width_mla = sum(r.get("cache_width_mla_rope", r["cache_width_mla"]) for r in layer_reports)
@@ -714,7 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="compare a converted model against its source")
     p.add_argument("--source", required=True)
     p.add_argument("--converted", required=True)
-    p.add_argument("--batches-dir", default=None)
     p.add_argument("--rope-dim", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tau", type=float, default=1.0)

@@ -18,6 +18,7 @@ or nonzero dims whose product overflows the address space, even next to a
 zero dim) is refused like any other malformed header.
 """
 
+import contextlib
 import hashlib
 import os
 import struct
@@ -45,8 +46,11 @@ _PAYLOAD_SHIFT = -_HEADER.size % 8
 
 def write_ctf(path, array, dtype_code: int = DTYPE_F64, digest: bool = False) -> str | None:
     """Serialize `array` to `path`; parent directories must already exist.
-    With `digest`, return the sha256 of the bytes written, as read_ctf_digest
-    gives it; hashing costs about 1 ms per MB, so it is done only on request."""
+    The bytes go to a `.partial` sibling that is then renamed over `path`,
+    so `path` never holds a half-written tensor, and a file that was there,
+    or a hard link to it elsewhere, keeps its bytes. With `digest`, return
+    the sha256 of the bytes written, as read_ctf_digest gives it; hashing
+    costs about 1 ms per MB, so it is done only on request."""
     if dtype_code not in _NP_DTYPES:
         raise ValidationError(f"unknown dtype code {dtype_code}")
     arr = np.asarray(array, dtype=np.float64)
@@ -60,9 +64,16 @@ def write_ctf(path, array, dtype_code: int = DTYPE_F64, digest: bool = False) ->
         _DIM.pack(d) for d in arr.shape
     )
     payload = np.ascontiguousarray(arr, dtype=_NP_DTYPES[dtype_code])
-    with open(path, "wb") as out:
-        out.write(header)
-        out.write(payload.data)
+    partial = f"{os.fspath(path)}.partial"
+    try:
+        with open(partial, "wb") as out:
+            out.write(header)
+            out.write(payload.data)
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
     if not digest:
         return None
     sha256 = hashlib.sha256(header)

@@ -23,11 +23,12 @@ plain SVD truncation.
 
 Geometry is a layer's shape and the one place it is checked: every size
 is at least 1, d_model = n_heads * head_dim, n_groups divides n_heads, and
-head h reads group floor(h * n_groups / n_heads). GqaLayer and
+head h reads group floor(h * n_groups / n_heads). GroupedKv (a layer's
+grouped K and V projections), its subclass GqaLayer and
 manifest.LayerEntry are Geometries, and replicate_groups,
-grouped_factorize and activation_residual take one. The weight to
-approximate is the grouped projection W_g replicated to full head width,
-W = W_g P, where P copies each group block to its
+grouped_factorize, activation_residual and covariance_residual take one.
+The weight to approximate is the grouped projection W_g replicated to
+full head width, W = W_g P, where P copies each group block to its
 m = n_heads / n_groups heads and P P^T = m I. So if S W_g = U Sigma V^T,
 then S W = U (sqrt(m) Sigma) (V^T P / sqrt(m)) is an SVD of S W.
 grouped_factorize therefore truncates the whitened SVD of W_g at grouped
@@ -41,13 +42,13 @@ retained energy fraction is unchanged by the lift. The replicated weight
 has rank grouped_width, which is also the latent width that leaves
 the per-token cache unchanged; at that rank the factorization is exact.
 
-Each layer format owns its per-token cache width: GqaLayer.cache_width is
-2 * grouped_width, and MlaFactors.cache_width is r_k + r_v, the
-latent widths read off the factor shapes.
+Each layer format owns its per-token cache width: GroupedKv.cache_width
+(and so GqaLayer's) is 2 * grouped_width, and MlaFactors.cache_width is
+r_k + r_v, the latent widths read off the factor shapes.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -107,27 +108,23 @@ class Geometry:
 
 
 @dataclass(frozen=True)
-class GqaLayer(Geometry):
-    """Weight bundle of one grouped-query attention layer."""
+class GroupedKv(Geometry):
+    """The grouped key and value projections of one layer, each d_model x
+    grouped_width: all that schedule and convert read of a source layer."""
 
-    w_q: np.ndarray
     w_k_g: np.ndarray
     w_v_g: np.ndarray
 
     def __post_init__(self):
         super().__post_init__()
-        wq = linalg.as_matrix(self.w_q, "w_q")
         wk = linalg.as_matrix(self.w_k_g, "w_k_g")
         wv = linalg.as_matrix(self.w_v_g, "w_v_g")
-        if wq.shape != (self.d_model, self.d_model):
-            raise ValidationError(f"w_q has shape {wq.shape}")
         grouped = (self.d_model, self.grouped_width)
         if wk.shape != grouped or wv.shape != grouped:
             raise ValidationError(
                 f"grouped projections must have shape {grouped}, "
                 f"got {wk.shape} and {wv.shape}"
             )
-        object.__setattr__(self, "w_q", wq)
         object.__setattr__(self, "w_k_g", wk)
         object.__setattr__(self, "w_v_g", wv)
 
@@ -135,6 +132,27 @@ class GqaLayer(Geometry):
     def cache_width(self) -> int:
         """Reals cached per token: one grouped key and one grouped value."""
         return 2 * self.grouped_width
+
+
+@dataclass(frozen=True)
+class GqaLayer(GroupedKv):
+    """Weight bundle of one grouped-query attention layer: its grouped K and
+    V projections and its d_model x d_model query projection, which is
+    keyword-only."""
+
+    w_q: np.ndarray = field(kw_only=True)
+
+    def __post_init__(self):
+        super().__post_init__()
+        wq = linalg.as_matrix(self.w_q, "w_q")
+        if wq.shape != (self.d_model, self.d_model):
+            raise ValidationError(f"w_q has shape {wq.shape}")
+        object.__setattr__(self, "w_q", wq)
+
+    @classmethod
+    def from_grouped(cls, kv: GroupedKv, w_q) -> "GqaLayer":
+        """The layer of grouped projections `kv` and query projection `w_q`."""
+        return cls(**asdict(kv.geometry), w_k_g=kv.w_k_g, w_v_g=kv.w_v_g, w_q=w_q)
 
 
 class FactorPair(NamedTuple):
@@ -352,6 +370,42 @@ def activation_residual(
     return total / len(batches)
 
 
+def covariance_residual(c, w_g, w_a, w_b, geometry: Geometry) -> float:
+    """activation_residual of the factored weight w_a @ w_b against the
+    grouped weight w_g replicated to head width, from the covariance
+    C = (1/N) sum_b X_b^T X_b of the N batches instead of the batches:
+
+        (1/N) sum_b ||X_b dW||_F^2 = tr(dW^T C dW),  dW = replicate_groups(w_g) - w_a w_b.
+
+    It is summed over head blocks, C dW_h = (C w_g)_g(h) - (C w_a) (w_b)_h,
+    so neither dW nor any other D x D product is formed; the cost is
+    D^2 (grouped_width + r) plus D r d_model, whatever the token count.
+    """
+    c = linalg.as_matrix(c, "c")
+    w_g = linalg.as_matrix(w_g, "w_g")
+    w_a = linalg.as_matrix(w_a, "w_a")
+    w_b = linalg.as_matrix(w_b, "w_b")
+    d = w_g.shape[0]
+    if c.shape != (d, d):
+        raise ValidationError(f"covariance {c.shape} does not match weight rows {d}")
+    if (w_g.shape[1] != geometry.grouped_width or w_a.shape[0] != d
+            or w_b.shape[1] != geometry.d_model or w_a.shape[1] != w_b.shape[0]):
+        raise ValidationError(
+            f"factors {w_a.shape} @ {w_b.shape} do not approximate the grouped "
+            f"{w_g.shape} weight at head width {geometry.d_model}"
+        )
+    c_w_g = c @ w_g
+    c_w_a = c @ w_a
+    hd = geometry.head_dim
+    total = 0.0
+    for h, g in enumerate(geometry.head_groups):
+        group, head = slice(g * hd, (g + 1) * hd), slice(h * hd, (h + 1) * hd)
+        diff = w_g[:, group] - w_a @ w_b[:, head]
+        c_diff = c_w_g[:, group] - c_w_a @ w_b[:, head]
+        total += float(np.vdot(diff, c_diff))
+    return total
+
+
 def ablate_singular_value(w, i: int) -> tuple[float, np.ndarray]:
     """The i-th largest singular value (1-based) of w, and w with it zeroed,
     both from one SVD."""
@@ -365,7 +419,7 @@ def ablate_singular_value(w, i: int) -> tuple[float, np.ndarray]:
     return float(res.singular_values[i - 1]), (res.u * damped) @ res.v_t
 
 
-def layer_spectra(layer: GqaLayer, whitener: Whitener) -> tuple[WhitenedSvd, WhitenedSvd]:
+def layer_spectra(layer: GroupedKv, whitener: Whitener) -> tuple[WhitenedSvd, WhitenedSvd]:
     """whitened_svd of the grouped K and V projections against the layer's
     one whitener: what schedule water-fills and stores, and what
     convert_layer truncates."""
@@ -373,7 +427,7 @@ def layer_spectra(layer: GqaLayer, whitener: Whitener) -> tuple[WhitenedSvd, Whi
 
 
 def convert_layer(
-    layer: GqaLayer, spectra: tuple[WhitenedSvd, WhitenedSvd], r_k: int, r_v: int
+    layer: GroupedKv, spectra: tuple[WhitenedSvd, WhitenedSvd], r_k: int, r_v: int
 ) -> tuple[MlaFactors, FactorizationReport, FactorizationReport]:
     """Factorize the grouped K and V projections independently by truncating
     `spectra`, their layer_spectra against one whitener, such as the ones

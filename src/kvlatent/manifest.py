@@ -1,15 +1,18 @@
 """JSON manifests gluing the pipeline stages together.
 
-Two document kinds exist: model manifests (source layers or converted
-latent factors, plus calibration batch listings and whitening settings) and
-rank-profile files, which may also record where the eigenvalues and
-whitened spectra that `schedule` computed for each layer are stored. All
-documents are written with sorted keys and no timestamps so reruns are
-byte-identical; every tensor path is stored relative to the manifest's
-directory.
+Two document kinds exist: model manifests (source layers, or converted
+latent factors with the covariance and the digests of the source layer
+each was converted from, plus calibration batch listings and whitening
+settings) and rank-profile files, which may also record where the
+eigenvalues and whitened spectra that `schedule` computed for each layer
+are stored. All documents are written with sorted keys and no timestamps
+so reruns are byte-identical; every tensor path is stored relative to the
+manifest's directory.
 
 Every per-layer tensor file is named by `layer_file`, wherever a stage
-writes it, and a stage reads a layer's covariance through `load_covariance`.
+writes it. A stage reads a layer's covariance through `load_covariance`,
+and `eval` reads the one a converted layer names through the digest-checked
+`load_bundle_covariance`.
 """
 
 import hashlib
@@ -27,7 +30,7 @@ import numpy as np
 from . import ctf
 from .calibration import CalibrationBatch, ShrinkageParams
 from .errors import ValidationError
-from .factorizer import Geometry, GqaLayer, MlaFactors, WhitenedSvd
+from .factorizer import Geometry, GqaLayer, GroupedKv, MlaFactors, WhitenedSvd
 from .rng import check_seed
 from .scheduler import KIND_K, KIND_V, KINDS, RankProfile
 
@@ -37,7 +40,10 @@ MODEL_FORMAT = "kvlatent-model"
 PROFILE_FORMAT = "kvlatent-rank-profile"
 PROFILE_MODES = ("adjusted", "uniform")
 DOC_VERSION = 1
-_TENSORS = ("w_q", "w_k_g", "w_v_g", "w_a_k", "w_b_k", "w_a_v", "w_b_v")
+_TENSORS = ("w_q", "w_k_g", "w_v_g", "w_a_k", "w_b_k", "w_a_v", "w_b_v", "cov")
+# What a converted layer records of its source: the array_digest of the
+# covariance it was whitened with and of each source weight.
+_SOURCE_DIGESTS = ("cov_sha256", "w_q_sha256", "w_k_sha256", "w_v_sha256")
 _SHA256 = re.compile(r"[0-9a-f]{64}")
 # ShrinkageParams field -> the JSON key documents store it under.
 _SHRINKAGE_KEYS = {"alpha": "alpha", "lam": "lambda", "weighting": "weighting"}
@@ -49,7 +55,9 @@ STORED_TENSORS = ("eigenvalues", *_SVD_TENSORS[0], *_SVD_TENSORS[1])
 
 @dataclass(frozen=True)
 class LayerEntry(Geometry):
-    """Per-layer geometry and tensor paths; optional fields depend on model kind."""
+    """Per-layer geometry and tensor paths; optional fields depend on model
+    kind. A converted layer also names the covariance it was whitened with
+    (`cov`) and records the _SOURCE_DIGESTS of its source layer."""
 
     layer: int
     w_q: str
@@ -61,6 +69,11 @@ class LayerEntry(Geometry):
     w_b_k: str | None = None
     w_a_v: str | None = None
     w_b_v: str | None = None
+    cov: str | None = None
+    cov_sha256: str | None = None
+    w_q_sha256: str | None = None
+    w_k_sha256: str | None = None
+    w_v_sha256: str | None = None
 
 
 @dataclass(frozen=True)
@@ -80,7 +93,7 @@ class ModelManifest:
 
 def _entry_to_json(entry: LayerEntry) -> dict:
     doc = {"layer": entry.layer, **asdict(entry.geometry), "w_q": entry.w_q}
-    for name in ("w_k_g", "w_v_g", "r_k", "r_v", "w_a_k", "w_b_k", "w_a_v", "w_b_v"):
+    for name in (*_TENSORS[1:], "r_k", "r_v", *_SOURCE_DIGESTS):
         value = getattr(entry, name)
         if value is not None:
             doc[name] = value
@@ -136,6 +149,12 @@ def load_manifest(path) -> ModelManifest:
             or entry.w_b_k is None or entry.w_a_v is None or entry.w_b_v is None
         ):
             raise ValidationError(f"{path}: layer {i} is missing latent factors")
+        if kind == MODEL_KIND_MLA and None in (
+            entry.cov, *(getattr(entry, name) for name in _SOURCE_DIGESTS)
+        ):
+            raise ValidationError(
+                f"{path}: layer {i} records no covariance or source digests; re-run convert"
+            )
         layers.append(entry)
     raw_calibration = doc.get("calibration", {})
     if not isinstance(raw_calibration, dict):
@@ -192,8 +211,10 @@ def _entry_from_json(raw, where: str) -> LayerEntry:
     for name in ("r_k", "r_v"):
         if raw.get(name) is not None:
             ints[name] = _int(raw[name], f"{where}: {name}", minimum=1)
+    digests = {name: _sha256(raw, name, where) for name in _SOURCE_DIGESTS
+               if raw.get(name) is not None}
     try:
-        return LayerEntry(**ints, **tensors)
+        return LayerEntry(**ints, **tensors, **digests)
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
 
@@ -252,34 +273,77 @@ def load_covariance(cov_dir, layer: int, d_model: int) -> np.ndarray:
                         f"layer {layer} covariance")
 
 
-def load_gqa_layer(m: ModelManifest, base_dir, index: int) -> GqaLayer:
+def load_grouped_kv(m: ModelManifest, base_dir, index: int) -> GroupedKv:
+    """One source layer's grouped K and V projections, without its w_q."""
     entry = m.layer(index)
     if m.model_kind != MODEL_KIND_GQA:
         raise ValidationError("manifest does not describe a grouped-attention model")
-    full = (entry.d_model, entry.d_model)
     grouped = (entry.d_model, entry.grouped_width)
-    return GqaLayer(
+    return GroupedKv(
         **asdict(entry.geometry),
-        w_q=_load_tensor(base_dir, entry.w_q, full, f"layer {index} w_q"),
         w_k_g=_load_tensor(base_dir, entry.w_k_g, grouped, f"layer {index} w_k_g"),
         w_v_g=_load_tensor(base_dir, entry.w_v_g, grouped, f"layer {index} w_v_g"),
     )
 
 
+def load_query(m: ModelManifest, base_dir, index: int) -> np.ndarray:
+    """One layer's D x D query projection, of a source or a converted model."""
+    entry = m.layer(index)
+    d = entry.d_model
+    return _load_tensor(base_dir, entry.w_q, (d, d), f"layer {index} w_q")
+
+
+def load_gqa_layer(m: ModelManifest, base_dir, index: int) -> GqaLayer:
+    return GqaLayer.from_grouped(load_grouped_kv(m, base_dir, index),
+                                 load_query(m, base_dir, index))
+
+
 def load_mla_bundle(m: ModelManifest, base_dir, index: int) -> tuple[MlaFactors, np.ndarray]:
     """One converted layer's latent factors and its query projection."""
+    return load_mla_factors(m, base_dir, index), load_query(m, base_dir, index)
+
+
+def load_mla_factors(m: ModelManifest, base_dir, index: int) -> MlaFactors:
+    """One converted layer's latent factors."""
     entry = m.layer(index)
     if m.model_kind != MODEL_KIND_MLA:
         raise ValidationError("manifest does not describe a converted model")
     d = entry.d_model
-    factors = MlaFactors(
+    return MlaFactors(
         w_a_k=_load_tensor(base_dir, entry.w_a_k, (d, entry.r_k), f"layer {index} w_a_k"),
         w_b_k=_load_tensor(base_dir, entry.w_b_k, (entry.r_k, d), f"layer {index} w_b_k"),
         w_a_v=_load_tensor(base_dir, entry.w_a_v, (d, entry.r_v), f"layer {index} w_a_v"),
         w_b_v=_load_tensor(base_dir, entry.w_b_v, (entry.r_v, d), f"layer {index} w_b_v"),
     )
-    w_q = _load_tensor(base_dir, entry.w_q, (d, d), f"layer {index} w_q")
-    return factors, w_q
+
+
+def load_bundle_covariance(m: ModelManifest, base_dir, index: int) -> np.ndarray:
+    """The covariance a converted layer was whitened with, refused unless
+    its array_digest is the one the layer records."""
+    entry = m.layer(index)
+    if m.model_kind != MODEL_KIND_MLA:
+        raise ValidationError("manifest does not describe a converted model")
+    c = _load_tensor(base_dir, entry.cov, (entry.d_model, entry.d_model),
+                     f"layer {index} covariance")
+    if array_digest(c) != entry.cov_sha256:
+        raise ValidationError(
+            f"layer {index} covariance ({entry.cov}): sha256 does not match the "
+            f"converted manifest's record; re-run convert"
+        )
+    return c
+
+
+def check_source(entry: LayerEntry, gqa: GqaLayer) -> None:
+    """Refuse a source layer whose weights are not the ones the converted
+    layer `entry` records."""
+    found = {"w_q": array_digest(gqa.w_q),
+             **{f"w_{kind.lower()}": digest for kind, digest in weight_digests(gqa).items()}}
+    for name, digest in found.items():
+        if getattr(entry, f"{name}_sha256") != digest:
+            raise ValidationError(
+                f"layer {entry.layer}: the source's {name} is not the one this layer "
+                f"was converted from (sha256 differs)"
+            )
 
 
 def iter_batches(
@@ -339,8 +403,9 @@ def array_digest(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64)).hexdigest()
 
 
-def _weight_digests(gqa: GqaLayer) -> dict[str, str]:
-    return {KIND_K: array_digest(gqa.w_k_g), KIND_V: array_digest(gqa.w_v_g)}
+def weight_digests(kv: GroupedKv) -> dict[str, str]:
+    """Each kind's array_digest of its grouped weight."""
+    return {KIND_K: array_digest(kv.w_k_g), KIND_V: array_digest(kv.w_v_g)}
 
 
 def spectra_dir(profile_path: Path) -> Path:
@@ -348,47 +413,49 @@ def spectra_dir(profile_path: Path) -> Path:
     return profile_path.with_name(profile_path.stem + "_spectra")
 
 
-def store_spectra(directory: Path, profile_path: Path, layer: int, c: np.ndarray,
-                  gqa: GqaLayer, shrinkage: ShrinkageParams, eigenvalues: np.ndarray,
+def store_spectra(directory: Path, profile_path: Path, layer: int, cov_sha256: str,
+                  w_sha256: dict[str, str], shrinkage: ShrinkageParams,
+                  eigenvalues: np.ndarray,
                   spectra: tuple[WhitenedSvd, WhitenedSvd]) -> SpectrumRecord:
     """Write one layer's raw eigenvalues and whitened SVDs into `directory`,
     which becomes the profile's spectra_dir, and record what they were
-    computed from, with each file's path in the profile and sha256."""
+    computed from (the digests of the covariance and of each kind's weight),
+    with each file's path in the profile and sha256."""
     rel_dir = spectra_dir(profile_path).name
     files = {}
     for name, array in zip(STORED_TENSORS, (eigenvalues, *spectra[0], *spectra[1])):
         file = layer_file(layer, name)
         sha256 = ctf.write_ctf(directory / file, array, digest=True)
         files[name] = StoredTensor(f"{rel_dir}/{file}", sha256)
-    return SpectrumRecord(layer=layer, cov_sha256=array_digest(c),
-                          w_sha256=_weight_digests(gqa), shrinkage=shrinkage, files=files)
+    return SpectrumRecord(layer=layer, cov_sha256=cov_sha256, w_sha256=w_sha256,
+                          shrinkage=shrinkage, files=files)
 
 
-def miss_reason(record: SpectrumRecord | None, c: np.ndarray, gqa: GqaLayer | None,
-                shrinkage: ShrinkageParams) -> str | None:
-    """Why the spectra `record` names cannot stand in for those of layer
-    `gqa` with covariance `c` under `shrinkage`, or None when they can.
-    `gqa` is read only when there is a record."""
+def miss_reason(record: SpectrumRecord | None, cov_sha256: str,
+                w_sha256: dict[str, str] | None, shrinkage: ShrinkageParams) -> str | None:
+    """Why the spectra `record` names cannot stand in for those of a layer
+    whose covariance and weights have these digests, under `shrinkage`, or
+    None when they can. `w_sha256` is read only when there is a record."""
     if record is None:
         return "no record"
     if record.shrinkage != shrinkage:
         return "parameter override"
-    if record.cov_sha256 != array_digest(c):
+    if record.cov_sha256 != cov_sha256:
         return "covariance changed"
-    if record.w_sha256 != _weight_digests(gqa):
+    if record.w_sha256 != w_sha256:
         return "weight changed"
     return None
 
 
 def load_spectra(record: SpectrumRecord, base_dir,
-                 gqa: GqaLayer) -> tuple[np.ndarray, tuple[WhitenedSvd, WhitenedSvd]]:
+                 kv: GroupedKv) -> tuple[np.ndarray, tuple[WhitenedSvd, WhitenedSvd]]:
     """The raw eigenvalues and the (K, V) whitened SVDs a record names, for
-    layer `gqa`. Every file must match its recorded sha256 and its shape."""
+    layer `kv`. Every file must match its recorded sha256 and its shape."""
     def load(name, shape):
         path, sha256 = record.files[name]
         return _load_tensor(base_dir, path, shape, f"layer {record.layer} {name}", sha256)
 
-    d_model, width = gqa.w_k_g.shape
+    d_model, width = kv.w_k_g.shape
     p = min(d_model, width)
     spectra = tuple(
         WhitenedSvd(load(sigma, (p,)), load(v_t, (p, width))) for sigma, v_t in _SVD_TENSORS

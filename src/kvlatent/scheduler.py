@@ -63,6 +63,10 @@ class SpectrumTable:
     def full_rank(self, layer: int, kind: str) -> int:
         return int(self.get(layer, kind).shape[0])
 
+    def full_ranks(self, kind: str) -> dict[int, int]:
+        """Each layer's full rank for one kind."""
+        return {l: self.full_rank(l, kind) for l in self.layers(kind)}
+
     def layers(self, kind: str) -> list[int]:
         _check_kind(kind)
         return sorted(l for (l, k) in self._entries if k == kind)
@@ -158,7 +162,7 @@ def waterfill_trace(
     layers = table.layers(kind)
     if not layers:
         raise ValidationError(f"spectrum table has no entries of kind {kind}")
-    full = {l: table.full_rank(l, kind) for l in layers}
+    full = table.full_ranks(kind)
     reason = budget_refusal(list(full.values()), budget, min_rank)
     if reason is not None:
         raise ValidationError(reason)
@@ -202,12 +206,12 @@ def waterfill(table: SpectrumTable, kind: str, budget: int, min_rank: int) -> di
     return ranks
 
 
-def uniform_profile(table: SpectrumTable, kind: str, rank: int) -> dict[int, int]:
-    """Give every entry the same rank, clamped to its full rank."""
-    _check_kind(kind)
+def uniform_profile(full_ranks: dict[int, int], rank: int) -> dict[int, int]:
+    """Give every layer the same rank, clamped to its full rank; the map is
+    layer -> full rank, such as SpectrumTable.full_ranks gives."""
     if rank < 1:
         raise ValidationError("rank must be at least 1")
-    return {l: min(rank, table.full_rank(l, kind)) for l in table.layers(kind)}
+    return {l: min(rank, full) for l, full in full_ranks.items()}
 
 
 def build_profile(table: SpectrumTable, ranks: dict[str, dict[int, int]],

@@ -198,7 +198,7 @@ def test_criterion_06_heterogeneity():
         for budget in range(2 * min_rank + 2, 2 * min_rank + 16, 3):
             adjusted = scheduler.waterfill(table, "K", budget, min_rank)
             assert adjusted[1] > adjusted[0]
-        uniform = scheduler.uniform_profile(table, "K", min_rank + 5)
+        uniform = scheduler.uniform_profile(table.full_ranks("K"), min_rank + 5)
         assert not uniform[1] > uniform[0]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -173,10 +174,7 @@ class TestGqaForward:
     def test_zero_values_zero_output(self):
         rng = gen(412)
         layer = random_gqa_layer(rng)
-        zeroed = type(layer)(
-            layer.d_model, layer.n_heads, layer.head_dim, layer.n_groups,
-            layer.w_q, layer.w_k_g, np.zeros_like(layer.w_v_g),
-        )
+        zeroed = dataclasses.replace(layer, w_v_g=np.zeros_like(layer.w_v_g))
         trace = gqa_forward(zeroed, rng.standard_normal((4, 16)))
         assert np.array_equal(trace.output, np.zeros_like(trace.output))
 

@@ -1,5 +1,7 @@
+import errno
 import filecmp
 import json
+import os
 import shutil
 import tracemalloc
 import warnings
@@ -334,6 +336,19 @@ class TestSchedule:
         profile, mode, _ = manifest.load_profile(tmp_path / "p.json")
         assert mode == "uniform"
         assert set(profile.ranks.values()) == {5}
+
+    def test_reads_no_query_projection(self, tmp_path):
+        model = gen_model(tmp_path / "m")
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--parity", "--out", tmp_path / "a/p.json") == 0
+        for layer in range(2):
+            (model.parent / f"weights/layer00{layer}_w_q.ctf").unlink()
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--parity", "--out", tmp_path / "b/p.json") == 0
+        assert tree_bytes(tmp_path / "b") == tree_bytes(tmp_path / "a")
 
     def test_singular_whitener_exits_3_and_keeps_the_old_profile(self, tmp_path, capsys):
         # 4 tokens in 16 dims with weighting C and a tiny lambda: every
@@ -812,6 +827,33 @@ class TestConvert:
         assert not [name for name in left if name.endswith(".json") or ".partial" in name]
         assert "factors/layer000_w_a_k.ctf" in left
 
+    def test_bundle_links_w_q_and_covariance(self, tmp_path):
+        pipeline(tmp_path)
+        for layer in range(2):
+            for source, placed in (
+                (f"model/weights/layer00{layer}_w_q.ctf", f"weights/layer00{layer}_w_q.ctf"),
+                (f"cov/layer00{layer}_cov.ctf", f"cov/layer00{layer}_cov.ctf"),
+            ):
+                assert os.path.samefile(tmp_path / source, tmp_path / "converted" / placed)
+        before = tree_bytes(tmp_path / "converted")
+        # gen replaces its files, so the bundle's links keep the old bytes.
+        gen_model(tmp_path / "model", seed=7)
+        assert run("cov", "--manifest", tmp_path / "model/model.json",
+                   "--out", tmp_path / "cov") == 0
+        assert tree_bytes(tmp_path / "converted") == before
+
+    def test_copies_where_linking_fails(self, tmp_path, monkeypatch):
+        linked = pipeline(tmp_path / "linked")
+
+        def cross_device(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        monkeypatch.setattr(os, "link", cross_device)
+        copied = pipeline(tmp_path / "copied")
+        assert tree_bytes(copied) == tree_bytes(linked)
+        assert not os.path.samefile(copied / "cov/layer000_cov.ctf",
+                                    copied / "converted/cov/layer000_cov.ctf")
+
 
 def convert_tree(tmp_path: Path, model: Path, cov_dir: Path, profile: Path, out: str,
                  *args) -> dict[str, bytes]:
@@ -1228,6 +1270,69 @@ class TestEval:
         totals = report["totals"]
         assert (totals["gqa_bytes"], totals["mla_bytes"]) == (gqa * 8 * 4, mla * 8 * 4)
 
+    def test_same_report_without_any_batch_file(self, tmp_path):
+        pipeline(tmp_path, schedule_args=("--mode", "uniform", "--rank", "3"))
+        shutil.rmtree(tmp_path / "model/batches")
+        assert run("eval", "--source", tmp_path / "model/model.json",
+                   "--converted", tmp_path / "converted/converted.json",
+                   "--seed", 0, "--out", tmp_path / "again") == 0
+        assert tree_bytes(tmp_path / "again") == tree_bytes(tmp_path / "eval")
+
+    @pytest.mark.parametrize("fault, code, message", [
+        ("no cov key", 2, "layer 1 records no covariance or source digests; re-run convert"),
+        ("tampered", 2, "layer 1 covariance (cov/layer001_cov.ctf): sha256 does not match"),
+        ("wrong shape", 2, "layer 1 covariance (cov/layer001_cov.ctf): shape (8, 8)"),
+        ("no file", 4, "layer001_cov.ctf"),
+    ])
+    def test_bundle_covariance_fault_leaves_no_report(self, tmp_path, capsys, fault, code,
+                                                      message):
+        pipeline(tmp_path)
+        converted = tmp_path / "converted/converted.json"
+        cov = tmp_path / "converted/cov/layer001_cov.ctf"
+        if fault == "no cov key":
+            doc = json.loads(converted.read_text())
+            del doc["layers"][1]["cov"]
+            converted.write_text(json.dumps(doc))
+        elif fault == "tampered":
+            ctf.write_ctf(cov, ctf.read_ctf(cov) * (1.0 + 1e-15))
+        elif fault == "wrong shape":
+            ctf.write_ctf(cov, np.eye(8))
+        else:
+            cov.unlink()
+        capsys.readouterr()
+        assert run("eval", "--source", tmp_path / "model/model.json", "--converted", converted,
+                   "--out", tmp_path / "fresh") == code
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err, err
+        assert not (tmp_path / "fresh/eval_report.json").exists()
+
+    def test_source_of_another_seed_is_refused(self, tmp_path, capsys):
+        pipeline(tmp_path)
+        other = gen_model(tmp_path / "other", seed=43)
+        capsys.readouterr()
+        assert run("eval", "--source", other,
+                   "--converted", tmp_path / "converted/converted.json",
+                   "--out", tmp_path / "eval") == 2
+        err = capsys.readouterr().err
+        assert err == ("error: layer 0: the source's w_q is not the one this layer was "
+                       "converted from (sha256 differs)\n")
+        assert tree_bytes(tmp_path / "eval") == {}
+
+    @pytest.mark.parametrize("name, tensor", [("w_q", "w_q"), ("w_k", "w_k_g"),
+                                              ("w_v", "w_v_g")])
+    def test_changed_source_weight_is_refused(self, tmp_path, capsys, name, tensor):
+        pipeline(tmp_path)
+        path = tmp_path / f"model/weights/layer001_{tensor}.ctf"
+        ctf.write_ctf(path, ctf.read_ctf(path) * 2.0)
+        capsys.readouterr()
+        assert run("eval", "--source", tmp_path / "model/model.json",
+                   "--converted", tmp_path / "converted/converted.json",
+                   "--out", tmp_path / "eval") == 2
+        assert capsys.readouterr().err == (
+            f"error: layer 1: the source's {name} is not the one this layer was "
+            f"converted from (sha256 differs)\n")
+        assert tree_bytes(tmp_path / "eval") == {}
+
 
 def assert_close_tree(got, want, rel, path="report"):
     """Equal keys and non-float leaves; floats within `rel` relative."""
@@ -1330,14 +1435,12 @@ class TestEvalMemory:
         layer = random_gqa_layer(rng)
         spectra = factorizer.layer_spectra(layer, identity_whitener(16))
         factors, _, _ = factorizer.convert_layer(layer, spectra, 3, 4)
-        batches = [calibration.CalibrationBatch(0, rng.standard_normal((8, 16)))
-                   for _ in range(2)]
         t = 1024
         score_bytes = layer.n_heads * t * t * 8
         tracemalloc.start()
         try:
             report = cli._eval_layer(
-                0, layer, factors, layer.w_q, batches, rng, t, metrics.LossParams(), 4
+                0, layer, factors, layer.w_q, rng, t, metrics.LossParams(), 4
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -1345,31 +1448,17 @@ class TestEvalMemory:
         assert report["cache_width_mla_rope"] == 3 + 4 + 4
         assert peak < score_bytes, (peak, score_bytes)
 
-    def test_holds_one_batch_at_a_time(self, tmp_path):
-        d, seq, batches = 128, 512, 16
-        model = gen_model(tmp_path / "m", layers=1, d=d, heads=4, head_dim=32, seq=seq,
-                          batches=batches)
-        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
-        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
-                   "--parity", "--out", tmp_path / "p.json") == 0
-        assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
-                   "--profile", tmp_path / "p.json", "--out", tmp_path / "c") == 0
-        # A short probe, so the batches dominate what eval allocates.
-        doc = json.loads(model.read_text())
-        doc["seq_len"] = 8
-        model.write_text(json.dumps(doc))
-        batch_bytes = seq * d * 8
-        tracemalloc.start()
-        try:
-            assert run("eval", "--source", model, "--converted", tmp_path / "c/converted.json",
-                       "--out", tmp_path / "e") == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # The batch in use, the next one's file bytes and array, its products
-        # at grouped and head width, and the layer's weights. The layer's
-        # sixteen batches held at once exceed this.
-        assert peak < 6 * batch_bytes, (peak, batch_bytes)
+    def test_reads_no_calibration_batch(self, tmp_path, monkeypatch):
+        pipeline(tmp_path, schedule_args=("--mode", "uniform", "--rank", "3"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eval read a calibration batch")
+
+        monkeypatch.setattr(manifest, "iter_batches", refuse)
+        assert run("eval", "--source", tmp_path / "model/model.json",
+                   "--converted", tmp_path / "converted/converted.json",
+                   "--seed", 0, "--out", tmp_path / "patched") == 0
+        assert tree_bytes(tmp_path / "patched") == tree_bytes(tmp_path / "eval")
 
 
 class TestKvReport:

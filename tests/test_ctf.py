@@ -1,4 +1,5 @@
 import hashlib
+import os
 import struct
 import tempfile
 from pathlib import Path
@@ -74,6 +75,25 @@ class TestRoundTrip:
         digest = ctf.write_ctf(path, np.asfortranarray(arr), dtype, digest=True)
         assert path.read_bytes() == first
         assert digest == hashlib.sha256(first).hexdigest() == ctf.read_ctf_digest(path)[1]
+
+    def test_rewrite_replaces_the_file_and_spares_its_links(self, tmp_path, monkeypatch):
+        path, link = tmp_path / "a.ctf", tmp_path / "link.ctf"
+        ctf.write_ctf(path, np.ones(3))
+        first = path.read_bytes()
+        os.link(path, link)
+        ctf.write_ctf(path, np.zeros(3))
+        assert link.read_bytes() == first
+        assert ctf.read_ctf(path).tolist() == [0.0, 0.0, 0.0]
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        # A write that fails leaves the old file and no .partial sibling.
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            ctf.write_ctf(path, np.ones(3))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ctf", "link.ctf"]
+        assert ctf.read_ctf(path).tolist() == [0.0, 0.0, 0.0]
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -27,6 +27,7 @@ from kvlatent.factorizer import (
     ablate_singular_value,
     care_factorize,
     convert_layer,
+    covariance_residual,
     grouped_factorize,
     layer_spectra,
     replicate_groups,
@@ -496,6 +497,54 @@ class TestActivationResidual:
             activation_residual([], np.eye(2), np.eye(2), np.eye(2))
 
 
+class TestCovarianceResidual:
+    @pytest.mark.parametrize("n_groups", [1, 2, 4])
+    def test_matches_batch_residual_at_every_rank(self, n_groups):
+        # tr(dW^T C dW) against the batch oracle, on the factors convert
+        # writes. At full grouped rank both read rounding noise, so there
+        # the test takes an absolute floor far below any live residual.
+        rng = gen(340 + n_groups)
+        layer = random_gqa_layer(rng, d_model=16, n_heads=4, n_groups=n_groups)
+        batches = anisotropic_batches(rng, 3, 12, 16, cond=100.0)
+        c = covariance_of(batches)
+        spectra = layer_spectra(layer, calibration.build_whitener(c, calibration.ShrinkageParams()))
+        for r in range(1, layer.d_model + 1):
+            factors, _, _ = convert_layer(layer, spectra, r, r)
+            for w_g, w_a, w_b in ((layer.w_k_g, factors.w_a_k, factors.w_b_k),
+                                  (layer.w_v_g, factors.w_a_v, factors.w_b_v)):
+                got = covariance_residual(c, w_g, w_a, w_b, layer)
+                want = activation_residual(batches, w_g, w_a, w_b, layer)
+                energy = activation_residual(batches, w_g, w_a, 0.0 * w_b, layer)
+                if r < layer.grouped_width:
+                    assert abs(got - want) <= 1e-12 * want, (r, got, want)
+                else:
+                    assert max(abs(got), abs(want)) <= 1e-24 * energy, (r, got, want)
+
+    def test_head_blocks_of_a_general_up_projection(self):
+        # Head blocks of w_b need not repeat per group, as convert's do.
+        rng = gen(345)
+        geometry = Geometry(8, 4, 2, 2)
+        batches = [calibration.CalibrationBatch(0, rng.standard_normal((5, 8)))
+                   for _ in range(3)]
+        w_g = rng.standard_normal((8, 4))
+        w_a = rng.standard_normal((8, 3))
+        w_b = rng.standard_normal((3, 8))
+        want = activation_residual(batches, w_g, w_a, w_b, geometry)
+        got = covariance_residual(covariance_of(batches), w_g, w_a, w_b, geometry)
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("shapes", [
+        ((8, 7), (8, 4), (8, 3), (3, 8)),   # covariance not D x D
+        ((8, 8), (8, 6), (8, 3), (3, 8)),   # w_g not grouped width
+        ((8, 8), (8, 4), (8, 3), (2, 8)),   # latent widths disagree
+        ((8, 8), (8, 4), (8, 3), (3, 6)),   # w_b not head width
+    ])
+    def test_shape_mismatch(self, shapes):
+        c, w_g, w_a, w_b = (np.ones(shape) for shape in shapes)
+        with pytest.raises(ValidationError):
+            covariance_residual(c, w_g, w_a, w_b, Geometry(8, 4, 2, 2))
+
+
 class TestAblateSingularValue:
     def test_diagonal(self):
         sigma, out = ablate_singular_value(np.diag([3.0, 2.0, 1.0]), 2)
@@ -594,17 +643,17 @@ class TestGqaLayerValidation:
         rng = gen(371)
         with pytest.raises(ValidationError):
             GqaLayer(16, 4, 5, 2,
-                     rng.standard_normal((16, 20)),
-                     rng.standard_normal((16, 10)),
-                     rng.standard_normal((16, 10)))
+                     w_q=rng.standard_normal((16, 20)),
+                     w_k_g=rng.standard_normal((16, 10)),
+                     w_v_g=rng.standard_normal((16, 10)))
 
     def test_groups_must_divide_heads(self):
         rng = gen(372)
         with pytest.raises(ValidationError):
             GqaLayer(16, 4, 4, 3,
-                     rng.standard_normal((16, 16)),
-                     rng.standard_normal((16, 12)),
-                     rng.standard_normal((16, 12)))
+                     w_q=rng.standard_normal((16, 16)),
+                     w_k_g=rng.standard_normal((16, 12)),
+                     w_v_g=rng.standard_normal((16, 12)))
 
 
 class TestGeometry:

@@ -40,13 +40,18 @@ def small_gqa_manifest(tmp_path, rng, d=8, n_heads=2, n_groups=1, batches=2, seq
 
 def small_mla_manifest(tmp_path, rng, d=8, n_heads=2, r=3):
     """One converted layer of rank r in K and V, with its tensors written."""
-    names = {"w_q": (d, d), "w_a_k": (d, r), "w_b_k": (r, d), "w_a_v": (d, r), "w_b_v": (r, d)}
-    for name, shape in names.items():
-        ctf.write_ctf(tmp_path / f"{name}.ctf", rng.standard_normal(shape))
+    names = {"w_q": (d, d), "w_a_k": (d, r), "w_b_k": (r, d), "w_a_v": (d, r), "w_b_v": (r, d),
+             "cov": (d, d)}
+    arrays = {name: rng.standard_normal(shape) for name, shape in names.items()}
+    for name, array in arrays.items():
+        ctf.write_ctf(tmp_path / f"{name}.ctf", array)
     entry = manifest.LayerEntry(
         layer=0, d_model=d, n_heads=n_heads, head_dim=d // n_heads, n_groups=1,
         w_q="w_q.ctf", r_k=r, r_v=r,
         w_a_k="w_a_k.ctf", w_b_k="w_b_k.ctf", w_a_v="w_a_v.ctf", w_b_v="w_b_v.ctf",
+        cov="cov.ctf", cov_sha256=manifest.array_digest(arrays["cov"]),
+        w_q_sha256=manifest.array_digest(arrays["w_q"]),
+        w_k_sha256="a" * 64, w_v_sha256="b" * 64,
     )
     return manifest.ModelManifest(
         model_kind=manifest.MODEL_KIND_MLA, seq_len=4, layers=(entry,),
@@ -134,6 +139,37 @@ class TestModelManifest:
         factors, w_q = manifest.load_mla_bundle(loaded, tmp_path, 0)
         assert factors.r_k == 3 and factors.r_v == 3
         assert w_q.shape == (8, 8)
+        assert manifest.load_bundle_covariance(loaded, tmp_path, 0).shape == (8, 8)
+
+    @pytest.mark.parametrize("key", ["cov", "cov_sha256", "w_q_sha256", "w_k_sha256",
+                                     "w_v_sha256"])
+    def test_converted_layer_must_record_its_source(self, tmp_path, key):
+        manifest.save_manifest(small_mla_manifest(tmp_path, gen(712)), tmp_path / "c.json")
+        doc = json.loads((tmp_path / "c.json").read_text())
+        del doc["layers"][0][key]
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="layer 0 records no covariance or source "
+                                                  "digests; re-run convert"):
+            manifest.load_manifest(tmp_path / "c.json")
+
+    @pytest.mark.parametrize("key, value", [
+        ("cov_sha256", "A" * 64), ("w_k_sha256", "a" * 63), ("w_q_sha256", 7),
+        ("cov", "../cov.ctf"),
+    ])
+    def test_converted_source_record_is_checked(self, tmp_path, key, value):
+        manifest.save_manifest(small_mla_manifest(tmp_path, gen(713)), tmp_path / "c.json")
+        doc = json.loads((tmp_path / "c.json").read_text())
+        doc["layers"][0][key] = value
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=key):
+            manifest.load_manifest(tmp_path / "c.json")
+
+    def test_bundle_covariance_must_match_its_digest(self, tmp_path):
+        m = small_mla_manifest(tmp_path, gen(714))
+        cov = ctf.read_ctf(tmp_path / "cov.ctf")
+        ctf.write_ctf(tmp_path / "cov.ctf", cov * (1.0 + 1e-15))
+        with pytest.raises(ValidationError, match="sha256 does not match"):
+            manifest.load_bundle_covariance(m, tmp_path, 0)
 
     def test_old_rope_keys_load_as_plain_converted_manifest(self, tmp_path):
         # Manifests once carried rotary adapters per layer; those keys are

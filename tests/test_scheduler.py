@@ -201,7 +201,7 @@ class TestWaterfill:
             assert ranks[1] > ranks[0]
             assert ranks[0] == min_rank
         # uniform mode hands both the same rank
-        uni = uniform_profile(t, "K", min_rank + 3)
+        uni = uniform_profile(t.full_ranks("K"), min_rank + 3)
         assert uni[0] == uni[1]
 
     def test_k_and_v_scheduled_independently(self):
@@ -218,15 +218,15 @@ class TestUniformProfile:
     def test_uniform(self):
         t = table_of({0: np.linspace(2, 1, 128), 1: np.linspace(2, 1, 128),
                       2: np.linspace(2, 1, 128)})
-        assert uniform_profile(t, "K", 64) == {0: 64, 1: 64, 2: 64}
+        assert uniform_profile(t.full_ranks("K"), 64) == {0: 64, 1: 64, 2: 64}
 
     def test_clamps_to_full_rank(self):
         t = table_of({0: [3.0, 2.0, 1.0]})
-        assert uniform_profile(t, "K", 64) == {0: 3}
+        assert uniform_profile(t.full_ranks("K"), 64) == {0: 3}
 
     def test_total_is_layer_count_times_rank(self):
         t = table_of({i: np.linspace(2, 1, 10) for i in range(5)})
-        alloc = uniform_profile(t, "K", 7)
+        alloc = uniform_profile(t.full_ranks("K"), 7)
         assert sum(alloc.values()) == 5 * 7
 
 
