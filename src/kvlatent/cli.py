@@ -235,10 +235,10 @@ def cmd_cov(args) -> None:
 
 # ---------------------------------------------------------------- schedule
 
-def _rank_plan(args, m: manifest.ModelManifest) -> tuple[dict[str, int], int]:
-    """The per-kind budgets and min rank the flags ask for, checked against
-    the manifest before any covariance is read. Each (layer, kind) entry's
-    full rank is its layer's grouped width, so their sum is KV parity."""
+def _rank_plan(args, m: manifest.ModelManifest) -> tuple[dict, int, dict | None]:
+    """The per-kind budgets, min rank and --mode uniform ranks (or None) the
+    flags ask for, checked against the manifest before any covariance is
+    read. Each full rank is its layer's grouped width; they sum to KV parity."""
     # Every schedule flag defaults to None; one the mode would ignore is refused.
     ignored = ("--rank",) if args.mode == "adjusted" else (
         "--parity", "--budget-k", "--budget-v", "--min-rank")
@@ -251,8 +251,8 @@ def _rank_plan(args, m: manifest.ModelManifest) -> tuple[dict[str, int], int]:
     if args.mode == "uniform":
         if args.rank is None:
             raise ValidationError("--mode uniform requires --rank")
-        ranks = scheduler.uniform_profile(dict(enumerate(widths)), args.rank).values()
-        return dict.fromkeys(scheduler.KINDS, sum(ranks)), min(ranks)
+        ranks = scheduler.uniform_profile(dict(enumerate(widths)), args.rank)
+        return dict.fromkeys(scheduler.KINDS, sum(ranks.values())), min(ranks.values()), ranks
 
     budgets = {
         kind: parity if args.parity else getattr(args, f"budget_{kind.lower()}")
@@ -273,13 +273,13 @@ def _rank_plan(args, m: manifest.ModelManifest) -> tuple[dict[str, int], int]:
         reason = scheduler.budget_refusal(widths, budget, min_rank)
         if reason is not None:
             raise ValidationError(reason)
-    return budgets, min_rank
+    return budgets, min_rank, None
 
 
 def cmd_schedule(args) -> None:
     m = manifest.load_manifest(args.manifest)
     base = Path(args.manifest).parent
-    budgets, min_rank = _rank_plan(args, m)
+    budgets, min_rank, uniform = _rank_plan(args, m)
 
     out = Path(args.out)
     spectra_dir = manifest.spectra_dir(out)
@@ -290,12 +290,10 @@ def cmd_schedule(args) -> None:
             for layer in range(len(m.layers))
         )
         ranks = {
-            kind: scheduler.uniform_profile(table.full_ranks(kind), args.rank)
-            if args.mode == "uniform"
-            else scheduler.waterfill(table, kind, budgets[kind], min_rank)
+            kind: uniform or scheduler.waterfill(table, kind, budgets[kind], min_rank)
             for kind in scheduler.KINDS
         }
-        profile = scheduler.build_profile(table, ranks, budgets, min_rank)
+        profile = scheduler.build_profile(ranks, budgets, min_rank)
     # The old profile goes before its spectra, and the new profile is
     # written last, so no profile ever names files of another run.
     out.unlink(missing_ok=True)
@@ -342,6 +340,12 @@ def cmd_convert(args) -> None:
             f"missing {sorted(expected - set(profile.ranks))}, "
             f"extra {sorted(set(profile.ranks) - expected)}"
         )
+    # A latent wider than its layer's grouped width would enlarge the cache.
+    for (layer, kind), rank in sorted(profile.ranks.items()):
+        width = m.layer(layer).grouped_width
+        if rank > width:
+            raise ValidationError(f"{args.profile}: layer {layer} {kind} rank {rank} exceeds "
+                                  f"the layer's grouped width {width}")
     profile_dir = Path(args.profile).parent
     overrides = {"alpha": args.alpha, "lam": _parse_lambda(args.lam), "weighting": args.weighting}
     params = dataclasses.replace(
@@ -441,7 +445,6 @@ def _eval_layer(
     layer: int,
     gqa: factorizer.GqaLayer,
     factors: factorizer.MlaFactors,
-    w_q_conv: np.ndarray,
     rng: np.random.Generator,
     t: int,
     params: metrics.LossParams,
@@ -449,7 +452,7 @@ def _eval_layer(
 ) -> dict:
     """Compare one converted layer with its source and return its report,
     all but the activation residuals, which cmd_eval adds from the layer's
-    covariance.
+    covariance. Both forwards take the source's query projection.
 
     Draws from rng in a fixed order: probe input, then targets. The two
     content forwards run in one attention.compare pass, so no
@@ -463,7 +466,7 @@ def _eval_layer(
     x = rng.standard_normal((t, d))
     targets = rng.integers(0, d, size=t)
     drift, output_g, output_m = attention.compare(
-        attention.gqa_heads(gqa, x), attention.mla_heads(factors, w_q_conv, gqa, x)
+        attention.gqa_heads(gqa, x), attention.mla_heads(factors, gqa.w_q, gqa, x)
     )
     output_drift = float(np.max(np.abs(output_g - output_m)))
 
@@ -549,8 +552,7 @@ def cmd_eval(args) -> None:
         del c
         gqa = factorizer.GqaLayer.from_grouped(kv, manifest.load_query(source, src_base, layer))
         manifest.check_source(entry, gqa)
-        w_q_conv = manifest.load_query(converted, conv_base, layer)
-        report = _eval_layer(layer, gqa, factors, w_q_conv, rng, t, params, args.rope_dim)
+        report = _eval_layer(layer, gqa, factors, rng, t, params, args.rope_dim)
         report.update(residuals)
         layer_reports.append(report)
     # Per-token widths summed over layers; every layer caches t tokens.

@@ -307,23 +307,14 @@ def grouped_factorize(
     """Rank-r factors of replicate_groups(w_g), computed at grouped width from
     `spectrum`, the whitened_svd of w_g.
 
-    w_g is truncated at rank min(r, geometry.grouped_width) and its factors are
-    lifted to head width. Ranks above that true rank add zero columns to
-    w_a and zero rows to w_b.
+    w_g is truncated at rank r in [1, geometry.grouped_width], the rank of
+    the replicated weight, and its factors are lifted to head width.
     """
-    w_g = linalg.as_matrix(w_g, "w_g")
-    width = geometry.d_model
-    p = min(w_g.shape[0], width)
-    if not 1 <= r <= p:
-        raise ValidationError(f"rank {r} out of range [1, {p}]")
-    kept = min(r, w_g.shape[1])
-    grouped, report_g = truncate(w_g, spectrum, kept)
+    grouped, report_g = truncate(w_g, spectrum, r)
     m = geometry.heads_per_group
     gain = math.sqrt(m)
-    w_a = np.zeros((w_g.shape[0], r))
-    w_a[:, :kept] = gain * grouped.w_a
-    w_b = np.zeros((r, width))
-    w_b[:kept] = replicate_groups(grouped.w_b, geometry) / gain
+    w_a = gain * grouped.w_a
+    w_b = replicate_groups(grouped.w_b, geometry) / gain
     report = FactorizationReport(
         weight_residual_sq=m * report_g.weight_residual_sq,
         whitened_residual_sq=m * report_g.whitened_residual_sq,

@@ -159,15 +159,16 @@ def load_manifest(path) -> ModelManifest:
     raw_calibration = doc.get("calibration", {})
     if not isinstance(raw_calibration, dict):
         raise ValidationError(f"{path}: calibration must map layer indices to path lists")
+    # Only the key str(i) names layer i, so no two keys name one layer.
+    indices = {str(i): i for i in range(len(layers))}
     calibration = {}
     for key, paths in raw_calibration.items():
+        if key not in indices:
+            raise ValidationError(f"{path}: calibration key {key!r} names no layer of the model")
         if not isinstance(paths, list):
             raise ValidationError(f"{path}: bad calibration listing for layer {key}")
-        try:
-            index = int(key)
-        except ValueError:
-            raise ValidationError(f"{path}: calibration key {key!r} is not a layer index") from None
-        calibration[index] = tuple(_tensor_path(p, f"{path}: calibration batch") for p in paths)
+        calibration[indices[key]] = tuple(_tensor_path(p, f"{path}: calibration batch")
+                                          for p in paths)
     seq_len = _int(doc.get("seq_len", 1), f"{path}: seq_len", minimum=1)
     seed = doc.get("seed")
     if "seed" in doc:
@@ -455,12 +456,11 @@ def load_spectra(record: SpectrumRecord, base_dir,
         path, sha256 = record.files[name]
         return _load_tensor(base_dir, path, shape, f"layer {record.layer} {name}", sha256)
 
-    d_model, width = kv.w_k_g.shape
-    p = min(d_model, width)
+    n = kv.grouped_width
     spectra = tuple(
-        WhitenedSvd(load(sigma, (p,)), load(v_t, (p, width))) for sigma, v_t in _SVD_TENSORS
+        WhitenedSvd(load(sigma, (n,)), load(v_t, (n, n))) for sigma, v_t in _SVD_TENSORS
     )
-    return load("eigenvalues", (d_model,)), spectra
+    return load("eigenvalues", (kv.d_model,)), spectra
 
 
 def _record_to_json(record: SpectrumRecord) -> dict:
@@ -485,7 +485,6 @@ def save_profile(profile: RankProfile, path, mode: str = "adjusted",
                 "layer": layer,
                 "kind": kind,
                 "rank": profile.ranks[(layer, kind)],
-                "full_rank": profile.full_ranks.get((layer, kind)),
             }
         )
     doc = {
@@ -507,7 +506,8 @@ def load_profile(path) -> tuple[RankProfile, str, dict[int, SpectrumRecord]]:
 
     The records map layer -> SpectrumRecord. A profile with a `spectra` key
     must record every layer of the profile once; one without it, such as
-    one with the `eigen` key of earlier versions, has none ({}).
+    one with the `eigen` key of earlier versions, has none ({}). The
+    `full_rank` key of entries of earlier versions is ignored.
     """
     doc = _read_json(path)
     _expect(doc, "format", PROFILE_FORMAT, path)
@@ -516,7 +516,6 @@ def load_profile(path) -> tuple[RankProfile, str, dict[int, SpectrumRecord]]:
     if not isinstance(raw_entries, list):
         raise ValidationError(f"{path}: entries must be a list")
     ranks: dict[tuple[int, str], int] = {}
-    full_ranks: dict[tuple[int, str], int] = {}
     for raw in raw_entries:
         if not isinstance(raw, dict):
             raise ValidationError(f"{path}: malformed profile entry {raw!r}")
@@ -527,16 +526,11 @@ def load_profile(path) -> tuple[RankProfile, str, dict[int, SpectrumRecord]]:
         if (layer, kind) in ranks:
             raise ValidationError(f"{path}: duplicate entry for layer {layer} {kind}")
         ranks[(layer, kind)] = _int(raw.get("rank"), f"{path}: entry rank", minimum=1)
-        if raw.get("full_rank") is not None:
-            full_ranks[(layer, kind)] = _int(
-                raw["full_rank"], f"{path}: entry full_rank", minimum=1
-            )
     profile = RankProfile(
         ranks=ranks,
         budget_k=_int(doc.get("budget_k", 0), f"{path}: budget_k", minimum=0),
         budget_v=_int(doc.get("budget_v", 0), f"{path}: budget_v", minimum=0),
         min_rank=_int(doc.get("min_rank", 1), f"{path}: min_rank", minimum=1),
-        full_ranks=full_ranks,
     )
     profile.validate()
     mode = doc.get("mode", "adjusted")

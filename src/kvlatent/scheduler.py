@@ -9,7 +9,7 @@ remaining residual makes entries with different spectral scales comparable,
 so the allocation is invariant to rescaling any single spectrum.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,13 +60,6 @@ class SpectrumTable:
         except KeyError:
             raise ValidationError(f"no spectrum stored for layer {layer} kind {kind}")
 
-    def full_rank(self, layer: int, kind: str) -> int:
-        return int(self.get(layer, kind).shape[0])
-
-    def full_ranks(self, kind: str) -> dict[int, int]:
-        """Each layer's full rank for one kind."""
-        return {l: self.full_rank(l, kind) for l in self.layers(kind)}
-
     def layers(self, kind: str) -> list[int]:
         _check_kind(kind)
         return sorted(l for (l, k) in self._entries if k == kind)
@@ -100,13 +93,13 @@ class AllocationStep:
 
 @dataclass(frozen=True)
 class RankProfile:
-    """Allocated ranks per (layer, kind) plus the budgets that produced them."""
+    """Allocated ranks per (layer, kind) plus the budgets that produced them;
+    an entry's full rank is its layer's grouped width, not recorded here."""
 
     ranks: dict[tuple[int, str], int]
     budget_k: int
     budget_v: int
     min_rank: int
-    full_ranks: dict[tuple[int, str], int] = field(default_factory=dict)
 
     def rank(self, layer: int, kind: str) -> int:
         try:
@@ -128,11 +121,6 @@ class RankProfile:
             if r < self.min_rank:
                 raise ValidationError(
                     f"layer {layer} kind {kind}: rank {r} below min_rank {self.min_rank}"
-                )
-            full = self.full_ranks.get((layer, kind))
-            if full is not None and r > full:
-                raise ValidationError(
-                    f"layer {layer} kind {kind}: rank {r} above full rank {full}"
                 )
             totals[kind] += r
         if totals[KIND_K] > self.budget_k or totals[KIND_V] > self.budget_v:
@@ -162,12 +150,12 @@ def waterfill_trace(
     layers = table.layers(kind)
     if not layers:
         raise ValidationError(f"spectrum table has no entries of kind {kind}")
-    full = table.full_ranks(kind)
+    sq = {l: table.get(l, kind) ** 2 for l in layers}
+    full = {l: len(sq[l]) for l in layers}
     reason = budget_refusal(list(full.values()), budget, min_rank)
     if reason is not None:
         raise ValidationError(reason)
 
-    sq = {l: table.get(l, kind) ** 2 for l in layers}
     # suffix[l][r] = tail energy after keeping r components; trailing zero so
     # suffix[full] is exactly 0.
     suffix = {
@@ -208,18 +196,17 @@ def waterfill(table: SpectrumTable, kind: str, budget: int, min_rank: int) -> di
 
 def uniform_profile(full_ranks: dict[int, int], rank: int) -> dict[int, int]:
     """Give every layer the same rank, clamped to its full rank; the map is
-    layer -> full rank, such as SpectrumTable.full_ranks gives."""
+    layer -> full rank, such as each layer's grouped width."""
     if rank < 1:
         raise ValidationError("rank must be at least 1")
     return {l: min(rank, full) for l, full in full_ranks.items()}
 
 
-def build_profile(table: SpectrumTable, ranks: dict[str, dict[int, int]],
-                  budgets: dict[str, int], min_rank: int) -> RankProfile:
+def build_profile(ranks: dict[str, dict[int, int]], budgets: dict[str, int],
+                  min_rank: int) -> RankProfile:
     """Assemble the allocations, kind -> layer -> rank, and the per-kind
     budgets into a validated RankProfile."""
     entries = {(l, kind): int(r) for kind in KINDS for l, r in ranks[kind].items()}
-    full_ranks = {key: table.full_rank(*key) for key in entries}
-    profile = RankProfile(entries, budgets[KIND_K], budgets[KIND_V], min_rank, full_ranks)
+    profile = RankProfile(entries, budgets[KIND_K], budgets[KIND_V], min_rank)
     profile.validate()
     return profile

@@ -174,7 +174,7 @@ def test_criterion_05_waterfill_matches_naive_oracle():
         for _ in range(50):
             table = random_table(rng)
             layers = table.layers("K")
-            full = {l: table.full_rank(l, "K") for l in layers}
+            full = {l: len(table.get(l, "K")) for l in layers}
             budget = int(rng.integers(len(layers), sum(full.values()) + 2))
             ranks, trace = scheduler.waterfill_trace(table, "K", budget, 1)
             spectra = {l: list(table.get(l, "K")) for l in layers}
@@ -198,7 +198,8 @@ def test_criterion_06_heterogeneity():
         for budget in range(2 * min_rank + 2, 2 * min_rank + 16, 3):
             adjusted = scheduler.waterfill(table, "K", budget, min_rank)
             assert adjusted[1] > adjusted[0]
-        uniform = scheduler.uniform_profile(table.full_ranks("K"), min_rank + 5)
+        uniform = scheduler.uniform_profile({l: len(table.get(l, "K")) for l in (0, 1)},
+                                            min_rank + 5)
         assert not uniform[1] > uniform[0]
 
 

@@ -220,7 +220,8 @@ class TestMlaForward:
     def test_lossless_path_matches_gqa(self):
         rng = gen(421)
         layer = random_gqa_layer(rng)
-        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 16, 16)
+        r = layer.grouped_width
+        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), r, r)
         x = rng.standard_normal((5, 16))
         drift = logit_drift(
             gqa_forward(layer, x),

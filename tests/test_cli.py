@@ -168,6 +168,13 @@ def test_seed_outside_64_bits_exits_2_before_any_io(tmp_path, capsys, command, s
 MALFORMED_MANIFESTS = {
     "calibration_key": lambda doc: doc["calibration"].update(a=doc["calibration"].pop("0")),
     "calibration_list": lambda doc: doc.update(calibration=[]),
+    "calibration_key_negative": lambda doc: doc["calibration"].update({"-1": ["batches/x.ctf"]}),
+    "calibration_key_beyond_layers": lambda doc: doc["calibration"].update(
+        {"7": ["batches/x.ctf"]}),
+    "calibration_key_padded": lambda doc: doc["calibration"].update(
+        {" 1": doc["calibration"]["1"][:1]}),
+    "calibration_key_leading_zero": lambda doc: doc["calibration"].update(
+        {"01": doc["calibration"]["1"][:1]}),
     "alpha_string": lambda doc: doc.update(alpha="x"),
     "alpha_null": lambda doc: doc.update(alpha=None),
     "alpha_above_one": lambda doc: doc.update(alpha=5.0),
@@ -440,18 +447,6 @@ class TestSchedule:
                    "--budget-k", 99, "--budget-v", 99, "--out", tmp_path / "s/p.json") == 2
         assert tree_bytes(tmp_path / "s") == before
 
-    def test_full_rank_is_grouped_width(self, tmp_path):
-        model = gen_model(tmp_path / "m")  # 2 layers, n_groups * head_dim = 8
-        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
-        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
-                   "--parity", "--out", tmp_path / "p.json") == 0
-        profile, _, _ = manifest.load_profile(tmp_path / "p.json")
-        assert set(profile.full_ranks.values()) == {8}
-        assert profile.budget_k == profile.budget_v == sum(
-            profile.full_ranks[(l, "K")] for l in range(2)
-        )
-        assert set(profile.ranks.values()) == {8}
-
     def test_budget_above_total_full_rank(self, tmp_path, capsys):
         model = gen_model(tmp_path / "m")
         assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
@@ -585,6 +580,31 @@ class TestConvert:
                    "--out", tmp_path / "c") == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"model's {model_layers} layers" in err
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("full_rank", [None, "rank", 10**6], ids=["absent", "equal", "huge"])
+    def test_rank_above_grouped_width_writes_nothing(self, tmp_path, capsys, full_rank):
+        # The layer's grouped width is the only full rank: whatever full_rank
+        # a profile of an earlier version records, a wider latent is refused.
+        model = gen_model(tmp_path / "m")  # 2 layers, n_groups * head_dim = 8
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--parity", "--out", tmp_path / "p.json") == 0
+        doc = json.loads((tmp_path / "p.json").read_text())
+        doc["budget_k"] += 1
+        for entry in doc["entries"]:
+            if (entry["layer"], entry["kind"]) == (1, "K"):
+                entry["rank"] = 9
+            entry.pop("full_rank", None)
+            if full_rank is not None:
+                entry["full_rank"] = entry["rank"] if full_rank == "rank" else full_rank
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--profile", tmp_path / "p.json", "--out", tmp_path / "c") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "layer 1 K rank 9 exceeds the layer's grouped width 8" in err, err
         assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("flag, value", [
@@ -1306,6 +1326,19 @@ class TestEval:
         assert err.startswith("error:") and message in err, err
         assert not (tmp_path / "fresh/eval_report.json").exists()
 
+    def test_student_takes_the_query_from_the_source(self, tmp_path):
+        # The bundle's w_q is never read: the source's, checked against the
+        # digest the bundle records, is the query of both forwards.
+        pipeline(tmp_path)
+        bundle = tmp_path / "converted/weights/layer000_w_q.ctf"
+        ctf.write_ctf(bundle, 3.0 * ctf.read_ctf(bundle))
+        source = tmp_path / "model/weights/layer000_w_q.ctf"
+        assert np.array_equal(ctf.read_ctf(bundle), 3.0 * ctf.read_ctf(source))
+        assert run("eval", "--source", tmp_path / "model/model.json",
+                   "--converted", tmp_path / "converted/converted.json",
+                   "--seed", 0, "--out", tmp_path / "again") == 0
+        assert tree_bytes(tmp_path / "again") == tree_bytes(tmp_path / "eval")
+
     def test_source_of_another_seed_is_refused(self, tmp_path, capsys):
         pipeline(tmp_path)
         other = gen_model(tmp_path / "other", seed=43)
@@ -1439,9 +1472,7 @@ class TestEvalMemory:
         score_bytes = layer.n_heads * t * t * 8
         tracemalloc.start()
         try:
-            report = cli._eval_layer(
-                0, layer, factors, layer.w_q, rng, t, metrics.LossParams(), 4
-            )
+            report = cli._eval_layer(0, layer, factors, rng, t, metrics.LossParams(), 4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

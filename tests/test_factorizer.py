@@ -365,20 +365,9 @@ class TestGroupedFactorize:
         assert np.max(np.abs(grouped - oracle[:full])) <= 1e-12 * oracle[0]
         assert np.all(oracle[full:] <= 1e-12 * oracle[0])
 
-    def test_rank_above_true_rank_pads_with_zeros(self):
-        whitener, w_g, w = self.setup_case(383, 2, "sqrtC")
-        pair, report = grouped_factorize(
-            w_g, whitened_svd(w_g, whitener), 12, self.geometry(2)
-        )
-        assert pair.w_a.shape == (self.D, 12) and pair.w_b.shape == (12, self.D)
-        assert np.array_equal(pair.w_a[:, 8:], np.zeros((self.D, 4)))
-        assert np.array_equal(pair.w_b[8:], np.zeros((4, self.D)))
-        assert np.allclose(pair.w_a @ pair.w_b, w, atol=1e-12)
-        assert report.rank_used == 12
-
     def test_rank_out_of_range(self):
         whitener, w_g, _ = self.setup_case(384, 2, "sqrtC")
-        for r in (0, self.D + 1):
+        for r in (0, self.geometry(2).grouped_width + 1):
             with pytest.raises(ValidationError):
                 grouped_factorize(
                     w_g, whitened_svd(w_g, whitener), r, self.geometry(2)
@@ -508,7 +497,7 @@ class TestCovarianceResidual:
         batches = anisotropic_batches(rng, 3, 12, 16, cond=100.0)
         c = covariance_of(batches)
         spectra = layer_spectra(layer, calibration.build_whitener(c, calibration.ShrinkageParams()))
-        for r in range(1, layer.d_model + 1):
+        for r in range(1, layer.grouped_width + 1):
             factors, _, _ = convert_layer(layer, spectra, r, r)
             for w_g, w_a, w_b in ((layer.w_k_g, factors.w_a_k, factors.w_b_k),
                                   (layer.w_v_g, factors.w_a_v, factors.w_b_v)):
@@ -590,7 +579,8 @@ class TestConvertLayer:
     def test_identity_covariance_full_rank_is_lossless(self):
         rng = gen(362)
         layer = random_gqa_layer(rng)
-        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 16, 16)
+        r = layer.grouped_width
+        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), r, r)
         w_k = replicate_groups(layer.w_k_g, layer)
         w_v = replicate_groups(layer.w_v_g, layer)
         assert np.allclose(factors.w_a_k @ factors.w_b_k, w_k, atol=1e-12)

@@ -66,7 +66,6 @@ MAY_CHANGE = {
     "budget_k": lambda v: is_int(v, 0),
     "budget_v": lambda v: is_int(v, 0),
     "rank": lambda v: is_int(v, 1),
-    "full_rank": lambda v: v is None or is_int(v, 1),
     "batch": inside,
     **{name: inside for name in ("w_q", "w_k_g", "w_v_g", "w_a_k", "w_b_k", "w_a_v", "w_b_v",
                                  "eigenvalues", "sigma_k", "v_t_k", "sigma_v", "v_t_v")},

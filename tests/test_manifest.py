@@ -195,16 +195,17 @@ class TestRankProfileFile:
         profile = RankProfile(
             ranks={(0, "K"): 3, (0, "V"): 2, (1, "K"): 1, (1, "V"): 4},
             budget_k=4, budget_v=6, min_rank=1,
-            full_ranks={(0, "K"): 4, (0, "V"): 4, (1, "K"): 4, (1, "V"): 4},
         )
         manifest.save_profile(profile, tmp_path / "p.json", mode="adjusted")
         loaded, mode, records = manifest.load_profile(tmp_path / "p.json")
         assert mode == "adjusted"
         assert loaded.ranks == profile.ranks
         assert loaded.budget_k == 4 and loaded.budget_v == 6
-        assert loaded.full_ranks == profile.full_ranks
         assert records == {}
-        assert "spectra" not in json.loads((tmp_path / "p.json").read_text())
+        doc = json.loads((tmp_path / "p.json").read_text())
+        assert "spectra" not in doc
+        # An entry's full rank is its layer's grouped width, not a profile key.
+        assert all(set(entry) == {"layer", "kind", "rank"} for entry in doc["entries"])
 
     def test_round_trip_with_eigen_records(self, tmp_path):
         # Spectrum records: each layer's eigenvalues and whitened spectra.
@@ -292,18 +293,20 @@ class TestRankProfileFile:
         with pytest.raises(ValidationError, match="below min_rank"):
             manifest.load_profile(tmp_path / "p.json")
 
-    def test_rejects_rank_above_full_on_load(self, tmp_path):
+    def test_old_full_rank_key_is_ignored(self, tmp_path):
+        # Earlier versions wrote each entry's full rank; convert checks the
+        # rank against the layer's grouped width instead.
         doc = {
             "format": manifest.PROFILE_FORMAT, "version": 1, "mode": "adjusted",
             "min_rank": 1, "budget_k": 9, "budget_v": 1,
             "entries": [
                 {"layer": 0, "kind": "K", "rank": 9, "full_rank": 4},
-                {"layer": 0, "kind": "V", "rank": 1, "full_rank": 4},
+                {"layer": 0, "kind": "V", "rank": 1, "full_rank": "x"},
             ],
         }
         (tmp_path / "p.json").write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match="above full rank"):
-            manifest.load_profile(tmp_path / "p.json")
+        profile, _, _ = manifest.load_profile(tmp_path / "p.json")
+        assert profile.ranks == {(0, "K"): 9, (0, "V"): 1}
 
     def test_rejects_duplicate_entries(self, tmp_path):
         doc = {
