@@ -28,7 +28,7 @@ from .factorizer import (
     convert_layer,
     replicate_groups,
 )
-from .scheduler import RankProfile, SpectrumTable, uniform_profile, waterfill
+from .scheduler import RankProfile, uniform_profile, waterfill
 
 __all__ = [
     "CalibrationBatch",
@@ -39,7 +39,6 @@ __all__ = [
     "MlaFactors",
     "RankProfile",
     "ShrinkageParams",
-    "SpectrumTable",
     "Whitener",
     "accumulate",
     "build_whitener",

@@ -283,14 +283,14 @@ def cmd_schedule(args) -> None:
 
     out = Path(args.out)
     spectra_dir = manifest.spectra_dir(out)
-    table = scheduler.SpectrumTable()
+    spectra = {kind: {} for kind in scheduler.KINDS}
     with _staged_dir(spectra_dir) as staged:
         records = tuple(
-            _store_layer(m, base, args.cov_dir, layer, table, staged, out)
+            _store_layer(m, base, args.cov_dir, layer, spectra, staged, out)
             for layer in range(len(m.layers))
         )
         ranks = {
-            kind: uniform or scheduler.waterfill(table, kind, budgets[kind], min_rank)
+            kind: uniform or scheduler.waterfill(spectra[kind], budgets[kind], min_rank)
             for kind in scheduler.KINDS
         }
         profile = scheduler.build_profile(ranks, budgets, min_rank)
@@ -303,26 +303,26 @@ def cmd_schedule(args) -> None:
     manifest.save_profile(profile, out, mode=args.mode, spectra=records)
     print(f"mode={args.mode} budgets K={profile.budget_k} V={profile.budget_v} "
           f"min_rank={profile.min_rank}")
-    for layer in table.layers(scheduler.KIND_K):
+    for layer in range(len(m.layers)):
         print(f"layer {layer}: K={profile.ranks[(layer, scheduler.KIND_K)]} "
               f"V={profile.ranks[(layer, scheduler.KIND_V)]}")
     print(f"profile: {args.out}")
 
 
 def _store_layer(m: manifest.ModelManifest, base: Path, cov_dir, layer: int,
-                 table: scheduler.SpectrumTable, staged: Path,
+                 spectra: dict[str, dict[int, np.ndarray]], staged: Path,
                  profile_path: Path) -> manifest.SpectrumRecord:
-    """One layer's whitened K/V spectra, added to `table`, and stored in
-    `staged` for `convert` to truncate. A singular whitener is refused
-    here, as convert would refuse it, so no profile is planned on spectra
-    that no conversion can use. The layer's D x D arrays are freed on
-    return, before the next layer's are read."""
+    """One layer's whitened K/V singular values, added to `spectra[kind]`,
+    and its whitened SVDs stored in `staged` for `convert` to truncate. A
+    singular whitener is refused here, as convert would refuse it, so no
+    profile is planned on spectra that no conversion can use. The layer's
+    D x D arrays are freed on return, before the next layer's are read."""
     step = _layer_whitening(m, base, cov_dir, layer, m.shrinkage)
     step.whitener.check_invertible()
     # The head-width spectrum is this grouped one times sqrt(n_heads /
     # n_groups), plus zeros; water-filling is invariant to that scale.
     for kind, svd in zip(scheduler.KINDS, step.spectra):
-        table.add(layer, kind, svd.singular_values)
+        spectra[kind][layer] = svd.singular_values
     return manifest.store_spectra(staged, profile_path, layer, step.cov_sha256, step.w_sha256,
                                   m.shrinkage, step.eigenvalues, step.spectra)
 
@@ -353,7 +353,7 @@ def cmd_convert(args) -> None:
     )
 
     out = Path(args.out)
-    for sub in ("weights", "cov", "factors"):
+    for sub in ("cov", "factors"):
         (out / sub).mkdir(parents=True, exist_ok=True)
     # The two documents are written last; a run that stops early leaves
     # neither, so its factors never look like a finished conversion.
@@ -375,19 +375,17 @@ def cmd_convert(args) -> None:
         r_v = profile.rank(layer, scheduler.KIND_V)
         factors, report_k, report_v = factorizer.convert_layer(step.kv, step.spectra, r_k, r_v)
 
-        # The bundle carries the source's w_q and this layer's covariance,
-        # as hard links where it can, and the digests eval checks them by.
+        # The bundle carries this layer's covariance, as a hard link where it
+        # can, and the digests eval checks it and the source weights by.
         w_q_sha256 = manifest.array_digest(manifest.load_query(m, base, layer))
-        w_q_rel = f"weights/{manifest.layer_file(layer, 'w_q')}"
         cov_rel = f"cov/{manifest.layer_file(layer, 'cov')}"
-        _place(base / entry.w_q, out / w_q_rel)
         _place(Path(args.cov_dir) / manifest.layer_file(layer, "cov"), out / cov_rel)
         paths = {name: f"factors/{manifest.layer_file(layer, name)}"
                  for name in ("w_a_k", "w_b_k", "w_a_v", "w_b_v")}
         for name, rel in paths.items():
             ctf.write_ctf(out / rel, getattr(factors, name))
         entries.append(dataclasses.replace(
-            entry, w_q=w_q_rel, w_k_g=None, w_v_g=None, r_k=r_k, r_v=r_v, **paths,
+            entry, w_q=None, w_k_g=None, w_v_g=None, r_k=r_k, r_v=r_v, **paths,
             cov=cov_rel, cov_sha256=step.cov_sha256, w_q_sha256=w_q_sha256,
             w_k_sha256=step.w_sha256[scheduler.KIND_K],
             w_v_sha256=step.w_sha256[scheduler.KIND_V],
@@ -537,7 +535,7 @@ def cmd_eval(args) -> None:
     for layer in range(len(source.layers)):
         entry = converted.layer(layer)
         kv = manifest.load_grouped_kv(source, src_base, layer)
-        factors = manifest.load_mla_factors(converted, conv_base, layer)
+        factors = manifest.load_mla_bundle(converted, conv_base, layer)
         # The residuals come first, from only the weights they read, so the
         # covariance and its products are freed before either query
         # projection or any attention buffer is allocated. On `wide` eval

@@ -15,6 +15,7 @@ and `eval` reads the one a converted layer names through the digest-checked
 `load_bundle_covariance`.
 """
 
+import contextlib
 import hashlib
 import json
 import os
@@ -57,10 +58,11 @@ STORED_TENSORS = ("eigenvalues", *_SVD_TENSORS[0], *_SVD_TENSORS[1])
 class LayerEntry(Geometry):
     """Per-layer geometry and tensor paths; optional fields depend on model
     kind. A converted layer also names the covariance it was whitened with
-    (`cov`) and records the _SOURCE_DIGESTS of its source layer."""
+    (`cov`) and records the _SOURCE_DIGESTS of its source layer; it carries
+    no `w_q`, and one named by an earlier bundle is path-checked, never read."""
 
     layer: int
-    w_q: str
+    w_q: str | None = None
     w_k_g: str | None = None
     w_v_g: str | None = None
     r_k: int | None = None
@@ -92,8 +94,8 @@ class ModelManifest:
 
 
 def _entry_to_json(entry: LayerEntry) -> dict:
-    doc = {"layer": entry.layer, **asdict(entry.geometry), "w_q": entry.w_q}
-    for name in (*_TENSORS[1:], "r_k", "r_v", *_SOURCE_DIGESTS):
+    doc = {"layer": entry.layer, **asdict(entry.geometry)}
+    for name in (*_TENSORS, "r_k", "r_v", *_SOURCE_DIGESTS):
         value = getattr(entry, name)
         if value is not None:
             doc[name] = value
@@ -140,8 +142,8 @@ def load_manifest(path) -> ModelManifest:
         entry = _entry_from_json(raw, f"{path}: layer {i}")
         if entry.layer != i:
             raise ValidationError(f"{path}: layer entries out of order at index {i}")
-        if kind == MODEL_KIND_GQA and (entry.w_k_g is None or entry.w_v_g is None):
-            raise ValidationError(f"{path}: layer {i} is missing grouped projections")
+        if kind == MODEL_KIND_GQA and None in (entry.w_q, entry.w_k_g, entry.w_v_g):
+            raise ValidationError(f"{path}: layer {i} is missing w_q or grouped projections")
         if kind == MODEL_KIND_GQA and (entry.r_k is not None or entry.r_v is not None):
             raise ValidationError(f"{path}: layer {i} of a grouped model has latent ranks")
         if kind == MODEL_KIND_MLA and (
@@ -205,10 +207,8 @@ def _entry_from_json(raw, where: str) -> LayerEntry:
     ints = {"layer": _int(raw.get("layer"), f"{where}: layer", minimum=0)}
     for name in (f.name for f in fields(Geometry)):
         ints[name] = _int(raw.get(name), f"{where}: {name}", minimum=1)
-    tensors = {"w_q": _tensor_path(raw.get("w_q"), f"{where}: w_q")}
-    for name in _TENSORS[1:]:
-        if raw.get(name) is not None:
-            tensors[name] = _tensor_path(raw[name], f"{where}: {name}")
+    tensors = {name: _tensor_path(raw[name], f"{where}: {name}")
+               for name in _TENSORS if raw.get(name) is not None}
     for name in ("r_k", "r_v"):
         if raw.get(name) is not None:
             ints[name] = _int(raw[name], f"{where}: {name}", minimum=1)
@@ -274,11 +274,17 @@ def load_covariance(cov_dir, layer: int, d_model: int) -> np.ndarray:
                         f"layer {layer} covariance")
 
 
+def _entry_of(m: ModelManifest, index: int, kind: str) -> LayerEntry:
+    """Layer `index` of `m`, refused unless `m` is a model of `kind`."""
+    if m.model_kind != kind:
+        name = "grouped-attention" if kind == MODEL_KIND_GQA else "converted"
+        raise ValidationError(f"manifest does not describe a {name} model")
+    return m.layer(index)
+
+
 def load_grouped_kv(m: ModelManifest, base_dir, index: int) -> GroupedKv:
     """One source layer's grouped K and V projections, without its w_q."""
-    entry = m.layer(index)
-    if m.model_kind != MODEL_KIND_GQA:
-        raise ValidationError("manifest does not describe a grouped-attention model")
+    entry = _entry_of(m, index, MODEL_KIND_GQA)
     grouped = (entry.d_model, entry.grouped_width)
     return GroupedKv(
         **asdict(entry.geometry),
@@ -288,8 +294,8 @@ def load_grouped_kv(m: ModelManifest, base_dir, index: int) -> GroupedKv:
 
 
 def load_query(m: ModelManifest, base_dir, index: int) -> np.ndarray:
-    """One layer's D x D query projection, of a source or a converted model."""
-    entry = m.layer(index)
+    """One source layer's D x D query projection."""
+    entry = _entry_of(m, index, MODEL_KIND_GQA)
     d = entry.d_model
     return _load_tensor(base_dir, entry.w_q, (d, d), f"layer {index} w_q")
 
@@ -299,16 +305,9 @@ def load_gqa_layer(m: ModelManifest, base_dir, index: int) -> GqaLayer:
                                  load_query(m, base_dir, index))
 
 
-def load_mla_bundle(m: ModelManifest, base_dir, index: int) -> tuple[MlaFactors, np.ndarray]:
-    """One converted layer's latent factors and its query projection."""
-    return load_mla_factors(m, base_dir, index), load_query(m, base_dir, index)
-
-
-def load_mla_factors(m: ModelManifest, base_dir, index: int) -> MlaFactors:
+def load_mla_bundle(m: ModelManifest, base_dir, index: int) -> MlaFactors:
     """One converted layer's latent factors."""
-    entry = m.layer(index)
-    if m.model_kind != MODEL_KIND_MLA:
-        raise ValidationError("manifest does not describe a converted model")
+    entry = _entry_of(m, index, MODEL_KIND_MLA)
     d = entry.d_model
     return MlaFactors(
         w_a_k=_load_tensor(base_dir, entry.w_a_k, (d, entry.r_k), f"layer {index} w_a_k"),
@@ -321,9 +320,7 @@ def load_mla_factors(m: ModelManifest, base_dir, index: int) -> MlaFactors:
 def load_bundle_covariance(m: ModelManifest, base_dir, index: int) -> np.ndarray:
     """The covariance a converted layer was whitened with, refused unless
     its array_digest is the one the layer records."""
-    entry = m.layer(index)
-    if m.model_kind != MODEL_KIND_MLA:
-        raise ValidationError("manifest does not describe a converted model")
+    entry = _entry_of(m, index, MODEL_KIND_MLA)
     c = _load_tensor(base_dir, entry.cov, (entry.d_model, entry.d_model),
                      f"layer {index} covariance")
     if array_digest(c) != entry.cov_sha256:
@@ -593,15 +590,31 @@ def write_json(path, doc) -> None:
 
 def write_json_last(path, doc) -> None:
     """write_json through a `.partial` sibling and a rename, so `path`
-    never holds a half-written document; a refused one leaves no file."""
+    never holds a half-written document; a refused document, or a failed
+    write or rename, leaves no `.partial` behind."""
     partial = Path(path).with_name(Path(path).name + ".partial")
-    write_json(partial, doc)
-    os.replace(partial, path)
+    try:
+        write_json(partial, doc)
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            partial.unlink(missing_ok=True)
+        raise
 
 
 def _read_json(path) -> dict:
+    """The JSON object in the file `path`, refused if any object in it
+    repeats a key, which json.loads would resolve silently to the last."""
+    def unique_keys(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValidationError(f"{path}: key {key!r} is repeated in one object")
+            obj[key] = value
+        return obj
+
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):

@@ -1,12 +1,12 @@
 """Whitened singular spectra and budgeted rank allocation.
 
-Each (layer, kind) entry holds the descending singular values of the
-whitened weight. A global per-kind rank budget is spent greedily: every
-entry starts at the minimum rank and the next unit always goes to the entry
-whose next singular value removes the largest fraction of its remaining
-residual energy, sigma_{r+1}^2 / sum_{m>r} sigma_m^2. Normalizing by the
-remaining residual makes entries with different spectral scales comparable,
-so the allocation is invariant to rescaling any single spectrum.
+A kind's spectra map each layer to its whitened weight's descending singular
+values. A global per-kind rank budget is spent greedily: every layer starts
+at the minimum rank and the next unit always goes to the layer whose next
+singular value removes the largest fraction of its remaining residual
+energy, sigma_{r+1}^2 / sum_{m>r} sigma_m^2. Normalizing by the remaining
+residual makes layers with different spectral scales comparable, so the
+allocation is invariant to rescaling any single spectrum.
 """
 
 from dataclasses import dataclass
@@ -25,13 +25,7 @@ KINDS = (KIND_K, KIND_V)
 TAIL_EXCLUDE_REL = 1e-12
 
 
-def _check_kind(kind: str) -> str:
-    if kind not in KINDS:
-        raise ValidationError(f"kind must be one of {KINDS}, got {kind!r}")
-    return kind
-
-
-def _check_spectrum(sigma, name: str = "spectrum") -> np.ndarray:
+def _check_spectrum(sigma, name: str) -> np.ndarray:
     arr = np.asarray(sigma, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"{name} must be a non-empty 1-D array")
@@ -41,28 +35,7 @@ def _check_spectrum(sigma, name: str = "spectrum") -> np.ndarray:
         raise ValidationError(f"{name} contains negative values")
     if np.any(np.diff(arr) > 0.0):
         raise ValidationError(f"{name} is not non-increasing")
-    return arr.copy()
-
-
-class SpectrumTable:
-    """Descending whitened singular values keyed by (layer, kind)."""
-
-    def __init__(self):
-        self._entries: dict[tuple[int, str], np.ndarray] = {}
-
-    def add(self, layer: int, kind: str, sigma) -> None:
-        key = (int(layer), _check_kind(kind))
-        self._entries[key] = _check_spectrum(sigma, f"spectrum {key}")
-
-    def get(self, layer: int, kind: str) -> np.ndarray:
-        try:
-            return self._entries[(layer, kind)]
-        except KeyError:
-            raise ValidationError(f"no spectrum stored for layer {layer} kind {kind}")
-
-    def layers(self, kind: str) -> list[int]:
-        _check_kind(kind)
-        return sorted(l for (l, k) in self._entries if k == kind)
+    return arr
 
 
 def whitened_spectrum(sqrt_c, w) -> np.ndarray:
@@ -117,7 +90,6 @@ class RankProfile:
             raise ValidationError("min_rank must be at least 1")
         totals = {KIND_K: 0, KIND_V: 0}
         for (layer, kind), r in self.ranks.items():
-            _check_kind(kind)
             if r < self.min_rank:
                 raise ValidationError(
                     f"layer {layer} kind {kind}: rank {r} below min_rank {self.min_rank}"
@@ -143,14 +115,14 @@ def budget_refusal(full_ranks: list[int], budget: int, min_rank: int) -> str | N
 
 
 def waterfill_trace(
-    table: SpectrumTable, kind: str, budget: int, min_rank: int
+    spectra: dict[int, np.ndarray], budget: int, min_rank: int
 ) -> tuple[dict[int, int], list[AllocationStep]]:
-    """Greedy allocation for one kind, returning ranks and the step trace."""
-    _check_kind(kind)
-    layers = table.layers(kind)
-    if not layers:
-        raise ValidationError(f"spectrum table has no entries of kind {kind}")
-    sq = {l: table.get(l, kind) ** 2 for l in layers}
+    """Greedy allocation over one kind's spectra, layer -> descending
+    singular values, returning ranks and the step trace."""
+    if not spectra:
+        raise ValidationError("no spectra to allocate over")
+    layers = sorted(spectra)
+    sq = {l: _check_spectrum(spectra[l], f"spectrum of layer {l}") ** 2 for l in layers}
     full = {l: len(sq[l]) for l in layers}
     reason = budget_refusal(list(full.values()), budget, min_rank)
     if reason is not None:
@@ -188,9 +160,9 @@ def waterfill_trace(
     return ranks, trace
 
 
-def waterfill(table: SpectrumTable, kind: str, budget: int, min_rank: int) -> dict[int, int]:
+def waterfill(spectra: dict[int, np.ndarray], budget: int, min_rank: int) -> dict[int, int]:
     """Greedy water-filling of `budget` rank units over one kind's spectra."""
-    ranks, _ = waterfill_trace(table, kind, budget, min_rank)
+    ranks, _ = waterfill_trace(spectra, budget, min_rank)
     return ranks
 
 

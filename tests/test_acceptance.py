@@ -28,7 +28,7 @@ from kvlatent.factorizer import (
     replicate_groups,
 )
 from kvlatent.metrics import LogitSequence, LossParams, cross_entropy, kd_loss, total_loss
-from test_scheduler import naive_waterfill, random_table
+from test_scheduler import naive_waterfill, random_spectra
 
 
 class _Timer:
@@ -164,21 +164,19 @@ def test_criterion_05_waterfill_matches_naive_oracle():
     rng = gen(1005)
     with _Timer(5, "greedy allocation replays an independent oracle", 2.0):
         # the hand-traced example reproduces exactly
-        t = scheduler.SpectrumTable()
-        t.add(1, "K", [2.0, 1.0, 0.1])
-        t.add(2, "K", [1.0, 1.0, 1.0])
-        ranks, trace = scheduler.waterfill_trace(t, "K", 4, 1)
+        spectra = {1: [2.0, 1.0, 0.1], 2: [1.0, 1.0, 1.0]}
+        ranks, trace = scheduler.waterfill_trace(spectra, 4, 1)
         assert ranks == {1: 3, 2: 1}
         assert [s.layer for s in trace] == [1, 1]
 
         for _ in range(50):
-            table = random_table(rng)
-            layers = table.layers("K")
-            full = {l: len(table.get(l, "K")) for l in layers}
+            spectra = random_spectra(rng)
+            layers = sorted(spectra)
+            full = {l: len(spectra[l]) for l in layers}
             budget = int(rng.integers(len(layers), sum(full.values()) + 2))
-            ranks, trace = scheduler.waterfill_trace(table, "K", budget, 1)
-            spectra = {l: list(table.get(l, "K")) for l in layers}
-            naive_ranks, naive_steps = naive_waterfill(spectra, budget, 1)
+            ranks, trace = scheduler.waterfill_trace(spectra, budget, 1)
+            naive_ranks, naive_steps = naive_waterfill(
+                {l: list(s) for l, s in spectra.items()}, budget, 1)
             assert ranks == naive_ranks
             assert [s.layer for s in trace] == [s[0] for s in naive_steps]
             for ours, theirs in zip(trace, naive_steps):
@@ -192,13 +190,11 @@ def test_criterion_06_heterogeneity():
         full, min_rank = 48, 24
         fast = 0.5 ** np.arange(full)
         flat = np.full(full, math.sqrt(float(np.sum(fast**2)) / full))
-        table = scheduler.SpectrumTable()
-        table.add(0, "K", fast)
-        table.add(1, "K", flat)
+        spectra = {0: fast, 1: flat}
         for budget in range(2 * min_rank + 2, 2 * min_rank + 16, 3):
-            adjusted = scheduler.waterfill(table, "K", budget, min_rank)
+            adjusted = scheduler.waterfill(spectra, budget, min_rank)
             assert adjusted[1] > adjusted[0]
-        uniform = scheduler.uniform_profile({l: len(table.get(l, "K")) for l in (0, 1)},
+        uniform = scheduler.uniform_profile({l: len(s) for l, s in spectra.items()},
                                             min_rank + 5)
         assert not uniform[1] > uniform[0]
 

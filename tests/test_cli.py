@@ -165,6 +165,18 @@ def test_seed_outside_64_bits_exits_2_before_any_io(tmp_path, capsys, command, s
     assert not (tmp_path / "out").exists()
 
 
+class RepeatedKeys(dict):
+    """A dict that json.dumps writes as the object of `pairs`, in order,
+    repeated keys included."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+    def items(self):
+        return self.pairs
+
+
 MALFORMED_MANIFESTS = {
     "calibration_key": lambda doc: doc["calibration"].update(a=doc["calibration"].pop("0")),
     "calibration_list": lambda doc: doc.update(calibration=[]),
@@ -175,6 +187,9 @@ MALFORMED_MANIFESTS = {
         {" 1": doc["calibration"]["1"][:1]}),
     "calibration_key_leading_zero": lambda doc: doc["calibration"].update(
         {"01": doc["calibration"]["1"][:1]}),
+    "calibration_key_repeated": lambda doc: doc.update(calibration=RepeatedKeys(
+        [*doc["calibration"].items(), ("1", doc["calibration"]["1"][:1])])),
+    "w_q_missing": lambda doc: doc["layers"][1].pop("w_q"),
     "alpha_string": lambda doc: doc.update(alpha="x"),
     "alpha_null": lambda doc: doc.update(alpha=None),
     "alpha_above_one": lambda doc: doc.update(alpha=5.0),
@@ -847,14 +862,15 @@ class TestConvert:
         assert not [name for name in left if name.endswith(".json") or ".partial" in name]
         assert "factors/layer000_w_a_k.ctf" in left
 
-    def test_bundle_links_w_q_and_covariance(self, tmp_path):
+    def test_bundle_links_covariance_and_holds_no_query(self, tmp_path):
         pipeline(tmp_path)
+        # eval takes w_q from the source, so the bundle neither holds nor names one.
+        assert not (tmp_path / "converted/weights").exists()
+        doc = json.loads((tmp_path / "converted/converted.json").read_text())
+        assert [layer for layer in doc["layers"] if "w_q" in layer] == []
         for layer in range(2):
-            for source, placed in (
-                (f"model/weights/layer00{layer}_w_q.ctf", f"weights/layer00{layer}_w_q.ctf"),
-                (f"cov/layer00{layer}_cov.ctf", f"cov/layer00{layer}_cov.ctf"),
-            ):
-                assert os.path.samefile(tmp_path / source, tmp_path / "converted" / placed)
+            placed = f"cov/layer00{layer}_cov.ctf"
+            assert os.path.samefile(tmp_path / placed, tmp_path / "converted" / placed)
         before = tree_bytes(tmp_path / "converted")
         # gen replaces its files, so the bundle's links keep the old bytes.
         gen_model(tmp_path / "model", seed=7)
@@ -1190,7 +1206,7 @@ class TestEval:
         # A real tensor where an escaping w_q points, so only the check can stop it.
         (tmp_path / "shared").mkdir()
         (tmp_path / "shared/wq0.ctf").write_bytes(
-            (tmp_path / "converted/weights/layer000_w_q.ctf").read_bytes())
+            (tmp_path / "model/weights/layer000_w_q.ctf").read_bytes())
         doc = json.loads(converted.read_text())
         doc["layers"][0][field] = value
         converted.write_text(json.dumps(doc))
@@ -1232,8 +1248,7 @@ class TestEval:
         report = json.loads((tmp_path / "eval/eval_report.json").read_text())
         converted = manifest.load_manifest(tmp_path / "converted/converted.json")
         for layer in report["layers"]:
-            factors, _ = manifest.load_mla_bundle(
-                converted, tmp_path / "converted", layer["layer"])
+            factors = manifest.load_mla_bundle(converted, tmp_path / "converted", layer["layer"])
             assert layer["cache_width_mla"] == factors.cache_width == 6
             assert layer["cache_width_mla_rope"] == factors.cache_width + rope_dim
         assert report["totals"]["mla_bytes"] == 2 * 8 * (6 + rope_dim) * 2
@@ -1327,15 +1342,19 @@ class TestEval:
         assert not (tmp_path / "fresh/eval_report.json").exists()
 
     def test_student_takes_the_query_from_the_source(self, tmp_path):
-        # The bundle's w_q is never read: the source's, checked against the
-        # digest the bundle records, is the query of both forwards.
+        # Bundles of earlier versions name a w_q of their own. It is never
+        # read: the source's, checked against the digest the bundle records,
+        # is the query of both forwards.
         pipeline(tmp_path)
-        bundle = tmp_path / "converted/weights/layer000_w_q.ctf"
-        ctf.write_ctf(bundle, 3.0 * ctf.read_ctf(bundle))
-        source = tmp_path / "model/weights/layer000_w_q.ctf"
-        assert np.array_equal(ctf.read_ctf(bundle), 3.0 * ctf.read_ctf(source))
-        assert run("eval", "--source", tmp_path / "model/model.json",
-                   "--converted", tmp_path / "converted/converted.json",
+        converted = tmp_path / "converted/converted.json"
+        doc = json.loads(converted.read_text())
+        (tmp_path / "converted/weights").mkdir()
+        for layer in range(2):
+            source = ctf.read_ctf(tmp_path / f"model/weights/layer00{layer}_w_q.ctf")
+            ctf.write_ctf(tmp_path / f"converted/weights/layer00{layer}_w_q.ctf", 3.0 * source)
+            doc["layers"][layer]["w_q"] = f"weights/layer00{layer}_w_q.ctf"
+        converted.write_text(json.dumps(doc))
+        assert run("eval", "--source", tmp_path / "model/model.json", "--converted", converted,
                    "--seed", 0, "--out", tmp_path / "again") == 0
         assert tree_bytes(tmp_path / "again") == tree_bytes(tmp_path / "eval")
 
@@ -1389,13 +1408,13 @@ def reference_eval_layers(root: Path, seed: int, rope_dim: int) -> list[dict]:
     layers = []
     for layer in range(len(source.layers)):
         gqa = manifest.load_gqa_layer(source, root / "model", layer)
-        factors, w_q = manifest.load_mla_bundle(converted, root / "converted", layer)
+        factors = manifest.load_mla_bundle(converted, root / "converted", layer)
         d, t = gqa.d_model, source.seq_len
         x = rng.standard_normal((t, d))
         targets = rng.integers(0, d, size=t)
 
         logits_g, _, out_g = reference_gqa(gqa, x)
-        logits_m, _, out_m = reference_mla(factors, w_q, gqa, x)
+        logits_m, _, out_m = reference_mla(factors, gqa.w_q, gqa, x)
         drift_max, drift_frob = masked_drift(logits_g, logits_m)
         batches = manifest.load_batches(source, root / "model", layer)
         residuals = []
@@ -1509,6 +1528,15 @@ class TestKvReport:
         assert run("kv-report", "--layers", 4, "--seq-len", 128,
                    "--widths", "0") == 0
         assert "0.00 MB" in capsys.readouterr().out
+
+    def test_failed_rename_leaves_no_partial(self, tmp_path, capsys):
+        # The document is written, but cannot replace a directory.
+        (tmp_path / "d").mkdir()
+        assert run("kv-report", "--layers", 1, "--seq-len", 1, "--widths", 1,
+                   "--out", tmp_path / "d") == 4
+        assert capsys.readouterr().err.startswith("error:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+        assert list((tmp_path / "d").iterdir()) == []
 
 
 class TestAblate:

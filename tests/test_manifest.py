@@ -40,17 +40,15 @@ def small_gqa_manifest(tmp_path, rng, d=8, n_heads=2, n_groups=1, batches=2, seq
 
 def small_mla_manifest(tmp_path, rng, d=8, n_heads=2, r=3):
     """One converted layer of rank r in K and V, with its tensors written."""
-    names = {"w_q": (d, d), "w_a_k": (d, r), "w_b_k": (r, d), "w_a_v": (d, r), "w_b_v": (r, d),
-             "cov": (d, d)}
+    names = {"w_a_k": (d, r), "w_b_k": (r, d), "w_a_v": (d, r), "w_b_v": (r, d), "cov": (d, d)}
     arrays = {name: rng.standard_normal(shape) for name, shape in names.items()}
     for name, array in arrays.items():
         ctf.write_ctf(tmp_path / f"{name}.ctf", array)
     entry = manifest.LayerEntry(
-        layer=0, d_model=d, n_heads=n_heads, head_dim=d // n_heads, n_groups=1,
-        w_q="w_q.ctf", r_k=r, r_v=r,
+        layer=0, d_model=d, n_heads=n_heads, head_dim=d // n_heads, n_groups=1, r_k=r, r_v=r,
         w_a_k="w_a_k.ctf", w_b_k="w_b_k.ctf", w_a_v="w_a_v.ctf", w_b_v="w_b_v.ctf",
         cov="cov.ctf", cov_sha256=manifest.array_digest(arrays["cov"]),
-        w_q_sha256=manifest.array_digest(arrays["w_q"]),
+        w_q_sha256="c" * 64,
         w_k_sha256="a" * 64, w_v_sha256="b" * 64,
     )
     return manifest.ModelManifest(
@@ -136,10 +134,27 @@ class TestModelManifest:
         manifest.save_manifest(m, tmp_path / "converted.json")
         loaded = manifest.load_manifest(tmp_path / "converted.json")
         assert loaded == m
-        factors, w_q = manifest.load_mla_bundle(loaded, tmp_path, 0)
+        factors = manifest.load_mla_bundle(loaded, tmp_path, 0)
         assert factors.r_k == 3 and factors.r_v == 3
-        assert w_q.shape == (8, 8)
         assert manifest.load_bundle_covariance(loaded, tmp_path, 0).shape == (8, 8)
+
+    def test_converted_layer_has_no_query(self, tmp_path):
+        # A bundle of an earlier version names a w_q; its path is checked,
+        # but no converted layer's query is ever read.
+        m = small_mla_manifest(tmp_path, gen(715))
+        manifest.save_manifest(m, tmp_path / "c.json")
+        doc = json.loads((tmp_path / "c.json").read_text())
+        assert "w_q" not in doc["layers"][0]
+        ctf.write_ctf(tmp_path / "w_q.ctf", np.eye(8))
+        doc["layers"][0]["w_q"] = "w_q.ctf"
+        (tmp_path / "old.json").write_text(json.dumps(doc))
+        old = manifest.load_manifest(tmp_path / "old.json")
+        with pytest.raises(ValidationError, match="grouped-attention"):
+            manifest.load_query(old, tmp_path, 0)
+        doc["layers"][0]["w_q"] = "../w_q.ctf"
+        (tmp_path / "old.json").write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="w_q"):
+            manifest.load_manifest(tmp_path / "old.json")
 
     @pytest.mark.parametrize("key", ["cov", "cov_sha256", "w_q_sha256", "w_k_sha256",
                                      "w_v_sha256"])
@@ -183,8 +198,7 @@ class TestModelManifest:
         (tmp_path / "old.json").write_text(json.dumps(doc))
         loaded = manifest.load_manifest(tmp_path / "old.json")
         assert loaded == m
-        factors, w_q = manifest.load_mla_bundle(loaded, tmp_path, 0)
-        assert factors.cache_width == 6 and w_q.shape == (8, 8)
+        assert manifest.load_mla_bundle(loaded, tmp_path, 0).cache_width == 6
         manifest.save_manifest(loaded, tmp_path / "resaved.json")
         assert (tmp_path / "resaved.json").read_bytes() == (
             tmp_path / "converted.json").read_bytes()
@@ -368,6 +382,21 @@ class TestShrinkageKeys:
         (tmp_path / "p.json").write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match=key):
             manifest.load_profile(tmp_path / "p.json")
+
+
+@pytest.mark.parametrize("before, after, key", [
+    ('"budget_k": 4,', '"budget_k": 4, "budget_k": 6,', "budget_k"),
+    ('"rank": 3', '"rank": 3, "rank": 1', "rank"),
+])
+def test_profile_with_repeated_key_is_refused(tmp_path, before, after, key):
+    profile = RankProfile(ranks={(0, "K"): 3, (0, "V"): 2}, budget_k=4, budget_v=6,
+                          min_rank=1)
+    manifest.save_profile(profile, tmp_path / "p.json")
+    text = (tmp_path / "p.json").read_text()
+    assert text.count(before) == 1
+    (tmp_path / "p.json").write_text(text.replace(before, after))
+    with pytest.raises(ValidationError, match=f"p.json: key '{key}' is repeated"):
+        manifest.load_profile(tmp_path / "p.json")
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

@@ -7,7 +7,6 @@ from conftest import gen
 from kvlatent import scheduler
 from kvlatent.errors import ValidationError
 from kvlatent.scheduler import (
-    SpectrumTable,
     build_profile,
     uniform_profile,
     waterfill,
@@ -16,21 +15,15 @@ from kvlatent.scheduler import (
 )
 
 
-def table_of(spectra: dict[int, list[float]], kind="K") -> SpectrumTable:
-    t = SpectrumTable()
-    for layer, sigma in spectra.items():
-        t.add(layer, kind, sigma)
-    return t
-
-
-def random_table(rng, kind="K", n_layers=None) -> SpectrumTable:
-    t = SpectrumTable()
+def random_spectra(rng, n_layers=None) -> dict[int, np.ndarray]:
+    """One kind's spectra, layer -> descending singular values, of random
+    lengths and values."""
     n_layers = n_layers or int(rng.integers(2, 6))
+    spectra = {}
     for layer in range(n_layers):
         full = int(rng.integers(3, 12))
-        sigma = np.sort(rng.uniform(0.1, 2.0, full))[::-1]
-        t.add(layer, kind, sigma)
-    return t
+        spectra[layer] = np.sort(rng.uniform(0.1, 2.0, full))[::-1]
+    return spectra
 
 
 def naive_waterfill(spectra: dict[int, list[float]], budget: int, min_rank: int):
@@ -82,7 +75,7 @@ class TestPriority:
 
     @staticmethod
     def steps(sigma, budget, min_rank):
-        _, trace = waterfill_trace(table_of({0: sigma}), "K", budget, min_rank)
+        _, trace = waterfill_trace({0: sigma}, budget, min_rank)
         return trace
 
     def test_hand_value(self):
@@ -103,50 +96,49 @@ class TestPriority:
             assert math.isclose(step.priority, 1.0 / (len(sigma) - step.rank_before))
 
     def test_zero_tail_is_excluded(self):
-        ranks, trace = waterfill_trace(table_of({0: [1.0, 0.0, 0.0]}), "K", 3, 1)
+        ranks, trace = waterfill_trace({0: [1.0, 0.0, 0.0]}, 3, 1)
         assert ranks == {0: 1}
         assert trace == []
 
 
 class TestWaterfill:
     def test_hand_traced_example(self):
-        t = table_of({1: [2.0, 1.0, 0.1], 2: [1.0, 1.0, 1.0]})
-        ranks, trace = waterfill_trace(t, "K", budget=4, min_rank=1)
+        spectra = {1: [2.0, 1.0, 0.1], 2: [1.0, 1.0, 1.0]}
+        ranks, trace = waterfill_trace(spectra, budget=4, min_rank=1)
         assert ranks == {1: 3, 2: 1}
         assert [s.layer for s in trace] == [1, 1]
         assert math.isclose(trace[0].priority, 1.0 / 1.01)
         assert math.isclose(trace[1].priority, 1.0)
 
     def test_no_headroom(self):
-        t = table_of({0: [2.0, 1.0], 1: [3.0, 1.0]})
-        assert waterfill(t, "K", budget=4, min_rank=2) == {0: 2, 1: 2}
+        spectra = {0: [2.0, 1.0], 1: [3.0, 1.0]}
+        assert waterfill(spectra, budget=4, min_rank=2) == {0: 2, 1: 2}
 
     def test_saturation_leaves_surplus_unspent(self):
-        t = table_of({0: [2.0, 1.0], 1: [3.0, 1.0]})
-        assert waterfill(t, "K", budget=100, min_rank=1) == {0: 2, 1: 2}
+        spectra = {0: [2.0, 1.0], 1: [3.0, 1.0]}
+        assert waterfill(spectra, budget=100, min_rank=1) == {0: 2, 1: 2}
 
     def test_infeasible_budget(self):
-        t = table_of({0: [2.0, 1.0], 1: [3.0, 1.0]})
+        spectra = {0: [2.0, 1.0], 1: [3.0, 1.0]}
         with pytest.raises(ValidationError, match="infeasible"):
-            waterfill(t, "K", budget=3, min_rank=2)
+            waterfill(spectra, budget=3, min_rank=2)
 
     def test_min_rank_above_full_rank(self):
-        t = table_of({0: [2.0]})
         with pytest.raises(ValidationError):
-            waterfill(t, "K", budget=10, min_rank=2)
+            waterfill({0: [2.0]}, budget=10, min_rank=2)
 
     def test_budget_conservation_and_bounds(self):
         rng = gen(201)
         for trial in range(20):
-            t = random_table(rng)
-            layers = t.layers("K")
-            full = {l: len(t.get(l, "K")) for l in layers}
+            spectra = random_spectra(rng)
+            layers = sorted(spectra)
+            full = {l: len(spectra[l]) for l in layers}
             min_rank = 1
             max_budget = sum(full.values())
             budget = int(rng.integers(len(layers), max_budget + 3))
             if budget < len(layers) * min_rank:
                 continue
-            ranks = waterfill(t, "K", budget, min_rank)
+            ranks = waterfill(spectra, budget, min_rank)
             assert sum(ranks.values()) == min(budget, max_budget)
             for l, r in ranks.items():
                 assert min_rank <= r <= full[l]
@@ -154,11 +146,11 @@ class TestWaterfill:
     def test_matches_naive_oracle(self):
         rng = gen(202)
         for trial in range(20):
-            t = random_table(rng)
-            spectra = {l: list(t.get(l, "K")) for l in t.layers("K")}
+            spectra = random_spectra(rng)
             budget = int(rng.integers(len(spectra), sum(len(s) for s in spectra.values()) + 2))
-            ranks, trace = waterfill_trace(t, "K", budget, 1)
-            naive_ranks, naive_steps = naive_waterfill(spectra, budget, 1)
+            ranks, trace = waterfill_trace(spectra, budget, 1)
+            naive_ranks, naive_steps = naive_waterfill(
+                {l: list(s) for l, s in spectra.items()}, budget, 1)
             assert ranks == naive_ranks
             assert [s.layer for s in trace] == [s[0] for s in naive_steps]
             for ours, theirs in zip(trace, naive_steps):
@@ -166,22 +158,18 @@ class TestWaterfill:
 
     def test_monotone_in_budget(self):
         rng = gen(203)
-        t = random_table(rng)
-        layers = t.layers("K")
-        lo = waterfill(t, "K", len(layers) + 2, 1)
-        hi = waterfill(t, "K", len(layers) + 6, 1)
-        assert all(hi[l] >= lo[l] for l in layers)
+        spectra = random_spectra(rng)
+        lo = waterfill(spectra, len(spectra) + 2, 1)
+        hi = waterfill(spectra, len(spectra) + 6, 1)
+        assert all(hi[l] >= lo[l] for l in spectra)
 
     def test_scale_invariance(self):
         rng = gen(204)
-        t = random_table(rng)
-        scaled = SpectrumTable()
-        layers = t.layers("K")
-        for l in layers:
-            factor = 37.5 if l == layers[0] else 1.0
-            scaled.add(l, "K", factor * t.get(l, "K"))
-        budget = len(layers) + 4
-        assert waterfill(t, "K", budget, 1) == waterfill(scaled, "K", budget, 1)
+        spectra = random_spectra(rng)
+        first = min(spectra)
+        scaled = {l: (37.5 if l == first else 1.0) * s for l, s in spectra.items()}
+        budget = len(spectra) + 4
+        assert waterfill(spectra, budget, 1) == waterfill(scaled, budget, 1)
 
     def test_heterogeneity_flat_beats_fast_decay(self):
         # Equal-energy fast-decay vs flat spectra of equal full rank. At
@@ -193,23 +181,19 @@ class TestWaterfill:
         flat_level = math.sqrt(float(np.sum(fast**2)) / full)
         flat = np.full(full, flat_level)
         assert math.isclose(float(np.sum(fast**2)), float(np.sum(flat**2)))
-        t = SpectrumTable()
-        t.add(0, "K", fast)
-        t.add(1, "K", flat)
+        spectra = {0: fast, 1: flat}
         for surplus in (2, 5, 11):
-            ranks = waterfill(t, "K", 2 * min_rank + surplus, min_rank)
+            ranks = waterfill(spectra, 2 * min_rank + surplus, min_rank)
             assert ranks[1] > ranks[0]
             assert ranks[0] == min_rank
         # uniform mode hands both the same rank
-        uni = uniform_profile({l: len(t.get(l, "K")) for l in (0, 1)}, min_rank + 3)
+        uni = uniform_profile({l: len(s) for l, s in spectra.items()}, min_rank + 3)
         assert uni[0] == uni[1]
 
     def test_k_and_v_scheduled_independently(self):
-        t = SpectrumTable()
-        t.add(0, "K", [2.0, 1.0])
-        t.add(0, "V", [5.0, 4.0, 3.0])
-        k = waterfill(t, "K", 2, 1)
-        v = waterfill(t, "V", 3, 1)
+        spectra = {"K": {0: [2.0, 1.0]}, "V": {0: [5.0, 4.0, 3.0]}}
+        k = waterfill(spectra["K"], 2, 1)
+        v = waterfill(spectra["V"], 3, 1)
         assert k == {0: 2}
         assert v == {0: 3}
 
@@ -242,18 +226,20 @@ class TestRankProfile:
             profile.rank(1, "K")
 
 
-class TestSpectrumTable:
+class TestSpectrumChecks:
     def test_rejects_increasing_spectrum(self):
-        t = SpectrumTable()
         with pytest.raises(ValidationError):
-            t.add(0, "K", [1.0, 2.0])
+            waterfill({0: [1.0, 2.0]}, 2, 1)
 
     def test_rejects_negative_values(self):
-        t = SpectrumTable()
         with pytest.raises(ValidationError):
-            t.add(0, "K", [1.0, -0.5])
+            waterfill({0: [1.0, -0.5]}, 2, 1)
 
-    def test_rejects_bad_kind(self):
-        t = SpectrumTable()
+    @pytest.mark.parametrize("sigma", ([], [1.0, np.nan], [np.inf, 1.0], [[1.0]]))
+    def test_rejects_empty_or_non_finite(self, sigma):
+        with pytest.raises(ValidationError, match="layer 3"):
+            waterfill({0: [1.0], 3: sigma}, 2, 1)
+
+    def test_rejects_no_layers(self):
         with pytest.raises(ValidationError):
-            t.add(0, "Q", [1.0])
+            waterfill({}, 2, 1)

@@ -15,9 +15,10 @@ from pathlib import Path
 import pytest
 
 from conftest import gen, identity_whitener
-from kvlatent import attention
+from kvlatent import attention, scheduler
 from kvlatent.factorizer import convert_layer, layer_spectra
 from test_factorizer import random_gqa_layer
+from test_scheduler import random_spectra
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -69,3 +70,15 @@ def test_traced_forwards_count_scores(tracing, n_groups):
     for span in tracer.spans:
         assert "error" not in span
         assert span["counts"] == {"score_elems": layer.n_heads * t**2}, span["name"]
+
+
+@pytest.mark.parametrize("min_rank", (1, 2))
+def test_traced_waterfill_counts_steps(tracing, min_rank):
+    spectra = random_spectra(gen(4710 + min_rank), n_layers=4)
+    budget = 4 * min_rank + 9
+    tracer = tracing.Tracer("schedule", "pins")
+    ranks = tracer.wrap("scheduler.waterfill", scheduler.waterfill)(spectra, budget, min_rank)
+    (span,) = tracer.spans
+    assert "error" not in span
+    assert span["counts"] == {"steps": sum(ranks.values()) - len(spectra) * min_rank}
+    assert span["counts"]["steps"] == 9
