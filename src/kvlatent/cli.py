@@ -7,10 +7,19 @@ tensor paths are stored relative to their manifest. Exit codes: 0 success,
 
 Every per-layer file is named by `manifest.layer_file`, and `schedule` and
 `convert` read each covariance through `manifest.load_covariance` in one
-whitening step. `schedule` checks its rank plan against the manifest before
-it reads the first covariance. `cov` is the only stage that reads
-calibration batches: `convert` places each layer's covariance in the
-converted bundle, and `eval` takes the activation residual from it.
+whitening step: the covariance's damped ridge (calibration.Ridge), its
+singular-whitener check, and each kind's whitened SVD from an n x n Gram
+(factorizer.layer_spectra), n the layer's grouped width. No stage forms a
+D x D product other than the covariance or decomposes a D x D matrix.
+`schedule` checks its rank plan against the manifest before it reads the
+first covariance. `cov` is the only stage that reads calibration batches:
+`convert` places each layer's covariance in the converted bundle, and
+`eval` takes the activation residual from it.
+
+The conversion report's health figures describe, per layer and kind, the
+whitened Gram G = (S W_g)^T (S W_g) whose eigendecomposition gives the
+spectrum: its largest and smallest eigenvalues after the PSD clamp
+(sigma_1^2 and sigma_n^2), their ratio, and how many the clamp left at zero.
 """
 
 import argparse
@@ -42,15 +51,14 @@ def _fmt2(value: float) -> str:
 
 class _LayerWhitening(NamedTuple):
     """One source layer's grouped weights; the array_digest of its
-    covariance and of each kind's weight; its raw covariance eigenvalues,
-    whitener and (K, V) whitened SVDs; and why the spectra were computed
-    here, or None when they are the ones a profile stored."""
+    covariance and of each kind's weight; its damped ridge and (K, V)
+    whitened SVDs; and why the spectra were computed here, or None when
+    they are the ones a profile stored."""
 
     kv: factorizer.GroupedKv
     cov_sha256: str
     w_sha256: dict[str, str]
-    eigenvalues: np.ndarray
-    whitener: calibration.Whitener
+    ridge: calibration.Ridge
     spectra: tuple[factorizer.WhitenedSvd, factorizer.WhitenedSvd]
     reason: str | None
 
@@ -59,30 +67,22 @@ def _layer_whitening(m: manifest.ModelManifest, base: Path, cov_dir, layer: int,
                      params: calibration.ShrinkageParams,
                      record: manifest.SpectrumRecord | None = None,
                      profile_dir=None) -> _LayerWhitening:
-    """One layer's whitening step, from one eigendecomposition of its
-    covariance unless `record` stored its spectra. The covariance is always
-    read and checked; a hit reads no eigenvectors. Only the grouped K and V
-    weights are read, never w_q. With no record, as from schedule, they are
-    read after the decomposition, so they never share memory with its
-    workspace."""
+    """One layer's whitening step: its spectra come from factorizer.
+    layer_spectra unless `record` stored them for this covariance, these
+    weights and `params`. The covariance is always read and checked; only
+    the grouped K and V weights are read, never w_q. The caller refuses a
+    singular ridge."""
     c = manifest.load_covariance(cov_dir, layer, m.layer(layer).d_model)
     cov_sha256 = manifest.array_digest(c)
-    kv = w_sha256 = None
-    if record is not None:
-        kv = manifest.load_grouped_kv(m, base, layer)
-        w_sha256 = manifest.weight_digests(kv)
+    ridge = calibration.ridge(c, params)
+    kv = manifest.load_grouped_kv(m, base, layer)
+    w_sha256 = manifest.weight_digests(kv)
     reason = manifest.miss_reason(record, cov_sha256, w_sha256, params)
     if reason is None:
-        eigenvalues, spectra = manifest.load_spectra(record, profile_dir, kv)
-        whitener = calibration.whitener_from_eig(linalg.EigResult(eigenvalues, None), params)
-        return _LayerWhitening(kv, cov_sha256, w_sha256, eigenvalues, whitener, spectra, None)
-    eig = linalg.sym_eig(c)
-    whitener = calibration.whitener_from_eig(eig, params)
-    if kv is None:
-        kv = manifest.load_grouped_kv(m, base, layer)
-        w_sha256 = manifest.weight_digests(kv)
-    return _LayerWhitening(kv, cov_sha256, w_sha256, eig.eigenvalues, whitener,
-                           factorizer.layer_spectra(kv, whitener), reason)
+        spectra = manifest.load_spectra(record, profile_dir, kv)
+    else:
+        spectra = factorizer.layer_spectra(kv, c, ridge)
+    return _LayerWhitening(kv, cov_sha256, w_sha256, ridge, spectra, reason)
 
 
 def _place(src: Path, dst: Path) -> None:
@@ -316,15 +316,15 @@ def _store_layer(m: manifest.ModelManifest, base: Path, cov_dir, layer: int,
     and its whitened SVDs stored in `staged` for `convert` to truncate. A
     singular whitener is refused here, as convert would refuse it, so no
     profile is planned on spectra that no conversion can use. The layer's
-    D x D arrays are freed on return, before the next layer's are read."""
+    covariance is freed on return, before the next layer's is read."""
     step = _layer_whitening(m, base, cov_dir, layer, m.shrinkage)
-    step.whitener.check_invertible()
+    step.ridge.check_invertible()
     # The head-width spectrum is this grouped one times sqrt(n_heads /
     # n_groups), plus zeros; water-filling is invariant to that scale.
     for kind, svd in zip(scheduler.KINDS, step.spectra):
         spectra[kind][layer] = svd.singular_values
     return manifest.store_spectra(staged, profile_path, layer, step.cov_sha256, step.w_sha256,
-                                  m.shrinkage, step.eigenvalues, step.spectra)
+                                  m.shrinkage, step.spectra)
 
 
 # ---------------------------------------------------------------- convert
@@ -359,6 +359,7 @@ def cmd_convert(args) -> None:
     # neither, so its factors never look like a finished conversion.
     for name in ("converted.json", "conversion_report.json"):
         (out / name).unlink(missing_ok=True)
+    _clear_bundle(out, _inputs(m, base, args.cov_dir))
 
     entries = []
     report_layers = []
@@ -369,8 +370,7 @@ def cmd_convert(args) -> None:
         )
         print(f"layer {layer}: spectra "
               + ("reused" if step.reason is None else f"recomputed ({step.reason})"))
-        whitener = step.whitener
-        whitener.check_invertible()
+        step.ridge.check_invertible()
         r_k = profile.rank(layer, scheduler.KIND_K)
         r_v = profile.rank(layer, scheduler.KIND_V)
         factors, report_k, report_v = factorizer.convert_layer(step.kv, step.spectra, r_k, r_v)
@@ -393,8 +393,9 @@ def cmd_convert(args) -> None:
         report_layers.append(
             {
                 "layer": layer,
-                "lambda_resolved": whitener.lam,
-                "whitener": _whitener_dict(whitener),
+                "lambda_resolved": step.ridge.lam,
+                "gram": {kind.lower(): _gram_health(svd.singular_values)
+                         for kind, svd in zip(scheduler.KINDS, step.spectra)},
                 "k": dataclasses.asdict(report_k),
                 "v": dataclasses.asdict(report_v),
             }
@@ -405,7 +406,7 @@ def cmd_convert(args) -> None:
             f"V={report_v.whitened_residual_sq:.3e}"
         )
         # None of this layer's arrays stay alive while the next one is read.
-        del step, whitener, factors
+        del step, factors
 
     converted = manifest.ModelManifest(
         model_kind=manifest.MODEL_KIND_MLA,
@@ -427,14 +428,45 @@ def cmd_convert(args) -> None:
     print(f"converted manifest: {out / 'converted.json'}")
 
 
-def _whitener_dict(whitener: calibration.Whitener) -> dict:
+def _gram_health(sigma: np.ndarray) -> dict:
+    """Health of a whitened Gram G = (S W_g)^T (S W_g), read off the
+    singular values sigma of S W_g: G's largest and smallest eigenvalues
+    after the PSD clamp, their ratio (null when the smallest is zero), and
+    how many eigenvalues the clamp left at zero. The stored sigma give the
+    same figures, so a reused spectrum reports what a recomputed one does."""
+    eig_max, eig_min = float(sigma[0]) ** 2, float(sigma[-1]) ** 2
     return {
-        "clamped": whitener.clamped,
-        "condition": whitener.condition,
-        "lambda_max": whitener.lambda_max,
-        "lambda_min": whitener.lambda_min,
-        "lambda_resolved": whitener.lam,
+        "clamped": int(np.count_nonzero(sigma == 0.0)),
+        "condition": eig_max / eig_min if eig_min > 0.0 else None,
+        "eig_max": eig_max,
+        "eig_min": eig_min,
     }
+
+
+def _inputs(m: manifest.ModelManifest, base: Path, cov_dir) -> set[str]:
+    """The real paths of the covariances a convert run reads and of every
+    tensor and batch its source manifest names."""
+    paths = [Path(cov_dir) / manifest.layer_file(layer, "cov") for layer in range(len(m.layers))]
+    paths += [base / getattr(entry, name) for entry in m.layers
+              for name in ("w_q", "w_k_g", "w_v_g")]
+    paths += [base / rel for batches in m.calibration.values() for rel in batches]
+    return {os.path.realpath(path) for path in paths}
+
+
+def _clear_bundle(out: Path, keep: set[str]) -> None:
+    """Remove the per-layer tensor files of a bundle layout under `out`:
+    every `layerNNN_<name>.ctf` directly in `cov/`, `factors/` and the
+    retired `weights/`, such as the factors of a model with more layers or
+    an earlier version's `w_q`, except a file whose real path is in `keep`.
+    Nothing else under `out` is touched."""
+    for sub in ("cov", "factors", "weights"):
+        directory = out / sub
+        if not directory.is_dir():
+            continue
+        for path in sorted(directory.iterdir()):
+            if (manifest.LAYER_FILE.fullmatch(path.name) and path.is_file()
+                    and os.path.realpath(path) not in keep):
+                path.unlink()
 
 
 # ---------------------------------------------------------------- eval
@@ -747,7 +779,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--lambda", dest="lam", default=None, metavar="LAM",
                    help="ridge scale, a positive number or 'auto'")
-    p.add_argument("--weighting", choices=list(calibration.WEIGHTINGS), default=None)
+    p.add_argument("--weighting", default=None,
+                   help=f"one of {', '.join(calibration.WEIGHTINGS)} (the manifest's by "
+                        f"default)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_convert)
 

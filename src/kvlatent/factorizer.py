@@ -1,25 +1,33 @@
 """Whitened low-rank factorization and the GQA-to-latent weight mapping.
 
-care_factorize is the one whitened factorization. It finds the rank-r W_hat
-that minimizes ||S (W - W_hat)||_F against a layer's whitening operator S
-(a calibration.Whitener, built from one eigendecomposition of the
-covariance and shared by K and V). If S W = U Sigma V^T, the optimum is
-W_hat = W V_r V_r^T, so only Sigma and V are needed:
+A layer's whitening operator S (calibration.Ridge: S^2 = (1 - alpha) C +
+alpha lam I under the default weighting "damped", S = (1 - alpha) C +
+alpha lam I under "C") weights the error ||S (W - W_hat)||_F. If
+S W = U Sigma V^T, its rank-r optimum is W_hat = W V_r V_r^T, so only
+Sigma and V are needed:
 
     w_a = W V_r                   (down-projection; equals S^-1 U_r Sigma_r)
     w_b = V_r^T                   (up-projection, orthonormal rows)
 
 and the whitened residual is the discarded energy sum_{i>r} sigma_i^2.
-It runs in two steps: whitened_svd computes (Sigma, V^T), and truncate
-keeps the top r. layer_spectra takes the first step for a layer's K and
-V; schedule water-fills on its result and stores it, and convert_layer
-truncates it, stored or recomputed.
+It runs in two steps: a whitened SVD gives (Sigma, V^T), and truncate
+keeps the top r.
 
-Neither S, S^-1 nor U is formed. The whitener's factor L = diag(s) Q^T has
-L^T L = S^2, so Y = L W has the singular values and right singular vectors
-of S W. The SVD is taken of the n x n R factor of Y = Q_Y R, which again
-shares them, so the SVD has at most n rows. With S = I this reduces to
-plain SVD truncation.
+layer_spectra is the pipeline's whitened SVD, for a layer's K and V at
+once. It forms C [W_k | W_v] in one D x D x 2n product, then each kind's
+n x n Gram G = (S W_g)^T (S W_g) (calibration.Ridge.gram), and
+eigendecomposes G = V diag(sigma^2) V^T (gram_svd). Neither S, U nor any
+other D x D matrix besides C is formed, and nothing of size D is
+decomposed. schedule water-fills on its result and stores it, and
+convert_layer truncates it, stored or recomputed. The Gram resolves each
+sigma^2 to about n eps sigma_1^2, which bounds the error of every tail
+sum_{i>r} sigma_i^2 at the same scale.
+
+whitened_svd and care_factorize are the dense reference path, which no
+stage runs: against a calibration.Whitener in eigen form, with factor
+L = diag(s) Q^T and L^T L = S^2, Y = L W has the singular values and
+right singular vectors of S W, and the SVD is taken of the n x n R factor
+of Y = Q_Y R. With S = I this reduces to plain SVD truncation.
 
 Geometry is a layer's shape and the one place it is checked: every size
 is at least 1, d_model = n_heads * head_dim, n_groups divides n_heads, and
@@ -54,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .calibration import CalibrationBatch, Whitener
+from .calibration import CalibrationBatch, Ridge, Whitener
 from .errors import ValidationError
 
 
@@ -247,11 +255,11 @@ class WhitenedSvd(NamedTuple):
 
 
 def whitened_svd(w, whitener: Whitener) -> WhitenedSvd:
-    """Sigma and V^T of S @ w, from the SVD of the R factor of Y = L @ w.
+    """Sigma and V^T of S @ w, from the SVD of the R factor of Y = L @ w:
+    the dense reference for gram_svd.
 
     Each pair's sign follows linalg.svd's convention on the left singular
-    vectors of R. Both schedule (which water-fills Sigma) and convert
-    (which truncates V^T) take their spectra from here.
+    vectors of R.
     """
     w = linalg.as_matrix(w, "w")
     if whitener.dim != w.shape[0]:
@@ -410,19 +418,41 @@ def ablate_singular_value(w, i: int) -> tuple[float, np.ndarray]:
     return float(res.singular_values[i - 1]), (res.u * damped) @ res.v_t
 
 
-def layer_spectra(layer: GroupedKv, whitener: Whitener) -> tuple[WhitenedSvd, WhitenedSvd]:
-    """whitened_svd of the grouped K and V projections against the layer's
-    one whitener: what schedule water-fills and stores, and what
-    convert_layer truncates."""
-    return whitened_svd(layer.w_k_g, whitener), whitened_svd(layer.w_v_g, whitener)
+def gram_svd(gram) -> WhitenedSvd:
+    """Sigma and V^T of S @ w from its n x n Gram G = (S w)^T (S w), as
+    G = V diag(sigma^2) V^T.
+
+    G's eigenvalues are PSD-clamped, which refuses a G that is not PSD
+    beyond rounding noise (NumericalError), before the square root; each
+    row of V^T takes linalg.sym_eig's sign convention.
+    """
+    eig = linalg.sym_eig(gram)
+    vals, _ = linalg.clamp_psd(eig.eigenvalues)
+    return WhitenedSvd(np.sqrt(vals), np.ascontiguousarray(eig.eigenvectors.T))
+
+
+def layer_spectra(layer: GroupedKv, c, ridge: Ridge) -> tuple[WhitenedSvd, WhitenedSvd]:
+    """The whitened SVDs of the grouped K and V projections against the
+    damped covariance of `c`, `ridge`: what schedule water-fills and
+    stores, and what convert_layer truncates. C [W_k | W_v] is the one
+    D x D product; each kind's Gram is n x n, and so is each
+    eigendecomposition."""
+    c = linalg.as_matrix(c, "covariance")
+    if c.shape != (layer.d_model, layer.d_model):
+        raise ValidationError(f"covariance {c.shape} does not match d_model {layer.d_model}")
+    n = layer.grouped_width
+    c_w = c @ np.hstack((layer.w_k_g, layer.w_v_g))
+    return (gram_svd(ridge.gram(layer.w_k_g, c_w[:, :n])),
+            gram_svd(ridge.gram(layer.w_v_g, c_w[:, n:])))
 
 
 def convert_layer(
     layer: GroupedKv, spectra: tuple[WhitenedSvd, WhitenedSvd], r_k: int, r_v: int
 ) -> tuple[MlaFactors, FactorizationReport, FactorizationReport]:
     """Factorize the grouped K and V projections independently by truncating
-    `spectra`, their layer_spectra against one whitener, such as the ones
-    schedule stored. The caller refuses a singular whitener first."""
+    `spectra`, their whitened SVDs against one whitener, such as the
+    layer_spectra schedule stored. The caller refuses a singular whitener
+    first."""
     (pair_k, report_k) = grouped_factorize(layer.w_k_g, spectra[0], r_k, layer)
     (pair_v, report_v) = grouped_factorize(layer.w_v_g, spectra[1], r_v, layer)
     factors = MlaFactors(pair_k.w_a, pair_k.w_b, pair_v.w_a, pair_v.w_b)

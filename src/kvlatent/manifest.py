@@ -4,10 +4,10 @@ Two document kinds exist: model manifests (source layers, or converted
 latent factors with the covariance and the digests of the source layer
 each was converted from, plus calibration batch listings and whitening
 settings) and rank-profile files, which may also record where the
-eigenvalues and whitened spectra that `schedule` computed for each layer
-are stored. All documents are written with sorted keys and no timestamps
-so reruns are byte-identical; every tensor path is stored relative to the
-manifest's directory.
+whitened spectra that `schedule` computed for each layer are stored. All
+documents are written with sorted keys and no timestamps so reruns are
+byte-identical; every tensor path is stored relative to the manifest's
+directory.
 
 Every per-layer tensor file is named by `layer_file`, wherever a stage
 writes it. A stage reads a layer's covariance through `load_covariance`,
@@ -48,10 +48,12 @@ _SOURCE_DIGESTS = ("cov_sha256", "w_q_sha256", "w_k_sha256", "w_v_sha256")
 _SHA256 = re.compile(r"[0-9a-f]{64}")
 # ShrinkageParams field -> the JSON key documents store it under.
 _SHRINKAGE_KEYS = {"alpha": "alpha", "lam": "lambda", "weighting": "weighting"}
-# The tensors a SpectrumRecord names: the covariance's raw eigenvalues, and
-# per kind the whitened singular values and V^T.
+# The tensors a SpectrumRecord names: per kind the whitened singular values
+# and V^T.
 _SVD_TENSORS = (("sigma_k", "v_t_k"), ("sigma_v", "v_t_v"))
-STORED_TENSORS = ("eigenvalues", *_SVD_TENSORS[0], *_SVD_TENSORS[1])
+STORED_TENSORS = (*_SVD_TENSORS[0], *_SVD_TENSORS[1])
+# Every name layer_file gives, whatever the layer count.
+LAYER_FILE = re.compile(r"layer\d{3,}_\w+\.ctf")
 
 
 @dataclass(frozen=True)
@@ -381,12 +383,11 @@ class StoredTensor(NamedTuple):
 class SpectrumRecord:
     """What `schedule` stored for one layer, and what it was computed from.
 
-    `cov_sha256` is array_digest of the covariance that was decomposed and
-    `w_sha256` maps each kind to array_digest of its grouped weight;
-    `shrinkage` is the setting the whitener was built from. `files` maps
-    each name in STORED_TENSORS to its StoredTensor: the raw eigenvalues
-    (non-increasing, before the PSD clamp), and the singular values and
-    V^T of factorizer.layer_spectra for K and V.
+    `cov_sha256` is array_digest of the covariance the spectra were
+    whitened with and `w_sha256` maps each kind to array_digest of its
+    grouped weight; `shrinkage` is the whitening setting. `files` maps
+    each name in STORED_TENSORS to its StoredTensor: the singular values
+    and V^T of factorizer.layer_spectra for K and V.
     """
 
     layer: int
@@ -413,15 +414,14 @@ def spectra_dir(profile_path: Path) -> Path:
 
 def store_spectra(directory: Path, profile_path: Path, layer: int, cov_sha256: str,
                   w_sha256: dict[str, str], shrinkage: ShrinkageParams,
-                  eigenvalues: np.ndarray,
                   spectra: tuple[WhitenedSvd, WhitenedSvd]) -> SpectrumRecord:
-    """Write one layer's raw eigenvalues and whitened SVDs into `directory`,
-    which becomes the profile's spectra_dir, and record what they were
-    computed from (the digests of the covariance and of each kind's weight),
-    with each file's path in the profile and sha256."""
+    """Write one layer's whitened SVDs into `directory`, which becomes the
+    profile's spectra_dir, and record what they were computed from (the
+    digests of the covariance and of each kind's weight), with each file's
+    path in the profile and sha256."""
     rel_dir = spectra_dir(profile_path).name
     files = {}
-    for name, array in zip(STORED_TENSORS, (eigenvalues, *spectra[0], *spectra[1])):
+    for name, array in zip(STORED_TENSORS, (*spectra[0], *spectra[1])):
         file = layer_file(layer, name)
         sha256 = ctf.write_ctf(directory / file, array, digest=True)
         files[name] = StoredTensor(f"{rel_dir}/{file}", sha256)
@@ -446,18 +446,17 @@ def miss_reason(record: SpectrumRecord | None, cov_sha256: str,
 
 
 def load_spectra(record: SpectrumRecord, base_dir,
-                 kv: GroupedKv) -> tuple[np.ndarray, tuple[WhitenedSvd, WhitenedSvd]]:
-    """The raw eigenvalues and the (K, V) whitened SVDs a record names, for
-    layer `kv`. Every file must match its recorded sha256 and its shape."""
+                 kv: GroupedKv) -> tuple[WhitenedSvd, WhitenedSvd]:
+    """The (K, V) whitened SVDs a record names, for layer `kv`. Every file
+    must match its recorded sha256 and its shape."""
     def load(name, shape):
         path, sha256 = record.files[name]
         return _load_tensor(base_dir, path, shape, f"layer {record.layer} {name}", sha256)
 
     n = kv.grouped_width
-    spectra = tuple(
+    return tuple(
         WhitenedSvd(load(sigma, (n,)), load(v_t, (n, n))) for sigma, v_t in _SVD_TENSORS
     )
-    return load("eigenvalues", (kv.d_model,)), spectra
 
 
 def _record_to_json(record: SpectrumRecord) -> dict:

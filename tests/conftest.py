@@ -55,6 +55,25 @@ def identity_whitener(dim: int):
     return Whitener(np.eye(dim), np.ones(dim), 1.0, WEIGHTING_COV)
 
 
+def plain_spectra(layer):
+    """The unwhitened SVDs of a layer's grouped K and V projections, by the
+    dense reference path with S = I: what convert_layer truncates into
+    plain SVD factors."""
+    from kvlatent.factorizer import whitened_svd
+
+    whitener = identity_whitener(layer.d_model)
+    return whitened_svd(layer.w_k_g, whitener), whitened_svd(layer.w_v_g, whitener)
+
+
+def pipeline_spectra(layer, c, params=None):
+    """factorizer.layer_spectra of a layer against covariance c, as the
+    stages compute it."""
+    from kvlatent.calibration import ShrinkageParams, ridge
+    from kvlatent.factorizer import layer_spectra
+
+    return layer_spectra(layer, c, ridge(c, params or ShrinkageParams()))
+
+
 def truncate_svd(res, r: int):
     """The top-r singular triplets of a linalg.SvdResult."""
     return SvdResult(res.u[:, :r], res.singular_values[:r], res.v_t[:r, :])

@@ -109,9 +109,10 @@ def test_criterion_03_kv_parity_exactness():
                     CalibrationBatch(0, rng.standard_normal((12, d)))
                     for _ in range(4)
                 ]
-                whitener = calibration.build_whitener(covariance_of(batches), ShrinkageParams())
+                c = covariance_of(batches)
+                whitener = calibration.build_whitener(c, ShrinkageParams())
                 r = n_groups * head_dim
-                spectra = layer_spectra(layer, whitener)
+                spectra = layer_spectra(layer, c, calibration.ridge(c, ShrinkageParams()))
                 factors, report_k, report_v = convert_layer(layer, spectra, r, r)
                 for report, w_g in ((report_k, layer.w_k_g), (report_v, layer.w_v_g)):
                     w = replicate_groups(w_g, layer)

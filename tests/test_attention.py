@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import anisotropic_batches, covariance_of, gen, identity_whitener
+from conftest import anisotropic_batches, covariance_of, gen, pipeline_spectra, plain_spectra
 from kvlatent import calibration, linalg
 from kvlatent.attention import (
     AttentionTrace,
@@ -23,7 +23,7 @@ from kvlatent.attention import (
     rope_rotate,
 )
 from kvlatent.errors import ValidationError
-from kvlatent.factorizer import convert_layer, layer_spectra
+from kvlatent.factorizer import convert_layer
 from test_factorizer import random_gqa_layer
 
 
@@ -221,7 +221,7 @@ class TestMlaForward:
         rng = gen(421)
         layer = random_gqa_layer(rng)
         r = layer.grouped_width
-        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), r, r)
+        factors, _, _ = convert_layer(layer, plain_spectra(layer), r, r)
         x = rng.standard_normal((5, 16))
         drift = logit_drift(
             gqa_forward(layer, x),
@@ -236,9 +236,8 @@ class TestMlaForward:
             calibration.CalibrationBatch(0, rng.standard_normal((8, 16)))
             for _ in range(4)
         ]
-        s = calibration.build_whitener(covariance_of(batches), calibration.ShrinkageParams())
         r = layer.n_groups * layer.head_dim
-        factors, _, _ = convert_layer(layer, layer_spectra(layer, s), r, r)
+        factors, _, _ = convert_layer(layer, pipeline_spectra(layer, covariance_of(batches)), r, r)
         x = rng.standard_normal((8, 16))
         trace_g = gqa_forward(layer, x)
         trace_m = mla_forward(factors, layer.w_q, layer, x)
@@ -249,14 +248,14 @@ class TestMlaForward:
     def test_zero_input(self):
         rng = gen(423)
         layer = random_gqa_layer(rng)
-        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 8, 8)
+        factors, _, _ = convert_layer(layer, plain_spectra(layer), 8, 8)
         trace = mla_forward(factors, layer.w_q, layer, np.zeros((3, 16)))
         assert np.array_equal(trace.output, np.zeros_like(trace.output))
 
     def test_cache_widths_and_scale(self):
         rng = gen(424)
         layer = random_gqa_layer(rng)
-        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 6, 7)
+        factors, _, _ = convert_layer(layer, plain_spectra(layer), 6, 7)
         trace = mla_forward(factors, layer.w_q, layer, rng.standard_normal((3, 16)))
         assert (factors.r_k, factors.r_v, factors.cache_width) == (6, 7, 13)
         assert trace.scale_denominator == math.sqrt(layer.head_dim)
@@ -266,7 +265,7 @@ class TestMlaForwardRope:
     def test_zero_adapters_rescale_content_logits(self):
         rng = gen(431)
         layer = random_gqa_layer(rng)
-        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 8, 8)
+        factors, _, _ = convert_layer(layer, plain_spectra(layer), 8, 8)
         x = rng.standard_normal((5, 16))
         d_r = 4
         adapters = RopeAdapters(
@@ -283,7 +282,7 @@ class TestMlaForwardRope:
         rng = gen(432)
         layer = random_gqa_layer(rng)
         d_r = 4
-        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 8, 8)
+        factors, _, _ = convert_layer(layer, plain_spectra(layer), 8, 8)
         zeroed = type(factors)(
             np.zeros_like(factors.w_a_k), factors.w_b_k,
             np.zeros_like(factors.w_a_v), factors.w_b_v,
@@ -302,7 +301,7 @@ class TestMlaForwardRope:
         rng = gen(433)
         layer = random_gqa_layer(rng)
         d_r = 6
-        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 8, 8)
+        factors, _, _ = convert_layer(layer, plain_spectra(layer), 8, 8)
         adapters = RopeAdapters(
             w_r_q=rng.standard_normal((16, layer.n_heads * d_r)),
             w_r_k=rng.standard_normal((16, d_r)),
@@ -315,7 +314,7 @@ class TestMlaForwardRope:
     def test_scale_denominator_tracks_rope_dim(self):
         rng = gen(434)
         layer = random_gqa_layer(rng)
-        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 8, 8)
+        factors, _, _ = convert_layer(layer, plain_spectra(layer), 8, 8)
         x = rng.standard_normal((3, 16))
         for d_r in (2, 4):
             adapters = RopeAdapters(
@@ -329,7 +328,7 @@ class TestMlaForwardRope:
     def test_rope_width_must_be_positive_and_even(self, d_r):
         rng = gen(435)
         layer = random_gqa_layer(rng)
-        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 8, 8)
+        factors, _, _ = convert_layer(layer, plain_spectra(layer), 8, 8)
         adapters = RopeAdapters(
             w_r_q=np.zeros((16, layer.n_heads * d_r)), w_r_k=np.zeros((16, d_r))
         )
@@ -376,11 +375,9 @@ class TestLogitDrift:
             layer = random_gqa_layer(rng)
             batches = anisotropic_batches(rng, 4, 24, 16, cond=900.0)
             c = covariance_of(batches)
-            s = calibration.build_whitener(c, calibration.ShrinkageParams())
             r = 3
-            care_factors, _, _ = convert_layer(layer, layer_spectra(layer, s), r, r)
-            plain_spectra = layer_spectra(layer, identity_whitener(16))
-            plain_factors, _, _ = convert_layer(layer, plain_spectra, r, r)
+            care_factors, _, _ = convert_layer(layer, pipeline_spectra(layer, c), r, r)
+            plain_factors, _, _ = convert_layer(layer, plain_spectra(layer), r, r)
             x = batches[0].x[:8]
             reference = gqa_forward(layer, x)
             care_drift = logit_drift(
@@ -415,7 +412,7 @@ class TestBlockedCoreOracle:
     def test_forwards_match_reference(self, t, n_groups):
         rng = gen(4500 + 10 * t + n_groups)
         layer = random_gqa_layer(rng, n_groups=n_groups)
-        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 3, 4)
+        factors, _, _ = convert_layer(layer, plain_spectra(layer), 3, 4)
         x = rng.standard_normal((t, 16))
         assert_matches_reference(gqa_forward(layer, x), reference_gqa(layer, x))
 
@@ -446,7 +443,7 @@ class TestCompareOracle:
     def test_matches_reference_traces(self, t, n_groups):
         rng = gen(4600 + 10 * t + n_groups)
         layer = random_gqa_layer(rng, n_groups=n_groups)
-        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 3, 4)
+        factors, _, _ = convert_layer(layer, plain_spectra(layer), 3, 4)
         x = rng.standard_normal((t, 16))
         d_r = 4
         adapters = RopeAdapters(

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from conftest import anisotropic_batches, covariance_of, gen, random_orthogonal
 from kvlatent import linalg
 from kvlatent.calibration import (
+    WHITENER_FLOOR_REL,
     CalibrationBatch,
     CovarianceAccumulator,
     ShrinkageParams,
@@ -13,6 +15,7 @@ from kvlatent.calibration import (
     accumulate,
     build_whitener,
     finalize,
+    ridge,
     whitener_from_eig,
     whitening_operator,
 )
@@ -102,15 +105,15 @@ class TestShrinkage:
 
     def test_zero_covariance(self):
         out = whitening_operator(np.zeros((2, 2)), ShrinkageParams(alpha=0.01, lam=2.0))
-        assert np.allclose(out, 0.02 * np.eye(2))
+        assert np.allclose(out, math.sqrt(0.02) * np.eye(2))
 
     def test_per_eigenvalue_arithmetic(self):
         out = whitening_operator(np.diag([4.0, 0.0]), ShrinkageParams(alpha=0.01, lam=1.0))
-        assert np.allclose(out, np.diag([0.99 * 2.0 + 0.01, 0.01]))
+        assert np.allclose(out, np.diag([math.sqrt(0.99 * 4.0 + 0.01), math.sqrt(0.01)]))
 
-    def test_auto_lambda_is_mean_sqrt_eigenvalue(self):
-        # trace(sqrt(diag(4, 0))) / 2 = 1, so "auto" matches lam=1.0 here
-        c = np.diag([4.0, 0.0])
+    def test_auto_lambda_is_mean_eigenvalue(self):
+        # trace(diag(2, 0)) / 2 = 1, so "auto" matches lam=1.0 here
+        c = np.diag([2.0, 0.0])
         auto = whitening_operator(c, ShrinkageParams(alpha=0.01, lam="auto"))
         explicit = whitening_operator(c, ShrinkageParams(alpha=0.01, lam=1.0))
         assert np.allclose(auto, explicit)
@@ -121,9 +124,9 @@ class TestShrinkage:
         c = covariance_of(batches)  # rank deficient: 4 rows for dim 6
         params = ShrinkageParams(alpha=0.01, lam="auto")
         out = whitening_operator(c, params)
-        lam = np.trace(linalg.sqrt_psd(c)) / c.shape[0]
+        lam = np.trace(c) / c.shape[0]
         eigs = np.linalg.eigvalsh(out)
-        assert eigs.min() >= params.alpha * lam * (1 - 1e-12)
+        assert eigs.min() >= math.sqrt(params.alpha * lam) * (1 - 1e-12)
 
     def test_invertible_after_shrinkage(self):
         rng = gen(105)
@@ -132,21 +135,25 @@ class TestShrinkage:
         params = ShrinkageParams(alpha=0.01, lam="auto")
         whitener = build_whitener(c, params)
         whitener.check_invertible()
+        ridge(c, params).check_invertible()
         inv = np.linalg.inv(whitener.matrix)
         assert np.all(np.isfinite(inv))
         assert np.max(np.abs(whitener.matrix @ inv - np.eye(8))) <= 1e-9
 
+    def test_retired_weighting_names_its_successor(self):
+        with pytest.raises(ValidationError, match="'sqrtC' is retired; use 'damped'"):
+            ShrinkageParams(weighting="sqrtC")
+
 
 class TestWhiteningOperator:
     def test_sqrt_mode_matches_shrunk_sqrt(self):
-        # "sqrtC" is the default: (1 - alpha) sqrt(C) + alpha lam I
+        # "damped" is the default: S = ((1 - alpha) C + alpha lam I)^(1/2)
         rng = gen(106)
         c = covariance_of([batch(rng.standard_normal((6, 4))) for _ in range(3)])
         params = ShrinkageParams()
-        root = linalg.sqrt_psd(c)
-        lam = np.trace(root) / 4
-        explicit = (1.0 - params.alpha) * root + params.alpha * lam * np.eye(4)
-        out = whitening_operator(c, replace(params, weighting="sqrtC"))
+        lam = np.trace(c) / 4
+        explicit = linalg.sqrt_psd((1.0 - params.alpha) * c + params.alpha * lam * np.eye(4))
+        out = whitening_operator(c, replace(params, weighting="damped"))
         assert np.array_equal(whitening_operator(c, params), out)
         assert np.max(np.abs(out - explicit)) <= 1e-12 * np.max(np.abs(explicit))
 
@@ -159,13 +166,21 @@ class TestWhiteningOperator:
     def test_modes_differ_on_anisotropic_input(self):
         c = np.diag([9.0, 1.0])
         params = ShrinkageParams(alpha=0.01, lam=1.0)
-        sqrt_op = whitening_operator(c, replace(params, weighting="sqrtC"))
+        damped_op = whitening_operator(c, replace(params, weighting="damped"))
         cov_op = whitening_operator(c, replace(params, weighting="C"))
-        assert not np.allclose(sqrt_op, cov_op)
+        assert not np.allclose(damped_op, cov_op)
 
     def test_unknown_mode(self):
         with pytest.raises(ValidationError):
             whitening_operator(np.eye(2), ShrinkageParams(weighting="fisher"))
+
+
+def explicit_operator(c, params):
+    """S by its definition, from the dense ridge B = (1 - alpha) C + alpha
+    lam I with "auto" lam = tr(C) / D: B^(1/2) for "damped", B for "C"."""
+    lam = float(np.trace(c)) / c.shape[0] if params.lam == "auto" else params.lam
+    b = (1.0 - params.alpha) * c + params.alpha * lam * np.eye(c.shape[0])
+    return linalg.sqrt_psd(b) if params.weighting == "damped" else b
 
 
 class TestWhitener:
@@ -176,23 +191,13 @@ class TestWhitener:
         rng = gen(seed)
         return covariance_of(anisotropic_batches(rng, 4, 16, dim, cond=400.0))
 
-    @staticmethod
-    def resolve_lambda(base, params):
-        """The ridge scale by its definition: "auto" is trace(base) / dim."""
-        return float(np.trace(base)) / base.shape[0] if params.lam == "auto" else params.lam
-
-    def explicit_operator(self, c, params, weighting):
-        base = linalg.sqrt_psd(c) if weighting == "sqrtC" else c
-        lam = self.resolve_lambda(base, params)
-        return (1.0 - params.alpha) * base + params.alpha * lam * np.eye(c.shape[0])
-
     def test_inverse_round_trip(self):
         whitener = build_whitener(self.covariance(111), ShrinkageParams())
         whitener.check_invertible()
         identity = whitener.matrix @ np.linalg.inv(whitener.matrix)
         assert np.max(np.abs(identity - np.eye(whitener.dim))) <= 1e-12
 
-    @pytest.mark.parametrize("weighting", ["sqrtC", "C"])
+    @pytest.mark.parametrize("weighting", ["damped", "C"])
     def test_factor_carries_the_whitened_metric(self, weighting):
         # L^T L = S^2, so L @ w and S @ w share singular values and norms
         rng = gen(116)
@@ -210,25 +215,25 @@ class TestWhitener:
             linalg.frobenius_norm_sq(s @ e), rel=1e-12
         )
 
-    @pytest.mark.parametrize("weighting", ["sqrtC", "C"])
+    @pytest.mark.parametrize("weighting", ["damped", "C"])
     @pytest.mark.parametrize("lam", ["auto", 0.3])
     def test_matrix_matches_operator_and_formula(self, weighting, lam):
         c = self.covariance(112)
         params = ShrinkageParams(alpha=0.05, lam=lam, weighting=weighting)
         whitener = build_whitener(c, params)
-        explicit = self.explicit_operator(c, params, weighting)
+        explicit = explicit_operator(c, params)
         scale = np.max(np.abs(explicit))
         assert np.max(np.abs(whitener.matrix - whitening_operator(c, params))) == 0.0
         assert np.max(np.abs(whitener.matrix - explicit)) <= 1e-12 * scale
         assert whitener.weighting == weighting
 
-    @pytest.mark.parametrize("weighting", ["sqrtC", "C"])
+    @pytest.mark.parametrize("weighting", ["damped", "C"])
     def test_lambda_matches_resolve_lambda(self, weighting):
         c = self.covariance(113)
         params = ShrinkageParams(weighting=weighting)
-        base = linalg.sqrt_psd(c) if weighting == "sqrtC" else c
-        expected = self.resolve_lambda(base, params)
+        expected = float(np.trace(c)) / c.shape[0]
         assert build_whitener(c, params).lam == pytest.approx(expected, rel=1e-12)
+        assert ridge(c, params).lam == pytest.approx(expected, rel=1e-12)
 
     def test_health_figures_match_spectrum(self):
         whitener = build_whitener(self.covariance(114), ShrinkageParams())
@@ -245,9 +250,9 @@ class TestWhitener:
         params = ShrinkageParams(alpha=0.01, lam=1.0)
         whitener = build_whitener(c, params)
         assert whitener.clamped == 2
-        assert whitener.lambda_min == pytest.approx(params.alpha * 1.0, rel=1e-6)
+        assert whitener.lambda_min == pytest.approx(math.sqrt(params.alpha * 1.0), rel=1e-6)
 
-    @pytest.mark.parametrize("weighting", ["sqrtC", "C"])
+    @pytest.mark.parametrize("weighting", ["damped", "C"])
     def test_not_psd_is_numerical_error(self, weighting):
         with pytest.raises(NumericalError, match="not PSD"):
             build_whitener(np.diag([1.0, -0.1]), ShrinkageParams(weighting=weighting))
@@ -258,12 +263,11 @@ class TestWhitener:
             whitener.check_invertible()
 
     def test_unknown_weighting(self):
-        with pytest.raises(ValidationError):
-            build_whitener(np.eye(2), ShrinkageParams(weighting="fisher"))
-        with pytest.raises(ValidationError):
-            whitener_from_eig(linalg.sym_eig(np.eye(2)), ShrinkageParams(weighting="fisher"))
+        for weighting in ("fisher", "sqrtC"):
+            with pytest.raises(ValidationError, match="weighting"):
+                build_whitener(np.eye(2), ShrinkageParams(weighting=weighting))
 
-    @pytest.mark.parametrize("weighting", ["sqrtC", "C"])
+    @pytest.mark.parametrize("weighting", ["damped", "C"])
     def test_from_eig_is_build_whitener_on_sym_eig(self, weighting):
         # Including the clamp band, so the clamp count comes from raw eigenvalues.
         q = random_orthogonal(gen(117), 6)
@@ -277,3 +281,57 @@ class TestWhitener:
         assert (given.lam, given.clamped, given.weighting) == (
             built.lam, built.clamped, built.weighting)
         assert given.clamped >= 1
+
+
+class TestRidge:
+    """The damped covariance the stages whiten with, against the dense S."""
+
+    @pytest.mark.parametrize("weighting", ["damped", "C"])
+    @pytest.mark.parametrize("lam", ["auto", 0.3])
+    def test_gram_is_the_whitened_weights_gram(self, weighting, lam):
+        c = TestWhitener.covariance(118)
+        w = gen(118).standard_normal((12, 5))
+        params = ShrinkageParams(alpha=0.05, lam=lam, weighting=weighting)
+        s_w = explicit_operator(c, params) @ w
+        expected = s_w.T @ s_w
+        got = ridge(c, params).gram(w, c @ w)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("trace, lam", [(12.0, 1.0), (0.0, 1.0), (-3.0, 1.0)])
+    def test_auto_lambda_is_the_mean_eigenvalue_or_one(self, trace, lam):
+        c = np.diag([trace] + [0.0] * 11)
+        assert ridge(c, ShrinkageParams()).lam == lam
+        assert ridge(c, ShrinkageParams(lam=2.5)).lam == 2.5
+
+    @pytest.mark.parametrize("weighting", ["damped", "C"])
+    def test_bounds_bracket_the_dense_spectrum(self, weighting):
+        # The refusal reads two bounds; the whitener's eigenvalues lie within.
+        c = TestWhitener.covariance(119)
+        params = ShrinkageParams(weighting=weighting)
+        r = ridge(c, params)
+        low = params.alpha * r.lam
+        high = (1 - params.alpha) * r.trace + low
+        if weighting == "damped":
+            low, high = math.sqrt(low), math.sqrt(high)
+        whitener = build_whitener(c, params)
+        assert low * (1 - 1e-12) <= whitener.lambda_min
+        assert whitener.lambda_max <= high * (1 + 1e-12)
+
+    @pytest.mark.parametrize("weighting", ["damped", "C"])
+    def test_singular_ridge_refused_without_a_decomposition(self, weighting, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        c = covariance_of([batch(gen(120).standard_normal((4, 16)))])  # rank 4 in 16 dims
+        ridge(c, ShrinkageParams(weighting=weighting)).check_invertible()
+        with pytest.raises(NumericalError, match="singular whitener"):
+            ridge(c, ShrinkageParams(lam=1e-300, weighting=weighting)).check_invertible()
+
+    def test_refusal_threshold(self):
+        # "C" at alpha 0.5 and tr(C) 1: S's eigenvalues lie in
+        # [lam / 2, (1 + lam) / 2], a ratio of lam / (1 + lam).
+        for ratio, refused in ((WHITENER_FLOOR_REL * 0.5, True), (WHITENER_FLOOR_REL * 2, False)):
+            r = ridge(np.diag([1.0, 0.0]), ShrinkageParams(alpha=0.5, lam=ratio, weighting="C"))
+            if refused:
+                with pytest.raises(NumericalError):
+                    r.check_invertible()
+            else:
+                r.check_invertible()

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import covariance_of, identity_whitener
+from conftest import covariance_of, plain_spectra
 from kvlatent import (
     attention, calibration, cli, ctf, factorizer, linalg, manifest, metrics, scheduler,
 )
@@ -381,7 +381,7 @@ class TestSchedule:
                    "--parity", "--out", tmp_path / "p.json") == 0
         tiny = with_shrinkage(model, "tiny.json", ("--weighting", "C", "--lambda", "1e-300"))
         before = tree_bytes(tmp_path)
-        assert "p.json" in before and "p_spectra/layer000_eigenvalues.ctf" in before
+        assert "p.json" in before and "p_spectra/layer000_sigma_k.ctf" in before
         capsys.readouterr()
         assert run("schedule", "--manifest", tiny, "--cov-dir", tmp_path / "cov",
                    "--parity", "--out", tmp_path / "p.json") == 3
@@ -426,16 +426,17 @@ class TestSchedule:
                    "--out", tmp_path / "p.json") == 2
 
     def test_spectrum_svd_failure_is_numerical_error(self, tmp_path, monkeypatch, capsys):
+        # The whitened SVD is the eigendecomposition of each kind's Gram.
         model = gen_model(tmp_path / "m")
         assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
 
         def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "svd", fail)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
                    "--parity", "--out", tmp_path / "p.json") == 3
-        assert "SVD failed" in capsys.readouterr().err
+        assert "eigendecomposition failed" in capsys.readouterr().err
         assert not (tmp_path / "p.json").exists()
 
     def test_non_psd_covariance_writes_nothing(self, tmp_path, capsys):
@@ -474,21 +475,6 @@ class TestSchedule:
                    "--budget-k", 16, "--budget-v", 16, "--out", tmp_path / "p.json") == 0
         profile, _, _ = manifest.load_profile(tmp_path / "p.json")
         assert sum(r for (l, kind), r in profile.ranks.items() if kind == "K") == 16
-
-    def test_one_eigendecomposition_per_layer(self, tmp_path, monkeypatch):
-        model = gen_model(tmp_path / "m", layers=3)
-        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
-        calls = []
-        real = linalg.sym_eig
-
-        def counting(s):
-            calls.append(s.shape)
-            return real(s)
-
-        monkeypatch.setattr(linalg, "sym_eig", counting)
-        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
-                   "--budget-k", 12, "--budget-v", 12, "--out", tmp_path / "p.json") == 0
-        assert calls == [(16, 16)] * 3
 
     # Each refusal below depends on the flags and the manifest alone. The
     # covariance directory does not exist, so a refusal that came after
@@ -686,7 +672,7 @@ class TestConvert:
         assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
         assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
                    "--mode", "uniform", "--rank", 4, "--out", tmp_path / "p.json") == 0
-        for weighting, out in (("sqrtC", "c1"), ("C", "c2")):
+        for weighting, out in (("damped", "c1"), ("C", "c2")):
             assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
                        "--profile", tmp_path / "p.json", "--weighting", weighting,
                        "--out", tmp_path / out) == 0
@@ -699,14 +685,19 @@ class TestConvert:
         assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
         assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
                    "--mode", "uniform", "--rank", 4, "--out", tmp_path / "p.json") == 0
+        # The residual eval reports is measured in one metric, C, whatever
+        # alpha the factors were found with. The whitened residual is not:
+        # S^2 = (1 - alpha) C + alpha lam I itself moves by about alpha.
         residuals = {}
         for alpha, out in ((1e-4, "almost_zero"), (1e-2, "default")):
             assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
                        "--profile", tmp_path / "p.json", "--alpha", alpha,
                        "--out", tmp_path / out) == 0
-            report = json.loads((tmp_path / out / "conversion_report.json").read_text())
+            assert run("eval", "--source", model, "--converted",
+                       tmp_path / out / "converted.json", "--out", tmp_path / f"eval_{out}") == 0
+            report = json.loads((tmp_path / f"eval_{out}/eval_report.json").read_text())
             residuals[out] = [
-                layer[kind]["whitened_residual_sq"]
+                layer[f"activation_residual_{kind}"]
                 for layer in report["layers"] for kind in ("k", "v")
             ]
         for near_zero, default in zip(residuals["almost_zero"], residuals["default"]):
@@ -720,29 +711,6 @@ class TestConvert:
             ctf.write_ctf(cov_dir / f"layer{layer:03d}_cov.ctf", -np.eye(16))
         assert run("schedule", "--manifest", model, "--cov-dir", cov_dir,
                    "--parity", "--out", tmp_path / "p.json") == 3
-
-    def test_one_eigendecomposition_per_layer(self, tmp_path, monkeypatch):
-        # After schedule, convert truncates the stored spectra: no
-        # eigendecomposition, QR or SVD. A shrinkage override or a profile
-        # without spectrum records decomposes each covariance once.
-        model = gen_model(tmp_path / "m", layers=3)
-        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
-        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
-                   "--budget-k", 12, "--budget-v", 12, "--out", tmp_path / "p.json") == 0
-        without_records(tmp_path / "p.json", tmp_path / "old.json")
-        calls = counting(monkeypatch, "sym_eig", "qr_r", "svd")
-        recomputed = [("sym_eig", (16, 16))] + [("qr_r", (16, 8)), ("svd", (8, 8))] * 2
-        for weighting, profile, expected in (
-            ("sqrtC", "p.json", []),
-            ("C", "p.json", recomputed * 3),
-            ("sqrtC", "old.json", recomputed * 3),
-            ("C", "old.json", recomputed * 3),
-        ):
-            calls.clear()
-            assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
-                       "--profile", tmp_path / profile, "--weighting", weighting,
-                       "--out", tmp_path / weighting / profile) == 0
-            assert calls == expected
 
     def test_parity_report_retains_all_energy(self, tmp_path):
         pipeline(tmp_path)
@@ -772,8 +740,8 @@ class TestConvert:
                 assert abs(entry["retained_energy"] - expected) <= 1e-9
                 assert entry["retained_energy"] < 1.0
 
-    def test_qr_failure_is_numerical_error(self, tmp_path, monkeypatch, capsys):
-        # Without spectrum records convert runs its own QR.
+    def test_gram_eigh_failure_is_numerical_error(self, tmp_path, monkeypatch, capsys):
+        # Without spectrum records convert decomposes its own Grams.
         model = gen_model(tmp_path / "m")
         assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
         assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
@@ -781,9 +749,9 @@ class TestConvert:
         without_records(tmp_path / "p.json", tmp_path / "old.json")
 
         def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("QR did not converge")
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "qr", fail)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         capsys.readouterr()
         assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
                    "--profile", tmp_path / "old.json", "--out", tmp_path / "c") == 3
@@ -803,37 +771,53 @@ class TestConvert:
         assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
                    "--profile", tmp_path / "p.json", "--out", tmp_path / "c") == 0
 
-    def test_svd_height_is_grouped_width(self, tmp_path, monkeypatch):
-        # d_model 16, n_groups * head_dim = 8: no SVD sees all 16 rows, in
-        # schedule or in a convert that recomputes its spectra.
-        model = gen_model(tmp_path / "m")
-        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
-        calls = counting(monkeypatch, "svd")
-        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
-                   "--budget-k", 12, "--budget-v", 12, "--out", tmp_path / "p.json") == 0
-        without_records(tmp_path / "p.json", tmp_path / "old.json")
-        assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
-                   "--profile", tmp_path / "old.json", "--out", tmp_path / "c") == 0
-        assert calls == [("svd", (8, 8))] * 8
-
     def test_report_carries_whitener_health(self, tmp_path):
+        # Per kind, the health of the n x n whitened Gram (S W_g)^T (S W_g),
+        # against the dense S; one lambda_resolved per layer.
         pipeline(tmp_path)
         report = json.loads((tmp_path / "converted/conversion_report.json").read_text())
         model = manifest.load_manifest(tmp_path / "model/model.json")
         for layer_report in report["layers"]:
-            cov = ctf.read_ctf(tmp_path / "cov" / f"layer{layer_report['layer']:03d}_cov.ctf")
-            eigs = np.linalg.eigvalsh(calibration.whitening_operator(cov, model.shrinkage))
-            health = layer_report["whitener"]
-            assert sorted(health) == [
-                "clamped", "condition", "lambda_max", "lambda_min", "lambda_resolved"
-            ]
-            assert health["lambda_min"] == pytest.approx(eigs[0], rel=1e-12)
-            assert health["lambda_max"] == pytest.approx(eigs[-1], rel=1e-12)
-            assert health["condition"] == pytest.approx(eigs[-1] / eigs[0], rel=1e-12)
-            assert health["clamped"] == 0
-            assert health["lambda_resolved"] == layer_report["lambda_resolved"]
-            resolved = np.trace(linalg.sqrt_psd(cov)) / cov.shape[0]  # "auto"
+            layer = layer_report["layer"]
+            cov = ctf.read_ctf(tmp_path / "cov" / f"layer{layer:03d}_cov.ctf")
+            s = calibration.whitening_operator(cov, model.shrinkage)
+            kv = manifest.load_grouped_kv(model, tmp_path / "model", layer)
+            assert sorted(layer_report) == ["gram", "k", "lambda_resolved", "layer", "v"]
+            assert sorted(layer_report["gram"]) == ["k", "v"]
+            for kind, w_g in (("k", kv.w_k_g), ("v", kv.w_v_g)):
+                eigs = np.linalg.eigvalsh((s @ w_g).T @ (s @ w_g))
+                health = layer_report["gram"][kind]
+                assert sorted(health) == ["clamped", "condition", "eig_max", "eig_min"]
+                assert health["eig_min"] == pytest.approx(eigs[0], rel=1e-10)
+                assert health["eig_max"] == pytest.approx(eigs[-1], rel=1e-12)
+                assert health["condition"] == pytest.approx(eigs[-1] / eigs[0], rel=1e-10)
+                assert health["clamped"] == 0
+            resolved = np.trace(cov) / cov.shape[0]  # "auto"
             assert layer_report["lambda_resolved"] == pytest.approx(resolved, rel=1e-12)
+
+    def test_rank_deficient_weight_reports_clamped_gram(self, tmp_path):
+        # A zero column of W_v_g gives the Gram a zero eigenvalue: the report
+        # counts it and writes a null condition instead of an infinity.
+        model = gen_model(tmp_path / "m")
+        doc = json.loads(model.read_text())
+        w_v = ctf.read_ctf(model.parent / doc["layers"][0]["w_v_g"])
+        w_v[:, 0] = 0.0
+        ctf.write_ctf(model.parent / "weights/zero_column.ctf", w_v)
+        doc["layers"][0]["w_v_g"] = "weights/zero_column.ctf"
+        model.write_text(json.dumps(doc))
+        pipeline_args = ("--mode", "uniform", "--rank", 4)
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   *pipeline_args, "--out", tmp_path / "p.json") == 0
+        assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--profile", tmp_path / "p.json", "--out", tmp_path / "c") == 0
+        report = json.loads((tmp_path / "c/conversion_report.json").read_text())
+        health = report["layers"][0]["gram"]["v"]
+        assert health["eig_min"] <= 1e-12 * health["eig_max"]
+        if health["eig_min"] == 0.0:
+            assert health["clamped"] >= 1 and health["condition"] is None
+        else:
+            assert health["condition"] >= 1e12
 
 
     def test_interrupted_run_leaves_no_manifest(self, tmp_path, monkeypatch, capsys):
@@ -944,19 +928,16 @@ class TestEigenReuse:
         for layer, record in records.items():
             cov = ctf.read_ctf(tmp_path / "cov" / f"layer{layer:03d}_cov.ctf")
             gqa = manifest.load_gqa_layer(m, scheduled.parent, layer)
-            eig = linalg.sym_eig(cov)
-            whitener = calibration.whitener_from_eig(eig, m.shrinkage)
             assert record.cov_sha256 == manifest.array_digest(cov)
             assert record.w_sha256 == {"K": manifest.array_digest(gqa.w_k_g),
                                        "V": manifest.array_digest(gqa.w_v_g)}
-            assert record.shrinkage == calibration.ShrinkageParams(0.01, "auto", "sqrtC")
+            assert record.shrinkage == calibration.ShrinkageParams(0.01, "auto", "damped")
             assert {name: stored.path for name, stored in record.files.items()} == {
                 name: f"p_spectra/layer{layer:03d}_{name}.ctf" for name in manifest.STORED_TENSORS
             }
-            eigenvalues, spectra = manifest.load_spectra(record, tmp_path, gqa)
-            assert eigenvalues.tobytes() == eig.eigenvalues.tobytes()
-            for w_g, stored in zip((gqa.w_k_g, gqa.w_v_g), spectra):
-                expected = factorizer.whitened_svd(w_g, whitener)
+            spectra = manifest.load_spectra(record, tmp_path, gqa)
+            computed = factorizer.layer_spectra(gqa, cov, calibration.ridge(cov, m.shrinkage))
+            for stored, expected in zip(spectra, computed):
                 assert stored.singular_values.tobytes() == expected.singular_values.tobytes()
                 assert stored.v_t.tobytes() == expected.v_t.tobytes()
 
@@ -975,7 +956,7 @@ class TestEigenReuse:
                               "reused", *args)
         assert calls == []
         missed = convert_tree(tmp_path, model, tmp_path / "cov", old, "missed", *args)
-        assert [name for name, _ in calls] == ["sym_eig", "qr_r", "svd", "qr_r", "svd"] * 3
+        assert calls == [("sym_eig", (8, 8))] * 6
         assert reused == missed
 
     def test_changed_covariance_is_decomposed_alone(self, tmp_path, scheduled, monkeypatch):
@@ -986,7 +967,7 @@ class TestEigenReuse:
         calls = counting(monkeypatch, "sym_eig")
         changed = convert_tree(tmp_path, scheduled, tmp_path / "cov2", tmp_path / "p.json",
                                "changed")
-        assert calls == [("sym_eig", (16, 16))]
+        assert calls == [("sym_eig", (8, 8))] * 2
         assert changed == convert_tree(tmp_path, scheduled, tmp_path / "cov2", old, "missed")
 
     @pytest.mark.parametrize("kind", ["w_k_g", "w_v_g"])
@@ -1000,7 +981,7 @@ class TestEigenReuse:
         old = without_records(tmp_path / "p.json", tmp_path / "old.json")
         calls = counting(monkeypatch, "sym_eig")
         changed = convert_tree(tmp_path, model, tmp_path / "cov", tmp_path / "p.json", "changed")
-        assert calls == [("sym_eig", (16, 16))]
+        assert calls == [("sym_eig", (8, 8))] * 2
         assert changed == convert_tree(tmp_path, model, tmp_path / "cov", old, "missed")
 
     def test_reports_why_spectra_were_recomputed(self, tmp_path, scheduled, capsys):
@@ -1062,13 +1043,14 @@ class TestEigenReuse:
         assert err.startswith("error:") and f"layer 2 {name}" in err
 
     def test_truncated_eigen_file_exits_2(self, tmp_path, scheduled, capsys):
-        path = tmp_path / "p_spectra/layer002_eigenvalues.ctf"
+        # V^T holds the eigenvectors of the layer's K Gram.
+        path = tmp_path / "p_spectra/layer002_v_t_k.ctf"
         path.write_bytes(path.read_bytes()[:-8])
         code, err = self.convert_code(tmp_path, scheduled, capsys)
         assert code == 2 and err.startswith("error:")
 
     def test_missing_eigen_file_exits_4(self, tmp_path, scheduled, capsys):
-        (tmp_path / "p_spectra/layer000_eigenvalues.ctf").unlink()
+        (tmp_path / "p_spectra/layer000_v_t_v.ctf").unlink()
         code, err = self.convert_code(tmp_path, scheduled, capsys)
         assert code == 4 and err.startswith("error:")
 
@@ -1097,6 +1079,138 @@ class TestEigenReuse:
         (tmp_path / "bad.json").write_text(json.dumps(doc))
         code, err = self.convert_code(tmp_path, scheduled, capsys, "bad.json")
         assert code == 2 and err.startswith("error:")
+
+
+class TestGroupedWidthDecompositions:
+    """Every decomposition that schedule and convert run is of an n x n
+    Gram, n the layer's grouped width (8 here, d_model 16): no D x D
+    eigendecomposition, and no QR or SVD, on any convert path."""
+
+    DECOMPOSITIONS = ("eigh", "eigvalsh", "svd", "qr", "cholesky")
+
+    def record(self, monkeypatch) -> list[tuple[str, tuple]]:
+        """linalg's entry points and numpy's own decompositions, by shape."""
+        calls = counting(monkeypatch, "sym_eig", "qr_r", "svd")
+        for name in self.DECOMPOSITIONS:
+            real = getattr(np.linalg, name)
+
+            def wrapper(a, *args, _name=name, _real=real, **kwargs):
+                calls.append((f"np.{_name}", np.shape(a)))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, wrapper)
+        return calls
+
+    def test_schedule_and_each_convert_path(self, tmp_path, monkeypatch, capsys):
+        model = gen_model(tmp_path / "m", layers=3)
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        calls = self.record(monkeypatch)
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--budget-k", 12, "--budget-v", 12, "--out", tmp_path / "p.json") == 0
+        per_kind = [("sym_eig", (8, 8)), ("np.eigh", (8, 8))]
+        assert calls == per_kind * 6
+        for out, args, path in (("hit", (), "reused"),
+                                ("c_miss", ("--weighting", "C"), "recomputed"),
+                                ("alpha_miss", ("--alpha", "0.2"), "recomputed")):
+            calls.clear()
+            capsys.readouterr()
+            assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                       "--profile", tmp_path / "p.json", *args, "--out", tmp_path / out) == 0
+            lines = [line for line in capsys.readouterr().out.splitlines() if ": spectra " in line]
+            assert len(lines) == 3 and all(f"spectra {path}" in line for line in lines), lines
+            assert calls == ([] if path == "reused" else per_kind * 6), out
+
+
+class TestRetiredWeighting:
+    """The weighting "sqrtC" of earlier versions is refused wherever it is
+    named, with a message that names its successor, "damped"."""
+
+    def refusal(self, capsys, *argv) -> str:
+        capsys.readouterr()
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'sqrtC' is retired; use 'damped'" in err, err
+        return err
+
+    def test_model_manifest(self, tmp_path, capsys):
+        model = gen_model(tmp_path / "m")
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        old = with_shrinkage(model, "old.json", ("--weighting", "sqrtC"))
+        (tmp_path / "s").mkdir()
+        err = self.refusal(capsys, "schedule", "--manifest", old, "--cov-dir", tmp_path / "cov",
+                           "--parity", "--out", tmp_path / "s/p.json")
+        assert "old.json" in err
+        assert list((tmp_path / "s").iterdir()) == []
+
+    def test_profile_record(self, tmp_path, capsys):
+        pipeline(tmp_path)
+        doc = json.loads((tmp_path / "profile.json").read_text())
+        doc["spectra"][1]["weighting"] = "sqrtC"
+        (tmp_path / "old.json").write_text(json.dumps(doc))
+        err = self.refusal(capsys, "convert", "--manifest", tmp_path / "model/model.json",
+                           "--cov-dir", tmp_path / "cov", "--profile", tmp_path / "old.json",
+                           "--out", tmp_path / "c")
+        assert "old.json: spectrum record" in err
+        assert not (tmp_path / "c").exists()
+
+    def test_weighting_flag(self, tmp_path, capsys):
+        pipeline(tmp_path)
+        self.refusal(capsys, "convert", "--manifest", tmp_path / "model/model.json",
+                     "--cov-dir", tmp_path / "cov", "--profile", tmp_path / "profile.json",
+                     "--weighting", "sqrtC", "--out", tmp_path / "c")
+        assert not (tmp_path / "c").exists()
+
+
+class TestStaleBundleFiles:
+    """Before writing, convert removes the per-layer tensor files under
+    --out's cov/, factors/ and weights/ that this run does not read, and
+    nothing else."""
+
+    def test_leftover_query_of_an_earlier_version_goes(self, tmp_path):
+        pipeline(tmp_path)
+        out = tmp_path / "converted"
+        fresh = tree_bytes(out)
+        # An earlier convert hard-linked the source w_q into the bundle.
+        (out / "weights").mkdir()
+        os.link(tmp_path / "model/weights/layer000_w_q.ctf", out / "weights/layer000_w_q.ctf")
+        (out / "weights/notes.txt").write_text("kept")
+        (out / "factors/layer000_w_a_k.ctf.txt").write_text("kept")
+        source = tree_bytes(tmp_path / "model")
+        assert run("convert", "--manifest", tmp_path / "model/model.json",
+                   "--cov-dir", tmp_path / "cov", "--profile", tmp_path / "profile.json",
+                   "--out", out) == 0
+        assert tree_bytes(out) == {**fresh, "weights/notes.txt": b"kept",
+                                   "factors/layer000_w_a_k.ctf.txt": b"kept"}
+        assert tree_bytes(tmp_path / "model") == source
+
+    def test_files_of_a_model_with_more_layers_go(self, tmp_path):
+        big = gen_model(tmp_path / "big", layers=3)
+        assert run("cov", "--manifest", big, "--out", tmp_path / "big_cov") == 0
+        assert run("schedule", "--manifest", big, "--cov-dir", tmp_path / "big_cov",
+                   "--parity", "--out", tmp_path / "big.json") == 0
+        assert run("convert", "--manifest", big, "--cov-dir", tmp_path / "big_cov",
+                   "--profile", tmp_path / "big.json", "--out", tmp_path / "c") == 0
+        assert "factors/layer002_w_b_v.ctf" in tree_bytes(tmp_path / "c")
+        small = pipeline(tmp_path / "small")
+        assert run("convert", "--manifest", small / "model/model.json",
+                   "--cov-dir", small / "cov", "--profile", small / "profile.json",
+                   "--out", tmp_path / "c") == 0
+        assert tree_bytes(tmp_path / "c") == tree_bytes(small / "converted")
+
+    def test_inputs_under_out_stay(self, tmp_path):
+        # --out is the model's own directory and --cov-dir its cov/.
+        model = gen_model(tmp_path / "m")
+        assert run("cov", "--manifest", model, "--out", tmp_path / "m/cov") == 0
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "m/cov",
+                   "--parity", "--out", tmp_path / "p.json") == 0
+        before = tree_bytes(tmp_path / "m")
+        for _ in range(2):
+            assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "m/cov",
+                       "--profile", tmp_path / "p.json", "--out", tmp_path / "m") == 0
+        after = tree_bytes(tmp_path / "m")
+        assert {name: after[name] for name in before} == before
+        assert run("eval", "--source", model, "--converted", tmp_path / "m/converted.json",
+                   "--out", tmp_path / "e") == 0
 
 
 class TestEval:
@@ -1485,7 +1599,7 @@ class TestEvalMemory:
         # The parent design held four (n_heads, T, T) float64 arrays per layer.
         rng = make_generator(91)
         layer = random_gqa_layer(rng)
-        spectra = factorizer.layer_spectra(layer, identity_whitener(16))
+        spectra = plain_spectra(layer)
         factors, _, _ = factorizer.convert_layer(layer, spectra, 3, 4)
         t = 1024
         score_bytes = layer.n_heads * t * t * 8

@@ -8,6 +8,8 @@ from conftest import (
     covariance_of,
     gen,
     identity_whitener,
+    pipeline_spectra,
+    plain_spectra,
     random_orthogonal,
     random_psd,
     reconstruct,
@@ -22,14 +24,15 @@ from kvlatent.factorizer import (
     FactorPair,
     Geometry,
     GqaLayer,
+    GroupedKv,
     MlaFactors,
     activation_residual,
     ablate_singular_value,
     care_factorize,
     convert_layer,
     covariance_residual,
+    gram_svd,
     grouped_factorize,
-    layer_spectra,
     replicate_groups,
     truncate,
     whitened_svd,
@@ -159,7 +162,7 @@ class TestReplicateGroups:
 class TestCareFactorize:
     def test_matches_reference(self):
         rng = gen(310)
-        for weighting in ("sqrtC", "C"):
+        for weighting in ("damped", "C"):
             c = covariance_of(anisotropic_batches(rng, 4, 24, 12, cond=400.0))
             params = calibration.ShrinkageParams(weighting=weighting)
             whitener = calibration.build_whitener(c, params)
@@ -207,7 +210,7 @@ class TestCareFactorize:
         # covariance diag(100, 1): strong direction is dim 0, but the weight
         # puts its energy along dim 1. Plain SVD keeps the big weight
         # direction; whitening keeps what the activations actually see.
-        sqrt_c = Whitener(np.eye(2), np.array([10.0, 1.0]), 1.0, "sqrtC")
+        sqrt_c = Whitener(np.eye(2), np.array([10.0, 1.0]), 1.0, "damped")
         w = np.diag([2.0, 10.0])
         care_pair, care_report = care_factorize(w, sqrt_c, 1)
         plain_pair, plain_report = care_factorize(w, identity_whitener(2), 1)
@@ -274,7 +277,7 @@ class TestCareFactorizeAgainstOracle:
     CASES = ["decaying", "rank_deficient", "wide", "wide_decaying"]
 
     @pytest.mark.parametrize("case", CASES)
-    @pytest.mark.parametrize("weighting", ["sqrtC", "C"])
+    @pytest.mark.parametrize("weighting", ["damped", "C"])
     def test_every_rank_matches_oracle(self, case, weighting):
         whitener, w = oracle_case(case, weighting, 391)
         energy = linalg.frobenius_norm_sq(whitener.matrix @ w)
@@ -291,7 +294,7 @@ class TestCareFactorizeAgainstOracle:
             assert report.rank_used == r
 
     @pytest.mark.parametrize("case", CASES)
-    @pytest.mark.parametrize("weighting", ["sqrtC", "C"])
+    @pytest.mark.parametrize("weighting", ["damped", "C"])
     def test_retained_energy_is_one_minus_relative_residual(self, case, weighting):
         whitener, w = oracle_case(case, weighting, 392)
         energy = linalg.frobenius_norm_sq(whitener.matrix @ w)
@@ -307,7 +310,7 @@ class TestCareFactorizeAgainstOracle:
         assert report.whitened_residual_sq == 0.0
 
     def test_svd_runs_on_the_r_factor(self, monkeypatch):
-        whitener, w = oracle_case("decaying", "sqrtC", 393)
+        whitener, w = oracle_case("decaying", "damped", 393)
         shapes = []
         real = linalg.svd
 
@@ -338,7 +341,7 @@ class TestGroupedFactorize:
         return whitener, w_g, w
 
     @pytest.mark.parametrize("n_groups", [1, 2, 4])
-    @pytest.mark.parametrize("weighting", ["sqrtC", "C"])
+    @pytest.mark.parametrize("weighting", ["damped", "C"])
     def test_matches_oracle(self, n_groups, weighting):
         whitener, w_g, w = self.setup_case(381, n_groups, weighting)
         full = n_groups * self.HEAD_DIM
@@ -353,7 +356,7 @@ class TestGroupedFactorize:
             assert np.allclose(pair.w_b @ pair.w_b.T, np.eye(r), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n_groups", [1, 2, 4])
-    @pytest.mark.parametrize("weighting", ["sqrtC", "C"])
+    @pytest.mark.parametrize("weighting", ["damped", "C"])
     def test_spectrum_is_lifted_grouped_spectrum(self, n_groups, weighting):
         whitener, w_g, w = self.setup_case(382, n_groups, weighting)
         full = n_groups * self.HEAD_DIM
@@ -366,7 +369,7 @@ class TestGroupedFactorize:
         assert np.all(oracle[full:] <= 1e-12 * oracle[0])
 
     def test_rank_out_of_range(self):
-        whitener, w_g, _ = self.setup_case(384, 2, "sqrtC")
+        whitener, w_g, _ = self.setup_case(384, 2, "damped")
         for r in (0, self.geometry(2).grouped_width + 1):
             with pytest.raises(ValidationError):
                 grouped_factorize(
@@ -374,11 +377,101 @@ class TestGroupedFactorize:
                 )
 
     def test_whitener_dim_mismatch(self):
-        _, w_g, _ = self.setup_case(385, 2, "sqrtC")
+        _, w_g, _ = self.setup_case(385, 2, "damped")
         with pytest.raises(ValidationError):
             grouped_factorize(
                 w_g, whitened_svd(w_g, identity_whitener(8)), 2, self.geometry(2)
             )
+
+
+class TestLayerSpectraAgainstDenseReference:
+    """The pipeline's Gram path against the slow reference: the dense S of
+    a D x D decomposition of the damped covariance, and the SVD of S W at
+    head width, W = replicate_groups(W_g).
+
+    The Gram resolves each sigma^2 to about n eps sigma_1^2, so the
+    singular values are compared as energies, sigma^2, on the sigma_1^2
+    scale, and every rank-r tail on the scale of the total energy. A
+    rank-deficient W_g has true zeros that the Gram returns as rounding
+    noise of that size.
+    """
+
+    HEADS, HEAD_DIM = 4, 4
+    D = HEADS * HEAD_DIM
+
+    def case(self, seed, n_groups, covariance, deficient):
+        rng = gen(seed)
+        layer = random_gqa_layer(rng, d_model=self.D, n_heads=self.HEADS, n_groups=n_groups)
+        if covariance == "anisotropic":
+            c = covariance_of(anisotropic_batches(rng, 4, 24, self.D, cond=900.0))
+        else:  # 12 tokens in 16 dimensions
+            c = covariance_of([calibration.CalibrationBatch(0, rng.standard_normal((12, self.D)))])
+        if deficient:  # W_k_g of rank 2, and W_v_g with a zero column
+            n = layer.grouped_width
+            w_v = layer.w_v_g.copy()
+            w_v[:, -1] = 0.0
+            layer = GroupedKv(**vars(layer.geometry),
+                              w_k_g=rng.standard_normal((self.D, 2))
+                              @ rng.standard_normal((2, n)),
+                              w_v_g=w_v)
+        return layer, c
+
+    @staticmethod
+    def dense_operator(c, params):
+        lam = float(np.trace(c)) / c.shape[0] if params.lam == "auto" else params.lam
+        vals, vecs = np.linalg.eigh((1.0 - params.alpha) * c + params.alpha * lam * np.eye(len(c)))
+        vals = np.clip(vals, 0.0, None)
+        shrunk = np.sqrt(vals) if params.weighting == "damped" else vals
+        return (vecs * shrunk) @ vecs.T
+
+    @pytest.mark.parametrize("weighting", ["damped", "C"])
+    @pytest.mark.parametrize("n_groups", [1, 2, 4])
+    @pytest.mark.parametrize("covariance", ["anisotropic", "rank_deficient"])
+    @pytest.mark.parametrize("deficient", [False, True], ids=["full_w", "deficient_w"])
+    def test_sigma_and_every_tail_match(self, weighting, n_groups, covariance, deficient):
+        layer, c = self.case(395 + n_groups, n_groups, covariance, deficient)
+        params = calibration.ShrinkageParams(weighting=weighting)
+        s = self.dense_operator(c, params)
+        spectra = pipeline_spectra(layer, c, params)
+        m = layer.heads_per_group
+        n = layer.grouped_width
+        for w_g, spectrum in zip((layer.w_k_g, layer.w_v_g), spectra):
+            w = replicate_groups(w_g, layer)
+            ref = np.linalg.svd(s @ w, compute_uv=False)
+            assert np.all(ref[n:] <= 1e-12 * ref[0])
+            energy = float(np.sum(ref**2))
+            got = m * spectrum.singular_values**2
+            assert np.max(np.abs(got - ref[:n] ** 2)) <= 1e-12 * ref[0] ** 2
+            for r in range(1, n + 1):
+                pair, report = grouped_factorize(w_g, spectrum, r, layer)
+                tail = float(np.sum(ref[r:] ** 2))
+                formed = linalg.frobenius_norm_sq(s @ (w - pair.w_a @ pair.w_b))
+                assert abs(report.whitened_residual_sq - tail) <= 1e-12 * energy, r
+                assert abs(formed - tail) <= 1e-12 * energy, r
+
+    def test_decomposes_nothing_of_size_d(self, monkeypatch):
+        layer = random_gqa_layer(gen(399))
+        shapes = []
+        real = linalg.sym_eig
+
+        def recording(a):
+            shapes.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(linalg, "sym_eig", recording)
+        monkeypatch.setattr(linalg, "svd", None)
+        monkeypatch.setattr(linalg, "qr_r", None)
+        pipeline_spectra(layer, random_psd(gen(399), 16))
+        assert shapes == [(8, 8), (8, 8)]
+
+    def test_gram_that_is_not_psd_is_refused(self):
+        with pytest.raises(NumericalError, match="not PSD"):
+            gram_svd(np.diag([1.0, -0.5]))
+
+    def test_covariance_of_another_width_is_refused(self):
+        layer = random_gqa_layer(gen(398))
+        with pytest.raises(ValidationError, match="does not match d_model"):
+            pipeline_spectra(layer, np.eye(8))
 
 
 class TestTruncate:
@@ -496,7 +589,7 @@ class TestCovarianceResidual:
         layer = random_gqa_layer(rng, d_model=16, n_heads=4, n_groups=n_groups)
         batches = anisotropic_batches(rng, 3, 12, 16, cond=100.0)
         c = covariance_of(batches)
-        spectra = layer_spectra(layer, calibration.build_whitener(c, calibration.ShrinkageParams()))
+        spectra = pipeline_spectra(layer, c)
         for r in range(1, layer.grouped_width + 1):
             factors, _, _ = convert_layer(layer, spectra, r, r)
             for w_g, w_a, w_b in ((layer.w_k_g, factors.w_a_k, factors.w_b_k),
@@ -567,9 +660,10 @@ class TestConvertLayer:
     def test_parity_rank_exactness(self):
         rng = gen(361)
         layer = random_gqa_layer(rng)
-        s = calibration.build_whitener(random_psd(rng, 16, cond=20.0), calibration.ShrinkageParams())
+        c = random_psd(rng, 16, cond=20.0)
+        s = calibration.build_whitener(c, calibration.ShrinkageParams())
         r = layer.n_groups * layer.head_dim
-        factors, report_k, report_v = convert_layer(layer, layer_spectra(layer, s), r, r)
+        factors, report_k, report_v = convert_layer(layer, pipeline_spectra(layer, c), r, r)
         for report, w_g in ((report_k, layer.w_k_g), (report_v, layer.w_v_g)):
             w = replicate_groups(w_g, layer)
             top = linalg.svd(s.matrix @ w).singular_values[0]
@@ -580,7 +674,7 @@ class TestConvertLayer:
         rng = gen(362)
         layer = random_gqa_layer(rng)
         r = layer.grouped_width
-        factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), r, r)
+        factors, _, _ = convert_layer(layer, plain_spectra(layer), r, r)
         w_k = replicate_groups(layer.w_k_g, layer)
         w_v = replicate_groups(layer.w_v_g, layer)
         assert np.allclose(factors.w_a_k @ factors.w_b_k, w_k, atol=1e-12)
@@ -591,18 +685,18 @@ class TestConvertLayer:
         layer = random_gqa_layer(rng)
         batches = anisotropic_batches(rng, 4, 32, 16, cond=400.0)
         c = covariance_of(batches)
-        op_sqrt = calibration.build_whitener(c, calibration.ShrinkageParams(weighting="sqrtC"))
-        op_cov = calibration.build_whitener(c, calibration.ShrinkageParams(weighting="C"))
+        spectra = {weighting: pipeline_spectra(layer, c, calibration.ShrinkageParams(
+            weighting=weighting)) for weighting in ("damped", "C")}
         r = 4  # low rank so the metrics actually bind
-        _, rep_sqrt, _ = convert_layer(layer, layer_spectra(layer, op_sqrt), r, r)
-        _, rep_cov, _ = convert_layer(layer, layer_spectra(layer, op_cov), r, r)
-        assert rep_sqrt.weight_residual_sq != rep_cov.weight_residual_sq
+        _, rep_damped, _ = convert_layer(layer, spectra["damped"], r, r)
+        _, rep_cov, _ = convert_layer(layer, spectra["C"], r, r)
+        assert rep_damped.weight_residual_sq != rep_cov.weight_residual_sq
 
     def test_rejects_bad_profile_rank(self):
         rng = gen(364)
         layer = random_gqa_layer(rng)
         with pytest.raises(ValidationError):
-            convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 17, 4)
+            convert_layer(layer, plain_spectra(layer), 17, 4)
 
 
 class TestMlaFactors:

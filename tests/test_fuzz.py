@@ -58,7 +58,7 @@ def inside(value) -> bool:
 MAY_CHANGE = {
     "alpha": lambda v: is_number(v) and 0 < v < 1,
     "lambda": lambda v: v == "auto" or (is_number(v) and 0 < v < math.inf),
-    "weighting": lambda v: v in ("sqrtC", "C"),
+    "weighting": lambda v: v in ("damped", "C"),
     "seq_len": lambda v: is_int(v, 1),
     "seed": lambda v: is_int(v, 0) and v < 2**64,
     "mode": lambda v: v in ("adjusted", "uniform"),
@@ -68,7 +68,7 @@ MAY_CHANGE = {
     "rank": lambda v: is_int(v, 1),
     "batch": inside,
     **{name: inside for name in ("w_q", "w_k_g", "w_v_g", "w_a_k", "w_b_k", "w_a_v", "w_b_v",
-                                 "eigenvalues", "sigma_k", "v_t_k", "sigma_v", "v_t_v")},
+                                 "sigma_k", "v_t_k", "sigma_v", "v_t_v")},
 }
 
 

@@ -246,14 +246,14 @@ class TestSqrtPsd:
 
 
 class TestInvSqrtPsd:
-    """The inverse of the shrunk PSD square root under the default "sqrtC"
+    """The inverse of the shrunk PSD square root under the default "damped"
     weighting, by np.linalg.inv of Whitener.matrix, and the refusal of a
     singular whitener by Whitener.check_invertible. The pipeline itself
     never forms S^-1."""
 
     def test_diagonal(self):
-        # S = 0.5 * sqrt(diag(16, 81)) + 0.5 * I = diag(2.5, 5)
-        whitener = build_whitener(np.diag([16.0, 81.0]), ShrinkageParams(alpha=0.5, lam=1.0))
+        # S = sqrt(0.5 * diag(11.5, 49) + 0.5 * I) = diag(2.5, 5)
+        whitener = build_whitener(np.diag([11.5, 49.0]), ShrinkageParams(alpha=0.5, lam=1.0))
         assert np.allclose(np.linalg.inv(whitener.matrix), np.diag([0.4, 0.2]))
 
     def test_identity(self):
@@ -280,13 +280,13 @@ class TestInvSqrtPsd:
             assert np.max(np.abs(product - np.eye(n))) < 1e-8
 
     def test_rejects_small_eigenvalue(self):
-        whitener = Whitener(np.eye(2), np.array([1.0, 1e-13]), 1.0, "sqrtC")
+        whitener = Whitener(np.eye(2), np.array([1.0, 1e-13]), 1.0, "damped")
         with pytest.raises(NumericalError):
             whitener.check_invertible()
 
     def test_rejects_nonpositive_min_eig(self):
         for low in (0.0, -0.5):
-            whitener = Whitener(np.eye(2), np.array([1.0, low]), 1.0, "sqrtC")
+            whitener = Whitener(np.eye(2), np.array([1.0, low]), 1.0, "damped")
             with pytest.raises(NumericalError):
                 whitener.check_invertible()
 

@@ -53,7 +53,7 @@ def small_mla_manifest(tmp_path, rng, d=8, n_heads=2, r=3):
     )
     return manifest.ModelManifest(
         model_kind=manifest.MODEL_KIND_MLA, seq_len=4, layers=(entry,),
-        shrinkage=ShrinkageParams(0.01, 0.5, "sqrtC"),
+        shrinkage=ShrinkageParams(0.01, 0.5, "damped"),
     )
 
 
@@ -264,7 +264,7 @@ class TestRankProfileFile:
         ("layer", 1, "repeats"),
         ("layer", 5, "repeats"),
         ("layer", True, "integer"),
-        ("eigenvalues", "../vals.ctf", "inside"),
+        ("sigma_k", "../vals.ctf", "inside"),
         ("v_t_k", "/vecs.ctf", "inside"),
         ("sigma_v", None, "path string"),
         ("alpha", 1.0, "alpha"),
@@ -277,7 +277,7 @@ class TestRankProfileFile:
         for layer in (0, 1):
             record = {"layer": layer, "cov_sha256": "0" * 64, "w_k_sha256": "1" * 64,
                       "w_v_sha256": "2" * 64, "alpha": 0.01, "lambda": "auto",
-                      "weighting": "sqrtC"}
+                      "weighting": "damped"}
             for name in manifest.STORED_TENSORS:
                 record[name] = f"{name}.ctf"
                 record[f"{name}_sha256"] = "3" * 64

@@ -14,9 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import gen, identity_whitener
+from conftest import gen, plain_spectra
 from kvlatent import attention, scheduler
-from kvlatent.factorizer import convert_layer, layer_spectra
+from kvlatent.factorizer import convert_layer
 from test_factorizer import random_gqa_layer
 from test_scheduler import random_spectra
 
@@ -50,7 +50,7 @@ def test_every_pinned_function_exists(tracing):
 def test_traced_forwards_count_scores(tracing, n_groups):
     rng = gen(4700 + n_groups)
     layer = random_gqa_layer(rng, n_groups=n_groups)
-    factors, _, _ = convert_layer(layer, layer_spectra(layer, identity_whitener(16)), 3, 4)
+    factors, _, _ = convert_layer(layer, plain_spectra(layer), 3, 4)
     d_r = 4
     adapters = attention.RopeAdapters(
         w_r_q=rng.standard_normal((16, layer.n_heads * d_r)),
