@@ -164,12 +164,20 @@ class Ridge:
 
             "damped":  (1 - alpha) w^T (C w) + alpha lam w^T w
             "C":       (B w)^T (B w),  B w = (1 - alpha) C w + alpha lam w
+
+        The "damped" Gram is w^T B w. Under "C" the Gram is a square, PSD
+        whatever C is, so w^T B w is checked first: one that is not PSD
+        beyond rounding noise is refused (NumericalError), as factorizer.
+        gram_svd refuses it under "damped". The ridge term sets the noise
+        scale, so a w in C's null space is not refused.
         """
         alpha, shift = self.params.alpha, self.params.alpha * self.lam
-        if self.params.weighting == WEIGHTING_COV:
-            b_w = (1.0 - alpha) * c_w + shift * w
-            return b_w.T @ b_w
-        return (1.0 - alpha) * (w.T @ c_w) + shift * (w.T @ w)
+        w_b_w = (1.0 - alpha) * (w.T @ c_w) + shift * (w.T @ w)
+        if self.params.weighting == WEIGHTING_DAMPED:
+            return w_b_w
+        linalg.clamp_psd(linalg.sym_eig(w_b_w).eigenvalues)
+        b_w = (1.0 - alpha) * c_w + shift * w
+        return b_w.T @ b_w
 
     def check_invertible(self) -> None:
         """Refuse a numerically singular S, decided without a decomposition.

@@ -193,28 +193,43 @@ def _layer_covariance(m: manifest.ModelManifest, base, layer: int,
                       batches_dir) -> tuple[np.ndarray, int]:
     """One layer's covariance and batch count, from one running D×D sum.
 
-    Batches are read one at a time, in manifest order, and each `x.T @ x`
-    is added in place; the mean is symmetrized once as `finalize` does.
-    numpy computes `x.T @ x` as a symmetric rank-k update, so every batch
-    Gram is exactly symmetric and the bytes equal the `accumulate`/`finalize`
-    fold. No batch outlives its iteration.
+    Batches are read one at a time, in manifest order. Consecutive batches
+    are stacked into one D×D block buffer until the next would not fit, and
+    each block adds one `b.T @ b` to the sum in place; a batch of D or more
+    rows is a block by itself. Fewer, taller products keep BLAS near its
+    peak rate, and the buffer bounds the memory. numpy computes `b.T @ b`
+    as a symmetric rank-k update, so every term, and hence the mean, is
+    exactly symmetric with no symmetrize pass. The bytes equal the per-batch
+    `accumulate`/`finalize` fold when no two batches share a block, and
+    agree with it to rounding otherwise. No batch outlives its iteration.
     """
     d = m.layer(layer).d_model
     total = np.zeros((d, d))
-    count = 0
+    block = np.empty((d, d))
+    filled = count = 0
     # Huge activations overflow to inf or nan; they are refused below by
     # name instead of surfacing as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for batch in manifest.iter_batches(m, base, layer, batches_dir):
-            total += batch.x.T @ batch.x
+            x = batch.x
+            rows = x.shape[0]
+            if filled and filled + rows > d:
+                total += block[:filled].T @ block[:filled]
+                filled = 0
+            if rows >= d:
+                total += x.T @ x
+            else:
+                block[filled:filled + rows] = x
+                filled += rows
             count += 1
-        c = total / count
-        c = (c + c.T) / 2.0
-    if not np.all(np.isfinite(c)):
+        if filled:
+            total += block[:filled].T @ block[:filled]
+        total /= count
+    if not np.all(np.isfinite(total)):
         raise ValidationError(
             f"covariance of layer {layer} is non-finite: its activations overflow float64"
         )
-    return c, count
+    return total, count
 
 
 def cmd_cov(args) -> None:
@@ -230,6 +245,8 @@ def cmd_cov(args) -> None:
         cov, count = _layer_covariance(m, base, layer, args.batches_dir)
         path = out / manifest.layer_file(layer, "cov")
         ctf.write_ctf(path, cov)
+        # Freed before the next layer's running sum is allocated.
+        del cov
         print(f"layer {layer}: {count} batches -> {path}")
 
 

@@ -297,6 +297,30 @@ class TestRidge:
         got = ridge(c, params).gram(w, c @ w)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
+    def test_c_gram_refuses_a_covariance_that_is_not_psd(self):
+        # (B w)^T (B w) is PSD whatever C is, so w^T B w is checked first.
+        c = -np.eye(4)
+        w = gen(119).standard_normal((4, 2))
+        with pytest.raises(NumericalError, match="not PSD"):
+            ridge(c, ShrinkageParams(weighting="C")).gram(w, c @ w)
+
+    @pytest.mark.parametrize("weighting", ["damped", "C"])
+    def test_weights_in_the_null_space_are_not_refused(self, weighting):
+        # Activations span 48 of 64 rotated dimensions and w reads only the
+        # other 16: w^T C w is rounding noise of either sign, which the
+        # ridge term outweighs.
+        rng = gen(120)
+        q = random_orthogonal(rng, 64)
+        x = rng.standard_normal((32, 48)) @ q[:, :48].T
+        c = x.T @ x / 4.0
+        w = q[:, 48:56] @ rng.standard_normal((8, 8))
+        params = ShrinkageParams(alpha=0.01, weighting=weighting)
+        s_w = explicit_operator(c, params) @ w
+        expected = s_w.T @ s_w
+        got = ridge(c, params).gram(w, c @ w)
+        assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected))
+        assert linalg.clamp_psd(linalg.sym_eig(got).eigenvalues)[0][-1] > 0.0
+
     @pytest.mark.parametrize("trace, lam", [(12.0, 1.0), (0.0, 1.0), (-3.0, 1.0)])
     def test_auto_lambda_is_the_mean_eigenvalue_or_one(self, trace, lam):
         c = np.diag([trace] + [0.0] * 11)

@@ -212,52 +212,103 @@ MALFORMED_MANIFESTS = {
 }
 
 
-class TestCov:
-    def test_matches_api_finalize(self, tmp_path):
-        model = gen_model(tmp_path / "m")
-        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
-        m = manifest.load_manifest(model)
-        for layer in range(2):
-            batches = manifest.load_batches(m, model.parent, layer)
-            acc = calibration.CovarianceAccumulator(16)
-            for b in batches:
-                acc = calibration.accumulate(acc, b)
-            expected = calibration.finalize(acc)
-            stored = ctf.read_ctf(tmp_path / "cov" / f"layer{layer:03d}_cov.ctf")
-            assert np.array_equal(stored, expected)
-            assert np.max(np.abs(stored - stored.T)) <= 1e-10
+def blocked_covariance(batches, d: int) -> tuple[np.ndarray, bool]:
+    """The covariance by cov's blocking rule, and whether any block stacks
+    two or more batches. In manifest order, a batch joins the open block
+    while the block's rows stay at most d; a batch of d or more rows is a
+    block by itself. Each block adds one b.T @ b to the sum."""
+    blocks, rows = [], d
+    for batch in batches:
+        tokens = batch.x.shape[0]
+        if tokens >= d or rows + tokens > d:
+            blocks.append([batch.x])
+            rows = tokens
+        else:
+            blocks[-1].append(batch.x)
+            rows += tokens
+    total = np.zeros((d, d))
+    for block in blocks:
+        b = np.vstack(block)
+        total += b.T @ b
+    return total / len(batches), any(len(block) > 1 for block in blocks)
 
+
+class TestCov:
     @staticmethod
-    def assert_matches_fold(model: Path, cov_dir: Path, batches_dir=None):
+    def assert_matches_fold(model: Path, cov_dir: Path, stacked: bool, batches_dir=None):
+        """Each stored covariance is the blocking rule's bytes and, where a
+        block stacks batches, the per-batch accumulate/finalize fold to
+        rounding; where none does, it is the fold's bytes."""
         m = manifest.load_manifest(model)
         for layer in range(len(m.layers)):
             batches = manifest.load_batches(m, model.parent, layer, batches_dir)
             stored = ctf.read_ctf(cov_dir / f"layer{layer:03d}_cov.ctf")
-            assert np.array_equal(stored, covariance_of(batches))
+            expected, any_stacked = blocked_covariance(batches, m.layer(layer).d_model)
+            assert any_stacked == stacked
+            assert np.array_equal(stored, expected)
+            fold = covariance_of(batches)
+            assert np.linalg.norm(stored - fold) <= 1e-13 * np.linalg.norm(fold)
+            if not stacked:
+                assert np.array_equal(stored, fold)
 
-    @pytest.mark.parametrize("seq, batches", [(1, 3), (7, 3), (200, 3), (7, 1)])
+    def test_matches_api_finalize(self, tmp_path):
+        # Four 8-token batches in 16 dims: two blocks of two batches.
+        model = gen_model(tmp_path / "m")
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        self.assert_matches_fold(model, tmp_path / "cov", stacked=True)
+
+    @pytest.mark.parametrize("seq, batches", [(1, 3), (7, 3), (200, 3), (7, 1), (64, 3)])
     def test_running_sum_matches_fold(self, tmp_path, seq, batches):
+        # Equal batches share a block when two of them fit in 64 rows.
         model = gen_model(tmp_path / "m", d=64, heads=4, head_dim=16,
                           seq=seq, batches=batches)
         assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
-        self.assert_matches_fold(model, tmp_path / "cov")
+        self.assert_matches_fold(model, tmp_path / "cov", stacked=batches > 1 and 2 * seq <= 64)
 
     def test_running_sum_matches_fold_over_uneven_batches(self, tmp_path):
+        # Blocks [5], [200], [7, 57]: the last fills its 64 rows exactly.
         model = gen_model(tmp_path / "m", d=64, heads=4, head_dim=16, seq=7, batches=4)
         rng = make_generator(17)
         for layer, paths in manifest.load_manifest(model).calibration.items():
-            for rel, tokens in zip(paths, (1, 200, 7, 64)):
+            for rel, tokens in zip(paths, (5, 200, 7, 57)):
                 x = rng.standard_normal((tokens, 64)) * np.geomspace(3.0, 0.1, 64)
                 ctf.write_ctf(model.parent / rel, x)
         assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
-        self.assert_matches_fold(model, tmp_path / "cov")
+        self.assert_matches_fold(model, tmp_path / "cov", stacked=True)
 
     def test_running_sum_matches_fold_from_batches_dir(self, tmp_path):
         model = gen_model(tmp_path / "m", d=64, heads=4, head_dim=16, seq=7, batches=3)
         (model.parent / "batches").rename(tmp_path / "batches")
         assert run("cov", "--manifest", model, "--batches-dir", tmp_path,
                    "--out", tmp_path / "cov") == 0
-        self.assert_matches_fold(model, tmp_path / "cov", batches_dir=tmp_path)
+        self.assert_matches_fold(model, tmp_path / "cov", stacked=True, batches_dir=tmp_path)
+
+    @pytest.mark.parametrize("seq", [7, 200])
+    def test_exactly_symmetric_and_rerun_is_byte_identical(self, tmp_path, seq):
+        # No symmetrize pass: every b.T @ b is a symmetric rank-k update.
+        model = gen_model(tmp_path / "m", d=64, heads=4, head_dim=16, seq=seq, batches=3)
+        trees = []
+        for out in ("a", "b"):
+            assert run("cov", "--manifest", model, "--out", tmp_path / out) == 0
+            trees.append(tree_bytes(tmp_path / out))
+        assert trees[0] == trees[1]
+        for layer in range(2):
+            c = ctf.read_ctf(tmp_path / f"a/layer{layer:03d}_cov.ctf")
+            assert np.array_equal(c, c.T)
+
+    def test_holds_one_block_at_a_time(self, tmp_path):
+        d, seq, batches = 128, 16, 64
+        model = gen_model(tmp_path / "m", d=d, heads=4, head_dim=32, seq=seq, batches=batches)
+        assert seq * batches * d == 8 * d * d
+        tracemalloc.start()
+        try:
+            assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The running sum, the block buffer, one block's product and a
+        # batch; a layer's batches, 8 D x D of floats, never all at once.
+        assert peak < 5 * d * d * 8, peak
 
     def test_holds_one_batch_at_a_time(self, tmp_path):
         d, seq = 128, 512
@@ -712,6 +763,24 @@ class TestConvert:
         assert run("schedule", "--manifest", model, "--cov-dir", cov_dir,
                    "--parity", "--out", tmp_path / "p.json") == 3
 
+    @pytest.mark.parametrize("weighting", ["damped", "C"])
+    def test_non_psd_covariance_is_refused_under_each_weighting(self, tmp_path, capsys,
+                                                                 weighting):
+        # Under C the whitened Gram is a square and PSD whatever C is, so
+        # the refusal comes from the damped Gram w^T B w.
+        model = gen_model(tmp_path / "m", seed=1)
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--parity", "--out", tmp_path / "p.json") == 0
+        ctf.write_ctf(tmp_path / "cov/layer001_cov.ctf", -np.eye(16))
+        capsys.readouterr()
+        assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--profile", tmp_path / "p.json", "--weighting", weighting,
+                   "--out", tmp_path / "c") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "matrix is not PSD" in err
+        assert not (tmp_path / "c/converted.json").exists()
+
     def test_parity_report_retains_all_energy(self, tmp_path):
         pipeline(tmp_path)
         report = json.loads((tmp_path / "converted/conversion_report.json").read_text())
@@ -956,7 +1025,8 @@ class TestEigenReuse:
                               "reused", *args)
         assert calls == []
         missed = convert_tree(tmp_path, model, tmp_path / "cov", old, "missed", *args)
-        assert calls == [("sym_eig", (8, 8))] * 6
+        # Under C each kind's damped Gram w^T B w is checked for PSD first.
+        assert calls == [("sym_eig", (8, 8))] * (12 if "C" in args else 6)
         assert reused == missed
 
     def test_changed_covariance_is_decomposed_alone(self, tmp_path, scheduled, monkeypatch):
@@ -1109,16 +1179,18 @@ class TestGroupedWidthDecompositions:
                    "--budget-k", 12, "--budget-v", 12, "--out", tmp_path / "p.json") == 0
         per_kind = [("sym_eig", (8, 8)), ("np.eigh", (8, 8))]
         assert calls == per_kind * 6
-        for out, args, path in (("hit", (), "reused"),
-                                ("c_miss", ("--weighting", "C"), "recomputed"),
-                                ("alpha_miss", ("--alpha", "0.2"), "recomputed")):
+        # Under C each kind's damped Gram w^T B w is checked for PSD first.
+        for out, args, kind_calls in (("hit", (), []),
+                                      ("c_miss", ("--weighting", "C"), per_kind * 12),
+                                      ("alpha_miss", ("--alpha", "0.2"), per_kind * 6)):
             calls.clear()
             capsys.readouterr()
             assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
                        "--profile", tmp_path / "p.json", *args, "--out", tmp_path / out) == 0
             lines = [line for line in capsys.readouterr().out.splitlines() if ": spectra " in line]
+            path = "recomputed" if kind_calls else "reused"
             assert len(lines) == 3 and all(f"spectra {path}" in line for line in lines), lines
-            assert calls == ([] if path == "reused" else per_kind * 6), out
+            assert calls == kind_calls, out
 
 
 class TestRetiredWeighting:

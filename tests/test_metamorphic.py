@@ -14,6 +14,10 @@ still needs a component oracle.
 - Activation scale, X -> c X: C, lambda and every Gram scale by c^2.
 - Group relabelling: the K/V groups are permuted and each group's heads
   move with it, so each Gram is permuted, W_g P^T S^2 W_g P.
+- Layer order: the layers are reversed, weights and batches together, so
+  each layer's covariance and spectra move to the mirrored index and the
+  water-filled profile is reversed, as long as no two singular values of a
+  kind tie across layers.
 
 `eval` draws its probe input itself, so its drift figures are compared at
 library level, on an explicit input that is transformed with the model.
@@ -213,3 +217,52 @@ def test_group_relabelling(base, tmp_path):
         ref_drift, ref_gqa, ref_mla = ref.drift(layer, ref.sources[layer], x)
         assert drifts_agree(drift, ref_drift)
         assert np.max(np.abs(out_mla - ref_mla[:, head_cols])) <= REL * np.max(np.abs(ref_mla))
+
+
+def test_layer_order(base, tmp_path):
+    model, ref = base
+    m = manifest.load_manifest(model)
+    layers = [(manifest.load_gqa_layer(m, model.parent, layer),
+               [b.x for b in manifest.load_batches(m, model.parent, layer)])
+              for layer in range(LAYERS)]
+
+    def mirrored(layer, gqa, batches):
+        source, xs = layers[LAYERS - 1 - layer]
+        return source.w_q, source.w_k_g, source.w_v_g, xs
+
+    # Water-filling may break a tie by layer index; these spectra have none.
+    for kind in range(2):
+        sigmas = np.concatenate([ref.spectra[layer][kind].singular_values
+                                 for layer in range(LAYERS)])
+        assert np.unique(sigmas).size == sigmas.size
+
+    got = Run(tmp_path, derive(model, tmp_path / "m", mirrored))
+    order = list(reversed(range(LAYERS)))
+    assert got.ranks == {(order[layer], kind): rank for (layer, kind), rank in ref.ranks.items()}
+    assert any(ref.ranks[(0, kind)] != ref.ranks[(LAYERS - 1, kind)] for kind in "KV")
+
+    def mirror(values: list) -> list:
+        """Per-(layer, kind) values of ref with the layers reversed."""
+        return [values[2 * layer + kind] for layer in order for kind in range(2)]
+
+    for ours, theirs in zip(got.sigmas(), mirror(ref.sigmas())):
+        assert np.max(np.abs(ours - theirs)) <= REL * theirs[0]
+    for name in ("whitened_residual_sq", "weight_residual_sq", "retained_energy", "activation"):
+        assert close(got.residuals(name), mirror(ref.residuals(name))), name
+    for name in ("eig_max", "eig_min", "condition"):
+        assert close(got.health(name), mirror(ref.health(name))), name
+    assert close([l["lambda_resolved"] for l in got.conversion],
+                 [ref.conversion[layer]["lambda_resolved"] for layer in order])
+    for ours, layer in zip(got.eval, order):
+        for name in ("cache_width_gqa", "cache_width_mla"):
+            assert ours[name] == ref.eval[layer][name], name
+    # eval draws one probe per layer in layer order, so the drifts are
+    # compared on an explicit input.
+    x = gen(63).standard_normal((12, D))
+    for layer, mirrored_layer in enumerate(order):
+        drift, out_gqa, out_mla = got.drift(layer, got.sources[layer], x)
+        ref_drift, ref_gqa, ref_mla = ref.drift(
+            mirrored_layer, ref.sources[mirrored_layer], x)
+        assert drifts_agree(drift, ref_drift)
+        assert np.max(np.abs(out_mla - ref_mla)) <= REL * np.max(np.abs(ref_mla))
+        assert np.max(np.abs(out_gqa - ref_gqa)) <= REL * np.max(np.abs(ref_gqa))
