@@ -4,11 +4,14 @@ These simulators stop at the attention output (no output projection, no
 layer norm) so that a converted layer can be compared against its source as
 a pure statement about the weights. Each forward only builds its Heads:
 per-head queries, keys and values, stacked as (n_heads, T, d) arrays. The
-grouped forward indexes its group heads to the query heads; the latent
-forward reconstructs K and V from the cached-width latents; the rotary
-variant adds a small decoupled position channel, per-head rotary queries
-plus one rotary key per token shared by every head, as one more feature
-block of each head's query and key, with the softmax scale
+grouped forward indexes each kind's group heads (group_heads) to the query
+heads; the latent forward reconstructs K and V from the cached-width
+latents (latent_kv). Two forwards of one layer share their query heads, so
+eval projects the queries once per layer and pairs them with the grouped
+and the latent K and V, and ablate rebuilds only the ablated kind's group
+heads. The rotary variant adds a small decoupled position channel, per-head
+rotary queries plus one rotary key per token shared by every head, as one
+more feature block of each head's query and key, with the softmax scale
 sqrt(head_dim + rope_dim) and the frequency base ROPE_BASE. The latent
 forwards take the source layer's factorizer.Geometry as their config; the
 rotary width rope_dim is read off the RopeAdapters, as the columns of the
@@ -266,11 +269,24 @@ def gqa_heads(layer: GqaLayer, x) -> Heads:
             f"input width {x.shape[1]} does not match d_model {layer.d_model}"
         )
     d_h = layer.head_dim
-    group = layer.head_groups
     q = _heads(x @ layer.w_q, d_h)
-    k = _heads(x @ layer.w_k_g, d_h)[group]
-    v = _heads(x @ layer.w_v_g, d_h)[group]
+    k = group_heads(layer.w_k_g, layer, x)
+    v = group_heads(layer.w_v_g, layer, x)
     return Heads(q, k, v, math.sqrt(d_h))
+
+
+def group_heads(w_g, config: Geometry, x) -> np.ndarray:
+    """One grouped projection's heads as the query heads meet them, shape
+    (n_heads, T, head_dim): head h gets the block of its group,
+    config.head_groups[h]."""
+    x = linalg.as_matrix(x, "x")
+    w_g = linalg.as_matrix(w_g, "w_g")
+    if x.shape[1] != config.d_model or w_g.shape != (config.d_model, config.grouped_width):
+        raise ValidationError(
+            f"x {x.shape} and w_g {w_g.shape} do not match d_model {config.d_model} "
+            f"and grouped width {config.grouped_width}"
+        )
+    return _heads(x @ w_g, config.head_dim)[config.head_groups]
 
 
 def gqa_forward(layer: GqaLayer, x) -> AttentionTrace:
@@ -283,9 +299,27 @@ def mla_heads(factors: MlaFactors, w_q, config: Geometry, x) -> Heads:
     reconstructed from the two cached latents. config is the source
     layer's geometry."""
     x = linalg.as_matrix(x, "x")
-    w_q = linalg.as_matrix(w_q, "w_q")
-    _check_mla_shapes(factors, w_q, config, x)
-    return Heads(*_content_heads(factors, w_q, config, x), math.sqrt(config.head_dim))
+    k, v = latent_kv(factors, config, x)
+    w_q = _query_projection(w_q, config)
+    return Heads(_heads(x @ w_q, config.head_dim), k, v, math.sqrt(config.head_dim))
+
+
+def latent_kv(factors: MlaFactors, config: Geometry, x) -> tuple[np.ndarray, np.ndarray]:
+    """The K and V heads of the latent forward, each (n_heads, T, head_dim),
+    reconstructed from the two cached latents x w_a. config is the source
+    layer's geometry. The latent forwards pair them with the query heads;
+    eval pairs them with the source forward's own."""
+    x = linalg.as_matrix(x, "x")
+    if x.shape[1] != config.d_model:
+        raise ValidationError(
+            f"input width {x.shape[1]} does not match d_model {config.d_model}"
+        )
+    if factors.d_model != config.d_model or factors.out_width != config.d_model:
+        raise ValidationError("factor shapes do not match the layer geometry")
+    d_h = config.head_dim
+    k = _heads((x @ factors.w_a_k) @ factors.w_b_k, d_h)
+    v = _heads((x @ factors.w_a_v) @ factors.w_b_v, d_h)
+    return k, v
 
 
 def mla_forward(factors: MlaFactors, w_q, config: Geometry, x) -> AttentionTrace:
@@ -311,8 +345,7 @@ def mla_heads_rope(
     sqrt(head_dim + rope_dim).
     """
     x = linalg.as_matrix(x, "x")
-    w_q = linalg.as_matrix(w_q, "w_q")
-    _check_mla_shapes(factors, w_q, config, x)
+    w_q = _query_projection(w_q, config)
     d_r = adapters.w_r_k.shape[1]
     if adapters.w_r_q.shape != (config.d_model, config.n_heads * d_r):
         raise ValidationError(
@@ -324,7 +357,8 @@ def mla_heads_rope(
             f"w_r_k has shape {adapters.w_r_k.shape}, expected {config.d_model} rows"
         )
 
-    q, k, v = _content_heads(factors, w_q, config, x)
+    k, v = latent_kv(factors, config, x)
+    q = _heads(x @ w_q, config.head_dim)
     q_rope = _heads(rope_rotate(x @ adapters.w_r_q, d_r, ROPE_BASE), d_r)
     k_rope = rope_rotate(x @ adapters.w_r_k, d_r, ROPE_BASE)  # shared by heads
     q = np.concatenate([q, q_rope], axis=2)
@@ -344,24 +378,11 @@ def mla_forward_rope(
     return _trace(mla_heads_rope(factors, w_q, adapters, config, x))
 
 
-def _content_heads(factors: MlaFactors, w_q, config: Geometry, x):
-    """Per-head queries and the K, V reconstructed from the two latents."""
-    d_h = config.head_dim
-    q = _heads(x @ w_q, d_h)
-    k = _heads((x @ factors.w_a_k) @ factors.w_b_k, d_h)
-    v = _heads((x @ factors.w_a_v) @ factors.w_b_v, d_h)
-    return q, k, v
-
-
-def _check_mla_shapes(factors: MlaFactors, w_q, config: Geometry, x) -> None:
-    if x.shape[1] != config.d_model:
-        raise ValidationError(
-            f"input width {x.shape[1]} does not match d_model {config.d_model}"
-        )
-    if factors.d_model != config.d_model or factors.out_width != config.d_model:
-        raise ValidationError("factor shapes do not match the layer geometry")
+def _query_projection(w_q, config: Geometry) -> np.ndarray:
+    w_q = linalg.as_matrix(w_q, "w_q")
     if w_q.shape != (config.d_model, config.d_model):
         raise ValidationError(f"w_q has shape {w_q.shape}")
+    return w_q
 
 
 def logit_drift(a: AttentionTrace, b: AttentionTrace) -> DriftResult:

@@ -14,7 +14,9 @@ D x D product other than the covariance or decomposes a D x D matrix.
 `schedule` checks its rank plan against the manifest before it reads the
 first covariance. `cov` is the only stage that reads calibration batches:
 `convert` places each layer's covariance in the converted bundle, and
-`eval` takes the activation residual from it.
+`eval` takes the activation residual from it. `eval` projects each layer's
+queries once: the source and latent forwards share them and differ only in
+K and V.
 
 The conversion report's health figures describe, per layer and kind, the
 whitened Gram G = (S W_g)^T (S W_g) whose eigendecomposition gives the
@@ -488,22 +490,33 @@ def _clear_bundle(out: Path, keep: set[str]) -> None:
 
 # ---------------------------------------------------------------- eval
 
+def _compare_latent(gqa: factorizer.GqaLayer, factors: factorizer.MlaFactors, x):
+    """attention.compare of the source forward and the latent forward,
+    which differ only in K and V: the latent one takes the source's query
+    heads. Both forwards' heads are freed on return, before the caller
+    computes anything from the outputs."""
+    source = attention.gqa_heads(gqa, x)
+    k, v = attention.latent_kv(factors, gqa, x)
+    return attention.compare(source, source._replace(k=k, v=v))
+
+
 def _eval_layer(
     layer: int,
     gqa: factorizer.GqaLayer,
     factors: factorizer.MlaFactors,
-    rng: np.random.Generator,
+    rng: "np.random.Generator",
     t: int,
     params: metrics.LossParams,
     rope_dim: int,
 ) -> dict:
     """Compare one converted layer with its source and return its report,
     all but the activation residuals, which cmd_eval adds from the layer's
-    covariance. Both forwards take the source's query projection.
+    covariance.
 
     Draws from rng in a fixed order: probe input, then targets. The two
-    content forwards run in one attention.compare pass, so no
-    (n_heads, T, T) array is formed. With rope_dim > 0 the report also
+    content forwards run in one attention.compare pass (_compare_latent),
+    so no (n_heads, T, T) array is formed, and they share the source's
+    query heads, projected once. With rope_dim > 0 the report also
     carries the rotary cache width and softmax scale denominator,
     sqrt(head_dim + rope_dim), which follow from the layer formats; no
     rotary projection is drawn and no rotary attention is run, so the
@@ -512,9 +525,7 @@ def _eval_layer(
     d = gqa.d_model
     x = rng.standard_normal((t, d))
     targets = rng.integers(0, d, size=t)
-    drift, output_g, output_m = attention.compare(
-        attention.gqa_heads(gqa, x), attention.mla_heads(factors, gqa.w_q, gqa, x)
-    )
+    drift, output_g, output_m = _compare_latent(gqa, factors, x)
     output_drift = float(np.max(np.abs(output_g - output_m)))
 
     teacher = metrics.LogitSequence(output_g, targets)
@@ -702,13 +713,14 @@ def cmd_ablate(args) -> None:
     w = getattr(gqa, name)
     sigma, ablated_w = factorizer.ablate_singular_value(w, args.index)
     weight_residual = linalg.frobenius_norm_sq(w - ablated_w)
-    ablated_layer = dataclasses.replace(gqa, **{name: ablated_w})
     t = args.seq_len if args.seq_len is not None else m.seq_len
     x = rng.standard_normal((t, gqa.d_model))
+    # The ablated forward differs from the source only in the ablated kind,
+    # so it shares the source's query heads and those of the other kind.
     # V never enters the logits, so a V ablation shows only in the output.
-    drift, output, output_ablated = attention.compare(
-        attention.gqa_heads(gqa, x), attention.gqa_heads(ablated_layer, x)
-    )
+    source = attention.gqa_heads(gqa, x)
+    ablated = source._replace(**{args.kind.lower(): attention.group_heads(ablated_w, gqa, x)})
+    drift, output, output_ablated = attention.compare(source, ablated)
     output_drift = float(np.max(np.abs(output - output_ablated)))
 
     print(f"layer {args.layer} {args.kind}: sigma_{args.index} = {sigma:.6e}")

@@ -376,9 +376,14 @@ def covariance_residual(c, w_g, w_a, w_b, geometry: Geometry) -> float:
 
         (1/N) sum_b ||X_b dW||_F^2 = tr(dW^T C dW),  dW = replicate_groups(w_g) - w_a w_b.
 
-    It is summed over head blocks, C dW_h = (C w_g)_g(h) - (C w_a) (w_b)_h,
-    so neither dW nor any other D x D product is formed; the cost is
-    D^2 (grouped_width + r) plus D r d_model, whatever the token count.
+    Heads whose w_b blocks are bitwise equal within one group have equal
+    dW blocks, dW_h = (w_g)_g(h) - w_a (w_b)_h, so it is summed over each
+    group's distinct head blocks, each counted once per head that shares
+    it: one C dW product per group, whatever the token count. The bundles
+    convert writes repeat one block per group (grouped_factorize), so there
+    the cost is D^2 grouped_width + D r grouped_width. A w_b whose head
+    blocks all differ costs D^3, and no temporary is wider than one
+    group's heads_per_group * head_dim columns.
     """
     c = linalg.as_matrix(c, "c")
     w_g = linalg.as_matrix(w_g, "w_g")
@@ -393,15 +398,18 @@ def covariance_residual(c, w_g, w_a, w_b, geometry: Geometry) -> float:
             f"factors {w_a.shape} @ {w_b.shape} do not approximate the grouped "
             f"{w_g.shape} weight at head width {geometry.d_model}"
         )
-    c_w_g = c @ w_g
-    c_w_a = c @ w_a
-    hd = geometry.head_dim
+    hd, m = geometry.head_dim, geometry.heads_per_group
     total = 0.0
-    for h, g in enumerate(geometry.head_groups):
-        group, head = slice(g * hd, (g + 1) * hd), slice(h * hd, (h + 1) * hd)
-        diff = w_g[:, group] - w_a @ w_b[:, head]
-        c_diff = c_w_g[:, group] - c_w_a @ w_b[:, head]
-        total += float(np.vdot(diff, c_diff))
+    for g in range(geometry.n_groups):
+        # Heads g * m to (g + 1) * m - 1 read group g.
+        distinct: dict[bytes, list] = {}  # block bytes -> [block, heads sharing it]
+        for h in range(g * m, (g + 1) * m):
+            block = w_b[:, h * hd:(h + 1) * hd]
+            distinct.setdefault(block.tobytes(), [block, 0])[1] += 1
+        blocks, counts = zip(*distinct.values())
+        diff = np.tile(w_g[:, g * hd:(g + 1) * hd], len(blocks)) - w_a @ np.hstack(blocks)
+        per_block = np.einsum("ij,ij->j", diff, c @ diff).reshape(len(blocks), hd).sum(axis=1)
+        total += float(np.dot(counts, per_block))
     return total
 
 

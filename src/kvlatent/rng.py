@@ -23,5 +23,5 @@ def check_seed(seed, what: str = "seed") -> int:
     return seed
 
 
-def make_generator(seed: int) -> np.random.Generator:
+def make_generator(seed: int) -> "np.random.Generator":
     return np.random.Generator(np.random.Philox(key=check_seed(seed)))

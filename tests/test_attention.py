@@ -14,7 +14,9 @@ from kvlatent.attention import (
     compare,
     gqa_forward,
     gqa_heads,
+    group_heads,
     kv_cache_bytes,
+    latent_kv,
     logit_drift,
     mla_forward,
     mla_forward_rope,
@@ -259,6 +261,52 @@ class TestMlaForward:
         trace = mla_forward(factors, layer.w_q, layer, rng.standard_normal((3, 16)))
         assert (factors.r_k, factors.r_v, factors.cache_width) == (6, 7, 13)
         assert trace.scale_denominator == math.sqrt(layer.head_dim)
+
+
+class TestHeadBuilders:
+    """The per-kind builders eval and ablate combine with shared queries."""
+
+    @pytest.mark.parametrize("n_groups", (1, 2, 4))
+    def test_group_heads_are_each_heads_group_block(self, n_groups):
+        rng = gen(4250 + n_groups)
+        layer = random_gqa_layer(rng, n_groups=n_groups)
+        x = rng.standard_normal((6, 16))
+        heads = gqa_heads(layer, x)
+        d_h = layer.head_dim
+        for w_g, built in ((layer.w_k_g, heads.k), (layer.w_v_g, heads.v)):
+            got = group_heads(w_g, layer, x)
+            assert got.tobytes() == built.tobytes()
+            for h in range(layer.n_heads):
+                g = h * n_groups // layer.n_heads
+                assert np.array_equal(got[h], (x @ w_g)[:, g * d_h:(g + 1) * d_h])
+
+    def test_latent_forward_is_source_queries_and_latent_kv(self):
+        # mla_heads projects the same queries as gqa_heads, bit for bit, so
+        # a forward built from gqa_heads' q and latent_kv equals it.
+        rng = gen(4254)
+        layer = random_gqa_layer(rng)
+        factors, _, _ = convert_layer(layer, plain_spectra(layer), 3, 5)
+        x = rng.standard_normal((6, 16))
+        k, v = latent_kv(factors, layer, x)
+        shared = gqa_heads(layer, x)._replace(k=k, v=v)
+        built = mla_heads(factors, layer.w_q, layer, x)
+        for got, want in zip(shared, built):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_refusals(self):
+        rng = gen(4255)
+        layer = random_gqa_layer(rng)
+        factors, _, _ = convert_layer(layer, plain_spectra(layer), 3, 5)
+        narrow = random_gqa_layer(rng, d_model=8, n_heads=2, n_groups=1)
+        x = rng.standard_normal((4, 16))
+        with pytest.raises(ValidationError, match="input width 15"):
+            latent_kv(factors, layer, x[:, :15])
+        with pytest.raises(ValidationError, match="factor shapes"):
+            latent_kv(factors, narrow, x[:, :8])
+        with pytest.raises(ValidationError, match="grouped width 8"):
+            group_heads(layer.w_k_g[:, :6], layer, x)
+        with pytest.raises(ValidationError, match="d_model 16"):
+            group_heads(layer.w_k_g, layer, x[:, :15])
 
 
 class TestMlaForwardRope:

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import filecmp
 import json
@@ -1684,6 +1685,24 @@ class TestEvalMemory:
         assert report["cache_width_mla_rope"] == 3 + 4 + 4
         assert peak < score_bytes, (peak, score_bytes)
 
+    def test_both_forwards_are_freed_before_the_losses(self):
+        # One query projection per layer, and no forward's heads alive after
+        # compare. In units of one T x D float64 array, at D = 512 and
+        # T = 64 (numpy 2.4) this layer peaks at 9.07, in the losses. A
+        # second query projection reads 10.07, the latent K and V kept past
+        # compare 10.15, and the source's heads kept 11.15.
+        d, t = 512, 64
+        layer = random_gqa_layer(make_generator(93), d_model=d, n_heads=8, n_groups=2)
+        factors, _, _ = factorizer.convert_layer(layer, plain_spectra(layer), 3, 4)
+        rng = make_generator(94)
+        tracemalloc.start()
+        try:
+            cli._eval_layer(0, layer, factors, rng, t, metrics.LossParams(), 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 9.6 * t * d * 8, peak / (t * d * 8)
+
     def test_reads_no_calibration_batch(self, tmp_path, monkeypatch):
         pipeline(tmp_path, schedule_args=("--mode", "uniform", "--rank", "3"))
 
@@ -1765,6 +1784,29 @@ class TestAblate:
             assert doc["logit_drift_max"] == doc["logit_drift_frob"] == 0.0
         else:
             assert doc["logit_drift_max"] > 0.0 and doc["logit_drift_frob"] > 0.0
+
+    @pytest.mark.parametrize("kind", ["K", "V"])
+    def test_figures_match_two_independent_forwards(self, tmp_path, kind):
+        # ablate builds the query heads and the other kind's heads once;
+        # two gqa_heads built apart give the same figures, bit for bit.
+        model = gen_model(tmp_path / "m", seed=4)
+        assert run("ablate", "--manifest", model, "--layer", 1, "--kind", kind,
+                   "--index", 2, "--seed", 9, "--out", tmp_path / "ab.json") == 0
+        doc = json.loads((tmp_path / "ab.json").read_text())
+        m = manifest.load_manifest(model)
+        gqa = manifest.load_gqa_layer(m, model.parent, 1)
+        name = f"w_{kind.lower()}_g"
+        sigma, ablated_w = factorizer.ablate_singular_value(getattr(gqa, name), 2)
+        x = make_generator(9).standard_normal((m.seq_len, gqa.d_model))
+        drift, output, output_ablated = attention.compare(
+            attention.gqa_heads(gqa, x),
+            attention.gqa_heads(dataclasses.replace(gqa, **{name: ablated_w}), x),
+        )
+        assert doc["singular_value"] == sigma
+        assert doc["logit_drift_max"] == drift.max_abs
+        assert doc["logit_drift_frob"] == drift.frob
+        assert doc["output_drift_max"] == float(np.max(np.abs(output - output_ablated)))
+        assert doc["output_drift_max"] > 0.0
 
     def test_deterministic(self, tmp_path):
         model = gen_model(tmp_path / "m")

@@ -615,6 +615,40 @@ class TestCovarianceResidual:
         got = covariance_residual(covariance_of(batches), w_g, w_a, w_b, geometry)
         assert abs(got - want) <= 1e-12 * want
 
+    @staticmethod
+    def against_batches(rng, geometry, w_b):
+        """(covariance_residual, activation_residual) of a random grouped
+        weight and down-projection with up-projection w_b."""
+        d = geometry.d_model
+        batches = [calibration.CalibrationBatch(0, rng.standard_normal((7, d)))
+                   for _ in range(3)]
+        w_g = rng.standard_normal((d, geometry.grouped_width))
+        w_a = rng.standard_normal((d, w_b.shape[0]))
+        return (covariance_residual(covariance_of(batches), w_g, w_a, w_b, geometry),
+                activation_residual(batches, w_g, w_a, w_b, geometry))
+
+    def test_some_heads_of_a_group_repeat_a_block(self):
+        # Group 0: heads 0, 1 and 3 share one block, head 2 has its own.
+        # Group 1: all four heads share one block.
+        rng = gen(346)
+        geometry = Geometry(16, 8, 2, 2)
+        w_b = rng.standard_normal((3, 16))
+        for h in (1, 3):
+            w_b[:, 2 * h:2 * h + 2] = w_b[:, 0:2]
+        for h in (5, 6, 7):
+            w_b[:, 2 * h:2 * h + 2] = w_b[:, 8:10]
+        got, want = self.against_batches(rng, geometry, w_b)
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_equal_blocks_of_different_groups_do_not_merge(self):
+        # Every head has the same w_b block, but each group has its own
+        # w_g block, so the groups' dW blocks differ.
+        rng = gen(347)
+        geometry = Geometry(12, 6, 2, 3)
+        w_b = np.tile(rng.standard_normal((4, 2)), geometry.n_heads)
+        got, want = self.against_batches(rng, geometry, w_b)
+        assert abs(got - want) <= 1e-12 * want
+
     @pytest.mark.parametrize("shapes", [
         ((8, 7), (8, 4), (8, 3), (3, 8)),   # covariance not D x D
         ((8, 8), (8, 6), (8, 3), (3, 8)),   # w_g not grouped width

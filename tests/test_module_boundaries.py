@@ -6,6 +6,9 @@ each private name keeps one owner.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kvlatent"
@@ -80,3 +83,14 @@ def test_the_check_finds_each_form_of_use(tmp_path):
         "cli.py:6 manifest._load_tensor",
         "cli.py:6 rng._key",
     ]
+
+
+def test_importing_the_cli_loads_no_numpy_random():
+    # Only gen, eval and ablate draw, so the other stages' subprocesses
+    # should not pay for numpy.random's import.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
+    code = "import sys, kvlatent.cli; print('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
