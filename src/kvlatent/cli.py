@@ -5,6 +5,10 @@ produce byte-identical artifacts. Reports carry no timestamps and all
 tensor paths are stored relative to their manifest. Exit codes: 0 success,
 2 validation error, 3 numerical failure, 4 I/O error.
 
+`gen` draws each tensor from its own keyed Philox stream (rng) on two
+worker threads, so its bytes depend on neither the draw order nor the
+threads.
+
 Every per-layer file is named by `manifest.layer_file`, and `schedule` and
 `convert` read each covariance through `manifest.load_covariance` in one
 whitening step: the covariance's damped ridge (calibration.Ridge), its
@@ -25,8 +29,10 @@ spectrum: its largest and smallest eigenvalues after the PSD clamp
 """
 
 import argparse
+import collections
 import contextlib
 import dataclasses
+import itertools
 import math
 import os
 import shutil
@@ -39,7 +45,7 @@ import numpy as np
 
 from . import attention, calibration, ctf, factorizer, linalg, manifest, metrics, scheduler
 from .errors import NumericalError, ValidationError
-from .rng import make_generator
+from .rng import check_seed, make_generator
 
 DEFAULT_MIN_RANK = 64
 WEIGHT_SCALE_LOW, WEIGHT_SCALE_HIGH = 0.75, 1.25
@@ -136,50 +142,107 @@ def _parse_widths(text: str) -> list[int]:
 
 # ---------------------------------------------------------------- gen
 
+# Each tensor gen writes draws from its own Philox stream, keyed by the seed
+# (low 64 bits) and the id layer * 2**32 + slot (high 64 bits): slots 0, 1
+# and 2 are w_q, w_k_g and w_v_g, slot 3 the layer's per-dimension batch
+# scales and slot 4 + b batch b. A tensor thus depends only on the seed, its
+# layer, its slot and its shape, and not on --layers, --batches, the other
+# shapes or the order of the draws.
+_GEN_WEIGHTS = ("w_q", "w_k_g", "w_v_g")
+_GEN_SCALES_SLOT = 3
+_GEN_SLOTS = 1 << 32
+# Threads drawing tensors; at most _GEN_WORKERS + 1 tensors are in flight.
+_GEN_WORKERS = 2
+
+
+class _GenTensor(NamedTuple):
+    """One draw of gen: its stream's layer and slot, its shape, and the
+    path it is written to (None for the scales, which are not)."""
+
+    layer: int
+    slot: int
+    shape: tuple[int, ...]
+    rel: str | None
+
+
+def _draw(generator, tensor: _GenTensor):
+    """`tensor`'s values, a batch's before its scales. This runs on gen's
+    worker threads, so it calls numpy only."""
+    if tensor.slot == _GEN_SCALES_SLOT:
+        return generator.uniform(WEIGHT_SCALE_LOW, WEIGHT_SCALE_HIGH, tensor.shape)
+    a = generator.standard_normal(tensor.shape)
+    if tensor.slot < _GEN_SCALES_SLOT:
+        a /= np.sqrt(tensor.shape[0])
+    return a
+
+
 def cmd_gen(args) -> None:
-    rng = make_generator(args.seed)
+    check_seed(args.seed)
     if args.n_heads * args.head_dim != args.d_model:
         raise ValidationError("--n-heads * --head-dim must equal --d-model")
     geometry = factorizer.Geometry(args.d_model, args.n_heads, args.head_dim, args.n_groups)
     if args.layers < 1 or args.seq_len < 1 or args.batches < 1:
         raise ValidationError("--layers, --seq-len and --batches must be positive")
+    if args.layers > _GEN_SLOTS or _GEN_SCALES_SLOT + args.batches >= _GEN_SLOTS:
+        raise ValidationError("--layers must be at most 2**32 and --batches at most 2**32 - 4")
+    d, grouped = geometry.d_model, geometry.grouped_width
+    layers = range(args.layers)
+    weights = [{name: f"weights/{manifest.layer_file(layer, name)}" for name in _GEN_WEIGHTS}
+               for layer in layers]
+    batches = {layer: tuple(f"batches/{manifest.layer_file(layer, f'batch{b:03d}')}"
+                            for b in range(args.batches)) for layer in layers}
+    # Write order: every layer's weights and scales, then every layer's batches.
+    shapes = {"w_q": (d, d), "w_k_g": (d, grouped), "w_v_g": (d, grouped)}
+    tensors = []
+    for layer in layers:
+        tensors += [_GenTensor(layer, slot, shapes[name], weights[layer][name])
+                    for slot, name in enumerate(_GEN_WEIGHTS)]
+        tensors.append(_GenTensor(layer, _GEN_SCALES_SLOT, (d,), None))
+    for layer in layers:
+        tensors += [_GenTensor(layer, _GEN_SCALES_SLOT + 1 + b, (args.seq_len, d), rel)
+                    for b, rel in enumerate(batches[layer])]
 
     out = Path(args.out)
     (out / "weights").mkdir(parents=True, exist_ok=True)
     (out / "batches").mkdir(parents=True, exist_ok=True)
-    d, grouped = geometry.d_model, geometry.grouped_width
+    # model.json is written last; a run that stops early leaves none, so no
+    # earlier model's manifest names this run's tensors.
+    (out / "model.json").unlink(missing_ok=True)
+    _clear_layer_files(out, ("weights", "batches"))
 
-    # Fixed draw order: one pass for all weights and per-dimension scales,
-    # then one pass for all batches. Changing --batches never reshuffles the
-    # weights of an otherwise identical model.
-    entries = []
-    scales = []
-    for layer in range(args.layers):
-        w_q = rng.standard_normal((d, d)) / np.sqrt(d)
-        w_k_g = rng.standard_normal((d, grouped)) / np.sqrt(d)
-        w_v_g = rng.standard_normal((d, grouped)) / np.sqrt(d)
-        scales.append(rng.uniform(WEIGHT_SCALE_LOW, WEIGHT_SCALE_HIGH, d))
-        paths = {name: f"weights/{manifest.layer_file(layer, name)}"
-                 for name in ("w_q", "w_k_g", "w_v_g")}
-        ctf.write_ctf(out / paths["w_q"], w_q)
-        ctf.write_ctf(out / paths["w_k_g"], w_k_g)
-        ctf.write_ctf(out / paths["w_v_g"], w_v_g)
-        entries.append(manifest.LayerEntry(**dataclasses.asdict(geometry), layer=layer, **paths))
+    # Imported here, so that the other stages do not pay for it.
+    from concurrent.futures import ThreadPoolExecutor
 
-    batches: dict[int, tuple[str, ...]] = {}
-    for layer in range(args.layers):
-        layer_paths = []
-        for b in range(args.batches):
-            x = rng.standard_normal((args.seq_len, d)) * scales[layer]
-            rel = f"batches/{manifest.layer_file(layer, f'batch{b:03d}')}"
-            ctf.write_ctf(out / rel, x)
-            layer_paths.append(rel)
-        batches[layer] = tuple(layer_paths)
+    def submit(tensor):
+        # numpy's draws release the GIL. Each worker gets its own generator,
+        # made here, so that no worker calls kvlatent code.
+        generator = make_generator(args.seed, tensor.layer * _GEN_SLOTS + tensor.slot)
+        return tensor, pool.submit(_draw, generator, tensor)
+
+    scales = {}
+    queue = iter(tensors)
+    with ThreadPoolExecutor(_GEN_WORKERS) as pool:
+        pending = collections.deque(map(submit, itertools.islice(queue, _GEN_WORKERS + 1)))
+        while pending:
+            tensor, future = pending.popleft()
+            a = future.result()
+            # A future keeps its result: with it and `a` dropped before the
+            # next submit, no more than the window of tensors is alive.
+            del future
+            if tensor.rel is None:
+                scales[tensor.layer] = a
+            else:
+                if tensor.slot > _GEN_SCALES_SLOT:
+                    a *= scales[tensor.layer]
+                ctf.write_ctf(out / tensor.rel, a)
+            del a
+            pending.extend(map(submit, itertools.islice(queue, 1)))
 
     model = manifest.ModelManifest(
         model_kind=manifest.MODEL_KIND_GQA,
         seq_len=args.seq_len,
-        layers=tuple(entries),
+        layers=tuple(manifest.LayerEntry(**dataclasses.asdict(geometry), layer=layer,
+                                         **weights[layer]) for layer in layers),
         calibration=batches,
         seed=args.seed,
     )
@@ -378,7 +441,9 @@ def cmd_convert(args) -> None:
     # neither, so its factors never look like a finished conversion.
     for name in ("converted.json", "conversion_report.json"):
         (out / name).unlink(missing_ok=True)
-    _clear_bundle(out, _inputs(m, base, args.cov_dir))
+    # The bundle's cov/ and factors/ and the retired weights/ of an earlier
+    # version.
+    _clear_layer_files(out, ("cov", "factors", "weights"), _inputs(m, base, args.cov_dir))
 
     entries = []
     report_layers = []
@@ -472,13 +537,12 @@ def _inputs(m: manifest.ModelManifest, base: Path, cov_dir) -> set[str]:
     return {os.path.realpath(path) for path in paths}
 
 
-def _clear_bundle(out: Path, keep: set[str]) -> None:
-    """Remove the per-layer tensor files of a bundle layout under `out`:
-    every `layerNNN_<name>.ctf` directly in `cov/`, `factors/` and the
-    retired `weights/`, such as the factors of a model with more layers or
-    an earlier version's `w_q`, except a file whose real path is in `keep`.
+def _clear_layer_files(out: Path, subs, keep=frozenset()) -> None:
+    """Remove every `layerNNN_<name>.ctf` file directly in the `subs`
+    directories of `out`, such as the tensors of a model with more layers
+    or an earlier version's, except a file whose real path is in `keep`.
     Nothing else under `out` is touched."""
-    for sub in ("cov", "factors", "weights"):
+    for sub in subs:
         directory = out / sub
         if not directory.is_dir():
             continue

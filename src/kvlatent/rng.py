@@ -1,11 +1,13 @@
 """Seeded randomness for the CLI.
 
-Everything random flows from one 64-bit seed through a Philox4x32-10
-counter-based bit generator (numpy's Philox, keyed directly with the seed
-rather than routed through SeedSequence). Gaussian draws use numpy's
-ziggurat standard_normal on that stream. Identical seeds therefore give
-identical artifacts; commands draw in a documented fixed order so outputs
-stay byte-reproducible.
+Everything random flows from one 64-bit seed through numpy's Philox, the
+Philox4x64-10 counter-based bit generator, keyed directly rather than
+routed through SeedSequence. Its key has 128 bits: the seed fills the low
+64 and a stream id the high 64, so every (seed, stream) pair names its own
+stream. Gaussian draws use numpy's ziggurat standard_normal on a stream.
+`gen` gives each tensor it writes its own stream (cli.gen_stream);
+`eval` and `ablate` draw from stream 0 in a documented fixed order.
+Identical seeds therefore give identical artifacts.
 """
 
 import numpy as np
@@ -23,5 +25,8 @@ def check_seed(seed, what: str = "seed") -> int:
     return seed
 
 
-def make_generator(seed: int) -> "np.random.Generator":
-    return np.random.Generator(np.random.Philox(key=check_seed(seed)))
+def make_generator(seed: int, stream: int = 0) -> "np.random.Generator":
+    """A generator on the Philox key with `seed` in its low 64 bits and
+    `stream` in its high 64."""
+    key = check_seed(seed) | check_seed(stream, "stream") << 64
+    return np.random.Generator(np.random.Philox(key=key))

@@ -4,6 +4,7 @@ import filecmp
 import json
 import os
 import shutil
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -147,6 +148,108 @@ class TestGen:
     def test_largest_seed_is_accepted(self, tmp_path):
         path = gen_model(tmp_path / "m", seed=2**64 - 1)
         assert manifest.load_manifest(path).seed == 2**64 - 1
+
+    def test_interrupted_run_leaves_no_manifest(self, tmp_path, monkeypatch):
+        gen_model(tmp_path / "mix", seed=1)
+        real, calls = ctf.write_ctf, []
+
+        def fail_fourth(path, array, *args, **kwargs):
+            calls.append(path)
+            if len(calls) == 4:
+                raise OSError("disk full")
+            return real(path, array, *args, **kwargs)
+
+        monkeypatch.setattr(ctf, "write_ctf", fail_fourth)
+        assert run("gen", "--out", tmp_path / "mix", "--seed", 2) == 4
+        # Seed 1's manifest would name files that now hold seed 2's weights.
+        assert not (tmp_path / "mix/model.json").exists()
+
+    def test_tensors_of_a_larger_model_go(self, tmp_path):
+        gen_model(tmp_path / "m", layers=2, batches=4)
+        (tmp_path / "m/weights/notes.txt").write_text("kept")
+        (tmp_path / "m/batches/layer001_batch000.ctf.txt").write_text("kept")
+        (tmp_path / "m/layer001_w_q.ctf").write_text("kept")
+        gen_model(tmp_path / "m", layers=1, batches=2)
+        gen_model(tmp_path / "fresh", layers=1, batches=2)
+        assert tree_bytes(tmp_path / "m") == {
+            **tree_bytes(tmp_path / "fresh"), "weights/notes.txt": b"kept",
+            "batches/layer001_batch000.ctf.txt": b"kept", "layer001_w_q.ctf": b"kept",
+        }
+
+    def test_layer_and_batch_counts_stay_in_the_stream_ids(self, tmp_path):
+        for flag, value in (("--layers", 2**32 + 1), ("--batches", 2**32 - 3)):
+            assert run("gen", "--out", tmp_path / "x", flag, value) == 2
+        assert not (tmp_path / "x").exists()
+
+
+def gen_tensors(root: Path, **kwargs) -> dict[str, bytes]:
+    """The tensor files of a fresh `gen_model(root, **kwargs)`."""
+    gen_model(root, **kwargs)
+    return {name: data for name, data in tree_bytes(root).items() if name.endswith(".ctf")}
+
+
+class TestGenStreams:
+    """Each tensor gen writes comes from its own Philox stream, keyed by the
+    seed, its layer and its slot, so it depends on nothing else."""
+
+    def test_more_batches_keep_the_first_ones(self, tmp_path):
+        two = gen_tensors(tmp_path / "two", batches=2)
+        four = gen_tensors(tmp_path / "four", batches=4)
+        assert {name: four[name] for name in two} == two
+        assert len(four) == len(two) + 4
+
+    def test_more_layers_keep_layer_0(self, tmp_path):
+        one = gen_tensors(tmp_path / "one", layers=1)
+        two = gen_tensors(tmp_path / "two", layers=2)
+        assert {name: two[name] for name in one} == one
+        assert len(two) == 2 * len(one)
+
+    def test_sequence_length_leaves_the_weights(self, tmp_path):
+        short = gen_tensors(tmp_path / "short", seq=8)
+        long = gen_tensors(tmp_path / "long", seq=12)
+        weights = [name for name in short if name.startswith("weights/")]
+        assert len(weights) == 6
+        assert all(short[name] == long[name] for name in weights)
+        assert all(short[name] != long[name] for name in short if name not in weights)
+
+    def test_every_tensor_has_its_own_stream(self, tmp_path):
+        # Equal shapes (w_k_g and w_v_g; every batch) still draw differently,
+        # and so does every tensor under another seed.
+        a = gen_tensors(tmp_path / "a", seed=7, heads=4, groups=4)
+        b = gen_tensors(tmp_path / "b", seed=8, heads=4, groups=4)
+        assert len(set(a.values())) == len(a)
+        assert all(a[name] != b[name] for name in a)
+
+
+class TestGenPool:
+    def test_bytes_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
+        want = tree_bytes(gen_model(tmp_path / "default", batches=6).parent)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 4):
+                monkeypatch.setattr(cli, "_GEN_WORKERS", workers)
+                root = gen_model(tmp_path / f"w{workers}", batches=6).parent
+                assert tree_bytes(root) == want, workers
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_at_most_the_window_of_batches_is_alive(self, tmp_path, capsys):
+        # 32 batches drawn up front would take 32 batch arrays. A first gen
+        # keeps the modules it imports out of the peak.
+        d, t = 64, 256
+        batch = t * d * 8
+        layer_weights = (d * d + 2 * d * 32) * 8
+        gen_model(tmp_path / "warm", layers=1, batches=1)
+        tracemalloc.start()
+        try:
+            gen_model(tmp_path / "m", layers=1, d=d, heads=4, head_dim=16, groups=2,
+                      seq=t, batches=32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        window = cli._GEN_WORKERS + 1
+        assert peak < (window + 2) * batch + layer_weights, peak / batch
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

@@ -85,12 +85,22 @@ def test_the_check_finds_each_form_of_use(tmp_path):
     ]
 
 
+def cli_import_loads(module: str) -> bool:
+    """Whether `import kvlatent.cli` in a fresh interpreter loads `module`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
+    code = f"import sys, kvlatent.cli; print({module!r} in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    return done.stdout.strip() == "True"
+
+
 def test_importing_the_cli_loads_no_numpy_random():
     # Only gen, eval and ablate draw, so the other stages' subprocesses
     # should not pay for numpy.random's import.
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
-    code = "import sys, kvlatent.cli; print('numpy.random' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "False"
+    assert not cli_import_loads("numpy.random")
+
+
+def test_importing_the_cli_loads_no_concurrent_futures():
+    # Only gen draws on threads, and it imports the pool itself.
+    assert not cli_import_loads("concurrent.futures")
