@@ -13,9 +13,7 @@ from .calibration import (
     CalibrationBatch,
     CovarianceAccumulator,
     ShrinkageParams,
-    Whitener,
     accumulate,
-    build_whitener,
     finalize,
     whitening_operator,
 )
@@ -39,9 +37,7 @@ __all__ = [
     "MlaFactors",
     "RankProfile",
     "ShrinkageParams",
-    "Whitener",
     "accumulate",
-    "build_whitener",
     "care_factorize",
     "convert_layer",
     "finalize",

@@ -19,15 +19,14 @@ whose eigendecomposition gives the whitened singular values and right
 singular vectors (factorizer.layer_spectra). A Ridge refuses a numerically
 singular S from two bounds alone, without any decomposition.
 
-A Whitener is the same S in eigen form, from one D x D eigendecomposition
-of C (build_whitener). No stage builds one: it is the dense reference that
-the tests check the Gram path against.
+whitening_operator forms the same S densely, from one D x D
+eigendecomposition of C. No stage calls it: it is the reference that the
+tests check the Gram path against.
 """
 
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -41,8 +40,8 @@ WEIGHTINGS = (WEIGHTING_DAMPED, WEIGHTING_COV)
 # lam I. A document or flag that names it is refused rather than read as
 # "damped", whose numbers differ.
 WEIGHTING_RETIRED = "sqrtC"
-# Whitener eigenvalues below this fraction of the largest are treated as
-# singular; shrinkage keeps real pipelines well away from it.
+# A whitener whose smallest eigenvalue is below this fraction of its largest
+# is treated as singular; shrinkage keeps real pipelines well away from it.
 WHITENER_FLOOR_REL = 1e-12
 # A lam must be a float: an int beyond this, like inf, has no float value.
 FLOAT_MAX = sys.float_info.max
@@ -160,23 +159,23 @@ class Ridge:
     trace: float
 
     def gram(self, w: np.ndarray, c_w: np.ndarray) -> np.ndarray:
-        """(S w)^T (S w), n x n, for a D x n weight w with c_w = C @ w:
+        """(S w)^T (S w), n x n, for a D x n weight w with c_w = C @ w,
+        from B w = (1 - alpha) C w + alpha lam w:
 
-            "damped":  (1 - alpha) w^T (C w) + alpha lam w^T w
-            "C":       (B w)^T (B w),  B w = (1 - alpha) C w + alpha lam w
+            "damped":  w^T (B w)
+            "C":       (B w)^T (B w)
 
-        The "damped" Gram is w^T B w. Under "C" the Gram is a square, PSD
-        whatever C is, so w^T B w is checked first: one that is not PSD
-        beyond rounding noise is refused (NumericalError), as factorizer.
-        gram_svd refuses it under "damped". The ridge term sets the noise
-        scale, so a w in C's null space is not refused.
+        Under "C" the Gram is a square, PSD whatever C is, so w^T (B w) is
+        checked first: one that is not PSD beyond rounding noise is refused
+        (NumericalError), as factorizer.gram_svd refuses it under "damped".
+        The ridge term sets the noise scale, so a w in C's null space is not
+        refused.
         """
-        alpha, shift = self.params.alpha, self.params.alpha * self.lam
-        w_b_w = (1.0 - alpha) * (w.T @ c_w) + shift * (w.T @ w)
+        b_w = (1.0 - self.params.alpha) * c_w + self.params.alpha * self.lam * w
+        w_b_w = w.T @ b_w
         if self.params.weighting == WEIGHTING_DAMPED:
             return w_b_w
         linalg.clamp_psd(linalg.sym_eig(w_b_w).eigenvalues)
-        b_w = (1.0 - alpha) * c_w + shift * w
         return b_w.T @ b_w
 
     def check_invertible(self) -> None:
@@ -205,96 +204,20 @@ def ridge(c: np.ndarray, params: ShrinkageParams) -> Ridge:
     return Ridge(params, _resolve_lambda(params, trace, c.shape[0]), trace)
 
 
-@dataclass(frozen=True)
-class Whitener:
-    """One layer's shrunk whitening operator S, kept in eigen form: the
-    dense reference for the Gram path, which no stage builds.
+def whitening_operator(c, params: ShrinkageParams) -> np.ndarray:
+    """The shrunk operator S of covariance `c`, formed densely from one
+    eigendecomposition of C: the tests' reference, which no stage calls.
 
-    S = Q diag(eigenvalues) Q^T, where Q holds the eigenvectors of the
-    covariance C and `eigenvalues` are those of S, non-increasing:
-    sqrt((1 - alpha) c_i + alpha lam) for "damped" and (1 - alpha) c_i +
-    alpha lam for "C". `lam` is the resolved ridge scale and `clamped` the
-    number of slightly negative eigenvalues of C that were set to zero.
-    The factor L, S itself and the numerical-health figures all come from
-    this one eigendecomposition.
+    lam resolves as in ridge. Both weightings refuse a C that is not PSD
+    beyond rounding noise (NumericalError, from linalg.clamp_psd).
     """
-
-    eigenvectors: np.ndarray
-    eigenvalues: np.ndarray
-    lam: float
-    weighting: str
-    clamped: int = 0
-
-    def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=np.float64)
-        q = linalg.as_matrix(self.eigenvectors, "eigenvectors")
-        if q.shape != (vals.size, vals.size):
-            raise ValidationError(
-                f"eigenvectors {q.shape} do not match {vals.size} eigenvalues"
-            )
-        object.__setattr__(self, "eigenvectors", q)
-        object.__setattr__(self, "eigenvalues", vals)
-
-    @property
-    def dim(self) -> int:
-        return int(self.eigenvalues.size)
-
-    @property
-    def lambda_max(self) -> float:
-        return float(self.eigenvalues[0])
-
-    @property
-    def lambda_min(self) -> float:
-        return float(self.eigenvalues[-1])
-
-    @property
-    def condition(self) -> float:
-        return self.lambda_max / self.lambda_min if self.lambda_min > 0.0 else float("inf")
-
-    @cached_property
-    def factor(self) -> np.ndarray:
-        """L = diag(eigenvalues) Q^T, the whitener in its own eigenbasis.
-
-        L^T L = S^2, so L @ w has the singular values and right singular
-        vectors of S @ w, and ||L @ e||_F = ||S @ e||_F for any e. Forming
-        L costs one row scaling; forming S costs a D x D x D product.
-        """
-        return self.eigenvalues[:, None] * self.eigenvectors.T
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """S itself, symmetric."""
-        q = self.eigenvectors
-        s = (q * self.eigenvalues) @ q.T
-        return (s + s.T) / 2.0
-
-    def check_invertible(self) -> None:
-        """Refuse a numerically singular S, which shrinkage should prevent."""
-        lam_max = max(self.lambda_max, 0.0)
-        if lam_max <= 0.0 or self.lambda_min <= WHITENER_FLOOR_REL * lam_max:
-            raise NumericalError("singular whitener: apply shrinkage before factorizing")
-
-
-def whitener_from_eig(eig: linalg.EigResult, params: ShrinkageParams) -> Whitener:
-    """The shrunk whitener of a covariance, from its eigendecomposition.
-
-    `eig` is `linalg.sym_eig` of C: raw eigenvalues, non-increasing, before
-    any PSD clamp. The ridge scale resolves from their sum, tr(C). Both
-    weightings refuse a C that is not PSD beyond rounding noise.
-    """
-    vals, clamped = linalg.clamp_psd(eig.eigenvalues)
-    lam = _resolve_lambda(params, float(np.sum(eig.eigenvalues)), max(vals.size, 1))
+    c = linalg.as_matrix(c, "covariance")
+    lam = ridge(c, params).lam
+    eig = linalg.sym_eig(c)
+    vals, _ = linalg.clamp_psd(eig.eigenvalues)
     shrunk = (1.0 - params.alpha) * vals + params.alpha * lam
     if params.weighting == WEIGHTING_DAMPED:
         shrunk = np.sqrt(shrunk)
-    return Whitener(eig.eigenvectors, shrunk, lam, params.weighting, clamped)
-
-
-def build_whitener(c, params: ShrinkageParams) -> Whitener:
-    """The shrunk whitener of covariance `c`, from one eigendecomposition."""
-    return whitener_from_eig(linalg.sym_eig(c), params)
-
-
-def whitening_operator(c, params: ShrinkageParams) -> np.ndarray:
-    """The shrunk operator S, formed densely: the tests' reference."""
-    return build_whitener(c, params).matrix
+    q = eig.eigenvectors
+    s = (q * shrunk) @ q.T
+    return (s + s.T) / 2.0

@@ -35,6 +35,7 @@ import dataclasses
 import itertools
 import math
 import os
+import re
 import shutil
 import sys
 from decimal import ROUND_HALF_UP, Decimal
@@ -302,10 +303,12 @@ def cmd_cov(args) -> None:
     base = Path(args.manifest).parent
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # Every old covariance goes before the first batch is read, and each new
-    # one appears whole, so a failed rerun never leaves a mix of two runs.
-    for layer in range(len(m.layers)):
-        (out / manifest.layer_file(layer, "cov")).unlink(missing_ok=True)
+    # Every old covariance, a larger model's too, goes before the first batch
+    # is read, and each new one appears whole, so a failed rerun never leaves
+    # a mix of two runs. Batches that share the directory stay.
+    for path in sorted(out.iterdir()):
+        if re.fullmatch(r"layer\d{3,}_cov\.ctf", path.name) and path.is_file():
+            path.unlink()
     for layer in range(len(m.layers)):
         cov, count = _layer_covariance(m, base, layer, args.batches_dir)
         path = out / manifest.layer_file(layer, "cov")
@@ -413,6 +416,8 @@ def _store_layer(m: manifest.ModelManifest, base: Path, cov_dir, layer: int,
 
 def cmd_convert(args) -> None:
     m = manifest.load_manifest(args.manifest)
+    if m.model_kind != manifest.MODEL_KIND_GQA:
+        raise ValidationError("manifest does not describe a grouped-attention model")
     base = Path(args.manifest).parent
     profile, _, records = manifest.load_profile(args.profile)
     expected = {(layer, kind) for layer in range(len(m.layers)) for kind in scheduler.KINDS}

@@ -24,10 +24,10 @@ sigma^2 to about n eps sigma_1^2, which bounds the error of every tail
 sum_{i>r} sigma_i^2 at the same scale.
 
 whitened_svd and care_factorize are the dense reference path, which no
-stage runs: against a calibration.Whitener in eigen form, with factor
-L = diag(s) Q^T and L^T L = S^2, Y = L W has the singular values and
-right singular vectors of S W, and the SVD is taken of the n x n R factor
-of Y = Q_Y R. With S = I this reduces to plain SVD truncation.
+stage runs. They take S itself (calibration.whitening_operator) or any L
+with L^T L = S^2, such as a Cholesky factor: L W has the singular values
+and right singular vectors of S W, read off linalg.svd(L W). With S = I
+this reduces to plain SVD truncation.
 
 Geometry is a layer's shape and the one place it is checked: every size
 is at least 1, d_model = n_heads * head_dim, n_groups divides n_heads, and
@@ -62,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .calibration import CalibrationBatch, Ridge, Whitener
+from .calibration import CalibrationBatch, Ridge
 from .errors import ValidationError
 
 
@@ -254,19 +254,20 @@ class WhitenedSvd(NamedTuple):
     v_t: np.ndarray
 
 
-def whitened_svd(w, whitener: Whitener) -> WhitenedSvd:
-    """Sigma and V^T of S @ w, from the SVD of the R factor of Y = L @ w:
-    the dense reference for gram_svd.
+def whitened_svd(w, l) -> WhitenedSvd:
+    """Sigma and V^T of S @ w, from linalg.svd(l @ w): the dense reference
+    for gram_svd. `l` is S or any L with L^T L = S^2.
 
     Each pair's sign follows linalg.svd's convention on the left singular
-    vectors of R.
+    vectors of l @ w.
     """
     w = linalg.as_matrix(w, "w")
-    if whitener.dim != w.shape[0]:
+    l = linalg.as_matrix(l, "whitener")
+    if l.shape[1] != w.shape[0]:
         raise ValidationError(
-            f"whitener dim {whitener.dim} does not match weight rows {w.shape[0]}"
+            f"whitener {l.shape} does not match weight rows {w.shape[0]}"
         )
-    res = linalg.svd(linalg.qr_r(whitener.factor @ w))
+    res = linalg.svd(l @ w)
     return WhitenedSvd(res.singular_values, res.v_t)
 
 
@@ -300,13 +301,11 @@ def truncate(w, spectrum: WhitenedSvd, r: int) -> tuple[FactorPair, Factorizatio
     return FactorPair(w_a, w_b), report
 
 
-def care_factorize(w, whitener: Whitener, r: int) -> tuple[FactorPair, FactorizationReport]:
+def care_factorize(w, l, r: int) -> tuple[FactorPair, FactorizationReport]:
     """Rank-r factorization of w minimizing the whitened residual:
-    truncate(w, whitened_svd(w, whitener), r). The whitener must be
-    shrinkage-regularized upstream; a singular one is refused.
+    truncate(w, whitened_svd(w, l), r), for S or any L with L^T L = S^2.
     """
-    whitener.check_invertible()
-    return truncate(w, whitened_svd(w, whitener), r)
+    return truncate(w, whitened_svd(w, l), r)
 
 
 def grouped_factorize(

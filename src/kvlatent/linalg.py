@@ -170,27 +170,3 @@ def _anchor_svd_signs(u: np.ndarray, v_t: np.ndarray) -> None:
         signs = np.where(flip, -1.0, 1.0)
         u *= signs
         v_t *= signs[:, None]
-
-
-def qr_r(a) -> np.ndarray:
-    """The upper-triangular factor R of a = Q R, without forming Q.
-
-    R has shape (min(m, n), n) and shares the singular values and right
-    singular vectors of `a`, so an (m, n) matrix with m >= n can be
-    decomposed through its n x n factor instead.
-    """
-    a = as_matrix(a, "a")
-    try:
-        return np.linalg.qr(a, mode="r")
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"QR factorization failed: {exc}") from None
-
-
-def singular_values(a) -> np.ndarray:
-    """Descending singular values alone, without the singular vectors."""
-    a = as_matrix(a, "a")
-    try:
-        return np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed to converge: {exc}") from None
-

@@ -41,8 +41,9 @@ def _check_spectrum(sigma, name: str) -> np.ndarray:
 def whitened_spectrum(sqrt_c, w) -> np.ndarray:
     """Descending singular values of the whitened weight S @ w.
 
-    `sqrt_c` may be S itself or any square L with L^T L = S^2, such as
-    calibration.Whitener.factor: L @ w has the same singular values.
+    `sqrt_c` may be S itself, such as calibration.whitening_operator
+    gives, or any square L with L^T L = S^2: L @ w has the same singular
+    values. The dense reference for the Gram spectra; no stage calls it.
     """
     sqrt_c = linalg.as_matrix(sqrt_c, "sqrt_c")
     w = linalg.as_matrix(w, "w")
@@ -52,7 +53,7 @@ def whitened_spectrum(sqrt_c, w) -> np.ndarray:
         raise ValidationError(
             f"dimension mismatch: whitener {sqrt_c.shape} vs weight {w.shape}"
         )
-    return linalg.singular_values(sqrt_c @ w)
+    return linalg.svd(sqrt_c @ w).singular_values
 
 
 @dataclass(frozen=True)

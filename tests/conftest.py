@@ -48,21 +48,14 @@ def covariance_of(batches):
     return calibration.finalize(acc)
 
 
-def identity_whitener(dim: int):
-    """The whitener S = I, for factorizations that reduce to plain SVD."""
-    from kvlatent.calibration import WEIGHTING_COV, Whitener
-
-    return Whitener(np.eye(dim), np.ones(dim), 1.0, WEIGHTING_COV)
-
-
 def plain_spectra(layer):
     """The unwhitened SVDs of a layer's grouped K and V projections, by the
     dense reference path with S = I: what convert_layer truncates into
     plain SVD factors."""
     from kvlatent.factorizer import whitened_svd
 
-    whitener = identity_whitener(layer.d_model)
-    return whitened_svd(layer.w_k_g, whitener), whitened_svd(layer.w_v_g, whitener)
+    identity = np.eye(layer.d_model)
+    return whitened_svd(layer.w_k_g, identity), whitened_svd(layer.w_v_g, identity)
 
 
 def pipeline_spectra(layer, c, params=None):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from conftest import (
-    covariance_of, gen, identity_whitener, random_orthogonal, reconstruct, truncate_svd,
+    covariance_of, gen, random_orthogonal, reconstruct, truncate_svd,
     whitened_error_sq,
 )
 from kvlatent import calibration, ctf, linalg, manifest, scheduler
@@ -110,14 +110,14 @@ def test_criterion_03_kv_parity_exactness():
                     for _ in range(4)
                 ]
                 c = covariance_of(batches)
-                whitener = calibration.build_whitener(c, ShrinkageParams())
+                whitener = calibration.whitening_operator(c, ShrinkageParams())
                 r = n_groups * head_dim
                 spectra = layer_spectra(layer, c, calibration.ridge(c, ShrinkageParams()))
                 factors, report_k, report_v = convert_layer(layer, spectra, r, r)
                 for report, w_g in ((report_k, layer.w_k_g), (report_v, layer.w_v_g)):
                     w = replicate_groups(w_g, layer)
                     energy = float(np.sum(
-                        np.linalg.svd(whitener.matrix @ w, compute_uv=False) ** 2))
+                        np.linalg.svd(whitener @ w, compute_uv=False) ** 2))
                     assert report.whitened_residual_sq <= 1e-12 * energy
                 t = int(rng.integers(2, 17))
                 x = rng.standard_normal((t, d))
@@ -147,13 +147,13 @@ def test_criterion_04_whitened_optimality():
             eigs = np.linalg.eigvalsh(c)
             assert eigs[-1] / max(eigs[0], 1e-300) >= 100.0, "instance not anisotropic"
             w = rng.standard_normal((d, cols))
-            s = calibration.build_whitener(c, ShrinkageParams(alpha=0.01))
+            s = calibration.whitening_operator(c, ShrinkageParams(alpha=0.01))
             care_pair, care_report = care_factorize(w, s, r)
-            plain_pair, _ = care_factorize(w, identity_whitener(d), r)
+            plain_pair, _ = care_factorize(w, np.eye(d), r)
             plain_hat = plain_pair.w_a @ plain_pair.w_b
             # whitened residual: must win every single time
             assert care_report.whitened_residual_sq <= (
-                whitened_error_sq(s.matrix, w, plain_hat) * (1 + 1e-12)
+                whitened_error_sq(s, w, plain_hat) * (1 + 1e-12)
             )
             care_act = activation_residual(batches, w, *care_pair)
             plain_act = activation_residual(batches, w, *plain_pair)
@@ -275,7 +275,7 @@ def test_criterion_10_shrinkage_robustness():
             r = 4
             residuals = []
             for alpha in (1e-3, 1e-2, 1e-1):
-                s = calibration.build_whitener(c, ShrinkageParams(alpha=alpha))
+                s = calibration.whitening_operator(c, ShrinkageParams(alpha=alpha))
                 _, report = care_factorize(w, s, r)
                 residuals.append(report.whitened_residual_sq)
             spread = (max(residuals) - min(residuals)) / min(residuals)

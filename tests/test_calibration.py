@@ -11,12 +11,9 @@ from kvlatent.calibration import (
     CalibrationBatch,
     CovarianceAccumulator,
     ShrinkageParams,
-    Whitener,
     accumulate,
-    build_whitener,
     finalize,
     ridge,
-    whitener_from_eig,
     whitening_operator,
 )
 from kvlatent.errors import NumericalError, ValidationError
@@ -133,12 +130,11 @@ class TestShrinkage:
         batches = [batch(rng.standard_normal((3, 8))) for _ in range(2)]
         c = covariance_of(batches)
         params = ShrinkageParams(alpha=0.01, lam="auto")
-        whitener = build_whitener(c, params)
-        whitener.check_invertible()
+        s = whitening_operator(c, params)
         ridge(c, params).check_invertible()
-        inv = np.linalg.inv(whitener.matrix)
+        inv = np.linalg.inv(s)
         assert np.all(np.isfinite(inv))
-        assert np.max(np.abs(whitener.matrix @ inv - np.eye(8))) <= 1e-9
+        assert np.max(np.abs(s @ inv - np.eye(8))) <= 1e-9
 
     def test_retired_weighting_names_its_successor(self):
         with pytest.raises(ValidationError, match="'sqrtC' is retired; use 'damped'"):
@@ -174,6 +170,91 @@ class TestWhiteningOperator:
         with pytest.raises(ValidationError):
             whitening_operator(np.eye(2), ShrinkageParams(weighting="fisher"))
 
+    @staticmethod
+    def covariance(seed, dim=12):
+        rng = gen(seed)
+        return covariance_of(anisotropic_batches(rng, 4, 16, dim, cond=400.0))
+
+    def test_inverse_round_trip(self):
+        c = self.covariance(111)
+        ridge(c, ShrinkageParams()).check_invertible()
+        s = whitening_operator(c, ShrinkageParams())
+        assert np.max(np.abs(s @ np.linalg.inv(s) - np.eye(12))) <= 1e-12
+
+    @pytest.mark.parametrize("weighting", ["damped", "C"])
+    @pytest.mark.parametrize("lam", ["auto", 0.3])
+    def test_matches_the_formula(self, weighting, lam):
+        c = self.covariance(112)
+        params = ShrinkageParams(alpha=0.05, lam=lam, weighting=weighting)
+        explicit = explicit_operator(c, params)
+        scale = np.max(np.abs(explicit))
+        assert np.max(np.abs(whitening_operator(c, params) - explicit)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("weighting", ["damped", "C"])
+    def test_auto_lambda_is_trace_over_dim(self, weighting):
+        c = self.covariance(113)
+        params = ShrinkageParams(weighting=weighting)
+        expected = float(np.trace(c)) / c.shape[0]
+        explicit = whitening_operator(c, replace(params, lam=expected))
+        scale = np.max(np.abs(explicit))
+        assert np.max(np.abs(whitening_operator(c, params) - explicit)) <= 1e-12 * scale
+        assert ridge(c, params).lam == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("weighting", ["damped", "C"])
+    def test_lambda_matches_resolve_lambda(self, weighting):
+        # The operator and the stages' Ridge resolve lam alike, including an
+        # int lam and the fallback to 1.0 when tr(C) is not positive.
+        for c, lam in ((self.covariance(114), "auto"), (self.covariance(114), 2),
+                       (np.zeros((12, 12)), "auto")):
+            params = ShrinkageParams(alpha=0.05, lam=lam, weighting=weighting)
+            resolved = ridge(c, params).lam
+            explicit = explicit_operator(c, replace(params, lam=resolved))
+            scale = np.max(np.abs(explicit))
+            assert np.max(np.abs(whitening_operator(c, params) - explicit)) <= 1e-12 * scale
+        assert resolved == 1.0
+
+    @pytest.mark.parametrize("weighting", ["damped", "C"])
+    def test_factor_carries_the_whitened_metric(self, weighting):
+        # A Cholesky factor L of S^2 (L^T L = S^2) gives the Ridge's Gram and
+        # the whitened norms that S gives.
+        rng = gen(116)
+        c = self.covariance(116)
+        params = ShrinkageParams(weighting=weighting)
+        s = whitening_operator(c, params)
+        factor = np.linalg.cholesky(s @ s).T
+        assert np.max(np.abs(factor.T @ factor - s @ s)) <= 1e-12 * np.max(np.abs(s @ s))
+        w = rng.standard_normal((12, 5))
+        gram = ridge(c, params).gram(w, c @ w)
+        by_factor = (factor @ w).T @ (factor @ w)
+        assert np.max(np.abs(by_factor - gram)) <= 1e-12 * np.max(np.abs(gram))
+        e = rng.standard_normal((12, 7))
+        assert linalg.frobenius_norm_sq(factor @ e) == pytest.approx(
+            linalg.frobenius_norm_sq(s @ e), rel=1e-12
+        )
+
+    def test_unknown_weighting(self):
+        for weighting in ("fisher", "sqrtC"):
+            with pytest.raises(ValidationError, match="weighting"):
+                whitening_operator(np.eye(2), ShrinkageParams(weighting=weighting))
+
+    @pytest.mark.parametrize("weighting", ["damped", "C"])
+    def test_is_exactly_symmetric(self, weighting):
+        s = whitening_operator(self.covariance(117), ShrinkageParams(weighting=weighting))
+        assert np.array_equal(s, s.T)
+
+    def test_clamp_band_is_shrunk_like_zero(self):
+        q = random_orthogonal(gen(115), 5)
+        c = (q * np.array([1.0, 0.5, 0.25, -1e-10, -5e-9])) @ q.T
+        c = (c + c.T) / 2.0
+        params = ShrinkageParams(alpha=0.01, lam=1.0)
+        eigs = np.linalg.eigvalsh(whitening_operator(c, params))
+        assert eigs[0] == pytest.approx(math.sqrt(params.alpha * 1.0), rel=1e-6)
+
+    @pytest.mark.parametrize("weighting", ["damped", "C"])
+    def test_not_psd_is_numerical_error(self, weighting):
+        with pytest.raises(NumericalError, match="not PSD"):
+            whitening_operator(np.diag([1.0, -0.1]), ShrinkageParams(weighting=weighting))
+
 
 def explicit_operator(c, params):
     """S by its definition, from the dense ridge B = (1 - alpha) C + alpha
@@ -183,113 +264,13 @@ def explicit_operator(c, params):
     return linalg.sqrt_psd(b) if params.weighting == "damped" else b
 
 
-class TestWhitener:
-    """The one-eigendecomposition whitener against the explicit formulas."""
-
-    @staticmethod
-    def covariance(seed, dim=12):
-        rng = gen(seed)
-        return covariance_of(anisotropic_batches(rng, 4, 16, dim, cond=400.0))
-
-    def test_inverse_round_trip(self):
-        whitener = build_whitener(self.covariance(111), ShrinkageParams())
-        whitener.check_invertible()
-        identity = whitener.matrix @ np.linalg.inv(whitener.matrix)
-        assert np.max(np.abs(identity - np.eye(whitener.dim))) <= 1e-12
-
-    @pytest.mark.parametrize("weighting", ["damped", "C"])
-    def test_factor_carries_the_whitened_metric(self, weighting):
-        # L^T L = S^2, so L @ w and S @ w share singular values and norms
-        rng = gen(116)
-        whitener = build_whitener(self.covariance(116), ShrinkageParams(weighting=weighting))
-        s, factor = whitener.matrix, whitener.factor
-        scale = np.max(np.abs(s @ s))
-        assert np.max(np.abs(factor.T @ factor - s @ s)) <= 1e-12 * scale
-        w = rng.standard_normal((whitener.dim, 5))
-        sigma = np.linalg.svd(s @ w, compute_uv=False)
-        assert np.max(np.abs(np.linalg.svd(factor @ w, compute_uv=False) - sigma)) <= (
-            1e-12 * sigma[0]
-        )
-        e = rng.standard_normal((whitener.dim, 7))
-        assert linalg.frobenius_norm_sq(factor @ e) == pytest.approx(
-            linalg.frobenius_norm_sq(s @ e), rel=1e-12
-        )
-
-    @pytest.mark.parametrize("weighting", ["damped", "C"])
-    @pytest.mark.parametrize("lam", ["auto", 0.3])
-    def test_matrix_matches_operator_and_formula(self, weighting, lam):
-        c = self.covariance(112)
-        params = ShrinkageParams(alpha=0.05, lam=lam, weighting=weighting)
-        whitener = build_whitener(c, params)
-        explicit = explicit_operator(c, params)
-        scale = np.max(np.abs(explicit))
-        assert np.max(np.abs(whitener.matrix - whitening_operator(c, params))) == 0.0
-        assert np.max(np.abs(whitener.matrix - explicit)) <= 1e-12 * scale
-        assert whitener.weighting == weighting
-
-    @pytest.mark.parametrize("weighting", ["damped", "C"])
-    def test_lambda_matches_resolve_lambda(self, weighting):
-        c = self.covariance(113)
-        params = ShrinkageParams(weighting=weighting)
-        expected = float(np.trace(c)) / c.shape[0]
-        assert build_whitener(c, params).lam == pytest.approx(expected, rel=1e-12)
-        assert ridge(c, params).lam == pytest.approx(expected, rel=1e-12)
-
-    def test_health_figures_match_spectrum(self):
-        whitener = build_whitener(self.covariance(114), ShrinkageParams())
-        eigs = np.linalg.eigvalsh(whitener.matrix)
-        assert whitener.lambda_min == pytest.approx(eigs[0], rel=1e-12)
-        assert whitener.lambda_max == pytest.approx(eigs[-1], rel=1e-12)
-        assert whitener.condition == pytest.approx(eigs[-1] / eigs[0], rel=1e-12)
-        assert whitener.clamped == 0
-
-    def test_clamp_band_is_counted(self):
-        q = random_orthogonal(gen(115), 5)
-        c = (q * np.array([1.0, 0.5, 0.25, -1e-10, -5e-9])) @ q.T
-        c = (c + c.T) / 2.0
-        params = ShrinkageParams(alpha=0.01, lam=1.0)
-        whitener = build_whitener(c, params)
-        assert whitener.clamped == 2
-        assert whitener.lambda_min == pytest.approx(math.sqrt(params.alpha * 1.0), rel=1e-6)
-
-    @pytest.mark.parametrize("weighting", ["damped", "C"])
-    def test_not_psd_is_numerical_error(self, weighting):
-        with pytest.raises(NumericalError, match="not PSD"):
-            build_whitener(np.diag([1.0, -0.1]), ShrinkageParams(weighting=weighting))
-
-    def test_singular_whitener_refused(self):
-        whitener = Whitener(np.eye(3), np.array([1.0, 1.0, 0.0]), 1.0, "C")
-        with pytest.raises(NumericalError, match="shrinkage"):
-            whitener.check_invertible()
-
-    def test_unknown_weighting(self):
-        for weighting in ("fisher", "sqrtC"):
-            with pytest.raises(ValidationError, match="weighting"):
-                build_whitener(np.eye(2), ShrinkageParams(weighting=weighting))
-
-    @pytest.mark.parametrize("weighting", ["damped", "C"])
-    def test_from_eig_is_build_whitener_on_sym_eig(self, weighting):
-        # Including the clamp band, so the clamp count comes from raw eigenvalues.
-        q = random_orthogonal(gen(117), 6)
-        c = (q * np.array([2.0, 1.0, 0.5, 0.25, 0.0, -1e-10])) @ q.T
-        c = (c + c.T) / 2.0
-        params = ShrinkageParams(alpha=0.05, lam="auto", weighting=weighting)
-        built = build_whitener(c, params)
-        given = whitener_from_eig(linalg.sym_eig(c), params)
-        assert given.eigenvectors.tobytes() == built.eigenvectors.tobytes()
-        assert given.eigenvalues.tobytes() == built.eigenvalues.tobytes()
-        assert (given.lam, given.clamped, given.weighting) == (
-            built.lam, built.clamped, built.weighting)
-        assert given.clamped >= 1
-
-
 class TestRidge:
     """The damped covariance the stages whiten with, against the dense S."""
 
     @pytest.mark.parametrize("weighting", ["damped", "C"])
     @pytest.mark.parametrize("lam", ["auto", 0.3])
     def test_gram_is_the_whitened_weights_gram(self, weighting, lam):
-        c = TestWhitener.covariance(118)
+        c = TestWhiteningOperator.covariance(118)
         w = gen(118).standard_normal((12, 5))
         params = ShrinkageParams(alpha=0.05, lam=lam, weighting=weighting)
         s_w = explicit_operator(c, params) @ w
@@ -330,16 +311,16 @@ class TestRidge:
     @pytest.mark.parametrize("weighting", ["damped", "C"])
     def test_bounds_bracket_the_dense_spectrum(self, weighting):
         # The refusal reads two bounds; the whitener's eigenvalues lie within.
-        c = TestWhitener.covariance(119)
+        c = TestWhiteningOperator.covariance(119)
         params = ShrinkageParams(weighting=weighting)
         r = ridge(c, params)
         low = params.alpha * r.lam
         high = (1 - params.alpha) * r.trace + low
         if weighting == "damped":
             low, high = math.sqrt(low), math.sqrt(high)
-        whitener = build_whitener(c, params)
-        assert low * (1 - 1e-12) <= whitener.lambda_min
-        assert whitener.lambda_max <= high * (1 + 1e-12)
+        eigs = np.linalg.eigvalsh(whitening_operator(c, params))
+        assert low * (1 - 1e-12) <= eigs[0]
+        assert eigs[-1] <= high * (1 + 1e-12)
 
     @pytest.mark.parametrize("weighting", ["damped", "C"])
     def test_singular_ridge_refused_without_a_decomposition(self, weighting, monkeypatch):

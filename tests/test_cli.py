@@ -462,6 +462,37 @@ class TestCov:
         assert capsys.readouterr().err.startswith("error:")
         assert sorted(p.name for p in (tmp_path / "cov").iterdir()) == ["layer000_cov.ctf"]
 
+    def test_a_larger_models_covariances_go_and_batches_stay(self, tmp_path):
+        # The 1-layer model's batches sit in the directory a 2-layer cov
+        # wrote into; its layer001_cov.ctf goes, and every batch stays.
+        small = gen_model(tmp_path / "small", layers=1)
+        data = tmp_path / "small/data"
+        assert run("cov", "--manifest", gen_model(tmp_path / "big"), "--out", data) == 0
+        doc = json.loads(small.read_text())
+        moved = [f"data/{Path(rel).name}" for rel in doc["calibration"]["0"]]
+        for old, new in zip(doc["calibration"]["0"], moved):
+            (small.parent / old).rename(small.parent / new)
+        doc["calibration"]["0"] = moved
+        small.write_text(json.dumps(doc))
+        batches = {rel: (small.parent / rel).read_bytes() for rel in moved}
+        assert run("cov", "--manifest", small, "--out", data) == 0
+        assert sorted(p.name for p in data.iterdir()) == sorted(
+            [Path(rel).name for rel in moved] + ["layer000_cov.ctf"])
+        assert {rel: (small.parent / rel).read_bytes() for rel in moved} == batches
+
+    def test_only_covariance_files_directly_in_out_go(self, tmp_path):
+        out = tmp_path / "cov"
+        (out / "sub").mkdir(parents=True)
+        (out / "layer007_cov.ctf/inner").mkdir(parents=True)
+        kept = ["layer007_cov.ctf.bak", "layer7_cov.ctf", "layer007_factors.ctf",
+                "notes_cov.ctf", "sub/layer005_cov.ctf"]
+        for rel in kept + ["layer005_cov.ctf", "layer1234_cov.ctf"]:
+            (out / rel).write_bytes(b"old")
+        assert run("cov", "--manifest", gen_model(tmp_path / "m"), "--out", out) == 0
+        assert sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()) == sorted(
+            kept + ["layer000_cov.ctf", "layer001_cov.ctf"])
+        assert (out / "layer007_cov.ctf/inner").is_dir()
+
     def test_missing_manifest_is_io_error(self, tmp_path):
         assert run("cov", "--manifest", tmp_path / "nope.json",
                    "--out", tmp_path / "cov") == 4
@@ -721,6 +752,26 @@ class TestConvert:
                 energy = float(np.sum(np.linalg.svd(op @ w, compute_uv=False) ** 2))
                 assert layer_report[kind]["whitened_residual_sq"] <= 1e-12 * energy
 
+    def test_converted_manifest_is_refused_before_out_is_touched(self, tmp_path, capsys):
+        pipeline(tmp_path)
+        before = tree_bytes(tmp_path / "converted")
+        capsys.readouterr()
+        assert run("convert", "--manifest", tmp_path / "converted/converted.json",
+                   "--cov-dir", tmp_path / "cov", "--profile", tmp_path / "profile.json",
+                   "--out", tmp_path / "converted") == 2
+        err = capsys.readouterr().err
+        assert err == "error: manifest does not describe a grouped-attention model\n"
+        assert tree_bytes(tmp_path / "converted") == before
+
+    def test_converted_manifest_creates_no_out(self, tmp_path, capsys):
+        pipeline(tmp_path)
+        capsys.readouterr()
+        assert run("convert", "--manifest", tmp_path / "converted/converted.json",
+                   "--cov-dir", tmp_path / "cov", "--profile", tmp_path / "profile.json",
+                   "--out", tmp_path / "again") == 2
+        assert capsys.readouterr().err.startswith("error: manifest does not describe")
+        assert not (tmp_path / "again").exists()
+
     @pytest.mark.parametrize("model_layers, profile_layers", [(2, 3), (3, 2)])
     def test_profile_of_another_model_writes_nothing(self, tmp_path, capsys, model_layers,
                                                      profile_layers):
@@ -904,7 +955,7 @@ class TestConvert:
         for layer_report in report["layers"]:
             layer = layer_report["layer"]
             cov = ctf.read_ctf(tmp_path / "cov" / f"layer{layer:03d}_cov.ctf")
-            s = calibration.build_whitener(cov, m.shrinkage).matrix
+            s = calibration.whitening_operator(cov, m.shrinkage)
             gqa = manifest.load_gqa_layer(m, model.parent, layer)
             for kind, w_g in (("k", gqa.w_k_g), ("v", gqa.w_v_g)):
                 w = factorizer.replicate_groups(w_g, gqa)
@@ -932,17 +983,22 @@ class TestConvert:
         assert not (tmp_path / "c" / "converted.json").exists()
 
     def test_no_dense_whitener_is_formed(self, tmp_path, monkeypatch):
+        # schedule, a convert that reuses its spectra and one that
+        # recomputes them all run without the dense S.
         model = gen_model(tmp_path / "m")
         assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
 
-        def refuse(self):
-            raise AssertionError("Whitener.matrix formed")
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense whitener formed")
 
-        monkeypatch.setattr(calibration.Whitener, "matrix", property(refuse))
+        monkeypatch.setattr(calibration, "whitening_operator", refuse)
+        monkeypatch.setattr(linalg, "sqrt_psd", refuse)
         assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
                    "--budget-k", 12, "--budget-v", 12, "--out", tmp_path / "p.json") == 0
-        assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
-                   "--profile", tmp_path / "p.json", "--out", tmp_path / "c") == 0
+        old = without_records(tmp_path / "p.json", tmp_path / "old.json")
+        for profile, out in ((tmp_path / "p.json", "reused"), (old, "recomputed")):
+            assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                       "--profile", profile, "--out", tmp_path / out) == 0
 
     def test_report_carries_whitener_health(self, tmp_path):
         # Per kind, the health of the n x n whitened Gram (S W_g)^T (S W_g),
@@ -1124,7 +1180,7 @@ class TestEigenReuse:
         assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
                    "--budget-k", 12, "--budget-v", 12, "--out", tmp_path / "q.json") == 0
         old = without_records(tmp_path / "q.json", tmp_path / "old.json")
-        calls = counting(monkeypatch, "sym_eig", "qr_r", "svd")
+        calls = counting(monkeypatch, "sym_eig", "svd")
         reused = convert_tree(tmp_path, model, tmp_path / "cov", tmp_path / "q.json",
                               "reused", *args)
         assert calls == []
@@ -1264,7 +1320,7 @@ class TestGroupedWidthDecompositions:
 
     def record(self, monkeypatch) -> list[tuple[str, tuple]]:
         """linalg's entry points and numpy's own decompositions, by shape."""
-        calls = counting(monkeypatch, "sym_eig", "qr_r", "svd")
+        calls = counting(monkeypatch, "sym_eig", "svd")
         for name in self.DECOMPOSITIONS:
             real = getattr(np.linalg, name)
 

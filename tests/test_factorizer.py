@@ -7,7 +7,6 @@ from conftest import (
     anisotropic_batches,
     covariance_of,
     gen,
-    identity_whitener,
     pipeline_spectra,
     plain_spectra,
     random_orthogonal,
@@ -17,7 +16,7 @@ from conftest import (
     whitened_error_sq,
 )
 from kvlatent import calibration, linalg, scheduler
-from kvlatent.calibration import WHITENER_FLOOR_REL, Whitener
+from kvlatent.calibration import WHITENER_FLOOR_REL
 from kvlatent.errors import NumericalError, ValidationError
 from kvlatent.factorizer import (
     FactorizationReport,
@@ -165,22 +164,21 @@ class TestCareFactorize:
         for weighting in ("damped", "C"):
             c = covariance_of(anisotropic_batches(rng, 4, 24, 12, cond=400.0))
             params = calibration.ShrinkageParams(weighting=weighting)
-            whitener = calibration.build_whitener(c, params)
+            whitener = calibration.whitening_operator(c, params)
             w = rng.standard_normal((12, 9))
-            energy = linalg.frobenius_norm_sq(whitener.matrix @ w)
+            energy = linalg.frobenius_norm_sq(whitener @ w)
             for r in (1, 4, 9):
                 pair, report = care_factorize(w, whitener, r)
-                oracle_pair, oracle = reference_care_factorize(w, whitener.matrix, r)
+                oracle_pair, oracle = reference_care_factorize(w, whitener, r)
                 assert_matches_reference(pair, report, oracle_pair, oracle, energy)
                 assert pair.w_a.shape == (12, r) and pair.w_b.shape == (r, 9)
 
     def test_identity_whitener_matches_plain_bitwise(self):
-        # The identity whitener's factor is exactly I, so care_factorize
-        # truncates the plain SVD of w's R factor, bit for bit.
+        # I @ w is w bit for bit, so care_factorize truncates the plain SVD.
         rng = gen(311)
         w = rng.standard_normal((8, 12))
-        care_pair, care_report = care_factorize(w, identity_whitener(8), 3)
-        plain_pair, plain_report = truncate(w, linalg.svd(linalg.qr_r(w)), 3)
+        care_pair, care_report = care_factorize(w, np.eye(8), 3)
+        plain_pair, plain_report = truncate(w, linalg.svd(w), 3)
         assert care_pair.w_a.tobytes() == plain_pair.w_a.tobytes()
         assert care_pair.w_b.tobytes() == plain_pair.w_b.tobytes()
         assert care_report == plain_report
@@ -188,11 +186,13 @@ class TestCareFactorize:
     def test_factor_product_equals_reconstruction(self):
         rng = gen(312)
         w = rng.standard_normal((10, 14))
-        s = calibration.build_whitener(random_psd(rng, 10, cond=50.0), calibration.ShrinkageParams())
+        s = calibration.whitening_operator(
+            random_psd(rng, 10, cond=50.0), calibration.ShrinkageParams()
+        )
         pair, report = care_factorize(w, s, 5)
         w_hat = pair.w_a @ pair.w_b
-        whitened = linalg.svd(s.matrix @ w)
-        expected = np.linalg.inv(s.matrix) @ reconstruct(truncate_svd(whitened, 5))
+        whitened = linalg.svd(s @ w)
+        expected = np.linalg.inv(s) @ reconstruct(truncate_svd(whitened, 5))
         assert np.allclose(w_hat, expected, rtol=1e-9, atol=1e-12)
         assert report.rank_used == 5
 
@@ -200,21 +200,23 @@ class TestCareFactorize:
         rng = gen(313)
         layer = random_gqa_layer(rng)
         w = replicate_groups(layer.w_k_g, layer)
-        s = calibration.build_whitener(random_psd(rng, 16, cond=30.0), calibration.ShrinkageParams())
+        s = calibration.whitening_operator(
+            random_psd(rng, 16, cond=30.0), calibration.ShrinkageParams()
+        )
         r = layer.n_groups * layer.head_dim
         _, report = care_factorize(w, s, r)
-        sigma_top = linalg.svd(s.matrix @ w).singular_values[0]
+        sigma_top = linalg.svd(s @ w).singular_values[0]
         assert report.whitened_residual_sq <= 1e-16 * sigma_top**2
 
     def test_anisotropic_care_beats_plain_at_rank_one(self):
         # covariance diag(100, 1): strong direction is dim 0, but the weight
         # puts its energy along dim 1. Plain SVD keeps the big weight
         # direction; whitening keeps what the activations actually see.
-        sqrt_c = Whitener(np.eye(2), np.array([10.0, 1.0]), 1.0, "damped")
+        sqrt_c = np.diag([10.0, 1.0])
         w = np.diag([2.0, 10.0])
         care_pair, care_report = care_factorize(w, sqrt_c, 1)
-        plain_pair, plain_report = care_factorize(w, identity_whitener(2), 1)
-        plain_whitened = whitened_error_sq(sqrt_c.matrix, w, plain_pair.w_a @ plain_pair.w_b)
+        plain_pair, plain_report = care_factorize(w, np.eye(2), 1)
+        plain_whitened = whitened_error_sq(sqrt_c, w, plain_pair.w_a @ plain_pair.w_b)
         assert np.isclose(care_report.whitened_residual_sq, 100.0)
         assert np.isclose(plain_whitened, 400.0)
         assert care_report.whitened_residual_sq < plain_whitened
@@ -224,29 +226,59 @@ class TestCareFactorize:
         for _ in range(10):
             d, n, r = 8, 10, 3
             w = rng.standard_normal((d, n))
-            s = calibration.build_whitener(random_psd(rng, d, cond=80.0), calibration.ShrinkageParams())
+            s = calibration.whitening_operator(
+                random_psd(rng, d, cond=80.0), calibration.ShrinkageParams()
+            )
             pair, report = care_factorize(w, s, r)
             # equals the whitened tail energy
-            sigma = linalg.svd(s.matrix @ w).singular_values
+            sigma = linalg.svd(s @ w).singular_values
             tail = float(np.sum(sigma[r:] ** 2))
             assert abs(report.whitened_residual_sq - tail) <= 1e-9 * max(tail, 1e-9)
             # beats plain truncation and random factors in the whitened metric
-            plain_pair, _ = care_factorize(w, identity_whitener(d), r)
-            plain_score = whitened_error_sq(s.matrix, w, plain_pair.w_a @ plain_pair.w_b)
+            plain_pair, _ = care_factorize(w, np.eye(d), r)
+            plain_score = whitened_error_sq(s, w, plain_pair.w_a @ plain_pair.w_b)
             random_score = whitened_error_sq(
-                s.matrix, w, rng.standard_normal((d, r)) @ rng.standard_normal((r, n))
+                s, w, rng.standard_normal((d, r)) @ rng.standard_normal((r, n))
             )
             assert report.whitened_residual_sq <= plain_score + 1e-12
             assert report.whitened_residual_sq <= random_score + 1e-12
 
-    def test_singular_whitener_rejected(self):
-        singular = Whitener(np.eye(3), np.array([1.0, 1.0, 0.0]), 1.0, "C")
-        with pytest.raises(NumericalError, match="shrinkage"):
-            care_factorize(np.eye(3), singular, 1)
+    @pytest.mark.parametrize("weighting", ["damped", "C"])
+    def test_any_factor_of_s_squared_gives_the_same_svd(self, weighting):
+        # L^T L = S^2, so L @ w and S @ w share singular values, right
+        # singular vectors up to sign, and whitened norms.
+        rng = gen(316)
+        c = covariance_of(anisotropic_batches(rng, 4, 16, 12, cond=400.0))
+        s = calibration.whitening_operator(c, calibration.ShrinkageParams(weighting=weighting))
+        factor = np.linalg.cholesky(s @ s).T
+        assert np.max(np.abs(factor.T @ factor - s @ s)) <= 1e-12 * np.max(np.abs(s @ s))
+        w = rng.standard_normal((12, 5))
+        by_s, by_factor = whitened_svd(w, s), whitened_svd(w, factor)
+        sigma = by_s.singular_values
+        assert np.max(np.abs(by_factor.singular_values - sigma)) <= 1e-12 * sigma[0]
+        alignment = np.abs(by_factor.v_t @ by_s.v_t.T)
+        assert np.max(np.abs(alignment - np.eye(5))) <= 1e-9
+        e = rng.standard_normal((12, 7))
+        assert linalg.frobenius_norm_sq(factor @ e) == pytest.approx(
+            linalg.frobenius_norm_sq(s @ e), rel=1e-12
+        )
+
+    def test_singular_whitener_is_factorized(self):
+        # Nothing inverts S, so a singular one is factorized like any other;
+        # the stages refuse it earlier, by Ridge.check_invertible.
+        w = gen(317).standard_normal((3, 4))
+        l = np.diag([2.0, 1.0, 0.0])
+        pair, report = care_factorize(w, l, 1)
+        sigma = linalg.svd(l @ w).singular_values
+        assert sigma[-1] == 0.0 or sigma[-1] <= 1e-15 * sigma[0]
+        assert report.whitened_residual_sq == pytest.approx(float(np.sum(sigma[1:] ** 2)),
+                                                            rel=1e-12)
+        assert whitened_error_sq(l, w, pair.w_a @ pair.w_b) == pytest.approx(
+            report.whitened_residual_sq, rel=1e-9)
 
     def test_rank_out_of_range(self):
         with pytest.raises(ValidationError):
-            care_factorize(np.eye(3), identity_whitener(3), 4)
+            care_factorize(np.eye(3), np.eye(3), 4)
 
 
 def oracle_case(case, weighting, seed):
@@ -259,7 +291,7 @@ def oracle_case(case, weighting, seed):
     rng = gen(seed)
     d, n = (6, 9) if case.startswith("wide") else (12, 9)
     c = covariance_of(anisotropic_batches(rng, 4, 24, d, cond=400.0))
-    whitener = calibration.build_whitener(c, calibration.ShrinkageParams(weighting=weighting))
+    whitener = calibration.whitening_operator(c, calibration.ShrinkageParams(weighting=weighting))
     if case == "rank_deficient":
         return whitener, rng.standard_normal((d, 4)) @ rng.standard_normal((4, n))
     if case == "wide":
@@ -268,11 +300,11 @@ def oracle_case(case, weighting, seed):
     u = random_orthogonal(rng, d)[:, :p]
     v = random_orthogonal(rng, n)[:, :p]
     whitened = (u * np.geomspace(1.0, 1e-10, p)) @ v.T
-    return whitener, np.linalg.solve(whitener.matrix, whitened)
+    return whitener, np.linalg.solve(whitener, whitened)
 
 
 class TestCareFactorizeAgainstOracle:
-    """The R-factor path against the explicit S, S^-1 and U of the oracle."""
+    """The dense path against the explicit S, S^-1 and U of the oracle."""
 
     CASES = ["decaying", "rank_deficient", "wide", "wide_decaying"]
 
@@ -280,10 +312,10 @@ class TestCareFactorizeAgainstOracle:
     @pytest.mark.parametrize("weighting", ["damped", "C"])
     def test_every_rank_matches_oracle(self, case, weighting):
         whitener, w = oracle_case(case, weighting, 391)
-        energy = linalg.frobenius_norm_sq(whitener.matrix @ w)
+        energy = linalg.frobenius_norm_sq(whitener @ w)
         for r in range(1, min(w.shape) + 1):
             pair, report = care_factorize(w, whitener, r)
-            oracle_pair, oracle = reference_care_factorize(w, whitener.matrix, r)
+            oracle_pair, oracle = reference_care_factorize(w, whitener, r)
             product = pair.w_a @ pair.w_b
             expected = oracle_pair.w_a @ oracle_pair.w_b
             assert np.linalg.norm(product - expected) <= 1e-9 * np.linalg.norm(expected)
@@ -297,7 +329,7 @@ class TestCareFactorizeAgainstOracle:
     @pytest.mark.parametrize("weighting", ["damped", "C"])
     def test_retained_energy_is_one_minus_relative_residual(self, case, weighting):
         whitener, w = oracle_case(case, weighting, 392)
-        energy = linalg.frobenius_norm_sq(whitener.matrix @ w)
+        energy = linalg.frobenius_norm_sq(whitener @ w)
         for r in range(1, min(w.shape) + 1):
             _, report = care_factorize(w, whitener, r)
             expected = 1.0 - report.whitened_residual_sq / energy
@@ -305,11 +337,11 @@ class TestCareFactorizeAgainstOracle:
         assert report.retained_energy == 1.0
 
     def test_zero_weight_retains_everything(self):
-        _, report = care_factorize(np.zeros((4, 3)), identity_whitener(4), 2)
+        _, report = care_factorize(np.zeros((4, 3)), np.eye(4), 2)
         assert report.retained_energy == 1.0
         assert report.whitened_residual_sq == 0.0
 
-    def test_svd_runs_on_the_r_factor(self, monkeypatch):
+    def test_one_svd_of_the_whitened_weight(self, monkeypatch):
         whitener, w = oracle_case("decaying", "damped", 393)
         shapes = []
         real = linalg.svd
@@ -320,7 +352,7 @@ class TestCareFactorizeAgainstOracle:
 
         monkeypatch.setattr(linalg, "svd", recording)
         care_factorize(w, whitener, 3)
-        assert shapes == [(w.shape[1], w.shape[1])]
+        assert shapes == [w.shape]
 
 
 class TestGroupedFactorize:
@@ -335,7 +367,9 @@ class TestGroupedFactorize:
     def setup_case(self, seed, n_groups, weighting):
         rng = gen(seed)
         c = covariance_of(anisotropic_batches(rng, 4, 24, self.D, cond=400.0))
-        whitener = calibration.build_whitener(c, calibration.ShrinkageParams(weighting=weighting))
+        whitener = calibration.whitening_operator(
+            c, calibration.ShrinkageParams(weighting=weighting)
+        )
         w_g = rng.standard_normal((self.D, n_groups * self.HEAD_DIM)) / np.sqrt(self.D)
         w = replicate_groups(w_g, self.geometry(n_groups))
         return whitener, w_g, w
@@ -345,12 +379,12 @@ class TestGroupedFactorize:
     def test_matches_oracle(self, n_groups, weighting):
         whitener, w_g, w = self.setup_case(381, n_groups, weighting)
         full = n_groups * self.HEAD_DIM
-        energy = linalg.frobenius_norm_sq(whitener.matrix @ w)
+        energy = linalg.frobenius_norm_sq(whitener @ w)
         for r in sorted({1, max(1, full // 2), full}):
             pair, report = grouped_factorize(
                 w_g, whitened_svd(w_g, whitener), r, self.geometry(n_groups)
             )
-            oracle_pair, oracle = reference_care_factorize(w, whitener.matrix, r)
+            oracle_pair, oracle = reference_care_factorize(w, whitener, r)
             assert_matches_reference(pair, report, oracle_pair, oracle, energy)
             assert report.rank_used == r
             assert np.allclose(pair.w_b @ pair.w_b.T, np.eye(r), rtol=0, atol=1e-12)
@@ -361,9 +395,9 @@ class TestGroupedFactorize:
         whitener, w_g, w = self.setup_case(382, n_groups, weighting)
         full = n_groups * self.HEAD_DIM
         grouped = math.sqrt(self.N_HEADS // n_groups) * scheduler.whitened_spectrum(
-            whitener.matrix, w_g
+            whitener, w_g
         )
-        oracle = scheduler.whitened_spectrum(whitener.matrix, w)
+        oracle = scheduler.whitened_spectrum(whitener, w)
         assert grouped.shape == (full,)
         assert np.max(np.abs(grouped - oracle[:full])) <= 1e-12 * oracle[0]
         assert np.all(oracle[full:] <= 1e-12 * oracle[0])
@@ -380,7 +414,7 @@ class TestGroupedFactorize:
         _, w_g, _ = self.setup_case(385, 2, "damped")
         with pytest.raises(ValidationError):
             grouped_factorize(
-                w_g, whitened_svd(w_g, identity_whitener(8)), 2, self.geometry(2)
+                w_g, whitened_svd(w_g, np.eye(8)), 2, self.geometry(2)
             )
 
 
@@ -460,7 +494,6 @@ class TestLayerSpectraAgainstDenseReference:
 
         monkeypatch.setattr(linalg, "sym_eig", recording)
         monkeypatch.setattr(linalg, "svd", None)
-        monkeypatch.setattr(linalg, "qr_r", None)
         pipeline_spectra(layer, random_psd(gen(399), 16))
         assert shapes == [(8, 8), (8, 8)]
 
@@ -476,13 +509,13 @@ class TestLayerSpectraAgainstDenseReference:
 
 class TestTruncate:
     def test_whitened_residual_is_the_discarded_energy(self):
-        # Against the residual formed from Y = L w, the quantity it replaces.
+        # Against the residual formed from Y = S w, the quantity it replaces.
         rng = gen(386)
         c = covariance_of(anisotropic_batches(rng, 4, 24, 16, cond=400.0))
-        whitener = calibration.build_whitener(c, calibration.ShrinkageParams())
+        whitener = calibration.whitening_operator(c, calibration.ShrinkageParams())
         w = rng.standard_normal((16, 8))
         spectrum = whitened_svd(w, whitener)
-        y = whitener.factor @ w
+        y = whitener @ w
         for r in range(1, 9):
             _, report = truncate(w, spectrum, r)
             v_r = spectrum.v_t[:r]
@@ -494,7 +527,7 @@ class TestTruncate:
     def test_refuses_a_spectrum_of_another_shape(self):
         rng = gen(387)
         w = rng.standard_normal((16, 8))
-        spectrum = whitened_svd(w, identity_whitener(16))
+        spectrum = whitened_svd(w, np.eye(16))
         with pytest.raises(ValidationError, match="does not match"):
             truncate(w[:, :6], spectrum, 2)
         with pytest.raises(ValidationError, match="does not match"):
@@ -503,7 +536,7 @@ class TestTruncate:
 
 class TestPlainFactorize:
     def test_diagonal_truncation(self):
-        pair, _ = care_factorize(np.diag([3.0, 2.0, 1.0]), identity_whitener(3), 2)
+        pair, _ = care_factorize(np.diag([3.0, 2.0, 1.0]), np.eye(3), 2)
         assert np.allclose(pair.w_a @ pair.w_b, np.diag([3.0, 2.0, 0.0]), atol=1e-12)
 
     def test_weight_residual_equals_tail_energy(self):
@@ -511,14 +544,14 @@ class TestPlainFactorize:
         w = rng.standard_normal((9, 13))
         sigma = linalg.svd(w).singular_values
         for r in (1, 4, 9):
-            _, report = care_factorize(w, identity_whitener(9), r)
+            _, report = care_factorize(w, np.eye(9), r)
             tail = float(np.sum(sigma[r:] ** 2))
             assert abs(report.weight_residual_sq - tail) <= 1e-9 * max(tail, 1e-12)
 
     def test_full_rank_recovers_weight(self):
         rng = gen(322)
         w = rng.standard_normal((7, 5))
-        pair, report = care_factorize(w, identity_whitener(7), 5)
+        pair, report = care_factorize(w, np.eye(7), 5)
         assert np.allclose(pair.w_a @ pair.w_b, w, atol=1e-12)
         assert report.weight_residual_sq <= 1e-24
 
@@ -695,12 +728,12 @@ class TestConvertLayer:
         rng = gen(361)
         layer = random_gqa_layer(rng)
         c = random_psd(rng, 16, cond=20.0)
-        s = calibration.build_whitener(c, calibration.ShrinkageParams())
+        s = calibration.whitening_operator(c, calibration.ShrinkageParams())
         r = layer.n_groups * layer.head_dim
         factors, report_k, report_v = convert_layer(layer, pipeline_spectra(layer, c), r, r)
         for report, w_g in ((report_k, layer.w_k_g), (report_v, layer.w_v_g)):
             w = replicate_groups(w_g, layer)
-            top = linalg.svd(s.matrix @ w).singular_values[0]
+            top = linalg.svd(s @ w).singular_values[0]
             assert report.whitened_residual_sq <= 1e-16 * top**2
         assert factors.r_k == factors.r_v == r
 

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import gen, random_psd, reconstruct, reference_sym_eig, truncate_svd
 from kvlatent import linalg
-from kvlatent.calibration import ShrinkageParams, Whitener, build_whitener
+from kvlatent.calibration import ShrinkageParams, ridge, whitening_operator
 from kvlatent.errors import NumericalError, ValidationError
 
 
@@ -247,26 +247,26 @@ class TestSqrtPsd:
 
 class TestInvSqrtPsd:
     """The inverse of the shrunk PSD square root under the default "damped"
-    weighting, by np.linalg.inv of Whitener.matrix, and the refusal of a
-    singular whitener by Whitener.check_invertible. The pipeline itself
-    never forms S^-1."""
+    weighting, by np.linalg.inv of calibration.whitening_operator, and the
+    refusal of a singular whitener by Ridge.check_invertible. The pipeline
+    itself never forms S^-1."""
 
     def test_diagonal(self):
         # S = sqrt(0.5 * diag(11.5, 49) + 0.5 * I) = diag(2.5, 5)
-        whitener = build_whitener(np.diag([11.5, 49.0]), ShrinkageParams(alpha=0.5, lam=1.0))
-        assert np.allclose(np.linalg.inv(whitener.matrix), np.diag([0.4, 0.2]))
+        s = whitening_operator(np.diag([11.5, 49.0]), ShrinkageParams(alpha=0.5, lam=1.0))
+        assert np.allclose(np.linalg.inv(s), np.diag([0.4, 0.2]))
 
     def test_identity(self):
-        whitener = build_whitener(np.eye(4), ShrinkageParams(alpha=0.5, lam=1.0))
-        assert np.allclose(np.linalg.inv(whitener.matrix), np.eye(4))
+        s = whitening_operator(np.eye(4), ShrinkageParams(alpha=0.5, lam=1.0))
+        assert np.allclose(np.linalg.inv(s), np.eye(4))
 
     def test_product_with_sqrt_is_identity(self):
         rng = gen(22)
         for _ in range(10):
             c = random_psd(rng, 4, cond=5.0) + 0.1 * np.eye(4)
-            whitener = build_whitener(c, ShrinkageParams())
-            whitener.check_invertible()
-            product = np.linalg.inv(whitener.matrix) @ whitener.matrix
+            ridge(c, ShrinkageParams()).check_invertible()
+            s = whitening_operator(c, ShrinkageParams())
+            product = np.linalg.inv(s) @ s
             assert np.max(np.abs(product - np.eye(4))) < 1e-9
 
     def test_product_with_sqrt_on_shrunk_random_sizes(self):
@@ -274,21 +274,28 @@ class TestInvSqrtPsd:
         rng = gen(23)
         for _ in range(10):
             n = int(rng.integers(2, 33))
-            whitener = build_whitener(random_psd(rng, n, cond=1e4), ShrinkageParams())
-            whitener.check_invertible()
-            product = np.linalg.inv(whitener.matrix) @ whitener.matrix
+            c = random_psd(rng, n, cond=1e4)
+            ridge(c, ShrinkageParams()).check_invertible()
+            s = whitening_operator(c, ShrinkageParams())
+            product = np.linalg.inv(s) @ s
             assert np.max(np.abs(product - np.eye(n))) < 1e-8
 
     def test_rejects_small_eigenvalue(self):
-        whitener = Whitener(np.eye(2), np.array([1.0, 1e-13]), 1.0, "damped")
-        with pytest.raises(NumericalError):
-            whitener.check_invertible()
+        # S = sqrt(0.5 diag(1, 0) + 0.5 lam I): a condition of about 1e13.
+        c = np.diag([1.0, 0.0])
+        params = ShrinkageParams(alpha=0.5, lam=1e-26)
+        eigs = np.linalg.eigvalsh(whitening_operator(c, params))
+        assert eigs[0] < 1e-12 * eigs[-1]
+        with pytest.raises(NumericalError, match="singular whitener"):
+            ridge(c, params).check_invertible()
 
     def test_rejects_nonpositive_min_eig(self):
-        for low in (0.0, -0.5):
-            whitener = Whitener(np.eye(2), np.array([1.0, low]), 1.0, "damped")
-            with pytest.raises(NumericalError):
-                whitener.check_invertible()
+        # alpha lam underflows to 0.0, so S's lower bound is zero.
+        for weighting in ("damped", "C"):
+            r = ridge(np.eye(2), ShrinkageParams(lam=5e-324, weighting=weighting))
+            assert ShrinkageParams().alpha * r.lam == 0.0
+            with pytest.raises(NumericalError, match="singular whitener"):
+                r.check_invertible()
 
 
 class TestSvd:
@@ -358,39 +365,15 @@ class TestSvd:
         assert r1.singular_values.tobytes() == r2.singular_values.tobytes()
         assert r1.v_t.tobytes() == r2.v_t.tobytes()
 
-
-class TestQrR:
     @pytest.mark.parametrize("shape", [(12, 5), (5, 5), (4, 9), (1, 3)])
-    def test_shares_singular_values_and_gram(self, shape):
+    def test_singular_values_match_lapack_values_alone(self, shape):
+        # The whitened spectra are read off svd's singular_values, as LAPACK
+        # gives them without the singular vectors.
         a = gen(36).standard_normal(shape)
-        r = linalg.qr_r(a)
-        assert r.shape == (min(shape), shape[1])
-        assert np.array_equal(r, np.triu(r))
         sigma = np.linalg.svd(a, compute_uv=False)
-        assert np.max(np.abs(np.linalg.svd(r, compute_uv=False) - sigma)) <= 1e-12 * sigma[0]
-        assert np.max(np.abs(r.T @ r - a.T @ a)) <= 1e-12 * sigma[0] ** 2
-
-    def test_right_singular_vectors_match(self):
-        a = gen(37).standard_normal((30, 6))
-        ours = linalg.svd(linalg.qr_r(a))
-        theirs = linalg.svd(a)
-        # same subspaces: the projectors onto the leading 3 agree
-        def proj(v_t):
-            return v_t[:3].T @ v_t[:3]
-
-        assert np.max(np.abs(proj(ours.v_t) - proj(theirs.v_t))) <= 1e-12
-
-    def test_non_finite_is_validation_error(self):
-        with pytest.raises(ValidationError):
-            linalg.qr_r(np.array([[1.0, np.nan], [0.0, 1.0]]))
-
-    def test_failure_is_numerical_error(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("QR did not converge")
-
-        monkeypatch.setattr(np.linalg, "qr", fail)
-        with pytest.raises(NumericalError, match="QR factorization failed"):
-            linalg.qr_r(np.eye(3))
+        got = linalg.svd(a).singular_values
+        assert got.shape == (min(shape),)
+        assert np.max(np.abs(got - sigma)) <= 1e-12 * sigma[0]
 
 
 class TestTruncateSvd:

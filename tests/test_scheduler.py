@@ -69,6 +69,18 @@ class TestWhitenedSpectrum:
         with pytest.raises(ValidationError):
             whitened_spectrum(np.eye(3), np.zeros((4, 2)))
 
+    def test_any_factor_of_s_squared_gives_the_spectrum(self):
+        # L^T L = S^2, so L @ w has the singular values of S @ w.
+        rng = gen(58)
+        q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        s = (q * np.geomspace(1.0, 1e-2, 6)) @ q.T
+        s = (s + s.T) / 2.0
+        factor = np.linalg.cholesky(s @ s).T
+        w = rng.standard_normal((6, 4))
+        sigma = whitened_spectrum(s, w)
+        assert np.max(np.abs(whitened_spectrum(factor, w) - sigma)) <= 1e-12 * sigma[0]
+        assert np.max(np.abs(sigma - np.linalg.svd(s @ w, compute_uv=False))) <= 1e-12 * sigma[0]
+
 
 class TestPriority:
     """Step priorities in waterfill_trace: sigma_{r+1}^2 / sum_{m>r} sigma_m^2."""
