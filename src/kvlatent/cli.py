@@ -59,14 +59,13 @@ def _fmt2(value: float) -> str:
 
 
 class _LayerWhitening(NamedTuple):
-    """One source layer's grouped weights; the array_digest of its
-    covariance and of each kind's weight; its damped ridge and (K, V)
-    whitened SVDs; and why the spectra were computed here, or None when
-    they are the ones a profile stored."""
+    """One source layer's grouped weights; the sha256 of its covariance's and
+    grouped weights' files, by tensor name (manifest.SPECTRUM_INPUTS); its
+    damped ridge and (K, V) whitened SVDs; and why the spectra were computed
+    here, or None when they are the ones a profile stored."""
 
     kv: factorizer.GroupedKv
-    cov_sha256: str
-    w_sha256: dict[str, str]
+    sha256: dict[str, str]
     ridge: calibration.Ridge
     spectra: tuple[factorizer.WhitenedSvd, factorizer.WhitenedSvd]
     reason: str | None
@@ -74,24 +73,22 @@ class _LayerWhitening(NamedTuple):
 
 def _layer_whitening(m: manifest.ModelManifest, base: Path, cov_dir, layer: int,
                      params: calibration.ShrinkageParams,
-                     record: manifest.SpectrumRecord | None = None,
+                     stored: manifest.StoredSpectra | None = None,
                      profile_dir=None) -> _LayerWhitening:
     """One layer's whitening step: its spectra come from factorizer.
-    layer_spectra unless `record` stored them for this covariance, these
-    weights and `params`. The covariance is always read and checked; only
-    the grouped K and V weights are read, never w_q. The caller refuses a
-    singular ridge."""
-    c = manifest.load_covariance(cov_dir, layer, m.layer(layer).d_model)
-    cov_sha256 = manifest.array_digest(c)
+    layer_spectra unless `stored` holds them for these input files and
+    `params`. The covariance is always read; only the grouped K and V
+    weights are read, never w_q. The caller refuses a singular ridge."""
+    c, cov_sha256 = manifest.load_covariance(cov_dir, layer, m.layer(layer).d_model)
     ridge = calibration.ridge(c, params)
-    kv = manifest.load_grouped_kv(m, base, layer)
-    w_sha256 = manifest.weight_digests(kv)
-    reason = manifest.miss_reason(record, cov_sha256, w_sha256, params)
+    kv, w_sha256 = manifest.load_grouped_kv(m, base, layer)
+    sha256 = {"cov": cov_sha256, **w_sha256}
+    reason = manifest.miss_reason(stored, layer, sha256, params)
     if reason is None:
-        spectra = manifest.load_spectra(record, profile_dir, kv)
+        spectra = manifest.load_spectra(stored.records[layer], profile_dir, kv)
     else:
         spectra = factorizer.layer_spectra(kv, c, ridge)
-    return _LayerWhitening(kv, cov_sha256, w_sha256, ridge, spectra, reason)
+    return _LayerWhitening(kv, sha256, ridge, spectra, reason)
 
 
 def _place(src: Path, dst: Path) -> None:
@@ -370,10 +367,10 @@ def cmd_schedule(args) -> None:
     spectra_dir = manifest.spectra_dir(out)
     spectra = {kind: {} for kind in scheduler.KINDS}
     with _staged_dir(spectra_dir) as staged:
-        records = tuple(
-            _store_layer(m, base, args.cov_dir, layer, spectra, staged, out)
+        records = {
+            layer: _store_layer(m, base, args.cov_dir, layer, spectra, staged, out)
             for layer in range(len(m.layers))
-        )
+        }
         ranks = {
             kind: uniform or scheduler.waterfill(spectra[kind], budgets[kind], min_rank)
             for kind in scheduler.KINDS
@@ -385,7 +382,8 @@ def cmd_schedule(args) -> None:
     if spectra_dir.exists():
         shutil.rmtree(spectra_dir)
     staged.rename(spectra_dir)
-    manifest.save_profile(profile, out, mode=args.mode, spectra=records)
+    manifest.save_profile(profile, out, mode=args.mode,
+                          spectra=manifest.StoredSpectra(m.shrinkage, records))
     print(f"mode={args.mode} budgets K={profile.budget_k} V={profile.budget_v} "
           f"min_rank={profile.min_rank}")
     for layer in range(len(m.layers)):
@@ -398,18 +396,17 @@ def _store_layer(m: manifest.ModelManifest, base: Path, cov_dir, layer: int,
                  spectra: dict[str, dict[int, np.ndarray]], staged: Path,
                  profile_path: Path) -> manifest.SpectrumRecord:
     """One layer's whitened K/V singular values, added to `spectra[kind]`,
-    and its whitened SVDs stored in `staged` for `convert` to truncate. A
-    singular whitener is refused here, as convert would refuse it, so no
-    profile is planned on spectra that no conversion can use. The layer's
-    covariance is freed on return, before the next layer's is read."""
+    and its whitened SVDs stored in one file in `staged` for `convert` to
+    truncate. A singular whitener is refused here, as convert would refuse
+    it, so no profile is planned on spectra that no conversion can use. The
+    layer's covariance is freed on return, before the next layer's is read."""
     step = _layer_whitening(m, base, cov_dir, layer, m.shrinkage)
     step.ridge.check_invertible()
     # The head-width spectrum is this grouped one times sqrt(n_heads /
     # n_groups), plus zeros; water-filling is invariant to that scale.
     for kind, svd in zip(scheduler.KINDS, step.spectra):
         spectra[kind][layer] = svd.singular_values
-    return manifest.store_spectra(staged, profile_path, layer, step.cov_sha256, step.w_sha256,
-                                  m.shrinkage, step.spectra)
+    return manifest.store_spectra(staged, profile_path, layer, step.sha256, step.spectra)
 
 
 # ---------------------------------------------------------------- convert
@@ -419,7 +416,7 @@ def cmd_convert(args) -> None:
     if m.model_kind != manifest.MODEL_KIND_GQA:
         raise ValidationError("manifest does not describe a grouped-attention model")
     base = Path(args.manifest).parent
-    profile, _, records = manifest.load_profile(args.profile)
+    profile, _, stored = manifest.load_profile(args.profile)
     expected = {(layer, kind) for layer in range(len(m.layers)) for kind in scheduler.KINDS}
     if set(profile.ranks) != expected:
         raise ValidationError(
@@ -454,9 +451,7 @@ def cmd_convert(args) -> None:
     report_layers = []
     for layer in range(len(m.layers)):
         entry = m.layer(layer)
-        step = _layer_whitening(
-            m, base, args.cov_dir, layer, params, records.get(layer), profile_dir
-        )
+        step = _layer_whitening(m, base, args.cov_dir, layer, params, stored, profile_dir)
         print(f"layer {layer}: spectra "
               + ("reused" if step.reason is None else f"recomputed ({step.reason})"))
         step.ridge.check_invertible()
@@ -465,8 +460,8 @@ def cmd_convert(args) -> None:
         factors, report_k, report_v = factorizer.convert_layer(step.kv, step.spectra, r_k, r_v)
 
         # The bundle carries this layer's covariance, as a hard link where it
-        # can, and the digests eval checks it and the source weights by.
-        w_q_sha256 = manifest.array_digest(manifest.load_query(m, base, layer))
+        # can, and the file digests eval checks it and the source weights by.
+        _, w_q_sha256 = manifest.load_query(m, base, layer)
         cov_rel = f"cov/{manifest.layer_file(layer, 'cov')}"
         _place(Path(args.cov_dir) / manifest.layer_file(layer, "cov"), out / cov_rel)
         paths = {name: f"factors/{manifest.layer_file(layer, name)}"
@@ -475,44 +470,30 @@ def cmd_convert(args) -> None:
             ctf.write_ctf(out / rel, getattr(factors, name))
         entries.append(dataclasses.replace(
             entry, w_q=None, w_k_g=None, w_v_g=None, r_k=r_k, r_v=r_v, **paths,
-            cov=cov_rel, cov_sha256=step.cov_sha256, w_q_sha256=w_q_sha256,
-            w_k_sha256=step.w_sha256[scheduler.KIND_K],
-            w_v_sha256=step.w_sha256[scheduler.KIND_V],
+            cov=cov_rel, w_q_file_sha256=w_q_sha256,
+            **{manifest.file_key(name): digest for name, digest in step.sha256.items()},
         ))
-        report_layers.append(
-            {
-                "layer": layer,
-                "lambda_resolved": step.ridge.lam,
-                "gram": {kind.lower(): _gram_health(svd.singular_values)
-                         for kind, svd in zip(scheduler.KINDS, step.spectra)},
-                "k": dataclasses.asdict(report_k),
-                "v": dataclasses.asdict(report_v),
-            }
-        )
-        print(
-            f"layer {layer}: r_k={r_k} r_v={r_v} "
-            f"whitened_residual_sq K={report_k.whitened_residual_sq:.3e} "
-            f"V={report_v.whitened_residual_sq:.3e}"
-        )
+        report_layers.append({
+            "layer": layer,
+            "spectra": step.reason or "reused",
+            "lambda_resolved": step.ridge.lam,
+            "gram": {kind.lower(): _gram_health(svd.singular_values)
+                     for kind, svd in zip(scheduler.KINDS, step.spectra)},
+            "k": dataclasses.asdict(report_k),
+            "v": dataclasses.asdict(report_v),
+        })
+        print(f"layer {layer}: r_k={r_k} r_v={r_v} "
+              f"whitened_residual_sq K={report_k.whitened_residual_sq:.3e} "
+              f"V={report_v.whitened_residual_sq:.3e}")
         # None of this layer's arrays stay alive while the next one is read.
         del step, factors
 
-    converted = manifest.ModelManifest(
-        model_kind=manifest.MODEL_KIND_MLA,
-        seq_len=m.seq_len,
-        layers=tuple(entries),
-        seed=m.seed,
-        shrinkage=params,
-    )
-    manifest.write_json_last(
-        out / "conversion_report.json",
-        {
-            "format": "kvlatent-conversion-report",
-            "version": 1,
-            **manifest.shrinkage_doc(params),
-            "layers": report_layers,
-        },
-    )
+    manifest.write_json_last(out / "conversion_report.json", {
+        "format": "kvlatent-conversion-report", "version": 1,
+        **manifest.shrinkage_doc(params), "layers": report_layers,
+    })
+    converted = manifest.ModelManifest(model_kind=manifest.MODEL_KIND_MLA, seq_len=m.seq_len,
+                                       layers=tuple(entries), seed=m.seed, shrinkage=params)
     manifest.save_manifest(converted, out / "converted.json")
     print(f"converted manifest: {out / 'converted.json'}")
 
@@ -663,7 +644,7 @@ def cmd_eval(args) -> None:
     layer_reports = []
     for layer in range(len(source.layers)):
         entry = converted.layer(layer)
-        kv = manifest.load_grouped_kv(source, src_base, layer)
+        kv, _ = manifest.load_grouped_kv(source, src_base, layer, converted=entry)
         factors = manifest.load_mla_bundle(converted, conv_base, layer)
         # The residuals come first, from only the weights they read, so the
         # covariance and its products are freed before either query
@@ -677,8 +658,8 @@ def cmd_eval(args) -> None:
                                   ("v", (kv.w_v_g, factors.w_a_v, factors.w_b_v)))
         }
         del c
-        gqa = factorizer.GqaLayer.from_grouped(kv, manifest.load_query(source, src_base, layer))
-        manifest.check_source(entry, gqa)
+        w_q, _ = manifest.load_query(source, src_base, layer, converted=entry)
+        gqa = factorizer.GqaLayer.from_grouped(kv, w_q)
         report = _eval_layer(layer, gqa, factors, rng, t, params, args.rope_dim)
         report.update(residuals)
         layer_reports.append(report)

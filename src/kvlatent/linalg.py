@@ -3,9 +3,15 @@
 All routines operate on 2-D float64 arrays and are pure functions of their
 inputs. Eigen- and singular decompositions apply fixed sign conventions so
 that identical input bytes always produce identical output bytes, which the
-conversion pipeline relies on for reproducible artifacts.
+conversion pipeline relies on for reproducible artifacts. They and
+frobenius_norm_sq run numpy's bundled OpenBLAS on one thread: its `eigh` at
+n = 256 and its long dot products give other bytes on two threads.
 """
 
+import contextlib
+import ctypes
+import functools
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -21,6 +27,34 @@ _SYMMETRY_BLOCK = 128
 # Entries below this magnitude are ignored when picking the sign anchor of a
 # singular vector.
 _SIGN_EPS = 1e-12
+
+
+@functools.cache
+def _openblas_threads():
+    """The thread-count getter and setter of the OpenBLAS in numpy's wheels
+    (`numpy.libs`), or None where there is none (another BLAS build, say)."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+            "libscipy_openblas*.so*")):
+        with contextlib.suppress(OSError, AttributeError):
+            lib = ctypes.CDLL(str(path))
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            get.argtypes, get.restype = (), ctypes.c_int
+            set_.argtypes, set_.restype = (ctypes.c_int,), None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread and restore the old count
+    afterwards; where _openblas_threads finds none, run it unpinned."""
+    get, set_ = _openblas_threads() or (lambda: None, lambda threads: None)
+    old = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(old)
 
 
 class SvdResult(NamedTuple):
@@ -47,7 +81,8 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 def frobenius_norm_sq(a) -> float:
     """Sum of squared entries."""
     a = as_matrix(a, "a")
-    return float(np.vdot(a, a))
+    with _one_blas_thread():
+        return float(np.vdot(a, a))
 
 
 def sym_eig(s) -> EigResult:
@@ -70,7 +105,8 @@ def sym_eig(s) -> EigResult:
         if asym > 0.0:
             s = (s + s.T) / 2.0
     try:
-        vals, vecs = np.linalg.eigh(s)
+        with _one_blas_thread():
+            vals, vecs = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from None
     signs = _eig_signs(vecs)
@@ -149,7 +185,8 @@ def svd(a) -> SvdResult:
     """
     a = as_matrix(a, "a")
     try:
-        u, sing, v_t = np.linalg.svd(a, full_matrices=False)
+        with _one_blas_thread():
+            u, sing, v_t = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from None
     u = u.copy()

@@ -1,22 +1,21 @@
 """JSON manifests gluing the pipeline stages together.
 
 Two document kinds exist: model manifests (source layers, or converted
-latent factors with the covariance and the digests of the source layer
+latent factors with the covariance and the file digests of the source layer
 each was converted from, plus calibration batch listings and whitening
 settings) and rank-profile files, which may also record where the
 whitened spectra that `schedule` computed for each layer are stored. All
 documents are written with sorted keys and no timestamps so reruns are
 byte-identical; every tensor path is stored relative to the manifest's
-directory.
+directory, and must resolve inside it.
 
-Every per-layer tensor file is named by `layer_file`, wherever a stage
-writes it. A stage reads a layer's covariance through `load_covariance`,
-and `eval` reads the one a converted layer names through the digest-checked
-`load_bundle_covariance`.
+Every digest a document records is the sha256 of a `.ctf` file's bytes,
+under the key `<tensor>_file_sha256`, and `_load_tensor` is the one place
+that compares one with the file it reads. Every per-layer tensor file is
+named by `layer_file`, wherever a stage writes it.
 """
 
 import contextlib
-import hashlib
 import json
 import os
 import posixpath
@@ -33,7 +32,7 @@ from .calibration import CalibrationBatch, ShrinkageParams
 from .errors import ValidationError
 from .factorizer import Geometry, GqaLayer, GroupedKv, MlaFactors, WhitenedSvd
 from .rng import check_seed
-from .scheduler import KIND_K, KIND_V, KINDS, RankProfile
+from .scheduler import KINDS, RankProfile
 
 MODEL_KIND_GQA = "gqa"
 MODEL_KIND_MLA = "mla"
@@ -42,26 +41,29 @@ PROFILE_FORMAT = "kvlatent-rank-profile"
 PROFILE_MODES = ("adjusted", "uniform")
 DOC_VERSION = 1
 _TENSORS = ("w_q", "w_k_g", "w_v_g", "w_a_k", "w_b_k", "w_a_v", "w_b_v", "cov")
-# What a converted layer records of its source: the array_digest of the
-# covariance it was whitened with and of each source weight.
-_SOURCE_DIGESTS = ("cov_sha256", "w_q_sha256", "w_k_sha256", "w_v_sha256")
+# The files a stored spectrum is computed from, by tensor name; a converted
+# layer also records its source's w_q.
+SPECTRUM_INPUTS = ("cov", "w_k_g", "w_v_g")
+_SOURCE_FILES = (*SPECTRUM_INPUTS, "w_q")
 _SHA256 = re.compile(r"[0-9a-f]{64}")
 # ShrinkageParams field -> the JSON key documents store it under.
 _SHRINKAGE_KEYS = {"alpha": "alpha", "lam": "lambda", "weighting": "weighting"}
-# The tensors a SpectrumRecord names: per kind the whitened singular values
-# and V^T.
-_SVD_TENSORS = (("sigma_k", "v_t_k"), ("sigma_v", "v_t_v"))
-STORED_TENSORS = (*_SVD_TENSORS[0], *_SVD_TENSORS[1])
 # Every name layer_file gives, whatever the layer count.
 LAYER_FILE = re.compile(r"layer\d{3,}_\w+\.ctf")
+
+
+def file_key(name: str) -> str:
+    """The key a document records the sha256 of tensor `name`'s file under."""
+    return f"{name}_file_sha256"
 
 
 @dataclass(frozen=True)
 class LayerEntry(Geometry):
     """Per-layer geometry and tensor paths; optional fields depend on model
     kind. A converted layer also names the covariance it was whitened with
-    (`cov`) and records the _SOURCE_DIGESTS of its source layer; it carries
-    no `w_q`, and one named by an earlier bundle is path-checked, never read."""
+    (`cov`) and records the file sha256 of it and of each source tensor it
+    was converted from (_SOURCE_FILES); it carries no `w_q`, and one named
+    by an earlier bundle is path-checked, never read."""
 
     layer: int
     w_q: str | None = None
@@ -74,10 +76,10 @@ class LayerEntry(Geometry):
     w_a_v: str | None = None
     w_b_v: str | None = None
     cov: str | None = None
-    cov_sha256: str | None = None
-    w_q_sha256: str | None = None
-    w_k_sha256: str | None = None
-    w_v_sha256: str | None = None
+    cov_file_sha256: str | None = None
+    w_q_file_sha256: str | None = None
+    w_k_g_file_sha256: str | None = None
+    w_v_g_file_sha256: str | None = None
 
 
 @dataclass(frozen=True)
@@ -96,12 +98,10 @@ class ModelManifest:
 
 
 def _entry_to_json(entry: LayerEntry) -> dict:
-    doc = {"layer": entry.layer, **asdict(entry.geometry)}
-    for name in (*_TENSORS, "r_k", "r_v", *_SOURCE_DIGESTS):
-        value = getattr(entry, name)
-        if value is not None:
-            doc[name] = value
-    return doc
+    optional = {name: getattr(entry, name)
+                for name in (*_TENSORS, "r_k", "r_v", *map(file_key, _SOURCE_FILES))}
+    return {"layer": entry.layer, **asdict(entry.geometry),
+            **{name: value for name, value in optional.items() if value is not None}}
 
 
 def save_manifest(m: ModelManifest, path) -> None:
@@ -148,16 +148,16 @@ def load_manifest(path) -> ModelManifest:
             raise ValidationError(f"{path}: layer {i} is missing w_q or grouped projections")
         if kind == MODEL_KIND_GQA and (entry.r_k is not None or entry.r_v is not None):
             raise ValidationError(f"{path}: layer {i} of a grouped model has latent ranks")
-        if kind == MODEL_KIND_MLA and (
-            entry.r_k is None or entry.r_v is None or entry.w_a_k is None
-            or entry.w_b_k is None or entry.w_a_v is None or entry.w_b_v is None
+        if kind == MODEL_KIND_MLA and None in (
+            entry.r_k, entry.r_v, entry.w_a_k, entry.w_b_k, entry.w_a_v, entry.w_b_v
         ):
             raise ValidationError(f"{path}: layer {i} is missing latent factors")
         if kind == MODEL_KIND_MLA and None in (
-            entry.cov, *(getattr(entry, name) for name in _SOURCE_DIGESTS)
+            entry.cov, *(getattr(entry, file_key(name)) for name in _SOURCE_FILES)
         ):
             raise ValidationError(
-                f"{path}: layer {i} records no covariance or source digests; re-run convert"
+                f"{path}: layer {i} records no covariance or source file digests; "
+                f"re-run convert"
             )
         layers.append(entry)
     raw_calibration = doc.get("calibration", {})
@@ -214,8 +214,8 @@ def _entry_from_json(raw, where: str) -> LayerEntry:
     for name in ("r_k", "r_v"):
         if raw.get(name) is not None:
             ints[name] = _int(raw[name], f"{where}: {name}", minimum=1)
-    digests = {name: _sha256(raw, name, where) for name in _SOURCE_DIGESTS
-               if raw.get(name) is not None}
+    digests = {key: _sha256(raw, key, where) for key in map(file_key, _SOURCE_FILES)
+               if raw.get(key) is not None}
     try:
         return LayerEntry(**ints, **tensors, **digests)
     except ValidationError as exc:
@@ -250,30 +250,55 @@ def layer_file(layer: int, name: str) -> str:
     return f"layer{layer:03d}_{name}.ctf"
 
 
-def _load_tensor(base_dir, rel_path, expected_shape, what, sha256=None) -> np.ndarray:
-    """The `.ctf` tensor at base_dir / rel_path, refused unless it has
-    `expected_shape` and, when `sha256` is given, the file's bytes have
-    that digest."""
-    path = Path(base_dir) / rel_path
-    if sha256 is None:
-        arr = ctf.read_ctf(path)
+class _Pin(NamedTuple):
+    """A file's sha256 as a document records it, that document's kind and
+    the stage that writes it: by default a converted manifest's record."""
+
+    sha256: str
+    document: str = "converted manifest"
+    stage: str = "convert"
+
+
+def _inside(base_dir, rel_path, what) -> Path:
+    """base_dir / rel_path, refused unless it resolves inside base_dir's
+    resolved path, so that no symbolic link along it leads out."""
+    base = Path(base_dir).resolve()
+    try:
+        path = (base / rel_path).resolve()
+    except RuntimeError as exc:  # a symbolic link loop
+        raise ValidationError(f"{what} ({rel_path}): {exc}") from None
+    if not path.is_relative_to(base):
+        raise ValidationError(f"{what} ({rel_path}) resolves to {path}, outside {base}")
+    return path
+
+
+def _load_tensor(base_dir, rel_path, expected_shape, what, pin: _Pin | None = None,
+                 digest: bool = False) -> tuple[np.ndarray, str | None]:
+    """The `.ctf` tensor at base_dir / rel_path, and the sha256 of the
+    file's bytes when `digest` or a `pin` asks for it (None otherwise), from
+    one read. Refused unless the path resolves inside base_dir, the tensor
+    has `expected_shape` and, given a `pin`, the file has the pin's sha256."""
+    path = _inside(base_dir, rel_path, what)
+    if pin is None and not digest:
+        arr, sha256 = ctf.read_ctf(path), None
     else:
-        arr, digest = ctf.read_ctf_digest(path)
-        if digest != sha256:
-            raise ValidationError(
-                f"{what} ({rel_path}): file sha256 does not match the profile's record"
-            )
+        arr, sha256 = ctf.read_ctf_digest(path)
     if arr.shape != expected_shape:
         raise ValidationError(
             f"{what} ({rel_path}): shape {arr.shape}, expected {expected_shape}"
         )
-    return arr
+    if pin is not None and sha256 != pin.sha256:
+        raise ValidationError(
+            f"{what} ({rel_path}): file sha256 does not match the {pin.document}'s record; "
+            f"re-run {pin.stage}"
+        )
+    return arr, sha256
 
 
-def load_covariance(cov_dir, layer: int, d_model: int) -> np.ndarray:
-    """The D x D covariance `cov` wrote for `layer` into `cov_dir`."""
+def load_covariance(cov_dir, layer: int, d_model: int) -> tuple[np.ndarray, str]:
+    """The covariance `cov` wrote for `layer` into `cov_dir`, and its file's sha256."""
     return _load_tensor(cov_dir, layer_file(layer, "cov"), (d_model, d_model),
-                        f"layer {layer} covariance")
+                        f"layer {layer} covariance", digest=True)
 
 
 def _entry_of(m: ModelManifest, index: int, kind: str) -> LayerEntry:
@@ -284,80 +309,70 @@ def _entry_of(m: ModelManifest, index: int, kind: str) -> LayerEntry:
     return m.layer(index)
 
 
-def load_grouped_kv(m: ModelManifest, base_dir, index: int) -> GroupedKv:
-    """One source layer's grouped K and V projections, without its w_q."""
+def load_grouped_kv(m: ModelManifest, base_dir, index: int,
+                    converted: LayerEntry | None = None) -> tuple[GroupedKv, dict[str, str]]:
+    """One source layer's grouped K and V projections, without its w_q, and
+    the sha256 of each one's file by tensor name. Given the `converted`
+    layer made from it, each file must be the one that layer records."""
     entry = _entry_of(m, index, MODEL_KIND_GQA)
     grouped = (entry.d_model, entry.grouped_width)
-    return GroupedKv(
-        **asdict(entry.geometry),
-        w_k_g=_load_tensor(base_dir, entry.w_k_g, grouped, f"layer {index} w_k_g"),
-        w_v_g=_load_tensor(base_dir, entry.w_v_g, grouped, f"layer {index} w_v_g"),
-    )
+    arrays, sha256 = {}, {}
+    for name in ("w_k_g", "w_v_g"):
+        pin = _Pin(getattr(converted, file_key(name))) if converted else None
+        arrays[name], sha256[name] = _load_tensor(
+            base_dir, getattr(entry, name), grouped, f"layer {index} {name}", pin, digest=True)
+    return GroupedKv(**asdict(entry.geometry), **arrays), sha256
 
 
-def load_query(m: ModelManifest, base_dir, index: int) -> np.ndarray:
-    """One source layer's D x D query projection."""
+def load_query(m: ModelManifest, base_dir, index: int,
+               converted: LayerEntry | None = None) -> tuple[np.ndarray, str]:
+    """One source layer's D x D query projection and the sha256 of its
+    file, which must be the one the `converted` layer records, if given."""
     entry = _entry_of(m, index, MODEL_KIND_GQA)
     d = entry.d_model
-    return _load_tensor(base_dir, entry.w_q, (d, d), f"layer {index} w_q")
+    pin = _Pin(converted.w_q_file_sha256) if converted else None
+    return _load_tensor(base_dir, entry.w_q, (d, d), f"layer {index} w_q", pin, digest=True)
 
 
 def load_gqa_layer(m: ModelManifest, base_dir, index: int) -> GqaLayer:
-    return GqaLayer.from_grouped(load_grouped_kv(m, base_dir, index),
-                                 load_query(m, base_dir, index))
+    kv, _ = load_grouped_kv(m, base_dir, index)
+    w_q, _ = load_query(m, base_dir, index)
+    return GqaLayer.from_grouped(kv, w_q)
 
 
 def load_mla_bundle(m: ModelManifest, base_dir, index: int) -> MlaFactors:
     """One converted layer's latent factors."""
     entry = _entry_of(m, index, MODEL_KIND_MLA)
     d = entry.d_model
-    return MlaFactors(
-        w_a_k=_load_tensor(base_dir, entry.w_a_k, (d, entry.r_k), f"layer {index} w_a_k"),
-        w_b_k=_load_tensor(base_dir, entry.w_b_k, (entry.r_k, d), f"layer {index} w_b_k"),
-        w_a_v=_load_tensor(base_dir, entry.w_a_v, (d, entry.r_v), f"layer {index} w_a_v"),
-        w_b_v=_load_tensor(base_dir, entry.w_b_v, (entry.r_v, d), f"layer {index} w_b_v"),
-    )
+    shapes = {"w_a_k": (d, entry.r_k), "w_b_k": (entry.r_k, d),
+              "w_a_v": (d, entry.r_v), "w_b_v": (entry.r_v, d)}
+    return MlaFactors(**{
+        name: _load_tensor(base_dir, getattr(entry, name), shape, f"layer {index} {name}")[0]
+        for name, shape in shapes.items()
+    })
 
 
 def load_bundle_covariance(m: ModelManifest, base_dir, index: int) -> np.ndarray:
-    """The covariance a converted layer was whitened with, refused unless
-    its array_digest is the one the layer records."""
+    """The covariance a converted layer was whitened with, the file the
+    layer records."""
     entry = _entry_of(m, index, MODEL_KIND_MLA)
-    c = _load_tensor(base_dir, entry.cov, (entry.d_model, entry.d_model),
-                     f"layer {index} covariance")
-    if array_digest(c) != entry.cov_sha256:
-        raise ValidationError(
-            f"layer {index} covariance ({entry.cov}): sha256 does not match the "
-            f"converted manifest's record; re-run convert"
-        )
+    c, _ = _load_tensor(base_dir, entry.cov, (entry.d_model, entry.d_model),
+                        f"layer {index} covariance", _Pin(entry.cov_file_sha256))
     return c
 
 
-def check_source(entry: LayerEntry, gqa: GqaLayer) -> None:
-    """Refuse a source layer whose weights are not the ones the converted
-    layer `entry` records."""
-    found = {"w_q": array_digest(gqa.w_q),
-             **{f"w_{kind.lower()}": digest for kind, digest in weight_digests(gqa).items()}}
-    for name, digest in found.items():
-        if getattr(entry, f"{name}_sha256") != digest:
-            raise ValidationError(
-                f"layer {entry.layer}: the source's {name} is not the one this layer "
-                f"was converted from (sha256 differs)"
-            )
-
-
-def iter_batches(
-    m: ModelManifest, base_dir, layer: int, batches_dir=None
-) -> Iterator[CalibrationBatch]:
+def iter_batches(m: ModelManifest, base_dir, layer: int,
+                 batches_dir=None) -> Iterator[CalibrationBatch]:
     """Read one layer's batches lazily, in manifest order, so a consumer
-    that reduces them holds one batch at a time."""
+    that reduces them holds one batch at a time. Each path must resolve
+    inside `batches_dir`, or the manifest's directory without one."""
     paths = m.calibration.get(layer)
     if not paths:
         raise ValidationError(f"no calibration data for layer {layer}")
-    root = Path(batches_dir) if batches_dir is not None else Path(base_dir)
+    root = batches_dir if batches_dir is not None else base_dir
     entry = m.layer(layer)
     for rel in paths:
-        x = ctf.read_ctf(root / rel)
+        x = ctf.read_ctf(_inside(root, rel, f"batch {rel}"))
         if x.ndim != 2 or x.shape[1] != entry.d_model:
             raise ValidationError(
                 f"batch {rel}: shape {x.shape} does not match d_model {entry.d_model}"
@@ -365,46 +380,31 @@ def iter_batches(
         yield CalibrationBatch(layer=layer, x=x)
 
 
-def load_batches(
-    m: ModelManifest, base_dir, layer: int, batches_dir=None
-) -> list[CalibrationBatch]:
+def load_batches(m: ModelManifest, base_dir, layer: int,
+                 batches_dir=None) -> list[CalibrationBatch]:
     return list(iter_batches(m, base_dir, layer, batches_dir))
 
 
-class StoredTensor(NamedTuple):
-    """A `.ctf` path relative to the profile's directory, and the sha256 of
-    the file's bytes."""
-
-    path: str
-    sha256: str
-
-
-@dataclass(frozen=True)
-class SpectrumRecord:
-    """What `schedule` stored for one layer, and what it was computed from.
-
-    `cov_sha256` is array_digest of the covariance the spectra were
-    whitened with and `w_sha256` maps each kind to array_digest of its
-    grouped weight; `shrinkage` is the whitening setting. `files` maps
-    each name in STORED_TENSORS to its StoredTensor: the singular values
-    and V^T of factorizer.layer_spectra for K and V.
-    """
+class SpectrumRecord(NamedTuple):
+    """What `schedule` stored for one layer: `path`, relative to the
+    profile's directory, names one `.ctf` file of the layer's K and V
+    whitened SVDs, and `sha256` is the sha256 of its bytes. `inputs` maps
+    each name in SPECTRUM_INPUTS to the sha256 of the file the spectra were
+    computed from. The file holds a (2, n + 1, n) array, n the grouped
+    width: slab 0 is K and slab 1 is V, each with the singular values in
+    row 0 and V^T in rows 1 to n."""
 
     layer: int
-    cov_sha256: str
-    w_sha256: dict[str, str]
+    path: str
+    sha256: str
+    inputs: dict[str, str]
+
+
+class StoredSpectra(NamedTuple):
+    """A profile's spectrum records by layer, and their one whitening setting."""
+
     shrinkage: ShrinkageParams
-    files: dict[str, StoredTensor]
-
-
-def array_digest(a: np.ndarray) -> str:
-    """The sha256 of an array's float64 bytes, in C order."""
-    return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64)).hexdigest()
-
-
-def weight_digests(kv: GroupedKv) -> dict[str, str]:
-    """Each kind's array_digest of its grouped weight."""
-    return {KIND_K: array_digest(kv.w_k_g), KIND_V: array_digest(kv.w_v_g)}
+    records: dict[int, SpectrumRecord]
 
 
 def spectra_dir(profile_path: Path) -> Path:
@@ -412,77 +412,54 @@ def spectra_dir(profile_path: Path) -> Path:
     return profile_path.with_name(profile_path.stem + "_spectra")
 
 
-def store_spectra(directory: Path, profile_path: Path, layer: int, cov_sha256: str,
-                  w_sha256: dict[str, str], shrinkage: ShrinkageParams,
+def store_spectra(directory: Path, profile_path: Path, layer: int, inputs: dict[str, str],
                   spectra: tuple[WhitenedSvd, WhitenedSvd]) -> SpectrumRecord:
     """Write one layer's whitened SVDs into `directory`, which becomes the
-    profile's spectra_dir, and record what they were computed from (the
-    digests of the covariance and of each kind's weight), with each file's
-    path in the profile and sha256."""
-    rel_dir = spectra_dir(profile_path).name
-    files = {}
-    for name, array in zip(STORED_TENSORS, (*spectra[0], *spectra[1])):
-        file = layer_file(layer, name)
-        sha256 = ctf.write_ctf(directory / file, array, digest=True)
-        files[name] = StoredTensor(f"{rel_dir}/{file}", sha256)
-    return SpectrumRecord(layer=layer, cov_sha256=cov_sha256, w_sha256=w_sha256,
-                          shrinkage=shrinkage, files=files)
+    profile's spectra_dir, as one file, and record its path in the profile,
+    its sha256 and the `inputs` digests the spectra were computed from."""
+    file = layer_file(layer, "spectra")
+    stacked = np.stack([np.vstack((svd.singular_values, svd.v_t)) for svd in spectra])
+    sha256 = ctf.write_ctf(directory / file, stacked, digest=True)
+    return SpectrumRecord(layer=layer, path=f"{spectra_dir(profile_path).name}/{file}",
+                          sha256=sha256, inputs=inputs)
 
 
-def miss_reason(record: SpectrumRecord | None, cov_sha256: str,
-                w_sha256: dict[str, str] | None, shrinkage: ShrinkageParams) -> str | None:
-    """Why the spectra `record` names cannot stand in for those of a layer
-    whose covariance and weights have these digests, under `shrinkage`, or
-    None when they can. `w_sha256` is read only when there is a record."""
-    if record is None:
+def miss_reason(stored: StoredSpectra | None, layer: int, inputs: dict[str, str],
+                shrinkage: ShrinkageParams) -> str | None:
+    """Why the spectra `stored` holds for `layer` cannot stand in for those
+    computed from files of the digests `inputs` under `shrinkage`, or None."""
+    if stored is None:
         return "no record"
-    if record.shrinkage != shrinkage:
+    if stored.shrinkage != shrinkage:
         return "parameter override"
-    if record.cov_sha256 != cov_sha256:
+    recorded = stored.records[layer].inputs
+    if recorded["cov"] != inputs["cov"]:
         return "covariance changed"
-    if record.w_sha256 != w_sha256:
+    if recorded != inputs:
         return "weight changed"
     return None
 
 
 def load_spectra(record: SpectrumRecord, base_dir,
                  kv: GroupedKv) -> tuple[WhitenedSvd, WhitenedSvd]:
-    """The (K, V) whitened SVDs a record names, for layer `kv`. Every file
-    must match its recorded sha256 and its shape."""
-    def load(name, shape):
-        path, sha256 = record.files[name]
-        return _load_tensor(base_dir, path, shape, f"layer {record.layer} {name}", sha256)
-
+    """The (K, V) whitened SVDs a record names, for layer `kv`, from the
+    file the profile records."""
     n = kv.grouped_width
-    return tuple(
-        WhitenedSvd(load(sigma, (n,)), load(v_t, (n, n))) for sigma, v_t in _SVD_TENSORS
-    )
+    stored, _ = _load_tensor(base_dir, record.path, (2, n + 1, n),
+                             f"layer {record.layer} spectra",
+                             _Pin(record.sha256, "profile", "schedule"))
+    return tuple(WhitenedSvd(slab[0], slab[1:]) for slab in stored)
 
 
 def _record_to_json(record: SpectrumRecord) -> dict:
-    doc = {
-        "layer": record.layer,
-        "cov_sha256": record.cov_sha256,
-        **shrinkage_doc(record.shrinkage),
-    }
-    for kind in KINDS:
-        doc[f"w_{kind.lower()}_sha256"] = record.w_sha256[kind]
-    for name in STORED_TENSORS:
-        doc[name], doc[f"{name}_sha256"] = record.files[name]
-    return doc
+    return {"layer": record.layer, "spectra": record.path, file_key("spectra"): record.sha256,
+            **{file_key(name): record.inputs[name] for name in SPECTRUM_INPUTS}}
 
 
 def save_profile(profile: RankProfile, path, mode: str = "adjusted",
-                 spectra: tuple[SpectrumRecord, ...] = ()) -> None:
-    entries = []
-    for (layer, kind) in sorted(profile.ranks):
-        entries.append(
-            {
-                "layer": layer,
-                "kind": kind,
-                "rank": profile.ranks[(layer, kind)],
-            }
-        )
+                 spectra: StoredSpectra | None = None) -> None:
+    entries = [{"layer": layer, "kind": kind, "rank": rank}
+               for (layer, kind), rank in sorted(profile.ranks.items())]
     doc = {
         "format": PROFILE_FORMAT,
         "version": DOC_VERSION,
@@ -492,18 +469,22 @@ def save_profile(profile: RankProfile, path, mode: str = "adjusted",
         "budget_v": profile.budget_v,
         "entries": entries,
     }
-    if spectra:
-        doc["spectra"] = [_record_to_json(r) for r in sorted(spectra, key=lambda r: r.layer)]
+    if spectra is not None:
+        doc["spectra"] = {
+            **shrinkage_doc(spectra.shrinkage),
+            "layers": [_record_to_json(spectra.records[layer])
+                       for layer in sorted(spectra.records)],
+        }
     write_json_last(path, doc)
 
 
-def load_profile(path) -> tuple[RankProfile, str, dict[int, SpectrumRecord]]:
-    """Read a rank profile, its mode and its spectrum records.
+def load_profile(path) -> tuple[RankProfile, str, StoredSpectra | None]:
+    """Read a rank profile, its mode and its stored spectra.
 
-    The records map layer -> SpectrumRecord. A profile with a `spectra` key
-    must record every layer of the profile once; one without it, such as
-    one with the `eigen` key of earlier versions, has none ({}). The
-    `full_rank` key of entries of earlier versions is ignored.
+    A profile with a `spectra` key must record every layer of the profile
+    once; one without it, such as one with the `eigen` key of earlier
+    versions, has none (None). The `full_rank` key of entries of earlier
+    versions is ignored.
     """
     doc = _read_json(path)
     _expect(doc, "format", PROFILE_FORMAT, path)
@@ -533,9 +514,9 @@ def load_profile(path) -> tuple[RankProfile, str, dict[int, SpectrumRecord]]:
     if mode not in PROFILE_MODES:
         raise ValidationError(f"{path}: mode must be one of {PROFILE_MODES}, got {mode!r}")
     if "spectra" not in doc:
-        return profile, mode, {}
+        return profile, mode, None
     layers = {layer for layer, _ in ranks}
-    return profile, mode, _spectrum_records(doc["spectra"], layers, path)
+    return profile, mode, _stored_spectra(doc["spectra"], layers, path)
 
 
 def _sha256(raw: dict, key: str, where: str) -> str:
@@ -545,15 +526,19 @@ def _sha256(raw: dict, key: str, where: str) -> str:
     return digest
 
 
-def _spectrum_records(raw_records, layers: set[int], path) -> dict[int, SpectrumRecord]:
-    if not isinstance(raw_records, list):
-        raise ValidationError(f"{path}: spectra must be a list")
+def _stored_spectra(raw, layers: set[int], path) -> StoredSpectra:
+    if not isinstance(raw, dict) or not isinstance(raw.get("layers"), list):
+        raise ValidationError(
+            f"{path}: spectra is not an object with a layers list (a profile of an earlier "
+            f"version); re-run schedule"
+        )
+    shrinkage = _shrinkage(raw, f"{path}: spectra")
+    where = f"{path}: spectrum record"
     records = {}
-    for raw in raw_records:
-        if not isinstance(raw, dict):
-            raise ValidationError(f"{path}: malformed spectrum record {raw!r}")
-        where = f"{path}: spectrum record"
-        layer = _int(raw.get("layer"), f"{where} layer", minimum=0)
+    for record in raw["layers"]:
+        if not isinstance(record, dict):
+            raise ValidationError(f"{path}: malformed spectrum record {record!r}")
+        layer = _int(record.get("layer"), f"{where} layer", minimum=0)
         if layer not in layers or layer in records:
             raise ValidationError(
                 f"{where} for layer {layer} is not one of the profile's layers, "
@@ -561,21 +546,16 @@ def _spectrum_records(raw_records, layers: set[int], path) -> dict[int, Spectrum
             )
         records[layer] = SpectrumRecord(
             layer=layer,
-            shrinkage=_shrinkage(raw, where),
-            cov_sha256=_sha256(raw, "cov_sha256", where),
-            w_sha256={kind: _sha256(raw, f"w_{kind.lower()}_sha256", where) for kind in KINDS},
-            files={
-                name: StoredTensor(_tensor_path(raw.get(name), f"{where} {name}"),
-                                   _sha256(raw, f"{name}_sha256", where))
-                for name in STORED_TENSORS
-            },
+            path=_tensor_path(record.get("spectra"), f"{where} spectra"),
+            sha256=_sha256(record, file_key("spectra"), where),
+            inputs={name: _sha256(record, file_key(name), where) for name in SPECTRUM_INPUTS},
         )
     if set(records) != layers:
         raise ValidationError(
             f"{path}: spectrum records cover layers {sorted(records)}, "
             f"the profile has {sorted(layers)}"
         )
-    return records
+    return StoredSpectra(shrinkage, records)
 
 
 def write_json(path, doc) -> None:

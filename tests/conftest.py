@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from kvlatent import linalg
 from kvlatent.linalg import EigResult, SvdResult, as_matrix, frobenius_norm_sq
 from kvlatent.rng import make_generator
 
@@ -84,11 +85,13 @@ def whitened_error_sq(whitener, w, w_hat) -> float:
 
 def reference_sym_eig(s) -> EigResult:
     """The body `linalg.sym_eig` used to run, kept as the byte oracle: it
-    always symmetrizes, reverses with copies and anchors signs in place."""
+    always symmetrizes, reverses with copies and anchors signs in place.
+    Its `eigh` runs on one BLAS thread, as sym_eig's does."""
     s = as_matrix(s, "s")
     scale = max(1.0, float(np.max(np.abs(s))) if s.size else 0.0)
     assert not s.size or float(np.max(np.abs(s - s.T))) <= 1e-8 * scale
-    vals, vecs = np.linalg.eigh((s + s.T) / 2.0)
+    with linalg._one_blas_thread():
+        vals, vecs = np.linalg.eigh((s + s.T) / 2.0)
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
     if vecs.size:

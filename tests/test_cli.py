@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import filecmp
+import hashlib
 import json
 import os
 import shutil
@@ -567,7 +568,7 @@ class TestSchedule:
                    "--parity", "--out", tmp_path / "p.json") == 0
         tiny = with_shrinkage(model, "tiny.json", ("--weighting", "C", "--lambda", "1e-300"))
         before = tree_bytes(tmp_path)
-        assert "p.json" in before and "p_spectra/layer000_sigma_k.ctf" in before
+        assert "p.json" in before and "p_spectra/layer000_spectra.ctf" in before
         capsys.readouterr()
         assert run("schedule", "--manifest", tiny, "--cov-dir", tmp_path / "cov",
                    "--parity", "--out", tmp_path / "p.json") == 3
@@ -599,10 +600,9 @@ class TestSchedule:
                        "--parity", "--out", tmp_path / "s/p.json") == 0
             trees.append(tree_bytes(tmp_path / "s"))
         assert trees[0] == trees[1]
-        assert sorted(trees[0]) == ["p.json"] + sorted(
-            f"p_spectra/layer{layer:03d}_{name}.ctf"
-            for layer in range(2) for name in manifest.STORED_TENSORS
-        )
+        # One spectra file per layer.
+        assert sorted(trees[0]) == ["p.json", "p_spectra/layer000_spectra.ctf",
+                                    "p_spectra/layer001_spectra.ctf"]
 
     def test_infeasible_budget(self, tmp_path):
         model = gen_model(tmp_path / "m")
@@ -861,8 +861,7 @@ class TestConvert:
             # it: convert must still refuse what it would reuse.
             model = with_shrinkage(model, "tiny.json", shrinkage)
             doc = json.loads((tmp_path / "p.json").read_text())
-            for record in doc["spectra"]:
-                record.update(weighting="C", **{"lambda": 1e-300})
+            doc["spectra"].update(weighting="C", **{"lambda": 1e-300})
             (tmp_path / "p.json").write_text(json.dumps(doc))
         capsys.readouterr()
         assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
@@ -1010,8 +1009,10 @@ class TestConvert:
             layer = layer_report["layer"]
             cov = ctf.read_ctf(tmp_path / "cov" / f"layer{layer:03d}_cov.ctf")
             s = calibration.whitening_operator(cov, model.shrinkage)
-            kv = manifest.load_grouped_kv(model, tmp_path / "model", layer)
-            assert sorted(layer_report) == ["gram", "k", "lambda_resolved", "layer", "v"]
+            kv, _ = manifest.load_grouped_kv(model, tmp_path / "model", layer)
+            assert sorted(layer_report) == ["gram", "k", "lambda_resolved", "layer", "spectra",
+                                            "v"]
+            assert layer_report["spectra"] == "reused"
             assert sorted(layer_report["gram"]) == ["k", "v"]
             for kind, w_g in (("k", kv.w_k_g), ("v", kv.w_v_g)):
                 eigs = np.linalg.eigvalsh((s @ w_g).T @ (s @ w_g))
@@ -1111,6 +1112,22 @@ def convert_tree(tmp_path: Path, model: Path, cov_dir: Path, profile: Path, out:
     return tree_bytes(tmp_path / out)
 
 
+def without_origins(tree: dict[str, bytes]) -> dict:
+    """A convert tree with the conversion report parsed and each layer's
+    `spectra` origin (reused, or why it was recomputed) taken out: all that
+    may differ between a convert that reuses stored spectra and one that
+    recomputes them."""
+    tree = dict(tree)
+    report = json.loads(tree.pop("conversion_report.json"))
+    for layer in report["layers"]:
+        del layer["spectra"]
+    return {**tree, "conversion_report.json": report}
+
+
+def file_sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def with_shrinkage(model: Path, name: str, args) -> Path:
     """A copy of `model`, in its directory, whose shrinkage is the one the
     convert flags `args` ask for."""
@@ -1151,24 +1168,35 @@ class TestEigenReuse:
         return [line for line in capsys.readouterr().out.splitlines() if ": spectra " in line]
 
     def test_records_name_the_files_schedule_wrote(self, tmp_path, scheduled):
-        _, _, records = manifest.load_profile(tmp_path / "p.json")
-        assert sorted(records) == [0, 1, 2]
+        # Every digest is the sha256 of the bytes of the file it pins.
+        _, _, stored = manifest.load_profile(tmp_path / "p.json")
+        assert sorted(stored.records) == [0, 1, 2]
+        assert stored.shrinkage == calibration.ShrinkageParams(0.01, "auto", "damped")
         m = manifest.load_manifest(scheduled)
-        for layer, record in records.items():
-            cov = ctf.read_ctf(tmp_path / "cov" / f"layer{layer:03d}_cov.ctf")
-            gqa = manifest.load_gqa_layer(m, scheduled.parent, layer)
-            assert record.cov_sha256 == manifest.array_digest(cov)
-            assert record.w_sha256 == {"K": manifest.array_digest(gqa.w_k_g),
-                                       "V": manifest.array_digest(gqa.w_v_g)}
-            assert record.shrinkage == calibration.ShrinkageParams(0.01, "auto", "damped")
-            assert {name: stored.path for name, stored in record.files.items()} == {
-                name: f"p_spectra/layer{layer:03d}_{name}.ctf" for name in manifest.STORED_TENSORS
+        for layer, record in stored.records.items():
+            cov_path = tmp_path / "cov" / f"layer{layer:03d}_cov.ctf"
+            entry = m.layer(layer)
+            assert record.inputs == {
+                "cov": file_sha256(cov_path),
+                "w_k_g": file_sha256(scheduled.parent / entry.w_k_g),
+                "w_v_g": file_sha256(scheduled.parent / entry.w_v_g),
             }
-            spectra = manifest.load_spectra(record, tmp_path, gqa)
-            computed = factorizer.layer_spectra(gqa, cov, calibration.ridge(cov, m.shrinkage))
-            for stored, expected in zip(spectra, computed):
-                assert stored.singular_values.tobytes() == expected.singular_values.tobytes()
-                assert stored.v_t.tobytes() == expected.v_t.tobytes()
+            assert record.path == f"p_spectra/layer{layer:03d}_spectra.ctf"
+            assert record.sha256 == file_sha256(tmp_path / record.path)
+            kv, _ = manifest.load_grouped_kv(m, scheduled.parent, layer)
+            spectra = manifest.load_spectra(record, tmp_path, kv)
+            cov = ctf.read_ctf(cov_path)
+            computed = factorizer.layer_spectra(kv, cov, calibration.ridge(cov, m.shrinkage))
+            for stored_svd, expected in zip(spectra, computed):
+                assert stored_svd.singular_values.tobytes() == expected.singular_values.tobytes()
+                assert stored_svd.v_t.tobytes() == expected.v_t.tobytes()
+
+    def test_profile_records_the_shrinkage_once(self, tmp_path, scheduled):
+        doc = json.loads((tmp_path / "p.json").read_text())
+        assert {key: doc["spectra"][key] for key in ("alpha", "lambda", "weighting")} == {
+            "alpha": 0.01, "lambda": "auto", "weighting": "damped"}
+        assert not [record for record in doc["spectra"]["layers"]
+                    if {"alpha", "lambda", "weighting"} & set(record)]
 
     @pytest.mark.parametrize("args", [
         (), ("--weighting", "C"), ("--alpha", "0.2", "--lambda", "2.5"), ("--lambda", "auto"),
@@ -1187,7 +1215,9 @@ class TestEigenReuse:
         missed = convert_tree(tmp_path, model, tmp_path / "cov", old, "missed", *args)
         # Under C each kind's damped Gram w^T B w is checked for PSD first.
         assert calls == [("sym_eig", (8, 8))] * (12 if "C" in args else 6)
-        assert reused == missed
+        assert without_origins(reused) == without_origins(missed)
+        assert [name for name in reused if reused[name] != missed[name]] == [
+            "conversion_report.json"]
 
     def test_changed_covariance_is_decomposed_alone(self, tmp_path, scheduled, monkeypatch):
         shutil.copytree(tmp_path / "cov", tmp_path / "cov2")
@@ -1198,7 +1228,8 @@ class TestEigenReuse:
         changed = convert_tree(tmp_path, scheduled, tmp_path / "cov2", tmp_path / "p.json",
                                "changed")
         assert calls == [("sym_eig", (8, 8))] * 2
-        assert changed == convert_tree(tmp_path, scheduled, tmp_path / "cov2", old, "missed")
+        assert without_origins(changed) == without_origins(
+            convert_tree(tmp_path, scheduled, tmp_path / "cov2", old, "missed"))
 
     @pytest.mark.parametrize("kind", ["w_k_g", "w_v_g"])
     def test_changed_weight_is_recomputed_alone(self, tmp_path, scheduled, monkeypatch, kind):
@@ -1212,21 +1243,30 @@ class TestEigenReuse:
         calls = counting(monkeypatch, "sym_eig")
         changed = convert_tree(tmp_path, model, tmp_path / "cov", tmp_path / "p.json", "changed")
         assert calls == [("sym_eig", (8, 8))] * 2
-        assert changed == convert_tree(tmp_path, model, tmp_path / "cov", old, "missed")
+        assert without_origins(changed) == without_origins(
+            convert_tree(tmp_path, model, tmp_path / "cov", old, "missed"))
+
+    def origins(self, tmp_path) -> list[str]:
+        report = json.loads((tmp_path / "c/conversion_report.json").read_text())
+        return [layer["spectra"] for layer in report["layers"]]
 
     def test_reports_why_spectra_were_recomputed(self, tmp_path, scheduled, capsys):
-        # The reasons go to stdout only; the artifacts do not depend on them.
+        # stdout and the conversion report both say where each layer's
+        # spectra came from.
         assert self.spectra_lines(tmp_path, scheduled, capsys) == [
             f"layer {layer}: spectra reused" for layer in range(3)
         ]
+        assert self.origins(tmp_path) == ["reused"] * 3
         for args, reason in ((("--alpha", "0.2"), "parameter override"),
                              (("--weighting", "C"), "parameter override"),
                              (("--lambda", "1.5"), "parameter override")):
             lines = self.spectra_lines(tmp_path, scheduled, capsys, "p.json", *args)
             assert lines == [f"layer {layer}: spectra recomputed ({reason})" for layer in range(3)]
+            assert self.origins(tmp_path) == [reason] * 3
         without_records(tmp_path / "p.json", tmp_path / "old.json")
         assert self.spectra_lines(tmp_path, scheduled, capsys, "old.json")[0] == (
             "layer 0: spectra recomputed (no record)")
+        assert self.origins(tmp_path) == ["no record"] * 3
         cov = ctf.read_ctf(tmp_path / "cov/layer000_cov.ctf")
         ctf.write_ctf(tmp_path / "cov/layer000_cov.ctf", 2.0 * cov)
         doc = json.loads(scheduled.read_text())
@@ -1237,75 +1277,109 @@ class TestEigenReuse:
             "layer 1: spectra recomputed (weight changed)",
             "layer 2: spectra reused",
         ]
+        assert self.origins(tmp_path) == ["covariance changed", "weight changed", "reused"]
 
     def test_old_eigen_profile_takes_the_full_path(self, tmp_path, scheduled, capsys):
         doc = json.loads((tmp_path / "p.json").read_text())
         doc["eigen"] = [
-            {"layer": r["layer"], "cov_sha256": r["cov_sha256"],
+            {"layer": r["layer"], "cov_sha256": r["cov_file_sha256"],
              "eigenvalues": f"p_eig/layer{r['layer']:03d}_eigenvalues.ctf",
              "eigenvectors": f"p_eig/layer{r['layer']:03d}_eigenvectors.ctf"}
-            for r in doc.pop("spectra")
+            for r in doc.pop("spectra")["layers"]
         ]
         (tmp_path / "eigen.json").write_text(json.dumps(doc))
-        assert manifest.load_profile(tmp_path / "eigen.json")[2] == {}
+        assert manifest.load_profile(tmp_path / "eigen.json")[2] is None
         assert self.spectra_lines(tmp_path, scheduled, capsys, "eigen.json") == [
             f"layer {layer}: spectra recomputed (no record)" for layer in range(3)
         ]
-        assert tree_bytes(tmp_path / "c") == convert_tree(
-            tmp_path, scheduled, tmp_path / "cov", tmp_path / "p.json", "reused")
+        assert without_origins(tree_bytes(tmp_path / "c")) == without_origins(convert_tree(
+            tmp_path, scheduled, tmp_path / "cov", tmp_path / "p.json", "reused"))
+
+    def test_records_of_an_earlier_version_ask_for_schedule(self, tmp_path, scheduled, capsys):
+        # Profiles once kept four files per layer in flat records.
+        doc = json.loads((tmp_path / "p.json").read_text())
+        doc["spectra"] = [
+            {"layer": layer, "cov_sha256": "0" * 64, "w_k_sha256": "1" * 64,
+             "w_v_sha256": "2" * 64, "alpha": 0.01, "lambda": "auto", "weighting": "damped",
+             **{name: f"p_spectra/layer{layer:03d}_{name}.ctf"
+                for name in ("sigma_k", "v_t_k", "sigma_v", "v_t_v")}}
+            for layer in range(3)
+        ]
+        (tmp_path / "old.json").write_text(json.dumps(doc))
+        code, err = self.convert_code(tmp_path, scheduled, capsys, "old.json")
+        assert code == 2 and err.startswith("error:") and "re-run schedule" in err, err
+        assert "sha256" not in err
+        assert not (tmp_path / "c").exists()
 
     def test_swapped_eigenvectors_exit_2(self, tmp_path, scheduled, capsys):
         # The rows of a stored V^T are the eigenvectors of W^T S^2 W; two of
         # them swapped no longer match the file's recorded sha256.
-        path = tmp_path / "p_spectra/layer001_v_t_k.ctf"
-        v_t = ctf.read_ctf(path)
-        ctf.write_ctf(path, v_t[[1, 0, *range(2, 8)]])
+        path = tmp_path / "p_spectra/layer001_spectra.ctf"
+        stored = ctf.read_ctf(path)
+        stored[0, 1:] = stored[0, [2, 1, *range(3, 9)]]
+        ctf.write_ctf(path, stored)
         code, err = self.convert_code(tmp_path, scheduled, capsys)
         assert code == 2
-        assert err.startswith("error:") and "sha256 does not match" in err
+        assert err == (f"error: layer 1 spectra (p_spectra/layer001_spectra.ctf): file sha256 "
+                       f"does not match the profile's record; re-run schedule\n")
 
-    @pytest.mark.parametrize("name", ["sigma_k", "v_t_k", "sigma_v", "v_t_v"])
-    def test_tampered_spectrum_file_exits_2(self, tmp_path, scheduled, capsys, name):
-        path = tmp_path / f"p_spectra/layer002_{name}.ctf"
-        ctf.write_ctf(path, ctf.read_ctf(path) * (1.0 + 1e-15))
+    @pytest.mark.parametrize("kind", [0, 1])
+    @pytest.mark.parametrize("row", [0, 8])
+    def test_tampered_spectrum_file_exits_2(self, tmp_path, scheduled, capsys, kind, row):
+        # Row 0 holds a kind's singular values and rows 1 to n its V^T.
+        path = tmp_path / "p_spectra/layer002_spectra.ctf"
+        stored = ctf.read_ctf(path)
+        stored[kind, row] *= 1.0 + 1e-15
+        ctf.write_ctf(path, stored)
         code, err = self.convert_code(tmp_path, scheduled, capsys)
         assert code == 2
-        assert err.startswith("error:") and f"layer 2 {name}" in err
+        assert err.startswith("error: layer 2 spectra") and "re-run schedule" in err
 
-    def test_truncated_eigen_file_exits_2(self, tmp_path, scheduled, capsys):
-        # V^T holds the eigenvectors of the layer's K Gram.
-        path = tmp_path / "p_spectra/layer002_v_t_k.ctf"
+    def test_truncated_spectra_file_exits_2(self, tmp_path, scheduled, capsys):
+        path = tmp_path / "p_spectra/layer002_spectra.ctf"
         path.write_bytes(path.read_bytes()[:-8])
         code, err = self.convert_code(tmp_path, scheduled, capsys)
         assert code == 2 and err.startswith("error:")
 
-    def test_missing_eigen_file_exits_4(self, tmp_path, scheduled, capsys):
-        (tmp_path / "p_spectra/layer000_v_t_v.ctf").unlink()
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_missing_spectra_file_exits_4(self, tmp_path, scheduled, capsys, layer):
+        (tmp_path / f"p_spectra/layer{layer:03d}_spectra.ctf").unlink()
         code, err = self.convert_code(tmp_path, scheduled, capsys)
         assert code == 4 and err.startswith("error:")
 
-    @pytest.mark.parametrize("name", ["sigma_k", "v_t_k", "sigma_v", "v_t_v"])
-    def test_missing_spectrum_file_exits_4(self, tmp_path, scheduled, capsys, name):
-        (tmp_path / f"p_spectra/layer001_{name}.ctf").unlink()
-        code, err = self.convert_code(tmp_path, scheduled, capsys)
-        assert code == 4 and err.startswith("error:")
-
-    @pytest.mark.parametrize("path", ["../p_eig/layer000_eigenvalues.ctf", "/etc/x.ctf",
+    @pytest.mark.parametrize("path", ["../p_eig/layer000_spectra.ctf", "/etc/x.ctf",
                                       "p_eig/../../x.ctf"])
     def test_escaping_record_path_exits_2(self, tmp_path, scheduled, capsys, path):
-        for name in manifest.STORED_TENSORS:
-            doc = json.loads((tmp_path / "p.json").read_text())
-            doc["spectra"][0][name] = path
-            (tmp_path / "bad.json").write_text(json.dumps(doc))
-            code, err = self.convert_code(tmp_path, scheduled, capsys, "bad.json")
-            assert code == 2 and "inside the manifest directory" in err, name
+        doc = json.loads((tmp_path / "p.json").read_text())
+        doc["spectra"]["layers"][0]["spectra"] = path
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        code, err = self.convert_code(tmp_path, scheduled, capsys, "bad.json")
+        assert code == 2 and "inside the manifest directory" in err
+
+    def test_record_linking_out_exits_2(self, tmp_path, scheduled, capsys):
+        # A record's path is checked as it resolves: the same symbolic link
+        # stays inside one profile's directory and leads out of another's.
+        (tmp_path / "elsewhere").mkdir()
+        shutil.move(tmp_path / "p_spectra", tmp_path / "elsewhere/p_spectra")
+        (tmp_path / "p_spectra").symlink_to("elsewhere/p_spectra", target_is_directory=True)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub/p_spectra").symlink_to("../elsewhere/p_spectra",
+                                                target_is_directory=True)
+        shutil.copy(tmp_path / "p.json", tmp_path / "sub/p.json")
+        code, err = self.convert_code(tmp_path, scheduled, capsys, "sub/p.json")
+        assert code == 2 and err.startswith("error: layer 0 spectra"), err
+        assert "resolves to" in err and "outside" in err
+        assert not (tmp_path / "c/converted.json").exists()
+        assert self.spectra_lines(tmp_path, scheduled, capsys) == [
+            f"layer {layer}: spectra reused" for layer in range(3)
+        ]
 
     @pytest.mark.parametrize("records", [
         lambda r: r[:2], lambda r: r + r[:1], lambda r: [], lambda r: "x", lambda r: None,
     ], ids=["two_of_three", "repeated", "empty", "string", "null"])
     def test_records_must_cover_every_layer(self, tmp_path, scheduled, capsys, records):
         doc = json.loads((tmp_path / "p.json").read_text())
-        doc["spectra"] = records(doc["spectra"])
+        doc["spectra"]["layers"] = records(doc["spectra"]["layers"])
         (tmp_path / "bad.json").write_text(json.dumps(doc))
         code, err = self.convert_code(tmp_path, scheduled, capsys, "bad.json")
         assert code == 2 and err.startswith("error:")
@@ -1377,12 +1451,12 @@ class TestRetiredWeighting:
     def test_profile_record(self, tmp_path, capsys):
         pipeline(tmp_path)
         doc = json.loads((tmp_path / "profile.json").read_text())
-        doc["spectra"][1]["weighting"] = "sqrtC"
+        doc["spectra"]["weighting"] = "sqrtC"
         (tmp_path / "old.json").write_text(json.dumps(doc))
         err = self.refusal(capsys, "convert", "--manifest", tmp_path / "model/model.json",
                            "--cov-dir", tmp_path / "cov", "--profile", tmp_path / "old.json",
                            "--out", tmp_path / "c")
-        assert "old.json: spectrum record" in err
+        assert "old.json: spectra" in err
         assert not (tmp_path / "c").exists()
 
     def test_weighting_flag(self, tmp_path, capsys):
@@ -1660,8 +1734,9 @@ class TestEval:
         assert tree_bytes(tmp_path / "again") == tree_bytes(tmp_path / "eval")
 
     @pytest.mark.parametrize("fault, code, message", [
-        ("no cov key", 2, "layer 1 records no covariance or source digests; re-run convert"),
-        ("tampered", 2, "layer 1 covariance (cov/layer001_cov.ctf): sha256 does not match"),
+        ("no cov key", 2, "layer 1 records no covariance or source file digests; re-run convert"),
+        ("tampered", 2, "layer 1 covariance (cov/layer001_cov.ctf): file sha256 does not match "
+                        "the converted manifest's record; re-run convert"),
         ("wrong shape", 2, "layer 1 covariance (cov/layer001_cov.ctf): shape (8, 8)"),
         ("no file", 4, "layer001_cov.ctf"),
     ])
@@ -1712,8 +1787,8 @@ class TestEval:
                    "--converted", tmp_path / "converted/converted.json",
                    "--out", tmp_path / "eval") == 2
         err = capsys.readouterr().err
-        assert err == ("error: layer 0: the source's w_q is not the one this layer was "
-                       "converted from (sha256 differs)\n")
+        assert err == ("error: layer 0 w_k_g (weights/layer000_w_k_g.ctf): file sha256 does not "
+                       "match the converted manifest's record; re-run convert\n")
         assert tree_bytes(tmp_path / "eval") == {}
 
     @pytest.mark.parametrize("name, tensor", [("w_q", "w_q"), ("w_k", "w_k_g"),
@@ -1727,8 +1802,8 @@ class TestEval:
                    "--converted", tmp_path / "converted/converted.json",
                    "--out", tmp_path / "eval") == 2
         assert capsys.readouterr().err == (
-            f"error: layer 1: the source's {name} is not the one this layer was "
-            f"converted from (sha256 differs)\n")
+            f"error: layer 1 {tensor} (weights/layer001_{tensor}.ctf): file sha256 does not "
+            f"match the converted manifest's record; re-run convert\n")
         assert tree_bytes(tmp_path / "eval") == {}
 
 
@@ -2008,6 +2083,49 @@ class TestAblate:
         assert run("ablate", "--manifest", model, "--layer", 0, "--kind", "V",
                    "--index", 2, "--out", tmp_path / "ab.json") == 0
         assert calls == [(16, 8)]
+
+
+class TestRecordedDigests:
+    """Every digest a document records is the sha256 of the bytes of the
+    file it pins, under the key `<tensor>_file_sha256`."""
+
+    def test_every_digest_is_its_files_sha256(self, tmp_path):
+        pipeline(tmp_path, schedule_args=("--budget-k", "12", "--budget-v", "12"))
+        model = json.loads((tmp_path / "model/model.json").read_text())
+        profile = json.loads((tmp_path / "profile.json").read_text())
+        converted = json.loads((tmp_path / "converted/converted.json").read_text())
+        pinned = {}
+        for record in profile["spectra"]["layers"]:
+            layer = record["layer"]
+            files = {"spectra": tmp_path / record["spectra"],
+                     "cov": tmp_path / f"cov/layer{layer:03d}_cov.ctf",
+                     **{name: tmp_path / "model" / model["layers"][layer][name]
+                        for name in ("w_k_g", "w_v_g")}}
+            pinned.update({(f"profile {layer}", key): (record.pop(key), files[key[:-12]])
+                           for key in [key for key in record if key.endswith("_file_sha256")]})
+        for layer, entry in enumerate(converted["layers"]):
+            files = {"cov": tmp_path / "converted" / entry["cov"],
+                     **{name: tmp_path / "model" / model["layers"][layer][name]
+                        for name in ("w_q", "w_k_g", "w_v_g")}}
+            pinned.update({(f"converted {layer}", key): (entry.pop(key), files[key[:-12]])
+                           for key in [key for key in entry if key.endswith("_file_sha256")]})
+        assert len(pinned) == 2 * 4 + 2 * 4
+        for where, (digest, path) in pinned.items():
+            assert digest == file_sha256(path), where
+        # No other digest is left in either document.
+        assert "sha256" not in json.dumps([profile, converted])
+
+    def test_tampered_spectra_name_tensor_and_document(self, tmp_path, capsys):
+        pipeline(tmp_path)
+        spectra = tmp_path / "profile_spectra/layer001_spectra.ctf"
+        ctf.write_ctf(spectra, 2.0 * ctf.read_ctf(spectra))
+        capsys.readouterr()
+        assert run("convert", "--manifest", tmp_path / "model/model.json",
+                   "--cov-dir", tmp_path / "cov", "--profile", tmp_path / "profile.json",
+                   "--out", tmp_path / "again") == 2
+        assert capsys.readouterr().err == (
+            "error: layer 1 spectra (profile_spectra/layer001_spectra.ctf): file sha256 does "
+            "not match the profile's record; re-run schedule\n")
 
 
 class TestPipelineDeterminism:

@@ -68,17 +68,22 @@ MAY_CHANGE = {
     "rank": lambda v: is_int(v, 1),
     "batch": inside,
     **{name: inside for name in ("w_q", "w_k_g", "w_v_g", "w_a_k", "w_b_k", "w_a_v", "w_b_v",
-                                 "sigma_k", "v_t_k", "sigma_v", "v_t_v")},
+                                 "spectra")},
 }
 
 
 def fields(doc: dict) -> list[tuple]:
-    """(key path, field name) of every field: top-level keys, layer,
-    profile entry and spectrum record keys, and calibration batch paths."""
+    """(key path, field name) of every field: top-level keys, layer and
+    profile entry keys, the stored spectra's keys and those of their
+    records, and calibration batch paths."""
     out = [((key,), key) for key in doc]
-    for list_key in ("layers", "entries", "spectra"):
-        for i, entry in enumerate(doc.get(list_key, [])):
-            out += [((list_key, i, key), key) for key in entry]
+    spectra = doc.get("spectra", {})
+    out += [(("spectra", key), key) for key in spectra]
+    for keys, entries in ((("layers",), doc.get("layers", [])),
+                          (("entries",), doc.get("entries", [])),
+                          (("spectra", "layers"), spectra.get("layers", []))):
+        for i, entry in enumerate(entries):
+            out += [((*keys, i, key), key) for key in entry]
     for layer, paths in doc.get("calibration", {}).items():
         out += [(("calibration", layer, j), "batch") for j in range(len(paths))]
     return out
@@ -159,11 +164,13 @@ def with_dims(data: bytes, dims, payload: bytes = b"") -> bytes:
 
 
 def first_dim_plus_one(data: bytes) -> bytes:
-    rows, cols = struct.unpack_from("<QQ", data, 10)
-    return with_dims(data, (rows + 1, cols), data[26:])
+    ndim = data[9]
+    dims = struct.unpack_from(f"<{ndim}Q", data, 10)
+    return with_dims(data, (dims[0] + 1, *dims[1:]), data[10 + 8 * ndim:])
 
 
-# Each takes the bytes of a valid 2-D float64 file and corrupts one thing.
+# Each takes the bytes of a valid float64 file of two or more dims and
+# corrupts one thing.
 CTF_CORRUPTIONS = {
     "magic": lambda d: b"NOPE" + d[4:],
     "version_0": lambda d: with_header(d, version=0),
@@ -173,7 +180,7 @@ CTF_CORRUPTIONS = {
     "ndim_255": lambda d: with_header(d, ndim=255),
     "ndim_255_complete": lambda d: with_dims(d, (1,) * 255, d[-8:]),
     "ndim_1": lambda d: with_header(d, ndim=1),
-    "ndim_3": lambda d: with_header(d, ndim=3),
+    "ndim_plus_one": lambda d: with_header(d, ndim=d[9] + 1),
     "dims_exceed_payload": first_dim_plus_one,
     "dims_float32_payload": lambda d: with_header(d, dtype=0),
     "huge_dims": lambda d: with_dims(d, (2**64 - 1, 2**64 - 1), d[26:]),
@@ -195,19 +202,19 @@ def corrupt_copy(src: Path, dst: Path, rel: str, case: str) -> None:
     target.write_bytes(CTF_CORRUPTIONS[case](target.read_bytes()))
 
 
-@pytest.mark.parametrize("consumer", ["cov", "schedule", "convert", "eigen"])
+@pytest.mark.parametrize("consumer", ["cov", "schedule", "convert", "spectra"])
 @pytest.mark.parametrize("case", sorted(CTF_CORRUPTIONS))
 def test_corrupt_ctf_header_exits_cleanly(built, tmp_path, capsys, consumer, case):
     model = built / "model/model.json"
     if consumer == "cov":
         corrupt_copy(built / "model", tmp_path / "model", "batches/layer001_batch002.ctf", case)
         argv = ["cov", "--manifest", tmp_path / "model/model.json", "--out", tmp_path / "out"]
-    elif consumer == "eigen":
+    elif consumer == "spectra":
         corrupt_copy(built / "profile_spectra", tmp_path / "profile_spectra",
-                     "layer001_v_t_k.ctf", case)
+                     "layer001_spectra.ctf", case)
         doc = json.loads((built / "profile.json").read_text())
-        corrupted = (tmp_path / "profile_spectra/layer001_v_t_k.ctf").read_bytes()
-        doc["spectra"][1]["v_t_k_sha256"] = hashlib.sha256(corrupted).hexdigest()
+        corrupted = (tmp_path / "profile_spectra/layer001_spectra.ctf").read_bytes()
+        doc["spectra"]["layers"][1]["spectra_file_sha256"] = hashlib.sha256(corrupted).hexdigest()
         (tmp_path / "profile.json").write_text(json.dumps(doc))
         argv = ["convert", "--manifest", model, "--cov-dir", built / "cov",
                 "--profile", tmp_path / "profile.json", "--out", tmp_path / "out"]

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,15 +43,15 @@ def small_gqa_manifest(tmp_path, rng, d=8, n_heads=2, n_groups=1, batches=2, seq
 def small_mla_manifest(tmp_path, rng, d=8, n_heads=2, r=3):
     """One converted layer of rank r in K and V, with its tensors written."""
     names = {"w_a_k": (d, r), "w_b_k": (r, d), "w_a_v": (d, r), "w_b_v": (r, d), "cov": (d, d)}
-    arrays = {name: rng.standard_normal(shape) for name, shape in names.items()}
-    for name, array in arrays.items():
-        ctf.write_ctf(tmp_path / f"{name}.ctf", array)
+    sha256 = {name: ctf.write_ctf(tmp_path / f"{name}.ctf", rng.standard_normal(shape),
+                                  digest=True)
+              for name, shape in names.items()}
     entry = manifest.LayerEntry(
         layer=0, d_model=d, n_heads=n_heads, head_dim=d // n_heads, n_groups=1, r_k=r, r_v=r,
         w_a_k="w_a_k.ctf", w_b_k="w_b_k.ctf", w_a_v="w_a_v.ctf", w_b_v="w_b_v.ctf",
-        cov="cov.ctf", cov_sha256=manifest.array_digest(arrays["cov"]),
-        w_q_sha256="c" * 64,
-        w_k_sha256="a" * 64, w_v_sha256="b" * 64,
+        cov="cov.ctf", cov_file_sha256=sha256["cov"],
+        w_q_file_sha256="c" * 64,
+        w_k_g_file_sha256="a" * 64, w_v_g_file_sha256="b" * 64,
     )
     return manifest.ModelManifest(
         model_kind=manifest.MODEL_KIND_MLA, seq_len=4, layers=(entry,),
@@ -156,20 +158,33 @@ class TestModelManifest:
         with pytest.raises(ValidationError, match="w_q"):
             manifest.load_manifest(tmp_path / "old.json")
 
-    @pytest.mark.parametrize("key", ["cov", "cov_sha256", "w_q_sha256", "w_k_sha256",
-                                     "w_v_sha256"])
+    @pytest.mark.parametrize("key", ["cov", "cov_file_sha256", "w_q_file_sha256",
+                                     "w_k_g_file_sha256", "w_v_g_file_sha256"])
     def test_converted_layer_must_record_its_source(self, tmp_path, key):
         manifest.save_manifest(small_mla_manifest(tmp_path, gen(712)), tmp_path / "c.json")
         doc = json.loads((tmp_path / "c.json").read_text())
         del doc["layers"][0][key]
         (tmp_path / "c.json").write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="layer 0 records no covariance or source "
-                                                  "digests; re-run convert"):
+                                                  "file digests; re-run convert"):
+            manifest.load_manifest(tmp_path / "c.json")
+
+    def test_digests_of_an_earlier_version_ask_for_convert(self, tmp_path):
+        # Converted layers once recorded the sha256 of each array's float64
+        # bytes under other keys; such a bundle is refused, not misread.
+        manifest.save_manifest(small_mla_manifest(tmp_path, gen(716)), tmp_path / "c.json")
+        doc = json.loads((tmp_path / "c.json").read_text())
+        for old, new in (("cov_sha256", "cov_file_sha256"), ("w_q_sha256", "w_q_file_sha256"),
+                         ("w_k_sha256", "w_k_g_file_sha256"),
+                         ("w_v_sha256", "w_v_g_file_sha256")):
+            doc["layers"][0][old] = doc["layers"][0].pop(new)
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="source file digests; re-run convert"):
             manifest.load_manifest(tmp_path / "c.json")
 
     @pytest.mark.parametrize("key, value", [
-        ("cov_sha256", "A" * 64), ("w_k_sha256", "a" * 63), ("w_q_sha256", 7),
-        ("cov", "../cov.ctf"),
+        ("cov_file_sha256", "A" * 64), ("w_k_g_file_sha256", "a" * 63),
+        ("w_q_file_sha256", 7), ("cov", "../cov.ctf"),
     ])
     def test_converted_source_record_is_checked(self, tmp_path, key, value):
         manifest.save_manifest(small_mla_manifest(tmp_path, gen(713)), tmp_path / "c.json")
@@ -183,8 +198,10 @@ class TestModelManifest:
         m = small_mla_manifest(tmp_path, gen(714))
         cov = ctf.read_ctf(tmp_path / "cov.ctf")
         ctf.write_ctf(tmp_path / "cov.ctf", cov * (1.0 + 1e-15))
-        with pytest.raises(ValidationError, match="sha256 does not match"):
+        with pytest.raises(ValidationError) as exc:
             manifest.load_bundle_covariance(m, tmp_path, 0)
+        assert str(exc.value) == ("layer 0 covariance (cov.ctf): file sha256 does not match the "
+                                  "converted manifest's record; re-run convert")
 
     def test_old_rope_keys_load_as_plain_converted_manifest(self, tmp_path):
         # Manifests once carried rotary adapters per layer; those keys are
@@ -204,6 +221,56 @@ class TestModelManifest:
             tmp_path / "converted.json").read_bytes()
 
 
+class TestResolvedPaths:
+    """A tensor or batch path must resolve inside its base directory: a
+    symbolic link along it may point elsewhere inside, but not out."""
+
+    @pytest.fixture
+    def outside(self, tmp_path) -> Path:
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        ctf.write_ctf(outside / "w.ctf", np.eye(8))
+        return outside
+
+    def test_tensor_link_out_is_refused(self, tmp_path, outside):
+        (tmp_path / "m").mkdir()
+        m = small_gqa_manifest(tmp_path / "m", gen(717))
+        (tmp_path / "m/weights/w_q.ctf").unlink()
+        (tmp_path / "m/weights/w_q.ctf").symlink_to(outside / "w.ctf")
+        with pytest.raises(ValidationError, match=r"layer 0 w_q \(weights/w_q.ctf\) resolves "
+                                                  r"to .*outside"):
+            manifest.load_query(m, tmp_path / "m", 0)
+
+    def test_linked_directory_out_is_refused(self, tmp_path, outside):
+        (tmp_path / "m").mkdir()
+        m = small_gqa_manifest(tmp_path / "m", gen(718))
+        shutil.rmtree(tmp_path / "m/batches")
+        (tmp_path / "m/batches").symlink_to(outside, target_is_directory=True)
+        with pytest.raises(ValidationError, match=r"batch batches/b0.ctf .*outside"):
+            manifest.load_batches(m, tmp_path / "m", 0)
+
+    def test_links_inside_still_load(self, tmp_path):
+        (tmp_path / "m").mkdir()
+        m = small_gqa_manifest(tmp_path / "m", gen(719))
+        expected = manifest.load_query(m, tmp_path / "m", 0)
+        batches = [b.x for b in manifest.load_batches(m, tmp_path / "m", 0)]
+        (tmp_path / "m/weights").rename(tmp_path / "m/real_weights")
+        (tmp_path / "m/weights").symlink_to("real_weights", target_is_directory=True)
+        (tmp_path / "m/batches/b0.ctf").rename(tmp_path / "m/batches/real_b0.ctf")
+        (tmp_path / "m/batches/b0.ctf").symlink_to("real_b0.ctf")
+        got = manifest.load_query(m, tmp_path / "m", 0)
+        assert got[1] == expected[1] and np.array_equal(got[0], expected[0])
+        assert all(np.array_equal(b.x, x) for b, x in
+                   zip(manifest.load_batches(m, tmp_path / "m", 0), batches))
+
+    def test_base_directory_may_itself_be_a_link(self, tmp_path):
+        (tmp_path / "m").mkdir()
+        m = small_gqa_manifest(tmp_path / "m", gen(720))
+        (tmp_path / "alias").symlink_to("m", target_is_directory=True)
+        assert manifest.load_gqa_layer(m, tmp_path / "alias", 0).w_q.shape == (8, 8)
+        assert len(manifest.load_batches(m, tmp_path / "alias", 0)) == 2
+
+
 class TestRankProfileFile:
     def test_round_trip(self, tmp_path):
         profile = RankProfile(
@@ -211,36 +278,36 @@ class TestRankProfileFile:
             budget_k=4, budget_v=6, min_rank=1,
         )
         manifest.save_profile(profile, tmp_path / "p.json", mode="adjusted")
-        loaded, mode, records = manifest.load_profile(tmp_path / "p.json")
+        loaded, mode, stored = manifest.load_profile(tmp_path / "p.json")
         assert mode == "adjusted"
         assert loaded.ranks == profile.ranks
         assert loaded.budget_k == 4 and loaded.budget_v == 6
-        assert records == {}
+        assert stored is None
         doc = json.loads((tmp_path / "p.json").read_text())
         assert "spectra" not in doc
         # An entry's full rank is its layer's grouped width, not a profile key.
         assert all(set(entry) == {"layer", "kind", "rank"} for entry in doc["entries"])
 
-    def test_round_trip_with_eigen_records(self, tmp_path):
-        # Spectrum records: each layer's eigenvalues and whitened spectra.
+    def test_round_trip_with_spectrum_records(self, tmp_path):
+        # One shrinkage for the profile, and per layer one spectra file with
+        # its sha256 and those of the files it was computed from.
         profile = RankProfile(ranks={(0, "K"): 1, (0, "V"): 1, (1, "K"): 1, (1, "V"): 1},
                               budget_k=2, budget_v=2, min_rank=1)
-        records = tuple(
-            manifest.SpectrumRecord(
-                layer=layer, cov_sha256=f"{layer:064x}",
-                w_sha256={"K": "a" * 64, "V": "b" * 64},
-                shrinkage=ShrinkageParams(0.25, 2.5 if layer else "auto", "C"),
-                files={name: manifest.StoredTensor(f"p_spectra/l{layer}_{name}.ctf",
-                                                   f"{i:064x}")
-                       for i, name in enumerate(manifest.STORED_TENSORS)},
+        stored = manifest.StoredSpectra(ShrinkageParams(0.25, 2.5, "C"), {
+            layer: manifest.SpectrumRecord(
+                layer=layer, path=f"p_spectra/l{layer}.ctf", sha256=f"{layer:064x}",
+                inputs={name: f"{i + 2:064x}" for i, name in enumerate(manifest.SPECTRUM_INPUTS)},
             )
             for layer in (1, 0)
-        )
-        manifest.save_profile(profile, tmp_path / "p.json", spectra=records)
-        _, _, loaded = manifest.load_profile(tmp_path / "p.json")
-        assert loaded == {r.layer: r for r in records}
+        })
+        manifest.save_profile(profile, tmp_path / "p.json", spectra=stored)
+        assert manifest.load_profile(tmp_path / "p.json")[2] == stored
         doc = json.loads((tmp_path / "p.json").read_text())
-        assert [r["layer"] for r in doc["spectra"]] == [0, 1]
+        assert doc["spectra"]["alpha"] == 0.25 and doc["spectra"]["lambda"] == 2.5
+        assert [r["layer"] for r in doc["spectra"]["layers"]] == [0, 1]
+        assert set(doc["spectra"]["layers"][0]) == {
+            "layer", "spectra", "spectra_file_sha256", "cov_file_sha256",
+            "w_k_g_file_sha256", "w_v_g_file_sha256"}
         assert not (tmp_path / "p.json.partial").exists()
 
     def test_old_eigen_key_loads_without_records(self, tmp_path):
@@ -252,47 +319,65 @@ class TestRankProfileFile:
                        "eigenvectors": "q.ctf"}],
         }
         (tmp_path / "p.json").write_text(json.dumps(doc))
-        _, _, records = manifest.load_profile(tmp_path / "p.json")
-        assert records == {}
+        _, _, stored = manifest.load_profile(tmp_path / "p.json")
+        assert stored is None
 
-    @pytest.mark.parametrize("field, value, match", [
-        ("cov_sha256", "ab" * 31, "hex"),
-        ("cov_sha256", "AB" * 32, "hex"),
-        ("cov_sha256", 7, "hex"),
-        ("w_v_sha256", None, "hex"),
-        ("v_t_k_sha256", "ab" * 31, "hex"),
-        ("layer", 1, "repeats"),
-        ("layer", 5, "repeats"),
-        ("layer", True, "integer"),
-        ("sigma_k", "../vals.ctf", "inside"),
-        ("v_t_k", "/vecs.ctf", "inside"),
-        ("sigma_v", None, "path string"),
-        ("alpha", 1.0, "alpha"),
-        ("lambda", 0, "lambda"),
-        ("lambda", float("inf"), "lambda"),
-        ("weighting", "fisher", "weighting"),
-    ])
-    def test_rejects_malformed_eigen_record(self, tmp_path, field, value, match):
-        records = []
-        for layer in (0, 1):
-            record = {"layer": layer, "cov_sha256": "0" * 64, "w_k_sha256": "1" * 64,
-                      "w_v_sha256": "2" * 64, "alpha": 0.01, "lambda": "auto",
-                      "weighting": "damped"}
-            for name in manifest.STORED_TENSORS:
-                record[name] = f"{name}.ctf"
-                record[f"{name}_sha256"] = "3" * 64
-            records.append(record)
-        records[0][field] = value
+    @staticmethod
+    def spectra_doc(tmp_path, mutate) -> Path:
+        """A two-layer profile with valid spectrum records, then `mutate`d."""
+        records = [{"layer": layer, "spectra": f"s{layer}.ctf",
+                    **{f"{name}_file_sha256": "3" * 64
+                       for name in ("spectra", *manifest.SPECTRUM_INPUTS)}}
+                   for layer in (0, 1)]
         doc = {
             "format": manifest.PROFILE_FORMAT, "version": 1, "mode": "adjusted",
             "min_rank": 1, "budget_k": 2, "budget_v": 2,
             "entries": [{"layer": layer, "kind": kind, "rank": 1}
                         for layer in (0, 1) for kind in ("K", "V")],
-            "spectra": records,
+            "spectra": {"alpha": 0.01, "lambda": "auto", "weighting": "damped",
+                        "layers": records},
         }
+        mutate(doc)
         (tmp_path / "p.json").write_text(json.dumps(doc))
+        return tmp_path / "p.json"
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("cov_file_sha256", "ab" * 31, "hex"),
+        ("cov_file_sha256", "AB" * 32, "hex"),
+        ("cov_file_sha256", 7, "hex"),
+        ("w_v_g_file_sha256", None, "hex"),
+        ("spectra_file_sha256", "ab" * 31, "hex"),
+        ("layer", 1, "repeats"),
+        ("layer", 5, "repeats"),
+        ("layer", True, "integer"),
+        ("spectra", "../vals.ctf", "inside"),
+        ("spectra", "/vecs.ctf", "inside"),
+        ("spectra", None, "path string"),
+    ])
+    def test_rejects_malformed_spectrum_record(self, tmp_path, field, value, match):
+        path = self.spectra_doc(tmp_path, lambda doc: doc["spectra"]["layers"][0].update(
+            {field: value}))
         with pytest.raises(ValidationError, match=match):
-            manifest.load_profile(tmp_path / "p.json")
+            manifest.load_profile(path)
+
+    @pytest.mark.parametrize("key", ["spectra", "spectra_file_sha256", "cov_file_sha256",
+                                     "w_k_g_file_sha256", "w_v_g_file_sha256"])
+    def test_record_requires_every_key(self, tmp_path, key):
+        path = self.spectra_doc(tmp_path, lambda doc: doc["spectra"]["layers"][1].pop(key))
+        with pytest.raises(ValidationError, match=f"p.json: spectrum record.*{key}"):
+            manifest.load_profile(path)
+
+    def test_records_of_an_earlier_version_ask_for_schedule(self, tmp_path):
+        # Profiles once listed flat records: four files per layer, with the
+        # shrinkage and array digests in every record.
+        def flat(doc):
+            doc["spectra"] = [{"layer": layer, "cov_sha256": "0" * 64, "w_k_sha256": "1" * 64,
+                               "w_v_sha256": "2" * 64, "alpha": 0.01, "lambda": "auto",
+                               "weighting": "damped", "sigma_k": "s.ctf",
+                               "sigma_k_sha256": "3" * 64} for layer in (0, 1)]
+
+        with pytest.raises(ValidationError, match="earlier version.*; re-run schedule"):
+            manifest.load_profile(self.spectra_doc(tmp_path, flat))
 
     def test_rejects_rank_below_min_on_load(self, tmp_path):
         doc = {
@@ -366,22 +451,19 @@ class TestShrinkageKeys:
             manifest.load_manifest(tmp_path / "model.json")
 
     @pytest.mark.parametrize("key", ["alpha", "lambda", "weighting"])
-    def test_spectrum_record_requires_every_key(self, tmp_path, key):
-        profile = RankProfile(ranks={(0, "K"): 1, (0, "V"): 1}, budget_k=1, budget_v=1,
-                              min_rank=1)
-        record = manifest.SpectrumRecord(
-            layer=0, cov_sha256="0" * 64, w_sha256={"K": "1" * 64, "V": "2" * 64},
-            shrinkage=ShrinkageParams(),
-            files={name: manifest.StoredTensor(f"{name}.ctf", "3" * 64)
-                   for name in manifest.STORED_TENSORS},
-        )
-        manifest.save_profile(profile, tmp_path / "p.json", spectra=(record,))
-        assert manifest.load_profile(tmp_path / "p.json")[2] == {0: record}
-        doc = json.loads((tmp_path / "p.json").read_text())
-        del doc["spectra"][0][key]
-        (tmp_path / "p.json").write_text(json.dumps(doc))
+    def test_stored_spectra_require_every_key(self, tmp_path, key):
+        path = TestRankProfileFile.spectra_doc(tmp_path, lambda doc: doc["spectra"].pop(key))
+        with pytest.raises(ValidationError, match=f"p.json: spectra: .*{key}"):
+            manifest.load_profile(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", 1.0), ("lambda", 0), ("lambda", float("inf")), ("weighting", "fisher"),
+    ])
+    def test_stored_spectra_shrinkage_is_checked(self, tmp_path, key, value):
+        path = TestRankProfileFile.spectra_doc(
+            tmp_path, lambda doc: doc["spectra"].update({key: value}))
         with pytest.raises(ValidationError, match=key):
-            manifest.load_profile(tmp_path / "p.json")
+            manifest.load_profile(path)
 
 
 @pytest.mark.parametrize("before, after, key", [

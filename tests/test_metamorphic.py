@@ -81,13 +81,13 @@ class Run:
             "--profile", root / "p.json", "--out", root / "c")
         run("eval", "--source", model, "--converted", root / "c/converted.json",
             "--out", root / "e")
-        profile, _, records = manifest.load_profile(root / "p.json")
+        profile, _, stored = manifest.load_profile(root / "p.json")
         self.ranks = profile.ranks
         source = manifest.load_manifest(model)
         converted = manifest.load_manifest(root / "c/converted.json")
         self.sources = [manifest.load_gqa_layer(source, model.parent, layer)
                         for layer in range(LAYERS)]
-        self.spectra = [manifest.load_spectra(records[layer], root, kv)
+        self.spectra = [manifest.load_spectra(stored.records[layer], root, kv)
                         for layer, kv in enumerate(self.sources)]
         self.factors = [manifest.load_mla_bundle(converted, root / "c", layer)
                         for layer in range(LAYERS)]
