@@ -14,9 +14,10 @@ B = (1 - alpha) C + alpha lam I, where "auto" lam is tr(C) / D. Weighting
 "C" with S = B itself.
 
 The pipeline never forms S. A Ridge holds the two scalars; its gram
-is the n x n matrix (S W)^T (S W) of a D x n weight W, formed from C W,
-whose eigendecomposition gives the whitened singular values and right
-singular vectors (factorizer.layer_spectra). A Ridge refuses a numerically
+is the n x n matrix (S W)^T (S W) of a D x n weight W, formed from three
+parameter-free n x n Grams, W^T C W, (C W)^T (C W) and W^T W, whose
+eigendecomposition gives the whitened singular values and right singular
+vectors (factorizer.layer_spectra). A Ridge refuses a numerically
 singular S from two bounds alone, without any decomposition.
 
 whitening_operator forms the same S densely, from one D x D
@@ -151,32 +152,34 @@ class Ridge:
     the resolved scale `lam` and `trace` = tr(C).
 
     The whitener is S = B^(1/2) under "damped" and S = B under "C"; gram
-    gives (S W)^T (S W) for a weight W, from C W alone.
+    gives (S W)^T (S W) for a weight W from W's parameter-free Grams.
     """
 
     params: ShrinkageParams
     lam: float
     trace: float
 
-    def gram(self, w: np.ndarray, c_w: np.ndarray) -> np.ndarray:
-        """(S w)^T (S w), n x n, for a D x n weight w with c_w = C @ w,
-        from B w = (1 - alpha) C w + alpha lam w:
+    def gram(self, g: np.ndarray, h: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """(S w)^T (S w), n x n, for a D x n weight w from g = w^T C w,
+        h = (C w)^T (C w) and m = w^T w, since B w = (1 - alpha) C w +
+        alpha lam w:
 
-            "damped":  w^T (B w)
-            "C":       (B w)^T (B w)
+            "damped":  w^T B w     = (1 - alpha) g + alpha lam m
+            "C":       (B w)^T B w = (1 - alpha)^2 h
+                                     + 2 (1 - alpha) alpha lam g + (alpha lam)^2 m
 
-        Under "C" the Gram is a square, PSD whatever C is, so w^T (B w) is
+        Under "C" the Gram is a square, PSD whatever C is, so w^T B w is
         checked first: one that is not PSD beyond rounding noise is refused
         (NumericalError), as factorizer.gram_svd refuses it under "damped".
         The ridge term sets the noise scale, so a w in C's null space is not
         refused.
         """
-        b_w = (1.0 - self.params.alpha) * c_w + self.params.alpha * self.lam * w
-        w_b_w = w.T @ b_w
+        a, r = 1.0 - self.params.alpha, self.params.alpha * self.lam
+        w_b_w = a * g + r * m
         if self.params.weighting == WEIGHTING_DAMPED:
             return w_b_w
         linalg.clamp_psd(linalg.sym_eig(w_b_w).eigenvalues)
-        return b_w.T @ b_w
+        return a * a * h + 2.0 * a * r * g + r * r * m
 
     def check_invertible(self) -> None:
         """Refuse a numerically singular S, decided without a decomposition.

@@ -9,18 +9,25 @@ tensor paths are stored relative to their manifest. Exit codes: 0 success,
 worker threads, so its bytes depend on neither the draw order nor the
 threads.
 
-Every per-layer file is named by `manifest.layer_file`, and `schedule` and
-`convert` read each covariance through `manifest.load_covariance` in one
-whitening step: the covariance's damped ridge (calibration.Ridge), its
-singular-whitener check, and each kind's whitened SVD from an n x n Gram
-(factorizer.layer_spectra), n the layer's grouped width. No stage forms a
-D x D product other than the covariance or decomposes a D x D matrix.
-`schedule` checks its rank plan against the manifest before it reads the
-first covariance. `cov` is the only stage that reads calibration batches:
-`convert` places each layer's covariance in the converted bundle, and
-`eval` takes the activation residual from it. `eval` projects each layer's
-queries once: the source and latent forwards share them and differ only in
-K and V.
+Every per-layer file is named by `manifest.layer_file`. `schedule` reads
+each covariance through `manifest.load_covariance`, checks its damped
+ridge (calibration.Ridge) for a singular whitener, and stores the layer's
+parameter-free n x n Grams (factorizer.raw_grams), n the layer's grouped
+width; it checks its rank plan against the manifest before it reads the
+first covariance. `convert` has one path for every setting: it reads the
+covariance, the grouped weights and the Grams, each pinned to the
+profile's record, resolves its own ridge, and decomposes the whitened
+Gram it forms from the stored ones (factorizer.layer_spectra), as
+`schedule` does to water-fill, and never multiplies by the covariance.
+No stage forms a D x D product other than the covariance or decomposes a
+D x D matrix. `cov` is the only stage that reads
+calibration batches: `convert` places each layer's covariance in the
+converted bundle, and `eval` takes the activation residual from it. `eval`
+projects each layer's queries once: the source and latent forwards share
+them and differ only in K and V.
+
+Every command creates a missing parent of its `--out` when it first writes
+there (`_out_dir`).
 
 The conversion report's health figures describe, per layer and kind, the
 whitened Gram G = (S W_g)^T (S W_g) whose eigendecomposition gives the
@@ -58,37 +65,12 @@ def _fmt2(value: float) -> str:
     return str(Decimal(repr(float(value))).quantize(Decimal("0.01"), ROUND_HALF_UP))
 
 
-class _LayerWhitening(NamedTuple):
-    """One source layer's grouped weights; the sha256 of its covariance's and
-    grouped weights' files, by tensor name (manifest.SPECTRUM_INPUTS); its
-    damped ridge and (K, V) whitened SVDs; and why the spectra were computed
-    here, or None when they are the ones a profile stored."""
-
-    kv: factorizer.GroupedKv
-    sha256: dict[str, str]
-    ridge: calibration.Ridge
-    spectra: tuple[factorizer.WhitenedSvd, factorizer.WhitenedSvd]
-    reason: str | None
-
-
-def _layer_whitening(m: manifest.ModelManifest, base: Path, cov_dir, layer: int,
-                     params: calibration.ShrinkageParams,
-                     stored: manifest.StoredSpectra | None = None,
-                     profile_dir=None) -> _LayerWhitening:
-    """One layer's whitening step: its spectra come from factorizer.
-    layer_spectra unless `stored` holds them for these input files and
-    `params`. The covariance is always read; only the grouped K and V
-    weights are read, never w_q. The caller refuses a singular ridge."""
-    c, cov_sha256 = manifest.load_covariance(cov_dir, layer, m.layer(layer).d_model)
-    ridge = calibration.ridge(c, params)
-    kv, w_sha256 = manifest.load_grouped_kv(m, base, layer)
-    sha256 = {"cov": cov_sha256, **w_sha256}
-    reason = manifest.miss_reason(stored, layer, sha256, params)
-    if reason is None:
-        spectra = manifest.load_spectra(stored.records[layer], profile_dir, kv)
-    else:
-        spectra = factorizer.layer_spectra(kv, c, ridge)
-    return _LayerWhitening(kv, sha256, ridge, spectra, reason)
+def _out_dir(path) -> Path:
+    """The directory `path`, created with any missing parents: each
+    command's --out directory, or the one its --out file goes in."""
+    path = Path(path)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _place(src: Path, dst: Path) -> None:
@@ -200,9 +182,9 @@ def cmd_gen(args) -> None:
         tensors += [_GenTensor(layer, _GEN_SCALES_SLOT + 1 + b, (args.seq_len, d), rel)
                     for b, rel in enumerate(batches[layer])]
 
-    out = Path(args.out)
-    (out / "weights").mkdir(parents=True, exist_ok=True)
-    (out / "batches").mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
+    (out / "weights").mkdir(exist_ok=True)
+    (out / "batches").mkdir(exist_ok=True)
     # model.json is written last; a run that stops early leaves none, so no
     # earlier model's manifest names this run's tensors.
     (out / "model.json").unlink(missing_ok=True)
@@ -298,8 +280,7 @@ def _layer_covariance(m: manifest.ModelManifest, base, layer: int,
 def cmd_cov(args) -> None:
     m = manifest.load_manifest(args.manifest)
     base = Path(args.manifest).parent
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     # Every old covariance, a larger model's too, goes before the first batch
     # is read, and each new one appears whole, so a failed rerun never leaves
     # a mix of two runs. Batches that share the directory stay.
@@ -364,11 +345,13 @@ def cmd_schedule(args) -> None:
     budgets, min_rank, uniform = _rank_plan(args, m)
 
     out = Path(args.out)
-    spectra_dir = manifest.spectra_dir(out)
-    spectra = {kind: {} for kind in scheduler.KINDS}
-    with _staged_dir(spectra_dir) as staged:
+    _out_dir(out.parent)
+    grams_dir = manifest.grams_dir(out)
+    # --mode uniform needs no spectra.
+    spectra = None if uniform else {kind: {} for kind in scheduler.KINDS}
+    with _staged_dir(grams_dir) as staged:
         records = {
-            layer: _store_layer(m, base, args.cov_dir, layer, spectra, staged, out)
+            layer: _store_layer(m, base, args.cov_dir, layer, staged, out, spectra)
             for layer in range(len(m.layers))
         }
         ranks = {
@@ -376,14 +359,13 @@ def cmd_schedule(args) -> None:
             for kind in scheduler.KINDS
         }
         profile = scheduler.build_profile(ranks, budgets, min_rank)
-    # The old profile goes before its spectra, and the new profile is
+    # The old profile goes before its Grams, and the new profile is
     # written last, so no profile ever names files of another run.
     out.unlink(missing_ok=True)
-    if spectra_dir.exists():
-        shutil.rmtree(spectra_dir)
-    staged.rename(spectra_dir)
-    manifest.save_profile(profile, out, mode=args.mode,
-                          spectra=manifest.StoredSpectra(m.shrinkage, records))
+    if grams_dir.exists():
+        shutil.rmtree(grams_dir)
+    staged.rename(grams_dir)
+    manifest.save_profile(profile, out, mode=args.mode, grams=records)
     print(f"mode={args.mode} budgets K={profile.budget_k} V={profile.budget_v} "
           f"min_rank={profile.min_rank}")
     for layer in range(len(m.layers)):
@@ -392,21 +374,27 @@ def cmd_schedule(args) -> None:
     print(f"profile: {args.out}")
 
 
-def _store_layer(m: manifest.ModelManifest, base: Path, cov_dir, layer: int,
-                 spectra: dict[str, dict[int, np.ndarray]], staged: Path,
-                 profile_path: Path) -> manifest.SpectrumRecord:
-    """One layer's whitened K/V singular values, added to `spectra[kind]`,
-    and its whitened SVDs stored in one file in `staged` for `convert` to
-    truncate. A singular whitener is refused here, as convert would refuse
-    it, so no profile is planned on spectra that no conversion can use. The
-    layer's covariance is freed on return, before the next layer's is read."""
-    step = _layer_whitening(m, base, cov_dir, layer, m.shrinkage)
-    step.ridge.check_invertible()
-    # The head-width spectrum is this grouped one times sqrt(n_heads /
-    # n_groups), plus zeros; water-filling is invariant to that scale.
-    for kind, svd in zip(scheduler.KINDS, step.spectra):
-        spectra[kind][layer] = svd.singular_values
-    return manifest.store_spectra(staged, profile_path, layer, step.sha256, step.spectra)
+def _store_layer(m: manifest.ModelManifest, base: Path, cov_dir, layer: int, staged: Path,
+                 profile_path: Path,
+                 spectra: dict[str, dict[int, np.ndarray]] | None) -> manifest.GramRecord:
+    """One layer's raw Grams, stored in one file in `staged` for `convert`,
+    and, given `spectra`, its whitened K/V singular values under the
+    manifest's setting, added to `spectra[kind]` from the Grams as convert
+    decomposes them. A singular whitener is refused first, as convert would
+    refuse it. The layer's covariance is freed on return, before the next
+    layer's is read."""
+    c, cov_sha256 = manifest.load_covariance(cov_dir, layer, m.layer(layer).d_model)
+    ridge = calibration.ridge(c, m.shrinkage)
+    ridge.check_invertible()
+    kv, w_sha256 = manifest.load_grouped_kv(m, base, layer)
+    grams = factorizer.raw_grams(kv, c)
+    if spectra is not None:
+        # The head-width spectrum is this grouped one times sqrt(n_heads /
+        # n_groups), plus zeros; water-filling is invariant to that scale.
+        for kind, svd in zip(scheduler.KINDS, factorizer.layer_spectra(kv, grams, ridge)):
+            spectra[kind][layer] = svd.singular_values
+    return manifest.store_grams(staged, profile_path, layer, {"cov": cov_sha256, **w_sha256},
+                                grams)
 
 
 # ---------------------------------------------------------------- convert
@@ -416,7 +404,9 @@ def cmd_convert(args) -> None:
     if m.model_kind != manifest.MODEL_KIND_GQA:
         raise ValidationError("manifest does not describe a grouped-attention model")
     base = Path(args.manifest).parent
-    profile, _, stored = manifest.load_profile(args.profile)
+    profile, _, records = manifest.load_profile(args.profile)
+    if records is None:
+        raise ValidationError(f"{args.profile} records no Grams; re-run schedule")
     expected = {(layer, kind) for layer in range(len(m.layers)) for kind in scheduler.KINDS}
     if set(profile.ranks) != expected:
         raise ValidationError(
@@ -438,7 +428,7 @@ def cmd_convert(args) -> None:
 
     out = Path(args.out)
     for sub in ("cov", "factors"):
-        (out / sub).mkdir(parents=True, exist_ok=True)
+        _out_dir(out / sub)
     # The two documents are written last; a run that stops early leaves
     # neither, so its factors never look like a finished conversion.
     for name in ("converted.json", "conversion_report.json"):
@@ -451,17 +441,21 @@ def cmd_convert(args) -> None:
     report_layers = []
     for layer in range(len(m.layers)):
         entry = m.layer(layer)
-        step = _layer_whitening(m, base, args.cov_dir, layer, params, stored, profile_dir)
-        print(f"layer {layer}: spectra "
-              + ("reused" if step.reason is None else f"recomputed ({step.reason})"))
-        step.ridge.check_invertible()
+        record = records[layer]
+        pins = record.pins()
+        c, _ = manifest.load_covariance(args.cov_dir, layer, entry.d_model, pins["cov"])
+        ridge = calibration.ridge(c, params)
+        del c
+        ridge.check_invertible()
+        kv, _ = manifest.load_grouped_kv(m, base, layer, pins)
+        grams = manifest.load_grams(record, profile_dir, entry.grouped_width)
+        spectra = factorizer.layer_spectra(kv, grams, ridge)
         r_k = profile.rank(layer, scheduler.KIND_K)
         r_v = profile.rank(layer, scheduler.KIND_V)
-        factors, report_k, report_v = factorizer.convert_layer(step.kv, step.spectra, r_k, r_v)
+        factors, report_k, report_v = factorizer.convert_layer(kv, spectra, r_k, r_v)
 
         # The bundle carries this layer's covariance, as a hard link where it
         # can, and the file digests eval checks it and the source weights by.
-        _, w_q_sha256 = manifest.load_query(m, base, layer)
         cov_rel = f"cov/{manifest.layer_file(layer, 'cov')}"
         _place(Path(args.cov_dir) / manifest.layer_file(layer, "cov"), out / cov_rel)
         paths = {name: f"factors/{manifest.layer_file(layer, name)}"
@@ -470,15 +464,14 @@ def cmd_convert(args) -> None:
             ctf.write_ctf(out / rel, getattr(factors, name))
         entries.append(dataclasses.replace(
             entry, w_q=None, w_k_g=None, w_v_g=None, r_k=r_k, r_v=r_v, **paths,
-            cov=cov_rel, w_q_file_sha256=w_q_sha256,
-            **{manifest.file_key(name): digest for name, digest in step.sha256.items()},
+            cov=cov_rel, **{manifest.file_key(name): digest
+                            for name, digest in record.inputs.items()},
         ))
         report_layers.append({
             "layer": layer,
-            "spectra": step.reason or "reused",
-            "lambda_resolved": step.ridge.lam,
+            "lambda_resolved": ridge.lam,
             "gram": {kind.lower(): _gram_health(svd.singular_values)
-                     for kind, svd in zip(scheduler.KINDS, step.spectra)},
+                     for kind, svd in zip(scheduler.KINDS, spectra)},
             "k": dataclasses.asdict(report_k),
             "v": dataclasses.asdict(report_v),
         })
@@ -486,7 +479,7 @@ def cmd_convert(args) -> None:
               f"whitened_residual_sq K={report_k.whitened_residual_sq:.3e} "
               f"V={report_v.whitened_residual_sq:.3e}")
         # None of this layer's arrays stay alive while the next one is read.
-        del step, factors
+        del kv, grams, spectra, factors
 
     manifest.write_json_last(out / "conversion_report.json", {
         "format": "kvlatent-conversion-report", "version": 1,
@@ -502,8 +495,7 @@ def _gram_health(sigma: np.ndarray) -> dict:
     """Health of a whitened Gram G = (S W_g)^T (S W_g), read off the
     singular values sigma of S W_g: G's largest and smallest eigenvalues
     after the PSD clamp, their ratio (null when the smallest is zero), and
-    how many eigenvalues the clamp left at zero. The stored sigma give the
-    same figures, so a reused spectrum reports what a recomputed one does."""
+    how many eigenvalues the clamp left at zero."""
     eig_max, eig_min = float(sigma[0]) ** 2, float(sigma[-1]) ** 2
     return {
         "clamped": int(np.count_nonzero(sigma == 0.0)),
@@ -633,8 +625,7 @@ def cmd_eval(args) -> None:
             )
     src_base = Path(args.source).parent
     conv_base = Path(args.converted).parent
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     # The report is written last and an old one goes first, so a run that
     # stops early leaves no report of another run.
     report_path = out / "eval_report.json"
@@ -644,7 +635,7 @@ def cmd_eval(args) -> None:
     layer_reports = []
     for layer in range(len(source.layers)):
         entry = converted.layer(layer)
-        kv, _ = manifest.load_grouped_kv(source, src_base, layer, converted=entry)
+        kv, _ = manifest.load_grouped_kv(source, src_base, layer, manifest.bundle_pins(entry))
         factors = manifest.load_mla_bundle(converted, conv_base, layer)
         # The residuals come first, from only the weights they read, so the
         # covariance and its products are freed before either query
@@ -658,8 +649,9 @@ def cmd_eval(args) -> None:
                                   ("v", (kv.w_v_g, factors.w_a_v, factors.w_b_v)))
         }
         del c
-        w_q, _ = manifest.load_query(source, src_base, layer, converted=entry)
-        gqa = factorizer.GqaLayer.from_grouped(kv, w_q)
+        # The source's current w_q, which no document pins, is the query
+        # of both forwards.
+        gqa = factorizer.GqaLayer.from_grouped(kv, manifest.load_query(source, src_base, layer))
         report = _eval_layer(layer, gqa, factors, rng, t, params, args.rope_dim)
         report.update(residuals)
         layer_reports.append(report)
@@ -747,6 +739,7 @@ def cmd_kv_report(args) -> None:
             doc["baseline_bytes"] = base_fp.total_bytes
         if reduction is not None:
             doc["reduction_pct"] = _fmt2(reduction)
+        _out_dir(Path(args.out).parent)
         manifest.write_json_last(args.out, doc)
 
 
@@ -778,6 +771,7 @@ def cmd_ablate(args) -> None:
     print(f"logit drift: max={drift.max_abs:.6e} frob={drift.frob:.6e}")
     print(f"output drift: max={output_drift:.6e}")
     if args.out:
+        _out_dir(Path(args.out).parent)
         manifest.write_json_last(
             args.out,
             {

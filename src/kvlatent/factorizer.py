@@ -13,15 +13,16 @@ and the whitened residual is the discarded energy sum_{i>r} sigma_i^2.
 It runs in two steps: a whitened SVD gives (Sigma, V^T), and truncate
 keeps the top r.
 
-layer_spectra is the pipeline's whitened SVD, for a layer's K and V at
-once. It forms C [W_k | W_v] in one D x D x 2n product, then each kind's
-n x n Gram G = (S W_g)^T (S W_g) (calibration.Ridge.gram), and
-eigendecomposes G = V diag(sigma^2) V^T (gram_svd). Neither S, U nor any
-other D x D matrix besides C is formed, and nothing of size D is
-decomposed. schedule water-fills on its result and stores it, and
-convert_layer truncates it, stored or recomputed. The Gram resolves each
-sigma^2 to about n eps sigma_1^2, which bounds the error of every tail
-sum_{i>r} sigma_i^2 at the same scale.
+The pipeline's whitened SVD takes two steps. raw_grams, which schedule
+runs, forms C [W_k | W_v] in the one D x D x 2n product and, per kind,
+the parameter-free n x n Grams W_g^T C W_g and (C W_g)^T (C W_g), which
+schedule stores. layer_spectra, which schedule and convert both run,
+forms each kind's whitened Gram (S W_g)^T (S W_g) from them and
+W_g^T W_g (calibration.Ridge.gram) and eigendecomposes it as
+V diag(sigma^2) V^T (gram_svd). Neither S, U nor any other D x D matrix besides C is formed,
+nothing of size D is decomposed, and convert never multiplies by C. The
+Gram resolves each sigma^2 to about n eps sigma_1^2, which bounds
+the error of every tail sum_{i>r} sigma_i^2 at the same scale.
 
 whitened_svd and care_factorize are the dense reference path, which no
 stage runs. They take S itself (calibration.whitening_operator) or any L
@@ -438,28 +439,39 @@ def gram_svd(gram) -> WhitenedSvd:
     return WhitenedSvd(np.sqrt(vals), np.ascontiguousarray(eig.eigenvectors.T))
 
 
-def layer_spectra(layer: GroupedKv, c, ridge: Ridge) -> tuple[WhitenedSvd, WhitenedSvd]:
-    """The whitened SVDs of the grouped K and V projections against the
-    damped covariance of `c`, `ridge`: what schedule water-fills and
-    stores, and what convert_layer truncates. C [W_k | W_v] is the one
-    D x D product; each kind's Gram is n x n, and so is each
-    eigendecomposition."""
+def raw_grams(layer: GroupedKv, c) -> np.ndarray:
+    """The parameter-free Grams of the grouped K and V projections against
+    covariance `c`, as one (2, 2, n, n) array: slab 0 is K and slab 1 is V,
+    each W_g^T C W_g then (C W_g)^T (C W_g). What schedule stores; C
+    [W_k | W_v] is the one D x D product."""
     c = linalg.as_matrix(c, "covariance")
     if c.shape != (layer.d_model, layer.d_model):
         raise ValidationError(f"covariance {c.shape} does not match d_model {layer.d_model}")
     n = layer.grouped_width
     c_w = c @ np.hstack((layer.w_k_g, layer.w_v_g))
-    return (gram_svd(ridge.gram(layer.w_k_g, c_w[:, :n])),
-            gram_svd(ridge.gram(layer.w_v_g, c_w[:, n:])))
+    return np.stack([np.stack((w.T @ cw, cw.T @ cw))
+                     for w, cw in ((layer.w_k_g, c_w[:, :n]), (layer.w_v_g, c_w[:, n:]))])
+
+
+def layer_spectra(layer: GroupedKv, grams, ridge: Ridge) -> tuple[WhitenedSvd, WhitenedSvd]:
+    """The whitened SVDs of the grouped K and V projections against the
+    damped covariance `ridge`, from their raw_grams: what schedule
+    water-fills and convert_layer truncates. Each kind's whitened Gram and
+    its eigendecomposition are n x n."""
+    n = layer.grouped_width
+    grams = np.asarray(grams, dtype=np.float64)
+    if grams.shape != (2, 2, n, n):
+        raise ValidationError(f"Grams of shape {grams.shape}, expected {(2, 2, n, n)}")
+    return tuple(gram_svd(ridge.gram(g, h, w.T @ w))
+                 for w, (g, h) in zip((layer.w_k_g, layer.w_v_g), grams))
 
 
 def convert_layer(
     layer: GroupedKv, spectra: tuple[WhitenedSvd, WhitenedSvd], r_k: int, r_v: int
 ) -> tuple[MlaFactors, FactorizationReport, FactorizationReport]:
     """Factorize the grouped K and V projections independently by truncating
-    `spectra`, their whitened SVDs against one whitener, such as the
-    layer_spectra schedule stored. The caller refuses a singular whitener
-    first."""
+    `spectra`, their whitened SVDs against one whitener (layer_spectra).
+    The caller refuses a singular whitener first."""
     (pair_k, report_k) = grouped_factorize(layer.w_k_g, spectra[0], r_k, layer)
     (pair_v, report_v) = grouped_factorize(layer.w_v_g, spectra[1], r_v, layer)
     factors = MlaFactors(pair_k.w_a, pair_k.w_b, pair_v.w_a, pair_v.w_b)

@@ -1,10 +1,11 @@
 """JSON manifests gluing the pipeline stages together.
 
 Two document kinds exist: model manifests (source layers, or converted
-latent factors with the covariance and the file digests of the source layer
-each was converted from, plus calibration batch listings and whitening
-settings) and rank-profile files, which may also record where the
-whitened spectra that `schedule` computed for each layer are stored. All
+latent factors with the covariance and the file digests of the covariance
+and grouped weights each was converted from, plus calibration batch
+listings and whitening settings) and rank-profile files, which may also
+record where the parameter-free Grams that `schedule` computed for each
+layer are stored, and the file digests they were computed from. All
 documents are written with sorted keys and no timestamps so reruns are
 byte-identical; every tensor path is stored relative to the manifest's
 directory, and must resolve inside it.
@@ -30,7 +31,7 @@ import numpy as np
 from . import ctf
 from .calibration import CalibrationBatch, ShrinkageParams
 from .errors import ValidationError
-from .factorizer import Geometry, GqaLayer, GroupedKv, MlaFactors, WhitenedSvd
+from .factorizer import Geometry, GqaLayer, GroupedKv, MlaFactors
 from .rng import check_seed
 from .scheduler import KINDS, RankProfile
 
@@ -41,10 +42,9 @@ PROFILE_FORMAT = "kvlatent-rank-profile"
 PROFILE_MODES = ("adjusted", "uniform")
 DOC_VERSION = 1
 _TENSORS = ("w_q", "w_k_g", "w_v_g", "w_a_k", "w_b_k", "w_a_v", "w_b_v", "cov")
-# The files a stored spectrum is computed from, by tensor name; a converted
-# layer also records its source's w_q.
+# The files a layer's stored Grams, and so its factors, are computed from,
+# by tensor name.
 SPECTRUM_INPUTS = ("cov", "w_k_g", "w_v_g")
-_SOURCE_FILES = (*SPECTRUM_INPUTS, "w_q")
 _SHA256 = re.compile(r"[0-9a-f]{64}")
 # ShrinkageParams field -> the JSON key documents store it under.
 _SHRINKAGE_KEYS = {"alpha": "alpha", "lam": "lambda", "weighting": "weighting"}
@@ -61,9 +61,9 @@ def file_key(name: str) -> str:
 class LayerEntry(Geometry):
     """Per-layer geometry and tensor paths; optional fields depend on model
     kind. A converted layer also names the covariance it was whitened with
-    (`cov`) and records the file sha256 of it and of each source tensor it
-    was converted from (_SOURCE_FILES); it carries no `w_q`, and one named
-    by an earlier bundle is path-checked, never read."""
+    (`cov`) and records the file sha256 of each file it was converted from
+    (SPECTRUM_INPUTS); it carries no `w_q`, and one named by an earlier
+    bundle is path-checked, never read."""
 
     layer: int
     w_q: str | None = None
@@ -77,7 +77,6 @@ class LayerEntry(Geometry):
     w_b_v: str | None = None
     cov: str | None = None
     cov_file_sha256: str | None = None
-    w_q_file_sha256: str | None = None
     w_k_g_file_sha256: str | None = None
     w_v_g_file_sha256: str | None = None
 
@@ -99,7 +98,7 @@ class ModelManifest:
 
 def _entry_to_json(entry: LayerEntry) -> dict:
     optional = {name: getattr(entry, name)
-                for name in (*_TENSORS, "r_k", "r_v", *map(file_key, _SOURCE_FILES))}
+                for name in (*_TENSORS, "r_k", "r_v", *map(file_key, SPECTRUM_INPUTS))}
     return {"layer": entry.layer, **asdict(entry.geometry),
             **{name: value for name, value in optional.items() if value is not None}}
 
@@ -132,7 +131,7 @@ def load_manifest(path) -> ModelManifest:
     kind = doc.get("model_kind")
     if kind not in (MODEL_KIND_GQA, MODEL_KIND_MLA):
         raise ValidationError(f"{path}: unknown model_kind {kind!r}")
-    shrinkage = _shrinkage(doc, path, optional=("alpha", "lambda"))
+    shrinkage = _shrinkage(doc, path)
     layers = []
     raw_layers = doc.get("layers")
     if not isinstance(raw_layers, list):
@@ -153,7 +152,7 @@ def load_manifest(path) -> ModelManifest:
         ):
             raise ValidationError(f"{path}: layer {i} is missing latent factors")
         if kind == MODEL_KIND_MLA and None in (
-            entry.cov, *(getattr(entry, file_key(name)) for name in _SOURCE_FILES)
+            entry.cov, *(getattr(entry, file_key(name)) for name in SPECTRUM_INPUTS)
         ):
             raise ValidationError(
                 f"{path}: layer {i} records no covariance or source file digests; "
@@ -192,11 +191,11 @@ def shrinkage_doc(params: ShrinkageParams) -> dict:
     return {key: getattr(params, name) for name, key in _SHRINKAGE_KEYS.items()}
 
 
-def _shrinkage(raw: dict, where, optional=()) -> ShrinkageParams:
-    """The ShrinkageParams of a document's shrinkage_doc keys; only a key in
-    `optional` may be absent, and then takes the ShrinkageParams default."""
+def _shrinkage(raw: dict, where) -> ShrinkageParams:
+    """The ShrinkageParams of a document's shrinkage_doc keys; alpha and
+    lambda may be absent, and then take the ShrinkageParams defaults."""
     given = {name: raw.get(key) for name, key in _SHRINKAGE_KEYS.items()
-             if key in raw or key not in optional}
+             if key in raw or key == "weighting"}
     try:
         return ShrinkageParams(**given)
     except ValidationError as exc:
@@ -214,7 +213,7 @@ def _entry_from_json(raw, where: str) -> LayerEntry:
     for name in ("r_k", "r_v"):
         if raw.get(name) is not None:
             ints[name] = _int(raw[name], f"{where}: {name}", minimum=1)
-    digests = {key: _sha256(raw, key, where) for key in map(file_key, _SOURCE_FILES)
+    digests = {key: _sha256(raw, key, where) for key in map(file_key, SPECTRUM_INPUTS)
                if raw.get(key) is not None}
     try:
         return LayerEntry(**ints, **tensors, **digests)
@@ -295,10 +294,17 @@ def _load_tensor(base_dir, rel_path, expected_shape, what, pin: _Pin | None = No
     return arr, sha256
 
 
-def load_covariance(cov_dir, layer: int, d_model: int) -> tuple[np.ndarray, str]:
-    """The covariance `cov` wrote for `layer` into `cov_dir`, and its file's sha256."""
+def load_covariance(cov_dir, layer: int, d_model: int,
+                    pin: _Pin | None = None) -> tuple[np.ndarray, str]:
+    """The covariance `cov` wrote for `layer` into `cov_dir`, and its file's
+    sha256, which must be the `pin`'s, if given."""
     return _load_tensor(cov_dir, layer_file(layer, "cov"), (d_model, d_model),
-                        f"layer {layer} covariance", digest=True)
+                        f"layer {layer} covariance", pin, digest=True)
+
+
+def bundle_pins(entry: LayerEntry) -> dict[str, _Pin]:
+    """The file sha256 a converted layer records for each of SPECTRUM_INPUTS."""
+    return {name: _Pin(getattr(entry, file_key(name))) for name in SPECTRUM_INPUTS}
 
 
 def _entry_of(m: ModelManifest, index: int, kind: str) -> LayerEntry:
@@ -310,34 +316,30 @@ def _entry_of(m: ModelManifest, index: int, kind: str) -> LayerEntry:
 
 
 def load_grouped_kv(m: ModelManifest, base_dir, index: int,
-                    converted: LayerEntry | None = None) -> tuple[GroupedKv, dict[str, str]]:
+                    pins: dict[str, _Pin] | None = None) -> tuple[GroupedKv, dict[str, str]]:
     """One source layer's grouped K and V projections, without its w_q, and
-    the sha256 of each one's file by tensor name. Given the `converted`
-    layer made from it, each file must be the one that layer records."""
+    the sha256 of each one's file by tensor name, which must be the one
+    `pins` holds for that name, if given (bundle_pins, GramRecord.pins)."""
     entry = _entry_of(m, index, MODEL_KIND_GQA)
     grouped = (entry.d_model, entry.grouped_width)
     arrays, sha256 = {}, {}
     for name in ("w_k_g", "w_v_g"):
-        pin = _Pin(getattr(converted, file_key(name))) if converted else None
         arrays[name], sha256[name] = _load_tensor(
-            base_dir, getattr(entry, name), grouped, f"layer {index} {name}", pin, digest=True)
+            base_dir, getattr(entry, name), grouped, f"layer {index} {name}",
+            pins[name] if pins else None, digest=True)
     return GroupedKv(**asdict(entry.geometry), **arrays), sha256
 
 
-def load_query(m: ModelManifest, base_dir, index: int,
-               converted: LayerEntry | None = None) -> tuple[np.ndarray, str]:
-    """One source layer's D x D query projection and the sha256 of its
-    file, which must be the one the `converted` layer records, if given."""
+def load_query(m: ModelManifest, base_dir, index: int) -> np.ndarray:
+    """One source layer's D x D query projection, which no document pins."""
     entry = _entry_of(m, index, MODEL_KIND_GQA)
     d = entry.d_model
-    pin = _Pin(converted.w_q_file_sha256) if converted else None
-    return _load_tensor(base_dir, entry.w_q, (d, d), f"layer {index} w_q", pin, digest=True)
+    return _load_tensor(base_dir, entry.w_q, (d, d), f"layer {index} w_q")[0]
 
 
 def load_gqa_layer(m: ModelManifest, base_dir, index: int) -> GqaLayer:
     kv, _ = load_grouped_kv(m, base_dir, index)
-    w_q, _ = load_query(m, base_dir, index)
-    return GqaLayer.from_grouped(kv, w_q)
+    return GqaLayer.from_grouped(kv, load_query(m, base_dir, index))
 
 
 def load_mla_bundle(m: ModelManifest, base_dir, index: int) -> MlaFactors:
@@ -357,7 +359,7 @@ def load_bundle_covariance(m: ModelManifest, base_dir, index: int) -> np.ndarray
     layer records."""
     entry = _entry_of(m, index, MODEL_KIND_MLA)
     c, _ = _load_tensor(base_dir, entry.cov, (entry.d_model, entry.d_model),
-                        f"layer {index} covariance", _Pin(entry.cov_file_sha256))
+                        f"layer {index} covariance", bundle_pins(entry)["cov"])
     return c
 
 
@@ -385,79 +387,55 @@ def load_batches(m: ModelManifest, base_dir, layer: int,
     return list(iter_batches(m, base_dir, layer, batches_dir))
 
 
-class SpectrumRecord(NamedTuple):
+class GramRecord(NamedTuple):
     """What `schedule` stored for one layer: `path`, relative to the
-    profile's directory, names one `.ctf` file of the layer's K and V
-    whitened SVDs, and `sha256` is the sha256 of its bytes. `inputs` maps
-    each name in SPECTRUM_INPUTS to the sha256 of the file the spectra were
-    computed from. The file holds a (2, n + 1, n) array, n the grouped
-    width: slab 0 is K and slab 1 is V, each with the singular values in
-    row 0 and V^T in rows 1 to n."""
+    profile's directory, names one `.ctf` file of the layer's K and V raw
+    Grams (factorizer.raw_grams), and `sha256` is the sha256 of its bytes.
+    `inputs` maps each name in SPECTRUM_INPUTS to the sha256 of the file
+    the Grams were computed from. The file holds a (2, 2, n, n) array, n
+    the grouped width: slab 0 is K and slab 1 is V, each with
+    W_g^T C W_g then (C W_g)^T (C W_g)."""
 
     layer: int
     path: str
     sha256: str
     inputs: dict[str, str]
 
-
-class StoredSpectra(NamedTuple):
-    """A profile's spectrum records by layer, and their one whitening setting."""
-
-    shrinkage: ShrinkageParams
-    records: dict[int, SpectrumRecord]
+    def pins(self) -> dict[str, _Pin]:
+        """The record's `inputs` as pins of the profile that holds it."""
+        return {name: _Pin(sha256, "profile", "schedule") for name, sha256 in self.inputs.items()}
 
 
-def spectra_dir(profile_path: Path) -> Path:
-    """The directory next to a profile that holds its layers' stored spectra."""
-    return profile_path.with_name(profile_path.stem + "_spectra")
+def grams_dir(profile_path: Path) -> Path:
+    """The directory next to a profile that holds its layers' stored Grams."""
+    return profile_path.with_name(profile_path.stem + "_grams")
 
 
-def store_spectra(directory: Path, profile_path: Path, layer: int, inputs: dict[str, str],
-                  spectra: tuple[WhitenedSvd, WhitenedSvd]) -> SpectrumRecord:
-    """Write one layer's whitened SVDs into `directory`, which becomes the
-    profile's spectra_dir, as one file, and record its path in the profile,
-    its sha256 and the `inputs` digests the spectra were computed from."""
-    file = layer_file(layer, "spectra")
-    stacked = np.stack([np.vstack((svd.singular_values, svd.v_t)) for svd in spectra])
-    sha256 = ctf.write_ctf(directory / file, stacked, digest=True)
-    return SpectrumRecord(layer=layer, path=f"{spectra_dir(profile_path).name}/{file}",
-                          sha256=sha256, inputs=inputs)
+def store_grams(directory: Path, profile_path: Path, layer: int, inputs: dict[str, str],
+                grams: np.ndarray) -> GramRecord:
+    """Write one layer's raw Grams into `directory`, which becomes the
+    profile's grams_dir, as one file, and record its path in the profile,
+    its sha256 and the `inputs` digests the Grams were computed from."""
+    file = layer_file(layer, "grams")
+    sha256 = ctf.write_ctf(directory / file, grams, digest=True)
+    return GramRecord(layer=layer, path=f"{grams_dir(profile_path).name}/{file}",
+                      sha256=sha256, inputs=inputs)
 
 
-def miss_reason(stored: StoredSpectra | None, layer: int, inputs: dict[str, str],
-                shrinkage: ShrinkageParams) -> str | None:
-    """Why the spectra `stored` holds for `layer` cannot stand in for those
-    computed from files of the digests `inputs` under `shrinkage`, or None."""
-    if stored is None:
-        return "no record"
-    if stored.shrinkage != shrinkage:
-        return "parameter override"
-    recorded = stored.records[layer].inputs
-    if recorded["cov"] != inputs["cov"]:
-        return "covariance changed"
-    if recorded != inputs:
-        return "weight changed"
-    return None
+def load_grams(record: GramRecord, base_dir, n: int) -> np.ndarray:
+    """The (2, 2, n, n) raw Grams a record names, from the file the profile
+    records."""
+    return _load_tensor(base_dir, record.path, (2, 2, n, n), f"layer {record.layer} Grams",
+                        _Pin(record.sha256, "profile", "schedule"))[0]
 
 
-def load_spectra(record: SpectrumRecord, base_dir,
-                 kv: GroupedKv) -> tuple[WhitenedSvd, WhitenedSvd]:
-    """The (K, V) whitened SVDs a record names, for layer `kv`, from the
-    file the profile records."""
-    n = kv.grouped_width
-    stored, _ = _load_tensor(base_dir, record.path, (2, n + 1, n),
-                             f"layer {record.layer} spectra",
-                             _Pin(record.sha256, "profile", "schedule"))
-    return tuple(WhitenedSvd(slab[0], slab[1:]) for slab in stored)
-
-
-def _record_to_json(record: SpectrumRecord) -> dict:
-    return {"layer": record.layer, "spectra": record.path, file_key("spectra"): record.sha256,
+def _record_to_json(record: GramRecord) -> dict:
+    return {"layer": record.layer, "grams": record.path, file_key("grams"): record.sha256,
             **{file_key(name): record.inputs[name] for name in SPECTRUM_INPUTS}}
 
 
 def save_profile(profile: RankProfile, path, mode: str = "adjusted",
-                 spectra: StoredSpectra | None = None) -> None:
+                 grams: dict[int, GramRecord] | None = None) -> None:
     entries = [{"layer": layer, "kind": kind, "rank": rank}
                for (layer, kind), rank in sorted(profile.ranks.items())]
     doc = {
@@ -469,22 +447,18 @@ def save_profile(profile: RankProfile, path, mode: str = "adjusted",
         "budget_v": profile.budget_v,
         "entries": entries,
     }
-    if spectra is not None:
-        doc["spectra"] = {
-            **shrinkage_doc(spectra.shrinkage),
-            "layers": [_record_to_json(spectra.records[layer])
-                       for layer in sorted(spectra.records)],
-        }
+    if grams is not None:
+        doc["grams"] = [_record_to_json(grams[layer]) for layer in sorted(grams)]
     write_json_last(path, doc)
 
 
-def load_profile(path) -> tuple[RankProfile, str, StoredSpectra | None]:
-    """Read a rank profile, its mode and its stored spectra.
+def load_profile(path) -> tuple[RankProfile, str, dict[int, GramRecord] | None]:
+    """Read a rank profile, its mode and its Gram records by layer.
 
-    A profile with a `spectra` key must record every layer of the profile
-    once; one without it, such as one with the `eigen` key of earlier
-    versions, has none (None). The `full_rank` key of entries of earlier
-    versions is ignored.
+    A profile with a `grams` key must record every layer of the profile
+    once; one without it, such as one with the `spectra` or `eigen` key of
+    earlier versions, has none (None). The `full_rank` key of entries of
+    earlier versions is ignored.
     """
     doc = _read_json(path)
     _expect(doc, "format", PROFILE_FORMAT, path)
@@ -513,10 +487,9 @@ def load_profile(path) -> tuple[RankProfile, str, StoredSpectra | None]:
     mode = doc.get("mode", "adjusted")
     if mode not in PROFILE_MODES:
         raise ValidationError(f"{path}: mode must be one of {PROFILE_MODES}, got {mode!r}")
-    if "spectra" not in doc:
+    if "grams" not in doc:
         return profile, mode, None
-    layers = {layer for layer, _ in ranks}
-    return profile, mode, _stored_spectra(doc["spectra"], layers, path)
+    return profile, mode, _gram_records(doc["grams"], {layer for layer, _ in ranks}, path)
 
 
 def _sha256(raw: dict, key: str, where: str) -> str:
@@ -526,36 +499,32 @@ def _sha256(raw: dict, key: str, where: str) -> str:
     return digest
 
 
-def _stored_spectra(raw, layers: set[int], path) -> StoredSpectra:
-    if not isinstance(raw, dict) or not isinstance(raw.get("layers"), list):
-        raise ValidationError(
-            f"{path}: spectra is not an object with a layers list (a profile of an earlier "
-            f"version); re-run schedule"
-        )
-    shrinkage = _shrinkage(raw, f"{path}: spectra")
-    where = f"{path}: spectrum record"
+def _gram_records(raw, layers: set[int], path) -> dict[int, GramRecord]:
+    if not isinstance(raw, list):
+        raise ValidationError(f"{path}: grams must be a list of records")
+    where = f"{path}: Gram record"
     records = {}
-    for record in raw["layers"]:
+    for record in raw:
         if not isinstance(record, dict):
-            raise ValidationError(f"{path}: malformed spectrum record {record!r}")
+            raise ValidationError(f"{path}: malformed Gram record {record!r}")
         layer = _int(record.get("layer"), f"{where} layer", minimum=0)
         if layer not in layers or layer in records:
             raise ValidationError(
                 f"{where} for layer {layer} is not one of the profile's layers, "
                 f"or repeats one"
             )
-        records[layer] = SpectrumRecord(
+        records[layer] = GramRecord(
             layer=layer,
-            path=_tensor_path(record.get("spectra"), f"{where} spectra"),
-            sha256=_sha256(record, file_key("spectra"), where),
+            path=_tensor_path(record.get("grams"), f"{where} grams"),
+            sha256=_sha256(record, file_key("grams"), where),
             inputs={name: _sha256(record, file_key(name), where) for name in SPECTRUM_INPUTS},
         )
     if set(records) != layers:
         raise ValidationError(
-            f"{path}: spectrum records cover layers {sorted(records)}, "
+            f"{path}: Gram records cover layers {sorted(records)}, "
             f"the profile has {sorted(layers)}"
         )
-    return StoredSpectra(shrinkage, records)
+    return records
 
 
 def write_json(path, doc) -> None:

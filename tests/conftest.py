@@ -60,12 +60,12 @@ def plain_spectra(layer):
 
 
 def pipeline_spectra(layer, c, params=None):
-    """factorizer.layer_spectra of a layer against covariance c, as the
-    stages compute it."""
+    """factorizer.layer_spectra of a layer against covariance c, from its
+    raw_grams, as the stages compute it."""
     from kvlatent.calibration import ShrinkageParams, ridge
-    from kvlatent.factorizer import layer_spectra
+    from kvlatent.factorizer import layer_spectra, raw_grams
 
-    return layer_spectra(layer, c, ridge(c, params or ShrinkageParams()))
+    return layer_spectra(layer, raw_grams(layer, c), ridge(c, params or ShrinkageParams()))
 
 
 def truncate_svd(res, r: int):

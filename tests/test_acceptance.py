@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from conftest import (
-    covariance_of, gen, random_orthogonal, reconstruct, truncate_svd,
+    covariance_of, gen, pipeline_spectra, random_orthogonal, reconstruct, truncate_svd,
     whitened_error_sq,
 )
 from kvlatent import calibration, ctf, linalg, manifest, scheduler
@@ -24,7 +24,6 @@ from kvlatent.factorizer import (
     activation_residual,
     care_factorize,
     convert_layer,
-    layer_spectra,
     replicate_groups,
 )
 from kvlatent.metrics import LogitSequence, LossParams, cross_entropy, kd_loss, total_loss
@@ -112,7 +111,7 @@ def test_criterion_03_kv_parity_exactness():
                 c = covariance_of(batches)
                 whitener = calibration.whitening_operator(c, ShrinkageParams())
                 r = n_groups * head_dim
-                spectra = layer_spectra(layer, c, calibration.ridge(c, ShrinkageParams()))
+                spectra = pipeline_spectra(layer, c)
                 factors, report_k, report_v = convert_layer(layer, spectra, r, r)
                 for report, w_g in ((report_k, layer.w_k_g), (report_v, layer.w_v_g)):
                     w = replicate_groups(w_g, layer)

@@ -56,5 +56,5 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         trees.append(tree_bytes(root))
-    assert "p_spectra/layer000_spectra.ctf" in trees[0]
+    assert "p_grams/layer000_grams.ctf" in trees[0]
     assert trees[0] == trees[1]

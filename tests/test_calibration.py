@@ -224,7 +224,7 @@ class TestWhiteningOperator:
         factor = np.linalg.cholesky(s @ s).T
         assert np.max(np.abs(factor.T @ factor - s @ s)) <= 1e-12 * np.max(np.abs(s @ s))
         w = rng.standard_normal((12, 5))
-        gram = ridge(c, params).gram(w, c @ w)
+        gram = ridge(c, params).gram(*raw_grams(c, w))
         by_factor = (factor @ w).T @ (factor @ w)
         assert np.max(np.abs(by_factor - gram)) <= 1e-12 * np.max(np.abs(gram))
         e = rng.standard_normal((12, 7))
@@ -256,6 +256,13 @@ class TestWhiteningOperator:
             whitening_operator(np.diag([1.0, -0.1]), ShrinkageParams(weighting=weighting))
 
 
+def raw_grams(c, w):
+    """w's parameter-free Grams w^T C w, (C w)^T (C w) and w^T w, which
+    Ridge.gram takes."""
+    c_w = c @ w
+    return w.T @ c_w, c_w.T @ c_w, w.T @ w
+
+
 def explicit_operator(c, params):
     """S by its definition, from the dense ridge B = (1 - alpha) C + alpha
     lam I with "auto" lam = tr(C) / D: B^(1/2) for "damped", B for "C"."""
@@ -275,7 +282,7 @@ class TestRidge:
         params = ShrinkageParams(alpha=0.05, lam=lam, weighting=weighting)
         s_w = explicit_operator(c, params) @ w
         expected = s_w.T @ s_w
-        got = ridge(c, params).gram(w, c @ w)
+        got = ridge(c, params).gram(*raw_grams(c, w))
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_c_gram_refuses_a_covariance_that_is_not_psd(self):
@@ -283,7 +290,7 @@ class TestRidge:
         c = -np.eye(4)
         w = gen(119).standard_normal((4, 2))
         with pytest.raises(NumericalError, match="not PSD"):
-            ridge(c, ShrinkageParams(weighting="C")).gram(w, c @ w)
+            ridge(c, ShrinkageParams(weighting="C")).gram(*raw_grams(c, w))
 
     @pytest.mark.parametrize("weighting", ["damped", "C"])
     def test_weights_in_the_null_space_are_not_refused(self, weighting):
@@ -298,7 +305,7 @@ class TestRidge:
         params = ShrinkageParams(alpha=0.01, weighting=weighting)
         s_w = explicit_operator(c, params) @ w
         expected = s_w.T @ s_w
-        got = ridge(c, params).gram(w, c @ w)
+        got = ridge(c, params).gram(*raw_grams(c, w))
         assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected))
         assert linalg.clamp_psd(linalg.sym_eig(got).eigenvalues)[0][-1] > 0.0
 

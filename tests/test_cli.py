@@ -67,9 +67,9 @@ def pipeline(tmp_path: Path, seed=42, schedule_args=("--parity",),
 
 
 def without_records(profile: Path, out: Path) -> Path:
-    """A copy of `profile` without its spectrum records."""
+    """A copy of `profile` without its Gram records."""
     doc = json.loads(profile.read_text())
-    del doc["spectra"]
+    del doc["grams"]
     out.write_text(json.dumps(doc))
     return out
 
@@ -560,15 +560,15 @@ class TestSchedule:
         assert tree_bytes(tmp_path / "b") == tree_bytes(tmp_path / "a")
 
     def test_singular_whitener_exits_3_and_keeps_the_old_profile(self, tmp_path, capsys):
-        # 4 tokens in 16 dims with weighting C and a tiny lambda: every
-        # convert of such spectra would exit 3, so schedule stores none.
+        # 4 tokens in 16 dims with weighting C and a tiny lambda: a convert
+        # under this setting would exit 3, so schedule stores no Grams.
         model = gen_model(tmp_path / "m", seed=3, seq=2, batches=2)
         assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
         assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
                    "--parity", "--out", tmp_path / "p.json") == 0
         tiny = with_shrinkage(model, "tiny.json", ("--weighting", "C", "--lambda", "1e-300"))
         before = tree_bytes(tmp_path)
-        assert "p.json" in before and "p_spectra/layer000_spectra.ctf" in before
+        assert "p.json" in before and "p_grams/layer000_grams.ctf" in before
         capsys.readouterr()
         assert run("schedule", "--manifest", tiny, "--cov-dir", tmp_path / "cov",
                    "--parity", "--out", tmp_path / "p.json") == 3
@@ -576,7 +576,7 @@ class TestSchedule:
         assert captured.err == "error: singular whitener: apply shrinkage before factorizing\n"
         assert captured.out == ""
         assert tree_bytes(tmp_path) == before
-        assert not (tmp_path / "p_spectra.partial").exists()
+        assert not (tmp_path / "p_grams.partial").exists()
 
     def test_engineered_model_reproduces_hand_trace(self, tmp_path):
         model = write_engineered_model(tmp_path / "m")
@@ -600,9 +600,9 @@ class TestSchedule:
                        "--parity", "--out", tmp_path / "s/p.json") == 0
             trees.append(tree_bytes(tmp_path / "s"))
         assert trees[0] == trees[1]
-        # One spectra file per layer.
-        assert sorted(trees[0]) == ["p.json", "p_spectra/layer000_spectra.ctf",
-                                    "p_spectra/layer001_spectra.ctf"]
+        # One Grams file per layer.
+        assert sorted(trees[0]) == ["p.json", "p_grams/layer000_grams.ctf",
+                                    "p_grams/layer001_grams.ctf"]
 
     def test_infeasible_budget(self, tmp_path):
         model = gen_model(tmp_path / "m")
@@ -626,8 +626,8 @@ class TestSchedule:
         assert not (tmp_path / "p.json").exists()
 
     def test_non_psd_covariance_writes_nothing(self, tmp_path, capsys):
-        # Layer 0's spectra are staged before layer 1 is refused; the
-        # refusal leaves no profile and no stored spectra.
+        # Layer 0's Grams are staged before layer 1 is refused; the
+        # refusal leaves no profile and no stored Grams.
         model = gen_model(tmp_path / "m")
         assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
         ctf.write_ctf(tmp_path / "cov/layer001_cov.ctf", -np.eye(16))
@@ -847,28 +847,18 @@ class TestConvert:
         assert "usage" not in err and "Traceback" not in err
         assert not (tmp_path / "c").exists()
 
-    @pytest.mark.parametrize("path", ["reused", "recomputed"])
-    def test_singular_whitener_exits_3_on_either_path(self, tmp_path, capsys, path):
+    def test_singular_whitener_exits_3(self, tmp_path, capsys):
         # 4 tokens in 16 dims: C has 12 zero eigenvalues, and with weighting
         # C a tiny lambda leaves them all but unshrunk.
         model = gen_model(tmp_path / "m", seq=2, batches=2)
-        shrinkage = ("--weighting", "C", "--lambda", "1e-300")
         assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
         assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
                    "--parity", "--out", tmp_path / "p.json") == 0
-        if path == "reused":
-            # schedule refuses this setting, so the records are made to claim
-            # it: convert must still refuse what it would reuse.
-            model = with_shrinkage(model, "tiny.json", shrinkage)
-            doc = json.loads((tmp_path / "p.json").read_text())
-            doc["spectra"].update(weighting="C", **{"lambda": 1e-300})
-            (tmp_path / "p.json").write_text(json.dumps(doc))
         capsys.readouterr()
         assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
-                   "--profile", tmp_path / "p.json",
-                   *(shrinkage if path == "recomputed" else ()), "--out", tmp_path / "c") == 3
+                   "--profile", tmp_path / "p.json", "--weighting", "C", "--lambda", "1e-300",
+                   "--out", tmp_path / "c") == 3
         captured = capsys.readouterr()
-        assert f"layer 0: spectra {path}" in captured.out
         assert captured.err == "error: singular whitener: apply shrinkage before factorizing\n"
         assert tree_bytes(tmp_path / "c") == {}
 
@@ -921,12 +911,13 @@ class TestConvert:
     def test_non_psd_covariance_is_refused_under_each_weighting(self, tmp_path, capsys,
                                                                  weighting):
         # Under C the whitened Gram is a square and PSD whatever C is, so
-        # the refusal comes from the damped Gram w^T B w.
+        # the refusal comes from the damped Gram w^T B w. --mode uniform
+        # decomposes nothing, so schedule stores the Grams of this C.
         model = gen_model(tmp_path / "m", seed=1)
         assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
-        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
-                   "--parity", "--out", tmp_path / "p.json") == 0
         ctf.write_ctf(tmp_path / "cov/layer001_cov.ctf", -np.eye(16))
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--mode", "uniform", "--rank", 4, "--out", tmp_path / "p.json") == 0
         capsys.readouterr()
         assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
                    "--profile", tmp_path / "p.json", "--weighting", weighting,
@@ -964,12 +955,10 @@ class TestConvert:
                 assert entry["retained_energy"] < 1.0
 
     def test_gram_eigh_failure_is_numerical_error(self, tmp_path, monkeypatch, capsys):
-        # Without spectrum records convert decomposes its own Grams.
         model = gen_model(tmp_path / "m")
         assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
         assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
                    "--parity", "--out", tmp_path / "p.json") == 0
-        without_records(tmp_path / "p.json", tmp_path / "old.json")
 
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -977,13 +966,13 @@ class TestConvert:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         capsys.readouterr()
         assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
-                   "--profile", tmp_path / "old.json", "--out", tmp_path / "c") == 3
-        assert capsys.readouterr().err.startswith("error:")
+                   "--profile", tmp_path / "p.json", "--out", tmp_path / "c") == 3
+        assert capsys.readouterr().err.startswith("error: eigendecomposition failed")
         assert not (tmp_path / "c" / "converted.json").exists()
 
     def test_no_dense_whitener_is_formed(self, tmp_path, monkeypatch):
-        # schedule, a convert that reuses its spectra and one that
-        # recomputes them all run without the dense S.
+        # schedule and convert, under either weighting, run without the
+        # dense S.
         model = gen_model(tmp_path / "m")
         assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
 
@@ -994,10 +983,10 @@ class TestConvert:
         monkeypatch.setattr(linalg, "sqrt_psd", refuse)
         assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
                    "--budget-k", 12, "--budget-v", 12, "--out", tmp_path / "p.json") == 0
-        old = without_records(tmp_path / "p.json", tmp_path / "old.json")
-        for profile, out in ((tmp_path / "p.json", "reused"), (old, "recomputed")):
+        for weighting in ("damped", "C"):
             assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
-                       "--profile", profile, "--out", tmp_path / out) == 0
+                       "--profile", tmp_path / "p.json", "--weighting", weighting,
+                       "--out", tmp_path / weighting) == 0
 
     def test_report_carries_whitener_health(self, tmp_path):
         # Per kind, the health of the n x n whitened Gram (S W_g)^T (S W_g),
@@ -1010,9 +999,7 @@ class TestConvert:
             cov = ctf.read_ctf(tmp_path / "cov" / f"layer{layer:03d}_cov.ctf")
             s = calibration.whitening_operator(cov, model.shrinkage)
             kv, _ = manifest.load_grouped_kv(model, tmp_path / "model", layer)
-            assert sorted(layer_report) == ["gram", "k", "lambda_resolved", "layer", "spectra",
-                                            "v"]
-            assert layer_report["spectra"] == "reused"
+            assert sorted(layer_report) == ["gram", "k", "lambda_resolved", "layer", "v"]
             assert sorted(layer_report["gram"]) == ["k", "v"]
             for kind, w_g in (("k", kv.w_k_g), ("v", kv.w_v_g)):
                 eigs = np.linalg.eigvalsh((s @ w_g).T @ (s @ w_g))
@@ -1112,18 +1099,6 @@ def convert_tree(tmp_path: Path, model: Path, cov_dir: Path, profile: Path, out:
     return tree_bytes(tmp_path / out)
 
 
-def without_origins(tree: dict[str, bytes]) -> dict:
-    """A convert tree with the conversion report parsed and each layer's
-    `spectra` origin (reused, or why it was recomputed) taken out: all that
-    may differ between a convert that reuses stored spectra and one that
-    recomputes them."""
-    tree = dict(tree)
-    report = json.loads(tree.pop("conversion_report.json"))
-    for layer in report["layers"]:
-        del layer["spectra"]
-    return {**tree, "conversion_report.json": report}
-
-
 def file_sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -1142,10 +1117,30 @@ def with_shrinkage(model: Path, name: str, args) -> Path:
     return path
 
 
-class TestEigenReuse:
-    """convert truncates the eigenvalues and whitened spectra that schedule
-    stored next to the profile, when the covariance, the grouped weights
-    and the shrinkage are the ones schedule used."""
+def recording(monkeypatch, module, name) -> list[tuple[tuple, object]]:
+    """Record the positional arguments and the result of each call of
+    `module.name`."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+# Shrinkage settings that differ from the default in each field.
+SETTINGS = [(), ("--weighting", "C"), ("--alpha", "0.2", "--lambda", "2.5"),
+            ("--lambda", "auto")]
+
+
+class TestOneSpectraPath:
+    """schedule stores each layer's parameter-free Grams, pinned with the
+    files they were computed from; convert forms and decomposes its own
+    whitened Gram from them under any setting, and refuses a profile whose
+    records do not match its files."""
 
     @pytest.fixture
     def scheduled(self, tmp_path) -> Path:
@@ -1161,19 +1156,12 @@ class TestEigenReuse:
                    "--profile", tmp_path / profile, *args, "--out", tmp_path / "c")
         return code, capsys.readouterr().err
 
-    def spectra_lines(self, tmp_path, model, capsys, profile="p.json", *args) -> list[str]:
-        capsys.readouterr()
-        assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
-                   "--profile", tmp_path / profile, *args, "--out", tmp_path / "c") == 0
-        return [line for line in capsys.readouterr().out.splitlines() if ": spectra " in line]
-
     def test_records_name_the_files_schedule_wrote(self, tmp_path, scheduled):
         # Every digest is the sha256 of the bytes of the file it pins.
-        _, _, stored = manifest.load_profile(tmp_path / "p.json")
-        assert sorted(stored.records) == [0, 1, 2]
-        assert stored.shrinkage == calibration.ShrinkageParams(0.01, "auto", "damped")
+        _, _, records = manifest.load_profile(tmp_path / "p.json")
+        assert sorted(records) == [0, 1, 2]
         m = manifest.load_manifest(scheduled)
-        for layer, record in stored.records.items():
+        for layer, record in records.items():
             cov_path = tmp_path / "cov" / f"layer{layer:03d}_cov.ctf"
             entry = m.layer(layer)
             assert record.inputs == {
@@ -1181,177 +1169,122 @@ class TestEigenReuse:
                 "w_k_g": file_sha256(scheduled.parent / entry.w_k_g),
                 "w_v_g": file_sha256(scheduled.parent / entry.w_v_g),
             }
-            assert record.path == f"p_spectra/layer{layer:03d}_spectra.ctf"
+            assert record.path == f"p_grams/layer{layer:03d}_grams.ctf"
             assert record.sha256 == file_sha256(tmp_path / record.path)
             kv, _ = manifest.load_grouped_kv(m, scheduled.parent, layer)
-            spectra = manifest.load_spectra(record, tmp_path, kv)
-            cov = ctf.read_ctf(cov_path)
-            computed = factorizer.layer_spectra(kv, cov, calibration.ridge(cov, m.shrinkage))
-            for stored_svd, expected in zip(spectra, computed):
-                assert stored_svd.singular_values.tobytes() == expected.singular_values.tobytes()
-                assert stored_svd.v_t.tobytes() == expected.v_t.tobytes()
+            stored = manifest.load_grams(record, tmp_path, kv.grouped_width)
+            assert stored.tobytes() == factorizer.raw_grams(kv, ctf.read_ctf(cov_path)).tobytes()
 
-    def test_profile_records_the_shrinkage_once(self, tmp_path, scheduled):
+    def test_profile_records_no_setting(self, tmp_path, scheduled):
         doc = json.loads((tmp_path / "p.json").read_text())
-        assert {key: doc["spectra"][key] for key in ("alpha", "lambda", "weighting")} == {
-            "alpha": 0.01, "lambda": "auto", "weighting": "damped"}
-        assert not [record for record in doc["spectra"]["layers"]
-                    if {"alpha", "lambda", "weighting"} & set(record)]
+        keys = set(doc) | {key for record in doc["grams"] for key in record}
+        assert "spectra" not in keys and not {"alpha", "lambda", "weighting"} & keys
 
-    @pytest.mark.parametrize("args", [
-        (), ("--weighting", "C"), ("--alpha", "0.2", "--lambda", "2.5"), ("--lambda", "auto"),
-    ])
-    def test_reuse_matches_a_miss_byte_for_byte(self, tmp_path, scheduled, args, monkeypatch):
-        # The model's own shrinkage is the one the flags ask for, so the
-        # flags match what schedule used and convert reuses its spectra.
+    @pytest.mark.parametrize("args", SETTINGS)
+    def test_schedule_and_convert_spectra_are_bit_identical(self, tmp_path, scheduled, args,
+                                                            monkeypatch):
+        # The model's own setting is the one the flags ask for, so schedule
+        # water-fills on the spectra that convert truncates.
         model = with_shrinkage(scheduled, "flags.json", args)
+        water = recording(monkeypatch, scheduler, "waterfill")
+        spectra = recording(monkeypatch, factorizer, "layer_spectra")
         assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
                    "--budget-k", 12, "--budget-v", 12, "--out", tmp_path / "q.json") == 0
-        old = without_records(tmp_path / "q.json", tmp_path / "old.json")
-        calls = counting(monkeypatch, "sym_eig", "svd")
-        reused = convert_tree(tmp_path, model, tmp_path / "cov", tmp_path / "q.json",
-                              "reused", *args)
-        assert calls == []
-        missed = convert_tree(tmp_path, model, tmp_path / "cov", old, "missed", *args)
-        # Under C each kind's damped Gram w^T B w is checked for PSD first.
-        assert calls == [("sym_eig", (8, 8))] * (12 if "C" in args else 6)
-        assert without_origins(reused) == without_origins(missed)
-        assert [name for name in reused if reused[name] != missed[name]] == [
-            "conversion_report.json"]
+        scheduled_spectra = [result for _, result in spectra]
+        spectra.clear()
+        convert_tree(tmp_path, model, tmp_path / "cov", tmp_path / "q.json", "c", *args)
+        assert len(scheduled_spectra) == len(spectra) == 3 and len(water) == 2
+        for layer, ((_, ours), theirs) in enumerate(zip(spectra, scheduled_spectra)):
+            for kind, (got, want) in enumerate(zip(ours, theirs)):
+                water_filled = water[kind][0][0][layer]
+                assert water_filled.tobytes() == want.singular_values.tobytes()
+                assert got.singular_values.tobytes() == want.singular_values.tobytes()
+                assert got.v_t.tobytes() == want.v_t.tobytes()
 
-    def test_changed_covariance_is_decomposed_alone(self, tmp_path, scheduled, monkeypatch):
-        shutil.copytree(tmp_path / "cov", tmp_path / "cov2")
-        cov = ctf.read_ctf(tmp_path / "cov2/layer001_cov.ctf")
-        ctf.write_ctf(tmp_path / "cov2/layer001_cov.ctf", 2.0 * cov)
-        old = without_records(tmp_path / "p.json", tmp_path / "old.json")
-        calls = counting(monkeypatch, "sym_eig")
-        changed = convert_tree(tmp_path, scheduled, tmp_path / "cov2", tmp_path / "p.json",
-                               "changed")
-        assert calls == [("sym_eig", (8, 8))] * 2
-        assert without_origins(changed) == without_origins(
-            convert_tree(tmp_path, scheduled, tmp_path / "cov2", old, "missed"))
+    @pytest.mark.parametrize("model_weighting", ["damped", "C"])
+    @pytest.mark.parametrize("args", SETTINGS[1:] + [("--weighting", "damped")])
+    def test_overrides_match_the_dense_reference(self, tmp_path, scheduled, monkeypatch,
+                                                 model_weighting, args):
+        # Whatever setting schedule used, convert's spectra under its own
+        # setting agree with the SVD of the dense S W_g.
+        model = with_shrinkage(scheduled, "model.json", ("--weighting", model_weighting))
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--budget-k", 12, "--budget-v", 12, "--out", tmp_path / "q.json") == 0
+        spectra = recording(monkeypatch, factorizer, "layer_spectra")
+        convert_tree(tmp_path, model, tmp_path / "cov", tmp_path / "q.json", "c", *args)
+        m = manifest.load_manifest(model)
+        params = manifest.load_manifest(with_shrinkage(model, "ref.json", args)).shrinkage
+        for layer, (_, got) in enumerate(spectra):
+            cov = ctf.read_ctf(tmp_path / "cov" / f"layer{layer:03d}_cov.ctf")
+            s = calibration.whitening_operator(cov, params)
+            kv, _ = manifest.load_grouped_kv(m, model.parent, layer)
+            for svd, w_g in zip(got, (kv.w_k_g, kv.w_v_g)):
+                ref = factorizer.whitened_svd(w_g, s)
+                top = ref.singular_values[0]
+                assert np.max(np.abs(svd.singular_values - ref.singular_values)) <= 1e-12 * top
+                # Each right singular vector, up to its sign.
+                signs = np.sign(np.sum(svd.v_t * ref.v_t, axis=1))
+                assert np.max(np.abs(svd.v_t - signs[:, None] * ref.v_t)) <= 1e-12
 
-    @pytest.mark.parametrize("kind", ["w_k_g", "w_v_g"])
-    def test_changed_weight_is_recomputed_alone(self, tmp_path, scheduled, monkeypatch, kind):
-        doc = json.loads(scheduled.read_text())
-        w = ctf.read_ctf(scheduled.parent / doc["layers"][2][kind])
-        ctf.write_ctf(scheduled.parent / "weights/changed.ctf", 2.0 * w)
-        doc["layers"][2][kind] = "weights/changed.ctf"
-        model = scheduled.with_name("changed.json")
-        model.write_text(json.dumps(doc))
-        old = without_records(tmp_path / "p.json", tmp_path / "old.json")
-        calls = counting(monkeypatch, "sym_eig")
-        changed = convert_tree(tmp_path, model, tmp_path / "cov", tmp_path / "p.json", "changed")
-        assert calls == [("sym_eig", (8, 8))] * 2
-        assert without_origins(changed) == without_origins(
-            convert_tree(tmp_path, model, tmp_path / "cov", old, "missed"))
+    @pytest.mark.parametrize("stale", ["cov", "w_k_g", "w_v_g"])
+    def test_stale_input_exits_2(self, tmp_path, scheduled, capsys, stale):
+        path = (tmp_path / "cov/layer001_cov.ctf" if stale == "cov"
+                else scheduled.parent / f"weights/layer001_{stale}.ctf")
+        ctf.write_ctf(path, 2.0 * ctf.read_ctf(path))
+        code, err = self.convert_code(tmp_path, scheduled, capsys)
+        name, rel = (("covariance", "layer001_cov.ctf") if stale == "cov"
+                     else (stale, f"weights/layer001_{stale}.ctf"))
+        assert code == 2
+        assert err == (f"error: layer 1 {name} ({rel}): file sha256 does not match the "
+                       f"profile's record; re-run schedule\n")
+        assert not (tmp_path / "c/converted.json").exists()
 
-    def origins(self, tmp_path) -> list[str]:
-        report = json.loads((tmp_path / "c/conversion_report.json").read_text())
-        return [layer["spectra"] for layer in report["layers"]]
-
-    def test_reports_why_spectra_were_recomputed(self, tmp_path, scheduled, capsys):
-        # stdout and the conversion report both say where each layer's
-        # spectra came from.
-        assert self.spectra_lines(tmp_path, scheduled, capsys) == [
-            f"layer {layer}: spectra reused" for layer in range(3)
-        ]
-        assert self.origins(tmp_path) == ["reused"] * 3
-        for args, reason in ((("--alpha", "0.2"), "parameter override"),
-                             (("--weighting", "C"), "parameter override"),
-                             (("--lambda", "1.5"), "parameter override")):
-            lines = self.spectra_lines(tmp_path, scheduled, capsys, "p.json", *args)
-            assert lines == [f"layer {layer}: spectra recomputed ({reason})" for layer in range(3)]
-            assert self.origins(tmp_path) == [reason] * 3
-        without_records(tmp_path / "p.json", tmp_path / "old.json")
-        assert self.spectra_lines(tmp_path, scheduled, capsys, "old.json")[0] == (
-            "layer 0: spectra recomputed (no record)")
-        assert self.origins(tmp_path) == ["no record"] * 3
-        cov = ctf.read_ctf(tmp_path / "cov/layer000_cov.ctf")
-        ctf.write_ctf(tmp_path / "cov/layer000_cov.ctf", 2.0 * cov)
-        doc = json.loads(scheduled.read_text())
-        doc["layers"][1]["w_k_g"] = doc["layers"][0]["w_k_g"]
-        scheduled.with_name("swapped.json").write_text(json.dumps(doc))
-        assert self.spectra_lines(tmp_path, scheduled.with_name("swapped.json"), capsys) == [
-            "layer 0: spectra recomputed (covariance changed)",
-            "layer 1: spectra recomputed (weight changed)",
-            "layer 2: spectra reused",
-        ]
-        assert self.origins(tmp_path) == ["covariance changed", "weight changed", "reused"]
-
-    def test_old_eigen_profile_takes_the_full_path(self, tmp_path, scheduled, capsys):
+    @pytest.mark.parametrize("earlier", [
+        lambda doc: doc.pop("grams"),
+        lambda doc: doc.update(spectra={"alpha": 0.01, "lambda": "auto", "weighting": "damped",
+                                        "layers": doc.pop("grams")}),
+        lambda doc: doc.update(eigen=doc.pop("grams")),
+    ], ids=["no_records", "spectra", "eigen"])
+    def test_profile_without_records_exits_2(self, tmp_path, scheduled, capsys, earlier):
+        # Profiles of earlier versions stored spectra or eigenpairs instead.
         doc = json.loads((tmp_path / "p.json").read_text())
-        doc["eigen"] = [
-            {"layer": r["layer"], "cov_sha256": r["cov_file_sha256"],
-             "eigenvalues": f"p_eig/layer{r['layer']:03d}_eigenvalues.ctf",
-             "eigenvectors": f"p_eig/layer{r['layer']:03d}_eigenvectors.ctf"}
-            for r in doc.pop("spectra")["layers"]
-        ]
-        (tmp_path / "eigen.json").write_text(json.dumps(doc))
-        assert manifest.load_profile(tmp_path / "eigen.json")[2] is None
-        assert self.spectra_lines(tmp_path, scheduled, capsys, "eigen.json") == [
-            f"layer {layer}: spectra recomputed (no record)" for layer in range(3)
-        ]
-        assert without_origins(tree_bytes(tmp_path / "c")) == without_origins(convert_tree(
-            tmp_path, scheduled, tmp_path / "cov", tmp_path / "p.json", "reused"))
-
-    def test_records_of_an_earlier_version_ask_for_schedule(self, tmp_path, scheduled, capsys):
-        # Profiles once kept four files per layer in flat records.
-        doc = json.loads((tmp_path / "p.json").read_text())
-        doc["spectra"] = [
-            {"layer": layer, "cov_sha256": "0" * 64, "w_k_sha256": "1" * 64,
-             "w_v_sha256": "2" * 64, "alpha": 0.01, "lambda": "auto", "weighting": "damped",
-             **{name: f"p_spectra/layer{layer:03d}_{name}.ctf"
-                for name in ("sigma_k", "v_t_k", "sigma_v", "v_t_v")}}
-            for layer in range(3)
-        ]
+        earlier(doc)
         (tmp_path / "old.json").write_text(json.dumps(doc))
         code, err = self.convert_code(tmp_path, scheduled, capsys, "old.json")
-        assert code == 2 and err.startswith("error:") and "re-run schedule" in err, err
-        assert "sha256" not in err
+        assert code == 2
+        assert err == f"error: {tmp_path / 'old.json'} records no Grams; re-run schedule\n"
         assert not (tmp_path / "c").exists()
 
-    def test_swapped_eigenvectors_exit_2(self, tmp_path, scheduled, capsys):
-        # The rows of a stored V^T are the eigenvectors of W^T S^2 W; two of
-        # them swapped no longer match the file's recorded sha256.
-        path = tmp_path / "p_spectra/layer001_spectra.ctf"
-        stored = ctf.read_ctf(path)
-        stored[0, 1:] = stored[0, [2, 1, *range(3, 9)]]
-        ctf.write_ctf(path, stored)
-        code, err = self.convert_code(tmp_path, scheduled, capsys)
-        assert code == 2
-        assert err == (f"error: layer 1 spectra (p_spectra/layer001_spectra.ctf): file sha256 "
-                       f"does not match the profile's record; re-run schedule\n")
-
     @pytest.mark.parametrize("kind", [0, 1])
-    @pytest.mark.parametrize("row", [0, 8])
-    def test_tampered_spectrum_file_exits_2(self, tmp_path, scheduled, capsys, kind, row):
-        # Row 0 holds a kind's singular values and rows 1 to n its V^T.
-        path = tmp_path / "p_spectra/layer002_spectra.ctf"
+    @pytest.mark.parametrize("gram", [0, 1])
+    def test_tampered_grams_file_exits_2(self, tmp_path, scheduled, capsys, kind, gram):
+        # Slab `kind` holds W_g^T C W_g (gram 0) and (C W_g)^T (C W_g) (gram 1).
+        path = tmp_path / "p_grams/layer002_grams.ctf"
         stored = ctf.read_ctf(path)
-        stored[kind, row] *= 1.0 + 1e-15
+        stored[kind, gram, 3] *= 1.0 + 1e-15
         ctf.write_ctf(path, stored)
         code, err = self.convert_code(tmp_path, scheduled, capsys)
         assert code == 2
-        assert err.startswith("error: layer 2 spectra") and "re-run schedule" in err
+        assert err == ("error: layer 2 Grams (p_grams/layer002_grams.ctf): file sha256 does not "
+                       "match the profile's record; re-run schedule\n")
 
-    def test_truncated_spectra_file_exits_2(self, tmp_path, scheduled, capsys):
-        path = tmp_path / "p_spectra/layer002_spectra.ctf"
+    def test_truncated_grams_file_exits_2(self, tmp_path, scheduled, capsys):
+        path = tmp_path / "p_grams/layer002_grams.ctf"
         path.write_bytes(path.read_bytes()[:-8])
         code, err = self.convert_code(tmp_path, scheduled, capsys)
         assert code == 2 and err.startswith("error:")
 
     @pytest.mark.parametrize("layer", [0, 1])
-    def test_missing_spectra_file_exits_4(self, tmp_path, scheduled, capsys, layer):
-        (tmp_path / f"p_spectra/layer{layer:03d}_spectra.ctf").unlink()
+    def test_missing_grams_file_exits_4(self, tmp_path, scheduled, capsys, layer):
+        (tmp_path / f"p_grams/layer{layer:03d}_grams.ctf").unlink()
         code, err = self.convert_code(tmp_path, scheduled, capsys)
         assert code == 4 and err.startswith("error:")
 
-    @pytest.mark.parametrize("path", ["../p_eig/layer000_spectra.ctf", "/etc/x.ctf",
+    @pytest.mark.parametrize("path", ["../p_eig/layer000_grams.ctf", "/etc/x.ctf",
                                       "p_eig/../../x.ctf"])
     def test_escaping_record_path_exits_2(self, tmp_path, scheduled, capsys, path):
         doc = json.loads((tmp_path / "p.json").read_text())
-        doc["spectra"]["layers"][0]["spectra"] = path
+        doc["grams"][0]["grams"] = path
         (tmp_path / "bad.json").write_text(json.dumps(doc))
         code, err = self.convert_code(tmp_path, scheduled, capsys, "bad.json")
         assert code == 2 and "inside the manifest directory" in err
@@ -1360,35 +1293,50 @@ class TestEigenReuse:
         # A record's path is checked as it resolves: the same symbolic link
         # stays inside one profile's directory and leads out of another's.
         (tmp_path / "elsewhere").mkdir()
-        shutil.move(tmp_path / "p_spectra", tmp_path / "elsewhere/p_spectra")
-        (tmp_path / "p_spectra").symlink_to("elsewhere/p_spectra", target_is_directory=True)
+        shutil.move(tmp_path / "p_grams", tmp_path / "elsewhere/p_grams")
+        (tmp_path / "p_grams").symlink_to("elsewhere/p_grams", target_is_directory=True)
         (tmp_path / "sub").mkdir()
-        (tmp_path / "sub/p_spectra").symlink_to("../elsewhere/p_spectra",
-                                                target_is_directory=True)
+        (tmp_path / "sub/p_grams").symlink_to("../elsewhere/p_grams", target_is_directory=True)
         shutil.copy(tmp_path / "p.json", tmp_path / "sub/p.json")
         code, err = self.convert_code(tmp_path, scheduled, capsys, "sub/p.json")
-        assert code == 2 and err.startswith("error: layer 0 spectra"), err
+        assert code == 2 and err.startswith("error: layer 0 Grams"), err
         assert "resolves to" in err and "outside" in err
         assert not (tmp_path / "c/converted.json").exists()
-        assert self.spectra_lines(tmp_path, scheduled, capsys) == [
-            f"layer {layer}: spectra reused" for layer in range(3)
-        ]
+        assert self.convert_code(tmp_path, scheduled, capsys) == (0, "")
 
     @pytest.mark.parametrize("records", [
         lambda r: r[:2], lambda r: r + r[:1], lambda r: [], lambda r: "x", lambda r: None,
     ], ids=["two_of_three", "repeated", "empty", "string", "null"])
     def test_records_must_cover_every_layer(self, tmp_path, scheduled, capsys, records):
         doc = json.loads((tmp_path / "p.json").read_text())
-        doc["spectra"]["layers"] = records(doc["spectra"]["layers"])
+        doc["grams"] = records(doc["grams"])
         (tmp_path / "bad.json").write_text(json.dumps(doc))
         code, err = self.convert_code(tmp_path, scheduled, capsys, "bad.json")
         assert code == 2 and err.startswith("error:")
 
 
+class TraceOnly:
+    """A covariance that gives its shape and its trace and refuses any other
+    use: converting it to an array raises, and so does every product."""
+
+    def __init__(self, c: np.ndarray):
+        self.ndim, self.shape, self.sum_of_diagonal = c.ndim, c.shape, np.trace(c)
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is np.trace:
+            return self.sum_of_diagonal
+        raise AssertionError(f"the covariance entered {func.__name__}")
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("the covariance was read as an array")
+
+
 class TestGroupedWidthDecompositions:
     """Every decomposition that schedule and convert run is of an n x n
     Gram, n the layer's grouped width (8 here, d_model 16): no D x D
-    eigendecomposition, and no QR or SVD, on any convert path."""
+    eigendecomposition, and no QR or SVD. convert runs two per layer, one
+    per kind, under any setting (four under C, whose damped Grams are
+    checked for PSD first), and takes only the covariance's trace."""
 
     DECOMPOSITIONS = ("eigh", "eigvalsh", "svd", "qr", "cholesky")
 
@@ -1405,26 +1353,29 @@ class TestGroupedWidthDecompositions:
             monkeypatch.setattr(np.linalg, name, wrapper)
         return calls
 
-    def test_schedule_and_each_convert_path(self, tmp_path, monkeypatch, capsys):
+    def test_schedule_and_convert_under_each_setting(self, tmp_path, monkeypatch):
         model = gen_model(tmp_path / "m", layers=3)
         assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
         calls = self.record(monkeypatch)
         assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--mode", "uniform", "--rank", 4, "--out", tmp_path / "u.json") == 0
+        assert calls == []
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
                    "--budget-k", 12, "--budget-v", 12, "--out", tmp_path / "p.json") == 0
         per_kind = [("sym_eig", (8, 8)), ("np.eigh", (8, 8))]
         assert calls == per_kind * 6
-        # Under C each kind's damped Gram w^T B w is checked for PSD first.
-        for out, args, kind_calls in (("hit", (), []),
-                                      ("c_miss", ("--weighting", "C"), per_kind * 12),
-                                      ("alpha_miss", ("--alpha", "0.2"), per_kind * 6)):
+        real = manifest.load_covariance
+
+        def guarded(*args, **kwargs):
+            c, sha256 = real(*args, **kwargs)
+            return TraceOnly(c), sha256
+
+        monkeypatch.setattr(manifest, "load_covariance", guarded)
+        for args, kind_calls in (((), per_kind * 6), (("--weighting", "C"), per_kind * 12),
+                                 (("--alpha", "0.2"), per_kind * 6)):
             calls.clear()
-            capsys.readouterr()
-            assert run("convert", "--manifest", model, "--cov-dir", tmp_path / "cov",
-                       "--profile", tmp_path / "p.json", *args, "--out", tmp_path / out) == 0
-            lines = [line for line in capsys.readouterr().out.splitlines() if ": spectra " in line]
-            path = "recomputed" if kind_calls else "reused"
-            assert len(lines) == 3 and all(f"spectra {path}" in line for line in lines), lines
-            assert calls == kind_calls, out
+            convert_tree(tmp_path, model, tmp_path / "cov", tmp_path / "p.json", "c", *args)
+            assert calls == kind_calls, args
 
 
 class TestRetiredWeighting:
@@ -1447,17 +1398,6 @@ class TestRetiredWeighting:
                            "--parity", "--out", tmp_path / "s/p.json")
         assert "old.json" in err
         assert list((tmp_path / "s").iterdir()) == []
-
-    def test_profile_record(self, tmp_path, capsys):
-        pipeline(tmp_path)
-        doc = json.loads((tmp_path / "profile.json").read_text())
-        doc["spectra"]["weighting"] = "sqrtC"
-        (tmp_path / "old.json").write_text(json.dumps(doc))
-        err = self.refusal(capsys, "convert", "--manifest", tmp_path / "model/model.json",
-                           "--cov-dir", tmp_path / "cov", "--profile", tmp_path / "old.json",
-                           "--out", tmp_path / "c")
-        assert "old.json: spectra" in err
-        assert not (tmp_path / "c").exists()
 
     def test_weighting_flag(self, tmp_path, capsys):
         pipeline(tmp_path)
@@ -1791,9 +1731,8 @@ class TestEval:
                        "match the converted manifest's record; re-run convert\n")
         assert tree_bytes(tmp_path / "eval") == {}
 
-    @pytest.mark.parametrize("name, tensor", [("w_q", "w_q"), ("w_k", "w_k_g"),
-                                              ("w_v", "w_v_g")])
-    def test_changed_source_weight_is_refused(self, tmp_path, capsys, name, tensor):
+    @pytest.mark.parametrize("tensor", ["w_k_g", "w_v_g"])
+    def test_changed_source_weight_is_refused(self, tmp_path, capsys, tensor):
         pipeline(tmp_path)
         path = tmp_path / f"model/weights/layer001_{tensor}.ctf"
         ctf.write_ctf(path, ctf.read_ctf(path) * 2.0)
@@ -1805,6 +1744,22 @@ class TestEval:
             f"error: layer 1 {tensor} (weights/layer001_{tensor}.ctf): file sha256 does not "
             f"match the converted manifest's record; re-run convert\n")
         assert tree_bytes(tmp_path / "eval") == {}
+
+    def test_changed_source_query_is_evaluated_against_the_current_teacher(self, tmp_path):
+        # No document pins w_q: the factors do not depend on it, and the
+        # source's current w_q is the query of the teacher and the student.
+        pipeline(tmp_path, schedule_args=("--mode", "uniform", "--rank", "3"),
+                 eval_args=("--seed", "0", "--rope-dim", "2"))
+        path = tmp_path / "model/weights/layer001_w_q.ctf"
+        ctf.write_ctf(path, ctf.read_ctf(path) * 2.0)
+        assert run("eval", "--source", tmp_path / "model/model.json",
+                   "--converted", tmp_path / "converted/converted.json",
+                   "--seed", 0, "--rope-dim", 2, "--out", tmp_path / "again") == 0
+        before = json.loads((tmp_path / "eval/eval_report.json").read_text())["layers"]
+        after = json.loads((tmp_path / "again/eval_report.json").read_text())["layers"]
+        assert after[0] == before[0] and after[1] != before[1]
+        for got, want in zip(after, reference_eval_layers(tmp_path, 0, 2)):
+            assert_close_tree(got, want, 1e-10)
 
 
 def assert_close_tree(got, want, rel, path="report"):
@@ -2095,9 +2050,9 @@ class TestRecordedDigests:
         profile = json.loads((tmp_path / "profile.json").read_text())
         converted = json.loads((tmp_path / "converted/converted.json").read_text())
         pinned = {}
-        for record in profile["spectra"]["layers"]:
+        for record in profile["grams"]:
             layer = record["layer"]
-            files = {"spectra": tmp_path / record["spectra"],
+            files = {"grams": tmp_path / record["grams"],
                      "cov": tmp_path / f"cov/layer{layer:03d}_cov.ctf",
                      **{name: tmp_path / "model" / model["layers"][layer][name]
                         for name in ("w_k_g", "w_v_g")}}
@@ -2106,26 +2061,50 @@ class TestRecordedDigests:
         for layer, entry in enumerate(converted["layers"]):
             files = {"cov": tmp_path / "converted" / entry["cov"],
                      **{name: tmp_path / "model" / model["layers"][layer][name]
-                        for name in ("w_q", "w_k_g", "w_v_g")}}
+                        for name in ("w_k_g", "w_v_g")}}
             pinned.update({(f"converted {layer}", key): (entry.pop(key), files[key[:-12]])
                            for key in [key for key in entry if key.endswith("_file_sha256")]})
-        assert len(pinned) == 2 * 4 + 2 * 4
+        assert len(pinned) == 2 * 4 + 2 * 3
         for where, (digest, path) in pinned.items():
             assert digest == file_sha256(path), where
         # No other digest is left in either document.
         assert "sha256" not in json.dumps([profile, converted])
 
-    def test_tampered_spectra_name_tensor_and_document(self, tmp_path, capsys):
+    def test_tampered_grams_name_tensor_and_document(self, tmp_path, capsys):
         pipeline(tmp_path)
-        spectra = tmp_path / "profile_spectra/layer001_spectra.ctf"
-        ctf.write_ctf(spectra, 2.0 * ctf.read_ctf(spectra))
+        grams = tmp_path / "profile_grams/layer001_grams.ctf"
+        ctf.write_ctf(grams, 2.0 * ctf.read_ctf(grams))
         capsys.readouterr()
         assert run("convert", "--manifest", tmp_path / "model/model.json",
                    "--cov-dir", tmp_path / "cov", "--profile", tmp_path / "profile.json",
                    "--out", tmp_path / "again") == 2
         assert capsys.readouterr().err == (
-            "error: layer 1 spectra (profile_spectra/layer001_spectra.ctf): file sha256 does "
+            "error: layer 1 Grams (profile_grams/layer001_grams.ctf): file sha256 does "
             "not match the profile's record; re-run schedule\n")
+
+
+# Each command's arguments, with its --out (a file or a directory) last.
+OUT_COMMANDS = {
+    "gen": lambda root: ["gen", "--seed", 1],
+    "cov": lambda root: ["cov", "--manifest", root / "model/model.json"],
+    "schedule": lambda root: ["schedule", "--manifest", root / "model/model.json",
+                              "--cov-dir", root / "cov", "--parity"],
+    "convert": lambda root: ["convert", "--manifest", root / "model/model.json",
+                             "--cov-dir", root / "cov", "--profile", root / "profile.json"],
+    "eval": lambda root: ["eval", "--source", root / "model/model.json",
+                          "--converted", root / "converted/converted.json"],
+    "kv-report": lambda root: ["kv-report", "--layers", 2, "--seq-len", 8, "--widths", "8,8"],
+    "ablate": lambda root: ["ablate", "--manifest", root / "model/model.json", "--layer", 0,
+                            "--kind", "K", "--index", 1],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_missing_parent_of_out_is_created(tmp_path, command):
+    root = pipeline(tmp_path / "p")
+    out = tmp_path / "missing/parent/out"
+    assert run(*OUT_COMMANDS[command](root), "--out", out) == 0
+    assert out.exists()
 
 
 class TestPipelineDeterminism:

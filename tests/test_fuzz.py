@@ -1,14 +1,14 @@
 """Bounded fuzzing of the manifest, profile and tensor loaders through the CLI.
 
 Each example replaces one field of a valid model manifest, converted
-manifest or rank profile, its spectrum records included (a type swap, an
+manifest or rank profile, its Gram records included (a type swap, an
 out-of-range value or a path that leaves its directory) and runs the
 command that consumes the document. The command must never raise: it exits 2, 3 or 4 with an
 ``error:`` line, or 0 when the mutated value is still valid. The `.ctf`
 cases corrupt one header field, or truncate the file, and feed it to `cov`
-as a calibration batch, to `schedule` and `convert` as a covariance, and
-to `convert` as a V^T a profile records (consumer "eigen"), under the
-corrupted file's own sha256 so that the reader sees it.
+as a calibration batch, to `schedule` as a covariance, and to `convert`
+as a covariance or as the Grams a profile records (consumer "grams"), each
+under the corrupted file's own sha256 so that the reader sees it.
 """
 
 import contextlib
@@ -68,20 +68,18 @@ MAY_CHANGE = {
     "rank": lambda v: is_int(v, 1),
     "batch": inside,
     **{name: inside for name in ("w_q", "w_k_g", "w_v_g", "w_a_k", "w_b_k", "w_a_v", "w_b_v",
-                                 "spectra")},
+                                 "grams")},
 }
 
 
 def fields(doc: dict) -> list[tuple]:
     """(key path, field name) of every field: top-level keys, layer and
-    profile entry keys, the stored spectra's keys and those of their
-    records, and calibration batch paths."""
+    profile entry keys, the keys of the profile's Gram records, and
+    calibration batch paths."""
     out = [((key,), key) for key in doc]
-    spectra = doc.get("spectra", {})
-    out += [(("spectra", key), key) for key in spectra]
     for keys, entries in ((("layers",), doc.get("layers", [])),
                           (("entries",), doc.get("entries", [])),
-                          (("spectra", "layers"), spectra.get("layers", []))):
+                          (("grams",), doc.get("grams", []))):
         for i, entry in enumerate(entries):
             out += [((*keys, i, key), key) for key in entry]
     for layer, paths in doc.get("calibration", {}).items():
@@ -202,19 +200,19 @@ def corrupt_copy(src: Path, dst: Path, rel: str, case: str) -> None:
     target.write_bytes(CTF_CORRUPTIONS[case](target.read_bytes()))
 
 
-@pytest.mark.parametrize("consumer", ["cov", "schedule", "convert", "spectra"])
+@pytest.mark.parametrize("consumer", ["cov", "schedule", "convert", "grams"])
 @pytest.mark.parametrize("case", sorted(CTF_CORRUPTIONS))
 def test_corrupt_ctf_header_exits_cleanly(built, tmp_path, capsys, consumer, case):
     model = built / "model/model.json"
     if consumer == "cov":
         corrupt_copy(built / "model", tmp_path / "model", "batches/layer001_batch002.ctf", case)
         argv = ["cov", "--manifest", tmp_path / "model/model.json", "--out", tmp_path / "out"]
-    elif consumer == "spectra":
-        corrupt_copy(built / "profile_spectra", tmp_path / "profile_spectra",
-                     "layer001_spectra.ctf", case)
+    elif consumer == "grams":
+        corrupt_copy(built / "profile_grams", tmp_path / "profile_grams",
+                     "layer001_grams.ctf", case)
         doc = json.loads((built / "profile.json").read_text())
-        corrupted = (tmp_path / "profile_spectra/layer001_spectra.ctf").read_bytes()
-        doc["spectra"]["layers"][1]["spectra_file_sha256"] = hashlib.sha256(corrupted).hexdigest()
+        corrupted = (tmp_path / "profile_grams/layer001_grams.ctf").read_bytes()
+        doc["grams"][1]["grams_file_sha256"] = hashlib.sha256(corrupted).hexdigest()
         (tmp_path / "profile.json").write_text(json.dumps(doc))
         argv = ["convert", "--manifest", model, "--cov-dir", built / "cov",
                 "--profile", tmp_path / "profile.json", "--out", tmp_path / "out"]
@@ -224,7 +222,14 @@ def test_corrupt_ctf_header_exits_cleanly(built, tmp_path, capsys, consumer, cas
         if consumer == "schedule":
             argv += ["--parity", "--out", tmp_path / "profile.json"]
         else:
-            argv += ["--profile", built / "profile.json", "--out", tmp_path / "out"]
+            # The profile records the corrupted file's sha256, so the reader
+            # sees the corruption.
+            doc = json.loads((built / "profile.json").read_text())
+            corrupted = (tmp_path / "cov/layer001_cov.ctf").read_bytes()
+            doc["grams"][1]["cov_file_sha256"] = hashlib.sha256(corrupted).hexdigest()
+            shutil.copytree(built / "profile_grams", tmp_path / "profile_grams")
+            (tmp_path / "profile.json").write_text(json.dumps(doc))
+            argv += ["--profile", tmp_path / "profile.json", "--out", tmp_path / "out"]
     capsys.readouterr()
     code = main([str(a) for a in argv])
     err = capsys.readouterr().err

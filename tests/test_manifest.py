@@ -50,7 +50,6 @@ def small_mla_manifest(tmp_path, rng, d=8, n_heads=2, r=3):
         layer=0, d_model=d, n_heads=n_heads, head_dim=d // n_heads, n_groups=1, r_k=r, r_v=r,
         w_a_k="w_a_k.ctf", w_b_k="w_b_k.ctf", w_a_v="w_a_v.ctf", w_b_v="w_b_v.ctf",
         cov="cov.ctf", cov_file_sha256=sha256["cov"],
-        w_q_file_sha256="c" * 64,
         w_k_g_file_sha256="a" * 64, w_v_g_file_sha256="b" * 64,
     )
     return manifest.ModelManifest(
@@ -158,8 +157,8 @@ class TestModelManifest:
         with pytest.raises(ValidationError, match="w_q"):
             manifest.load_manifest(tmp_path / "old.json")
 
-    @pytest.mark.parametrize("key", ["cov", "cov_file_sha256", "w_q_file_sha256",
-                                     "w_k_g_file_sha256", "w_v_g_file_sha256"])
+    @pytest.mark.parametrize("key", ["cov", "cov_file_sha256", "w_k_g_file_sha256",
+                                     "w_v_g_file_sha256"])
     def test_converted_layer_must_record_its_source(self, tmp_path, key):
         manifest.save_manifest(small_mla_manifest(tmp_path, gen(712)), tmp_path / "c.json")
         doc = json.loads((tmp_path / "c.json").read_text())
@@ -174,7 +173,7 @@ class TestModelManifest:
         # bytes under other keys; such a bundle is refused, not misread.
         manifest.save_manifest(small_mla_manifest(tmp_path, gen(716)), tmp_path / "c.json")
         doc = json.loads((tmp_path / "c.json").read_text())
-        for old, new in (("cov_sha256", "cov_file_sha256"), ("w_q_sha256", "w_q_file_sha256"),
+        for old, new in (("cov_sha256", "cov_file_sha256"),
                          ("w_k_sha256", "w_k_g_file_sha256"),
                          ("w_v_sha256", "w_v_g_file_sha256")):
             doc["layers"][0][old] = doc["layers"][0].pop(new)
@@ -184,7 +183,7 @@ class TestModelManifest:
 
     @pytest.mark.parametrize("key, value", [
         ("cov_file_sha256", "A" * 64), ("w_k_g_file_sha256", "a" * 63),
-        ("w_q_file_sha256", 7), ("cov", "../cov.ctf"),
+        ("w_v_g_file_sha256", 7), ("cov", "../cov.ctf"),
     ])
     def test_converted_source_record_is_checked(self, tmp_path, key, value):
         manifest.save_manifest(small_mla_manifest(tmp_path, gen(713)), tmp_path / "c.json")
@@ -193,6 +192,16 @@ class TestModelManifest:
         (tmp_path / "c.json").write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match=key):
             manifest.load_manifest(tmp_path / "c.json")
+
+    def test_earlier_query_digest_is_ignored(self, tmp_path):
+        # Bundles once pinned the source's w_q too; the key is now unknown,
+        # so such a bundle loads as one without it.
+        m = small_mla_manifest(tmp_path, gen(721))
+        manifest.save_manifest(m, tmp_path / "c.json")
+        doc = json.loads((tmp_path / "c.json").read_text())
+        doc["layers"][0]["w_q_file_sha256"] = "c" * 64
+        (tmp_path / "old.json").write_text(json.dumps(doc))
+        assert manifest.load_manifest(tmp_path / "old.json") == m
 
     def test_bundle_covariance_must_match_its_digest(self, tmp_path):
         m = small_mla_manifest(tmp_path, gen(714))
@@ -258,8 +267,7 @@ class TestResolvedPaths:
         (tmp_path / "m/weights").symlink_to("real_weights", target_is_directory=True)
         (tmp_path / "m/batches/b0.ctf").rename(tmp_path / "m/batches/real_b0.ctf")
         (tmp_path / "m/batches/b0.ctf").symlink_to("real_b0.ctf")
-        got = manifest.load_query(m, tmp_path / "m", 0)
-        assert got[1] == expected[1] and np.array_equal(got[0], expected[0])
+        assert np.array_equal(manifest.load_query(m, tmp_path / "m", 0), expected)
         assert all(np.array_equal(b.x, x) for b, x in
                    zip(manifest.load_batches(m, tmp_path / "m", 0), batches))
 
@@ -288,54 +296,63 @@ class TestRankProfileFile:
         # An entry's full rank is its layer's grouped width, not a profile key.
         assert all(set(entry) == {"layer", "kind", "rank"} for entry in doc["entries"])
 
-    def test_round_trip_with_spectrum_records(self, tmp_path):
-        # One shrinkage for the profile, and per layer one spectra file with
-        # its sha256 and those of the files it was computed from.
+    def test_round_trip_with_gram_records(self, tmp_path):
+        # Per layer one Grams file with its sha256 and those of the files it
+        # was computed from, and no whitening setting.
         profile = RankProfile(ranks={(0, "K"): 1, (0, "V"): 1, (1, "K"): 1, (1, "V"): 1},
                               budget_k=2, budget_v=2, min_rank=1)
-        stored = manifest.StoredSpectra(ShrinkageParams(0.25, 2.5, "C"), {
-            layer: manifest.SpectrumRecord(
-                layer=layer, path=f"p_spectra/l{layer}.ctf", sha256=f"{layer:064x}",
+        records = {
+            layer: manifest.GramRecord(
+                layer=layer, path=f"p_grams/l{layer}.ctf", sha256=f"{layer:064x}",
                 inputs={name: f"{i + 2:064x}" for i, name in enumerate(manifest.SPECTRUM_INPUTS)},
             )
             for layer in (1, 0)
-        })
-        manifest.save_profile(profile, tmp_path / "p.json", spectra=stored)
-        assert manifest.load_profile(tmp_path / "p.json")[2] == stored
+        }
+        manifest.save_profile(profile, tmp_path / "p.json", grams=records)
+        assert manifest.load_profile(tmp_path / "p.json")[2] == records
         doc = json.loads((tmp_path / "p.json").read_text())
-        assert doc["spectra"]["alpha"] == 0.25 and doc["spectra"]["lambda"] == 2.5
-        assert [r["layer"] for r in doc["spectra"]["layers"]] == [0, 1]
-        assert set(doc["spectra"]["layers"][0]) == {
-            "layer", "spectra", "spectra_file_sha256", "cov_file_sha256",
+        assert [r["layer"] for r in doc["grams"]] == [0, 1]
+        assert set(doc["grams"][0]) == {
+            "layer", "grams", "grams_file_sha256", "cov_file_sha256",
             "w_k_g_file_sha256", "w_v_g_file_sha256"}
+        assert not {"alpha", "lambda", "weighting"} & set(json.dumps(doc))
         assert not (tmp_path / "p.json.partial").exists()
 
-    def test_old_eigen_key_loads_without_records(self, tmp_path):
+    @pytest.mark.parametrize("key, value", [
+        ("eigen", [{"layer": 0, "cov_sha256": "0" * 64, "eigenvalues": "v.ctf",
+                    "eigenvectors": "q.ctf"}]),
+        ("spectra", {"alpha": 0.01, "lambda": "auto", "weighting": "damped",
+                     "layers": [{"layer": 0, "spectra": "s.ctf",
+                                 **{f"{name}_file_sha256": "3" * 64
+                                    for name in ("spectra", "cov", "w_k_g", "w_v_g")}}]}),
+        ("spectra", [{"layer": 0, "cov_sha256": "0" * 64, "sigma_k": "s.ctf"}]),
+    ], ids=["eigen", "spectra", "flat_spectra"])
+    def test_records_of_earlier_versions_load_as_none(self, tmp_path, key, value):
+        # Profiles once stored eigenpairs or spectra under one setting; such
+        # a profile has no Gram records, and convert asks for schedule.
         doc = {
             "format": manifest.PROFILE_FORMAT, "version": 1, "mode": "adjusted",
             "min_rank": 1, "budget_k": 1, "budget_v": 1,
             "entries": [{"layer": 0, "kind": kind, "rank": 1} for kind in ("K", "V")],
-            "eigen": [{"layer": 0, "cov_sha256": "0" * 64, "eigenvalues": "v.ctf",
-                       "eigenvectors": "q.ctf"}],
+            key: value,
         }
         (tmp_path / "p.json").write_text(json.dumps(doc))
-        _, _, stored = manifest.load_profile(tmp_path / "p.json")
-        assert stored is None
+        _, _, records = manifest.load_profile(tmp_path / "p.json")
+        assert records is None
 
     @staticmethod
-    def spectra_doc(tmp_path, mutate) -> Path:
-        """A two-layer profile with valid spectrum records, then `mutate`d."""
-        records = [{"layer": layer, "spectra": f"s{layer}.ctf",
+    def grams_doc(tmp_path, mutate) -> Path:
+        """A two-layer profile with valid Gram records, then `mutate`d."""
+        records = [{"layer": layer, "grams": f"g{layer}.ctf",
                     **{f"{name}_file_sha256": "3" * 64
-                       for name in ("spectra", *manifest.SPECTRUM_INPUTS)}}
+                       for name in ("grams", *manifest.SPECTRUM_INPUTS)}}
                    for layer in (0, 1)]
         doc = {
             "format": manifest.PROFILE_FORMAT, "version": 1, "mode": "adjusted",
             "min_rank": 1, "budget_k": 2, "budget_v": 2,
             "entries": [{"layer": layer, "kind": kind, "rank": 1}
                         for layer in (0, 1) for kind in ("K", "V")],
-            "spectra": {"alpha": 0.01, "lambda": "auto", "weighting": "damped",
-                        "layers": records},
+            "grams": records,
         }
         mutate(doc)
         (tmp_path / "p.json").write_text(json.dumps(doc))
@@ -346,38 +363,34 @@ class TestRankProfileFile:
         ("cov_file_sha256", "AB" * 32, "hex"),
         ("cov_file_sha256", 7, "hex"),
         ("w_v_g_file_sha256", None, "hex"),
-        ("spectra_file_sha256", "ab" * 31, "hex"),
+        ("grams_file_sha256", "ab" * 31, "hex"),
         ("layer", 1, "repeats"),
         ("layer", 5, "repeats"),
         ("layer", True, "integer"),
-        ("spectra", "../vals.ctf", "inside"),
-        ("spectra", "/vecs.ctf", "inside"),
-        ("spectra", None, "path string"),
+        ("grams", "../vals.ctf", "inside"),
+        ("grams", "/vecs.ctf", "inside"),
+        ("grams", None, "path string"),
     ])
-    def test_rejects_malformed_spectrum_record(self, tmp_path, field, value, match):
-        path = self.spectra_doc(tmp_path, lambda doc: doc["spectra"]["layers"][0].update(
-            {field: value}))
+    def test_rejects_malformed_gram_record(self, tmp_path, field, value, match):
+        path = self.grams_doc(tmp_path, lambda doc: doc["grams"][0].update({field: value}))
         with pytest.raises(ValidationError, match=match):
             manifest.load_profile(path)
 
-    @pytest.mark.parametrize("key", ["spectra", "spectra_file_sha256", "cov_file_sha256",
+    @pytest.mark.parametrize("key", ["grams", "grams_file_sha256", "cov_file_sha256",
                                      "w_k_g_file_sha256", "w_v_g_file_sha256"])
     def test_record_requires_every_key(self, tmp_path, key):
-        path = self.spectra_doc(tmp_path, lambda doc: doc["spectra"]["layers"][1].pop(key))
-        with pytest.raises(ValidationError, match=f"p.json: spectrum record.*{key}"):
+        path = self.grams_doc(tmp_path, lambda doc: doc["grams"][1].pop(key))
+        with pytest.raises(ValidationError, match=f"p.json: Gram record.*{key}"):
             manifest.load_profile(path)
 
-    def test_records_of_an_earlier_version_ask_for_schedule(self, tmp_path):
-        # Profiles once listed flat records: four files per layer, with the
-        # shrinkage and array digests in every record.
-        def flat(doc):
-            doc["spectra"] = [{"layer": layer, "cov_sha256": "0" * 64, "w_k_sha256": "1" * 64,
-                               "w_v_sha256": "2" * 64, "alpha": 0.01, "lambda": "auto",
-                               "weighting": "damped", "sigma_k": "s.ctf",
-                               "sigma_k_sha256": "3" * 64} for layer in (0, 1)]
-
-        with pytest.raises(ValidationError, match="earlier version.*; re-run schedule"):
-            manifest.load_profile(self.spectra_doc(tmp_path, flat))
+    @pytest.mark.parametrize("records, match", [
+        (lambda r: r[:1], r"cover layers \[0\]"), (lambda r: r + r[:1], "repeats"),
+        (lambda r: {"layers": r}, "must be a list"), (lambda r: ["x"], "malformed"),
+    ], ids=["one_of_two", "repeated", "object", "string"])
+    def test_records_must_cover_every_layer(self, tmp_path, records, match):
+        path = self.grams_doc(tmp_path, lambda doc: doc.update(grams=records(doc["grams"])))
+        with pytest.raises(ValidationError, match=match):
+            manifest.load_profile(path)
 
     def test_rejects_rank_below_min_on_load(self, tmp_path):
         doc = {
@@ -424,7 +437,7 @@ class TestRankProfileFile:
 class TestShrinkageKeys:
     """ShrinkageParams holds the only defaults and checks of the whitening
     setting: a model manifest may leave out alpha and lambda, but not
-    weighting, and a spectrum record must carry all three."""
+    weighting."""
 
     @pytest.mark.parametrize("missing", [("alpha",), ("lambda",), ("alpha", "lambda")])
     def test_model_manifest_takes_defaults_for_alpha_and_lambda(self, tmp_path, missing):
@@ -449,21 +462,6 @@ class TestShrinkageKeys:
         (tmp_path / "model.json").write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="weighting"):
             manifest.load_manifest(tmp_path / "model.json")
-
-    @pytest.mark.parametrize("key", ["alpha", "lambda", "weighting"])
-    def test_stored_spectra_require_every_key(self, tmp_path, key):
-        path = TestRankProfileFile.spectra_doc(tmp_path, lambda doc: doc["spectra"].pop(key))
-        with pytest.raises(ValidationError, match=f"p.json: spectra: .*{key}"):
-            manifest.load_profile(path)
-
-    @pytest.mark.parametrize("key, value", [
-        ("alpha", 1.0), ("lambda", 0), ("lambda", float("inf")), ("weighting", "fisher"),
-    ])
-    def test_stored_spectra_shrinkage_is_checked(self, tmp_path, key, value):
-        path = TestRankProfileFile.spectra_doc(
-            tmp_path, lambda doc: doc["spectra"].update({key: value}))
-        with pytest.raises(ValidationError, match=key):
-            manifest.load_profile(path)
 
 
 @pytest.mark.parametrize("before, after, key", [

@@ -6,16 +6,21 @@ whose effect on every reported figure is known, runs both models through
 the two runs wrote. A relation needs no second implementation, so it
 catches a mistake that a component oracle built on the same
 misunderstanding would share, as long as the mistake breaks the symmetry:
-one made the same way in both runs, such as swapping K's and V's spectra,
+one made the same way in both runs, such as swapping K's and V's Grams,
 still needs a component oracle.
 
+The stored raw Grams of each kind, G = W_g^T C W_g and H = (C W_g)^T
+(C W_g), are compared directly, and every other figure through them:
+
 - Rotation of the residual basis, X -> X Q and W -> Q^T W for W_q, W_k
-  and W_v: C -> Q^T C Q leaves tr(C) and every Gram W^T S^2 W as they are.
-- Activation scale, X -> c X: C, lambda and every Gram scale by c^2.
+  and W_v: C -> Q^T C Q leaves tr(C), G and H, and so every whitened
+  Gram W^T S^2 W, as they are.
+- Activation scale, X -> c X: C and lambda scale by c^2, G by c^2 and H
+  by c^4, so every whitened Gram scales by c^2.
 - Group relabelling: the K/V groups are permuted and each group's heads
-  move with it, so each Gram is permuted, W_g P^T S^2 W_g P.
+  move with it, so G, H and each whitened Gram are permuted, P^T G P.
 - Layer order: the layers are reversed, weights and batches together, so
-  each layer's covariance and spectra move to the mirrored index and the
+  each layer's covariance and Grams move to the mirrored index and the
   water-filled profile is reversed, as long as no two singular values of a
   kind tie across layers.
 
@@ -30,9 +35,9 @@ import numpy as np
 import pytest
 
 from conftest import gen, random_orthogonal
-from kvlatent import attention, ctf, manifest
+from kvlatent import attention, calibration, ctf, manifest
 from kvlatent.cli import main
-from kvlatent.factorizer import GqaLayer
+from kvlatent.factorizer import GqaLayer, layer_spectra
 
 D, HEADS, HEAD_DIM, GROUPS, LAYERS = 16, 4, 4, 2, 3
 # Per kind, below KV parity (3 layers x 8) so water-filling decides.
@@ -70,7 +75,7 @@ def derive(source: Path, root: Path, transform) -> Path:
 
 
 class Run:
-    """What one pipeline wrote: the profile's ranks and stored spectra, the
+    """What one pipeline wrote: the profile's ranks and stored Grams, the
     conversion and eval reports, and each layer's source and factors."""
 
     def __init__(self, root: Path, model: Path):
@@ -81,14 +86,19 @@ class Run:
             "--profile", root / "p.json", "--out", root / "c")
         run("eval", "--source", model, "--converted", root / "c/converted.json",
             "--out", root / "e")
-        profile, _, stored = manifest.load_profile(root / "p.json")
+        profile, _, records = manifest.load_profile(root / "p.json")
         self.ranks = profile.ranks
         source = manifest.load_manifest(model)
         converted = manifest.load_manifest(root / "c/converted.json")
         self.sources = [manifest.load_gqa_layer(source, model.parent, layer)
                         for layer in range(LAYERS)]
-        self.spectra = [manifest.load_spectra(stored.records[layer], root, kv)
-                        for layer, kv in enumerate(self.sources)]
+        # Per layer, (2, 2, n, n): K then V, each G then H.
+        self.grams = [manifest.load_grams(records[layer], root, kv.grouped_width)
+                      for layer, kv in enumerate(self.sources)]
+        covariances = [ctf.read_ctf(root / "cov" / manifest.layer_file(layer, "cov"))
+                       for layer in range(LAYERS)]
+        self.spectra = [layer_spectra(kv, grams, calibration.ridge(c, source.shrinkage))
+                        for kv, grams, c in zip(self.sources, self.grams, covariances)]
         self.factors = [manifest.load_mla_bundle(converted, root / "c", layer)
                         for layer in range(LAYERS)]
         self.conversion = json.loads((root / "c/conversion_report.json").read_text())["layers"]
@@ -96,6 +106,10 @@ class Run:
 
     def sigmas(self) -> list[np.ndarray]:
         return [svd.singular_values for layer in self.spectra for svd in layer]
+
+    def raw(self, which: int) -> list[np.ndarray]:
+        """Per (layer, kind), the stored G (which = 0) or H (which = 1)."""
+        return [grams[kind, which] for grams in self.grams for kind in range(2)]
 
     def residuals(self, name: str) -> list[float]:
         """A residual per (layer, kind): a conversion report field, or eval's
@@ -120,6 +134,13 @@ def close(a, b, scale=1.0) -> bool:
     rounding noise, so the tolerance is floored far below the largest."""
     a, b = np.asarray(a, dtype=float), scale * np.asarray(b, dtype=float)
     return bool(np.all(np.abs(a - b) <= REL * np.maximum(np.abs(b), 1e-9 * np.max(np.abs(b)))))
+
+
+def grams_agree(ours: list, theirs: list, scale=1.0) -> bool:
+    """Each of `ours` is `scale` times the matching one of `theirs`, to REL
+    of its largest entry."""
+    return all(np.max(np.abs(a - scale * b)) <= REL * scale * np.max(np.abs(b))
+               for a, b in zip(ours, theirs, strict=True))
 
 
 def drifts_agree(a, b) -> bool:
@@ -148,6 +169,7 @@ def test_rotation_of_the_residual_basis(base, tmp_path):
 
     got = Run(tmp_path, derive(model, tmp_path / "m", rotate))
     assert got.ranks == ref.ranks
+    assert grams_agree(got.raw(0), ref.raw(0)) and grams_agree(got.raw(1), ref.raw(1))
     for ours, theirs in zip(got.sigmas(), ref.sigmas()):
         assert np.max(np.abs(ours - theirs)) <= REL * theirs[0]
     for name in ("whitened_residual_sq", "weight_residual_sq", "retained_energy", "activation"):
@@ -172,6 +194,8 @@ def test_activation_scale(base, tmp_path):
     got = Run(tmp_path, derive(model, tmp_path / "m", lambda layer, gqa, batches: (
         gqa.w_q, gqa.w_k_g, gqa.w_v_g, [c * x for x in batches])))
     assert got.ranks == ref.ranks
+    assert grams_agree(got.raw(0), ref.raw(0), c**2)
+    assert grams_agree(got.raw(1), ref.raw(1), c**4)
     for ours, theirs in zip(got.sigmas(), ref.sigmas()):
         assert np.max(np.abs(ours - c * theirs)) <= REL * c * theirs[0]
     for name, scale in (("whitened_residual_sq", c**2), ("activation", c**2),
@@ -199,6 +223,9 @@ def test_group_relabelling(base, tmp_path):
     got = Run(tmp_path, derive(model, tmp_path / "m", lambda layer, gqa, batches: (
         gqa.w_q[:, head_cols], gqa.w_k_g[:, group_cols], gqa.w_v_g[:, group_cols], batches)))
     assert got.ranks == ref.ranks
+    for which in range(2):
+        assert grams_agree(got.raw(which),
+                           [g[np.ix_(group_cols, group_cols)] for g in ref.raw(which)])
     for ours, theirs in zip(got.sigmas(), ref.sigmas()):
         assert np.max(np.abs(ours - theirs)) <= REL * theirs[0]
     for name in ("whitened_residual_sq", "weight_residual_sq", "retained_energy", "activation"):
@@ -245,6 +272,8 @@ def test_layer_order(base, tmp_path):
         """Per-(layer, kind) values of ref with the layers reversed."""
         return [values[2 * layer + kind] for layer in order for kind in range(2)]
 
+    assert grams_agree(got.raw(0), mirror(ref.raw(0)))
+    assert grams_agree(got.raw(1), mirror(ref.raw(1)))
     for ours, theirs in zip(got.sigmas(), mirror(ref.sigmas())):
         assert np.max(np.abs(ours - theirs)) <= REL * theirs[0]
     for name in ("whitened_residual_sq", "weight_residual_sq", "retained_energy", "activation"):
