@@ -20,11 +20,12 @@ profile's record, resolves its own ridge, and decomposes the whitened
 Gram it forms from the stored ones (factorizer.layer_spectra), as
 `schedule` does to water-fill, and never multiplies by the covariance.
 No stage forms a D x D product other than the covariance or decomposes a
-D x D matrix. `cov` is the only stage that reads
-calibration batches: `convert` places each layer's covariance in the
-converted bundle, and `eval` takes the activation residual from it. `eval`
-projects each layer's queries once: the source and latent forwards share
-them and differ only in K and V.
+D x D matrix. `cov` is the only stage that reads calibration batches, and
+`schedule` the only one that multiplies by a covariance: `convert` places
+each layer's stored Grams in the converted bundle, and `eval` takes the
+activation residual from them (factorizer.gram_residual) and reads no
+covariance. `eval` projects each layer's queries once: the source and
+latent forwards share them and differ only in K and V.
 
 Every command creates a missing parent of its `--out` when it first writes
 there (`_out_dir`).
@@ -427,15 +428,16 @@ def cmd_convert(args) -> None:
     )
 
     out = Path(args.out)
-    for sub in ("cov", "factors"):
+    for sub in ("factors", "grams"):
         _out_dir(out / sub)
     # The two documents are written last; a run that stops early leaves
     # neither, so its factors never look like a finished conversion.
     for name in ("converted.json", "conversion_report.json"):
         (out / name).unlink(missing_ok=True)
-    # The bundle's cov/ and factors/ and the retired weights/ of an earlier
-    # version.
-    _clear_layer_files(out, ("cov", "factors", "weights"), _inputs(m, base, args.cov_dir))
+    # The bundle's factors/ and grams/, and the retired cov/ and weights/ of
+    # earlier versions.
+    _clear_layer_files(out, ("cov", "factors", "grams", "weights"),
+                       _inputs(m, base, args.cov_dir))
 
     entries = []
     report_layers = []
@@ -448,24 +450,23 @@ def cmd_convert(args) -> None:
         del c
         ridge.check_invertible()
         kv, _ = manifest.load_grouped_kv(m, base, layer, pins)
-        grams = manifest.load_grams(record, profile_dir, entry.grouped_width)
+        grams = manifest.load_grams(profile_dir, record.path, entry, pins["grams"])
         spectra = factorizer.layer_spectra(kv, grams, ridge)
         r_k = profile.rank(layer, scheduler.KIND_K)
         r_v = profile.rank(layer, scheduler.KIND_V)
         factors, report_k, report_v = factorizer.convert_layer(kv, spectra, r_k, r_v)
 
-        # The bundle carries this layer's covariance, as a hard link where it
-        # can, and the file digests eval checks it and the source weights by.
-        cov_rel = f"cov/{manifest.layer_file(layer, 'cov')}"
-        _place(Path(args.cov_dir) / manifest.layer_file(layer, "cov"), out / cov_rel)
+        # The bundle carries this layer's Grams, as a hard link where it can,
+        # and the file digests eval checks them and the source weights by.
+        grams_rel = f"grams/{manifest.layer_file(layer, 'grams')}"
+        _place(profile_dir / record.path, out / grams_rel)
         paths = {name: f"factors/{manifest.layer_file(layer, name)}"
                  for name in ("w_a_k", "w_b_k", "w_a_v", "w_b_v")}
         for name, rel in paths.items():
             ctf.write_ctf(out / rel, getattr(factors, name))
         entries.append(dataclasses.replace(
             entry, w_q=None, w_k_g=None, w_v_g=None, r_k=r_k, r_v=r_v, **paths,
-            cov=cov_rel, **{manifest.file_key(name): digest
-                            for name, digest in record.inputs.items()},
+            grams=grams_rel, **{manifest.file_key(name): pin.sha256 for name, pin in pins.items()},
         ))
         report_layers.append({
             "layer": layer,
@@ -553,7 +554,7 @@ def _eval_layer(
 ) -> dict:
     """Compare one converted layer with its source and return its report,
     all but the activation residuals, which cmd_eval adds from the layer's
-    covariance.
+    Grams.
 
     Draws from rng in a fixed order: probe input, then targets. The two
     content forwards run in one attention.compare pass (_compare_latent),
@@ -635,20 +636,22 @@ def cmd_eval(args) -> None:
     layer_reports = []
     for layer in range(len(source.layers)):
         entry = converted.layer(layer)
-        kv, _ = manifest.load_grouped_kv(source, src_base, layer, manifest.bundle_pins(entry))
+        pins = manifest.bundle_pins(entry)
+        kv, _ = manifest.load_grouped_kv(source, src_base, layer, pins)
         factors = manifest.load_mla_bundle(converted, conv_base, layer)
         # The residuals come first, from only the weights they read, so the
-        # covariance and its products are freed before either query
-        # projection or any attention buffer is allocated. On `wide` eval
-        # peaked at 94.0 MB so, and at 97.4 MB with the covariance read
-        # after the forwards (ru_maxrss, numpy on 2 BLAS threads).
-        c = manifest.load_bundle_covariance(converted, conv_base, layer)
-        residuals = {
-            f"activation_residual_{kind}": factorizer.covariance_residual(c, *weights, kv)
-            for kind, weights in (("k", (kv.w_k_g, factors.w_a_k, factors.w_b_k)),
-                                  ("v", (kv.w_v_g, factors.w_a_v, factors.w_b_v)))
-        }
-        del c
+        # Grams and their products are freed before either query projection
+        # or any attention buffer is allocated.
+        grams = manifest.load_grams(conv_base, entry.grams, entry, pins["grams"])
+        residuals = {}
+        for kind, g, weights in (("K", grams[0, 0], (kv.w_k_g, factors.w_a_k, factors.w_b_k)),
+                                 ("V", grams[1, 0], (kv.w_v_g, factors.w_a_v, factors.w_b_v))):
+            try:
+                residual = factorizer.gram_residual(g, *weights, kv)
+            except ValidationError as exc:
+                raise ValidationError(f"layer {layer} {kind}: {exc}; re-run convert") from None
+            residuals[f"activation_residual_{kind.lower()}"] = residual
+        del grams
         # The source's current w_q, which no document pins, is the query
         # of both forwards.
         gqa = factorizer.GqaLayer.from_grouped(kv, manifest.load_query(source, src_base, layer))

@@ -22,7 +22,8 @@ W_g^T W_g (calibration.Ridge.gram) and eigendecomposes it as
 V diag(sigma^2) V^T (gram_svd). Neither S, U nor any other D x D matrix besides C is formed,
 nothing of size D is decomposed, and convert never multiplies by C. The
 Gram resolves each sigma^2 to about n eps sigma_1^2, which bounds
-the error of every tail sum_{i>r} sigma_i^2 at the same scale.
+the error of every tail sum_{i>r} sigma_i^2 at the same scale. eval's
+activation residual (gram_residual) also reads only W_g^T C W_g.
 
 whitened_svd and care_factorize are the dense reference path, which no
 stage runs. They take S itself (calibration.whitening_operator) or any L
@@ -35,7 +36,7 @@ is at least 1, d_model = n_heads * head_dim, n_groups divides n_heads, and
 head h reads group floor(h * n_groups / n_heads). GroupedKv (a layer's
 grouped K and V projections), its subclass GqaLayer and
 manifest.LayerEntry are Geometries, and replicate_groups,
-grouped_factorize, activation_residual and covariance_residual take one.
+grouped_factorize, activation_residual and gram_residual take one.
 The weight to approximate is the grouped projection W_g replicated to
 full head width, W = W_g P, where P copies each group block to its
 m = n_heads / n_groups heads and P P^T = m I. So if S W_g = U Sigma V^T,
@@ -65,6 +66,10 @@ import numpy as np
 from . import linalg
 from .calibration import CalibrationBatch, Ridge
 from .errors import ValidationError
+
+# Relative distance from W_g's column span above which gram_residual refuses w_a.
+SPAN_TOL = 1e-10
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -369,48 +374,43 @@ def activation_residual(
     return total / len(batches)
 
 
-def covariance_residual(c, w_g, w_a, w_b, geometry: Geometry) -> float:
+def gram_residual(g, w_g, w_a, w_b, geometry: Geometry) -> float:
     """activation_residual of the factored weight w_a @ w_b against the
-    grouped weight w_g replicated to head width, from the covariance
-    C = (1/N) sum_b X_b^T X_b of the N batches instead of the batches:
+    grouped weight w_g replicated to head width, from the n x n Gram
+    G = W_g^T C W_g of the covariance C = (1/N) sum_b X_b^T X_b of the N
+    batches instead of the batches. With w_a = W_g A,
 
-        (1/N) sum_b ||X_b dW||_F^2 = tr(dW^T C dW),  dW = replicate_groups(w_g) - w_a w_b.
+        dW = replicate_groups(W_g) - w_a w_b = W_g E,  E = replicate_groups(I_n) - A w_b,
 
-    Heads whose w_b blocks are bitwise equal within one group have equal
-    dW blocks, dW_h = (w_g)_g(h) - w_a (w_b)_h, so it is summed over each
-    group's distinct head blocks, each counted once per head that shares
-    it: one C dW product per group, whatever the token count. The bundles
-    convert writes repeat one block per group (grouped_factorize), so there
-    the cost is D^2 grouped_width + D r grouped_width. A w_b whose head
-    blocks all differ costs D^3, and no temporary is wider than one
-    group's heads_per_group * head_dim columns.
+    so (1/N) sum_b ||X_b dW||_F^2 = tr(dW^T C dW) = tr(E^T G E), for any w_b.
+    A = W_g^+ w_a comes from a pseudo-inverse of the n x n W_g^T W_g
+    (linalg.sym_eig, clamp_psd), so a rank-deficient W_g is accepted. A w_a
+    farther than SPAN_TOL (relative) from W_g's column span has no such A
+    and is refused.
     """
-    c = linalg.as_matrix(c, "c")
-    w_g = linalg.as_matrix(w_g, "w_g")
-    w_a = linalg.as_matrix(w_a, "w_a")
-    w_b = linalg.as_matrix(w_b, "w_b")
-    d = w_g.shape[0]
-    if c.shape != (d, d):
-        raise ValidationError(f"covariance {c.shape} does not match weight rows {d}")
-    if (w_g.shape[1] != geometry.grouped_width or w_a.shape[0] != d
+    g, w_g, w_a, w_b = (linalg.as_matrix(a, name) for a, name in
+                        ((g, "Gram"), (w_g, "w_g"), (w_a, "w_a"), (w_b, "w_b")))
+    n = geometry.grouped_width
+    if (g.shape != (n, n) or w_g.shape[1] != n or w_a.shape[0] != w_g.shape[0]
             or w_b.shape[1] != geometry.d_model or w_a.shape[1] != w_b.shape[0]):
         raise ValidationError(
-            f"factors {w_a.shape} @ {w_b.shape} do not approximate the grouped "
+            f"Gram {g.shape} and factors {w_a.shape} @ {w_b.shape} do not fit the grouped "
             f"{w_g.shape} weight at head width {geometry.d_model}"
         )
-    hd, m = geometry.head_dim, geometry.heads_per_group
-    total = 0.0
-    for g in range(geometry.n_groups):
-        # Heads g * m to (g + 1) * m - 1 read group g.
-        distinct: dict[bytes, list] = {}  # block bytes -> [block, heads sharing it]
-        for h in range(g * m, (g + 1) * m):
-            block = w_b[:, h * hd:(h + 1) * hd]
-            distinct.setdefault(block.tobytes(), [block, 0])[1] += 1
-        blocks, counts = zip(*distinct.values())
-        diff = np.tile(w_g[:, g * hd:(g + 1) * hd], len(blocks)) - w_a @ np.hstack(blocks)
-        per_block = np.einsum("ij,ij->j", diff, c @ diff).reshape(len(blocks), hd).sum(axis=1)
-        total += float(np.dot(counts, per_block))
-    return total
+    eig = linalg.sym_eig(w_g.T @ w_g)
+    vals, _ = linalg.clamp_psd(eig.eigenvalues)
+    # Eigenvalues at the decomposition's rounding floor span W_g's null space.
+    inverse = np.divide(1.0, vals, out=np.zeros(n), where=vals > n * _EPS * vals[0])
+    a = (eig.eigenvectors * inverse) @ (eig.eigenvectors.T @ (w_g.T @ w_a))
+    size = linalg.frobenius_norm_sq(w_a)
+    off = linalg.frobenius_norm_sq(w_a - w_g @ a)
+    if off > SPAN_TOL**2 * size:
+        raise ValidationError(
+            f"down-projection lies {math.sqrt(off / size):.2e} (relative) outside the "
+            f"grouped weight's column span (at most {SPAN_TOL:g} is accepted)"
+        )
+    e = replicate_groups(np.eye(n), geometry) - a @ w_b
+    return float(np.einsum("ij,ij->", e, g @ e))
 
 
 def ablate_singular_value(w, i: int) -> tuple[float, np.ndarray]:

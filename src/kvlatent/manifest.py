@@ -1,9 +1,9 @@
 """JSON manifests gluing the pipeline stages together.
 
 Two document kinds exist: model manifests (source layers, or converted
-latent factors with the covariance and the file digests of the covariance
-and grouped weights each was converted from, plus calibration batch
-listings and whitening settings) and rank-profile files, which may also
+latent factors with the raw Grams and the file digests of the Grams,
+covariance and grouped weights each was converted from, plus calibration
+batch listings and whitening settings) and rank-profile files, which may also
 record where the parameter-free Grams that `schedule` computed for each
 layer are stored, and the file digests they were computed from. All
 documents are written with sorted keys and no timestamps so reruns are
@@ -41,10 +41,12 @@ MODEL_FORMAT = "kvlatent-model"
 PROFILE_FORMAT = "kvlatent-rank-profile"
 PROFILE_MODES = ("adjusted", "uniform")
 DOC_VERSION = 1
-_TENSORS = ("w_q", "w_k_g", "w_v_g", "w_a_k", "w_b_k", "w_a_v", "w_b_v", "cov")
+_TENSORS = ("w_q", "w_k_g", "w_v_g", "w_a_k", "w_b_k", "w_a_v", "w_b_v", "grams")
 # The files a layer's stored Grams, and so its factors, are computed from,
 # by tensor name.
 SPECTRUM_INPUTS = ("cov", "w_k_g", "w_v_g")
+# The files a converted layer records the sha256 of.
+_BUNDLE_DIGESTS = ("grams", *SPECTRUM_INPUTS)
 _SHA256 = re.compile(r"[0-9a-f]{64}")
 # ShrinkageParams field -> the JSON key documents store it under.
 _SHRINKAGE_KEYS = {"alpha": "alpha", "lam": "lambda", "weighting": "weighting"}
@@ -60,8 +62,9 @@ def file_key(name: str) -> str:
 @dataclass(frozen=True)
 class LayerEntry(Geometry):
     """Per-layer geometry and tensor paths; optional fields depend on model
-    kind. A converted layer also names the covariance it was whitened with
-    (`cov`) and records the file sha256 of each file it was converted from
+    kind. A converted layer also names its copy of the raw Grams it was
+    converted from (`grams`, a GramRecord's file) and records the file
+    sha256 of it and of each file they were computed from
     (SPECTRUM_INPUTS); it carries no `w_q`, and one named by an earlier
     bundle is path-checked, never read."""
 
@@ -75,7 +78,8 @@ class LayerEntry(Geometry):
     w_b_k: str | None = None
     w_a_v: str | None = None
     w_b_v: str | None = None
-    cov: str | None = None
+    grams: str | None = None
+    grams_file_sha256: str | None = None
     cov_file_sha256: str | None = None
     w_k_g_file_sha256: str | None = None
     w_v_g_file_sha256: str | None = None
@@ -98,7 +102,7 @@ class ModelManifest:
 
 def _entry_to_json(entry: LayerEntry) -> dict:
     optional = {name: getattr(entry, name)
-                for name in (*_TENSORS, "r_k", "r_v", *map(file_key, SPECTRUM_INPUTS))}
+                for name in (*_TENSORS, "r_k", "r_v", *map(file_key, _BUNDLE_DIGESTS))}
     return {"layer": entry.layer, **asdict(entry.geometry),
             **{name: value for name, value in optional.items() if value is not None}}
 
@@ -152,11 +156,10 @@ def load_manifest(path) -> ModelManifest:
         ):
             raise ValidationError(f"{path}: layer {i} is missing latent factors")
         if kind == MODEL_KIND_MLA and None in (
-            entry.cov, *(getattr(entry, file_key(name)) for name in SPECTRUM_INPUTS)
+            entry.grams, *(getattr(entry, file_key(name)) for name in _BUNDLE_DIGESTS)
         ):
             raise ValidationError(
-                f"{path}: layer {i} records no covariance or source file digests; "
-                f"re-run convert"
+                f"{path}: layer {i} records no Grams or source file digests; re-run convert"
             )
         layers.append(entry)
     raw_calibration = doc.get("calibration", {})
@@ -213,7 +216,7 @@ def _entry_from_json(raw, where: str) -> LayerEntry:
     for name in ("r_k", "r_v"):
         if raw.get(name) is not None:
             ints[name] = _int(raw[name], f"{where}: {name}", minimum=1)
-    digests = {key: _sha256(raw, key, where) for key in map(file_key, SPECTRUM_INPUTS)
+    digests = {key: _sha256(raw, key, where) for key in map(file_key, _BUNDLE_DIGESTS)
                if raw.get(key) is not None}
     try:
         return LayerEntry(**ints, **tensors, **digests)
@@ -303,8 +306,8 @@ def load_covariance(cov_dir, layer: int, d_model: int,
 
 
 def bundle_pins(entry: LayerEntry) -> dict[str, _Pin]:
-    """The file sha256 a converted layer records for each of SPECTRUM_INPUTS."""
-    return {name: _Pin(getattr(entry, file_key(name))) for name in SPECTRUM_INPUTS}
+    """The file sha256 a converted layer records for each _BUNDLE_DIGESTS file."""
+    return {name: _Pin(getattr(entry, file_key(name))) for name in _BUNDLE_DIGESTS}
 
 
 def _entry_of(m: ModelManifest, index: int, kind: str) -> LayerEntry:
@@ -354,15 +357,6 @@ def load_mla_bundle(m: ModelManifest, base_dir, index: int) -> MlaFactors:
     })
 
 
-def load_bundle_covariance(m: ModelManifest, base_dir, index: int) -> np.ndarray:
-    """The covariance a converted layer was whitened with, the file the
-    layer records."""
-    entry = _entry_of(m, index, MODEL_KIND_MLA)
-    c, _ = _load_tensor(base_dir, entry.cov, (entry.d_model, entry.d_model),
-                        f"layer {index} covariance", bundle_pins(entry)["cov"])
-    return c
-
-
 def iter_batches(m: ModelManifest, base_dir, layer: int,
                  batches_dir=None) -> Iterator[CalibrationBatch]:
     """Read one layer's batches lazily, in manifest order, so a consumer
@@ -402,8 +396,9 @@ class GramRecord(NamedTuple):
     inputs: dict[str, str]
 
     def pins(self) -> dict[str, _Pin]:
-        """The record's `inputs` as pins of the profile that holds it."""
-        return {name: _Pin(sha256, "profile", "schedule") for name, sha256 in self.inputs.items()}
+        """The digests of the Grams file (`grams`) and `inputs` as profile pins."""
+        return {name: _Pin(sha256, "profile", "schedule")
+                for name, sha256 in {"grams": self.sha256, **self.inputs}.items()}
 
 
 def grams_dir(profile_path: Path) -> Path:
@@ -422,11 +417,12 @@ def store_grams(directory: Path, profile_path: Path, layer: int, inputs: dict[st
                       sha256=sha256, inputs=inputs)
 
 
-def load_grams(record: GramRecord, base_dir, n: int) -> np.ndarray:
-    """The (2, 2, n, n) raw Grams a record names, from the file the profile
-    records."""
-    return _load_tensor(base_dir, record.path, (2, 2, n, n), f"layer {record.layer} Grams",
-                        _Pin(record.sha256, "profile", "schedule"))[0]
+def load_grams(base_dir, path: str, entry: LayerEntry, pin: _Pin) -> np.ndarray:
+    """The (2, 2, n, n) raw Grams of `entry`'s layer, n its grouped width, at
+    base_dir / path; the file must have the `pin`'s sha256: a profile
+    record's (GramRecord.pins) or a converted layer's (bundle_pins)."""
+    n = entry.grouped_width
+    return _load_tensor(base_dir, path, (2, 2, n, n), f"layer {entry.layer} Grams", pin)[0]
 
 
 def _record_to_json(record: GramRecord) -> dict:

@@ -5,8 +5,8 @@ Philox4x64-10 counter-based bit generator, keyed directly rather than
 routed through SeedSequence. Its key has 128 bits: the seed fills the low
 64 and a stream id the high 64, so every (seed, stream) pair names its own
 stream. Gaussian draws use numpy's ziggurat standard_normal on a stream.
-`gen` gives each tensor it writes its own stream (cli.gen_stream);
-`eval` and `ablate` draw from stream 0 in a documented fixed order.
+`gen` keys each tensor's stream by its layer and slot (cli.cmd_gen,
+cli._GEN_SLOTS); `eval` and `ablate` draw from stream 0 in a fixed order.
 Identical seeds therefore give identical artifacts.
 """
 

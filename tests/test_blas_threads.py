@@ -1,7 +1,8 @@
 """A pipeline's artifacts do not depend on the BLAS thread count.
 
 numpy's OpenBLAS `eigh` at n = 256 gives other bytes on two threads than
-on one, so linalg runs its decompositions on one thread. Here the whole
+on one, so linalg runs its decompositions on one thread: `schedule`'s and
+`convert`'s of the whitened Grams, and `eval`'s of `W_gᵀW_g`. Here the whole
 pipeline runs at grouped width 256 in two processes, under
 OPENBLAS_NUM_THREADS=1 and =2, and must write the same bytes. Other BLAS
 builds, and other CPUs, are out of scope.
@@ -56,5 +57,9 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         trees.append(tree_bytes(root))
+    # The Grams schedule decomposes and the bundle's copy, which eval
+    # pseudo-inverts through an n x n eigh of W_g^T W_g.
     assert "p_grams/layer000_grams.ctf" in trees[0]
+    assert "c/grams/layer000_grams.ctf" in trees[0]
+    assert "e/eval_report.json" in trees[0]
     assert trees[0] == trees[1]

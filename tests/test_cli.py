@@ -1035,6 +1035,22 @@ class TestConvert:
             assert health["clamped"] >= 1 and health["condition"] is None
         else:
             assert health["condition"] >= 1e12
+        # eval solves W_g A = w_a through a pseudo-inverse of W_g^T W_g,
+        # which the zero column makes singular.
+        assert run("eval", "--source", model, "--converted", tmp_path / "c/converted.json",
+                   "--out", tmp_path / "e") == 0
+        report = json.loads((tmp_path / "e/eval_report.json").read_text())
+        source = manifest.load_manifest(model)
+        converted = manifest.load_manifest(tmp_path / "c/converted.json")
+        for layer, got in enumerate(report["layers"]):
+            kv, _ = manifest.load_grouped_kv(source, model.parent, layer)
+            factors = manifest.load_mla_bundle(converted, tmp_path / "c", layer)
+            batches = manifest.load_batches(source, model.parent, layer)
+            for kind, w_g in (("k", kv.w_k_g), ("v", kv.w_v_g)):
+                want = factorizer.activation_residual(
+                    batches, w_g, getattr(factors, f"w_a_{kind}"),
+                    getattr(factors, f"w_b_{kind}"), kv)
+                assert abs(got[f"activation_residual_{kind}"] - want) <= 1e-12 * want
 
 
     def test_interrupted_run_leaves_no_manifest(self, tmp_path, monkeypatch, capsys):
@@ -1063,20 +1079,24 @@ class TestConvert:
         assert not [name for name in left if name.endswith(".json") or ".partial" in name]
         assert "factors/layer000_w_a_k.ctf" in left
 
-    def test_bundle_links_covariance_and_holds_no_query(self, tmp_path):
+    def test_bundle_links_grams_and_holds_no_query(self, tmp_path):
         pipeline(tmp_path)
-        # eval takes w_q from the source, so the bundle neither holds nor names one.
+        # eval takes w_q from the source and its residuals from the Grams,
+        # so the bundle holds neither a query nor a covariance.
         assert not (tmp_path / "converted/weights").exists()
+        assert not (tmp_path / "converted/cov").exists()
         doc = json.loads((tmp_path / "converted/converted.json").read_text())
-        assert [layer for layer in doc["layers"] if "w_q" in layer] == []
+        assert [layer for layer in doc["layers"] if "w_q" in layer or "cov" in layer] == []
         for layer in range(2):
-            placed = f"cov/layer00{layer}_cov.ctf"
-            assert os.path.samefile(tmp_path / placed, tmp_path / "converted" / placed)
+            name = f"layer00{layer}_grams.ctf"
+            assert os.path.samefile(tmp_path / "profile_grams" / name,
+                                    tmp_path / "converted/grams" / name)
         before = tree_bytes(tmp_path / "converted")
-        # gen replaces its files, so the bundle's links keep the old bytes.
-        gen_model(tmp_path / "model", seed=7)
-        assert run("cov", "--manifest", tmp_path / "model/model.json",
-                   "--out", tmp_path / "cov") == 0
+        # Every stage replaces its files, so the bundle's links keep the old bytes.
+        model = gen_model(tmp_path / "model", seed=7)
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov", "--parity",
+                   "--out", tmp_path / "profile.json") == 0
         assert tree_bytes(tmp_path / "converted") == before
 
     def test_copies_where_linking_fails(self, tmp_path, monkeypatch):
@@ -1088,8 +1108,8 @@ class TestConvert:
         monkeypatch.setattr(os, "link", cross_device)
         copied = pipeline(tmp_path / "copied")
         assert tree_bytes(copied) == tree_bytes(linked)
-        assert not os.path.samefile(copied / "cov/layer000_cov.ctf",
-                                    copied / "converted/cov/layer000_cov.ctf")
+        assert not os.path.samefile(copied / "profile_grams/layer000_grams.ctf",
+                                    copied / "converted/grams/layer000_grams.ctf")
 
 
 def convert_tree(tmp_path: Path, model: Path, cov_dir: Path, profile: Path, out: str,
@@ -1172,7 +1192,7 @@ class TestOneSpectraPath:
             assert record.path == f"p_grams/layer{layer:03d}_grams.ctf"
             assert record.sha256 == file_sha256(tmp_path / record.path)
             kv, _ = manifest.load_grouped_kv(m, scheduled.parent, layer)
-            stored = manifest.load_grams(record, tmp_path, kv.grouped_width)
+            stored = manifest.load_grams(tmp_path, record.path, entry, record.pins()["grams"])
             assert stored.tobytes() == factorizer.raw_grams(kv, ctf.read_ctf(cov_path)).tobytes()
 
     def test_profile_records_no_setting(self, tmp_path, scheduled):
@@ -1674,33 +1694,54 @@ class TestEval:
         assert tree_bytes(tmp_path / "again") == tree_bytes(tmp_path / "eval")
 
     @pytest.mark.parametrize("fault, code, message", [
-        ("no cov key", 2, "layer 1 records no covariance or source file digests; re-run convert"),
-        ("tampered", 2, "layer 1 covariance (cov/layer001_cov.ctf): file sha256 does not match "
+        ("bundle of an earlier version", 2,
+         "layer 1 records no Grams or source file digests; re-run convert"),
+        ("tampered", 2, "layer 1 Grams (grams/layer001_grams.ctf): file sha256 does not match "
                         "the converted manifest's record; re-run convert"),
-        ("wrong shape", 2, "layer 1 covariance (cov/layer001_cov.ctf): shape (8, 8)"),
-        ("no file", 4, "layer001_cov.ctf"),
+        ("wrong shape", 2, "layer 1 Grams (grams/layer001_grams.ctf): shape (2, 2, 4, 4)"),
+        ("no file", 4, "layer001_grams.ctf"),
     ])
-    def test_bundle_covariance_fault_leaves_no_report(self, tmp_path, capsys, fault, code,
-                                                      message):
+    def test_bundle_grams_fault_leaves_no_report(self, tmp_path, capsys, fault, code, message):
         pipeline(tmp_path)
         converted = tmp_path / "converted/converted.json"
-        cov = tmp_path / "converted/cov/layer001_cov.ctf"
-        if fault == "no cov key":
+        grams = tmp_path / "converted/grams/layer001_grams.ctf"
+        if fault == "bundle of an earlier version":
+            # Earlier bundles linked the covariance in place of the Grams.
             doc = json.loads(converted.read_text())
-            del doc["layers"][1]["cov"]
+            del doc["layers"][1]["grams"], doc["layers"][1]["grams_file_sha256"]
+            doc["layers"][1]["cov"] = "cov/layer001_cov.ctf"
             converted.write_text(json.dumps(doc))
         elif fault == "tampered":
-            ctf.write_ctf(cov, ctf.read_ctf(cov) * (1.0 + 1e-15))
+            ctf.write_ctf(grams, ctf.read_ctf(grams) * (1.0 + 1e-15))
         elif fault == "wrong shape":
-            ctf.write_ctf(cov, np.eye(8))
+            ctf.write_ctf(grams, np.zeros((2, 2, 4, 4)))
         else:
-            cov.unlink()
+            grams.unlink()
         capsys.readouterr()
         assert run("eval", "--source", tmp_path / "model/model.json", "--converted", converted,
                    "--out", tmp_path / "fresh") == code
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err, err
         assert not (tmp_path / "fresh/eval_report.json").exists()
+
+    def test_down_projection_outside_the_span_leaves_no_report(self, tmp_path, capsys):
+        # One column of w_a_v pushed orthogonally out of W_v_g's span by
+        # ||w_a_v||_F lies 1/sqrt(2) (relative) from it.
+        pipeline(tmp_path)
+        w_v = ctf.read_ctf(tmp_path / "model/weights/layer001_w_v_g.ctf")
+        path = tmp_path / "converted/factors/layer001_w_a_v.ctf"
+        w_a = ctf.read_ctf(path)
+        q, _ = np.linalg.qr(np.hstack((w_v, np.ones((16, 1)))))
+        w_a[:, 0] += np.linalg.norm(w_a) * q[:, -1]
+        ctf.write_ctf(path, w_a)
+        capsys.readouterr()
+        assert run("eval", "--source", tmp_path / "model/model.json",
+                   "--converted", tmp_path / "converted/converted.json",
+                   "--out", tmp_path / "eval") == 2
+        assert capsys.readouterr().err == (
+            "error: layer 1 V: down-projection lies 7.07e-01 (relative) outside the grouped "
+            "weight's column span (at most 1e-10 is accepted); re-run convert\n")
+        assert tree_bytes(tmp_path / "eval") == {}
 
     def test_student_takes_the_query_from_the_source(self, tmp_path):
         # Bundles of earlier versions name a w_q of their own. It is never
@@ -1827,7 +1868,7 @@ def reference_eval_layers(root: Path, seed: int, rope_dim: int) -> list[dict]:
 
 class TestEvalAgainstReference:
     def test_report_beyond_one_query_block(self, tmp_path):
-        # 160 tokens span two 128-row query blocks of the attention core
+        # 160 tokens span three 64-row query tiles of the attention core
         seed, rope_dim = 7, 4
         pipeline(tmp_path, seq=160, schedule_args=("--mode", "uniform", "--rank", "3"),
                  eval_args=("--seed", seed, "--rope-dim", rope_dim))
@@ -1896,9 +1937,19 @@ class TestEvalMemory:
         pipeline(tmp_path, schedule_args=("--mode", "uniform", "--rank", "3"))
 
         def refuse(*args, **kwargs):
-            raise AssertionError("eval read a calibration batch")
+            raise AssertionError("eval read a calibration batch or a covariance")
+
+        real_open = open
+
+        def open_no_covariance(file, *args, **kwargs):
+            if str(file).endswith("_cov.ctf"):
+                refuse()
+            return real_open(file, *args, **kwargs)
 
         monkeypatch.setattr(manifest, "iter_batches", refuse)
+        monkeypatch.setattr(manifest, "load_covariance", refuse)
+        monkeypatch.setattr("builtins.open", open_no_covariance)
+        monkeypatch.setattr("io.open", open_no_covariance)
         assert run("eval", "--source", tmp_path / "model/model.json",
                    "--converted", tmp_path / "converted/converted.json",
                    "--seed", 0, "--out", tmp_path / "patched") == 0
@@ -2059,12 +2110,13 @@ class TestRecordedDigests:
             pinned.update({(f"profile {layer}", key): (record.pop(key), files[key[:-12]])
                            for key in [key for key in record if key.endswith("_file_sha256")]})
         for layer, entry in enumerate(converted["layers"]):
-            files = {"cov": tmp_path / "converted" / entry["cov"],
+            files = {"grams": tmp_path / "converted" / entry["grams"],
+                     "cov": tmp_path / f"cov/layer{layer:03d}_cov.ctf",
                      **{name: tmp_path / "model" / model["layers"][layer][name]
                         for name in ("w_k_g", "w_v_g")}}
             pinned.update({(f"converted {layer}", key): (entry.pop(key), files[key[:-12]])
                            for key in [key for key in entry if key.endswith("_file_sha256")]})
-        assert len(pinned) == 2 * 4 + 2 * 3
+        assert len(pinned) == 2 * 4 + 2 * 4
         for where, (digest, path) in pinned.items():
             assert digest == file_sha256(path), where
         # No other digest is left in either document.

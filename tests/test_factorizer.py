@@ -29,9 +29,10 @@ from kvlatent.factorizer import (
     ablate_singular_value,
     care_factorize,
     convert_layer,
-    covariance_residual,
+    gram_residual,
     gram_svd,
     grouped_factorize,
+    raw_grams,
     replicate_groups,
     truncate,
     whitened_svd,
@@ -612,22 +613,30 @@ class TestActivationResidual:
             activation_residual([], np.eye(2), np.eye(2), np.eye(2))
 
 
-class TestCovarianceResidual:
+def gram_of(w_g, batches) -> np.ndarray:
+    """W_g^T C W_g over the covariance of `batches`."""
+    return w_g.T @ covariance_of(batches) @ w_g
+
+
+class TestGramResidual:
     @pytest.mark.parametrize("n_groups", [1, 2, 4])
     def test_matches_batch_residual_at_every_rank(self, n_groups):
-        # tr(dW^T C dW) against the batch oracle, on the factors convert
-        # writes. At full grouped rank both read rounding noise, so there
-        # the test takes an absolute floor far below any live residual.
+        # tr(E^T G E) from the Grams schedule stores, against the batch
+        # oracle, on the factors convert writes. At full grouped rank both
+        # read rounding noise, so there the test takes an absolute floor far
+        # below any live residual.
         rng = gen(340 + n_groups)
         layer = random_gqa_layer(rng, d_model=16, n_heads=4, n_groups=n_groups)
         batches = anisotropic_batches(rng, 3, 12, 16, cond=100.0)
         c = covariance_of(batches)
         spectra = pipeline_spectra(layer, c)
+        grams = raw_grams(layer, c)
         for r in range(1, layer.grouped_width + 1):
             factors, _, _ = convert_layer(layer, spectra, r, r)
-            for w_g, w_a, w_b in ((layer.w_k_g, factors.w_a_k, factors.w_b_k),
-                                  (layer.w_v_g, factors.w_a_v, factors.w_b_v)):
-                got = covariance_residual(c, w_g, w_a, w_b, layer)
+            for (g, _), w_g, w_a, w_b in zip(grams, (layer.w_k_g, layer.w_v_g),
+                                             (factors.w_a_k, factors.w_a_v),
+                                             (factors.w_b_k, factors.w_b_v)):
+                got = gram_residual(g, w_g, w_a, w_b, layer)
                 want = activation_residual(batches, w_g, w_a, w_b, layer)
                 energy = activation_residual(batches, w_g, w_a, 0.0 * w_b, layer)
                 if r < layer.grouped_width:
@@ -635,30 +644,25 @@ class TestCovarianceResidual:
                 else:
                     assert max(abs(got), abs(want)) <= 1e-24 * energy, (r, got, want)
 
-    def test_head_blocks_of_a_general_up_projection(self):
-        # Head blocks of w_b need not repeat per group, as convert's do.
-        rng = gen(345)
-        geometry = Geometry(8, 4, 2, 2)
-        batches = [calibration.CalibrationBatch(0, rng.standard_normal((5, 8)))
-                   for _ in range(3)]
-        w_g = rng.standard_normal((8, 4))
-        w_a = rng.standard_normal((8, 3))
-        w_b = rng.standard_normal((3, 8))
-        want = activation_residual(batches, w_g, w_a, w_b, geometry)
-        got = covariance_residual(covariance_of(batches), w_g, w_a, w_b, geometry)
-        assert abs(got - want) <= 1e-12 * want
-
     @staticmethod
-    def against_batches(rng, geometry, w_b):
-        """(covariance_residual, activation_residual) of a random grouped
-        weight and down-projection with up-projection w_b."""
+    def against_batches(rng, geometry, w_b, w_g=None):
+        """(gram_residual, activation_residual) of a random grouped weight
+        (or `w_g`) and a down-projection w_a = W_g A in its column span,
+        with up-projection w_b."""
         d = geometry.d_model
         batches = [calibration.CalibrationBatch(0, rng.standard_normal((7, d)))
                    for _ in range(3)]
-        w_g = rng.standard_normal((d, geometry.grouped_width))
-        w_a = rng.standard_normal((d, w_b.shape[0]))
-        return (covariance_residual(covariance_of(batches), w_g, w_a, w_b, geometry),
+        if w_g is None:
+            w_g = rng.standard_normal((d, geometry.grouped_width))
+        w_a = w_g @ rng.standard_normal((geometry.grouped_width, w_b.shape[0]))
+        return (gram_residual(gram_of(w_g, batches), w_g, w_a, w_b, geometry),
                 activation_residual(batches, w_g, w_a, w_b, geometry))
+
+    def test_head_blocks_of_a_general_up_projection(self):
+        # Head blocks of w_b need not repeat per group, as convert's do.
+        rng = gen(345)
+        got, want = self.against_batches(rng, Geometry(8, 4, 2, 2), rng.standard_normal((3, 8)))
+        assert abs(got - want) <= 1e-12 * want
 
     def test_some_heads_of_a_group_repeat_a_block(self):
         # Group 0: heads 0, 1 and 3 share one block, head 2 has its own.
@@ -682,16 +686,40 @@ class TestCovarianceResidual:
         got, want = self.against_batches(rng, geometry, w_b)
         assert abs(got - want) <= 1e-12 * want
 
+    def test_rank_deficient_grouped_weight(self):
+        # A zero column and a repeated one: W_g^T W_g is singular, and its
+        # pseudo-inverse still finds an A with W_g A = w_a.
+        rng = gen(348)
+        geometry = Geometry(8, 4, 2, 2)
+        w_g = rng.standard_normal((8, 4))
+        w_g[:, 1] = 0.0
+        w_g[:, 3] = w_g[:, 2]
+        got, want = self.against_batches(rng, geometry, rng.standard_normal((3, 8)), w_g)
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("push", [1e-6, 1.0])
+    def test_down_projection_outside_the_span_is_refused(self, push):
+        rng = gen(349)
+        geometry = Geometry(8, 4, 2, 2)
+        w_g = rng.standard_normal((8, 4))
+        w_a = w_g @ rng.standard_normal((4, 3))
+        # A unit direction orthogonal to W_g's columns.
+        q, _ = np.linalg.qr(np.hstack((w_g, rng.standard_normal((8, 1)))))
+        w_a[:, 1] += push * np.linalg.norm(w_a) * q[:, 4]
+        with pytest.raises(ValidationError, match="outside the grouped weight's column span"):
+            gram_residual(np.eye(4), w_g, w_a, rng.standard_normal((3, 8)), geometry)
+
     @pytest.mark.parametrize("shapes", [
-        ((8, 7), (8, 4), (8, 3), (3, 8)),   # covariance not D x D
-        ((8, 8), (8, 6), (8, 3), (3, 8)),   # w_g not grouped width
-        ((8, 8), (8, 4), (8, 3), (2, 8)),   # latent widths disagree
-        ((8, 8), (8, 4), (8, 3), (3, 6)),   # w_b not head width
+        ((4, 3), (8, 4), (8, 3), (3, 8)),   # Gram not n x n
+        ((4, 4), (8, 6), (8, 3), (3, 8)),   # w_g not grouped width
+        ((4, 4), (8, 4), (8, 3), (2, 8)),   # latent widths disagree
+        ((4, 4), (8, 4), (8, 3), (3, 6)),   # w_b not head width
+        ((4, 4), (8, 4), (7, 3), (3, 8)),   # w_a not d_model rows
     ])
     def test_shape_mismatch(self, shapes):
-        c, w_g, w_a, w_b = (np.ones(shape) for shape in shapes)
+        g, w_g, w_a, w_b = (np.ones(shape) for shape in shapes)
         with pytest.raises(ValidationError):
-            covariance_residual(c, w_g, w_a, w_b, Geometry(8, 4, 2, 2))
+            gram_residual(g, w_g, w_a, w_b, Geometry(8, 4, 2, 2))
 
 
 class TestAblateSingularValue:

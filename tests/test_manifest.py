@@ -42,20 +42,28 @@ def small_gqa_manifest(tmp_path, rng, d=8, n_heads=2, n_groups=1, batches=2, seq
 
 def small_mla_manifest(tmp_path, rng, d=8, n_heads=2, r=3):
     """One converted layer of rank r in K and V, with its tensors written."""
-    names = {"w_a_k": (d, r), "w_b_k": (r, d), "w_a_v": (d, r), "w_b_v": (r, d), "cov": (d, d)}
+    n = d // n_heads
+    names = {"w_a_k": (d, r), "w_b_k": (r, d), "w_a_v": (d, r), "w_b_v": (r, d),
+             "grams": (2, 2, n, n)}
     sha256 = {name: ctf.write_ctf(tmp_path / f"{name}.ctf", rng.standard_normal(shape),
                                   digest=True)
               for name, shape in names.items()}
     entry = manifest.LayerEntry(
         layer=0, d_model=d, n_heads=n_heads, head_dim=d // n_heads, n_groups=1, r_k=r, r_v=r,
         w_a_k="w_a_k.ctf", w_b_k="w_b_k.ctf", w_a_v="w_a_v.ctf", w_b_v="w_b_v.ctf",
-        cov="cov.ctf", cov_file_sha256=sha256["cov"],
+        grams="grams.ctf", grams_file_sha256=sha256["grams"], cov_file_sha256="d" * 64,
         w_k_g_file_sha256="a" * 64, w_v_g_file_sha256="b" * 64,
     )
     return manifest.ModelManifest(
         model_kind=manifest.MODEL_KIND_MLA, seq_len=4, layers=(entry,),
         shrinkage=ShrinkageParams(0.01, 0.5, "damped"),
     )
+
+
+def bundle_grams(m, base_dir):
+    """Layer 0's Grams, read from a bundle as eval reads them."""
+    entry = m.layer(0)
+    return manifest.load_grams(base_dir, entry.grams, entry, manifest.bundle_pins(entry)["grams"])
 
 
 class TestModelManifest:
@@ -137,7 +145,7 @@ class TestModelManifest:
         assert loaded == m
         factors = manifest.load_mla_bundle(loaded, tmp_path, 0)
         assert factors.r_k == 3 and factors.r_v == 3
-        assert manifest.load_bundle_covariance(loaded, tmp_path, 0).shape == (8, 8)
+        assert bundle_grams(loaded, tmp_path).shape == (2, 2, 4, 4)
 
     def test_converted_layer_has_no_query(self, tmp_path):
         # A bundle of an earlier version names a w_q; its path is checked,
@@ -157,14 +165,14 @@ class TestModelManifest:
         with pytest.raises(ValidationError, match="w_q"):
             manifest.load_manifest(tmp_path / "old.json")
 
-    @pytest.mark.parametrize("key", ["cov", "cov_file_sha256", "w_k_g_file_sha256",
-                                     "w_v_g_file_sha256"])
+    @pytest.mark.parametrize("key", ["grams", "grams_file_sha256", "cov_file_sha256",
+                                     "w_k_g_file_sha256", "w_v_g_file_sha256"])
     def test_converted_layer_must_record_its_source(self, tmp_path, key):
         manifest.save_manifest(small_mla_manifest(tmp_path, gen(712)), tmp_path / "c.json")
         doc = json.loads((tmp_path / "c.json").read_text())
         del doc["layers"][0][key]
         (tmp_path / "c.json").write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match="layer 0 records no covariance or source "
+        with pytest.raises(ValidationError, match="layer 0 records no Grams or source "
                                                   "file digests; re-run convert"):
             manifest.load_manifest(tmp_path / "c.json")
 
@@ -183,7 +191,7 @@ class TestModelManifest:
 
     @pytest.mark.parametrize("key, value", [
         ("cov_file_sha256", "A" * 64), ("w_k_g_file_sha256", "a" * 63),
-        ("w_v_g_file_sha256", 7), ("cov", "../cov.ctf"),
+        ("w_v_g_file_sha256", 7), ("grams_file_sha256", "g" * 64), ("grams", "../grams.ctf"),
     ])
     def test_converted_source_record_is_checked(self, tmp_path, key, value):
         manifest.save_manifest(small_mla_manifest(tmp_path, gen(713)), tmp_path / "c.json")
@@ -203,13 +211,13 @@ class TestModelManifest:
         (tmp_path / "old.json").write_text(json.dumps(doc))
         assert manifest.load_manifest(tmp_path / "old.json") == m
 
-    def test_bundle_covariance_must_match_its_digest(self, tmp_path):
+    def test_bundle_grams_must_match_their_digest(self, tmp_path):
         m = small_mla_manifest(tmp_path, gen(714))
-        cov = ctf.read_ctf(tmp_path / "cov.ctf")
-        ctf.write_ctf(tmp_path / "cov.ctf", cov * (1.0 + 1e-15))
+        grams = ctf.read_ctf(tmp_path / "grams.ctf")
+        ctf.write_ctf(tmp_path / "grams.ctf", grams * (1.0 + 1e-15))
         with pytest.raises(ValidationError) as exc:
-            manifest.load_bundle_covariance(m, tmp_path, 0)
-        assert str(exc.value) == ("layer 0 covariance (cov.ctf): file sha256 does not match the "
+            bundle_grams(m, tmp_path)
+        assert str(exc.value) == ("layer 0 Grams (grams.ctf): file sha256 does not match the "
                                   "converted manifest's record; re-run convert")
 
     def test_old_rope_keys_load_as_plain_converted_manifest(self, tmp_path):

@@ -93,8 +93,9 @@ class Run:
         self.sources = [manifest.load_gqa_layer(source, model.parent, layer)
                         for layer in range(LAYERS)]
         # Per layer, (2, 2, n, n): K then V, each G then H.
-        self.grams = [manifest.load_grams(records[layer], root, kv.grouped_width)
-                      for layer, kv in enumerate(self.sources)]
+        self.grams = [manifest.load_grams(root, records[layer].path, source.layer(layer),
+                                          records[layer].pins()["grams"])
+                      for layer in range(LAYERS)]
         covariances = [ctf.read_ctf(root / "cov" / manifest.layer_file(layer, "cov"))
                        for layer in range(LAYERS)]
         self.spectra = [layer_spectra(kv, grams, calibration.ridge(c, source.shrinkage))
