@@ -22,10 +22,12 @@ Gram it forms from the stored ones (factorizer.layer_spectra), as
 No stage forms a D x D product other than the covariance or decomposes a
 D x D matrix. `cov` is the only stage that reads calibration batches, and
 `schedule` the only one that multiplies by a covariance: `convert` places
-each layer's stored Grams in the converted bundle, and `eval` takes the
-activation residual from them (factorizer.gram_residual) and reads no
-covariance. `eval` projects each layer's queries once: the source and
-latent forwards share them and differ only in K and V.
+each layer's stored Grams in the converted bundle, with the coordinates A
+of each down-projection (w_a = W_g A), and `eval` checks A and takes the
+activation residual from the Grams (factorizer.gram_residual); it reads
+no covariance and decomposes nothing. `eval` projects each layer's
+queries once: the source and latent forwards share them and differ only
+in K and V.
 
 Every command creates a missing parent of its `--out` when it first writes
 there (`_out_dir`).
@@ -461,7 +463,7 @@ def cmd_convert(args) -> None:
         grams_rel = f"grams/{manifest.layer_file(layer, 'grams')}"
         _place(profile_dir / record.path, out / grams_rel)
         paths = {name: f"factors/{manifest.layer_file(layer, name)}"
-                 for name in ("w_a_k", "w_b_k", "w_a_v", "w_b_v")}
+                 for name in ("w_a_k", "w_b_k", "w_a_v", "w_b_v", "a_k", "a_v")}
         for name, rel in paths.items():
             ctf.write_ctf(out / rel, getattr(factors, name))
         entries.append(dataclasses.replace(
@@ -640,18 +642,20 @@ def cmd_eval(args) -> None:
         kv, _ = manifest.load_grouped_kv(source, src_base, layer, pins)
         factors = manifest.load_mla_bundle(converted, conv_base, layer)
         # The residuals come first, from only the weights they read, so the
-        # Grams and their products are freed before either query projection
-        # or any attention buffer is allocated.
+        # Grams, the coordinates and their products are freed before either
+        # query projection or any attention buffer is allocated.
         grams = manifest.load_grams(conv_base, entry.grams, entry, pins["grams"])
         residuals = {}
-        for kind, g, weights in (("K", grams[0, 0], (kv.w_k_g, factors.w_a_k, factors.w_b_k)),
-                                 ("V", grams[1, 0], (kv.w_v_g, factors.w_a_v, factors.w_b_v))):
+        for kind, g, weights in (
+                ("K", grams[0, 0], (kv.w_k_g, factors.a_k, factors.w_a_k, factors.w_b_k)),
+                ("V", grams[1, 0], (kv.w_v_g, factors.a_v, factors.w_a_v, factors.w_b_v))):
             try:
                 residual = factorizer.gram_residual(g, *weights, kv)
             except ValidationError as exc:
                 raise ValidationError(f"layer {layer} {kind}: {exc}; re-run convert") from None
             residuals[f"activation_residual_{kind.lower()}"] = residual
         del grams
+        factors = dataclasses.replace(factors, a_k=None, a_v=None)
         # The source's current w_q, which no document pins, is the query
         # of both forwards.
         gqa = factorizer.GqaLayer.from_grouped(kv, manifest.load_query(source, src_base, layer))

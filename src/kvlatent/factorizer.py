@@ -23,7 +23,8 @@ V diag(sigma^2) V^T (gram_svd). Neither S, U nor any other D x D matrix besides 
 nothing of size D is decomposed, and convert never multiplies by C. The
 Gram resolves each sigma^2 to about n eps sigma_1^2, which bounds
 the error of every tail sum_{i>r} sigma_i^2 at the same scale. eval's
-activation residual (gram_residual) also reads only W_g^T C W_g.
+activation residual (gram_residual) also reads only W_g^T C W_g, and
+decomposes nothing.
 
 whitened_svd and care_factorize are the dense reference path, which no
 stage runs. They take S itself (calibration.whitening_operator) or any L
@@ -44,8 +45,10 @@ then S W = U (sqrt(m) Sigma) (V^T P / sqrt(m)) is an SVD of S W.
 grouped_factorize therefore truncates the whitened SVD of W_g at grouped
 width (D x Geometry.grouped_width) and lifts its factors:
 
-    w_a = sqrt(m) W_g V_r
+    w_a = sqrt(m) W_g V_r = W_g A,    A = sqrt(m) V_r
     w_b = replicate_groups(V_r^T) / sqrt(m)     (orthonormal rows)
+
+MlaFactors carries A (a_k, a_v), which gram_residual checks, not solves for.
 
 Residuals at head width are m times their grouped-width values; the
 retained energy fraction is unchanged by the lift. The replicated weight
@@ -58,7 +61,7 @@ r_k + r_v, the latent widths read off the factor shapes.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -67,9 +70,8 @@ from . import linalg
 from .calibration import CalibrationBatch, Ridge
 from .errors import ValidationError
 
-# Relative distance from W_g's column span above which gram_residual refuses w_a.
+# Relative distance of w_a from W_g A above which gram_residual refuses it.
 SPAN_TOL = 1e-10
-_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -179,30 +181,34 @@ class FactorPair(NamedTuple):
 @dataclass(frozen=True)
 class MlaFactors:
     """Latent factor bundle for one converted layer; the latent ranks r_k
-    and r_v are the widths the factor shapes agree on."""
+    and r_v are the widths the factor shapes agree on. a_k and a_v, when
+    given, are the coordinates A of each down-projection in its grouped
+    weight's columns, w_a = W_g A (grouped_factorize)."""
 
     w_a_k: np.ndarray
     w_b_k: np.ndarray
     w_a_v: np.ndarray
     w_b_v: np.ndarray
+    a_k: np.ndarray | None = None
+    a_v: np.ndarray | None = None
 
     def __post_init__(self):
-        wak = linalg.as_matrix(self.w_a_k, "w_a_k")
-        wbk = linalg.as_matrix(self.w_b_k, "w_b_k")
-        wav = linalg.as_matrix(self.w_a_v, "w_a_v")
-        wbv = linalg.as_matrix(self.w_b_v, "w_b_v")
-        for kind, w_a, w_b in (("K", wak, wbk), ("V", wav, wbv)):
-            if w_a.shape[1] != w_b.shape[0]:
+        arr = {f.name: linalg.as_matrix(getattr(self, f.name), f.name) for f in fields(self)
+               if getattr(self, f.name) is not None}
+        for kind in ("k", "v"):
+            w_a, w_b, a = arr[f"w_a_{kind}"], arr[f"w_b_{kind}"], arr.get(f"a_{kind}")
+            if w_a.shape[1] != w_b.shape[0] or (a is not None and a.shape[1] != w_a.shape[1]):
                 raise ValidationError(
-                    f"{kind} factors disagree on the latent width: "
-                    f"{w_a.shape[1]} columns vs {w_b.shape[0]} rows"
+                    f"{kind.upper()} factors disagree on the latent width: {w_a.shape[1]} "
+                    f"columns vs {w_b.shape[0]} rows"
+                    + ("" if a is None else f" vs {a.shape[1]} coordinate columns")
                 )
-        if wak.shape[0] != wav.shape[0]:
+        if arr["w_a_k"].shape[0] != arr["w_a_v"].shape[0]:
             raise ValidationError("K and V down-projections disagree on d_model")
-        if wbk.shape[1] != wbv.shape[1]:
+        if arr["w_b_k"].shape[1] != arr["w_b_v"].shape[1]:
             raise ValidationError("K and V up-projections disagree on output width")
-        for name, arr in (("w_a_k", wak), ("w_b_k", wbk), ("w_a_v", wav), ("w_b_v", wbv)):
-            object.__setattr__(self, name, arr)
+        for name, value in arr.items():
+            object.__setattr__(self, name, value)
 
     @property
     def d_model(self) -> int:
@@ -316,9 +322,10 @@ def care_factorize(w, l, r: int) -> tuple[FactorPair, FactorizationReport]:
 
 def grouped_factorize(
     w_g, spectrum: WhitenedSvd, r: int, geometry: Geometry
-) -> tuple[FactorPair, FactorizationReport]:
+) -> tuple[FactorPair, FactorizationReport, np.ndarray]:
     """Rank-r factors of replicate_groups(w_g), computed at grouped width from
-    `spectrum`, the whitened_svd of w_g.
+    `spectrum`, the whitened_svd of w_g, and the n x r coordinates
+    A = sqrt(m) V_r of the down-projection, w_a = w_g A.
 
     w_g is truncated at rank r in [1, geometry.grouped_width], the rank of
     the replicated weight, and its factors are lifted to head width.
@@ -334,7 +341,7 @@ def grouped_factorize(
         rank_used=r,
         retained_energy=report_g.retained_energy,
     )
-    return FactorPair(w_a, w_b), report
+    return FactorPair(w_a, w_b), report, gain * grouped.w_b.T
 
 
 def activation_residual(
@@ -374,40 +381,35 @@ def activation_residual(
     return total / len(batches)
 
 
-def gram_residual(g, w_g, w_a, w_b, geometry: Geometry) -> float:
+def gram_residual(g, w_g, a, w_a, w_b, geometry: Geometry) -> float:
     """activation_residual of the factored weight w_a @ w_b against the
     grouped weight w_g replicated to head width, from the n x n Gram
     G = W_g^T C W_g of the covariance C = (1/N) sum_b X_b^T X_b of the N
-    batches instead of the batches. With w_a = W_g A,
+    batches instead of the batches. `a` is the n x r certificate A of
+    w_a = W_g A that convert writes (grouped_factorize); then
 
         dW = replicate_groups(W_g) - w_a w_b = W_g E,  E = replicate_groups(I_n) - A w_b,
 
-    so (1/N) sum_b ||X_b dW||_F^2 = tr(dW^T C dW) = tr(E^T G E), for any w_b.
-    A = W_g^+ w_a comes from a pseudo-inverse of the n x n W_g^T W_g
-    (linalg.sym_eig, clamp_psd), so a rank-deficient W_g is accepted. A w_a
-    farther than SPAN_TOL (relative) from W_g's column span has no such A
-    and is refused.
+    so (1/N) sum_b ||X_b dW||_F^2 = tr(dW^T C dW) = tr(E^T G E), for any w_b
+    and any rank of W_g. A w_a farther than SPAN_TOL (relative) from W_g A
+    is refused. Nothing is decomposed.
     """
-    g, w_g, w_a, w_b = (linalg.as_matrix(a, name) for a, name in
-                        ((g, "Gram"), (w_g, "w_g"), (w_a, "w_a"), (w_b, "w_b")))
+    g, w_g, a, w_a, w_b = (linalg.as_matrix(x, name) for x, name in
+                           ((g, "Gram"), (w_g, "w_g"), (a, "A"), (w_a, "w_a"), (w_b, "w_b")))
     n = geometry.grouped_width
     if (g.shape != (n, n) or w_g.shape[1] != n or w_a.shape[0] != w_g.shape[0]
-            or w_b.shape[1] != geometry.d_model or w_a.shape[1] != w_b.shape[0]):
+            or a.shape != (n, w_a.shape[1]) or w_b.shape[1] != geometry.d_model
+            or w_a.shape[1] != w_b.shape[0]):
         raise ValidationError(
-            f"Gram {g.shape} and factors {w_a.shape} @ {w_b.shape} do not fit the grouped "
-            f"{w_g.shape} weight at head width {geometry.d_model}"
+            f"Gram {g.shape}, coordinates {a.shape} and factors {w_a.shape} @ {w_b.shape} do "
+            f"not fit the grouped {w_g.shape} weight at head width {geometry.d_model}"
         )
-    eig = linalg.sym_eig(w_g.T @ w_g)
-    vals, _ = linalg.clamp_psd(eig.eigenvalues)
-    # Eigenvalues at the decomposition's rounding floor span W_g's null space.
-    inverse = np.divide(1.0, vals, out=np.zeros(n), where=vals > n * _EPS * vals[0])
-    a = (eig.eigenvectors * inverse) @ (eig.eigenvectors.T @ (w_g.T @ w_a))
     size = linalg.frobenius_norm_sq(w_a)
     off = linalg.frobenius_norm_sq(w_a - w_g @ a)
     if off > SPAN_TOL**2 * size:
         raise ValidationError(
-            f"down-projection lies {math.sqrt(off / size):.2e} (relative) outside the "
-            f"grouped weight's column span (at most {SPAN_TOL:g} is accepted)"
+            f"down-projection lies {math.sqrt(off / size):.2e} (relative) from the grouped "
+            f"weight times its coordinates A (at most {SPAN_TOL:g} is accepted)"
         )
     e = replicate_groups(np.eye(n), geometry) - a @ w_b
     return float(np.einsum("ij,ij->", e, g @ e))
@@ -470,9 +472,10 @@ def convert_layer(
     layer: GroupedKv, spectra: tuple[WhitenedSvd, WhitenedSvd], r_k: int, r_v: int
 ) -> tuple[MlaFactors, FactorizationReport, FactorizationReport]:
     """Factorize the grouped K and V projections independently by truncating
-    `spectra`, their whitened SVDs against one whitener (layer_spectra).
-    The caller refuses a singular whitener first."""
-    (pair_k, report_k) = grouped_factorize(layer.w_k_g, spectra[0], r_k, layer)
-    (pair_v, report_v) = grouped_factorize(layer.w_v_g, spectra[1], r_v, layer)
-    factors = MlaFactors(pair_k.w_a, pair_k.w_b, pair_v.w_a, pair_v.w_b)
+    `spectra`, their whitened SVDs against one whitener (layer_spectra),
+    with the coordinates a_k and a_v. The caller refuses a singular
+    whitener first."""
+    pair_k, report_k, a_k = grouped_factorize(layer.w_k_g, spectra[0], r_k, layer)
+    pair_v, report_v, a_v = grouped_factorize(layer.w_v_g, spectra[1], r_v, layer)
+    factors = MlaFactors(pair_k.w_a, pair_k.w_b, pair_v.w_a, pair_v.w_b, a_k, a_v)
     return factors, report_k, report_v

@@ -1,9 +1,10 @@
 """JSON manifests gluing the pipeline stages together.
 
 Two document kinds exist: model manifests (source layers, or converted
-latent factors with the raw Grams and the file digests of the Grams,
-covariance and grouped weights each was converted from, plus calibration
-batch listings and whitening settings) and rank-profile files, which may also
+latent factors with their coordinates A in the grouped weights (w_a =
+W_g A), the raw Grams and the file digests of the Grams, covariance and
+grouped weights each was converted from, plus calibration batch listings
+and whitening settings) and rank-profile files, which may also
 record where the parameter-free Grams that `schedule` computed for each
 layer are stored, and the file digests they were computed from. All
 documents are written with sorted keys and no timestamps so reruns are
@@ -41,7 +42,7 @@ MODEL_FORMAT = "kvlatent-model"
 PROFILE_FORMAT = "kvlatent-rank-profile"
 PROFILE_MODES = ("adjusted", "uniform")
 DOC_VERSION = 1
-_TENSORS = ("w_q", "w_k_g", "w_v_g", "w_a_k", "w_b_k", "w_a_v", "w_b_v", "grams")
+_TENSORS = ("w_q", "w_k_g", "w_v_g", "w_a_k", "w_b_k", "w_a_v", "w_b_v", "a_k", "a_v", "grams")
 # The files a layer's stored Grams, and so its factors, are computed from,
 # by tensor name.
 SPECTRUM_INPUTS = ("cov", "w_k_g", "w_v_g")
@@ -62,11 +63,12 @@ def file_key(name: str) -> str:
 @dataclass(frozen=True)
 class LayerEntry(Geometry):
     """Per-layer geometry and tensor paths; optional fields depend on model
-    kind. A converted layer also names its copy of the raw Grams it was
-    converted from (`grams`, a GramRecord's file) and records the file
-    sha256 of it and of each file they were computed from
-    (SPECTRUM_INPUTS); it carries no `w_q`, and one named by an earlier
-    bundle is path-checked, never read."""
+    kind. A converted layer also names the n x r coordinates of its
+    down-projections in the grouped weights (`a_k`, `a_v`) and its copy of
+    the raw Grams it was converted from (`grams`, a GramRecord's file),
+    and records the file sha256 of the Grams and of each file they were
+    computed from (SPECTRUM_INPUTS); it carries no `w_q`, and one named by
+    an earlier bundle is path-checked, never read."""
 
     layer: int
     w_q: str | None = None
@@ -78,6 +80,8 @@ class LayerEntry(Geometry):
     w_b_k: str | None = None
     w_a_v: str | None = None
     w_b_v: str | None = None
+    a_k: str | None = None
+    a_v: str | None = None
     grams: str | None = None
     grams_file_sha256: str | None = None
     cov_file_sha256: str | None = None
@@ -161,6 +165,9 @@ def load_manifest(path) -> ModelManifest:
             raise ValidationError(
                 f"{path}: layer {i} records no Grams or source file digests; re-run convert"
             )
+        if kind == MODEL_KIND_MLA and None in (entry.a_k, entry.a_v):
+            raise ValidationError(f"{path}: layer {i} records no coordinates of its "
+                                  f"down-projections (a_k, a_v); re-run convert")
         layers.append(entry)
     raw_calibration = doc.get("calibration", {})
     if not isinstance(raw_calibration, dict):
@@ -346,11 +353,12 @@ def load_gqa_layer(m: ModelManifest, base_dir, index: int) -> GqaLayer:
 
 
 def load_mla_bundle(m: ModelManifest, base_dir, index: int) -> MlaFactors:
-    """One converted layer's latent factors."""
+    """One converted layer's latent factors and their coordinates."""
     entry = _entry_of(m, index, MODEL_KIND_MLA)
-    d = entry.d_model
+    d, n = entry.d_model, entry.grouped_width
     shapes = {"w_a_k": (d, entry.r_k), "w_b_k": (entry.r_k, d),
-              "w_a_v": (d, entry.r_v), "w_b_v": (entry.r_v, d)}
+              "w_a_v": (d, entry.r_v), "w_b_v": (entry.r_v, d),
+              "a_k": (n, entry.r_k), "a_v": (n, entry.r_v)}
     return MlaFactors(**{
         name: _load_tensor(base_dir, getattr(entry, name), shape, f"layer {index} {name}")[0]
         for name, shape in shapes.items()

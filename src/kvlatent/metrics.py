@@ -4,7 +4,7 @@ temperature feeds both the target probabilities and the distillation term
 unless callers pass different values.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,7 @@ class LogitSequence:
 
     logits: np.ndarray
     targets: np.ndarray | None = None
+    _log_probs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         logits = np.asarray(self.logits, dtype=np.float64)
@@ -41,6 +42,14 @@ class LogitSequence:
             if np.any(targets < 0) or np.any(targets >= logits.shape[1]):
                 raise ValidationError("targets out of vocabulary range")
             object.__setattr__(self, "targets", targets.copy())
+
+    def log_probs(self, tau: float) -> np.ndarray:
+        """Log-softmax of the logits at temperature tau, computed once per
+        tau and kept: cross_entropy and kd_loss of one sequence share it."""
+        if tau not in self._log_probs:
+            self._log_probs[tau] = _log_softmax(self.logits, tau)
+            self._log_probs[tau].flags.writeable = False
+        return self._log_probs[tau]
 
 
 def _check_tau(tau: float) -> float:
@@ -65,8 +74,9 @@ def _log_softmax(logits: np.ndarray, tau: float) -> np.ndarray:
     # which total_loss refuses by name instead of as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         z = logits / tau
-        z = z - z.max(axis=-1, keepdims=True)
-        return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        z -= z.max(axis=-1, keepdims=True)
+        z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        return z
 
 
 def cross_entropy(student: LogitSequence, tau: float = 1.0) -> float:
@@ -74,7 +84,7 @@ def cross_entropy(student: LogitSequence, tau: float = 1.0) -> float:
     tau = _check_tau(tau)
     if student.targets is None:
         raise ValidationError("cross_entropy requires targets")
-    logp = _log_softmax(student.logits, tau)
+    logp = student.log_probs(tau)
     picked = logp[np.arange(student.logits.shape[0]), student.targets]
     return float(-picked.mean())
 
@@ -86,10 +96,14 @@ def kd_loss(teacher: LogitSequence, student: LogitSequence, tau: float = 1.0) ->
         raise ValidationError(
             f"shape mismatch: {teacher.logits.shape} vs {student.logits.shape}"
         )
-    log_pt = _log_softmax(teacher.logits, tau)
-    log_ps = np.maximum(_log_softmax(student.logits, tau), np.log(_P_FLOOR))
+    log_pt = teacher.log_probs(tau)
     pt = np.exp(log_pt)
-    terms = np.where(pt > 0.0, pt * (log_pt - log_ps), 0.0)
+    # pt (log_pt - max(log_ps, log floor)), formed in one buffer; positions
+    # to which the teacher gives no positive mass add nothing.
+    terms = np.maximum(student.log_probs(tau), np.log(_P_FLOOR))
+    np.subtract(log_pt, terms, out=terms)
+    terms *= pt
+    terms[~(pt > 0.0)] = 0.0
     return float(terms.sum(axis=-1).mean())
 
 

@@ -2,7 +2,8 @@
 
 numpy's OpenBLAS `eigh` at n = 256 gives other bytes on two threads than
 on one, so linalg runs its decompositions on one thread: `schedule`'s and
-`convert`'s of the whitened Grams, and `eval`'s of `W_gᵀW_g`. Here the whole
+`convert`'s of the whitened Grams. `eval` decomposes nothing; it checks the
+coordinates A that `convert` wrote from its `eigh`. Here the whole
 pipeline runs at grouped width 256 in two processes, under
 OPENBLAS_NUM_THREADS=1 and =2, and must write the same bytes. Other BLAS
 builds, and other CPUs, are out of scope.
@@ -57,9 +58,11 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         trees.append(tree_bytes(root))
-    # The Grams schedule decomposes and the bundle's copy, which eval
-    # pseudo-inverts through an n x n eigh of W_g^T W_g.
+    # The Grams schedule decomposes, the bundle's copy that eval reads, and
+    # the coordinates A that convert takes from its n x n eigh.
     assert "p_grams/layer000_grams.ctf" in trees[0]
     assert "c/grams/layer000_grams.ctf" in trees[0]
+    assert "c/factors/layer000_a_k.ctf" in trees[0]
+    assert "c/factors/layer000_a_v.ctf" in trees[0]
     assert "e/eval_report.json" in trees[0]
     assert trees[0] == trees[1]

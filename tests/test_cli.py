@@ -1035,8 +1035,9 @@ class TestConvert:
             assert health["clamped"] >= 1 and health["condition"] is None
         else:
             assert health["condition"] >= 1e12
-        # eval solves W_g A = w_a through a pseudo-inverse of W_g^T W_g,
-        # which the zero column makes singular.
+        # The zero column makes W_g^T W_g singular; eval only checks the
+        # coordinates A of w_a = W_g A that convert wrote, so that needs no
+        # special case.
         assert run("eval", "--source", model, "--converted", tmp_path / "c/converted.json",
                    "--out", tmp_path / "e") == 0
         report = json.loads((tmp_path / "e/eval_report.json").read_text())
@@ -1356,7 +1357,8 @@ class TestGroupedWidthDecompositions:
     Gram, n the layer's grouped width (8 here, d_model 16): no D x D
     eigendecomposition, and no QR or SVD. convert runs two per layer, one
     per kind, under any setting (four under C, whose damped Grams are
-    checked for PSD first), and takes only the covariance's trace."""
+    checked for PSD first), and takes only the covariance's trace. eval
+    runs none."""
 
     DECOMPOSITIONS = ("eigh", "eigvalsh", "svd", "qr", "cholesky")
 
@@ -1372,6 +1374,16 @@ class TestGroupedWidthDecompositions:
 
             monkeypatch.setattr(np.linalg, name, wrapper)
         return calls
+
+    def test_eval_decomposes_nothing(self, tmp_path, monkeypatch):
+        # eval checks the coordinates convert wrote instead of solving for them.
+        pipeline(tmp_path)
+        calls = self.record(monkeypatch)
+        assert run("eval", "--source", tmp_path / "model/model.json",
+                   "--converted", tmp_path / "converted/converted.json",
+                   "--seed", 0, "--out", tmp_path / "again") == 0
+        assert calls == []
+        assert tree_bytes(tmp_path / "again") == tree_bytes(tmp_path / "eval")
 
     def test_schedule_and_convert_under_each_setting(self, tmp_path, monkeypatch):
         model = gen_model(tmp_path / "m", layers=3)
@@ -1739,9 +1751,43 @@ class TestEval:
                    "--converted", tmp_path / "converted/converted.json",
                    "--out", tmp_path / "eval") == 2
         assert capsys.readouterr().err == (
-            "error: layer 1 V: down-projection lies 7.07e-01 (relative) outside the grouped "
-            "weight's column span (at most 1e-10 is accepted); re-run convert\n")
+            "error: layer 1 V: down-projection lies 7.07e-01 (relative) from the grouped "
+            "weight times its coordinates A (at most 1e-10 is accepted); re-run convert\n")
         assert tree_bytes(tmp_path / "eval") == {}
+
+    @pytest.mark.parametrize("fault, code, message", [
+        ("bundle of an earlier version", 2,
+         "layer 1 records no coordinates of its down-projections (a_k, a_v); re-run convert"),
+        ("tampered", 2, "layer 1 K: down-projection lies 1.00e-06 (relative) from the grouped "
+                        "weight times its coordinates A (at most 1e-10 is accepted); "
+                        "re-run convert"),
+        ("wrong shape", 2, "layer 1 a_k (factors/layer001_a_k.ctf): shape (8, 2), "
+                           "expected (8, 3)"),
+        ("no file", 4, "layer001_a_k.ctf"),
+    ])
+    def test_coordinates_fault_leaves_no_report(self, tmp_path, capsys, fault, code, message):
+        # The coordinates A certify w_a = W_g A; eval checks them and
+        # solves for nothing.
+        pipeline(tmp_path, schedule_args=("--mode", "uniform", "--rank", "3"))
+        converted = tmp_path / "converted/converted.json"
+        a_k = tmp_path / "converted/factors/layer001_a_k.ctf"
+        if fault == "bundle of an earlier version":
+            doc = json.loads(converted.read_text())
+            del doc["layers"][1]["a_k"], doc["layers"][1]["a_v"]
+            converted.write_text(json.dumps(doc))
+        elif fault == "tampered":
+            # Still in W_k_g's span, but w_a_k is no longer W_k_g A.
+            ctf.write_ctf(a_k, ctf.read_ctf(a_k) * (1.0 + 1e-6))
+        elif fault == "wrong shape":
+            ctf.write_ctf(a_k, ctf.read_ctf(a_k)[:, :2])
+        else:
+            a_k.unlink()
+        capsys.readouterr()
+        assert run("eval", "--source", tmp_path / "model/model.json", "--converted", converted,
+                   "--out", tmp_path / "fresh") == code
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err, err
+        assert not (tmp_path / "fresh/eval_report.json").exists()
 
     def test_student_takes_the_query_from_the_source(self, tmp_path):
         # Bundles of earlier versions name a w_q of their own. It is never

@@ -382,13 +382,17 @@ class TestGroupedFactorize:
         full = n_groups * self.HEAD_DIM
         energy = linalg.frobenius_norm_sq(whitener @ w)
         for r in sorted({1, max(1, full // 2), full}):
-            pair, report = grouped_factorize(
+            pair, report, a = grouped_factorize(
                 w_g, whitened_svd(w_g, whitener), r, self.geometry(n_groups)
             )
             oracle_pair, oracle = reference_care_factorize(w, whitener, r)
             assert_matches_reference(pair, report, oracle_pair, oracle, energy)
             assert report.rank_used == r
             assert np.allclose(pair.w_b @ pair.w_b.T, np.eye(r), rtol=0, atol=1e-12)
+            # The coordinates certify the down-projection: w_a = W_g A.
+            assert a.shape == (full, r)
+            assert linalg.frobenius_norm_sq(pair.w_a - w_g @ a) <= (
+                1e-24 * linalg.frobenius_norm_sq(pair.w_a))
 
     @pytest.mark.parametrize("n_groups", [1, 2, 4])
     @pytest.mark.parametrize("weighting", ["damped", "C"])
@@ -478,7 +482,7 @@ class TestLayerSpectraAgainstDenseReference:
             got = m * spectrum.singular_values**2
             assert np.max(np.abs(got - ref[:n] ** 2)) <= 1e-12 * ref[0] ** 2
             for r in range(1, n + 1):
-                pair, report = grouped_factorize(w_g, spectrum, r, layer)
+                pair, report, _ = grouped_factorize(w_g, spectrum, r, layer)
                 tail = float(np.sum(ref[r:] ** 2))
                 formed = linalg.frobenius_norm_sq(s @ (w - pair.w_a @ pair.w_b))
                 assert abs(report.whitened_residual_sq - tail) <= 1e-12 * energy, r
@@ -633,10 +637,11 @@ class TestGramResidual:
         grams = raw_grams(layer, c)
         for r in range(1, layer.grouped_width + 1):
             factors, _, _ = convert_layer(layer, spectra, r, r)
-            for (g, _), w_g, w_a, w_b in zip(grams, (layer.w_k_g, layer.w_v_g),
-                                             (factors.w_a_k, factors.w_a_v),
-                                             (factors.w_b_k, factors.w_b_v)):
-                got = gram_residual(g, w_g, w_a, w_b, layer)
+            for (g, _), w_g, a, w_a, w_b in zip(grams, (layer.w_k_g, layer.w_v_g),
+                                                (factors.a_k, factors.a_v),
+                                                (factors.w_a_k, factors.w_a_v),
+                                                (factors.w_b_k, factors.w_b_v)):
+                got = gram_residual(g, w_g, a, w_a, w_b, layer)
                 want = activation_residual(batches, w_g, w_a, w_b, layer)
                 energy = activation_residual(batches, w_g, w_a, 0.0 * w_b, layer)
                 if r < layer.grouped_width:
@@ -647,15 +652,16 @@ class TestGramResidual:
     @staticmethod
     def against_batches(rng, geometry, w_b, w_g=None):
         """(gram_residual, activation_residual) of a random grouped weight
-        (or `w_g`) and a down-projection w_a = W_g A in its column span,
-        with up-projection w_b."""
+        (or `w_g`) and a down-projection w_a = W_g A of random coordinates
+        A, with up-projection w_b."""
         d = geometry.d_model
         batches = [calibration.CalibrationBatch(0, rng.standard_normal((7, d)))
                    for _ in range(3)]
         if w_g is None:
             w_g = rng.standard_normal((d, geometry.grouped_width))
-        w_a = w_g @ rng.standard_normal((geometry.grouped_width, w_b.shape[0]))
-        return (gram_residual(gram_of(w_g, batches), w_g, w_a, w_b, geometry),
+        a = rng.standard_normal((geometry.grouped_width, w_b.shape[0]))
+        w_a = w_g @ a
+        return (gram_residual(gram_of(w_g, batches), w_g, a, w_a, w_b, geometry),
                 activation_residual(batches, w_g, w_a, w_b, geometry))
 
     def test_head_blocks_of_a_general_up_projection(self):
@@ -687,8 +693,8 @@ class TestGramResidual:
         assert abs(got - want) <= 1e-12 * want
 
     def test_rank_deficient_grouped_weight(self):
-        # A zero column and a repeated one: W_g^T W_g is singular, and its
-        # pseudo-inverse still finds an A with W_g A = w_a.
+        # A zero column and a repeated one: W_g^T W_g is singular, and the
+        # coordinates still certify w_a = W_g A.
         rng = gen(348)
         geometry = Geometry(8, 4, 2, 2)
         w_g = rng.standard_normal((8, 4))
@@ -697,29 +703,46 @@ class TestGramResidual:
         got, want = self.against_batches(rng, geometry, rng.standard_normal((3, 8)), w_g)
         assert abs(got - want) <= 1e-12 * want
 
+    REFUSAL = "from the grouped weight times its coordinates A"
+
     @pytest.mark.parametrize("push", [1e-6, 1.0])
     def test_down_projection_outside_the_span_is_refused(self, push):
         rng = gen(349)
         geometry = Geometry(8, 4, 2, 2)
         w_g = rng.standard_normal((8, 4))
-        w_a = w_g @ rng.standard_normal((4, 3))
+        a = rng.standard_normal((4, 3))
+        w_a = w_g @ a
         # A unit direction orthogonal to W_g's columns.
         q, _ = np.linalg.qr(np.hstack((w_g, rng.standard_normal((8, 1)))))
         w_a[:, 1] += push * np.linalg.norm(w_a) * q[:, 4]
-        with pytest.raises(ValidationError, match="outside the grouped weight's column span"):
-            gram_residual(np.eye(4), w_g, w_a, rng.standard_normal((3, 8)), geometry)
+        with pytest.raises(ValidationError, match=self.REFUSAL):
+            gram_residual(np.eye(4), w_g, a, w_a, rng.standard_normal((3, 8)), geometry)
+
+    @pytest.mark.parametrize("push", [1e-6, 1.0])
+    def test_coordinates_that_do_not_give_the_down_projection_are_refused(self, push):
+        # w_a lies in W_g's span, but is not W_g A.
+        rng = gen(350)
+        geometry = Geometry(8, 4, 2, 2)
+        w_g = rng.standard_normal((8, 4))
+        a = rng.standard_normal((4, 3))
+        w_a = w_g @ a
+        a[2, 1] += push * np.linalg.norm(a)
+        with pytest.raises(ValidationError, match=self.REFUSAL):
+            gram_residual(np.eye(4), w_g, a, w_a, rng.standard_normal((3, 8)), geometry)
 
     @pytest.mark.parametrize("shapes", [
-        ((4, 3), (8, 4), (8, 3), (3, 8)),   # Gram not n x n
-        ((4, 4), (8, 6), (8, 3), (3, 8)),   # w_g not grouped width
-        ((4, 4), (8, 4), (8, 3), (2, 8)),   # latent widths disagree
-        ((4, 4), (8, 4), (8, 3), (3, 6)),   # w_b not head width
-        ((4, 4), (8, 4), (7, 3), (3, 8)),   # w_a not d_model rows
+        ((4, 3), (8, 4), (4, 3), (8, 3), (3, 8)),   # Gram not n x n
+        ((4, 4), (8, 6), (4, 3), (8, 3), (3, 8)),   # w_g not grouped width
+        ((4, 4), (8, 4), (4, 3), (8, 3), (2, 8)),   # latent widths disagree
+        ((4, 4), (8, 4), (4, 3), (8, 3), (3, 6)),   # w_b not head width
+        ((4, 4), (8, 4), (4, 3), (7, 3), (3, 8)),   # w_a not d_model rows
+        ((4, 4), (8, 4), (3, 3), (8, 3), (3, 8)),   # A not n rows
+        ((4, 4), (8, 4), (4, 2), (8, 3), (3, 8)),   # A not the latent width
     ])
     def test_shape_mismatch(self, shapes):
-        g, w_g, w_a, w_b = (np.ones(shape) for shape in shapes)
+        g, w_g, a, w_a, w_b = (np.ones(shape) for shape in shapes)
         with pytest.raises(ValidationError):
-            gram_residual(g, w_g, w_a, w_b, Geometry(8, 4, 2, 2))
+            gram_residual(g, w_g, a, w_a, w_b, Geometry(8, 4, 2, 2))
 
 
 class TestAblateSingularValue:
@@ -814,6 +837,18 @@ class TestMlaFactors:
             MlaFactors(
                 rng.standard_normal(w_a["K"]), rng.standard_normal(w_b["K"]),
                 rng.standard_normal(w_a["V"]), rng.standard_normal(w_b["V"]),
+            )
+
+    @pytest.mark.parametrize("kind", ("K", "V"))
+    def test_refuses_coordinates_of_another_latent_width(self, kind):
+        rng = gen(383)
+        a = {"K": (8, 3), "V": (8, 5)}
+        a[kind] = (8, a[kind][1] + 1)
+        with pytest.raises(ValidationError, match=f"{kind} factors disagree on the latent width"):
+            MlaFactors(
+                rng.standard_normal((16, 3)), rng.standard_normal((3, 16)),
+                rng.standard_normal((16, 5)), rng.standard_normal((5, 16)),
+                rng.standard_normal(a["K"]), rng.standard_normal(a["V"]),
             )
 
 

@@ -44,14 +44,14 @@ def small_mla_manifest(tmp_path, rng, d=8, n_heads=2, r=3):
     """One converted layer of rank r in K and V, with its tensors written."""
     n = d // n_heads
     names = {"w_a_k": (d, r), "w_b_k": (r, d), "w_a_v": (d, r), "w_b_v": (r, d),
-             "grams": (2, 2, n, n)}
+             "a_k": (n, r), "a_v": (n, r), "grams": (2, 2, n, n)}
     sha256 = {name: ctf.write_ctf(tmp_path / f"{name}.ctf", rng.standard_normal(shape),
                                   digest=True)
               for name, shape in names.items()}
     entry = manifest.LayerEntry(
         layer=0, d_model=d, n_heads=n_heads, head_dim=d // n_heads, n_groups=1, r_k=r, r_v=r,
         w_a_k="w_a_k.ctf", w_b_k="w_b_k.ctf", w_a_v="w_a_v.ctf", w_b_v="w_b_v.ctf",
-        grams="grams.ctf", grams_file_sha256=sha256["grams"], cov_file_sha256="d" * 64,
+        a_k="a_k.ctf", a_v="a_v.ctf", grams="grams.ctf", grams_file_sha256=sha256["grams"], cov_file_sha256="d" * 64,
         w_k_g_file_sha256="a" * 64, w_v_g_file_sha256="b" * 64,
     )
     return manifest.ModelManifest(
@@ -145,6 +145,7 @@ class TestModelManifest:
         assert loaded == m
         factors = manifest.load_mla_bundle(loaded, tmp_path, 0)
         assert factors.r_k == 3 and factors.r_v == 3
+        assert factors.a_k.shape == factors.a_v.shape == (4, 3)
         assert bundle_grams(loaded, tmp_path).shape == (2, 2, 4, 4)
 
     def test_converted_layer_has_no_query(self, tmp_path):
@@ -174,6 +175,17 @@ class TestModelManifest:
         (tmp_path / "c.json").write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="layer 0 records no Grams or source "
                                                   "file digests; re-run convert"):
+            manifest.load_manifest(tmp_path / "c.json")
+
+    @pytest.mark.parametrize("key", ["a_k", "a_v"])
+    def test_converted_layer_must_name_its_coordinates(self, tmp_path, key):
+        # Bundles of earlier versions carry no coordinates A of w_a = W_g A.
+        manifest.save_manifest(small_mla_manifest(tmp_path, gen(717)), tmp_path / "c.json")
+        doc = json.loads((tmp_path / "c.json").read_text())
+        del doc["layers"][0][key]
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=r"layer 0 records no coordinates of its "
+                                                  r"down-projections \(a_k, a_v\); re-run convert"):
             manifest.load_manifest(tmp_path / "c.json")
 
     def test_digests_of_an_earlier_version_ask_for_convert(self, tmp_path):

@@ -137,6 +137,22 @@ class TestKdLoss:
         with pytest.raises(ValidationError):
             kd_loss(LogitSequence(np.zeros((2, 3))), LogitSequence(np.zeros((2, 4))), 1.0)
 
+    def test_equals_the_formula_term_by_term(self):
+        # Exactly pt (log_pt - max(log_ps, log 1e-300)), summed where pt > 0:
+        # the teacher's second row puts no mass on two positions (pt
+        # underflows to 0), and the student's floor binds on one.
+        rng = gen(524)
+        t_logits, s_logits = rng.standard_normal((3, 6)), rng.standard_normal((3, 6))
+        t_logits[1, :2] = -1e4
+        s_logits[2, 3] = -1e4
+        for tau in (0.7, 1.0, 3.0):
+            log_pt, log_ps = (LogitSequence(x).log_probs(tau) for x in (t_logits, s_logits))
+            pt = np.exp(log_pt)
+            assert np.count_nonzero(pt == 0.0) == 2
+            want = np.where(pt > 0.0, pt * (log_pt - np.maximum(log_ps, math.log(1e-300))), 0.0)
+            got = kd_loss(LogitSequence(t_logits), LogitSequence(s_logits), tau)
+            assert got == float(want.sum(axis=-1).mean())
+
 
 class TestTotalLoss:
     def test_zero_beta(self):
@@ -176,3 +192,26 @@ class TestLogitSequence:
     def test_rejects_nonfinite_logits(self):
         with pytest.raises(ValidationError):
             LogitSequence(np.array([[np.inf, 0.0]]))
+
+    def test_losses_share_one_log_softmax_per_sequence_and_tau(self, monkeypatch):
+        # eval's CE of both sequences and their KD take two log-softmaxes,
+        # not four, and a cached one is not writable.
+        from kvlatent import metrics
+
+        calls = []
+        real = metrics._log_softmax
+        monkeypatch.setattr(metrics, "_log_softmax",
+                            lambda logits, tau: calls.append(tau) or real(logits, tau))
+        rng = gen(531)
+        targets = np.arange(4) % 5
+        teacher = LogitSequence(rng.standard_normal((4, 5)), targets)
+        student = LogitSequence(rng.standard_normal((4, 5)), targets)
+        losses = [cross_entropy(teacher, 2.0), cross_entropy(student, 2.0),
+                  kd_loss(teacher, student, 2.0)]
+        assert calls == [2.0, 2.0]
+        assert losses == [cross_entropy(LogitSequence(teacher.logits, targets), 2.0),
+                          cross_entropy(LogitSequence(student.logits, targets), 2.0),
+                          kd_loss(LogitSequence(teacher.logits), LogitSequence(student.logits),
+                                  2.0)]
+        cross_entropy(teacher, 1.0)
+        assert calls[-1] == 1.0 and not teacher.log_probs(1.0).flags.writeable
