@@ -35,6 +35,7 @@ a few tiles, whatever the head count.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -420,4 +421,7 @@ def kv_cache_bytes(
     if width < 0:
         raise ValidationError("width cannot be negative")
     total = layers * seq_len * batch * width * bytes_per_element
+    if total > sys.float_info.max:
+        raise ValidationError(f"a cache of 2^{total.bit_length() - 1} bytes or more is beyond "
+                              f"float range")
     return CacheFootprint(total, total / 1e6)

@@ -22,15 +22,16 @@ Gram it forms from the stored ones (factorizer.layer_spectra), as
 No stage forms a D x D product other than the covariance or decomposes a
 D x D matrix. `cov` is the only stage that reads calibration batches, and
 `schedule` the only one that multiplies by a covariance: `convert` places
-each layer's stored Grams in the converted bundle, with the coordinates A
-of each down-projection (w_a = W_g A), and `eval` checks A and takes the
-activation residual from the Grams (factorizer.gram_residual); it reads
-no covariance and decomposes nothing. `eval` projects each layer's
+each layer's stored Grams and the profile's record of them in the converted
+bundle, with the coordinates A of each down-projection (w_a = W_g A), and
+`eval` checks A and takes the activation residual from the Grams
+(factorizer.gram_residual); it reads no covariance and decomposes nothing. `eval` projects each layer's
 queries once: the source and latent forwards share them and differ only
 in K and V.
 
 Every command creates a missing parent of its `--out` when it first writes
-there (`_out_dir`).
+there (`_out_dir`), after ctf.check_shape has passed each array that `gen`,
+`eval` or `ablate` draws.
 
 The conversion report's health figures describe, per layer and kind, the
 whitened Gram G = (S W_g)^T (S W_g) whose eigendecomposition gives the
@@ -45,7 +46,6 @@ import dataclasses
 import itertools
 import math
 import os
-import re
 import shutil
 import sys
 from decimal import ROUND_HALF_UP, Decimal
@@ -184,6 +184,8 @@ def cmd_gen(args) -> None:
     for layer in layers:
         tensors += [_GenTensor(layer, _GEN_SCALES_SLOT + 1 + b, (args.seq_len, d), rel)
                     for b, rel in enumerate(batches[layer])]
+    for tensor in tensors:
+        ctf.check_shape(tensor.shape, tensor.rel or f"layer {tensor.layer} scales")
 
     out = _out_dir(args.out)
     (out / "weights").mkdir(exist_ok=True)
@@ -191,7 +193,7 @@ def cmd_gen(args) -> None:
     # model.json is written last; a run that stops early leaves none, so no
     # earlier model's manifest names this run's tensors.
     (out / "model.json").unlink(missing_ok=True)
-    _clear_layer_files(out, ("weights", "batches"))
+    _clear_layer_files((out / "weights", out / "batches"))
 
     # Imported here, so that the other stages do not pay for it.
     from concurrent.futures import ThreadPoolExecutor
@@ -287,9 +289,7 @@ def cmd_cov(args) -> None:
     # Every old covariance, a larger model's too, goes before the first batch
     # is read, and each new one appears whole, so a failed rerun never leaves
     # a mix of two runs. Batches that share the directory stay.
-    for path in sorted(out.iterdir()):
-        if re.fullmatch(r"layer\d{3,}_cov\.ctf", path.name) and path.is_file():
-            path.unlink()
+    _clear_layer_files((out,), only="cov")
     for layer in range(len(m.layers)):
         cov, count = _layer_covariance(m, base, layer, args.batches_dir)
         path = out / manifest.layer_file(layer, "cov")
@@ -408,8 +408,6 @@ def cmd_convert(args) -> None:
         raise ValidationError("manifest does not describe a grouped-attention model")
     base = Path(args.manifest).parent
     profile, _, records = manifest.load_profile(args.profile)
-    if records is None:
-        raise ValidationError(f"{args.profile} records no Grams; re-run schedule")
     expected = {(layer, kind) for layer in range(len(m.layers)) for kind in scheduler.KINDS}
     if set(profile.ranks) != expected:
         raise ValidationError(
@@ -438,7 +436,7 @@ def cmd_convert(args) -> None:
         (out / name).unlink(missing_ok=True)
     # The bundle's factors/ and grams/, and the retired cov/ and weights/ of
     # earlier versions.
-    _clear_layer_files(out, ("cov", "factors", "grams", "weights"),
+    _clear_layer_files([out / sub for sub in ("cov", "factors", "grams", "weights")],
                        _inputs(m, base, args.cov_dir))
 
     entries = []
@@ -452,14 +450,15 @@ def cmd_convert(args) -> None:
         del c
         ridge.check_invertible()
         kv, _ = manifest.load_grouped_kv(m, base, layer, pins)
-        grams = manifest.load_grams(profile_dir, record.path, entry, pins["grams"])
+        grams = manifest.load_grams(profile_dir, record, entry)
         spectra = factorizer.layer_spectra(kv, grams, ridge)
         r_k = profile.rank(layer, scheduler.KIND_K)
         r_v = profile.rank(layer, scheduler.KIND_V)
         factors, report_k, report_v = factorizer.convert_layer(kv, spectra, r_k, r_v)
 
         # The bundle carries this layer's Grams, as a hard link where it can,
-        # and the file digests eval checks them and the source weights by.
+        # and the profile's record of them, which eval checks them and the
+        # source weights by.
         grams_rel = f"grams/{manifest.layer_file(layer, 'grams')}"
         _place(profile_dir / record.path, out / grams_rel)
         paths = {name: f"factors/{manifest.layer_file(layer, name)}"
@@ -468,7 +467,7 @@ def cmd_convert(args) -> None:
             ctf.write_ctf(out / rel, getattr(factors, name))
         entries.append(dataclasses.replace(
             entry, w_q=None, w_k_g=None, w_v_g=None, r_k=r_k, r_v=r_v, **paths,
-            grams=grams_rel, **{manifest.file_key(name): pin.sha256 for name, pin in pins.items()},
+            source=record.as_converted(grams_rel),
         ))
         report_layers.append({
             "layer": layer,
@@ -518,17 +517,17 @@ def _inputs(m: manifest.ModelManifest, base: Path, cov_dir) -> set[str]:
     return {os.path.realpath(path) for path in paths}
 
 
-def _clear_layer_files(out: Path, subs, keep=frozenset()) -> None:
-    """Remove every `layerNNN_<name>.ctf` file directly in the `subs`
-    directories of `out`, such as the tensors of a model with more layers
-    or an earlier version's, except a file whose real path is in `keep`.
-    Nothing else under `out` is touched."""
-    for sub in subs:
-        directory = out / sub
+def _clear_layer_files(directories, keep=frozenset(), only: str | None = None) -> None:
+    """Remove every `layerNNN_<name>.ctf` file directly in `directories`,
+    such as the tensors of a model with more layers or an earlier
+    version's, with any name or only `only`, except a file whose real path
+    is in `keep`. Nothing else in or under them is touched."""
+    for directory in directories:
         if not directory.is_dir():
             continue
         for path in sorted(directory.iterdir()):
-            if (manifest.LAYER_FILE.fullmatch(path.name) and path.is_file()
+            match = manifest.LAYER_FILE.fullmatch(path.name)
+            if (match and only in (None, match[1]) and path.is_file()
                     and os.path.realpath(path) not in keep):
                 path.unlink()
 
@@ -610,6 +609,10 @@ def cmd_eval(args) -> None:
         )
     if args.bytes_per_elem < 1:
         raise ValidationError(f"--bytes-per-elem must be at least 1, got {args.bytes_per_elem}")
+    # The report's rotary scale and footprint are floats of these flags.
+    for flag, value in (("--rope-dim", args.rope_dim), ("--bytes-per-elem", args.bytes_per_elem)):
+        if value > sys.float_info.max:
+            raise ValidationError(f"{flag} must be at most {sys.float_info.max:g}")
     params = metrics.LossParams(tau=args.tau, beta=args.beta)
     rng = make_generator(args.seed)
     source = manifest.load_manifest(args.source)
@@ -626,6 +629,9 @@ def cmd_eval(args) -> None:
                 f"layer {entry_s.layer}: source geometry {entry_s.geometry} differs from "
                 f"converted {entry_c.geometry}"
             )
+    t = source.seq_len
+    for entry in source.layers:
+        ctf.check_shape((t, entry.d_model), f"layer {entry.layer} probe input")
     src_base = Path(args.source).parent
     conv_base = Path(args.converted).parent
     out = _out_dir(args.out)
@@ -634,17 +640,15 @@ def cmd_eval(args) -> None:
     report_path = out / "eval_report.json"
     report_path.unlink(missing_ok=True)
 
-    t = source.seq_len
     layer_reports = []
     for layer in range(len(source.layers)):
         entry = converted.layer(layer)
-        pins = manifest.bundle_pins(entry)
-        kv, _ = manifest.load_grouped_kv(source, src_base, layer, pins)
+        kv, _ = manifest.load_grouped_kv(source, src_base, layer, entry.source.pins())
         factors = manifest.load_mla_bundle(converted, conv_base, layer)
         # The residuals come first, from only the weights they read, so the
         # Grams, the coordinates and their products are freed before either
         # query projection or any attention buffer is allocated.
-        grams = manifest.load_grams(conv_base, entry.grams, entry, pins["grams"])
+        grams = manifest.load_grams(conv_base, entry.source, entry)
         residuals = {}
         for kind, g, weights in (
                 ("K", grams[0, 0], (kv.w_k_g, factors.a_k, factors.w_a_k, factors.w_b_k)),
@@ -665,19 +669,19 @@ def cmd_eval(args) -> None:
     # Per-token widths summed over layers; every layer caches t tokens.
     width_gqa = sum(r["cache_width_gqa"] for r in layer_reports)
     width_mla = sum(r.get("cache_width_mla_rope", r["cache_width_mla"]) for r in layer_reports)
-    gqa_bytes = attention.kv_cache_bytes(1, t, 1, width_gqa, args.bytes_per_elem).total_bytes
-    mla_bytes = attention.kv_cache_bytes(1, t, 1, width_mla, args.bytes_per_elem).total_bytes
+    gqa_fp = attention.kv_cache_bytes(1, t, 1, width_gqa, args.bytes_per_elem)
+    mla_fp = attention.kv_cache_bytes(1, t, 1, width_mla, args.bytes_per_elem)
     max_drift = max((r["logit_drift_max"] for r in layer_reports), default=0.0)
 
     totals = {
-        "gqa_bytes": gqa_bytes,
-        "gqa_mb": gqa_bytes / 1e6,
-        "mla_bytes": mla_bytes,
-        "mla_mb": mla_bytes / 1e6,
+        "gqa_bytes": gqa_fp.total_bytes,
+        "gqa_mb": gqa_fp.megabytes,
+        "mla_bytes": mla_fp.total_bytes,
+        "mla_mb": mla_fp.megabytes,
         "bytes_per_elem": args.bytes_per_elem,
     }
-    if gqa_bytes:
-        totals["reduction_pct"] = _fmt2((1.0 - mla_bytes / gqa_bytes) * 100.0)
+    if gqa_fp.total_bytes:
+        totals["reduction_pct"] = _fmt2((1.0 - mla_fp.total_bytes / gqa_fp.total_bytes) * 100.0)
 
     doc = {
         "format": "kvlatent-eval-report",
@@ -759,11 +763,12 @@ def cmd_ablate(args) -> None:
     m = manifest.load_manifest(args.manifest)
     base = Path(args.manifest).parent
     gqa = manifest.load_gqa_layer(m, base, args.layer)
+    t = args.seq_len if args.seq_len is not None else m.seq_len
+    ctf.check_shape((t, gqa.d_model), f"layer {args.layer} probe input")
     name = f"w_{args.kind.lower()}_g"
     w = getattr(gqa, name)
     sigma, ablated_w = factorizer.ablate_singular_value(w, args.index)
     weight_residual = linalg.frobenius_norm_sq(w - ablated_w)
-    t = args.seq_len if args.seq_len is not None else m.seq_len
     x = rng.standard_normal((t, gqa.d_model))
     # The ablated forward differs from the source only in the ablated kind,
     # so it shares the source's query heads and those of the other kind.

@@ -14,12 +14,13 @@ writable view of the buffer the file was read into, with no copy; float32
 payloads are up-converted on read. Writing the array a reader produced,
 with the dtype code the reader reported, reproduces the original bytes
 exactly. A header whose shape no float64 array can take (more than 32 dims,
-or nonzero dims whose product overflows the address space, even next to a
-zero dim) is refused like any other malformed header.
+or dims that check_shape refuses) is refused like any other malformed
+header.
 """
 
 import contextlib
 import hashlib
+import math
 import os
 import struct
 
@@ -42,6 +43,16 @@ _MAX_BYTES = int(np.iinfo(np.intp).max)
 # file this many bytes into a fresh buffer, which malloc aligns to 16 bytes,
 # puts every payload on an 8-byte boundary.
 _PAYLOAD_SHIFT = -_HEADER.size % 8
+
+
+def check_shape(shape, where) -> None:
+    """Refuse, naming it `where`, a shape no float64 array can take: nonzero
+    dims whose byte count overflows the address space, even next to a zero dim."""
+    nonzero_bytes = np.dtype(np.float64).itemsize
+    for d in shape:
+        nonzero_bytes *= max(d, 1)
+    if nonzero_bytes > _MAX_BYTES:
+        raise ValidationError(f"{where}: dims {tuple(shape)} are too large for an array")
 
 
 def write_ctf(path, array, dtype_code: int = DTYPE_F64, digest: bool = False) -> str | None:
@@ -124,14 +135,9 @@ def _decode(data: np.ndarray, path) -> tuple[np.ndarray, int]:
     for _ in range(ndim):
         dims.append(_DIM.unpack_from(data, offset)[0])
         offset += _DIM.size
+    check_shape(dims, path)
     dtype = _NP_DTYPES[dtype_code]
-    count = 1
-    nonzero_bytes = np.dtype(np.float64).itemsize
-    for d in dims:
-        count *= d
-        nonzero_bytes *= max(d, 1)
-    if nonzero_bytes > _MAX_BYTES:
-        raise ValidationError(f"{path}: dims {tuple(dims)} are too large for an array")
+    count = math.prod(dims)
     expected = offset + count * dtype.itemsize
     if len(data) != expected:
         raise ValidationError(

@@ -2,14 +2,12 @@
 
 Two document kinds exist: model manifests (source layers, or converted
 latent factors with their coordinates A in the grouped weights (w_a =
-W_g A), the raw Grams and the file digests of the Grams, covariance and
-grouped weights each was converted from, plus calibration batch listings
-and whitening settings) and rank-profile files, which may also
-record where the parameter-free Grams that `schedule` computed for each
-layer are stored, and the file digests they were computed from. All
-documents are written with sorted keys and no timestamps so reruns are
-byte-identical; every tensor path is stored relative to the manifest's
-directory, and must resolve inside it.
+W_g A), plus calibration batch listings and whitening settings) and
+rank-profile files. A GramRecord, what a layer is converted from, is kept
+under the same keys by a profile, one per layer, and by each converted
+layer. All documents are written with sorted keys and no timestamps so
+reruns are byte-identical; every tensor path is stored relative to the
+manifest's directory, and must resolve inside it.
 
 Every digest a document records is the sha256 of a `.ctf` file's bytes,
 under the key `<tensor>_file_sha256`, and `_load_tensor` is the one place
@@ -42,33 +40,25 @@ MODEL_FORMAT = "kvlatent-model"
 PROFILE_FORMAT = "kvlatent-rank-profile"
 PROFILE_MODES = ("adjusted", "uniform")
 DOC_VERSION = 1
-_TENSORS = ("w_q", "w_k_g", "w_v_g", "w_a_k", "w_b_k", "w_a_v", "w_b_v", "a_k", "a_v", "grams")
+_TENSORS = ("w_q", "w_k_g", "w_v_g", "w_a_k", "w_b_k", "w_a_v", "w_b_v", "a_k", "a_v")
 # The files a layer's stored Grams, and so its factors, are computed from,
 # by tensor name.
 SPECTRUM_INPUTS = ("cov", "w_k_g", "w_v_g")
-# The files a converted layer records the sha256 of.
-_BUNDLE_DIGESTS = ("grams", *SPECTRUM_INPUTS)
 _SHA256 = re.compile(r"[0-9a-f]{64}")
 # ShrinkageParams field -> the JSON key documents store it under.
 _SHRINKAGE_KEYS = {"alpha": "alpha", "lam": "lambda", "weighting": "weighting"}
-# Every name layer_file gives, whatever the layer count.
-LAYER_FILE = re.compile(r"layer\d{3,}_\w+\.ctf")
-
-
-def file_key(name: str) -> str:
-    """The key a document records the sha256 of tensor `name`'s file under."""
-    return f"{name}_file_sha256"
+# Every name layer_file gives, whatever the layer count; group 1 is the tensor.
+LAYER_FILE = re.compile(r"layer\d{3,}_(\w+)\.ctf")
 
 
 @dataclass(frozen=True)
 class LayerEntry(Geometry):
     """Per-layer geometry and tensor paths; optional fields depend on model
     kind. A converted layer also names the n x r coordinates of its
-    down-projections in the grouped weights (`a_k`, `a_v`) and its copy of
-    the raw Grams it was converted from (`grams`, a GramRecord's file),
-    and records the file sha256 of the Grams and of each file they were
-    computed from (SPECTRUM_INPUTS); it carries no `w_q`, and one named by
-    an earlier bundle is path-checked, never read."""
+    down-projections in the grouped weights (`a_k`, `a_v`) and holds the
+    GramRecord it was converted from (`source`), whose file is the bundle's
+    copy of the Grams; it carries no `w_q`, and one named by an earlier
+    bundle is path-checked, never read."""
 
     layer: int
     w_q: str | None = None
@@ -82,11 +72,7 @@ class LayerEntry(Geometry):
     w_b_v: str | None = None
     a_k: str | None = None
     a_v: str | None = None
-    grams: str | None = None
-    grams_file_sha256: str | None = None
-    cov_file_sha256: str | None = None
-    w_k_g_file_sha256: str | None = None
-    w_v_g_file_sha256: str | None = None
+    source: "GramRecord | None" = None
 
 
 @dataclass(frozen=True)
@@ -105,9 +91,9 @@ class ModelManifest:
 
 
 def _entry_to_json(entry: LayerEntry) -> dict:
-    optional = {name: getattr(entry, name)
-                for name in (*_TENSORS, "r_k", "r_v", *map(file_key, _BUNDLE_DIGESTS))}
-    return {"layer": entry.layer, **asdict(entry.geometry),
+    optional = {name: getattr(entry, name) for name in (*_TENSORS, "r_k", "r_v")}
+    source = {} if entry.source is None else _record_to_json(entry.source)
+    return {**source, "layer": entry.layer, **asdict(entry.geometry),
             **{name: value for name, value in optional.items() if value is not None}}
 
 
@@ -159,9 +145,7 @@ def load_manifest(path) -> ModelManifest:
             entry.r_k, entry.r_v, entry.w_a_k, entry.w_b_k, entry.w_a_v, entry.w_b_v
         ):
             raise ValidationError(f"{path}: layer {i} is missing latent factors")
-        if kind == MODEL_KIND_MLA and None in (
-            entry.grams, *(getattr(entry, file_key(name)) for name in _BUNDLE_DIGESTS)
-        ):
+        if kind == MODEL_KIND_MLA and entry.source is None:
             raise ValidationError(
                 f"{path}: layer {i} records no Grams or source file digests; re-run convert"
             )
@@ -223,10 +207,12 @@ def _entry_from_json(raw, where: str) -> LayerEntry:
     for name in ("r_k", "r_v"):
         if raw.get(name) is not None:
             ints[name] = _int(raw[name], f"{where}: {name}", minimum=1)
-    digests = {key: _sha256(raw, key, where) for key in map(file_key, _BUNDLE_DIGESTS)
-               if raw.get(key) is not None}
+    # A layer records its source whole or not at all.
+    source = None
+    if None not in map(raw.get, ("grams", *_DIGEST_KEYS.values())):
+        source = _record_from_json(raw, where, f"{where}: grams", "converted manifest")
     try:
-        return LayerEntry(**ints, **tensors, **digests)
+        return LayerEntry(**ints, **tensors, source=source)
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
 
@@ -261,11 +247,11 @@ def layer_file(layer: int, name: str) -> str:
 
 class _Pin(NamedTuple):
     """A file's sha256 as a document records it, that document's kind and
-    the stage that writes it: by default a converted manifest's record."""
+    the stage that writes it."""
 
     sha256: str
-    document: str = "converted manifest"
-    stage: str = "convert"
+    document: str
+    stage: str
 
 
 def _inside(base_dir, rel_path, what) -> Path:
@@ -312,11 +298,6 @@ def load_covariance(cov_dir, layer: int, d_model: int,
                         f"layer {layer} covariance", pin, digest=True)
 
 
-def bundle_pins(entry: LayerEntry) -> dict[str, _Pin]:
-    """The file sha256 a converted layer records for each _BUNDLE_DIGESTS file."""
-    return {name: _Pin(getattr(entry, file_key(name))) for name in _BUNDLE_DIGESTS}
-
-
 def _entry_of(m: ModelManifest, index: int, kind: str) -> LayerEntry:
     """Layer `index` of `m`, refused unless `m` is a model of `kind`."""
     if m.model_kind != kind:
@@ -329,7 +310,7 @@ def load_grouped_kv(m: ModelManifest, base_dir, index: int,
                     pins: dict[str, _Pin] | None = None) -> tuple[GroupedKv, dict[str, str]]:
     """One source layer's grouped K and V projections, without its w_q, and
     the sha256 of each one's file by tensor name, which must be the one
-    `pins` holds for that name, if given (bundle_pins, GramRecord.pins)."""
+    `pins` holds for that name, if given (GramRecord.pins)."""
     entry = _entry_of(m, index, MODEL_KIND_GQA)
     grouped = (entry.d_model, entry.grouped_width)
     arrays, sha256 = {}, {}
@@ -389,24 +370,35 @@ def load_batches(m: ModelManifest, base_dir, layer: int,
     return list(iter_batches(m, base_dir, layer, batches_dir))
 
 
+# Each kind of document that holds GramRecords, and the stage that writes it.
+_WRITERS = {"profile": "schedule", "converted manifest": "convert"}
+
+
 class GramRecord(NamedTuple):
     """What `schedule` stored for one layer: `path`, relative to the
-    profile's directory, names one `.ctf` file of the layer's K and V raw
+    `document`'s directory, names one `.ctf` file of the layer's K and V raw
     Grams (factorizer.raw_grams), and `sha256` is the sha256 of its bytes.
     `inputs` maps each name in SPECTRUM_INPUTS to the sha256 of the file
     the Grams were computed from. The file holds a (2, 2, n, n) array, n
     the grouped width: slab 0 is K and slab 1 is V, each with
-    W_g^T C W_g then (C W_g)^T (C W_g)."""
+    W_g^T C W_g then (C W_g)^T (C W_g). `document` is the kind of document
+    holding the record, a profile or a converted manifest (as_converted)."""
 
     layer: int
     path: str
     sha256: str
     inputs: dict[str, str]
+    document: str = "profile"
 
     def pins(self) -> dict[str, _Pin]:
-        """The digests of the Grams file (`grams`) and `inputs` as profile pins."""
-        return {name: _Pin(sha256, "profile", "schedule")
+        """The digests of the Grams file (`grams`) and `inputs`, as pins of
+        the record's document."""
+        return {name: _Pin(sha256, self.document, _WRITERS[self.document])
                 for name, sha256 in {"grams": self.sha256, **self.inputs}.items()}
+
+    def as_converted(self, path: str) -> "GramRecord":
+        """This record as a converted layer holds it, naming its Grams `path`."""
+        return self._replace(path=path, document="converted manifest")
 
 
 def grams_dir(profile_path: Path) -> Path:
@@ -425,21 +417,37 @@ def store_grams(directory: Path, profile_path: Path, layer: int, inputs: dict[st
                       sha256=sha256, inputs=inputs)
 
 
-def load_grams(base_dir, path: str, entry: LayerEntry, pin: _Pin) -> np.ndarray:
+def load_grams(base_dir, record: GramRecord, entry: LayerEntry) -> np.ndarray:
     """The (2, 2, n, n) raw Grams of `entry`'s layer, n its grouped width, at
-    base_dir / path; the file must have the `pin`'s sha256: a profile
-    record's (GramRecord.pins) or a converted layer's (bundle_pins)."""
+    base_dir / record.path; the file must have the record's sha256."""
     n = entry.grouped_width
-    return _load_tensor(base_dir, path, (2, 2, n, n), f"layer {entry.layer} Grams", pin)[0]
+    return _load_tensor(base_dir, record.path, (2, 2, n, n), f"layer {entry.layer} Grams",
+                        record.pins()["grams"])[0]
+
+
+# The key of each digest a GramRecord holds, by tensor; its path is "grams".
+_DIGEST_KEYS = {name: f"{name}_file_sha256" for name in ("grams", *SPECTRUM_INPUTS)}
 
 
 def _record_to_json(record: GramRecord) -> dict:
-    return {"layer": record.layer, "grams": record.path, file_key("grams"): record.sha256,
-            **{file_key(name): record.inputs[name] for name in SPECTRUM_INPUTS}}
+    return {"layer": record.layer, "grams": record.path, _DIGEST_KEYS["grams"]: record.sha256,
+            **{_DIGEST_KEYS[name]: record.inputs[name] for name in SPECTRUM_INPUTS}}
 
 
-def save_profile(profile: RankProfile, path, mode: str = "adjusted",
-                 grams: dict[int, GramRecord] | None = None) -> None:
+def _record_from_json(raw: dict, where: str, grams_what: str, document: str) -> GramRecord:
+    """The GramRecord in `raw`, read from a `document`; `where` names `raw`
+    in a refusal and `grams_what` its Grams path."""
+    return GramRecord(
+        layer=_int(raw.get("layer"), f"{where} layer", minimum=0),
+        path=_tensor_path(raw.get("grams"), grams_what),
+        sha256=_sha256(raw, _DIGEST_KEYS["grams"], where),
+        inputs={name: _sha256(raw, _DIGEST_KEYS[name], where) for name in SPECTRUM_INPUTS},
+        document=document,
+    )
+
+
+def save_profile(profile: RankProfile, path, grams: dict[int, GramRecord],
+                 mode: str = "adjusted") -> None:
     entries = [{"layer": layer, "kind": kind, "rank": rank}
                for (layer, kind), rank in sorted(profile.ranks.items())]
     doc = {
@@ -450,19 +458,18 @@ def save_profile(profile: RankProfile, path, mode: str = "adjusted",
         "budget_k": profile.budget_k,
         "budget_v": profile.budget_v,
         "entries": entries,
+        "grams": [_record_to_json(grams[layer]) for layer in sorted(grams)],
     }
-    if grams is not None:
-        doc["grams"] = [_record_to_json(grams[layer]) for layer in sorted(grams)]
     write_json_last(path, doc)
 
 
-def load_profile(path) -> tuple[RankProfile, str, dict[int, GramRecord] | None]:
+def load_profile(path) -> tuple[RankProfile, str, dict[int, GramRecord]]:
     """Read a rank profile, its mode and its Gram records by layer.
 
-    A profile with a `grams` key must record every layer of the profile
-    once; one without it, such as one with the `spectra` or `eigen` key of
-    earlier versions, has none (None). The `full_rank` key of entries of
-    earlier versions is ignored.
+    The `grams` key must record every layer of the profile once; a profile
+    without it, such as one with the `spectra` or `eigen` key of earlier
+    versions, is refused. The `full_rank` key of entries of earlier
+    versions is ignored.
     """
     doc = _read_json(path)
     _expect(doc, "format", PROFILE_FORMAT, path)
@@ -492,7 +499,7 @@ def load_profile(path) -> tuple[RankProfile, str, dict[int, GramRecord] | None]:
     if mode not in PROFILE_MODES:
         raise ValidationError(f"{path}: mode must be one of {PROFILE_MODES}, got {mode!r}")
     if "grams" not in doc:
-        return profile, mode, None
+        raise ValidationError(f"{path} records no Grams; re-run schedule")
     return profile, mode, _gram_records(doc["grams"], {layer for layer, _ in ranks}, path)
 
 
@@ -508,21 +515,16 @@ def _gram_records(raw, layers: set[int], path) -> dict[int, GramRecord]:
         raise ValidationError(f"{path}: grams must be a list of records")
     where = f"{path}: Gram record"
     records = {}
-    for record in raw:
-        if not isinstance(record, dict):
-            raise ValidationError(f"{path}: malformed Gram record {record!r}")
-        layer = _int(record.get("layer"), f"{where} layer", minimum=0)
-        if layer not in layers or layer in records:
+    for raw_record in raw:
+        if not isinstance(raw_record, dict):
+            raise ValidationError(f"{path}: malformed Gram record {raw_record!r}")
+        record = _record_from_json(raw_record, where, f"{where} grams", "profile")
+        if record.layer not in layers or record.layer in records:
             raise ValidationError(
-                f"{where} for layer {layer} is not one of the profile's layers, "
+                f"{where} for layer {record.layer} is not one of the profile's layers, "
                 f"or repeats one"
             )
-        records[layer] = GramRecord(
-            layer=layer,
-            path=_tensor_path(record.get("grams"), f"{where} grams"),
-            sha256=_sha256(record, file_key("grams"), where),
-            inputs={name: _sha256(record, file_key(name), where) for name in SPECTRUM_INPUTS},
-        )
+        records[record.layer] = record
     if set(records) != layers:
         raise ValidationError(
             f"{path}: Gram records cover layers {sorted(records)}, "

@@ -67,6 +67,10 @@ class LossParams:
         _check_tau(self.tau)
         if not (np.isfinite(self.beta) and self.beta >= 0.0):
             raise ValidationError(f"beta cannot be negative or non-finite, got {self.beta}")
+        # total_loss's KD weight, as a float product: tau**2 would raise.
+        if not np.isfinite(self.beta * (self.tau * self.tau)):
+            raise ValidationError(f"beta * tau^2 must be finite, got beta={self.beta} and "
+                                  f"tau={self.tau}")
 
 
 def _log_softmax(logits: np.ndarray, tau: float) -> np.ndarray:

@@ -486,7 +486,7 @@ class TestCov:
         (out / "sub").mkdir(parents=True)
         (out / "layer007_cov.ctf/inner").mkdir(parents=True)
         kept = ["layer007_cov.ctf.bak", "layer7_cov.ctf", "layer007_factors.ctf",
-                "notes_cov.ctf", "sub/layer005_cov.ctf"]
+                "layer007_x_cov.ctf", "notes_cov.ctf", "sub/layer005_cov.ctf"]
         for rel in kept + ["layer005_cov.ctf", "layer1234_cov.ctf"]:
             (out / rel).write_bytes(b"old")
         assert run("cov", "--manifest", gen_model(tmp_path / "m"), "--out", out) == 0
@@ -1193,7 +1193,7 @@ class TestOneSpectraPath:
             assert record.path == f"p_grams/layer{layer:03d}_grams.ctf"
             assert record.sha256 == file_sha256(tmp_path / record.path)
             kv, _ = manifest.load_grouped_kv(m, scheduled.parent, layer)
-            stored = manifest.load_grams(tmp_path, record.path, entry, record.pins()["grams"])
+            stored = manifest.load_grams(tmp_path, record, entry)
             assert stored.tobytes() == factorizer.raw_grams(kv, ctf.read_ctf(cov_path)).tobytes()
 
     def test_profile_records_no_setting(self, tmp_path, scheduled):
@@ -2168,6 +2168,19 @@ class TestRecordedDigests:
         # No other digest is left in either document.
         assert "sha256" not in json.dumps([profile, converted])
 
+    def test_converted_layer_keeps_the_profiles_record(self, tmp_path):
+        # A converted layer's record is the profile's, naming the bundle's
+        # copy of the Grams, and a refused pin names the converted manifest.
+        pipeline(tmp_path)
+        _, _, records = manifest.load_profile(tmp_path / "profile.json")
+        converted = manifest.load_manifest(tmp_path / "converted/converted.json")
+        for layer, record in records.items():
+            source = converted.layer(layer).source
+            assert source == record.as_converted(f"grams/layer{layer:03d}_grams.ctf")
+            assert (source.sha256, source.inputs) == (record.sha256, record.inputs)
+            assert {pin.document for pin in source.pins().values()} == {"converted manifest"}
+            assert {pin.document for pin in record.pins().values()} == {"profile"}
+
     def test_tampered_grams_name_tensor_and_document(self, tmp_path, capsys):
         pipeline(tmp_path)
         grams = tmp_path / "profile_grams/layer001_grams.ctf"
@@ -2203,6 +2216,50 @@ def test_missing_parent_of_out_is_created(tmp_path, command):
     out = tmp_path / "missing/parent/out"
     assert run(*OUT_COMMANDS[command](root), "--out", out) == 0
     assert out.exists()
+
+
+@pytest.fixture(scope="module")
+def huge_seq_len(tmp_path_factory) -> Path:
+    """A converted pipeline whose model also has a copy of its manifest,
+    `model/huge.json`, with seq_len 10**20."""
+    root = pipeline(tmp_path_factory.mktemp("huge"))
+    doc = json.loads((root / "model/model.json").read_text())
+    doc["seq_len"] = 10**20
+    (root / "model/huge.json").write_text(json.dumps(doc))
+    return root
+
+
+# A command of OUT_COMMANDS and the flags that override its arguments there
+# (the last of a repeated flag wins), none of which float64 can carry: each
+# figure they set overflows float range, or an array they shape is larger
+# than the address space.
+OUT_OF_RANGE = {
+    "gen_seq_len": ("gen", lambda root: ["--seq-len", 10**18]),
+    "gen_model_width": ("gen", lambda root: ["--d-model", 2**40, "--n-heads", 2**40,
+                                             "--head-dim", 1]),
+    "kv_report_layers": ("kv-report", lambda root: ["--layers", 10**320]),
+    "eval_tau_1e155": ("eval", lambda root: ["--tau", "1e155"]),
+    "eval_tau_1e300": ("eval", lambda root: ["--tau", "1e300"]),
+    "eval_bytes_per_elem": ("eval", lambda root: ["--bytes-per-elem", 10**320]),
+    "eval_rope_dim": ("eval", lambda root: ["--rope-dim", 10**320]),
+    "eval_manifest_seq_len": ("eval", lambda root: ["--source", root / "model/huge.json"]),
+    "ablate_seq_len": ("ablate", lambda root: ["--seq-len", 10**18]),
+    "ablate_manifest_seq_len": ("ablate", lambda root: ["--manifest", root / "model/huge.json"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_flags_exit_2_with_no_output(huge_seq_len, tmp_path, capsys, case):
+    command, flags = OUT_OF_RANGE[case]
+    before = tree_bytes(huge_seq_len)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*OUT_COMMANDS[command](huge_seq_len), *flags(huge_seq_len), "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert tree_bytes(huge_seq_len) == before
 
 
 class TestPipelineDeterminism:

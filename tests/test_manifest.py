@@ -48,11 +48,12 @@ def small_mla_manifest(tmp_path, rng, d=8, n_heads=2, r=3):
     sha256 = {name: ctf.write_ctf(tmp_path / f"{name}.ctf", rng.standard_normal(shape),
                                   digest=True)
               for name, shape in names.items()}
+    source = manifest.GramRecord(layer=0, path="p_grams/grams.ctf", sha256=sha256["grams"],
+                                 inputs={"cov": "d" * 64, "w_k_g": "a" * 64, "w_v_g": "b" * 64})
     entry = manifest.LayerEntry(
         layer=0, d_model=d, n_heads=n_heads, head_dim=d // n_heads, n_groups=1, r_k=r, r_v=r,
         w_a_k="w_a_k.ctf", w_b_k="w_b_k.ctf", w_a_v="w_a_v.ctf", w_b_v="w_b_v.ctf",
-        a_k="a_k.ctf", a_v="a_v.ctf", grams="grams.ctf", grams_file_sha256=sha256["grams"], cov_file_sha256="d" * 64,
-        w_k_g_file_sha256="a" * 64, w_v_g_file_sha256="b" * 64,
+        a_k="a_k.ctf", a_v="a_v.ctf", source=source.as_converted("grams.ctf"),
     )
     return manifest.ModelManifest(
         model_kind=manifest.MODEL_KIND_MLA, seq_len=4, layers=(entry,),
@@ -63,7 +64,7 @@ def small_mla_manifest(tmp_path, rng, d=8, n_heads=2, r=3):
 def bundle_grams(m, base_dir):
     """Layer 0's Grams, read from a bundle as eval reads them."""
     entry = m.layer(0)
-    return manifest.load_grams(base_dir, entry.grams, entry, manifest.bundle_pins(entry)["grams"])
+    return manifest.load_grams(base_dir, entry.source, entry)
 
 
 class TestModelManifest:
@@ -299,18 +300,29 @@ class TestResolvedPaths:
         assert len(manifest.load_batches(m, tmp_path / "alias", 0)) == 2
 
 
+def gram_records(layers) -> dict[int, manifest.GramRecord]:
+    """A made-up Gram record for each of `layers`, in the given order."""
+    return {
+        layer: manifest.GramRecord(
+            layer=layer, path=f"p_grams/l{layer}.ctf", sha256=f"{layer:064x}",
+            inputs={name: f"{i + 2:064x}" for i, name in enumerate(manifest.SPECTRUM_INPUTS)},
+        )
+        for layer in layers
+    }
+
+
 class TestRankProfileFile:
     def test_round_trip(self, tmp_path):
         profile = RankProfile(
             ranks={(0, "K"): 3, (0, "V"): 2, (1, "K"): 1, (1, "V"): 4},
             budget_k=4, budget_v=6, min_rank=1,
         )
-        manifest.save_profile(profile, tmp_path / "p.json", mode="adjusted")
-        loaded, mode, stored = manifest.load_profile(tmp_path / "p.json")
+        manifest.save_profile(profile, tmp_path / "p.json", gram_records((0, 1)),
+                              mode="adjusted")
+        loaded, mode, _ = manifest.load_profile(tmp_path / "p.json")
         assert mode == "adjusted"
         assert loaded.ranks == profile.ranks
         assert loaded.budget_k == 4 and loaded.budget_v == 6
-        assert stored is None
         doc = json.loads((tmp_path / "p.json").read_text())
         assert "spectra" not in doc
         # An entry's full rank is its layer's grouped width, not a profile key.
@@ -321,14 +333,8 @@ class TestRankProfileFile:
         # was computed from, and no whitening setting.
         profile = RankProfile(ranks={(0, "K"): 1, (0, "V"): 1, (1, "K"): 1, (1, "V"): 1},
                               budget_k=2, budget_v=2, min_rank=1)
-        records = {
-            layer: manifest.GramRecord(
-                layer=layer, path=f"p_grams/l{layer}.ctf", sha256=f"{layer:064x}",
-                inputs={name: f"{i + 2:064x}" for i, name in enumerate(manifest.SPECTRUM_INPUTS)},
-            )
-            for layer in (1, 0)
-        }
-        manifest.save_profile(profile, tmp_path / "p.json", grams=records)
+        records = gram_records((1, 0))
+        manifest.save_profile(profile, tmp_path / "p.json", records)
         assert manifest.load_profile(tmp_path / "p.json")[2] == records
         doc = json.loads((tmp_path / "p.json").read_text())
         assert [r["layer"] for r in doc["grams"]] == [0, 1]
@@ -347,18 +353,20 @@ class TestRankProfileFile:
                                     for name in ("spectra", "cov", "w_k_g", "w_v_g")}}]}),
         ("spectra", [{"layer": 0, "cov_sha256": "0" * 64, "sigma_k": "s.ctf"}]),
     ], ids=["eigen", "spectra", "flat_spectra"])
-    def test_records_of_earlier_versions_load_as_none(self, tmp_path, key, value):
+    def test_records_of_earlier_versions_are_refused(self, tmp_path, key, value):
         # Profiles once stored eigenpairs or spectra under one setting; such
-        # a profile has no Gram records, and convert asks for schedule.
+        # a profile has no Gram records, and loading it asks for schedule.
         doc = {
             "format": manifest.PROFILE_FORMAT, "version": 1, "mode": "adjusted",
             "min_rank": 1, "budget_k": 1, "budget_v": 1,
             "entries": [{"layer": 0, "kind": kind, "rank": 1} for kind in ("K", "V")],
             key: value,
         }
-        (tmp_path / "p.json").write_text(json.dumps(doc))
-        _, _, records = manifest.load_profile(tmp_path / "p.json")
-        assert records is None
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as exc:
+            manifest.load_profile(path)
+        assert str(exc.value) == f"{path} records no Grams; re-run schedule"
 
     @staticmethod
     def grams_doc(tmp_path, mutate) -> Path:
@@ -435,6 +443,9 @@ class TestRankProfileFile:
                 {"layer": 0, "kind": "K", "rank": 9, "full_rank": 4},
                 {"layer": 0, "kind": "V", "rank": 1, "full_rank": "x"},
             ],
+            "grams": [{"layer": 0, "grams": "g0.ctf",
+                       **{f"{name}_file_sha256": "3" * 64
+                          for name in ("grams", *manifest.SPECTRUM_INPUTS)}}],
         }
         (tmp_path / "p.json").write_text(json.dumps(doc))
         profile, _, _ = manifest.load_profile(tmp_path / "p.json")
@@ -491,7 +502,7 @@ class TestShrinkageKeys:
 def test_profile_with_repeated_key_is_refused(tmp_path, before, after, key):
     profile = RankProfile(ranks={(0, "K"): 3, (0, "V"): 2}, budget_k=4, budget_v=6,
                           min_rank=1)
-    manifest.save_profile(profile, tmp_path / "p.json")
+    manifest.save_profile(profile, tmp_path / "p.json", gram_records((0,)))
     text = (tmp_path / "p.json").read_text()
     assert text.count(before) == 1
     (tmp_path / "p.json").write_text(text.replace(before, after))

@@ -93,8 +93,7 @@ class Run:
         self.sources = [manifest.load_gqa_layer(source, model.parent, layer)
                         for layer in range(LAYERS)]
         # Per layer, (2, 2, n, n): K then V, each G then H.
-        self.grams = [manifest.load_grams(root, records[layer].path, source.layer(layer),
-                                          records[layer].pins()["grams"])
+        self.grams = [manifest.load_grams(root, records[layer], source.layer(layer))
                       for layer in range(LAYERS)]
         covariances = [ctf.read_ctf(root / "cov" / manifest.layer_file(layer, "cov"))
                        for layer in range(LAYERS)]

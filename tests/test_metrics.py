@@ -181,6 +181,17 @@ class TestTotalLoss:
             with pytest.raises(ValidationError):
                 LossParams(beta=value)
 
+    @pytest.mark.parametrize("tau, beta", [(1e155, 1.0), (1e300, 1.0), (1e155, 0.0),
+                                           (1e150, 1e10)])
+    def test_refuses_a_kd_weight_beyond_float_range(self, tau, beta):
+        # tau**2 itself, or beta times it, is no finite float.
+        with pytest.raises(ValidationError, match=r"beta \* tau\^2 must be finite"):
+            LossParams(tau=tau, beta=beta)
+
+    def test_a_large_finite_kd_weight_is_accepted(self):
+        params = LossParams(tau=1e154, beta=1e-6)
+        assert total_loss(0.0, 1.0, params) == params.beta * params.tau**2
+
 
 class TestLogitSequence:
     def test_rejects_bad_targets(self):
