@@ -13,11 +13,14 @@ B = (1 - alpha) C + alpha lam I, where "auto" lam is tr(C) / D. Weighting
 "damped" (the default) whitens with S = B^(1/2), so S^2 = B, and weighting
 "C" with S = B itself.
 
-The pipeline never forms S. A Ridge holds the two scalars; its gram
-is the n x n matrix (S W)^T (S W) of a D x n weight W, formed from three
-parameter-free n x n Grams, W^T C W, (C W)^T (C W) and W^T W, whose
-eigendecomposition gives the whitened singular values and right singular
-vectors (factorizer.layer_spectra). A Ridge refuses a numerically
+The pipeline never forms S. A Ridge holds the two scalars, built from
+tr(C) and D alone (ridge): schedule takes the trace of each covariance it
+reads and records it with the layer's Grams, and convert builds its Ridge
+from that record without reading C. Its gram is the n x n matrix
+(S W)^T (S W) of a D x n weight W, formed from three parameter-free
+n x n Grams, W^T C W, (C W)^T (C W) and W^T W, whose eigendecomposition
+gives the whitened singular values and right singular vectors
+(factorizer.layer_spectra). A Ridge refuses a numerically
 singular S from two bounds alone, without any decomposition.
 
 whitening_operator forms the same S densely, from one D x D
@@ -135,21 +138,12 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _resolve_lambda(params: ShrinkageParams, trace: float, dim: int) -> float:
-    """Concrete ridge scale. "auto" is the mean eigenvalue of the covariance,
-    tr(C) / D; a mean that is not positive falls back to 1.0 so the scale
-    stays positive."""
-    if params.lam != "auto":
-        return float(params.lam)
-    mean = trace / dim
-    return mean if mean > 0.0 else 1.0
-
-
 @dataclass(frozen=True)
 class Ridge:
     """The scalars that, with C, define one layer's damped covariance
     B = (1 - alpha) C + alpha lam I, which is never formed: the setting,
-    the resolved scale `lam` and `trace` = tr(C).
+    the resolved scale `lam` and `trace` = tr(C), the one figure of C
+    itself that a Ridge needs (ridge).
 
     The whitener is S = B^(1/2) under "damped" and S = B under "C"; gram
     gives (S W)^T (S W) for a weight W from W's parameter-free Grams.
@@ -198,13 +192,17 @@ class Ridge:
             raise NumericalError("singular whitener: apply shrinkage before factorizing")
 
 
-def ridge(c: np.ndarray, params: ShrinkageParams) -> Ridge:
-    """The damped covariance of the square matrix `c` under `params`; costs
-    one trace."""
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValidationError(f"covariance must be square, got shape {c.shape}")
-    trace = float(np.trace(c))
-    return Ridge(params, _resolve_lambda(params, trace, c.shape[0]), trace)
+def ridge(trace: float, dim: int, params: ShrinkageParams) -> Ridge:
+    """The damped covariance under `params` of a `dim` x `dim` covariance C
+    whose trace is `trace`, which is all of C it needs. "auto" lam resolves
+    to the mean eigenvalue tr(C) / D; a mean that is not positive falls
+    back to 1.0 so the scale stays positive."""
+    if params.lam != "auto":
+        lam = float(params.lam)
+    else:
+        mean = trace / dim
+        lam = mean if mean > 0.0 else 1.0
+    return Ridge(params, lam, trace)
 
 
 def whitening_operator(c, params: ShrinkageParams) -> np.ndarray:
@@ -215,7 +213,7 @@ def whitening_operator(c, params: ShrinkageParams) -> np.ndarray:
     beyond rounding noise (NumericalError, from linalg.clamp_psd).
     """
     c = linalg.as_matrix(c, "covariance")
-    lam = ridge(c, params).lam
+    lam = ridge(float(np.trace(c)), len(c), params).lam
     eig = linalg.sym_eig(c)
     vals, _ = linalg.clamp_psd(eig.eigenvalues)
     shrunk = (1.0 - params.alpha) * vals + params.alpha * lam

@@ -9,25 +9,29 @@ tensor paths are stored relative to their manifest. Exit codes: 0 success,
 worker threads, so its bytes depend on neither the draw order nor the
 threads.
 
-Every per-layer file is named by `manifest.layer_file`. `schedule` reads
-each covariance through `manifest.load_covariance`, checks its damped
-ridge (calibration.Ridge) for a singular whitener, and stores the layer's
-parameter-free n x n Grams (factorizer.raw_grams), n the layer's grouped
-width; it checks its rank plan against the manifest before it reads the
-first covariance. `convert` has one path for every setting: it reads the
-covariance, the grouped weights and the Grams, each pinned to the
-profile's record, resolves its own ridge, and decomposes the whitened
-Gram it forms from the stored ones (factorizer.layer_spectra), as
-`schedule` does to water-fill, and never multiplies by the covariance.
-No stage forms a D x D product other than the covariance or decomposes a
-D x D matrix. `cov` is the only stage that reads calibration batches, and
-`schedule` the only one that multiplies by a covariance: `convert` places
-each layer's stored Grams and the profile's record of them in the converted
-bundle, with the coordinates A of each down-projection (w_a = W_g A), and
-`eval` checks A and takes the activation residual from the Grams
-(factorizer.gram_residual); it reads no covariance and decomposes nothing. `eval` projects each layer's
+Every per-layer file is named by `manifest.layer_file`. `schedule` is the
+one stage that reads a covariance, through `manifest.load_covariance`: it
+checks the layer's damped ridge (calibration.Ridge) for a singular
+whitener, and stores the layer's parameter-free n x n Grams
+(factorizer.raw_grams), n the layer's grouped width, with a record of
+them that also carries tr(C); it checks its rank plan against the
+manifest before it reads the first covariance. `convert` has one path for
+every setting and reads no covariance: it builds its own ridge from the
+record's tr(C), reads the grouped weights and the Grams, each pinned to
+the profile's record, and decomposes the whitened Gram it forms from the
+stored ones (factorizer.layer_spectra), as `schedule` does to water-fill.
+Its `--cov-dir` only names covariances that its clean-up of `--out`
+keeps. No stage forms a D x D product other than the covariance or
+decomposes a D x D matrix. `cov` is the only stage that reads calibration
+batches, and `schedule` the only one that multiplies by a covariance:
+`convert` places each layer's stored Grams and the profile's record of
+them in the converted bundle, with the coordinates A of each
+down-projection (w_a = W_g A), and `eval` checks A and takes the
+activation residual from the Grams (factorizer.gram_residual); it reads
+no covariance and decomposes nothing. `eval` projects each layer's
 queries once: the source and latent forwards share them and differ only
-in K and V.
+in K and V. It checks every flag, the cache footprint included, before
+it reads a layer.
 
 Every command creates a missing parent of its `--out` when it first writes
 there (`_out_dir`), after ctf.check_shape has passed each array that `gen`,
@@ -387,7 +391,7 @@ def _store_layer(m: manifest.ModelManifest, base: Path, cov_dir, layer: int, sta
     refuse it. The layer's covariance is freed on return, before the next
     layer's is read."""
     c, cov_sha256 = manifest.load_covariance(cov_dir, layer, m.layer(layer).d_model)
-    ridge = calibration.ridge(c, m.shrinkage)
+    ridge = calibration.ridge(float(np.trace(c)), len(c), m.shrinkage)
     ridge.check_invertible()
     kv, w_sha256 = manifest.load_grouped_kv(m, base, layer)
     grams = factorizer.raw_grams(kv, c)
@@ -397,7 +401,7 @@ def _store_layer(m: manifest.ModelManifest, base: Path, cov_dir, layer: int, sta
         for kind, svd in zip(scheduler.KINDS, factorizer.layer_spectra(kv, grams, ridge)):
             spectra[kind][layer] = svd.singular_values
     return manifest.store_grams(staged, profile_path, layer, {"cov": cov_sha256, **w_sha256},
-                                grams)
+                                ridge.trace, grams)
 
 
 # ---------------------------------------------------------------- convert
@@ -444,12 +448,9 @@ def cmd_convert(args) -> None:
     for layer in range(len(m.layers)):
         entry = m.layer(layer)
         record = records[layer]
-        pins = record.pins()
-        c, _ = manifest.load_covariance(args.cov_dir, layer, entry.d_model, pins["cov"])
-        ridge = calibration.ridge(c, params)
-        del c
+        ridge = calibration.ridge(record.cov_trace, entry.d_model, params)
         ridge.check_invertible()
-        kv, _ = manifest.load_grouped_kv(m, base, layer, pins)
+        kv, _ = manifest.load_grouped_kv(m, base, layer, record.pins())
         grams = manifest.load_grams(profile_dir, record, entry)
         spectra = factorizer.layer_spectra(kv, grams, ridge)
         r_k = profile.rank(layer, scheduler.KIND_K)
@@ -508,8 +509,8 @@ def _gram_health(sigma: np.ndarray) -> dict:
 
 
 def _inputs(m: manifest.ModelManifest, base: Path, cov_dir) -> set[str]:
-    """The real paths of the covariances a convert run reads and of every
-    tensor and batch its source manifest names."""
+    """The real paths of the layers' covariances in `cov_dir`, which convert
+    does not read, and of every tensor and batch its source manifest names."""
     paths = [Path(cov_dir) / manifest.layer_file(layer, "cov") for layer in range(len(m.layers))]
     paths += [base / getattr(entry, name) for entry in m.layers
               for name in ("w_q", "w_k_g", "w_v_g")]
@@ -632,6 +633,13 @@ def cmd_eval(args) -> None:
     t = source.seq_len
     for entry in source.layers:
         ctf.check_shape((t, entry.d_model), f"layer {entry.layer} probe input")
+    # Per-token widths summed over layers, which the manifests give: a
+    # grouped layer caches its K and V at grouped width, a converted one its
+    # two latents and the rotary channel. Every layer caches t tokens.
+    width_gqa = sum(2 * entry.grouped_width for entry in source.layers)
+    width_mla = sum(entry.r_k + entry.r_v + args.rope_dim for entry in converted.layers)
+    gqa_fp = attention.kv_cache_bytes(1, t, 1, width_gqa, args.bytes_per_elem)
+    mla_fp = attention.kv_cache_bytes(1, t, 1, width_mla, args.bytes_per_elem)
     src_base = Path(args.source).parent
     conv_base = Path(args.converted).parent
     out = _out_dir(args.out)
@@ -666,11 +674,6 @@ def cmd_eval(args) -> None:
         report = _eval_layer(layer, gqa, factors, rng, t, params, args.rope_dim)
         report.update(residuals)
         layer_reports.append(report)
-    # Per-token widths summed over layers; every layer caches t tokens.
-    width_gqa = sum(r["cache_width_gqa"] for r in layer_reports)
-    width_mla = sum(r.get("cache_width_mla_rope", r["cache_width_mla"]) for r in layer_reports)
-    gqa_fp = attention.kv_cache_bytes(1, t, 1, width_gqa, args.bytes_per_elem)
-    mla_fp = attention.kv_cache_bytes(1, t, 1, width_mla, args.bytes_per_elem)
     max_drift = max((r["logit_drift_max"] for r in layer_reports), default=0.0)
 
     totals = {

@@ -19,9 +19,10 @@ the parameter-free n x n Grams W_g^T C W_g and (C W_g)^T (C W_g), which
 schedule stores. layer_spectra, which schedule and convert both run,
 forms each kind's whitened Gram (S W_g)^T (S W_g) from them and
 W_g^T W_g (calibration.Ridge.gram) and eigendecomposes it as
-V diag(sigma^2) V^T (gram_svd). Neither S, U nor any other D x D matrix besides C is formed,
-nothing of size D is decomposed, and convert never multiplies by C. The
-Gram resolves each sigma^2 to about n eps sigma_1^2, which bounds
+V diag(sigma^2) V^T (gram_svd). Neither S, U nor any other D x D matrix
+besides C is formed, nothing of size D is decomposed, and convert never
+reads C: its ridge needs only tr(C), which schedule records. The Gram
+resolves each sigma^2 to about n eps sigma_1^2, which bounds
 the error of every tail sum_{i>r} sigma_i^2 at the same scale. eval's
 activation residual (gram_residual) also reads only W_g^T C W_g, and
 decomposes nothing.

@@ -17,6 +17,7 @@ named by `layer_file`, wherever a stage writes it.
 
 import contextlib
 import json
+import math
 import os
 import posixpath
 import re
@@ -146,9 +147,9 @@ def load_manifest(path) -> ModelManifest:
         ):
             raise ValidationError(f"{path}: layer {i} is missing latent factors")
         if kind == MODEL_KIND_MLA and entry.source is None:
-            raise ValidationError(
-                f"{path}: layer {i} records no Grams or source file digests; re-run convert"
-            )
+            missing = ", ".join(key for key in _RECORD_KEYS if raw.get(key) is None)
+            raise ValidationError(f"{path}: layer {i} records no Grams or source file "
+                                  f"digests; re-run convert (missing {missing})")
         if kind == MODEL_KIND_MLA and None in (entry.a_k, entry.a_v):
             raise ValidationError(f"{path}: layer {i} records no coordinates of its "
                                   f"down-projections (a_k, a_v); re-run convert")
@@ -209,7 +210,7 @@ def _entry_from_json(raw, where: str) -> LayerEntry:
             ints[name] = _int(raw[name], f"{where}: {name}", minimum=1)
     # A layer records its source whole or not at all.
     source = None
-    if None not in map(raw.get, ("grams", *_DIGEST_KEYS.values())):
+    if None not in map(raw.get, _RECORD_KEYS):
         source = _record_from_json(raw, where, f"{where}: grams", "converted manifest")
     try:
         return LayerEntry(**ints, **tensors, source=source)
@@ -290,12 +291,11 @@ def _load_tensor(base_dir, rel_path, expected_shape, what, pin: _Pin | None = No
     return arr, sha256
 
 
-def load_covariance(cov_dir, layer: int, d_model: int,
-                    pin: _Pin | None = None) -> tuple[np.ndarray, str]:
+def load_covariance(cov_dir, layer: int, d_model: int) -> tuple[np.ndarray, str]:
     """The covariance `cov` wrote for `layer` into `cov_dir`, and its file's
-    sha256, which must be the `pin`'s, if given."""
+    sha256. schedule is its one reader."""
     return _load_tensor(cov_dir, layer_file(layer, "cov"), (d_model, d_model),
-                        f"layer {layer} covariance", pin, digest=True)
+                        f"layer {layer} covariance", digest=True)
 
 
 def _entry_of(m: ModelManifest, index: int, kind: str) -> LayerEntry:
@@ -379,15 +379,18 @@ class GramRecord(NamedTuple):
     `document`'s directory, names one `.ctf` file of the layer's K and V raw
     Grams (factorizer.raw_grams), and `sha256` is the sha256 of its bytes.
     `inputs` maps each name in SPECTRUM_INPUTS to the sha256 of the file
-    the Grams were computed from. The file holds a (2, 2, n, n) array, n
-    the grouped width: slab 0 is K and slab 1 is V, each with
-    W_g^T C W_g then (C W_g)^T (C W_g). `document` is the kind of document
-    holding the record, a profile or a converted manifest (as_converted)."""
+    the Grams were computed from, and `cov_trace` is tr(C) of that
+    covariance, all of it that convert's ridge needs (calibration.ridge).
+    The file holds a (2, 2, n, n) array, n the grouped width: slab 0 is K
+    and slab 1 is V, each with W_g^T C W_g then (C W_g)^T (C W_g).
+    `document` is the kind of document holding the record, a profile or a
+    converted manifest (as_converted)."""
 
     layer: int
     path: str
     sha256: str
     inputs: dict[str, str]
+    cov_trace: float
     document: str = "profile"
 
     def pins(self) -> dict[str, _Pin]:
@@ -407,14 +410,15 @@ def grams_dir(profile_path: Path) -> Path:
 
 
 def store_grams(directory: Path, profile_path: Path, layer: int, inputs: dict[str, str],
-                grams: np.ndarray) -> GramRecord:
+                cov_trace: float, grams: np.ndarray) -> GramRecord:
     """Write one layer's raw Grams into `directory`, which becomes the
     profile's grams_dir, as one file, and record its path in the profile,
-    its sha256 and the `inputs` digests the Grams were computed from."""
+    its sha256, the `inputs` digests the Grams were computed from and the
+    covariance's trace."""
     file = layer_file(layer, "grams")
     sha256 = ctf.write_ctf(directory / file, grams, digest=True)
     return GramRecord(layer=layer, path=f"{grams_dir(profile_path).name}/{file}",
-                      sha256=sha256, inputs=inputs)
+                      sha256=sha256, inputs=inputs, cov_trace=cov_trace)
 
 
 def load_grams(base_dir, record: GramRecord, entry: LayerEntry) -> np.ndarray:
@@ -427,11 +431,14 @@ def load_grams(base_dir, record: GramRecord, entry: LayerEntry) -> np.ndarray:
 
 # The key of each digest a GramRecord holds, by tensor; its path is "grams".
 _DIGEST_KEYS = {name: f"{name}_file_sha256" for name in ("grams", *SPECTRUM_INPUTS)}
+# Every key of a GramRecord but its layer.
+_RECORD_KEYS = ("grams", "cov_trace", *_DIGEST_KEYS.values())
 
 
 def _record_to_json(record: GramRecord) -> dict:
     return {"layer": record.layer, "grams": record.path, _DIGEST_KEYS["grams"]: record.sha256,
-            **{_DIGEST_KEYS[name]: record.inputs[name] for name in SPECTRUM_INPUTS}}
+            **{_DIGEST_KEYS[name]: record.inputs[name] for name in SPECTRUM_INPUTS},
+            "cov_trace": record.cov_trace}
 
 
 def _record_from_json(raw: dict, where: str, grams_what: str, document: str) -> GramRecord:
@@ -442,8 +449,22 @@ def _record_from_json(raw: dict, where: str, grams_what: str, document: str) -> 
         path=_tensor_path(raw.get("grams"), grams_what),
         sha256=_sha256(raw, _DIGEST_KEYS["grams"], where),
         inputs={name: _sha256(raw, _DIGEST_KEYS[name], where) for name in SPECTRUM_INPUTS},
+        cov_trace=_cov_trace(raw.get("cov_trace"), where, document),
         document=document,
     )
+
+
+def _cov_trace(value, where: str, document: str) -> float:
+    """value as a float, refused unless it is a finite number (not a bool):
+    json.loads reads NaN, Infinity and 1e999 as floats that are not."""
+    try:
+        trace = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer beyond float range
+        trace = math.inf
+    if not math.isfinite(trace):
+        raise ValidationError(f"{where}: cov_trace must be a finite number, got {value!r}; "
+                              f"re-run {_WRITERS[document]}")
+    return trace
 
 
 def save_profile(profile: RankProfile, path, grams: dict[int, GramRecord],

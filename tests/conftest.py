@@ -59,13 +59,21 @@ def plain_spectra(layer):
     return whitened_svd(layer.w_k_g, identity), whitened_svd(layer.w_v_g, identity)
 
 
+def ridge_of(c, params):
+    """calibration.ridge of the covariance c under params, from its trace
+    and dimension, as schedule builds it."""
+    from kvlatent.calibration import ridge
+
+    return ridge(float(np.trace(c)), len(c), params)
+
+
 def pipeline_spectra(layer, c, params=None):
     """factorizer.layer_spectra of a layer against covariance c, from its
     raw_grams, as the stages compute it."""
-    from kvlatent.calibration import ShrinkageParams, ridge
+    from kvlatent.calibration import ShrinkageParams
     from kvlatent.factorizer import layer_spectra, raw_grams
 
-    return layer_spectra(layer, raw_grams(layer, c), ridge(c, params or ShrinkageParams()))
+    return layer_spectra(layer, raw_grams(layer, c), ridge_of(c, params or ShrinkageParams()))
 
 
 def truncate_svd(res, r: int):

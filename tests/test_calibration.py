@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import anisotropic_batches, covariance_of, gen, random_orthogonal
+from conftest import anisotropic_batches, covariance_of, gen, random_orthogonal, ridge_of
 from kvlatent import linalg
 from kvlatent.calibration import (
     WHITENER_FLOOR_REL,
@@ -131,7 +131,7 @@ class TestShrinkage:
         c = covariance_of(batches)
         params = ShrinkageParams(alpha=0.01, lam="auto")
         s = whitening_operator(c, params)
-        ridge(c, params).check_invertible()
+        ridge_of(c, params).check_invertible()
         inv = np.linalg.inv(s)
         assert np.all(np.isfinite(inv))
         assert np.max(np.abs(s @ inv - np.eye(8))) <= 1e-9
@@ -177,7 +177,7 @@ class TestWhiteningOperator:
 
     def test_inverse_round_trip(self):
         c = self.covariance(111)
-        ridge(c, ShrinkageParams()).check_invertible()
+        ridge_of(c, ShrinkageParams()).check_invertible()
         s = whitening_operator(c, ShrinkageParams())
         assert np.max(np.abs(s @ np.linalg.inv(s) - np.eye(12))) <= 1e-12
 
@@ -198,16 +198,16 @@ class TestWhiteningOperator:
         explicit = whitening_operator(c, replace(params, lam=expected))
         scale = np.max(np.abs(explicit))
         assert np.max(np.abs(whitening_operator(c, params) - explicit)) <= 1e-12 * scale
-        assert ridge(c, params).lam == pytest.approx(expected, rel=1e-12)
+        assert ridge_of(c, params).lam == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("weighting", ["damped", "C"])
-    def test_lambda_matches_resolve_lambda(self, weighting):
+    def test_lambda_resolves_as_the_ridge_does(self, weighting):
         # The operator and the stages' Ridge resolve lam alike, including an
         # int lam and the fallback to 1.0 when tr(C) is not positive.
         for c, lam in ((self.covariance(114), "auto"), (self.covariance(114), 2),
                        (np.zeros((12, 12)), "auto")):
             params = ShrinkageParams(alpha=0.05, lam=lam, weighting=weighting)
-            resolved = ridge(c, params).lam
+            resolved = ridge_of(c, params).lam
             explicit = explicit_operator(c, replace(params, lam=resolved))
             scale = np.max(np.abs(explicit))
             assert np.max(np.abs(whitening_operator(c, params) - explicit)) <= 1e-12 * scale
@@ -224,7 +224,7 @@ class TestWhiteningOperator:
         factor = np.linalg.cholesky(s @ s).T
         assert np.max(np.abs(factor.T @ factor - s @ s)) <= 1e-12 * np.max(np.abs(s @ s))
         w = rng.standard_normal((12, 5))
-        gram = ridge(c, params).gram(*raw_grams(c, w))
+        gram = ridge_of(c, params).gram(*raw_grams(c, w))
         by_factor = (factor @ w).T @ (factor @ w)
         assert np.max(np.abs(by_factor - gram)) <= 1e-12 * np.max(np.abs(gram))
         e = rng.standard_normal((12, 7))
@@ -282,7 +282,7 @@ class TestRidge:
         params = ShrinkageParams(alpha=0.05, lam=lam, weighting=weighting)
         s_w = explicit_operator(c, params) @ w
         expected = s_w.T @ s_w
-        got = ridge(c, params).gram(*raw_grams(c, w))
+        got = ridge_of(c, params).gram(*raw_grams(c, w))
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_c_gram_refuses_a_covariance_that_is_not_psd(self):
@@ -290,7 +290,7 @@ class TestRidge:
         c = -np.eye(4)
         w = gen(119).standard_normal((4, 2))
         with pytest.raises(NumericalError, match="not PSD"):
-            ridge(c, ShrinkageParams(weighting="C")).gram(*raw_grams(c, w))
+            ridge_of(c, ShrinkageParams(weighting="C")).gram(*raw_grams(c, w))
 
     @pytest.mark.parametrize("weighting", ["damped", "C"])
     def test_weights_in_the_null_space_are_not_refused(self, weighting):
@@ -305,22 +305,22 @@ class TestRidge:
         params = ShrinkageParams(alpha=0.01, weighting=weighting)
         s_w = explicit_operator(c, params) @ w
         expected = s_w.T @ s_w
-        got = ridge(c, params).gram(*raw_grams(c, w))
+        got = ridge_of(c, params).gram(*raw_grams(c, w))
         assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected))
         assert linalg.clamp_psd(linalg.sym_eig(got).eigenvalues)[0][-1] > 0.0
 
     @pytest.mark.parametrize("trace, lam", [(12.0, 1.0), (0.0, 1.0), (-3.0, 1.0)])
     def test_auto_lambda_is_the_mean_eigenvalue_or_one(self, trace, lam):
-        c = np.diag([trace] + [0.0] * 11)
-        assert ridge(c, ShrinkageParams()).lam == lam
-        assert ridge(c, ShrinkageParams(lam=2.5)).lam == 2.5
+        # A ridge takes only tr(C) and D, here of a 12 x 12 covariance.
+        assert ridge(trace, 12, ShrinkageParams()).lam == lam
+        assert ridge(trace, 12, ShrinkageParams(lam=2.5)).lam == 2.5
 
     @pytest.mark.parametrize("weighting", ["damped", "C"])
     def test_bounds_bracket_the_dense_spectrum(self, weighting):
         # The refusal reads two bounds; the whitener's eigenvalues lie within.
         c = TestWhiteningOperator.covariance(119)
         params = ShrinkageParams(weighting=weighting)
-        r = ridge(c, params)
+        r = ridge_of(c, params)
         low = params.alpha * r.lam
         high = (1 - params.alpha) * r.trace + low
         if weighting == "damped":
@@ -333,15 +333,15 @@ class TestRidge:
     def test_singular_ridge_refused_without_a_decomposition(self, weighting, monkeypatch):
         monkeypatch.setattr(np.linalg, "eigh", None)
         c = covariance_of([batch(gen(120).standard_normal((4, 16)))])  # rank 4 in 16 dims
-        ridge(c, ShrinkageParams(weighting=weighting)).check_invertible()
+        ridge_of(c, ShrinkageParams(weighting=weighting)).check_invertible()
         with pytest.raises(NumericalError, match="singular whitener"):
-            ridge(c, ShrinkageParams(lam=1e-300, weighting=weighting)).check_invertible()
+            ridge_of(c, ShrinkageParams(lam=1e-300, weighting=weighting)).check_invertible()
 
     def test_refusal_threshold(self):
         # "C" at alpha 0.5 and tr(C) 1: S's eigenvalues lie in
         # [lam / 2, (1 + lam) / 2], a ratio of lam / (1 + lam).
         for ratio, refused in ((WHITENER_FLOOR_REL * 0.5, True), (WHITENER_FLOOR_REL * 2, False)):
-            r = ridge(np.diag([1.0, 0.0]), ShrinkageParams(alpha=0.5, lam=ratio, weighting="C"))
+            r = ridge(1.0, 2, ShrinkageParams(alpha=0.5, lam=ratio, weighting="C"))
             if refused:
                 with pytest.raises(NumericalError):
                     r.check_invertible()

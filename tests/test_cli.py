@@ -1192,6 +1192,7 @@ class TestOneSpectraPath:
             }
             assert record.path == f"p_grams/layer{layer:03d}_grams.ctf"
             assert record.sha256 == file_sha256(tmp_path / record.path)
+            assert record.cov_trace == float(np.trace(ctf.read_ctf(cov_path)))
             kv, _ = manifest.load_grouped_kv(m, scheduled.parent, layer)
             stored = manifest.load_grams(tmp_path, record, entry)
             assert stored.tobytes() == factorizer.raw_grams(kv, ctf.read_ctf(cov_path)).tobytes()
@@ -1247,18 +1248,61 @@ class TestOneSpectraPath:
                 signs = np.sign(np.sum(svd.v_t * ref.v_t, axis=1))
                 assert np.max(np.abs(svd.v_t - signs[:, None] * ref.v_t)) <= 1e-12
 
-    @pytest.mark.parametrize("stale", ["cov", "w_k_g", "w_v_g"])
+    @pytest.mark.parametrize("stale", ["w_k_g", "w_v_g"])
     def test_stale_input_exits_2(self, tmp_path, scheduled, capsys, stale):
-        path = (tmp_path / "cov/layer001_cov.ctf" if stale == "cov"
-                else scheduled.parent / f"weights/layer001_{stale}.ctf")
+        rel = f"weights/layer001_{stale}.ctf"
+        path = scheduled.parent / rel
         ctf.write_ctf(path, 2.0 * ctf.read_ctf(path))
         code, err = self.convert_code(tmp_path, scheduled, capsys)
-        name, rel = (("covariance", "layer001_cov.ctf") if stale == "cov"
-                     else (stale, f"weights/layer001_{stale}.ctf"))
         assert code == 2
-        assert err == (f"error: layer 1 {name} ({rel}): file sha256 does not match the "
+        assert err == (f"error: layer 1 {stale} ({rel}): file sha256 does not match the "
                        f"profile's record; re-run schedule\n")
         assert not (tmp_path / "c/converted.json").exists()
+
+    @pytest.mark.parametrize("change", ["rewritten", "deleted"])
+    def test_covariance_changed_after_schedule_is_not_read(self, tmp_path, scheduled, capsys,
+                                                           change):
+        # convert takes tr(C) from the profile's record, so a covariance
+        # changed after schedule changes none of its output.
+        assert self.convert_code(tmp_path, scheduled, capsys) == (0, "")
+        before = tree_bytes(tmp_path / "c")
+        path = tmp_path / "cov/layer001_cov.ctf"
+        if change == "rewritten":
+            ctf.write_ctf(path, 2.0 * ctf.read_ctf(path))
+        else:
+            path.unlink()
+        assert self.convert_code(tmp_path, scheduled, capsys) == (0, "")
+        assert tree_bytes(tmp_path / "c") == before
+
+    @pytest.mark.parametrize("document", ["profile", "converted manifest"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999", "true", '"1.0"',
+                                       None])
+    def test_bad_recorded_trace_exits_2(self, tmp_path, scheduled, capsys, document, value):
+        # The JSON text of layer 1's cov_trace (None: no key), in the
+        # document convert or eval reads; json reads NaN and 1e999 as
+        # floats, so the check is for finiteness.
+        path = tmp_path / ("p.json" if document == "profile" else "c/converted.json")
+        if document == "converted manifest":
+            assert self.convert_code(tmp_path, scheduled, capsys) == (0, "")
+        doc = json.loads(path.read_text())
+        record = doc["grams"][1] if document == "profile" else doc["layers"][1]
+        del record["cov_trace"]
+        if value is not None:
+            record["cov_trace"] = "@trace@"
+        path.write_text(json.dumps(doc).replace('"@trace@"', str(value)))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        if document == "profile":
+            code = run("convert", "--manifest", scheduled, "--cov-dir", tmp_path / "cov",
+                       "--profile", path, "--out", out)
+        else:
+            code = run("eval", "--source", scheduled, "--converted", path, "--out", out)
+        err = capsys.readouterr().err
+        stage = "schedule" if document == "profile" else "convert"
+        assert code == 2
+        assert err.startswith(f"error: {path}") and "cov_trace" in err, err
+        assert err.count("\n") == 1 and f"re-run {stage}" in err, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("earlier", [
         lambda doc: doc.pop("grams"),
@@ -1336,20 +1380,22 @@ class TestOneSpectraPath:
         assert code == 2 and err.startswith("error:")
 
 
-class TraceOnly:
-    """A covariance that gives its shape and its trace and refuses any other
-    use: converting it to an array raises, and so does every product."""
+def forbid_covariance_reads(monkeypatch) -> None:
+    """Fail the test at any opening of a `*_cov.ctf` file, and at any call
+    of manifest.load_covariance."""
+    real_open = open
 
-    def __init__(self, c: np.ndarray):
-        self.ndim, self.shape, self.sum_of_diagonal = c.ndim, c.shape, np.trace(c)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a covariance was read")
 
-    def __array_function__(self, func, types, args, kwargs):
-        if func is np.trace:
-            return self.sum_of_diagonal
-        raise AssertionError(f"the covariance entered {func.__name__}")
+    def open_no_covariance(file, *args, **kwargs):
+        if str(file).endswith("_cov.ctf"):
+            refuse()
+        return real_open(file, *args, **kwargs)
 
-    def __array__(self, *args, **kwargs):
-        raise AssertionError("the covariance was read as an array")
+    monkeypatch.setattr(manifest, "load_covariance", refuse)
+    monkeypatch.setattr("builtins.open", open_no_covariance)
+    monkeypatch.setattr("io.open", open_no_covariance)
 
 
 class TestGroupedWidthDecompositions:
@@ -1357,8 +1403,7 @@ class TestGroupedWidthDecompositions:
     Gram, n the layer's grouped width (8 here, d_model 16): no D x D
     eigendecomposition, and no QR or SVD. convert runs two per layer, one
     per kind, under any setting (four under C, whose damped Grams are
-    checked for PSD first), and takes only the covariance's trace. eval
-    runs none."""
+    checked for PSD first), and reads no covariance. eval runs none."""
 
     DECOMPOSITIONS = ("eigh", "eigvalsh", "svd", "qr", "cholesky")
 
@@ -1396,18 +1441,17 @@ class TestGroupedWidthDecompositions:
                    "--budget-k", 12, "--budget-v", 12, "--out", tmp_path / "p.json") == 0
         per_kind = [("sym_eig", (8, 8)), ("np.eigh", (8, 8))]
         assert calls == per_kind * 6
-        real = manifest.load_covariance
-
-        def guarded(*args, **kwargs):
-            c, sha256 = real(*args, **kwargs)
-            return TraceOnly(c), sha256
-
-        monkeypatch.setattr(manifest, "load_covariance", guarded)
+        forbid_covariance_reads(monkeypatch)
         for args, kind_calls in (((), per_kind * 6), (("--weighting", "C"), per_kind * 12),
-                                 (("--alpha", "0.2"), per_kind * 6)):
+                                 (("--alpha", "0.2"), per_kind * 6),
+                                 (("--lambda", "2.5"), per_kind * 6)):
             calls.clear()
             convert_tree(tmp_path, model, tmp_path / "cov", tmp_path / "p.json", "c", *args)
             assert calls == kind_calls, args
+        # --cov-dir names no file convert needs.
+        (tmp_path / "empty").mkdir()
+        assert (convert_tree(tmp_path, model, tmp_path / "empty", tmp_path / "p.json", "e")
+                == convert_tree(tmp_path, model, tmp_path / "cov", tmp_path / "p.json", "c"))
 
 
 class TestRetiredWeighting:
@@ -1983,19 +2027,10 @@ class TestEvalMemory:
         pipeline(tmp_path, schedule_args=("--mode", "uniform", "--rank", "3"))
 
         def refuse(*args, **kwargs):
-            raise AssertionError("eval read a calibration batch or a covariance")
-
-        real_open = open
-
-        def open_no_covariance(file, *args, **kwargs):
-            if str(file).endswith("_cov.ctf"):
-                refuse()
-            return real_open(file, *args, **kwargs)
+            raise AssertionError("eval read a calibration batch")
 
         monkeypatch.setattr(manifest, "iter_batches", refuse)
-        monkeypatch.setattr(manifest, "load_covariance", refuse)
-        monkeypatch.setattr("builtins.open", open_no_covariance)
-        monkeypatch.setattr("io.open", open_no_covariance)
+        forbid_covariance_reads(monkeypatch)
         assert run("eval", "--source", tmp_path / "model/model.json",
                    "--converted", tmp_path / "converted/converted.json",
                    "--seed", 0, "--out", tmp_path / "patched") == 0
@@ -2241,6 +2276,8 @@ OUT_OF_RANGE = {
     "eval_tau_1e155": ("eval", lambda root: ["--tau", "1e155"]),
     "eval_tau_1e300": ("eval", lambda root: ["--tau", "1e300"]),
     "eval_bytes_per_elem": ("eval", lambda root: ["--bytes-per-elem", 10**320]),
+    # Within float range, but not its product with seq_len and the widths.
+    "eval_footprint": ("eval", lambda root: ["--bytes-per-elem", 10**306]),
     "eval_rope_dim": ("eval", lambda root: ["--rope-dim", 10**320]),
     "eval_manifest_seq_len": ("eval", lambda root: ["--source", root / "model/huge.json"]),
     "ablate_seq_len": ("ablate", lambda root: ["--seq-len", 10**18]),
@@ -2249,10 +2286,12 @@ OUT_OF_RANGE = {
 
 
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
-def test_out_of_range_flags_exit_2_with_no_output(huge_seq_len, tmp_path, capsys, case):
+def test_out_of_range_flags_exit_2_with_no_output(huge_seq_len, tmp_path, capsys, monkeypatch,
+                                                  case):
     command, flags = OUT_OF_RANGE[case]
     before = tree_bytes(huge_seq_len)
     out = tmp_path / "out"
+    reads = recording(monkeypatch, manifest, "load_grouped_kv")
     capsys.readouterr()
     assert run(*OUT_COMMANDS[command](huge_seq_len), *flags(huge_seq_len), "--out", out) == 2
     err = capsys.readouterr().err
@@ -2260,6 +2299,9 @@ def test_out_of_range_flags_exit_2_with_no_output(huge_seq_len, tmp_path, capsys
     assert "Traceback" not in err
     assert not out.exists()
     assert tree_bytes(huge_seq_len) == before
+    if command == "eval":
+        # eval checks every flag before it reads a layer.
+        assert reads == []
 
 
 class TestPipelineDeterminism:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import gen, random_psd, reconstruct, reference_sym_eig, truncate_svd
+from conftest import gen, random_psd, reconstruct, reference_sym_eig, ridge_of, truncate_svd
 from kvlatent import linalg
-from kvlatent.calibration import ShrinkageParams, ridge, whitening_operator
+from kvlatent.calibration import ShrinkageParams, whitening_operator
 from kvlatent.errors import NumericalError, ValidationError
 
 
@@ -264,7 +264,7 @@ class TestInvSqrtPsd:
         rng = gen(22)
         for _ in range(10):
             c = random_psd(rng, 4, cond=5.0) + 0.1 * np.eye(4)
-            ridge(c, ShrinkageParams()).check_invertible()
+            ridge_of(c, ShrinkageParams()).check_invertible()
             s = whitening_operator(c, ShrinkageParams())
             product = np.linalg.inv(s) @ s
             assert np.max(np.abs(product - np.eye(4))) < 1e-9
@@ -275,7 +275,7 @@ class TestInvSqrtPsd:
         for _ in range(10):
             n = int(rng.integers(2, 33))
             c = random_psd(rng, n, cond=1e4)
-            ridge(c, ShrinkageParams()).check_invertible()
+            ridge_of(c, ShrinkageParams()).check_invertible()
             s = whitening_operator(c, ShrinkageParams())
             product = np.linalg.inv(s) @ s
             assert np.max(np.abs(product - np.eye(n))) < 1e-8
@@ -287,12 +287,12 @@ class TestInvSqrtPsd:
         eigs = np.linalg.eigvalsh(whitening_operator(c, params))
         assert eigs[0] < 1e-12 * eigs[-1]
         with pytest.raises(NumericalError, match="singular whitener"):
-            ridge(c, params).check_invertible()
+            ridge_of(c, params).check_invertible()
 
     def test_rejects_nonpositive_min_eig(self):
         # alpha lam underflows to 0.0, so S's lower bound is zero.
         for weighting in ("damped", "C"):
-            r = ridge(np.eye(2), ShrinkageParams(lam=5e-324, weighting=weighting))
+            r = ridge_of(np.eye(2), ShrinkageParams(lam=5e-324, weighting=weighting))
             assert ShrinkageParams().alpha * r.lam == 0.0
             with pytest.raises(NumericalError, match="singular whitener"):
                 r.check_invertible()

@@ -49,7 +49,8 @@ def small_mla_manifest(tmp_path, rng, d=8, n_heads=2, r=3):
                                   digest=True)
               for name, shape in names.items()}
     source = manifest.GramRecord(layer=0, path="p_grams/grams.ctf", sha256=sha256["grams"],
-                                 inputs={"cov": "d" * 64, "w_k_g": "a" * 64, "w_v_g": "b" * 64})
+                                 inputs={"cov": "d" * 64, "w_k_g": "a" * 64, "w_v_g": "b" * 64},
+                                 cov_trace=2.5)
     entry = manifest.LayerEntry(
         layer=0, d_model=d, n_heads=n_heads, head_dim=d // n_heads, n_groups=1, r_k=r, r_v=r,
         w_a_k="w_a_k.ctf", w_b_k="w_b_k.ctf", w_a_v="w_a_v.ctf", w_b_v="w_b_v.ctf",
@@ -59,6 +60,19 @@ def small_mla_manifest(tmp_path, rng, d=8, n_heads=2, r=3):
         model_kind=manifest.MODEL_KIND_MLA, seq_len=4, layers=(entry,),
         shrinkage=ShrinkageParams(0.01, 0.5, "damped"),
     )
+
+
+# Recorded traces that are no finite number, by name, as values for
+# write_doc: json reads NaN, Infinity, -Infinity and 1e999 as floats that are
+# not finite, and an integer beyond float range has no float value.
+BAD_TRACES = {"nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"),
+              "1e999": "1e999", "true": True, "string": "1.0", "10**400": 10**400}
+
+
+def write_doc(path: Path, doc) -> None:
+    """Write `doc` as json.dumps does, but with the string "1e999" as the
+    bare number 1e999, which no float dumps as."""
+    path.write_text(json.dumps(doc).replace('"1e999"', "1e999"))
 
 
 def bundle_grams(m, base_dir):
@@ -168,15 +182,16 @@ class TestModelManifest:
             manifest.load_manifest(tmp_path / "old.json")
 
     @pytest.mark.parametrize("key", ["grams", "grams_file_sha256", "cov_file_sha256",
-                                     "w_k_g_file_sha256", "w_v_g_file_sha256"])
+                                     "w_k_g_file_sha256", "w_v_g_file_sha256", "cov_trace"])
     def test_converted_layer_must_record_its_source(self, tmp_path, key):
         manifest.save_manifest(small_mla_manifest(tmp_path, gen(712)), tmp_path / "c.json")
         doc = json.loads((tmp_path / "c.json").read_text())
         del doc["layers"][0][key]
         (tmp_path / "c.json").write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match="layer 0 records no Grams or source "
-                                                  "file digests; re-run convert"):
+        with pytest.raises(ValidationError) as exc:
             manifest.load_manifest(tmp_path / "c.json")
+        assert str(exc.value) == (f"{tmp_path / 'c.json'}: layer 0 records no Grams or source "
+                                  f"file digests; re-run convert (missing {key})")
 
     @pytest.mark.parametrize("key", ["a_k", "a_v"])
     def test_converted_layer_must_name_its_coordinates(self, tmp_path, key):
@@ -205,12 +220,14 @@ class TestModelManifest:
     @pytest.mark.parametrize("key, value", [
         ("cov_file_sha256", "A" * 64), ("w_k_g_file_sha256", "a" * 63),
         ("w_v_g_file_sha256", 7), ("grams_file_sha256", "g" * 64), ("grams", "../grams.ctf"),
+        *(pytest.param("cov_trace", value, id=f"cov_trace-{name}")
+          for name, value in BAD_TRACES.items()),
     ])
     def test_converted_source_record_is_checked(self, tmp_path, key, value):
         manifest.save_manifest(small_mla_manifest(tmp_path, gen(713)), tmp_path / "c.json")
         doc = json.loads((tmp_path / "c.json").read_text())
         doc["layers"][0][key] = value
-        (tmp_path / "c.json").write_text(json.dumps(doc))
+        write_doc(tmp_path / "c.json", doc)
         with pytest.raises(ValidationError, match=key):
             manifest.load_manifest(tmp_path / "c.json")
 
@@ -306,6 +323,7 @@ def gram_records(layers) -> dict[int, manifest.GramRecord]:
         layer: manifest.GramRecord(
             layer=layer, path=f"p_grams/l{layer}.ctf", sha256=f"{layer:064x}",
             inputs={name: f"{i + 2:064x}" for i, name in enumerate(manifest.SPECTRUM_INPUTS)},
+            cov_trace=layer + 0.5,
         )
         for layer in layers
     }
@@ -340,7 +358,7 @@ class TestRankProfileFile:
         assert [r["layer"] for r in doc["grams"]] == [0, 1]
         assert set(doc["grams"][0]) == {
             "layer", "grams", "grams_file_sha256", "cov_file_sha256",
-            "w_k_g_file_sha256", "w_v_g_file_sha256"}
+            "w_k_g_file_sha256", "w_v_g_file_sha256", "cov_trace"}
         assert not {"alpha", "lambda", "weighting"} & set(json.dumps(doc))
         assert not (tmp_path / "p.json.partial").exists()
 
@@ -371,7 +389,7 @@ class TestRankProfileFile:
     @staticmethod
     def grams_doc(tmp_path, mutate) -> Path:
         """A two-layer profile with valid Gram records, then `mutate`d."""
-        records = [{"layer": layer, "grams": f"g{layer}.ctf",
+        records = [{"layer": layer, "grams": f"g{layer}.ctf", "cov_trace": 16.0,
                     **{f"{name}_file_sha256": "3" * 64
                        for name in ("grams", *manifest.SPECTRUM_INPUTS)}}
                    for layer in (0, 1)]
@@ -383,7 +401,7 @@ class TestRankProfileFile:
             "grams": records,
         }
         mutate(doc)
-        (tmp_path / "p.json").write_text(json.dumps(doc))
+        write_doc(tmp_path / "p.json", doc)
         return tmp_path / "p.json"
 
     @pytest.mark.parametrize("field, value, match", [
@@ -398,6 +416,9 @@ class TestRankProfileFile:
         ("grams", "../vals.ctf", "inside"),
         ("grams", "/vecs.ctf", "inside"),
         ("grams", None, "path string"),
+        *(pytest.param("cov_trace", value, "cov_trace must be a finite number, got .*; "
+                                            "re-run schedule", id=f"cov_trace-{name}")
+          for name, value in BAD_TRACES.items()),
     ])
     def test_rejects_malformed_gram_record(self, tmp_path, field, value, match):
         path = self.grams_doc(tmp_path, lambda doc: doc["grams"][0].update({field: value}))
@@ -405,7 +426,7 @@ class TestRankProfileFile:
             manifest.load_profile(path)
 
     @pytest.mark.parametrize("key", ["grams", "grams_file_sha256", "cov_file_sha256",
-                                     "w_k_g_file_sha256", "w_v_g_file_sha256"])
+                                     "w_k_g_file_sha256", "w_v_g_file_sha256", "cov_trace"])
     def test_record_requires_every_key(self, tmp_path, key):
         path = self.grams_doc(tmp_path, lambda doc: doc["grams"][1].pop(key))
         with pytest.raises(ValidationError, match=f"p.json: Gram record.*{key}"):
@@ -443,7 +464,7 @@ class TestRankProfileFile:
                 {"layer": 0, "kind": "K", "rank": 9, "full_rank": 4},
                 {"layer": 0, "kind": "V", "rank": 1, "full_rank": "x"},
             ],
-            "grams": [{"layer": 0, "grams": "g0.ctf",
+            "grams": [{"layer": 0, "grams": "g0.ctf", "cov_trace": 8.0,
                        **{f"{name}_file_sha256": "3" * 64
                           for name in ("grams", *manifest.SPECTRUM_INPUTS)}}],
         }

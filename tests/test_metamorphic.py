@@ -34,8 +34,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import gen, random_orthogonal
-from kvlatent import attention, calibration, ctf, manifest
+from conftest import gen, random_orthogonal, ridge_of
+from kvlatent import attention, ctf, manifest
 from kvlatent.cli import main
 from kvlatent.factorizer import GqaLayer, layer_spectra
 
@@ -97,7 +97,7 @@ class Run:
                       for layer in range(LAYERS)]
         covariances = [ctf.read_ctf(root / "cov" / manifest.layer_file(layer, "cov"))
                        for layer in range(LAYERS)]
-        self.spectra = [layer_spectra(kv, grams, calibration.ridge(c, source.shrinkage))
+        self.spectra = [layer_spectra(kv, grams, ridge_of(c, source.shrinkage))
                         for kv, grams, c in zip(self.sources, self.grams, covariances)]
         self.factors = [manifest.load_mla_bundle(converted, root / "c", layer)
                         for layer in range(LAYERS)]
