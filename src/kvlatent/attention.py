@@ -8,18 +8,17 @@ grouped forward indexes each kind's group heads (group_heads) to the query
 heads; the latent forward reconstructs K and V from the cached-width
 latents (latent_kv). Two forwards of one layer share their query heads, so
 eval projects the queries once per layer and pairs them with the grouped
-and the latent K and V, and ablate rebuilds only the ablated kind's group
-heads. The rotary variant adds a small decoupled position channel, per-head
-rotary queries plus one rotary key per token shared by every head, as one
-more feature block of each head's query and key, with the softmax scale
-sqrt(head_dim + rope_dim) and the frequency base ROPE_BASE. The latent
-forwards take the source layer's factorizer.Geometry as their config; the
-rotary width rope_dim is read off the RopeAdapters, as the columns of the
-shared key projection w_r_k. The rotary forward is library API: the caller
-supplies its RopeAdapters, no manifest stores them, and no CLI stage runs
-it. How many reals per token a layer caches is not restated here:
-GqaLayer.cache_width and MlaFactors.cache_width own it, and the rotary
-channel adds rope_dim.
+and the latent K and V. The rotary variant adds a small decoupled position
+channel, per-head rotary queries plus one rotary key per token shared by
+every head, as one more feature block of each head's query and key, with
+the softmax scale sqrt(head_dim + rope_dim) and the frequency base
+ROPE_BASE. The latent forwards take the source layer's factorizer.Geometry
+as their config; the rotary width rope_dim is read off the RopeAdapters, as
+the columns of the shared key projection w_r_k. The rotary forward is
+library API: the caller supplies its RopeAdapters, no manifest stores them,
+and no CLI stage runs it. How many reals per token a layer caches is not
+restated here: GqaLayer.cache_width and MlaFactors.cache_width own it, and
+the rotary channel adds rope_dim.
 
 One causal core serves every forward. It walks (head, query block) tiles
 of 64 query rows and scores each tile only against the keys up to its last

@@ -1,4 +1,4 @@
-"""Command-line pipeline: gen, cov, schedule, convert, eval, kv-report, ablate.
+"""Command-line pipeline: gen, cov, schedule, convert, eval, kv-report.
 
 Every command is a deterministic batch process: identical inputs and flags
 produce byte-identical artifacts. Reports carry no timestamps and all
@@ -34,8 +34,8 @@ in K and V. It checks every flag, the cache footprint included, before
 it reads a layer.
 
 Every command creates a missing parent of its `--out` when it first writes
-there (`_out_dir`), after ctf.check_shape has passed each array that `gen`,
-`eval` or `ablate` draws.
+there (`_out_dir`), after ctf.check_shape has passed each array that `gen`
+or `eval` draws.
 
 The conversion report's health figures describe, per layer and kind, the
 whitened Gram G = (S W_g)^T (S W_g) whose eigendecomposition gives the
@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import attention, calibration, ctf, factorizer, linalg, manifest, metrics, scheduler
+from . import attention, calibration, ctf, factorizer, manifest, metrics, scheduler
 from .errors import NumericalError, ValidationError
 from .rng import check_seed, make_generator
 
@@ -366,12 +366,12 @@ def cmd_schedule(args) -> None:
             for kind in scheduler.KINDS
         }
         profile = scheduler.build_profile(ranks, budgets, min_rank)
-    # The old profile goes before its Grams, and the new profile is
-    # written last, so no profile ever names files of another run.
-    out.unlink(missing_ok=True)
-    if grams_dir.exists():
-        shutil.rmtree(grams_dir)
-    staged.rename(grams_dir)
+        # The old profile goes before its Grams, and the new profile is
+        # written last, so no profile ever names files of another run.
+        out.unlink(missing_ok=True)
+        if grams_dir.exists():
+            shutil.rmtree(grams_dir)
+        staged.rename(grams_dir)
     manifest.save_profile(profile, out, mode=args.mode, grams=records)
     print(f"mode={args.mode} budgets K={profile.budget_k} V={profile.budget_v} "
           f"min_rank={profile.min_rank}")
@@ -757,55 +757,6 @@ def cmd_kv_report(args) -> None:
         manifest.write_json_last(args.out, doc)
 
 
-# ---------------------------------------------------------------- ablate
-
-def cmd_ablate(args) -> None:
-    if args.seq_len is not None and args.seq_len < 1:
-        raise ValidationError(f"--seq-len must be a positive integer, got {args.seq_len}")
-    rng = make_generator(args.seed)
-    m = manifest.load_manifest(args.manifest)
-    base = Path(args.manifest).parent
-    gqa = manifest.load_gqa_layer(m, base, args.layer)
-    t = args.seq_len if args.seq_len is not None else m.seq_len
-    ctf.check_shape((t, gqa.d_model), f"layer {args.layer} probe input")
-    name = f"w_{args.kind.lower()}_g"
-    w = getattr(gqa, name)
-    sigma, ablated_w = factorizer.ablate_singular_value(w, args.index)
-    weight_residual = linalg.frobenius_norm_sq(w - ablated_w)
-    x = rng.standard_normal((t, gqa.d_model))
-    # The ablated forward differs from the source only in the ablated kind,
-    # so it shares the source's query heads and those of the other kind.
-    # V never enters the logits, so a V ablation shows only in the output.
-    source = attention.gqa_heads(gqa, x)
-    ablated = source._replace(**{args.kind.lower(): attention.group_heads(ablated_w, gqa, x)})
-    drift, output, output_ablated = attention.compare(source, ablated)
-    output_drift = float(np.max(np.abs(output - output_ablated)))
-
-    print(f"layer {args.layer} {args.kind}: sigma_{args.index} = {sigma:.6e}")
-    print(f"weight_residual_sq = {weight_residual:.6e}")
-    print(f"logit drift: max={drift.max_abs:.6e} frob={drift.frob:.6e}")
-    print(f"output drift: max={output_drift:.6e}")
-    if args.out:
-        _out_dir(Path(args.out).parent)
-        manifest.write_json_last(
-            args.out,
-            {
-                "format": "kvlatent-ablation-report",
-                "version": 1,
-                "layer": args.layer,
-                "kind": args.kind,
-                "index": args.index,
-                "seed": args.seed,
-                "seq_len": t,
-                "singular_value": sigma,
-                "weight_residual_sq": weight_residual,
-                "logit_drift_max": drift.max_abs,
-                "logit_drift_frob": drift.frob,
-                "output_drift_max": output_drift,
-            },
-        )
-
-
 # ---------------------------------------------------------------- parser
 
 class _Parser(argparse.ArgumentParser):
@@ -862,7 +813,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="factorize grouped projections into latent factors")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--cov-dir", required=True)
+    p.add_argument("--cov-dir", required=True,
+                   help="the covariances' directory; none is read, and clearing --out "
+                        "keeps them")
     p.add_argument("--profile", required=True)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--lambda", dest="lam", default=None, metavar="LAM",
@@ -894,17 +847,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bytes-per-elem", type=int, default=2)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_kv_report)
-
-    p = sub.add_parser("ablate", help="zero one singular value and measure the damage")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--layer", type=int, required=True)
-    p.add_argument("--kind", required=True, choices=list(scheduler.KINDS))
-    p.add_argument("--index", type=int, required=True,
-                   help="1-based position in the descending spectrum")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seq-len", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_ablate)
 
     return parser
 

@@ -416,19 +416,6 @@ def gram_residual(g, w_g, a, w_a, w_b, geometry: Geometry) -> float:
     return float(np.einsum("ij,ij->", e, g @ e))
 
 
-def ablate_singular_value(w, i: int) -> tuple[float, np.ndarray]:
-    """The i-th largest singular value (1-based) of w, and w with it zeroed,
-    both from one SVD."""
-    w = linalg.as_matrix(w, "w")
-    res = linalg.svd(w)
-    p = int(res.singular_values.shape[0])
-    if not 1 <= i <= p:
-        raise ValidationError(f"index {i} out of range [1, {p}]")
-    damped = res.singular_values.copy()
-    damped[i - 1] = 0.0
-    return float(res.singular_values[i - 1]), (res.u * damped) @ res.v_t
-
-
 def gram_svd(gram) -> WhitenedSvd:
     """Sigma and V^T of S @ w from its n x n Gram G = (S w)^T (S w), as
     G = V diag(sigma^2) V^T.

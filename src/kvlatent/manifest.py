@@ -229,10 +229,12 @@ def _int(value, what: str, minimum: int | None = None) -> int:
 
 
 def _tensor_path(value, what: str) -> str:
-    """value itself if it is a relative path that stays inside the directory
-    it is resolved against."""
+    """value itself if it is a relative path, with no NUL character, that
+    stays inside the directory it is resolved against."""
     if not isinstance(value, str):
         raise ValidationError(f"{what} must be a path string, got {value!r}")
+    if "\0" in value:
+        raise ValidationError(f"{what} {value!r} holds a NUL character")
     norm = posixpath.normpath(value)
     if posixpath.isabs(norm) or norm in (".", "..") or norm.startswith("../"):
         raise ValidationError(
@@ -579,7 +581,9 @@ def write_json_last(path, doc) -> None:
 
 def _read_json(path) -> dict:
     """The JSON object in the file `path`, refused if any object in it
-    repeats a key, which json.loads would resolve silently to the last."""
+    repeats a key, which json.loads would resolve silently to the last.
+    Text the decoder cannot take, an integer too long for int() or nesting
+    too deep for its recursion included, is not valid JSON."""
     def unique_keys(pairs: list) -> dict:
         obj = {}
         for key, value in pairs:
@@ -590,7 +594,9 @@ def _read_json(path) -> dict:
 
     try:
         doc = json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValidationError:
+        raise
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: expected a JSON object")

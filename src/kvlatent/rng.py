@@ -6,7 +6,7 @@ routed through SeedSequence. Its key has 128 bits: the seed fills the low
 64 and a stream id the high 64, so every (seed, stream) pair names its own
 stream. Gaussian draws use numpy's ziggurat standard_normal on a stream.
 `gen` keys each tensor's stream by its layer and slot (cli.cmd_gen,
-cli._GEN_SLOTS); `eval` and `ablate` draw from stream 0 in a fixed order.
+cli._GEN_SLOTS); `eval` draws from stream 0 in a fixed order.
 Identical seeds therefore give identical artifacts.
 """
 

@@ -264,7 +264,7 @@ class TestMlaForward:
 
 
 class TestHeadBuilders:
-    """The per-kind builders eval and ablate combine with shared queries."""
+    """The per-kind builders eval combines with shared queries."""
 
     @pytest.mark.parametrize("n_groups", (1, 2, 4))
     def test_group_heads_are_each_heads_group_block(self, n_groups):
@@ -521,6 +521,23 @@ class TestCompareOracle:
         drift, output_a, output_b = compare(heads, heads)
         assert drift == (0.0, 0.0)
         assert np.array_equal(output_a, output_b)
+
+    @pytest.mark.parametrize("name", ("w_k_g", "w_v_g"))
+    def test_only_key_weights_reach_the_logits(self, name):
+        # A change to the value weights moves the output and leaves every
+        # logit as it was; a change to the key weights moves both.
+        rng = gen(4653)
+        layer = random_gqa_layer(rng)
+        x = rng.standard_normal((70, 16))
+        weight = getattr(layer, name)
+        changed = dataclasses.replace(
+            layer, **{name: weight + 0.1 * rng.standard_normal(weight.shape)})
+        drift, output_a, output_b = compare(gqa_heads(layer, x), gqa_heads(changed, x))
+        assert np.max(np.abs(output_a - output_b)) > 0.0
+        if name == "w_v_g":
+            assert drift == (0.0, 0.0)
+        else:
+            assert drift.max_abs > 0.0 and drift.frob > 0.0
 
     def test_token_count_mismatch(self):
         rng = gen(4651)

@@ -1,6 +1,4 @@
-import dataclasses
 import errno
-import filecmp
 import hashlib
 import json
 import os
@@ -257,8 +255,7 @@ class TestGenPool:
 @pytest.mark.parametrize("command", [
     ["gen"],
     ["eval", "--source", "missing.json", "--converted", "missing.json"],
-    ["ablate", "--manifest", "missing.json", "--layer", 0, "--kind", "K", "--index", 1],
-], ids=["gen", "eval", "ablate"])
+], ids=["gen", "eval"])
 def test_seed_outside_64_bits_exits_2_before_any_io(tmp_path, capsys, command, seed):
     # Seeds outside [0, 2**64 - 1] would alias one inside it. The manifests
     # named do not exist, so a refusal that came after reading one would
@@ -268,6 +265,16 @@ def test_seed_outside_64_bits_exits_2_before_any_io(tmp_path, capsys, command, s
     err = capsys.readouterr().err
     assert err.startswith("error: seed must be an integer in [0, 2**64 - 1]")
     assert not (tmp_path / "out").exists()
+
+
+def test_ablate_is_not_a_command(capsys):
+    # Zeroing a singular value of a raw weight prices a direction that
+    # water-filling never ranks, so no command does it.
+    with pytest.raises(SystemExit) as exc:
+        run("ablate", "--manifest", "missing.json", "--layer", 0, "--kind", "K", "--index", 1)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: argument command: invalid choice: 'ablate'")
 
 
 class RepeatedKeys(dict):
@@ -577,6 +584,27 @@ class TestSchedule:
         assert captured.out == ""
         assert tree_bytes(tmp_path) == before
         assert not (tmp_path / "p_grams.partial").exists()
+
+    def test_out_that_is_a_directory_exits_4_and_leaves_no_partial(self, tmp_path, capsys):
+        # Every layer is computed before the old profile is replaced; the
+        # failed swap must take the staged Grams with it.
+        model = gen_model(tmp_path / "m")
+        assert run("cov", "--manifest", model, "--out", tmp_path / "cov") == 0
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--parity", "--out", tmp_path / "p.json") == 0
+        (tmp_path / "q.json").mkdir()
+        (tmp_path / "q.json/keep.txt").write_text("kept")
+        before = tree_bytes(tmp_path)
+        paths = sorted(tmp_path.rglob("*"))
+        assert "p.json" in before and "p_grams/layer000_grams.ctf" in before
+        capsys.readouterr()
+        assert run("schedule", "--manifest", model, "--cov-dir", tmp_path / "cov",
+                   "--parity", "--out", tmp_path / "q.json") == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert tree_bytes(tmp_path) == before
+        assert sorted(tmp_path.rglob("*")) == paths
+        assert not list(tmp_path.rglob("*.partial"))
 
     def test_engineered_model_reproduces_hand_trace(self, tmp_path):
         model = write_engineered_model(tmp_path / "m")
@@ -2065,113 +2093,6 @@ class TestKvReport:
         assert list((tmp_path / "d").iterdir()) == []
 
 
-class TestAblate:
-    def test_residual_matches_sigma(self, tmp_path, capsys):
-        model = gen_model(tmp_path / "m")
-        m = manifest.load_manifest(model)
-        gqa = manifest.load_gqa_layer(m, model.parent, 0)
-        sigma = linalg.svd(gqa.w_k_g).singular_values
-        for index in (1, len(sigma)):
-            assert run("ablate", "--manifest", model, "--layer", 0, "--kind", "K",
-                       "--index", index, "--out", tmp_path / f"ab{index}.json") == 0
-            doc = json.loads((tmp_path / f"ab{index}.json").read_text())
-            assert doc["weight_residual_sq"] == pytest.approx(sigma[index - 1] ** 2)
-        worst = json.loads((tmp_path / "ab1.json").read_text())
-        best = json.loads((tmp_path / f"ab{len(sigma)}.json").read_text())
-        assert worst["weight_residual_sq"] > best["weight_residual_sq"]
-
-    def test_zero_singular_value_has_zero_drift(self, tmp_path):
-        model = write_engineered_model(tmp_path / "m")
-        # layer 0 K weight diag(2, 1, 0.1): replace with a genuinely rank-2 one
-        ctf.write_ctf(tmp_path / "m/weights/l0_w_k_g.ctf", np.diag([2.0, 1.0, 0.0]))
-        assert run("ablate", "--manifest", model, "--layer", 0, "--kind", "K",
-                   "--index", 3, "--out", tmp_path / "ab.json") == 0
-        doc = json.loads((tmp_path / "ab.json").read_text())
-        assert doc["weight_residual_sq"] <= 1e-20
-        assert doc["logit_drift_max"] <= 1e-10
-
-    @pytest.mark.parametrize("kind", ["K", "V"])
-    def test_output_drift_reported(self, tmp_path, capsys, kind):
-        model = gen_model(tmp_path / "m", seed=1)
-        capsys.readouterr()
-        assert run("ablate", "--manifest", model, "--layer", 0, "--kind", kind,
-                   "--index", 1, "--out", tmp_path / "ab.json") == 0
-        out = capsys.readouterr().out
-        doc = json.loads((tmp_path / "ab.json").read_text())
-        assert f"output drift: max={doc['output_drift_max']:.6e}" in out
-        assert doc["output_drift_max"] > 0.0
-        if kind == "V":
-            # V never enters the logits
-            assert doc["logit_drift_max"] == doc["logit_drift_frob"] == 0.0
-        else:
-            assert doc["logit_drift_max"] > 0.0 and doc["logit_drift_frob"] > 0.0
-
-    @pytest.mark.parametrize("kind", ["K", "V"])
-    def test_figures_match_two_independent_forwards(self, tmp_path, kind):
-        # ablate builds the query heads and the other kind's heads once;
-        # two gqa_heads built apart give the same figures, bit for bit.
-        model = gen_model(tmp_path / "m", seed=4)
-        assert run("ablate", "--manifest", model, "--layer", 1, "--kind", kind,
-                   "--index", 2, "--seed", 9, "--out", tmp_path / "ab.json") == 0
-        doc = json.loads((tmp_path / "ab.json").read_text())
-        m = manifest.load_manifest(model)
-        gqa = manifest.load_gqa_layer(m, model.parent, 1)
-        name = f"w_{kind.lower()}_g"
-        sigma, ablated_w = factorizer.ablate_singular_value(getattr(gqa, name), 2)
-        x = make_generator(9).standard_normal((m.seq_len, gqa.d_model))
-        drift, output, output_ablated = attention.compare(
-            attention.gqa_heads(gqa, x),
-            attention.gqa_heads(dataclasses.replace(gqa, **{name: ablated_w}), x),
-        )
-        assert doc["singular_value"] == sigma
-        assert doc["logit_drift_max"] == drift.max_abs
-        assert doc["logit_drift_frob"] == drift.frob
-        assert doc["output_drift_max"] == float(np.max(np.abs(output - output_ablated)))
-        assert doc["output_drift_max"] > 0.0
-
-    def test_deterministic(self, tmp_path):
-        model = gen_model(tmp_path / "m")
-        for name in ("a.json", "b.json"):
-            assert run("ablate", "--manifest", model, "--layer", 1, "--kind", "V",
-                       "--index", 2, "--out", tmp_path / name) == 0
-        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-
-    def test_index_out_of_range(self, tmp_path):
-        model = gen_model(tmp_path / "m")
-        for index in (99, 0, -1):
-            assert run("ablate", "--manifest", model, "--layer", 0, "--kind", "K",
-                       "--index", index) == 2
-
-    @pytest.mark.parametrize("seq_len", [-3, 0])
-    def test_bad_seq_len_exits_2_before_loading(self, tmp_path, capsys, seq_len):
-        # The manifest does not exist, so loading it first would exit 4.
-        assert run("ablate", "--manifest", tmp_path / "missing.json", "--layer", 0,
-                   "--kind", "K", "--index", 1, "--seq-len", seq_len) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "--seq-len" in err
-
-    def test_unknown_kind_is_a_usage_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run("ablate", "--manifest", tmp_path / "missing.json", "--layer", 0,
-                "--kind", "Q", "--index", 1)
-        assert exc.value.code == 2
-        assert "argument --kind: invalid choice: 'Q'" in capsys.readouterr().err
-
-    def test_one_svd(self, tmp_path, monkeypatch):
-        model = gen_model(tmp_path / "m")
-        calls = []
-        svd = linalg.svd
-
-        def counting_svd(a):
-            calls.append(a.shape)
-            return svd(a)
-
-        monkeypatch.setattr(linalg, "svd", counting_svd)
-        assert run("ablate", "--manifest", model, "--layer", 0, "--kind", "V",
-                   "--index", 2, "--out", tmp_path / "ab.json") == 0
-        assert calls == [(16, 8)]
-
-
 class TestRecordedDigests:
     """Every digest a document records is the sha256 of the bytes of the
     file it pins, under the key `<tensor>_file_sha256`."""
@@ -2240,8 +2161,6 @@ OUT_COMMANDS = {
     "eval": lambda root: ["eval", "--source", root / "model/model.json",
                           "--converted", root / "converted/converted.json"],
     "kv-report": lambda root: ["kv-report", "--layers", 2, "--seq-len", 8, "--widths", "8,8"],
-    "ablate": lambda root: ["ablate", "--manifest", root / "model/model.json", "--layer", 0,
-                            "--kind", "K", "--index", 1],
 }
 
 
@@ -2280,8 +2199,6 @@ OUT_OF_RANGE = {
     "eval_footprint": ("eval", lambda root: ["--bytes-per-elem", 10**306]),
     "eval_rope_dim": ("eval", lambda root: ["--rope-dim", 10**320]),
     "eval_manifest_seq_len": ("eval", lambda root: ["--source", root / "model/huge.json"]),
-    "ablate_seq_len": ("ablate", lambda root: ["--seq-len", 10**18]),
-    "ablate_manifest_seq_len": ("ablate", lambda root: ["--manifest", root / "model/huge.json"]),
 }
 
 

@@ -26,7 +26,6 @@ from kvlatent.factorizer import (
     GroupedKv,
     MlaFactors,
     activation_residual,
-    ablate_singular_value,
     care_factorize,
     convert_layer,
     gram_residual,
@@ -743,35 +742,6 @@ class TestGramResidual:
         g, w_g, a, w_a, w_b = (np.ones(shape) for shape in shapes)
         with pytest.raises(ValidationError):
             gram_residual(g, w_g, a, w_a, w_b, Geometry(8, 4, 2, 2))
-
-
-class TestAblateSingularValue:
-    def test_diagonal(self):
-        sigma, out = ablate_singular_value(np.diag([3.0, 2.0, 1.0]), 2)
-        assert np.allclose(out, np.diag([3.0, 0.0, 1.0]), atol=1e-12)
-        assert sigma == pytest.approx(2.0, abs=1e-12)
-
-    def test_residual_is_squared_singular_value(self):
-        rng = gen(351)
-        w = rng.standard_normal((6, 8))
-        sigma = linalg.svd(w).singular_values
-        for i in (1, 3, 6):
-            sigma_i, out = ablate_singular_value(w, i)
-            assert sigma_i == sigma[i - 1]
-            assert np.isclose(linalg.frobenius_norm_sq(w - out), sigma[i - 1] ** 2)
-
-    def test_zero_singular_value_is_noop(self):
-        rng = gen(352)
-        base = rng.standard_normal((5, 2))
-        w = base @ rng.standard_normal((2, 5))  # rank 2, sigma_3 = 0
-        _, out = ablate_singular_value(w, 3)
-        assert np.max(np.abs(out - w)) < 1e-10
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValidationError):
-            ablate_singular_value(np.eye(3), 0)
-        with pytest.raises(ValidationError):
-            ablate_singular_value(np.eye(3), 4)
 
 
 class TestConvertLayer:

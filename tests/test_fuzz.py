@@ -2,13 +2,16 @@
 
 Each example replaces one field of a valid model manifest, converted
 manifest or rank profile, its Gram records included (a type swap, an
-out-of-range value or a path that leaves its directory) and runs the
-command that consumes the document. The command must never raise: it exits 2, 3 or 4 with an
-``error:`` line, or 0 when the mutated value is still valid. The `.ctf`
-cases corrupt one header field, or truncate the file, and feed it to `cov`
-as a calibration batch, to `schedule` as a covariance, and to `convert`
-as a covariance or as the Grams a profile records (consumer "grams"), each
-under the corrupted file's own sha256 so that the reader sees it.
+out-of-range value, a path that leaves its directory or one that holds a
+NUL character) and runs the command that consumes the document. The
+command must never raise: it exits 2, 3 or 4 with an ``error:`` line, or 0
+when the mutated value is still valid. The `.ctf` cases corrupt one header
+field, or truncate the file, and feed it to `cov` as a calibration batch,
+to `schedule` as a covariance, and to `convert` as the Grams a profile
+records (consumer "grams"), each under the corrupted file's own sha256 so
+that the reader sees it. Every path field of each document (weights,
+batches, Grams and factors) is also set, one at a time, to a path that holds
+a NUL character and fed to the command that reads it.
 """
 
 import contextlib
@@ -32,7 +35,7 @@ from test_cli import pipeline
 
 REPLACEMENTS = (
     "x", "", True, None, [], {}, 0.5, 1.5, -1, 0, 1, 3, 1000, "C", "auto",
-    "../x.ctf", "/x.ctf", "weights/../../x.ctf", "weights/missing.ctf",
+    "../x.ctf", "/x.ctf", "weights/../../x.ctf", "weights/missing.ctf", "weights/a\0b.ctf",
 )
 
 
@@ -46,7 +49,7 @@ def is_number(value) -> bool:
 
 
 def inside(value) -> bool:
-    if not isinstance(value, str):
+    if not isinstance(value, str) or "\0" in value:
         return False
     norm = posixpath.normpath(value)
     return not (norm.startswith("/") or norm in (".", "..") or norm.startswith("../"))
@@ -146,6 +149,45 @@ def test_mutated_field_never_raises(built, kind, data):
     else:
         assert code in (2, 3, 4), (keys, value, code)
         assert err.getvalue().startswith("error:"), err.getvalue()
+
+
+# Every path field of each document, under the command that reads it; the
+# mutated document follows under that document's own flag.
+READERS = {
+    "model": lambda root: ["schedule", "--cov-dir", root / "cov", "--parity"],
+    "batch": lambda root: ["cov"],
+    "profile": lambda root: ["convert", "--manifest", root / "model/model.json",
+                             "--cov-dir", root / "cov"],
+    "converted": lambda root: ["eval", "--source", root / "model/model.json"],
+}
+NUL_PATHS = {
+    **{f"model-{name}": ("model", ("layers", 0, name), READERS["model"])
+       for name in ("w_q", "w_k_g", "w_v_g")},
+    "model-batch": ("model", ("calibration", "0", 0), READERS["batch"]),
+    "profile-grams": ("profile", ("grams", 0, "grams"), READERS["profile"]),
+    **{f"converted-{name}": ("converted", ("layers", 0, name), READERS["converted"])
+       for name in ("w_a_k", "w_b_k", "w_a_v", "w_b_v", "grams")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUL_PATHS))
+def test_path_with_nul_exits_2_before_any_output(built, tmp_path, capsys, case):
+    # The OS cannot open such a path; it is refused on load, naming the field.
+    kind, keys, args = NUL_PATHS[case]
+    original = built / DOCUMENTS[kind]
+    doc, _ = mutated(json.loads(original.read_text()), keys, "weights/a\0b.ctf")
+    document = original.with_name(f"nul_{case}.json")
+    document.write_text(json.dumps(doc))
+    flag = {"model": "--manifest", "profile": "--profile", "converted": "--converted"}[kind]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main([str(a) for a in [*args(built), flag, document, "--out", out / "p.json"]])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    field = case.partition("-")[2]
+    assert err.endswith(f" {field} 'weights/a\\x00b.ctf' holds a NUL character\n"), err
+    assert not out.exists()
 
 
 def with_header(data: bytes, **fields) -> bytes:

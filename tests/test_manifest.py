@@ -9,6 +9,7 @@ import pytest
 from conftest import gen
 from kvlatent import ctf, manifest
 from kvlatent.calibration import ShrinkageParams
+from kvlatent.cli import main
 from kvlatent.errors import ValidationError
 from kvlatent.scheduler import RankProfile
 
@@ -537,3 +538,28 @@ def test_json_writers_refuse_non_finite_numbers(tmp_path, value):
         with pytest.raises(ValidationError, match="report.json"):
             write(tmp_path / "report.json", {"figures": [1.0, value]})
         assert list(tmp_path.iterdir()) == []
+
+
+UNDECODABLE = {
+    "truncated_object": b'{"format": "kvlatent-',
+    "non_utf8_byte": b'{"format": "\xff"}',
+    "integer_past_int_digit_limit": b'{"budget_k": ' + b"9" * 5001 + b"}",
+    "array_past_recursion_limit": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("loader", ["manifest", "profile"])
+@pytest.mark.parametrize("data", UNDECODABLE.values(), ids=UNDECODABLE)
+def test_json_the_decoder_cannot_take_exits_2(tmp_path, capsys, data, loader):
+    small_gqa_manifest(tmp_path, gen(713))
+    (tmp_path / "bad.json").write_bytes(data)
+    with pytest.raises(ValidationError, match="bad.json: not valid JSON"):
+        getattr(manifest, f"load_{loader}")(tmp_path / "bad.json")
+    documents = {"manifest": tmp_path / "model.json", "profile": tmp_path / "p.json",
+                 loader: tmp_path / "bad.json"}
+    code = main(["convert", "--manifest", str(documents["manifest"]),
+                 "--cov-dir", str(tmp_path / "cov"), "--profile", str(documents["profile"]),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'bad.json'}: not valid JSON")
+    assert not (tmp_path / "out").exists()

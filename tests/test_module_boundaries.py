@@ -3,6 +3,10 @@
 A leading underscore marks a name its module may change at will. A module
 that needs such a name from another asks that module for a public one, so
 each private name keeps one owner.
+
+Only the dense references the tests compare against take an SVD: the
+pipeline factors a layer from its Gram matrices, so a call to linalg.svd
+anywhere else would be a second factorization path.
 """
 
 import ast
@@ -85,6 +89,67 @@ def test_the_check_finds_each_form_of_use(tmp_path):
     ]
 
 
+# The only functions under src/ that may call linalg.svd.
+SVD_REFERENCES = {"factorizer.py whitened_svd", "scheduler.py whitened_spectrum"}
+
+
+def svd_callers(path: Path) -> list[str]:
+    """`file:line function` for each call in `path` of kvlatent's linalg.svd,
+    by module attribute or by imported name; `<module>` outside any function."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules, names = set(), set()  # local names of linalg, and of its svd
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _sibling(node) == "linalg":
+            names |= {alias.asname or alias.name for alias in node.names if alias.name == "svd"}
+        elif isinstance(node, ast.ImportFrom) and (
+                (node.level == 1 and node.module is None) or node.module == "kvlatent"):
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "linalg"}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname for alias in node.names
+                        if alias.name == "kvlatent.linalg" and alias.asname}
+
+    calls = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if ((isinstance(func, ast.Attribute) and func.attr == "svd"
+                 and isinstance(func.value, ast.Name) and func.value.id in modules)
+                    or (isinstance(func, ast.Name) and func.id in names)):
+                calls.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return [f"{path.name}:{line} {function}" for line, function in sorted(calls)]
+
+
+def test_only_the_dense_references_call_svd():
+    callers = {f"{path.name} {caller.split()[1]}"
+               for path in sorted(SRC.glob("*.py")) for caller in svd_callers(path)}
+    assert callers == SVD_REFERENCES
+
+
+def test_the_svd_check_finds_each_form_of_call(tmp_path):
+    path = tmp_path / "cli.py"
+    path.write_text(
+        "import numpy as np\n"
+        "import kvlatent.linalg as la\n"
+        "from . import linalg\n"
+        "from .linalg import svd as dense\n"
+        "linalg.svd(0)\n"
+        "def f(w):\n"
+        "    return np.linalg.svd(w), la.svd(w)\n"
+        "class A:\n"
+        "    def g(self, w):\n"
+        "        return dense(w)\n"
+    )
+    assert svd_callers(path) == ["cli.py:5 <module>", "cli.py:7 f", "cli.py:10 g"]
+
+
 def cli_import_loads(module: str) -> bool:
     """Whether `import kvlatent.cli` in a fresh interpreter loads `module`."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -96,7 +161,7 @@ def cli_import_loads(module: str) -> bool:
 
 
 def test_importing_the_cli_loads_no_numpy_random():
-    # Only gen, eval and ablate draw, so the other stages' subprocesses
+    # Only gen and eval draw, so the other stages' subprocesses
     # should not pay for numpy.random's import.
     assert not cli_import_loads("numpy.random")
 
